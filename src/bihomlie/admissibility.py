@@ -173,18 +173,15 @@ def commutator_jacobiator(a: ColourAlgebra, i: int, j: int, k: int) -> Vec:
     """
     total = vzero(a.dim)
     grp = a.basis.group
+    alpha = a.alpha.columns()
+    beta = a.beta.columns()
+    beta2 = a.map_power("beta", 2).columns()
     for ii, jj, kk in ((i, j, k), (j, k, i), (k, i, j)):
         dx, dy, dz = a.degree(ii), a.degree(jj), a.degree(kk)
-        inner = _commutator(
-            a,
-            a.beta.apply(a.basis_vec(jj)),
-            a.alpha.apply(a.basis_vec(kk)),
-            dy,
-            dz,
-        )
+        inner = _commutator(a, beta[jj], alpha[kk], dy, dz)
         outer = _commutator(
             a,
-            (a.beta * a.beta).apply(a.basis_vec(ii)),
+            beta2[ii],
             inner,
             dx,
             grp.add(dy, dz),
@@ -312,16 +309,14 @@ def primed_bracket(a: ColourAlgebra) -> ColourAlgebra:
     skewsymmetry this doubles the product; in general it symmetrizes it
     into a skewsymmetric one.  Maps must be invertible.
     """
-    ainvb = a.map_power("alpha", -1) * a.beta
-    a_binv = a.alpha * a.map_power("beta", -1)
+    ainvb = a.ab_power(-1, 1).columns()
+    a_binv = a.ab_power(1, -1).columns()
     n = a.dim
     product = []
     for i in range(n):
         row = []
         for j in range(n):
-            swapped = a.product_eval(
-                ainvb.apply(a.basis_vec(j)), a_binv.apply(a.basis_vec(i))
-            )
+            swapped = a.product_eval(ainvb[j], a_binv[i])
             row.append(
                 vsub(
                     a.product[i][j],

@@ -119,6 +119,8 @@ class ColourAlgebra:
         "beta",
         "kind",
         "_powers",
+        "_eps",
+        "_products",
     )
 
     def __init__(
@@ -153,7 +155,9 @@ class ColourAlgebra:
         if kind not in ("lie", "associative", "generic"):
             raise ValueError(f"unknown kind {kind!r}")
         self.kind = kind
-        self._powers: dict[tuple[str, int], Matrix] = {}
+        self._powers: dict[tuple, Matrix] = {}
+        self._eps: Optional[tuple[tuple[int, ...], ...]] = None
+        self._products: dict[tuple[int, int], tuple[tuple[Vec, ...], ...]] = {}
 
     # -- basic accessors ----------------------------------------------------
 
@@ -170,7 +174,16 @@ class ColourAlgebra:
         return self.basis.degrees[i]
 
     def eps_ij(self, i: int, j: int) -> int:
-        return self.eps.eval(self.degree(i), self.degree(j))
+        return self.eps_table()[i][j]
+
+    def eps_table(self) -> tuple[tuple[int, ...], ...]:
+        """eps(e_i, e_j) for all pairs of basis indices; cached."""
+        if self._eps is None:
+            degs = self.basis.degrees
+            self._eps = tuple(
+                tuple(self.eps.eval(di, dj) for dj in degs) for di in degs
+            )
+        return self._eps
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -224,8 +237,31 @@ class ColourAlgebra:
         return hit
 
     def ab_power(self, ka: int, kb: int) -> Matrix:
-        """alpha**ka composed with beta**kb."""
-        return self.map_power("alpha", ka) * self.map_power("beta", kb)
+        """alpha**ka composed with beta**kb, cached like map_power.
+
+        Its ``columns()`` are the images of the basis vectors.
+        """
+        key = ("alpha*beta", ka, kb)
+        hit = self._powers.get(key)
+        if hit is None:
+            hit = self.map_power("alpha", ka) * self.map_power("beta", kb)
+            self._powers[key] = hit
+        return hit
+
+    def twisted_products(
+        self, ka: int, kb: int
+    ) -> tuple[tuple[Vec, ...], ...]:
+        """[alpha**ka beta**kb (e_i), e_j] at [i][j]; cached."""
+        key = (ka, kb)
+        hit = self._products.get(key)
+        if hit is None:
+            basis = [self.basis_vec(j) for j in range(self.dim)]
+            hit = tuple(
+                tuple(self.product_eval(x, e) for e in basis)
+                for x in self.ab_power(ka, kb).columns()
+            )
+            self._products[key] = hit
+        return hit
 
     def is_regular(self) -> bool:
         try:
@@ -271,19 +307,18 @@ def jacobiator(
         raise ValueError(f"unknown jacobiator mode {mode!r}")
     n = a.dim
     acc = vzero(n)
+    alpha = a.alpha.columns()
     if mode == "bihom":
-        beta2 = a.map_power("beta", 2)
+        beta = a.beta.columns()
+        beta2 = a.map_power("beta", 2).columns()
         for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-            inner = a.product_eval(
-                a.beta.apply(a.basis_vec(y)), a.alpha.apply(a.basis_vec(z))
-            )
-            term = a.product_eval(beta2.apply(a.basis_vec(x)), inner)
+            inner = a.product_eval(beta[y], alpha[z])
+            term = a.product_eval(beta2[x], inner)
             sign = a.eps.eval(a.degree(z), a.degree(x))
             acc = vadd(acc, vscale(Fraction(sign), term))
     else:
         for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-            inner = a.product_eval(a.basis_vec(y), a.basis_vec(z))
-            term = a.product_eval(a.alpha.apply(a.basis_vec(x)), inner)
+            term = a.product_eval(alpha[x], a.product[y][z])
             sign = a.eps.eval(a.degree(z), a.degree(x))
             acc = vadd(acc, vscale(Fraction(sign), term))
     return acc
@@ -382,11 +417,11 @@ def _check_maps_commute(a: ColourAlgebra) -> CheckItem:
 
 
 def _check_multiplicative(a: ColourAlgebra, name: str, m: Matrix) -> CheckItem:
+    cols = m.columns()
+
     def defect(i: int, j: int) -> Vec:
         lhs = m.apply(a.product[i][j])
-        rhs = a.product_eval(
-            m.apply(a.basis_vec(i)), m.apply(a.basis_vec(j))
-        )
+        rhs = a.product_eval(cols[i], cols[j])
         return vsub(lhs, rhs)
 
     return _check_tuples(
@@ -421,13 +456,12 @@ def check_lie_axioms(a: ColourAlgebra) -> AxiomReport:
     rep.items.append(_check_multiplicative(a, "alpha", a.alpha))
     rep.items.append(_check_multiplicative(a, "beta", a.beta))
 
+    alpha = a.alpha.columns()
+    beta = a.beta.columns()
+
     def skew_defect(i: int, j: int) -> Vec:
-        lhs = a.product_eval(
-            a.beta.apply(a.basis_vec(i)), a.alpha.apply(a.basis_vec(j))
-        )
-        rhs = a.product_eval(
-            a.beta.apply(a.basis_vec(j)), a.alpha.apply(a.basis_vec(i))
-        )
+        lhs = a.product_eval(beta[i], alpha[j])
+        rhs = a.product_eval(beta[j], alpha[i])
         return vadd(lhs, vscale(Fraction(a.eps_ij(i, j)), rhs))
 
     rep.items.append(_check_tuples(a, "bihom_skewsymmetry", 2, skew_defect))

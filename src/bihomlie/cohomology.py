@@ -50,6 +50,7 @@ PREFACTOR_CONVENTIONS = ("segment", "full")
 DEFAULT_PREFACTOR = "segment"
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class Representation:
@@ -60,7 +61,7 @@ class Representation:
     are the business of :func:`validate_representation`.
     """
 
-    __slots__ = ("algebra", "space", "rho", "alphaV", "betaV")
+    __slots__ = ("algebra", "space", "rho", "alphaV", "betaV", "_actions")
 
     def __init__(
         self,
@@ -87,6 +88,7 @@ class Representation:
         self.rho = rho
         self.alphaV = alphaV
         self.betaV = betaV
+        self._actions: dict[int, tuple[Matrix, ...]] = {}
 
     @property
     def dimV(self) -> int:
@@ -102,6 +104,14 @@ class Representation:
 
     def act(self, x: Vec, v: Vec) -> Vec:
         return self.rho_of(x).apply(v)
+
+    def action_table(self, k: int) -> tuple[Matrix, ...]:
+        """rho(alpha beta^k(e_i)) for every basis index i; cached."""
+        hit = self._actions.get(k)
+        if hit is None:
+            cols = self.algebra.ab_power(1, k).columns()
+            hit = self._actions[k] = tuple(self.rho_of(x) for x in cols)
+        return hit
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Representation):
@@ -200,8 +210,8 @@ def validate_representation(rep: Representation) -> AxiomReport:
         )
 
     def intertwine(name: str, amap: Matrix, vmap: Matrix) -> CheckItem:
-        for i in range(a.dim):
-            lhs = rep.rho_of(amap.apply(a.basis_vec(i))) * vmap
+        for i, image in enumerate(amap.columns()):
+            lhs = rep.rho_of(image) * vmap
             rhs = vmap * rep.rho[i]
             diff = lhs - rhs
             if diff.is_zero():
@@ -224,18 +234,18 @@ def validate_representation(rep: Representation) -> AxiomReport:
     items.append(intertwine("alpha_intertwine", a.alpha, rep.alphaV))
     items.append(intertwine("beta_intertwine", a.beta, rep.betaV))
 
+    alpha = a.alpha.columns()
+    beta = a.beta.columns()
+    ab = a.ab_power(1, 1).columns()
     bracket_item = CheckItem("module_condition", True)
     for i in range(a.dim):
         if not bracket_item.passed:
             break
-        bx = a.beta.apply(a.basis_vec(i))
-        abx = a.alpha.apply(bx)
-        ax = a.alpha.apply(a.basis_vec(i))
         for j in range(a.dim):
-            lhs = rep.rho_of(a.product_eval(bx, a.basis_vec(j))) * rep.betaV
-            rhs = rep.rho_of(abx) * rep.rho[j] - (
-                rep.rho_of(a.beta.apply(a.basis_vec(j)))
-                * rep.rho_of(ax)
+            bracket = a.product_eval(beta[i], a.basis_vec(j))
+            lhs = rep.rho_of(bracket) * rep.betaV
+            rhs = rep.rho_of(ab[i]) * rep.rho[j] - (
+                rep.rho_of(beta[j]) * rep.rho_of(alpha[i])
             ).scale(a.eps_ij(i, j))
             diff = lhs - rhs
             if diff.is_zero():
@@ -267,14 +277,7 @@ def adjoint_rep(a: ColourAlgebra, s: int, l: int) -> Representation:
     The element a acts by x |-> [alpha^s beta^l(a), x]; the module maps are
     alpha and beta themselves.  Negative exponents need invertible maps.
     """
-    m = a.ab_power(s, l)
-    rho = []
-    for i in range(a.dim):
-        mi = m.apply(a.basis_vec(i))
-        cols = [
-            a.product_eval(mi, a.basis_vec(j)) for j in range(a.dim)
-        ]
-        rho.append(Matrix.from_cols(cols))
+    rho = [Matrix.from_cols(cols) for cols in a.twisted_products(s, l)]
     return Representation(a, a.basis, rho, a.alpha, a.beta)
 
 
@@ -307,18 +310,19 @@ def dual_rep(rep: Representation) -> tuple[Representation, AxiomReport]:
         rep.betaV.transpose(),
     )
 
+    alpha = a.alpha.columns()
+    beta = a.beta.columns()
+    ab = a.ab_power(1, 1).columns()
     item = CheckItem("dual_module_condition", True)
     for i in range(a.dim):
         if not item.passed:
             break
-        bx = a.beta.apply(a.basis_vec(i))
-        ax = a.alpha.apply(a.basis_vec(i))
-        abx = a.alpha.apply(bx)
         for j in range(a.dim):
-            lhs = rep.betaV * rep.rho_of(a.product_eval(bx, a.basis_vec(j)))
-            rhs = rep.rho_of(ax) * rep.rho_of(
-                a.beta.apply(a.basis_vec(j))
-            ) - (rep.rho[j] * rep.rho_of(abx)).scale(a.eps_ij(i, j))
+            bracket = a.product_eval(beta[i], a.basis_vec(j))
+            lhs = rep.betaV * rep.rho_of(bracket)
+            rhs = rep.rho_of(alpha[i]) * rep.rho_of(beta[j]) - (
+                rep.rho[j] * rep.rho_of(ab[i])
+            ).scale(a.eps_ij(i, j))
             diff = lhs - rhs
             if diff.is_zero():
                 continue
@@ -356,19 +360,20 @@ def reduce_index_tuple(
     adjacent swaps used, or (0, None) when the tuple repeats an index whose
     degree has eps(d, d) = +1 and the value is forced to vanish.
     """
+    eps = a.eps_table()
     lst = list(idx)
-    sign = Fraction(1)
+    sign = 1
     for i in range(1, len(lst)):
         j = i
         while j > 0 and lst[j - 1] > lst[j]:
             u, v = lst[j - 1], lst[j]
-            sign = -sign * a.eps_ij(u, v)
+            sign = -sign * eps[u][v]
             lst[j - 1], lst[j] = v, u
             j -= 1
     for p in range(len(lst) - 1):
-        if lst[p] == lst[p + 1] and a.eps_ij(lst[p], lst[p]) == 1:
+        if lst[p] == lst[p + 1] and eps[lst[p]][lst[p]] == 1:
             return _ZERO, None
-    return sign, tuple(lst)
+    return (_ONE if sign == 1 else -_ONE), tuple(lst)
 
 
 def canonical_index_tuples(a: ColourAlgebra, n: int) -> list[tuple[int, ...]]:
@@ -433,23 +438,25 @@ class Cochain:
         """Multilinear evaluation on arbitrary coordinate vectors."""
         if len(args) != self.n:
             raise ValueError(f"expected {self.n} arguments, got {len(args)}")
-        out = vzero(self.dimV)
+        out = [_ZERO] * self.dimV
         supports = [
             [(i, c) for i, c in enumerate(v) if c] for v in args
         ]
         for combo in iproduct(*supports):
-            coeff = Fraction(1)
-            for _, c in combo:
-                coeff *= c
-            sign, canon = reduce_index_tuple(
+            coeff, canon = reduce_index_tuple(
                 rep.algebra, tuple(i for i, _ in combo)
             )
             if canon is None:
                 continue
             val = self.values.get(canon)
-            if val is not None:
-                out = vadd(out, vscale(coeff * sign, val))
-        return out
+            if val is None:
+                continue
+            for _, c in combo:
+                coeff *= c
+            for k, x in enumerate(val):
+                if x:
+                    out[k] += coeff * x
+        return tuple(out)
 
     def add(self, other: "Cochain") -> "Cochain":
         if (self.n, self.degree, self.dimV) != (
@@ -641,7 +648,8 @@ def cochain_in_space(
             (a.alpha, rep.alphaV, "alpha"),
             (a.beta, rep.betaV, "beta"),
         ):
-            got = f.eval(rep, [amap.apply(a.basis_vec(t)) for t in T])
+            cols = amap.columns()
+            got = f.eval(rep, [cols[t] for t in T])
             want = vmap.apply(f.value(T))
             if got != want:
                 return (
@@ -686,51 +694,51 @@ def apply_coboundary(
         if not ok:
             raise ValueError(f"cochain is outside the domain space: {reason}")
     a = rep.algebra
-    eps = a.eps
     n = f.n
+    dim = a.dim
     gamma = a.basis.group.reduce(f.degree)
-    inv_ab = a.ab_power(-1, 1)
-    act = a.ab_power(1, r + n - 1)
+
+    # Tables indexed by basis index: beta(e_i), the bracket
+    # [alpha^{-1}beta(e_i), e_j], the action matrices
+    # rho(alpha beta^{r+n-1}(e_i)), and the signs eps(e_i, e_j) and
+    # eps(gamma, e_i).  All but the last are cached on the algebra or module.
+    beta = a.beta.columns()
+    bracket = a.twisted_products(-1, 1) if n else ()
+    action = rep.action_table(r + n - 1)
+    eps = a.eps_table()
+    eps_gamma = [a.eps.eval(gamma, a.degree(i)) for i in range(dim)]
+    full = prefactor == "full"
 
     out_vals: dict[tuple[int, ...], Vec] = {}
     for X in canonical_index_tuples(a, n + 1):
-        degs = [a.degree(i) for i in X]
-        total = vzero(rep.dimV)
+        total = [_ZERO] * rep.dimV
         for t in range(1, n + 1):
+            xt = X[t]
             for s in range(t):
-                if prefactor == "segment":
-                    seg = degs[s + 1 : t]
-                else:
-                    seg = degs[:t]
-                w = eps.eval_many(seg, degs[t])
-                args: list[Vec] = []
-                for p in range(n + 1):
-                    if p == t:
-                        continue
-                    if p == s:
-                        args.append(
-                            a.product_eval(
-                                inv_ab.apply(a.basis_vec(X[s])),
-                                a.basis_vec(X[t]),
-                            )
-                        )
-                    else:
-                        args.append(a.beta.apply(a.basis_vec(X[p])))
-                term = f.eval(rep, args)
-                if not is_zero_vec(term):
-                    total = vadd(
-                        total, vscale(Fraction((-1) ** t * w), term)
-                    )
+                w = -1 if t % 2 else 1
+                for p in range(0 if full else s + 1, t):
+                    w *= eps[X[p]][xt]
+                args = [
+                    bracket[X[s]][xt] if p == s else beta[X[p]]
+                    for p in range(n + 1)
+                    if p != t
+                ]
+                for k, c in enumerate(f.eval(rep, args)):
+                    if c:
+                        total[k] += w * c
         for s in range(n + 1):
-            w = eps.eval_many([gamma] + degs[:s], degs[s])
-            rest = [a.basis_vec(X[p]) for p in range(n + 1) if p != s]
-            fv = f.eval(rep, rest)
-            if is_zero_vec(fv):
+            fv = f.values.get(X[:s] + X[s + 1 :])
+            if fv is None:
                 continue
-            term = rep.act(act.apply(a.basis_vec(X[s])), fv)
-            total = vadd(total, vscale(Fraction((-1) ** s * w), term))
-        if not is_zero_vec(total):
-            out_vals[X] = total
+            xs = X[s]
+            w = -eps_gamma[xs] if s % 2 else eps_gamma[xs]
+            for p in range(s):
+                w *= eps[X[p]][xs]
+            for k, c in enumerate(action[xs].apply(fv)):
+                if c:
+                    total[k] += w * c
+        if any(total):
+            out_vals[X] = tuple(total)
     return Cochain(n + 1, gamma, out_vals, rep.dimV)
 
 
@@ -745,7 +753,9 @@ def coboundary_matrix(
     """Matrix of the coboundary from the degree-gamma n-cochain basis to
     the (n+1)-basis.  Raises RuntimeError if some image fails to land in
     the codomain space (the intertwining conditions guarantee it does, so
-    a miss indicates a broken prefactor convention).
+    a miss indicates a broken prefactor convention or a module that fails
+    its axioms), naming the basis cochain and, where the image leaves the
+    degree-gamma slots, the slot.
     """
     dom = cochain_basis(rep, n, gamma)
     cod = cochain_basis(rep, n + 1, gamma)
@@ -756,6 +766,18 @@ def coboundary_matrix(
         apply_coboundary(rep, r, fb, prefactor=prefactor, validate=False)
         for fb in dom
     ]
+    slot_set = set(slots)
+    for k, img in enumerate(images):
+        for T, val in img.values.items():
+            for w, c in enumerate(val):
+                if c and (T, w) not in slot_set:
+                    args = ", ".join(rep.algebra.basis.names[i] for i in T)
+                    raise RuntimeError(
+                        f"coboundary image of basis cochain {k} has "
+                        f"coordinate {rep.space.names[w]} = {c} on "
+                        f"({args}), outside the degree-{tuple(gamma)} slots "
+                        "of the codomain"
+                    )
     if not cod:
         for fb, img in zip(dom, images):
             if not img.is_zero():

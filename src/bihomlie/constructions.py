@@ -41,12 +41,11 @@ def _require_even(a: ColourAlgebra, m: Matrix, what: str) -> None:
 
 
 def _require_morphism(a: ColourAlgebra, m: Matrix, what: str) -> None:
+    cols = m.columns()
     for i in range(a.dim):
         for j in range(a.dim):
             lhs = m.apply(a.product[i][j])
-            rhs = a.product_eval(
-                m.apply(a.basis_vec(i)), m.apply(a.basis_vec(j))
-            )
+            rhs = a.product_eval(cols[i], cols[j])
             if lhs != rhs:
                 raise ValueError(
                     f"{what} is not a product morphism; first failure at "
@@ -84,13 +83,8 @@ def yau_twist(a: ColourAlgebra, a2: Matrix, b2: Matrix) -> ColourAlgebra:
             ("first twist map", a2, "second twist map", b2),
         ]
     )
-    n = a.dim
     product = [
-        [
-            a.product_eval(a2.apply(a.basis_vec(i)), b2.apply(a.basis_vec(j)))
-            for j in range(n)
-        ]
-        for i in range(n)
+        [a.product_eval(x, y) for y in b2.columns()] for x in a2.columns()
     ]
     return ColourAlgebra(
         a.basis, a.eps, product, a.alpha * a2, a.beta * b2, kind="lie"
@@ -110,17 +104,15 @@ def commutator_algebra(a: ColourAlgebra) -> ColourAlgebra:
         need_regular=True,
         context="commutator_algebra",
     )
-    ainv_b = a.map_power("alpha", -1) * a.beta
-    a_binv = a.alpha * a.map_power("beta", -1)
+    ainv_b = a.ab_power(-1, 1).columns()
+    a_binv = a.ab_power(1, -1).columns()
     n = a.dim
     product = []
     for i in range(n):
         row = []
         for j in range(n):
             direct = a.product[i][j]
-            swapped = a.product_eval(
-                ainv_b.apply(a.basis_vec(j)), a_binv.apply(a.basis_vec(i))
-            )
+            swapped = a.product_eval(ainv_b[j], a_binv[i])
             sign = Fraction(a.eps_ij(i, j))
             row.append(vsub(direct, tuple(sign * c for c in swapped)))
         product.append(row)

@@ -223,28 +223,31 @@ def _leibniz_rows(
     and s = right_sign flipping the twisted term for cross conditions.
     """
     g = a.basis.group.reduce(gamma)
+    mcols = m_power.columns()
+    # [e_t, m(e_j)] depends on j only and [m(e_i), e_t] on i only: one
+    # table each, indexed by that basis index and then by t.
+    left_table = (
+        [
+            [a.product_eval(a.basis_vec(t), mj) for t in range(a.dim)]
+            for mj in mcols
+        ]
+        if left_unknown is not None
+        else None
+    )
+    right_table = (
+        [
+            [a.product_eval(mi, a.basis_vec(t)) for t in range(a.dim)]
+            for mi in mcols
+        ]
+        if right_unknown is not None
+        else None
+    )
     for i in range(a.dim):
         wi = Fraction(a.eps.eval(g, a.degree(i)))
-        mi = m_power.apply(a.basis_vec(i))
+        right_cols = right_table[i] if right_table is not None else None
         for j in range(a.dim):
-            mj = m_power.apply(a.basis_vec(j))
             cell = a.product[i][j]
-            left_cols = (
-                [
-                    a.product_eval(a.basis_vec(t), mj)
-                    for t in range(a.dim)
-                ]
-                if left_unknown is not None
-                else None
-            )
-            right_cols = (
-                [
-                    a.product_eval(mi, a.basis_vec(t))
-                    for t in range(a.dim)
-                ]
-                if right_unknown is not None
-                else None
-            )
+            left_cols = left_table[j] if left_table is not None else None
             for u in range(a.dim):
                 coeffs: dict = {}
                 if value_unknown is not None:
@@ -293,6 +296,7 @@ def _bracket_defect(
     from .linalg import vadd, vscale, vsub, vzero
 
     g = a.basis.group.reduce(gamma)
+    mcols = m_power.columns()
     for i in range(a.dim):
         wi = right_sign * Fraction(a.eps.eval(g, a.degree(i)))
         for j in range(a.dim):
@@ -305,20 +309,14 @@ def _bracket_defect(
             if d_left is not None:
                 rhs = vadd(
                     rhs,
-                    a.product_eval(
-                        d_left.apply(a.basis_vec(i)),
-                        m_power.apply(a.basis_vec(j)),
-                    ),
+                    a.product_eval(d_left.columns()[i], mcols[j]),
                 )
             if d_right is not None:
                 rhs = vadd(
                     rhs,
                     vscale(
                         wi,
-                        a.product_eval(
-                            m_power.apply(a.basis_vec(i)),
-                            d_right.apply(a.basis_vec(j)),
-                        ),
+                        a.product_eval(mcols[i], d_right.columns()[j]),
                     ),
                 )
             diff = vsub(lhs, rhs)
@@ -482,10 +480,7 @@ def inner_derivation_space(
                 x[i] = kv[pos]
             xv = vec(x)
             mat = Matrix.from_cols(
-                [
-                    a.product_eval(m.apply(a.basis_vec(j)), xv)
-                    for j in range(a.dim)
-                ]
+                [a.product_eval(mj, xv) for mj in m.columns()]
             )
             flat = _flatten(mat)
             if is_zero_vec(flat) or in_span(flats, flat):

@@ -1,34 +1,21 @@
 """Exact dense linear algebra over the rationals.
 
 Everything downstream (axiom checks, derivation solvers, cochain bases)
-funnels into reduced row echelon form, so that one kernel exists twice: a
-compiled fraction-free version (bihomlie._rrefc, Cython) and a pure-Python
-one (bihomlie._rref_py).  The compiled one is used when importable unless
-the environment variable BIHOMLIE_PURE is set to a non-empty value.  Both
-produce the canonical RREF with the same pivot rule, hence identical output.
+funnels into reduced row echelon form, computed by the one fraction-free
+kernel in bihomlie._rref_py.  It is plain Python and needs no build step.
+``BACKEND`` names that kernel; it is the constant ``"pure"``.
 
 Scalars are fractions.Fraction throughout; vectors are plain tuples.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-if os.environ.get("BIHOMLIE_PURE"):
-    from . import _rref_py as _kernel
+from ._rref_py import rref as _rref
 
-    BACKEND = "pure"
-else:
-    try:
-        from . import _rrefc as _kernel  # type: ignore[no-redef]
-
-        BACKEND = "compiled"
-    except ImportError:
-        from . import _rref_py as _kernel  # type: ignore[no-redef]
-
-        BACKEND = "pure"
+BACKEND = "pure"
 
 Vec = tuple[Fraction, ...]
 
@@ -37,7 +24,9 @@ ONE = Fraction(1)
 
 
 def vec(entries: Iterable) -> Vec:
-    return tuple(Fraction(x) for x in entries)
+    return tuple(
+        x if isinstance(x, Fraction) else Fraction(x) for x in entries
+    )
 
 
 def vzero(n: int) -> Vec:
@@ -70,12 +59,14 @@ class Matrix:
     True
     """
 
-    __slots__ = ("rows", "nrows", "ncols")
+    __slots__ = ("rows", "nrows", "ncols", "_cols")
 
     def __init__(self, rows: Iterable[Iterable]) -> None:
         self.rows: tuple[Vec, ...] = tuple(
-            tuple(Fraction(x) for x in row) for row in rows
+            tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row)
+            for row in rows
         )
+        self._cols: Optional[tuple[Vec, ...]] = None
         self.nrows = len(self.rows)
         self.ncols = len(self.rows[0]) if self.rows else 0
         for row in self.rows:
@@ -138,23 +129,31 @@ class Matrix:
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        cols = list(zip(*other.rows)) if other.rows else []
-        return Matrix(
-            [
-                [sum(a * b for a, b in zip(row, col)) for col in cols]
-                for row in self.rows
-            ]
-        )
+        # row i of the product is the sum of a_ik * (row k of other) over
+        # the nonzero a_ik, which skips the zeros of both factors
+        out = []
+        for row in self.rows:
+            acc = [ZERO] * other.ncols
+            for k, a in enumerate(row):
+                if a:
+                    for j, b in enumerate(other.rows[k]):
+                        if b:
+                            acc[j] += a * b
+            out.append(acc)
+        return Matrix(out)
 
     def scale(self, c) -> "Matrix":
         c = Fraction(c)
         return Matrix([[c * x for x in row] for row in self.rows])
 
     def apply(self, v: Vec) -> Vec:
-        """Matrix times column vector."""
+        """Matrix times column vector, summed over the nonzero entries of v."""
         if len(v) != self.ncols:
             raise ValueError("shape mismatch")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.rows)
+        support = [(j, c) for j, c in enumerate(v) if c]
+        return tuple(
+            sum((row[j] * c for j, c in support), ZERO) for row in self.rows
+        )
 
     def transpose(self) -> "Matrix":
         return Matrix(list(zip(*self.rows)) if self.rows else [])
@@ -168,8 +167,14 @@ class Matrix:
     def column(self, j: int) -> Vec:
         return tuple(row[j] for row in self.rows)
 
+    def columns(self) -> tuple[Vec, ...]:
+        """All columns, i.e. the images of the basis vectors; cached."""
+        if self._cols is None:
+            self._cols = tuple(zip(*self.rows)) if self.rows else ()
+        return self._cols
+
     def rref(self) -> tuple["Matrix", list[int]]:
-        reduced, pivots = _kernel.rref([list(r) for r in self.rows])
+        reduced, pivots = _rref(self.rows)
         return Matrix(reduced), pivots
 
     def rank(self) -> int:

@@ -2,10 +2,14 @@
 
 from fractions import Fraction
 from itertools import product as iproduct
+from pathlib import Path
+from random import Random
 
 import pytest
 
+from bihomlie.alg_io import parse_algebra
 from bihomlie.cohomology import (
+    PREFACTOR_CONVENTIONS,
     Cochain,
     Representation,
     adjoint_rep,
@@ -22,14 +26,27 @@ from bihomlie.cohomology import (
 )
 from bihomlie.constructions import (
     build_osp12,
+    commutator_algebra,
+    mat2_assoc,
     osp12_classical,
+    yau_twist,
+    z2z2_colour_example,
     zero_algebra,
 )
 from bihomlie.derivations import derivation_space
 from bihomlie.grading import GradedBasis, parse_group
-from bihomlie.linalg import Matrix, spans_equal, vscale, vsub
+from bihomlie.linalg import (
+    Matrix,
+    is_zero_vec,
+    spans_equal,
+    vadd,
+    vscale,
+    vsub,
+    vzero,
+)
 
 F = Fraction
+DATA = Path(__file__).resolve().parent.parent / "src" / "bihomlie" / "data"
 
 
 def twist_rep(s=0, l=1):
@@ -329,6 +346,154 @@ def test_coboundary_output_stays_in_the_cochain_space():
             assert df.degree == tuple(g)
             ok, why = cochain_in_space(rep, df)
             assert ok, why
+
+
+def eval_oracle(rep, f, args):
+    """Multilinear evaluation, one sign reduction per support combination."""
+    out = vzero(f.dimV)
+    supports = [[(i, c) for i, c in enumerate(v) if c] for v in args]
+    for combo in iproduct(*supports):
+        coeff = F(1)
+        for _, c in combo:
+            coeff *= c
+        sign, canon = reduce_index_tuple(rep.algebra, tuple(i for i, _ in combo))
+        if canon is not None and canon in f.values:
+            out = vadd(out, vscale(coeff * sign, f.values[canon]))
+    return out
+
+
+def act_oracle(rep, x, v):
+    """rho(x) v with rho(x) summed as a dense matrix."""
+    m = Matrix.zero(rep.dimV, rep.dimV)
+    for c, rho in zip(x, rep.rho):
+        if c:
+            m = m + rho.scale(c)
+    return m.apply(v)
+
+
+def coboundary_oracle(rep, r, f, prefactor):
+    """The coboundary evaluated term by term on basis vectors, with dense
+    action matrices and mat-vecs: the slow path the tables replaced."""
+    a = rep.algebra
+    eps = a.eps
+    n = f.n
+    gamma = a.basis.group.reduce(f.degree)
+    inv_ab = a.ab_power(-1, 1)
+    act = a.ab_power(1, r + n - 1)
+    out_vals = {}
+    for X in canonical_index_tuples(a, n + 1):
+        degs = [a.degree(i) for i in X]
+        total = vzero(rep.dimV)
+        for t in range(1, n + 1):
+            for s in range(t):
+                seg = degs[s + 1 : t] if prefactor == "segment" else degs[:t]
+                w = eps.eval_many(seg, degs[t])
+                args = []
+                for p in range(n + 1):
+                    if p == t:
+                        continue
+                    if p == s:
+                        args.append(
+                            a.product_eval(
+                                inv_ab.apply(a.basis_vec(X[s])),
+                                a.basis_vec(X[t]),
+                            )
+                        )
+                    else:
+                        args.append(a.beta.apply(a.basis_vec(X[p])))
+                term = eval_oracle(rep, f, args)
+                total = vadd(total, vscale(F((-1) ** t * w), term))
+        for s in range(n + 1):
+            w = eps.eval_many([gamma] + degs[:s], degs[s])
+            rest = [a.basis_vec(X[p]) for p in range(n + 1) if p != s]
+            fv = eval_oracle(rep, f, rest)
+            if is_zero_vec(fv):
+                continue
+            term = act_oracle(rep, act.apply(a.basis_vec(X[s])), fv)
+            total = vadd(total, vscale(F((-1) ** s * w), term))
+        if not is_zero_vec(total):
+            out_vals[X] = total
+    return Cochain(n + 1, gamma, out_vals, rep.dimV)
+
+
+def _conjugation(g, ginv):
+    """x -> g x g^-1 on 2x2 matrices, in the basis E11, E12, E21, E22."""
+    units = ((0, 0), (0, 1), (1, 0), (1, 1))
+    cols = [
+        [g[k][i] * ginv[j][l] for k, l in units] for i, j in units
+    ]
+    return Matrix.from_cols(cols)
+
+
+def gl2_conjugation_twist():
+    """gl(2) twisted by conjugation with [[1,1],[0,1]] and its square:
+    structure maps with several nonzero entries per column."""
+    alpha = _conjugation([[1, 1], [0, 1]], [[1, -1], [0, 1]])
+    beta = _conjugation([[1, 2], [0, 1]], [[1, -2], [0, 1]])
+    return yau_twist(commutator_algebra(mat2_assoc()), alpha, beta)
+
+
+def shipped_osp12_twist():
+    with open(DATA / "osp12_twist_2_3.alg", encoding="utf-8") as fh:
+        return parse_algebra(fh.read())
+
+
+TWISTED = {
+    "osp12_twist_ad01": lambda: adjoint_rep(build_osp12(2, 3), 0, 1),
+    "osp12_twist_ad10": lambda: adjoint_rep(build_osp12(2, 3), 1, 0),
+    "osp12_twist_2_3.alg": lambda: adjoint_rep(shipped_osp12_twist(), 0, 1),
+    "gl2_conjugation_twist": lambda: adjoint_rep(gl2_conjugation_twist(), -1, 2),
+    "z2z2_colour": lambda: adjoint_rep(z2z2_colour_example(), 0, 1),
+}
+
+
+def _dense_cochain(rep, n, gamma, seed):
+    """Values on every canonical tuple: not in the cochain space."""
+    rng = Random(seed)
+    return Cochain(
+        n,
+        gamma,
+        {
+            T: [F(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(rep.dimV)]
+            for T in canonical_index_tuples(rep.algebra, n)
+        },
+        rep.dimV,
+    )
+
+
+@pytest.mark.parametrize("prefactor", PREFACTOR_CONVENTIONS)
+@pytest.mark.parametrize("name", sorted(TWISTED))
+def test_table_driven_coboundary_matches_the_oracle(name, prefactor):
+    rep = TWISTED[name]()
+    assert validate_representation(rep).passed
+    checked = 0
+    for n in (0, 1, 2):
+        for g in realized_gammas(rep, n):
+            cochains = cochain_basis(rep, n, g) + [_dense_cochain(rep, n, g, n)]
+            for f in cochains:
+                for r in (0, 1):
+                    got = apply_coboundary(
+                        rep, r, f, prefactor=prefactor, validate=False
+                    )
+                    assert got == coboundary_oracle(rep, r, f, prefactor)
+                    checked += not got.is_zero()
+    assert checked
+
+
+def test_image_off_the_slots_raises_with_the_slot():
+    # rho = E41 for every basis vector sends H to F: not even, so the
+    # image of a degree-0 cochain has F-coordinates on even tuples
+    a = osp12_classical()
+    e41 = Matrix(
+        [[int((p, q) == (3, 0)) for q in range(a.dim)] for p in range(a.dim)]
+    )
+    rep = Representation(a, a.basis, [e41] * a.dim, a.alpha, a.beta)
+    assert not validate_representation(rep).item("rho_even").passed
+    want = r"basis cochain 0 .*coordinate F = 1 on \(H\)"
+    with pytest.raises(RuntimeError, match=want):
+        coboundary_matrix(rep, 0, 0, (0,))
+    with pytest.raises(RuntimeError, match="outside the degree"):
+        cohomology_dims(rep, 0, 0, (0,))
 
 
 @pytest.mark.parametrize("r", [0, 1, 2])
