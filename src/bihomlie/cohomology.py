@@ -533,24 +533,64 @@ def realized_gammas(rep: Representation, n: int) -> list[GroupElement]:
     return sorted(seen)
 
 
-def _slot_coords(
-    f: Cochain, slots: Sequence[tuple[tuple[int, ...], int]]
-) -> Vec:
-    return vec(f.value(T)[w] for T, w in slots)
-
-
 def _cochain_from_coords(
     n: int,
     gamma: GroupElement,
     slots: Sequence[tuple[tuple[int, ...], int]],
-    coords: Vec,
+    coords: dict[int, Fraction],
     dimV: int,
 ) -> Cochain:
+    """Cochain with the given nonzero coordinates {slot index: value}."""
     vals: dict[tuple[int, ...], list[Fraction]] = {}
-    for (T, w), c in zip(slots, coords):
-        if c:
-            vals.setdefault(T, [_ZERO] * dimV)[w] = c
+    for k, c in coords.items():
+        T, w = slots[k]
+        vals.setdefault(T, [_ZERO] * dimV)[w] = c
     return Cochain(n, gamma, {T: vec(v) for T, v in vals.items()}, dimV)
+
+
+def _kernel_by_blocks(
+    rows: Sequence[dict[int, Fraction]], ncols: int
+) -> list[dict[int, Fraction]]:
+    """Kernel basis of sparse rows {column: nonzero value} over ncols
+    columns, as sparse vectors in ascending free-column order.
+
+    Columns are linked when some row has both nonzero; the row space is the
+    direct sum of its restrictions to the linked blocks, so the RREF of the
+    whole matrix is the union of the blocks' RREFs and this basis equals
+    ``kernel_basis`` of the dense matrix, vector for vector.  A column no
+    row touches is free with a unit vector.
+    """
+    parent = list(range(ncols))
+
+    def root(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    for row in rows:
+        first, *rest = row
+        for c in rest:
+            parent[root(c)] = root(first)
+    block_rows: dict[int, list[dict[int, Fraction]]] = {}
+    for row in rows:
+        block_rows.setdefault(root(next(iter(row))), []).append(row)
+    block_cols: dict[int, list[int]] = {}
+    for c in range(ncols):
+        block_cols.setdefault(root(c), []).append(c)
+
+    kernel: list[tuple[int, dict[int, Fraction]]] = []
+    for b, cols in block_cols.items():
+        brows = block_rows.get(b)
+        if brows is None:
+            kernel.append((cols[0], {cols[0]: _ONE}))
+            continue
+        dense = Matrix([[row.get(c, _ZERO) for c in cols] for row in brows])
+        for v in dense.kernel_basis():
+            coords = {cols[i]: x for i, x in enumerate(v) if x}
+            kernel.append((max(coords), coords))
+    kernel.sort(key=lambda item: item[0])
+    return [coords for _, coords in kernel]
 
 
 def cochain_basis(
@@ -563,6 +603,9 @@ def cochain_basis(
     analogue as linear constraints; returns a kernel basis.  Negative n
     gives the zero space, n = 0 the joint fixed vectors of alpha_V and
     beta_V inside the degree-gamma block.
+
+    Each basis cochain is 1 at one slot, its free slot, which is its last
+    nonzero slot, and 0 at the free slots of the others.
     """
     if n < 0:
         return []
@@ -571,56 +614,49 @@ def cochain_basis(
     slots = _slots(rep, n, g)
     if not slots:
         return []
-    col_of = {slot: k for k, slot in enumerate(slots)}
-    tuples = sorted({T for T, _ in slots})
+    # canonical tuple -> its slots (V index, column)
+    slot_cols: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for k, (T, w) in enumerate(slots):
+        slot_cols.setdefault(T, []).append((w, k))
 
-    rows: list[list[Fraction]] = []
-    for T in tuples:
-        for amap, vmap in ((a.alpha, rep.alphaV), (a.beta, rep.betaV)):
-            # coefficients of f(m e_{T_1}, ..., m e_{T_n}) in the slot basis
-            lhs: dict[tuple[tuple[int, ...], int], Fraction] = {}
+    maps = (
+        (a.alpha.columns(), rep.alphaV.columns()),
+        (a.beta.columns(), rep.betaV.columns()),
+    )
+    rows: list[dict[int, Fraction]] = []
+    for T, own in slot_cols.items():
+        for acols, vcols in maps:
+            # row w: coefficients of the w-coordinate of
+            # f(m e_{T_1}, ..., m e_{T_n}) - m_V f(e_{T_1}, ..., e_{T_n})
+            by_w: dict[int, dict[int, Fraction]] = {}
             supports = [
-                [(u, amap[u][t]) for u in range(a.dim) if amap[u][t]]
-                for t in T
+                [(u, c) for u, c in enumerate(acols[t]) if c] for t in T
             ]
             for combo in iproduct(*supports):
-                coeff = Fraction(1)
-                for _, c in combo:
-                    coeff *= c
                 sign, canon = reduce_index_tuple(
                     a, tuple(u for u, _ in combo)
                 )
                 if canon is None:
                     continue
-                for w in range(rep.dimV):
-                    slot = (canon, w)
-                    if slot in col_of:
-                        lhs[slot] = lhs.get(slot, _ZERO) + coeff * sign
-            for rrow in range(rep.dimV):
-                coeffs = [_ZERO] * len(slots)
-                touched = False
-                for slot, c in lhs.items():
-                    if slot[1] == rrow and c:
-                        coeffs[col_of[slot]] += c
-                        touched = True
-                for w in range(rep.dimV):
-                    slot = (T, w)
-                    if slot in col_of and vmap[rrow][w]:
-                        coeffs[col_of[slot]] -= vmap[rrow][w]
-                        touched = True
-                if touched:
-                    rows.append(coeffs)
+                coeff = sign
+                for _, c in combo:
+                    coeff *= c
+                for w, k in slot_cols.get(canon, ()):
+                    row = by_w.setdefault(w, {})
+                    row[k] = row.get(k, _ZERO) + coeff
+            for w, k in own:
+                for rrow, c in enumerate(vcols[w]):
+                    if c:
+                        row = by_w.setdefault(rrow, {})
+                        row[k] = row.get(k, _ZERO) - c
+            for row in by_w.values():
+                row = {k: c for k, c in row.items() if c}
+                if row:
+                    rows.append(row)
 
-    if not rows:
-        kernel = [
-            tuple(Fraction(int(i == k)) for i in range(len(slots)))
-            for k in range(len(slots))
-        ]
-    else:
-        kernel = Matrix(rows).kernel_basis()
     return [
         _cochain_from_coords(n, g, slots, coords, rep.dimV)
-        for coords in kernel
+        for coords in _kernel_by_blocks(rows, len(slots))
     ]
 
 
@@ -708,6 +744,14 @@ def apply_coboundary(
     eps = a.eps_table()
     eps_gamma = [a.eps.eval(gamma, a.degree(i)) for i in range(dim)]
     full = prefactor == "full"
+    # f.eval only reaches tuples that permute one support index of each
+    # argument, so a term whose argument misses every index of f's support
+    # tuples is zero and is skipped.
+    used = {i for T in f.values for i in T}
+    beta_hits = [any(beta[i][u] for u in used) for i in range(dim)]
+    bracket_hits = [
+        [any(v[u] for u in used) for v in row] for row in bracket
+    ]
 
     out_vals: dict[tuple[int, ...], Vec] = {}
     for X in canonical_index_tuples(a, n + 1):
@@ -715,6 +759,10 @@ def apply_coboundary(
         for t in range(1, n + 1):
             xt = X[t]
             for s in range(t):
+                if not bracket_hits[X[s]][xt] or not all(
+                    beta_hits[X[p]] for p in range(n + 1) if p != s and p != t
+                ):
+                    continue
                 w = -1 if t % 2 else 1
                 for p in range(0 if full else s + 1, t):
                     w *= eps[X[p]][xt]
@@ -756,18 +804,28 @@ def coboundary_matrix(
     a miss indicates a broken prefactor convention or a module that fails
     its axioms), naming the basis cochain and, where the image leaves the
     degree-gamma slots, the slot.
+
+    The coordinates of an image are its values at the free slots of the
+    codomain basis (see :func:`cochain_basis`); the image must then equal
+    that combination exactly.
     """
     dom = cochain_basis(rep, n, gamma)
     cod = cochain_basis(rep, n + 1, gamma)
     if not dom:
         return Matrix.zero(len(cod), 0)
-    slots = _slots(rep, n + 1, gamma)
-    images = [
-        apply_coboundary(rep, r, fb, prefactor=prefactor, validate=False)
-        for fb in dom
+    slot_set = set(_slots(rep, n + 1, gamma))
+    free = [
+        max(
+            (T, w)
+            for T, val in gc.values.items()
+            for w, c in enumerate(val)
+            if c
+        )
+        for gc in cod
     ]
-    slot_set = set(slots)
-    for k, img in enumerate(images):
+    cols: list[Vec] = []
+    for k, fb in enumerate(dom):
+        img = apply_coboundary(rep, r, fb, prefactor=prefactor, validate=False)
         for T, val in img.values.items():
             for w, c in enumerate(val):
                 if c and (T, w) not in slot_set:
@@ -778,24 +836,23 @@ def coboundary_matrix(
                         f"({args}), outside the degree-{tuple(gamma)} slots "
                         "of the codomain"
                     )
-    if not cod:
-        for fb, img in zip(dom, images):
-            if not img.is_zero():
-                raise RuntimeError(
-                    "coboundary image is nonzero but the codomain "
-                    "cochain space is zero"
-                )
-        return Matrix.zero(0, len(dom))
-    basis_mat = Matrix.from_cols([_slot_coords(gc, slots) for gc in cod])
-    sols = basis_mat.solve_many([_slot_coords(img, slots) for img in images])
-    cols: list[Vec] = []
-    for k, sol in enumerate(sols):
-        if sol is None:
+        coords = vec(img.value(T)[w] for T, w in free)
+        rest = {T: list(val) for T, val in img.values.items()}
+        for x, gc in zip(coords, cod):
+            if x:
+                for T, val in gc.values.items():
+                    acc = rest.setdefault(T, [_ZERO] * rep.dimV)
+                    for w, c in enumerate(val):
+                        if c:
+                            acc[w] -= x * c
+        if any(any(val) for val in rest.values()):
             raise RuntimeError(
                 f"coboundary image of basis cochain {k} does not lie in "
                 "the codomain cochain space"
             )
-        cols.append(sol)
+        cols.append(coords)
+    if not cod:
+        return Matrix.zero(0, len(dom))
     return Matrix.from_cols(cols)
 
 
@@ -841,9 +898,8 @@ def cohomology_dims(
         raise ValueError("cochain arity must be nonnegative")
     a = rep.algebra
     g = a.basis.group.reduce(gamma)
-    dom = cochain_basis(rep, n, g)
     mat = coboundary_matrix(rep, n, r, g, prefactor=prefactor)
-    dim_z = len(dom) - mat.rank()
+    dim_z = mat.ncols - mat.rank()
     if n == 0:
         dim_b = 0
     else:
@@ -865,7 +921,7 @@ def cohomology_dims(
         n=n,
         r=r,
         degree=g,
-        dim_cochains=len(dom),
+        dim_cochains=mat.ncols,
         dim_cocycles=dim_z,
         dim_coboundaries=dim_b,
         dim_h=dim_z - dim_b,

@@ -81,7 +81,9 @@ class Matrix:
 
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "Matrix":
-        return cls([[ZERO] * ncols for _ in range(nrows)])
+        m = cls([[ZERO] * ncols for _ in range(nrows)])
+        m.ncols = ncols  # with no rows there is no row to read it from
+        return m
 
     @classmethod
     def diagonal(cls, entries: Iterable) -> "Matrix":

@@ -20,13 +20,16 @@ from bihomlie.cohomology import (
     cochain_in_space,
     cohomology_dims,
     dual_rep,
+    _slots,
     realized_gammas,
     reduce_index_tuple,
     validate_representation,
 )
+from bihomlie.algebra import ColourAlgebra
 from bihomlie.constructions import (
     build_osp12,
     commutator_algebra,
+    lie_corpus,
     mat2_assoc,
     osp12_classical,
     yau_twist,
@@ -34,7 +37,12 @@ from bihomlie.constructions import (
     zero_algebra,
 )
 from bihomlie.derivations import derivation_space
-from bihomlie.grading import GradedBasis, parse_group
+from bihomlie.grading import (
+    GradedBasis,
+    GradingGroup,
+    parse_group,
+    super_bicharacter,
+)
 from bihomlie.linalg import (
     Matrix,
     is_zero_vec,
@@ -478,6 +486,184 @@ def test_table_driven_coboundary_matches_the_oracle(name, prefactor):
                     assert got == coboundary_oracle(rep, r, f, prefactor)
                     checked += not got.is_zero()
     assert checked
+
+
+def cochain_basis_oracle(rep, n, gamma):
+    """The dense assembly the block solve replaced: every intertwining
+    constraint as a row over all slots, reduced in one RREF."""
+    if n < 0:
+        return []
+    a = rep.algebra
+    g = a.basis.group.reduce(gamma)
+    slots = _slots(rep, n, g)
+    if not slots:
+        return []
+    col_of = {slot: k for k, slot in enumerate(slots)}
+    rows = []
+    for T in sorted({T for T, _ in slots}):
+        for amap, vmap in ((a.alpha, rep.alphaV), (a.beta, rep.betaV)):
+            lhs = {}
+            supports = [
+                [(u, amap[u][t]) for u in range(a.dim) if amap[u][t]]
+                for t in T
+            ]
+            for combo in iproduct(*supports):
+                coeff = F(1)
+                for _, c in combo:
+                    coeff *= c
+                sign, canon = reduce_index_tuple(a, tuple(u for u, _ in combo))
+                if canon is None:
+                    continue
+                for w in range(rep.dimV):
+                    if (canon, w) in col_of:
+                        prev = lhs.get((canon, w), F(0))
+                        lhs[canon, w] = prev + coeff * sign
+            for rrow in range(rep.dimV):
+                coeffs = [F(0)] * len(slots)
+                touched = False
+                for slot, c in lhs.items():
+                    if slot[1] == rrow and c:
+                        coeffs[col_of[slot]] += c
+                        touched = True
+                for w in range(rep.dimV):
+                    if (T, w) in col_of and vmap[rrow][w]:
+                        coeffs[col_of[T, w]] -= vmap[rrow][w]
+                        touched = True
+                if touched:
+                    rows.append(coeffs)
+    if rows:
+        kernel = Matrix(rows).kernel_basis()
+    else:
+        kernel = Matrix.identity(len(slots)).rows
+    out = []
+    for coords in kernel:
+        vals = {}
+        for (T, w), c in zip(slots, coords):
+            if c:
+                vals.setdefault(T, [F(0)] * rep.dimV)[w] = c
+        out.append(Cochain(n, g, vals, rep.dimV))
+    return out
+
+
+def coboundary_matrix_oracle(rep, n, r, gamma, prefactor):
+    """Images of the oracle basis solved against the oracle codomain
+    basis with ``solve_many``."""
+    dom = cochain_basis_oracle(rep, n, gamma)
+    cod = cochain_basis_oracle(rep, n + 1, gamma)
+    if not dom:
+        return Matrix.zero(len(cod), 0)
+    images = [
+        apply_coboundary(rep, r, f, prefactor=prefactor, validate=False)
+        for f in dom
+    ]
+    if not cod:
+        assert all(img.is_zero() for img in images)
+        return Matrix.zero(0, len(dom))
+    slots = _slots(rep, n + 1, gamma)
+
+    def coords(f):
+        return tuple(f.value(T)[w] for T, w in slots)
+
+    basis_mat = Matrix.from_cols([coords(gc) for gc in cod])
+    sols = basis_mat.solve_many([coords(img) for img in images])
+    assert None not in sols
+    return Matrix.from_cols(sols)
+
+
+def gl21_twist():
+    """gl(2|1): the commutator algebra of the Z2-graded 3x3 matrix units
+    (E11, E12, E21, E22 even), Yau-twisted by the diagonal conjugations
+    with (1, 2, 3) and (1, 5, 7)."""
+    parity = (0, 0, 1)
+    units = [(i, j) for i in range(3) for j in range(3)]
+    basis = GradedBasis(
+        GradingGroup(0, (2,)),
+        tuple(f"E{i + 1}{j + 1}" for i, j in units),
+        tuple(((parity[i] + parity[j]) % 2,) for i, j in units),
+    )
+    product = [
+        [
+            [F(int(j == k and (i, l) == u)) for u in units]
+            for k, l in units
+        ]
+        for i, j in units
+    ]
+    assoc = ColourAlgebra(
+        basis,
+        super_bicharacter(),
+        product,
+        Matrix.identity(9),
+        Matrix.identity(9),
+        kind="associative",
+    )
+
+    def conjugation(d):
+        return Matrix.diagonal([F(d[i], d[j]) for i, j in units])
+
+    return yau_twist(
+        commutator_algebra(assoc),
+        conjugation((1, 2, 3)),
+        conjugation((1, 5, 7)),
+    )
+
+
+ORACLE_MODULES = {
+    **TWISTED,
+    **{
+        f"{name}_ad{s}{l}": lambda a=a, s=s, l=l: adjoint_rep(a, s, l)
+        for name, a in lie_corpus()
+        for s, l in ((0, 1), (1, 0))
+    },
+    "gl21_twist": lambda: adjoint_rep(gl21_twist(), 0, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MODULES))
+def test_block_solved_bases_and_read_off_matrices_match_the_oracles(name):
+    rep = ORACLE_MODULES[name]()
+    for n in range(4):
+        for g in realized_gammas(rep, n):
+            # equal cochains in the same order
+            assert cochain_basis(rep, n, g) == cochain_basis_oracle(rep, n, g)
+            if n == 3:
+                continue
+            for prefactor in PREFACTOR_CONVENTIONS:
+                got = coboundary_matrix(rep, n, 1, g, prefactor=prefactor)
+                want = coboundary_matrix_oracle(rep, n, 1, g, prefactor)
+                assert got == want
+                assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
+
+
+@pytest.mark.parametrize(
+    "make,n,gamma",
+    [(z2z2_colour_example, 2, (0, 0)), (lambda: zero_algebra(3), 3, ())],
+    ids=["z2z2_colour", "zero_3"],
+)
+def test_zero_codomain_keeps_the_domain_width(make, n, gamma):
+    rep = adjoint_rep(make(), 0, 1)
+    dom = cochain_basis(rep, n, gamma)
+    assert dom and not cochain_basis(rep, n + 1, gamma)
+    mat = coboundary_matrix(rep, n, 1, gamma)
+    assert (mat.nrows, mat.ncols) == (0, len(dom))
+    assert len(mat.kernel_basis()) == len(dom)
+    assert cohomology_dims(rep, n, 1, gamma).dim_cocycles == len(dom)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_image_outside_the_codomain_space_raises(n):
+    # beta_V := alpha_V keeps the module even but breaks the beta
+    # intertwining, so images stay on the degree-0 slots yet leave the
+    # cochain space there
+    rep = twist_rep(0, 1)
+    bad = Representation(
+        rep.algebra, rep.space, rep.rho, rep.alphaV, rep.alphaV
+    )
+    report = validate_representation(bad)
+    assert report.item("rho_even").passed
+    assert report.item("betaV_even").passed
+    assert not report.item("beta_intertwine").passed
+    with pytest.raises(RuntimeError, match="does not lie in the codomain"):
+        coboundary_matrix(bad, n, 1, (0,))
 
 
 def test_image_off_the_slots_raises_with_the_slot():

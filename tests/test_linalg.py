@@ -44,6 +44,17 @@ def test_kernel_of_empty_matrix_is_everything():
     assert m.kernel_basis() == []
 
 
+def test_zero_matrix_without_rows_keeps_its_columns():
+    m = Matrix.zero(0, 3)
+    assert (m.nrows, m.ncols) == (0, 3)
+    assert m.rank() == 0
+    assert m.kernel_basis() == [
+        vec([1, 0, 0]),
+        vec([0, 1, 0]),
+        vec([0, 0, 1]),
+    ]
+
+
 def test_solve_exact_fractions():
     m = Matrix([[Fraction(1, 2), 1], [1, Fraction(1, 3)]])
     b = vec([2, 3])
