@@ -26,9 +26,12 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from .grading import Bicharacter, GradedBasis, GroupElement, homogeneous_degree
-from .linalg import Matrix, Vec, vadd, vscale, vsub, vzero, is_zero_vec
+from .linalg import Matrix, Vec, add_scaled, is_zero_vec, vadd, vscale, vsub
 
 ZERO = Fraction(0)
+
+# the nonzero terms (k, c) of a vector, in ascending k
+Terms = tuple[tuple[int, Fraction], ...]
 
 
 def format_element(basis: GradedBasis, v: Vec) -> str:
@@ -121,6 +124,7 @@ class ColourAlgebra:
         "_powers",
         "_eps",
         "_products",
+        "_terms",
     )
 
     def __init__(
@@ -157,7 +161,8 @@ class ColourAlgebra:
         self.kind = kind
         self._powers: dict[tuple, Matrix] = {}
         self._eps: Optional[tuple[tuple[int, ...], ...]] = None
-        self._products: dict[tuple[int, int], tuple[tuple[Vec, ...], ...]] = {}
+        self._products: dict[tuple, tuple[tuple[Vec, ...], ...]] = {}
+        self._terms: Optional[tuple[tuple[Terms, ...], ...]] = None
 
     # -- basic accessors ----------------------------------------------------
 
@@ -185,6 +190,18 @@ class ColourAlgebra:
             )
         return self._eps
 
+    def product_terms(self) -> tuple[tuple[Terms, ...], ...]:
+        """The nonzero terms (k, c) of each cell product[i][j]; cached."""
+        if self._terms is None:
+            self._terms = tuple(
+                tuple(
+                    tuple((k, c) for k, c in enumerate(cell) if c)
+                    for cell in row
+                )
+                for row in self.product
+            )
+        return self._terms
+
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, ColourAlgebra)
@@ -208,20 +225,22 @@ class ColourAlgebra:
     # -- evaluation ---------------------------------------------------------
 
     def product_eval(self, x: Vec, y: Vec) -> Vec:
-        """Bilinear extension of the structure constants."""
-        acc = list(vzero(self.dim))
+        """Bilinear extension of the structure constants, summed over the
+        supports of x and y and the nonzero terms of their cells."""
+        terms = self.product_terms()
+        ys = [(j, yj) for j, yj in enumerate(y) if yj]
+        acc = [ZERO] * self.dim
         for i, xi in enumerate(x):
             if not xi:
                 continue
-            prow = self.product[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
-                cell = prow[j]
-                for k, ck in enumerate(cell):
-                    if ck:
-                        acc[k] += c * ck
+            row = terms[i]
+            for j, yj in ys:
+                cell = row[j]
+                if cell:
+                    c = xi * yj
+                    for k, ck in cell:
+                        p = c * ck
+                        acc[k] = acc[k] + p if acc[k] else p
         return tuple(acc)
 
     bracket = product_eval
@@ -249,17 +268,26 @@ class ColourAlgebra:
         return hit
 
     def twisted_products(
-        self, ka: int, kb: int
+        self, ka: int, kb: int, *, right: bool = False
     ) -> tuple[tuple[Vec, ...], ...]:
-        """[alpha**ka beta**kb (e_i), e_j] at [i][j]; cached."""
-        key = (ka, kb)
+        """[alpha**ka beta**kb (e_i), e_j] at [i][j], or with ``right``
+        the map on the right factor, [e_i, alpha**ka beta**kb (e_j)];
+        cached."""
+        key = (ka, kb, right)
         hit = self._products.get(key)
         if hit is None:
             basis = [self.basis_vec(j) for j in range(self.dim)]
-            hit = tuple(
-                tuple(self.product_eval(x, e) for e in basis)
-                for x in self.ab_power(ka, kb).columns()
-            )
+            images = self.ab_power(ka, kb).columns()
+            if right:
+                hit = tuple(
+                    tuple(self.product_eval(e, y) for y in images)
+                    for e in basis
+                )
+            else:
+                hit = tuple(
+                    tuple(self.product_eval(x, e) for e in basis)
+                    for x in images
+                )
             self._products[key] = hit
         return hit
 
@@ -306,22 +334,32 @@ def jacobiator(
     if mode not in ("bihom", "hom"):
         raise ValueError(f"unknown jacobiator mode {mode!r}")
     n = a.dim
-    acc = vzero(n)
-    alpha = a.alpha.columns()
+    eps = a.eps_table()
+    acc = [ZERO] * n
     if mode == "bihom":
-        beta = a.beta.columns()
-        beta2 = a.map_power("beta", 2).columns()
+        # [b(y), a(z)] = sum_t a_tz [b(e_y), e_t], then
+        # [bb(x), w] = sum_u w_u [bb(e_x), e_u]
+        alpha = a.alpha.columns()
+        inner_table = a.twisted_products(0, 1)
+        outer_table = a.twisted_products(0, 2)
         for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-            inner = a.product_eval(beta[y], alpha[z])
-            term = a.product_eval(beta2[x], inner)
-            sign = a.eps.eval(a.degree(z), a.degree(x))
-            acc = vadd(acc, vscale(Fraction(sign), term))
+            inner = [ZERO] * n
+            for t, c in enumerate(alpha[z]):
+                if c:
+                    add_scaled(inner, c, inner_table[y][t])
+            sign = eps[z][x]
+            for u, c in enumerate(inner):
+                if c:
+                    add_scaled(acc, sign * c, outer_table[x][u])
     else:
+        # [a(x), [y, z]] = sum_u [y, z]_u [a(e_x), e_u]
+        outer_table = a.twisted_products(1, 0)
+        terms = a.product_terms()
         for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-            term = a.product_eval(alpha[x], a.product[y][z])
-            sign = a.eps.eval(a.degree(z), a.degree(x))
-            acc = vadd(acc, vscale(Fraction(sign), term))
-    return acc
+            sign = eps[z][x]
+            for u, c in terms[y][z]:
+                add_scaled(acc, sign * c, outer_table[x][u])
+    return tuple(acc)
 
 
 # -- check plumbing ---------------------------------------------------------
@@ -416,13 +454,23 @@ def _check_maps_commute(a: ColourAlgebra) -> CheckItem:
     raise AssertionError("unreachable")
 
 
-def _check_multiplicative(a: ColourAlgebra, name: str, m: Matrix) -> CheckItem:
+def _check_multiplicative(a: ColourAlgebra, name: str) -> CheckItem:
+    """m[e_i, e_j] = [m e_i, m e_j] for m = alpha or beta: the left side
+    sums the columns of m over the cell's terms, the right side the
+    twisted products [m e_i, e_t] over the column m e_j."""
+    m, twist = (a.alpha, (1, 0)) if name == "alpha" else (a.beta, (0, 1))
     cols = m.columns()
+    terms = a.product_terms()
+    table = a.twisted_products(*twist)
 
     def defect(i: int, j: int) -> Vec:
-        lhs = m.apply(a.product[i][j])
-        rhs = a.product_eval(cols[i], cols[j])
-        return vsub(lhs, rhs)
+        acc = [ZERO] * a.dim
+        for k, c in terms[i][j]:
+            add_scaled(acc, c, cols[k])
+        for t, c in enumerate(cols[j]):
+            if c:
+                add_scaled(acc, -c, table[i][t])
+        return tuple(acc)
 
     return _check_tuples(
         a, f"{name}_multiplicative", 2, defect, advisory=True
@@ -453,8 +501,8 @@ def check_lie_axioms(a: ColourAlgebra) -> AxiomReport:
     rep.items.append(_check_map_even(a, "alpha", a.alpha))
     rep.items.append(_check_map_even(a, "beta", a.beta))
     rep.items.append(_check_maps_commute(a))
-    rep.items.append(_check_multiplicative(a, "alpha", a.alpha))
-    rep.items.append(_check_multiplicative(a, "beta", a.beta))
+    rep.items.append(_check_multiplicative(a, "alpha"))
+    rep.items.append(_check_multiplicative(a, "beta"))
 
     alpha = a.alpha.columns()
     beta = a.beta.columns()
@@ -478,10 +526,27 @@ def check_lie_axioms(a: ColourAlgebra) -> AxiomReport:
 
 
 def associator(a: ColourAlgebra, x: Vec, y: Vec, z: Vec) -> Vec:
-    """alpha(x)(y z) - (x y) beta(z)."""
-    lhs = a.product_eval(a.alpha.apply(x), a.product_eval(y, z))
-    rhs = a.product_eval(a.product_eval(x, y), a.beta.apply(z))
-    return vsub(lhs, rhs)
+    """alpha(x)(y z) - (x y) beta(z).
+
+    alpha(x) w = sum x_i w_u [alpha(e_i), e_u] and w beta(z) = sum w_u z_k
+    [e_u, beta(e_k)], read from the twisted product tables.
+    """
+    left = a.twisted_products(1, 0)
+    right = a.twisted_products(0, 1, right=True)
+    yz = a.product_eval(y, z)
+    xy = a.product_eval(x, y)
+    acc = [ZERO] * a.dim
+    for i, xi in enumerate(x):
+        if xi:
+            for u, c in enumerate(yz):
+                if c:
+                    add_scaled(acc, xi * c, left[i][u])
+    for u, c in enumerate(xy):
+        if c:
+            for k, zk in enumerate(z):
+                if zk:
+                    add_scaled(acc, -(c * zk), right[u][k])
+    return tuple(acc)
 
 
 def check_associative_axioms(a: ColourAlgebra) -> AxiomReport:
@@ -491,8 +556,8 @@ def check_associative_axioms(a: ColourAlgebra) -> AxiomReport:
     rep.items.append(_check_map_even(a, "alpha", a.alpha))
     rep.items.append(_check_map_even(a, "beta", a.beta))
     rep.items.append(_check_maps_commute(a))
-    rep.items.append(_check_multiplicative(a, "alpha", a.alpha))
-    rep.items.append(_check_multiplicative(a, "beta", a.beta))
+    rep.items.append(_check_multiplicative(a, "alpha"))
+    rep.items.append(_check_multiplicative(a, "beta"))
 
     def assoc_defect(i: int, j: int, k: int) -> Vec:
         return associator(
@@ -525,8 +590,8 @@ def check_bihom_axioms(a: ColourAlgebra) -> AxiomReport:
     rep.items.append(_check_map_even(a, "alpha", a.alpha))
     rep.items.append(_check_map_even(a, "beta", a.beta))
     rep.items.append(_check_maps_commute(a))
-    rep.items.append(_check_multiplicative(a, "alpha", a.alpha))
-    rep.items.append(_check_multiplicative(a, "beta", a.beta))
+    rep.items.append(_check_multiplicative(a, "alpha"))
+    rep.items.append(_check_multiplicative(a, "beta"))
     rep.items.append(_check_regular(a))
     return rep
 

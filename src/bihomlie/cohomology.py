@@ -36,6 +36,7 @@ from .linalg import (
     Matrix,
     Vec,
     is_zero_vec,
+    kernel_by_blocks,
     vadd,
     vec,
     vscale,
@@ -548,51 +549,6 @@ def _cochain_from_coords(
     return Cochain(n, gamma, {T: vec(v) for T, v in vals.items()}, dimV)
 
 
-def _kernel_by_blocks(
-    rows: Sequence[dict[int, Fraction]], ncols: int
-) -> list[dict[int, Fraction]]:
-    """Kernel basis of sparse rows {column: nonzero value} over ncols
-    columns, as sparse vectors in ascending free-column order.
-
-    Columns are linked when some row has both nonzero; the row space is the
-    direct sum of its restrictions to the linked blocks, so the RREF of the
-    whole matrix is the union of the blocks' RREFs and this basis equals
-    ``kernel_basis`` of the dense matrix, vector for vector.  A column no
-    row touches is free with a unit vector.
-    """
-    parent = list(range(ncols))
-
-    def root(c: int) -> int:
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    for row in rows:
-        first, *rest = row
-        for c in rest:
-            parent[root(c)] = root(first)
-    block_rows: dict[int, list[dict[int, Fraction]]] = {}
-    for row in rows:
-        block_rows.setdefault(root(next(iter(row))), []).append(row)
-    block_cols: dict[int, list[int]] = {}
-    for c in range(ncols):
-        block_cols.setdefault(root(c), []).append(c)
-
-    kernel: list[tuple[int, dict[int, Fraction]]] = []
-    for b, cols in block_cols.items():
-        brows = block_rows.get(b)
-        if brows is None:
-            kernel.append((cols[0], {cols[0]: _ONE}))
-            continue
-        dense = Matrix([[row.get(c, _ZERO) for c in cols] for row in brows])
-        for v in dense.kernel_basis():
-            coords = {cols[i]: x for i, x in enumerate(v) if x}
-            kernel.append((max(coords), coords))
-    kernel.sort(key=lambda item: item[0])
-    return [coords for _, coords in kernel]
-
-
 def cochain_basis(
     rep: Representation, n: int, gamma: GroupElement
 ) -> list[Cochain]:
@@ -649,14 +605,11 @@ def cochain_basis(
                     if c:
                         row = by_w.setdefault(rrow, {})
                         row[k] = row.get(k, _ZERO) - c
-            for row in by_w.values():
-                row = {k: c for k, c in row.items() if c}
-                if row:
-                    rows.append(row)
+            rows.extend(by_w.values())
 
     return [
         _cochain_from_coords(n, g, slots, coords, rep.dimV)
-        for coords in _kernel_by_blocks(rows, len(slots))
+        for coords in kernel_by_blocks(rows, len(slots))
     ]
 
 
@@ -851,8 +804,6 @@ def coboundary_matrix(
                 "the codomain cochain space"
             )
         cols.append(coords)
-    if not cod:
-        return Matrix.zero(0, len(dom))
     return Matrix.from_cols(cols)
 
 

@@ -3,10 +3,13 @@
 Every space here is cut out of the homogeneous endomorphisms of a colour
 algebra by linear conditions: a twisted Leibniz law, a centroid law, or a
 cross condition, always together with commutation against the two structure
-maps.  The solvers assemble the conditions over one degree block, take an
-exact kernel, and re-substitute every basis member into the defining
-identities before returning (a wrong answer here would poison everything
-downstream, so the few extra multiplications are cheap insurance).
+maps.  The solvers assemble the conditions as sparse rows over the entries
+of one degree block, reading the nonzero terms of the product and twisted
+product tables; split the entries into the independent blocks those rows
+link and take the exact kernel of each (linalg.kernel_by_blocks); and
+re-substitute every basis member into the defining identities before
+returning (a wrong answer here would poison everything downstream, so the
+few extra multiplications are cheap insurance).
 
 The product D1 . D2 + eps(d1, d2) D2 . D1 turns homogeneous endomorphisms
 into a colour analogue of a special Jordan algebra; check_jordan_axioms
@@ -21,11 +24,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .algebra import AxiomReport, CheckItem, ColourAlgebra, Witness
 from .grading import Bicharacter, GroupElement
-from .linalg import Matrix, Vec, in_span, is_zero_vec, vec
+from .linalg import (
+    Matrix,
+    Vec,
+    add_scaled,
+    in_span,
+    is_zero_vec,
+    kernel_by_blocks,
+    vec,
+)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -67,14 +78,15 @@ def is_homogeneous_endo(
     a: ColourAlgebra, matrix: Matrix, gamma: GroupElement
 ) -> bool:
     """True when every nonzero entry maps block d into block d+gamma."""
-    g = a.basis.group.reduce(gamma)
-    for u in range(a.dim):
-        for t in range(a.dim):
-            if matrix[u][t] and a.degree(u) != a.basis.group.add(
-                a.degree(t), g
-            ):
-                return False
-    return True
+    group = a.basis.group
+    g = group.reduce(gamma)
+    degrees = a.basis.degrees
+    image = [group.add(d, g) for d in degrees]  # the degree of D(e_t)
+    return all(
+        not x or degrees[u] == image[t]
+        for u, row in enumerate(matrix.rows)
+        for t, x in enumerate(row)
+    )
 
 
 @dataclass(frozen=True)
@@ -136,202 +148,220 @@ def _block_slots(
 
 def _solve_blocks(
     a: ColourAlgebra,
+    k: int,
+    l: int,
     gamma: GroupElement,
     nmaps: int,
-    commuting: Sequence[tuple[int, Matrix]],
-    identity_rows: Callable[[], Iterable[dict]],
+    conditions: Sequence[tuple],
+    *,
+    with_beta: bool = True,
 ) -> list[tuple[Matrix, ...]]:
     """Kernel of a linear system in ``nmaps`` stacked degree-gamma unknowns.
 
-    Row coefficients are keyed (unknown, row, col); keys falling outside the
-    degree-block pattern refer to entries that are identically zero and are
-    dropped.
+    Every unknown commutes with alpha (and with beta unless ``with_beta``
+    is false); each entry of ``conditions`` is the argument tuple
+    (value, left, right[, right_sign]) of one set of :func:`_leibniz_rows`.
+    Entry (u, t) of unknown m is column ``cols[m][u][t]``; entries outside
+    the degree-block pattern are identically zero, have no column, and
+    their terms are dropped.  The rows are sparse and the kernel is solved
+    per linked block of columns by :func:`kernel_by_blocks`.
     """
+    twisted = [_table_terms(table) for table in _twisted(a, k, l)]
     slots = _block_slots(a, gamma)
     if not slots:
         return []
-    ncols = nmaps * len(slots)
-    col: dict[tuple[int, int, int], int] = {}
+    n = a.dim
+    cols: list[list[list[Optional[int]]]] = [
+        [[None] * n for _ in range(n)] for _ in range(nmaps)
+    ]
     for m in range(nmaps):
         for idx, (u, t) in enumerate(slots):
-            col[(m, u, t)] = m * len(slots) + idx
+            cols[m][u][t] = m * len(slots) + idx
 
-    rows: list[list[Fraction]] = []
+    rows = []
+    for m in range(nmaps):
+        rows += _commuting_rows(a, cols[m], a.alpha)
+        if with_beta:
+            rows += _commuting_rows(a, cols[m], a.beta)
+    for cond in conditions:
+        rows += _leibniz_rows(a, cols, gamma, *twisted, *cond)
 
-    def emit(coeffs: dict) -> None:
-        row = [_ZERO] * ncols
-        touched = False
-        for key, c in coeffs.items():
-            if not c:
-                continue
-            pos = col.get(key)
-            if pos is not None:
-                row[pos] += c
-                touched = True
-        if touched and any(row):
-            rows.append(row)
-
-    for m, M in commuting:
-        for u in range(a.dim):
-            for j in range(a.dim):
-                coeffs: dict = {}
-                for t in range(a.dim):
-                    if M[t][j]:
-                        coeffs[(m, u, t)] = (
-                            coeffs.get((m, u, t), _ZERO) + M[t][j]
-                        )
-                    if M[u][t]:
-                        coeffs[(m, t, j)] = (
-                            coeffs.get((m, t, j), _ZERO) - M[u][t]
-                        )
-                emit(coeffs)
-
-    for coeffs in identity_rows():
-        emit(coeffs)
-
-    if rows:
-        kernel = Matrix(rows).kernel_basis()
-    else:
-        kernel = [
-            tuple(_ONE if i == k else _ZERO for i in range(ncols))
-            for k in range(ncols)
-        ]
     out = []
-    for kv in kernel:
-        mats = []
-        for m in range(nmaps):
-            entries = [[_ZERO] * a.dim for _ in range(a.dim)]
-            for idx, (u, t) in enumerate(slots):
-                entries[u][t] = kv[m * len(slots) + idx]
-            mats.append(Matrix(entries))
-        out.append(tuple(mats))
+    for coords in kernel_by_blocks(rows, nmaps * len(slots)):
+        entries = [[[_ZERO] * n for _ in range(n)] for _ in range(nmaps)]
+        for c, x in coords.items():
+            m, idx = divmod(c, len(slots))
+            u, t = slots[idx]
+            entries[m][u][t] = x
+        out.append(tuple(Matrix(e) for e in entries))
+    return out
+
+
+def _twisted(
+    a: ColourAlgebra, k: int, l: int
+) -> tuple[tuple[tuple[Vec, ...], ...], ...]:
+    """The twisted product tables [e_t, M e_j] at [t][j] and [M e_i, e_t]
+    at [i][t], M = alpha^k beta^l, cached on the algebra.  A negative
+    power of a singular map raises ValueError."""
+    return a.twisted_products(k, l, right=True), a.twisted_products(k, l)
+
+
+def _table_terms(table) -> list[list[list[tuple[int, Fraction]]]]:
+    """The nonzero terms (u, c) of every vector of a table of vectors."""
+    return [
+        [[(u, c) for u, c in enumerate(v) if c] for v in row] for row in table
+    ]
+
+
+def _add(row: dict, pos: Optional[int], c: Fraction) -> None:
+    if pos is not None:
+        row[pos] = row[pos] + c if pos in row else c
+
+
+def _commuting_rows(
+    a: ColourAlgebra, cols: list[list[Optional[int]]], M: Matrix
+) -> list[dict[int, Fraction]]:
+    """Rows of  D M - M D = 0, entry (u, j) each, for the unknown D whose
+    entry (u, t) is column cols[u][t]: sum_t D_ut M_tj - M_ut D_tj."""
+    n = a.dim
+    entries = [
+        (t, j, x)
+        for t, row in enumerate(M.rows)
+        for j, x in enumerate(row)
+        if x
+    ]
+    out = []
+    for u in range(n):
+        by_j: list[dict[int, Fraction]] = [{} for _ in range(n)]
+        for t, j, x in entries:
+            _add(by_j[j], cols[u][t], x)
+        for t, x in enumerate(M.rows[u]):
+            if x:
+                for j in range(n):
+                    _add(by_j[j], cols[t][j], -x)
+        out += by_j
     return out
 
 
 def _leibniz_rows(
     a: ColourAlgebra,
+    cols: list[list[list[Optional[int]]]],
     gamma: GroupElement,
-    m_power: Matrix,
+    left_table: list,
+    right_table: list,
     value_unknown: Optional[int],
     left_unknown: Optional[int],
     right_unknown: Optional[int],
     right_sign: Fraction = _ONE,
-) -> Iterable[dict]:
-    """Rows of  D_v([x,y]) - [D_l(x), M(y)] - s*eps(g,x)[M(x), D_r(y)]
+) -> list[dict[int, Fraction]]:
+    """Rows of  D_v([x,y]) - [D_l(x), M(y)] - s*eps(g,x)[M(x), D_r(y)],
+    M = alpha^k beta^l, set to zero over all basis pairs and coordinates,
+    with any of the three slots optional and s = right_sign flipping the
+    twisted term for cross conditions.
 
-    set to zero over all basis pairs, with any of the three slots optional
-    and s = right_sign flipping the twisted term for cross conditions.
+    Coordinate u of the pair (i, j) is the row
+        sum_t D_v[u][t] [e_i, e_j]_t - D_l[t][i] [e_t, M e_j]_u
+              - s eps(g, e_i) D_r[t][j] [M e_i, e_t]_u,
+    built from the nonzero terms of the product table and of the twisted
+    tables of :func:`_twisted`, given as terms (see :func:`_table_terms`).
     """
+    n = a.dim
     g = a.basis.group.reduce(gamma)
-    mcols = m_power.columns()
-    # [e_t, m(e_j)] depends on j only and [m(e_i), e_t] on i only: one
-    # table each, indexed by that basis index and then by t.
-    left_table = (
-        [
-            [a.product_eval(a.basis_vec(t), mj) for t in range(a.dim)]
-            for mj in mcols
+    terms = a.product_terms()
+    if value_unknown is not None:
+        # for each t, the rows u with their column of D_v[u][t]
+        dv = cols[value_unknown]
+        value_cols = [
+            [(u, dv[u][t]) for u in range(n) if dv[u][t] is not None]
+            for t in range(n)
         ]
-        if left_unknown is not None
-        else None
-    )
-    right_table = (
-        [
-            [a.product_eval(mi, a.basis_vec(t)) for t in range(a.dim)]
-            for mi in mcols
-        ]
-        if right_unknown is not None
-        else None
-    )
-    for i in range(a.dim):
-        wi = Fraction(a.eps.eval(g, a.degree(i)))
-        right_cols = right_table[i] if right_table is not None else None
-        for j in range(a.dim):
-            cell = a.product[i][j]
-            left_cols = left_table[j] if left_table is not None else None
-            for u in range(a.dim):
-                coeffs: dict = {}
-                if value_unknown is not None:
-                    for t in range(a.dim):
-                        if cell[t]:
-                            key = (value_unknown, u, t)
-                            coeffs[key] = (
-                                coeffs.get(key, _ZERO) + cell[t]
-                            )
-                if left_cols is not None:
-                    for t in range(a.dim):
-                        if left_cols[t][u]:
-                            key = (left_unknown, t, i)
-                            coeffs[key] = (
-                                coeffs.get(key, _ZERO) - left_cols[t][u]
-                            )
-                if right_cols is not None:
-                    for t in range(a.dim):
-                        if right_cols[t][u]:
-                            key = (right_unknown, t, j)
-                            coeffs[key] = (
-                                coeffs.get(key, _ZERO)
-                                - right_sign * wi * right_cols[t][u]
-                            )
-                if coeffs:
-                    yield coeffs
-
-
-def _commuting(a: ColourAlgebra, nmaps: int, with_beta: bool = True):
-    maps = [(m, a.alpha) for m in range(nmaps)]
-    if with_beta:
-        maps += [(m, a.beta) for m in range(nmaps)]
-    return maps
+    out = []
+    for i in range(n):
+        w = right_sign * Fraction(a.eps.eval(g, a.degree(i)))
+        for j in range(n):
+            by_u: list[dict[int, Fraction]] = [{} for _ in range(n)]
+            if value_unknown is not None:
+                for t, c in terms[i][j]:
+                    for u, pos in value_cols[t]:
+                        _add(by_u[u], pos, c)
+            if left_unknown is not None:
+                for t in range(n):
+                    pos = cols[left_unknown][t][i]
+                    if pos is not None:
+                        for u, c in left_table[t][j]:
+                            _add(by_u[u], pos, -c)
+            if right_unknown is not None:
+                for t in range(n):
+                    pos = cols[right_unknown][t][j]
+                    if pos is not None:
+                        for u, c in right_table[i][t]:
+                            _add(by_u[u], pos, -(w * c))
+            out += by_u
+    return out
 
 
 def _bracket_defect(
     a: ColourAlgebra,
     gamma: GroupElement,
-    m_power: Matrix,
+    twisted: tuple,
     d_value: Optional[Matrix],
     d_left: Optional[Matrix],
     d_right: Optional[Matrix],
     right_sign: Fraction = _ONE,
 ) -> Optional[tuple[int, int, Vec]]:
-    """First basis pair violating value([x,y]) = [left(x),M y] + s*e[M x,right(y)]."""
-    from .linalg import vadd, vscale, vsub, vzero
+    """First basis pair violating
+    value([x,y]) = [left(x), M y] + s*eps(g,x)[M x, right(y)].
 
+    Each side is a sum over nonzero entries: the columns of d_value over
+    the terms of [e_i, e_j], and the ``twisted`` tables of
+    :func:`_twisted`, [e_t, M e_j] over column i of d_left and
+    [M e_i, e_t] over column j of d_right.
+    """
+    n = a.dim
     g = a.basis.group.reduce(gamma)
-    mcols = m_power.columns()
-    for i in range(a.dim):
-        wi = right_sign * Fraction(a.eps.eval(g, a.degree(i)))
-        for j in range(a.dim):
-            lhs = (
-                d_value.apply(a.product[i][j])
-                if d_value is not None
-                else vzero(a.dim)
-            )
-            rhs = vzero(a.dim)
-            if d_left is not None:
-                rhs = vadd(
-                    rhs,
-                    a.product_eval(d_left.columns()[i], mcols[j]),
-                )
-            if d_right is not None:
-                rhs = vadd(
-                    rhs,
-                    vscale(
-                        wi,
-                        a.product_eval(mcols[i], d_right.columns()[j]),
-                    ),
-                )
-            diff = vsub(lhs, rhs)
-            if not is_zero_vec(diff):
-                return i, j, diff
+    terms = a.product_terms()
+    left, right = twisted
+    vcols = d_value.columns() if d_value is not None else None
+    lcols = d_left.columns() if d_left is not None else None
+    rcols = d_right.columns() if d_right is not None else None
+    for i in range(n):
+        w = right_sign * Fraction(a.eps.eval(g, a.degree(i)))
+        for j in range(n):
+            acc = [_ZERO] * n
+            if vcols is not None:
+                for t, c in terms[i][j]:
+                    add_scaled(acc, c, vcols[t])
+            if lcols is not None:
+                for t, x in enumerate(lcols[i]):
+                    if x:
+                        add_scaled(acc, -x, left[t][j])
+            if rcols is not None:
+                for t, x in enumerate(rcols[j]):
+                    if x:
+                        add_scaled(acc, -(w * x), right[i][t])
+            if any(acc):
+                return i, j, tuple(acc)
     return None
 
 
 def _commutes_with_maps(
     a: ColourAlgebra, m: Matrix, with_beta: bool = True
 ) -> bool:
-    if not (m * a.alpha - a.alpha * m).is_zero():
-        return False
-    if with_beta and not (m * a.beta - a.beta * m).is_zero():
-        return False
+    """m M = M m for M = alpha (and beta), column by column:
+    sum_t M_tj m(e_t) = sum_t m_tj M(e_t)."""
+    mcols = m.columns()
+    for M in (a.alpha, a.beta) if with_beta else (a.alpha,):
+        Mcols = M.columns()
+        for j in range(a.dim):
+            acc = [_ZERO] * a.dim
+            for t, x in enumerate(Mcols[j]):
+                if x:
+                    add_scaled(acc, x, mcols[t])
+            for t, x in enumerate(mcols[j]):
+                if x:
+                    add_scaled(acc, -x, Mcols[t])
+            if any(acc):
+                return False
     return True
 
 
@@ -340,11 +370,11 @@ def _commutes_with_maps(
 
 
 def is_derivation(a: ColourAlgebra, k: int, l: int, d: HomEndo) -> bool:
-    m = a.ab_power(k, l)
+    tw = _twisted(a, k, l)
     return (
         is_homogeneous_endo(a, d.matrix, d.degree)
         and _commutes_with_maps(a, d.matrix)
-        and _bracket_defect(a, d.degree, m, d.matrix, d.matrix, d.matrix)
+        and _bracket_defect(a, d.degree, tw, d.matrix, d.matrix, d.matrix)
         is None
     )
 
@@ -354,13 +384,13 @@ def is_quasi_derivation_pair(
 ) -> bool:
     if d.degree != d1.degree:
         return False
-    m = a.ab_power(k, l)
+    tw = _twisted(a, k, l)
     return (
         is_homogeneous_endo(a, d.matrix, d.degree)
         and is_homogeneous_endo(a, d1.matrix, d1.degree)
         and _commutes_with_maps(a, d.matrix)
         and _commutes_with_maps(a, d1.matrix)
-        and _bracket_defect(a, d.degree, m, d1.matrix, d.matrix, d.matrix)
+        and _bracket_defect(a, d.degree, tw, d1.matrix, d.matrix, d.matrix)
         is None
     )
 
@@ -375,14 +405,14 @@ def is_generalized_triple(
 ) -> bool:
     if not (d.degree == d1.degree == d2.degree):
         return False
-    m = a.ab_power(k, l)
+    tw = _twisted(a, k, l)
     return (
         all(
             is_homogeneous_endo(a, e.matrix, e.degree)
             and _commutes_with_maps(a, e.matrix)
             for e in (d, d1, d2)
         )
-        and _bracket_defect(a, d.degree, m, d2.matrix, d.matrix, d1.matrix)
+        and _bracket_defect(a, d.degree, tw, d2.matrix, d.matrix, d1.matrix)
         is None
     )
 
@@ -390,13 +420,13 @@ def is_generalized_triple(
 def is_centroid_member(
     a: ColourAlgebra, k: int, l: int, d: HomEndo, *, strict: bool = False
 ) -> bool:
-    m = a.ab_power(k, l)
+    tw = _twisted(a, k, l)
     return (
         is_homogeneous_endo(a, d.matrix, d.degree)
         and _commutes_with_maps(a, d.matrix, with_beta=not strict)
-        and _bracket_defect(a, d.degree, m, d.matrix, d.matrix, None)
+        and _bracket_defect(a, d.degree, tw, d.matrix, d.matrix, None)
         is None
-        and _bracket_defect(a, d.degree, m, d.matrix, None, d.matrix)
+        and _bracket_defect(a, d.degree, tw, d.matrix, None, d.matrix)
         is None
     )
 
@@ -404,12 +434,12 @@ def is_centroid_member(
 def is_quasi_centroid_member(
     a: ColourAlgebra, k: int, l: int, d: HomEndo, *, strict: bool = False
 ) -> bool:
-    m = a.ab_power(k, l)
+    tw = _twisted(a, k, l)
     return (
         is_homogeneous_endo(a, d.matrix, d.degree)
         and _commutes_with_maps(a, d.matrix, with_beta=not strict)
         and _bracket_defect(
-            a, d.degree, m, None, d.matrix, d.matrix, right_sign=-_ONE
+            a, d.degree, tw, None, d.matrix, d.matrix, right_sign=-_ONE
         )
         is None
     )
@@ -437,15 +467,8 @@ def derivation_space(
     with D commuting with alpha and beta.  Negative k or l use exact
     inverses and require regular maps.
     """
-    m = a.ab_power(k, l)
     g = a.basis.group.reduce(gamma)
-    sols = _solve_blocks(
-        a,
-        g,
-        1,
-        _commuting(a, 1),
-        lambda: _leibniz_rows(a, g, m, 0, 0, 0),
-    )
+    sols = _solve_blocks(a, k, l, g, 1, [(0, 0, 0)])
     basis = tuple(HomEndo(mats[0], g) for mats in sols)
     for d in basis:
         _reverify(is_derivation(a, k, l, d))
@@ -499,15 +522,8 @@ def quasi_derivation_space(
 
         D1([x, y]) = [D(x), m(y)] + eps(g, x)[m(x), D(y)].
     """
-    m = a.ab_power(k, l)
     g = a.basis.group.reduce(gamma)
-    sols = _solve_blocks(
-        a,
-        g,
-        2,
-        _commuting(a, 2),
-        lambda: _leibniz_rows(a, g, m, 1, 0, 0),
-    )
+    sols = _solve_blocks(a, k, l, g, 2, [(1, 0, 0)])
     basis = tuple(
         (HomEndo(mats[0], g), HomEndo(mats[1], g)) for mats in sols
     )
@@ -523,15 +539,8 @@ def generalized_derivation_space(
 
         D2([x, y]) = [D(x), m(y)] + eps(g, x)[m(x), D1(y)].
     """
-    m = a.ab_power(k, l)
     g = a.basis.group.reduce(gamma)
-    sols = _solve_blocks(
-        a,
-        g,
-        3,
-        _commuting(a, 3),
-        lambda: _leibniz_rows(a, g, m, 2, 0, 1),
-    )
+    sols = _solve_blocks(a, k, l, g, 3, [(2, 0, 1)])
     basis = tuple(
         (HomEndo(mats[0], g), HomEndo(mats[1], g), HomEndo(mats[2], g))
         for mats in sols
@@ -559,15 +568,9 @@ def centroid_space(
     drops the beta condition, for the convention that constrains D
     against alpha only.
     """
-    m = a.ab_power(k, l)
     g = a.basis.group.reduce(gamma)
-
-    def rows():
-        yield from _leibniz_rows(a, g, m, 0, 0, None)
-        yield from _leibniz_rows(a, g, m, 0, None, 0)
-
     sols = _solve_blocks(
-        a, g, 1, _commuting(a, 1, with_beta=not strict), rows
+        a, k, l, g, 1, [(0, 0, None), (0, None, 0)], with_beta=not strict
     )
     basis = tuple(HomEndo(mats[0], g) for mats in sols)
     for d in basis:
@@ -587,14 +590,9 @@ def quasi_centroid_space(
 
         [D(x), m(y)] = eps(g, x)[m(x), D(y)].
     """
-    m = a.ab_power(k, l)
     g = a.basis.group.reduce(gamma)
     sols = _solve_blocks(
-        a,
-        g,
-        1,
-        _commuting(a, 1, with_beta=not strict),
-        lambda: _leibniz_rows(a, g, m, None, 0, 0, right_sign=-_ONE),
+        a, k, l, g, 1, [(None, 0, 0, -_ONE)], with_beta=not strict
     )
     basis = tuple(HomEndo(mats[0], g) for mats in sols)
     for d in basis:

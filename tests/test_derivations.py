@@ -8,8 +8,11 @@ from bihomlie import derivations as dv
 from bihomlie.algebra import ColourAlgebra
 from bihomlie.constructions import (
     build_osp12,
+    commutator_algebra,
+    lie_corpus,
     mat2_assoc,
     osp12_classical,
+    yau_twist,
     zero_algebra,
 )
 from bihomlie.derivations import (
@@ -31,6 +34,7 @@ from bihomlie.derivations import (
     quasi_centroid_space,
     quasi_derivation_space,
 )
+from bihomlie.grading import GradedBasis, GradingGroup, super_bicharacter
 from bihomlie.linalg import Matrix, spans_equal
 
 F = Fraction
@@ -332,3 +336,196 @@ def test_strict_flag_relaxes_only_the_beta_constraint():
     assert centroid_space(tw, 0, 0, (0,)).dimension == 1
     assert centroid_space(tw, 0, 0, (0,), strict=True).dimension == 1
     assert quasi_centroid_space(tw, 0, 0, (0,), strict=True).dimension == 1
+
+
+# ---------------------------------------------------------------------------
+# the former dense assembly, kept as the oracle of the sparse block solve
+
+
+def leibniz_rows_oracle(
+    a, gamma, m_power, value_unknown, left_unknown, right_unknown,
+    right_sign=F(1),
+):
+    """Dense rows keyed (unknown, row, col) of
+    D_v([x,y]) - [D_l(x), M(y)] - s*eps(g,x)[M(x), D_r(y)]."""
+    g = a.basis.group.reduce(gamma)
+    mcols = m_power.columns()
+    left_table = [
+        [a.product_eval(a.basis_vec(t), mj) for t in range(a.dim)]
+        for mj in mcols
+    ]
+    right_table = [
+        [a.product_eval(mi, a.basis_vec(t)) for t in range(a.dim)]
+        for mi in mcols
+    ]
+    for i in range(a.dim):
+        wi = F(a.eps.eval(g, a.degree(i)))
+        for j in range(a.dim):
+            cell = a.product[i][j]
+            for u in range(a.dim):
+                coeffs = {}
+                for t in range(a.dim):
+                    if value_unknown is not None and cell[t]:
+                        key = (value_unknown, u, t)
+                        coeffs[key] = coeffs.get(key, F(0)) + cell[t]
+                    if left_unknown is not None and left_table[j][t][u]:
+                        key = (left_unknown, t, i)
+                        coeffs[key] = coeffs.get(key, F(0)) - left_table[j][t][u]
+                    if right_unknown is not None and right_table[i][t][u]:
+                        key = (right_unknown, t, j)
+                        coeffs[key] = (
+                            coeffs.get(key, F(0))
+                            - right_sign * wi * right_table[i][t][u]
+                        )
+                if coeffs:
+                    yield coeffs
+
+
+def solve_blocks_oracle(a, gamma, nmaps, commuting, identity_rows):
+    """One dense kernel of all rows over the stacked degree-gamma slots."""
+    g = a.basis.group.reduce(gamma)
+    slots = [
+        (u, t)
+        for u in range(a.dim)
+        for t in range(a.dim)
+        if a.degree(u) == a.basis.group.add(a.degree(t), g)
+    ]
+    if not slots:
+        return []
+    ncols = nmaps * len(slots)
+    col = {}
+    for m in range(nmaps):
+        for idx, (u, t) in enumerate(slots):
+            col[(m, u, t)] = m * len(slots) + idx
+    rows = []
+
+    def emit(coeffs):
+        row = [F(0)] * ncols
+        touched = False
+        for key, c in coeffs.items():
+            pos = col.get(key)
+            if c and pos is not None:
+                row[pos] += c
+                touched = True
+        if touched and any(row):
+            rows.append(row)
+
+    for m, M in commuting:
+        for u in range(a.dim):
+            for j in range(a.dim):
+                coeffs = {}
+                for t in range(a.dim):
+                    if M[t][j]:
+                        coeffs[(m, u, t)] = coeffs.get((m, u, t), F(0)) + M[t][j]
+                    if M[u][t]:
+                        coeffs[(m, t, j)] = coeffs.get((m, t, j), F(0)) - M[u][t]
+                emit(coeffs)
+    for coeffs in identity_rows():
+        emit(coeffs)
+    if rows:
+        kernel = Matrix(rows).kernel_basis()
+    else:
+        kernel = [
+            tuple(F(int(i == k)) for i in range(ncols)) for k in range(ncols)
+        ]
+    out = []
+    for kv in kernel:
+        mats = []
+        for m in range(nmaps):
+            entries = [[F(0)] * a.dim for _ in range(a.dim)]
+            for idx, (u, t) in enumerate(slots):
+                entries[u][t] = kv[m * len(slots) + idx]
+            mats.append(Matrix(entries))
+        out.append(tuple(mats))
+    return out
+
+
+# kind -> (solver, number of unknowns, Leibniz conditions, takes ``strict``)
+SOLVER_KINDS = {
+    "derivation": (derivation_space, 1, [(0, 0, 0)], False),
+    "quasi_derivation": (quasi_derivation_space, 2, [(1, 0, 0)], False),
+    "generalized_derivation": (
+        generalized_derivation_space, 3, [(2, 0, 1)], False,
+    ),
+    "centroid": (centroid_space, 1, [(0, 0, None), (0, None, 0)], True),
+    "quasi_centroid": (quasi_centroid_space, 1, [(None, 0, 0, F(-1))], True),
+}
+
+
+def solver_oracle(kind, a, k, l, gamma, strict=False):
+    _, nmaps, conditions, _ = SOLVER_KINDS[kind]
+    m = a.ab_power(k, l)
+    commuting = [(u, a.alpha) for u in range(nmaps)]
+    if not strict:
+        commuting += [(u, a.beta) for u in range(nmaps)]
+
+    def rows():
+        for cond in conditions:
+            yield from leibniz_rows_oracle(a, gamma, m, *cond)
+
+    return solve_blocks_oracle(a, gamma, nmaps, commuting, rows)
+
+
+def gl21_twist():
+    """gl(2|1): the commutator algebra of the Z2-graded 3x3 matrix units
+    (E11, E12, E21, E22 even), Yau-twisted by the diagonal conjugations
+    with (1, 2, 3) and (1, 5, 7)."""
+    parity = (0, 0, 1)
+    units = [(i, j) for i in range(3) for j in range(3)]
+    basis = GradedBasis(
+        GradingGroup(0, (2,)),
+        tuple(f"E{i + 1}{j + 1}" for i, j in units),
+        tuple(((parity[i] + parity[j]) % 2,) for i, j in units),
+    )
+    product = [
+        [[F(int(j == k and (i, l) == u)) for u in units] for k, l in units]
+        for i, j in units
+    ]
+    assoc = ColourAlgebra(
+        basis, super_bicharacter(), product, Matrix.identity(9),
+        Matrix.identity(9), kind="associative",
+    )
+
+    def conjugation(d):
+        return Matrix.diagonal([F(d[i], d[j]) for i, j in units])
+
+    return yau_twist(
+        commutator_algebra(assoc), conjugation((1, 2, 3)), conjugation((1, 5, 7))
+    )
+
+
+# the names of lie_corpus(), whose algebras are built inside the tests
+LIE_CORPUS = (
+    "zero_3",
+    "osp12_classical",
+    "osp12_twist(2,3)",
+    "z2z2_colour_example",
+    "commutator(mat2_assoc)",
+)
+ORACLE_ALGEBRAS = {
+    **{name: (lambda name=name: dict(lie_corpus())[name]) for name in LIE_CORPUS},
+    "gl21_twist": gl21_twist,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
+def test_block_solves_match_the_dense_oracle(name):
+    a = ORACLE_ALGEBRAS[name]()
+    group = a.basis.group
+    degrees = sorted(
+        {group.sub(du, dt) for du in a.basis.degrees for dt in a.basis.degrees}
+    )
+    for k, l in ((0, 0), (1, 0), (0, 1), (-1, 1)):
+        for gamma in degrees:
+            for kind, (solver, _, _, has_strict) in SOLVER_KINDS.items():
+                for strict in (False, True) if has_strict else (False,):
+                    extra = {"strict": True} if strict else {}
+                    want = solver_oracle(kind, a, k, l, gamma, strict)
+                    basis = solver(a, k, l, gamma, **extra).basis
+                    got = [
+                        tuple(e.matrix for e in entry)
+                        if isinstance(entry, tuple)
+                        else (entry.matrix,)
+                        for entry in basis
+                    ]
+                    assert got == want, (kind, k, l, gamma, strict)

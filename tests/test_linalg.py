@@ -10,9 +10,13 @@ from bihomlie.linalg import (
     Matrix,
     in_span,
     is_zero_vec,
+    kernel_by_blocks,
     span_rank,
     spans_equal,
+    vadd,
     vec,
+    vscale,
+    vsub,
 )
 
 
@@ -53,6 +57,54 @@ def test_zero_matrix_without_rows_keeps_its_columns():
         vec([0, 1, 0]),
         vec([0, 0, 1]),
     ]
+
+
+def test_matrix_from_empty_columns_keeps_their_count():
+    m = Matrix.from_cols([(), ()])
+    assert (m.nrows, m.ncols) == (0, 2)
+
+
+def test_transpose_of_a_matrix_without_columns_keeps_its_rows():
+    m = Matrix.zero(3, 0).transpose()
+    assert (m.nrows, m.ncols) == (0, 3)
+    assert m.transpose() == Matrix.zero(3, 0)
+
+
+def test_columns_of_a_matrix_without_rows_are_empty_vectors():
+    assert Matrix.zero(0, 3).columns() == ((), (), ())
+
+
+def test_matrices_without_rows_differ_by_their_width():
+    assert Matrix.zero(0, 3) != Matrix.zero(0, 0)
+    assert hash(Matrix.zero(0, 3)) != hash(Matrix.zero(0, 0))
+    assert Matrix.zero(0, 3) == Matrix([], 3)
+    assert hash(Matrix.zero(0, 3)) == hash(Matrix([], 3))
+
+
+def test_width_must_match_the_rows():
+    with pytest.raises(ValueError):
+        Matrix([[1, 2]], 3)
+
+
+def test_products_and_sums_keep_the_shape():
+    a = Matrix.zero(0, 2)
+    assert (a * Matrix.zero(2, 4)).ncols == 4
+    assert (a + a).ncols == 2
+    assert (a - a).ncols == 2
+    assert a.scale(3).ncols == 2
+    assert a.rref()[0].ncols == 2
+
+
+def test_vector_arithmetic_skipping_zeros_keeps_the_values():
+    u = vec([0, 1, Fraction(1, 2), -3])
+    v = vec([2, 0, Fraction(-1, 2), 1])
+    assert vadd(u, v) == vec([2, 1, 0, -2])
+    assert vsub(u, v) == vec([-2, 1, 1, -4])
+    assert vscale(Fraction(2), u) == vec([0, 2, 1, -6])
+    assert vscale(Fraction(0), u) == vec([0, 0, 0, 0])
+    assert vscale(Fraction(1), u) == u
+    for w in (vadd(u, v), vsub(u, v), vscale(Fraction(2), u)):
+        assert all(isinstance(x, Fraction) for x in w)
 
 
 def test_solve_exact_fractions():
@@ -155,3 +207,69 @@ def test_span_rank_counts_independent_rows():
     rows = [vec([1, 2]), vec([2, 4]), vec([0, 1])]
     assert span_rank(rows) == 2
     assert span_rank([]) == 0
+
+
+def _dense_rows(rows, ncols):
+    return [[row.get(c, Fraction(0)) for c in range(ncols)] for row in rows]
+
+
+def _as_dense(coords, ncols):
+    return tuple(coords.get(c, Fraction(0)) for c in range(ncols))
+
+
+@st.composite
+def _sparse_systems(draw):
+    """Sparse rows {column: value} on 0-10 x 0-12, with columns no row
+    touches, all-zero columns, explicit zero values, and rows that are
+    combinations of others, so that they reduce to zero."""
+    ncols = draw(st.integers(min_value=0, max_value=12))
+    nrows = draw(st.integers(min_value=0, max_value=10))
+    values = st.integers(min_value=-3, max_value=3).map(Fraction)
+    rows = []
+    for _ in range(nrows):
+        if ncols == 0:
+            rows.append({})
+            continue
+        used = draw(
+            st.lists(
+                st.integers(min_value=0, max_value=ncols - 1),
+                max_size=4,
+                unique=True,
+            )
+        )
+        rows.append({c: draw(values) for c in used})
+    dependent = []
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        if len(rows) < 2:
+            break
+        i = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        j = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        c = draw(values)
+        combo = dict(rows[i])
+        for col, x in rows[j].items():
+            combo[col] = combo.get(col, Fraction(0)) + c * x
+        dependent.append(combo)
+    return rows + dependent, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sparse_systems())
+def test_block_kernel_equals_the_dense_kernel(system):
+    rows, ncols = system
+    got = [_as_dense(v, ncols) for v in kernel_by_blocks(rows, ncols)]
+    want = Matrix(_dense_rows(rows, ncols), ncols).kernel_basis()
+    assert got == want
+    for v in kernel_by_blocks(rows, ncols):
+        assert all(v.values())
+
+
+def test_block_kernel_on_hand_built_blocks():
+    # columns 0 and 3 are linked, 1 is forced to zero, 2 is untouched and
+    # the last row cancels against the first
+    rows = [{0: Fraction(1), 3: Fraction(-2)}, {1: Fraction(5)},
+            {0: Fraction(-2), 3: Fraction(4)}, {4: Fraction(0)}]
+    assert kernel_by_blocks(rows, 5) == [
+        {2: Fraction(1)},
+        {0: Fraction(2), 3: Fraction(1)},
+        {4: Fraction(1)},
+    ]
