@@ -176,6 +176,8 @@ def _cmd_admissible(args) -> int:
 
 
 def _cmd_cohomology(args) -> int:
+    if args.n < 0:
+        raise ValueError("cochain arity must be nonnegative")
     a = _load(args.file)
     rep = adjoint_rep(a, args.s, args.l)
     if args.degree is not None:

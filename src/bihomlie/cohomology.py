@@ -159,6 +159,60 @@ def _even_item(
     return CheckItem(name, True)
 
 
+def _column_witness(
+    space: GradedBasis,
+    diff: Matrix,
+    idx: tuple[int, ...] = (),
+    names: tuple[str, ...] = (),
+    *,
+    locate: bool = True,
+) -> Optional[Witness]:
+    """The first nonzero column of a matrix defect on V as a witness at
+    ``idx``, or None when the defect is zero.  With ``locate`` the column
+    index and its basis name close the index and name tuples."""
+    for c, col in enumerate(diff.columns()):
+        if any(col):
+            if locate:
+                idx, names = idx + (c,), names + (space.names[c],)
+            return Witness(idx, names, col, format_element(space, col))
+    return None
+
+
+def _bracket_compatibility(
+    rep: Representation, name: str, note: str, sides
+) -> CheckItem:
+    """The first basis pair (x, y) = (e_i, e_j) on which the two sides
+    ``sides(rho([beta(x), y]), rho(alpha(x)), rho(beta(y)),
+    rho(alphabeta(x)), rho(y), eps(x, y))`` differ, as a failed item whose
+    witness is (i, j, column)."""
+    a = rep.algebra
+    rho = rep.rho_of
+    alpha = a.alpha.columns()
+    beta = a.beta.columns()
+    ab = a.ab_power(1, 1).columns()
+    for i in range(a.dim):
+        rho_alpha, rho_ab = rho(alpha[i]), rho(ab[i])
+        for j in range(a.dim):
+            bracket = rho(a.product_eval(beta[i], a.basis_vec(j)))
+            lhs, rhs = sides(
+                bracket,
+                rho_alpha,
+                rho(beta[j]),
+                rho_ab,
+                rep.rho[j],
+                a.eps_ij(i, j),
+            )
+            w = _column_witness(
+                rep.space,
+                lhs - rhs,
+                (i, j),
+                (a.basis.names[i], a.basis.names[j]),
+            )
+            if w is not None:
+                return CheckItem(name, False, w, note=note)
+    return CheckItem(name, True)
+
+
 def validate_representation(rep: Representation) -> AxiomReport:
     """Run the module axioms and report each one separately.
 
@@ -192,83 +246,44 @@ def validate_representation(rep: Representation) -> AxiomReport:
     items.append(_even_item("alphaV_even", sp, rep.alphaV, zero_shift))
     items.append(_even_item("betaV_even", sp, rep.betaV, zero_shift))
 
-    comm = rep.alphaV * rep.betaV - rep.betaV * rep.alphaV
-    if comm.is_zero():
-        items.append(CheckItem("module_maps_commute", True))
-    else:
-        col = next(
-            comm.column(c)
-            for c in range(rep.dimV)
-            if not is_zero_vec(comm.column(c))
+    comm = _column_witness(
+        sp, rep.alphaV * rep.betaV - rep.betaV * rep.alphaV, locate=False
+    )
+    items.append(
+        CheckItem(
+            "module_maps_commute",
+            comm is None,
+            comm,
+            note="" if comm is None else "alpha_V and beta_V do not commute",
         )
-        items.append(
-            CheckItem(
-                "module_maps_commute",
-                False,
-                Witness((), (), col, format_element(sp, col)),
-                note="alpha_V and beta_V do not commute",
-            )
-        )
+    )
 
     def intertwine(name: str, amap: Matrix, vmap: Matrix) -> CheckItem:
         for i, image in enumerate(amap.columns()):
-            lhs = rep.rho_of(image) * vmap
-            rhs = vmap * rep.rho[i]
-            diff = lhs - rhs
-            if diff.is_zero():
-                continue
-            for c in range(rep.dimV):
-                col = diff.column(c)
-                if not is_zero_vec(col):
-                    return CheckItem(
-                        name,
-                        False,
-                        Witness(
-                            (i, c),
-                            (a.basis.names[i], sp.names[c]),
-                            col,
-                            format_element(sp, col),
-                        ),
-                    )
+            w = _column_witness(
+                sp,
+                rep.rho_of(image) * vmap - vmap * rep.rho[i],
+                (i,),
+                (a.basis.names[i],),
+            )
+            if w is not None:
+                return CheckItem(name, False, w)
         return CheckItem(name, True)
 
     items.append(intertwine("alpha_intertwine", a.alpha, rep.alphaV))
     items.append(intertwine("beta_intertwine", a.beta, rep.betaV))
 
-    alpha = a.alpha.columns()
-    beta = a.beta.columns()
-    ab = a.ab_power(1, 1).columns()
-    bracket_item = CheckItem("module_condition", True)
-    for i in range(a.dim):
-        if not bracket_item.passed:
-            break
-        for j in range(a.dim):
-            bracket = a.product_eval(beta[i], a.basis_vec(j))
-            lhs = rep.rho_of(bracket) * rep.betaV
-            rhs = rep.rho_of(ab[i]) * rep.rho[j] - (
-                rep.rho_of(beta[j]) * rep.rho_of(alpha[i])
-            ).scale(a.eps_ij(i, j))
-            diff = lhs - rhs
-            if diff.is_zero():
-                continue
-            c = next(
-                c
-                for c in range(rep.dimV)
-                if not is_zero_vec(diff.column(c))
-            )
-            bracket_item = CheckItem(
-                "module_condition",
-                False,
-                Witness(
-                    (i, j, c),
-                    (a.basis.names[i], a.basis.names[j], sp.names[c]),
-                    diff.column(c),
-                    format_element(sp, diff.column(c)),
-                ),
-                note="bracket compatibility fails on this pair",
-            )
-            break
-    items.append(bracket_item)
+    items.append(
+        _bracket_compatibility(
+            rep,
+            "module_condition",
+            "bracket compatibility fails on this pair",
+            lambda br, xa, yb, xab, y, e: (
+                br * rep.betaV,
+                xab * y - (yb * xa).scale(e),
+            ),
+        )
+    )
     return AxiomReport(items)
 
 
@@ -311,40 +326,16 @@ def dual_rep(rep: Representation) -> tuple[Representation, AxiomReport]:
         rep.betaV.transpose(),
     )
 
-    alpha = a.alpha.columns()
-    beta = a.beta.columns()
-    ab = a.ab_power(1, 1).columns()
-    item = CheckItem("dual_module_condition", True)
-    for i in range(a.dim):
-        if not item.passed:
-            break
-        for j in range(a.dim):
-            bracket = a.product_eval(beta[i], a.basis_vec(j))
-            lhs = rep.betaV * rep.rho_of(bracket)
-            rhs = rep.rho_of(alpha[i]) * rep.rho_of(beta[j]) - (
-                rep.rho[j] * rep.rho_of(ab[i])
-            ).scale(a.eps_ij(i, j))
-            diff = lhs - rhs
-            if diff.is_zero():
-                continue
-            c = next(
-                c
-                for c in range(rep.dimV)
-                if not is_zero_vec(diff.column(c))
-            )
-            item = CheckItem(
-                "dual_module_condition",
-                False,
-                Witness(
-                    (i, j, c),
-                    (a.basis.names[i], a.basis.names[j], sp.names[c]),
-                    diff.column(c),
-                    format_element(sp, diff.column(c)),
-                ),
-                note="transposed action does not close; candidate is not "
-                "a representation",
-            )
-            break
+    item = _bracket_compatibility(
+        rep,
+        "dual_module_condition",
+        "transposed action does not close; candidate is not a "
+        "representation",
+        lambda br, xa, yb, xab, y, e: (
+            rep.betaV * br,
+            xa * yb - (y * xab).scale(e),
+        ),
+    )
     return candidate, AxiomReport([item])
 
 

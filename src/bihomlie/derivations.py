@@ -29,10 +29,10 @@ from typing import Optional, Sequence
 from .algebra import AxiomReport, CheckItem, ColourAlgebra, Witness
 from .grading import Bicharacter, GroupElement
 from .linalg import (
+    EchelonBasis,
     Matrix,
     Vec,
     add_scaled,
-    in_span,
     is_zero_vec,
     kernel_by_blocks,
     vec,
@@ -107,16 +107,9 @@ class SolverResult:
 
     def component_basis(self, idx: int = 0) -> list[HomEndo]:
         """Independent spanning subset of one tuple slot's projections."""
-        members = []
-        flats: list[Vec] = []
-        for entry in self.basis:
-            endo = entry[idx] if isinstance(entry, tuple) else entry
-            flat = _flatten(endo.matrix)
-            if is_zero_vec(flat) or in_span(flats, flat):
-                continue
-            flats.append(flat)
-            members.append(endo)
-        return members
+        span = EchelonBasis()
+        endos = (e[idx] if isinstance(e, tuple) else e for e in self.basis)
+        return [d for d in endos if span.add(_flatten(d.matrix))]
 
     def to_dict(self) -> dict:
         out = {
@@ -491,7 +484,7 @@ def inner_derivation_space(
         list((a.alpha - ida).rows) + list((a.beta - ida).rows)
     )
     basis: list[HomEndo] = []
-    flats: list[Vec] = []
+    span = EchelonBasis()
     degrees_seen = sorted(set(a.basis.degrees))
     for gdeg in degrees_seen:
         block = [i for i in range(a.dim) if a.degree(i) == gdeg]
@@ -505,11 +498,8 @@ def inner_derivation_space(
             mat = Matrix.from_cols(
                 [a.product_eval(mj, xv) for mj in m.columns()]
             )
-            flat = _flatten(mat)
-            if is_zero_vec(flat) or in_span(flats, flat):
-                continue
-            flats.append(flat)
-            basis.append(HomEndo(mat, gdeg))
+            if span.add(_flatten(mat)):
+                basis.append(HomEndo(mat, gdeg))
     return SolverResult(
         "inner", k, l, None, tuple(basis), len(basis)
     )
@@ -650,13 +640,8 @@ def jordan_closure(
     Iterates products of current members and keeps those that grow the
     span; terminates because everything lives inside a fixed matrix space.
     """
-    members = []
-    flats: list[Vec] = []
-    for d in space:
-        flat = _flatten(d.matrix)
-        if not is_zero_vec(flat) and not in_span(flats, flat):
-            flats.append(flat)
-            members.append(d)
+    span = EchelonBasis()
+    members = [d for d in space if span.add(_flatten(d.matrix))]
     frontier = list(members)
     while frontier:
         fresh = []
@@ -666,9 +651,7 @@ def jordan_closure(
                     jordan_product(d1, d2, eps, sign=sign),
                     jordan_product(d2, d1, eps, sign=sign),
                 ):
-                    flat = _flatten(prod.matrix)
-                    if not is_zero_vec(flat) and not in_span(flats, flat):
-                        flats.append(flat)
+                    if span.add(_flatten(prod.matrix)):
                         fresh.append(prod)
         members.extend(fresh)
         frontier = fresh
@@ -728,11 +711,12 @@ def check_jordan_axioms(
 
     closed = True
     closure_note = ""
-    space_flats = [_flatten(d.matrix) for d in space]
+    span = EchelonBasis()
+    for d in space:
+        span.add(_flatten(d.matrix))
     for i, d1 in enumerate(space):
         for j, d2 in enumerate(space):
-            flat = _flatten(mu(d1, d2).matrix)
-            if not is_zero_vec(flat) and not in_span(space_flats, flat):
+            if _flatten(mu(d1, d2).matrix) not in span:
                 closed = False
                 closure_note = (
                     f"product of {names[i]} and {names[j]} leaves the span"

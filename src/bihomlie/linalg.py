@@ -8,7 +8,10 @@ kernel in bihomlie._rref_py.  It is plain Python and needs no build step.
 Linear systems come as sparse rows {column: value}; ``kernel_by_blocks``
 splits their columns into the independent blocks the rows link and reduces
 each block on its own, which gives the same basis as ``kernel_basis`` of
-the dense matrix.  Vector and matrix arithmetic skips zero entries.
+the dense matrix.  Span membership goes through ``EchelonBasis``, which
+keeps the vectors added so far as sparse echelon rows and reduces each new
+one in a single pass; the library solves no dense system A x = b (the tests
+keep one as an oracle).  Vector and matrix arithmetic skips zero entries.
 
 Scalars are fractions.Fraction throughout; vectors are plain tuples.
 """
@@ -244,44 +247,6 @@ class Matrix:
             basis.append(tuple(v))
         return basis
 
-    def solve(self, b: Vec) -> Optional[Vec]:
-        """One exact solution of self·x = b, or None if inconsistent."""
-        if len(b) != self.nrows:
-            raise ValueError("shape mismatch")
-        sols = self.solve_many([b])
-        return sols[0]
-
-    def solve_many(self, bs: Sequence[Vec]) -> list[Optional[Vec]]:
-        """Solve self·x = b for several right-hand sides with one RREF."""
-        for b in bs:
-            if len(b) != self.nrows:
-                raise ValueError("shape mismatch")
-        aug = Matrix(
-            [
-                list(self.rows[i]) + [b[i] for b in bs]
-                for i in range(self.nrows)
-            ]
-        )
-        reduced, pivots = aug.rref()
-        out: list[Optional[Vec]] = []
-        for k in range(len(bs)):
-            col = self.ncols + k
-            x = [ZERO] * self.ncols
-            for r, pc in enumerate(pivots):
-                if pc < self.ncols:
-                    x[pc] = reduced[r][col]
-            # a row whose A-block is zero but whose entry in this RHS
-            # column is not makes system k inconsistent.
-            consistent = True
-            for r in range(aug.nrows):
-                if reduced[r][col] and not any(
-                    reduced[r][j] for j in range(self.ncols)
-                ):
-                    consistent = False
-                    break
-            out.append(tuple(x) if consistent else None)
-        return out
-
     def invert(self) -> "Matrix":
         """Exact inverse; raises ValueError on non-square or singular input."""
         if self.nrows != self.ncols:
@@ -385,38 +350,50 @@ def kernel_by_blocks(
     return [coords for _, coords in kernel]
 
 
-def rank(m: Matrix) -> int:
-    return m.rank()
+class EchelonBasis:
+    """The span of the vectors added so far, as sparse echelon rows.
 
+    Each stored row {column: value} is 1 at its pivot column and zero at
+    the pivots of the rows stored before it.  So one pass in insertion
+    order reduces a vector: the remainder is zero at every pivot, and it
+    is empty exactly when the vector lies in the span.  Membership is
+    exact.
 
-def kernel_basis(m: Matrix) -> list[Vec]:
-    return m.kernel_basis()
+    >>> span = EchelonBasis()
+    >>> [span.add(vec(v)) for v in ([1, 2, 0], [2, 4, 0], [0, 1, 1], [0] * 3)]
+    [True, False, True, False]
+    >>> vec([1, 0, -2]) in span, vec([0, 0, 1]) in span
+    (True, False)
+    """
 
+    __slots__ = ("_rows",)
 
-def solve(m: Matrix, b: Vec) -> Optional[Vec]:
-    return m.solve(b)
+    def __init__(self) -> None:
+        self._rows: list[tuple[int, dict[int, Fraction]]] = []
 
+    def _remainder(self, v: Vec) -> dict[int, Fraction]:
+        rem = {c: x for c, x in enumerate(v) if x}
+        for pivot, row in self._rows:
+            x = rem.get(pivot)
+            if x:
+                for c, y in row.items():
+                    z = rem.get(c, ZERO) - x * y
+                    if z:
+                        rem[c] = z
+                    else:
+                        del rem[c]
+        return rem
 
-def invert(m: Matrix) -> Matrix:
-    return m.invert()
+    def __contains__(self, v: Vec) -> bool:
+        return not self._remainder(v)
 
-
-def span_rank(vectors: Sequence[Vec]) -> int:
-    """Rank of the span of the given vectors."""
-    if not vectors:
-        return 0
-    return Matrix(list(vectors)).rank()
-
-
-def in_span(vectors: Sequence[Vec], v: Vec) -> bool:
-    """Whether v lies in the span of `vectors` (exact)."""
-    if is_zero_vec(v):
+    def add(self, v: Vec) -> bool:
+        """Store the remainder of v if it is nonzero; True when v was
+        outside the span."""
+        rem = self._remainder(v)
+        if not rem:
+            return False
+        pivot = min(rem)
+        inv = ONE / rem[pivot]
+        self._rows.append((pivot, {c: x * inv for c, x in rem.items()}))
         return True
-    if not vectors:
-        return False
-    return Matrix.from_cols(list(vectors)).solve(v) is not None
-
-
-def spans_equal(a: Sequence[Vec], b: Sequence[Vec]) -> bool:
-    """Mutual containment of two spans (exact, basis-independent)."""
-    return all(in_span(a, v) for v in b) and all(in_span(b, u) for u in a)

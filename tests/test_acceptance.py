@@ -52,7 +52,6 @@ from bihomlie.derivations import (
 from bihomlie.linalg import (
     Matrix,
     is_zero_vec,
-    spans_equal,
     vadd,
     vscale,
     vsub,
@@ -64,6 +63,7 @@ from bihomlie.multipliers import (
     sigma_twist,
     validate_multiplier,
 )
+from dense_oracles import spans_equal
 
 F = Fraction
 

@@ -46,12 +46,12 @@ from bihomlie.grading import (
 from bihomlie.linalg import (
     Matrix,
     is_zero_vec,
-    spans_equal,
     vadd,
     vscale,
     vsub,
     vzero,
 )
+from dense_oracles import solve_many, spans_equal
 
 F = Fraction
 DATA = Path(__file__).resolve().parent.parent / "src" / "bihomlie" / "data"
@@ -93,14 +93,95 @@ def test_zero_action_is_a_representation():
     assert validate_representation(rep).passed
 
 
-def test_broken_action_fails_with_witness():
+def _rebuilt(rep, rho=None, alphaV=None, betaV=None):
+    return Representation(
+        rep.algebra,
+        rep.space,
+        rep.rho if rho is None else rho,
+        rep.alphaV if alphaV is None else alphaV,
+        rep.betaV if betaV is None else betaV,
+    )
+
+
+def _scaled_action_report():
     rep = twist_rep()
     rho = list(rep.rho)
     rho[0] = rho[0].scale(2)
-    bad = Representation(rep.algebra, rep.space, rho, rep.alphaV, rep.betaV)
-    item = validate_representation(bad).item("module_condition")
-    assert not item.passed
-    assert len(item.witness.names) == 3
+    return validate_representation(_rebuilt(rep, rho=rho))
+
+
+def _odd_swap_report():
+    # beta_V exchanging the odd F and G is even, but does not commute
+    # with the non-scalar alpha_V
+    rep = twist_rep()
+    f, g = rep.space.index("F"), rep.space.index("G")
+    swap = Matrix(
+        [
+            [int(p == q not in (f, g) or {p, q} == {f, g}) for q in range(5)]
+            for p in range(5)
+        ]
+    )
+    return validate_representation(_rebuilt(rep, betaV=swap))
+
+
+@pytest.mark.parametrize(
+    "report,name,indices,names,defect,note",
+    [
+        (
+            _scaled_action_report,
+            "module_condition",
+            (0, 1, 0),
+            ("H", "X", "H"),
+            "1296 X",
+            "bracket compatibility fails on this pair",
+        ),
+        (
+            lambda: dual_rep(adjoint_rep(build_osp12(2, 3), 0, 0))[1],
+            "dual_module_condition",
+            (0, 1, 2),
+            ("H", "X", "Y"),
+            "640/81 H",
+            "transposed action does not close; candidate is not a "
+            "representation",
+        ),
+        (
+            lambda: validate_representation(
+                _rebuilt(twist_rep(), betaV=twist_rep().alphaV)
+            ),
+            "beta_intertwine",
+            (1, 0),
+            ("X", "H"),
+            "-360 X",
+            "",
+        ),
+        (
+            _odd_swap_report,
+            "module_maps_commute",
+            (),
+            (),
+            "3/2 G",
+            "alpha_V and beta_V do not commute",
+        ),
+    ],
+    ids=[
+        "module_condition",
+        "dual_module_condition",
+        "beta_intertwine",
+        "module_maps_commute",
+    ],
+)
+def test_broken_modules_report_the_full_witness(
+    report, name, indices, names, defect, note
+):
+    item = report().item(name)
+    assert not item.passed and item.note == note
+    w = item.witness
+    assert (w.indices, w.names, w.defect_str) == (indices, names, defect)
+    # the defect vector is the one its text spells out
+    want = [F(0)] * 5
+    coeff, basis_name = defect.split()
+    want["HXYFG".index(basis_name)] = F(coeff)
+    assert w.defect == tuple(want)
 
 
 def test_representation_shape_errors():
@@ -565,7 +646,7 @@ def coboundary_matrix_oracle(rep, n, r, gamma, prefactor):
         return tuple(f.value(T)[w] for T, w in slots)
 
     basis_mat = Matrix.from_cols([coords(gc) for gc in cod])
-    sols = basis_mat.solve_many([coords(img) for img in images])
+    sols = solve_many(basis_mat, [coords(img) for img in images])
     assert None not in sols
     return Matrix.from_cols(sols)
 
@@ -607,11 +688,23 @@ def gl21_twist():
     )
 
 
+# the names of lie_corpus(), whose algebras are built inside the tests
+LIE_CORPUS = (
+    "zero_3",
+    "osp12_classical",
+    "osp12_twist(2,3)",
+    "z2z2_colour_example",
+    "commutator(mat2_assoc)",
+)
 ORACLE_MODULES = {
     **TWISTED,
     **{
-        f"{name}_ad{s}{l}": lambda a=a, s=s, l=l: adjoint_rep(a, s, l)
-        for name, a in lie_corpus()
+        f"{name}_ad{s}{l}": (
+            lambda name=name, s=s, l=l: adjoint_rep(
+                dict(lie_corpus())[name], s, l
+            )
+        )
+        for name in LIE_CORPUS
         for s, l in ((0, 1), (1, 0))
     },
     "gl21_twist": lambda: adjoint_rep(gl21_twist(), 0, 1),

@@ -35,7 +35,8 @@ from bihomlie.derivations import (
     quasi_derivation_space,
 )
 from bihomlie.grading import GradedBasis, GradingGroup, super_bicharacter
-from bihomlie.linalg import Matrix, spans_equal
+from bihomlie.linalg import Matrix
+from dense_oracles import in_span, spans_equal
 
 F = Fraction
 
@@ -529,3 +530,108 @@ def test_block_solves_match_the_dense_oracle(name):
                         for entry in basis
                     ]
                     assert got == want, (kind, k, l, gamma, strict)
+
+
+# ---------------------------------------------------------------------------
+# the former span-membership path: every member checked against the whole
+# span kept so far with a fresh dense solve (dense_oracles.in_span)
+
+
+def kept_by_oracle(endos, kept=()):
+    """The endomorphisms outside the span of ``kept`` and of those kept
+    before them, in order."""
+    flats = [_flat(d) for d in kept]
+    out = []
+    for d in endos:
+        if not in_span(flats, _flat(d)):
+            flats.append(_flat(d))
+            out.append(d)
+    return out
+
+
+def jordan_closure_oracle(space, eps, sign):
+    members = kept_by_oracle(space)
+    frontier = list(members)
+    while frontier:
+        fresh = []
+        for d1 in members:
+            for d2 in frontier:
+                fresh += kept_by_oracle(
+                    [
+                        jordan_product(d1, d2, eps, sign=sign),
+                        jordan_product(d2, d1, eps, sign=sign),
+                    ],
+                    members + fresh,
+                )
+        members = members + fresh
+        frontier = fresh
+    return members
+
+
+def inner_derivation_oracle(a, k, l):
+    """The generators y -> [m(y), x], x homogeneous and fixed by both maps,
+    kept when they grow the span."""
+    m = a.ab_power(k, l)
+    ida = Matrix.identity(a.dim)
+    stacked = Matrix(list((a.alpha - ida).rows) + list((a.beta - ida).rows))
+    generators = []
+    for gdeg in sorted(set(a.basis.degrees)):
+        block = [i for i in range(a.dim) if a.degree(i) == gdeg]
+        sub = Matrix.from_cols([stacked.column(i) for i in block])
+        for kv in sub.kernel_basis():
+            x = [F(0)] * a.dim
+            for pos, i in enumerate(block):
+                x[i] = kv[pos]
+            mat = Matrix.from_cols(
+                [a.product_eval(mj, tuple(x)) for mj in m.columns()]
+            )
+            generators.append(HomEndo(mat, gdeg))
+    return kept_by_oracle(generators)
+
+
+def closure_item_oracle(space, eps, sign):
+    flats = [_flat(d) for d in space]
+    for i, d1 in enumerate(space):
+        for j, d2 in enumerate(space):
+            prod = jordan_product(d1, d2, eps, sign=sign)
+            if not in_span(flats, _flat(prod)):
+                return False, f"product of D{i} and D{j} leaves the span"
+    return True, ""
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
+def test_echelon_span_keeps_the_members_the_dense_oracle_keeps(name):
+    a = ORACLE_ALGEBRAS[name]()
+    group = a.basis.group
+    degrees = sorted(
+        {group.sub(du, dt) for du in a.basis.degrees for dt in a.basis.degrees}
+    )
+    for k, l in ((0, 0), (0, 1), (1, 0)):
+        assert inner_derivation_space(a, k, l).basis == tuple(
+            inner_derivation_oracle(a, k, l)
+        )
+        for gamma in degrees:
+            for res in (
+                quasi_derivation_space(a, k, l, gamma),
+                generalized_derivation_space(a, k, l, gamma),
+            ):
+                for idx in range(len(res.basis[0]) if res.basis else 1):
+                    assert res.component_basis(idx) == kept_by_oracle(
+                        entry[idx] for entry in res.basis
+                    )
+
+    ders = [d for g in degrees for d in derivation_space(a, 0, 0, g).basis]
+    # repeated, rescaled and zero members must be skipped
+    zero = HomEndo(Matrix.zero(a.dim, a.dim), a.basis.group.zero())
+    family = ders + [d.scale(-2) for d in ders[:2]] + [zero]
+    for sign in (1, -1):
+        assert jordan_closure(family, a.eps, sign=sign) == (
+            jordan_closure_oracle(family, a.eps, sign)
+        )
+        small = family[:3]
+        item = check_jordan_axioms(
+            small, a.eps, a.alpha, a.beta, sign=sign
+        ).item("closed_under_product")
+        assert (item.passed, item.note) == closure_item_oracle(
+            small, a.eps, sign
+        )

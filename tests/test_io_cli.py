@@ -473,6 +473,22 @@ def test_cohomology_bad_degree(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "extra", [[], ["--degree", "0"]], ids=["all_degrees", "one_degree"]
+)
+def test_cohomology_negative_arity_exits_2(tmp_path, capsys, extra):
+    # without --degree no degree is realized at arity -1, so the check
+    # must come before the degree loop rather than from cohomology_dims
+    report = tmp_path / "coh.json"
+    argv = ["cohomology", data_path("osp12_classical.alg"), "--n", "-1"]
+    code = run_cli(argv + extra + ["--report", str(report)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "cochain arity must be nonnegative" in captured.err
+    assert captured.out == ""
+    assert not report.exists()
+
+
 def test_derivations_subcommand(capsys):
     code = run_cli(
         ["derivations", data_path("osp12_classical.alg"), "--kind", "der"]

@@ -1,4 +1,8 @@
-"""Exact linear algebra kernel: RREF, rank, kernels, solving."""
+"""Exact linear algebra kernel: RREF, rank, kernels, span membership.
+
+Span membership goes through ``EchelonBasis``; the dense solve lives only in
+the test oracles of ``dense_oracles``, which are tested here as well.
+"""
 
 from fractions import Fraction
 
@@ -7,17 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bihomlie.linalg import (
+    EchelonBasis,
     Matrix,
-    in_span,
+    Vec,
     is_zero_vec,
     kernel_by_blocks,
-    span_rank,
-    spans_equal,
     vadd,
     vec,
     vscale,
     vsub,
 )
+from dense_oracles import in_span, solve_many, spans_equal
 
 
 def test_rref_canonical_form():
@@ -110,19 +114,19 @@ def test_vector_arithmetic_skipping_zeros_keeps_the_values():
 def test_solve_exact_fractions():
     m = Matrix([[Fraction(1, 2), 1], [1, Fraction(1, 3)]])
     b = vec([2, 3])
-    x = m.solve(b)
+    (x,) = solve_many(m, [b])
     assert x is not None
     assert m.apply(x) == b
 
 
 def test_solve_inconsistent_returns_none():
     m = Matrix([[1, 1], [1, 1]])
-    assert m.solve(vec([1, 2])) is None
+    assert solve_many(m, [vec([1, 2])]) == [None]
 
 
 def test_solve_many_mixed_consistency():
     m = Matrix([[1, 0], [0, 0]])
-    good, bad = m.solve_many([vec([5, 0]), vec([0, 1])])
+    good, bad = solve_many(m, [vec([5, 0]), vec([0, 1])])
     assert good == vec([5, 0])
     assert bad is None
 
@@ -154,7 +158,10 @@ def test_power_negative_uses_inverse():
     ],
 )
 def test_in_span(cols, v, inside):
-    assert in_span([vec(c) for c in cols], vec(v)) is inside
+    span = EchelonBasis()
+    for c in cols:
+        span.add(vec(c))
+    assert (vec(v) in span) is inside
 
 
 def test_spans_equal_under_basis_change():
@@ -198,15 +205,66 @@ def test_rank_equals_transpose_rank(m):
 def test_solve_many_verifies(m):
     # solve against columns of m itself: always consistent
     cols = [m.column(j) for j in range(m.ncols)]
-    for b, x in zip(cols, m.solve_many(cols)):
+    for b, x in zip(cols, solve_many(m, cols)):
         assert x is not None
         assert m.apply(x) == b
 
 
-def test_span_rank_counts_independent_rows():
+def test_echelon_basis_keeps_the_independent_rows():
+    span = EchelonBasis()
     rows = [vec([1, 2]), vec([2, 4]), vec([0, 1])]
-    assert span_rank(rows) == 2
-    assert span_rank([]) == 0
+    assert [span.add(v) for v in rows] == [True, False, True]
+    assert vec([0, 0]) in span and vec([3, -1]) in span
+
+
+@st.composite
+def _vector_streams(draw):
+    """Sparse vectors of one length 0-8, some zero and some deliberately
+    combinations of earlier ones, followed by probes for membership."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    values = st.integers(min_value=-3, max_value=3).map(Fraction)
+
+    def sparse():
+        v = [Fraction(0)] * n
+        if n:
+            for c in draw(
+                st.lists(st.integers(0, n - 1), max_size=3, unique=True)
+            ):
+                v[c] = draw(values)
+        return v
+
+    stream: list[Vec] = []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        kind = draw(st.sampled_from(["sparse", "zero", "combination"]))
+        if kind == "combination" and stream:
+            v = [Fraction(0)] * n
+            for u in draw(st.lists(st.sampled_from(stream), max_size=3)):
+                c = draw(values)
+                v = [x + c * y for x, y in zip(v, u)]
+        elif kind == "zero":
+            v = [Fraction(0)] * n
+        else:
+            v = sparse()
+        stream.append(vec(v))
+    probes = [vec(sparse()) for _ in range(3)] + stream[:2]
+    return stream, probes
+
+
+@settings(max_examples=300, deadline=None)
+@given(_vector_streams())
+def test_echelon_basis_agrees_with_the_dense_span_oracle(case):
+    stream, probes = case
+    span = EchelonBasis()
+    kept: list[Vec] = []
+    for v in stream:
+        for p in probes:
+            assert (p in span) is in_span(kept, p)
+        grew = span.add(v)
+        assert grew is not in_span(kept, v)
+        if grew:
+            kept.append(v)
+        assert v in span
+    assert len(kept) == (Matrix(kept).rank() if kept else 0)
 
 
 def _dense_rows(rows, ncols):
