@@ -125,6 +125,7 @@ class ColourAlgebra:
         "_eps",
         "_products",
         "_terms",
+        "_supports",
     )
 
     def __init__(
@@ -163,6 +164,7 @@ class ColourAlgebra:
         self._eps: Optional[tuple[tuple[int, ...], ...]] = None
         self._products: dict[tuple, tuple[tuple[Vec, ...], ...]] = {}
         self._terms: Optional[tuple[tuple[Terms, ...], ...]] = None
+        self._supports: dict[tuple, tuple] = {}
 
     # -- basic accessors ----------------------------------------------------
 
@@ -289,6 +291,44 @@ class ColourAlgebra:
                     for x in images
                 )
             self._products[key] = hit
+        return hit
+
+    def beta_supports(self) -> tuple[dict, tuple[tuple, ...]]:
+        """The support index (see ``_support_index``) of the columns
+        beta(e_i), keyed by i; cached."""
+        return self._support_index(("beta",), enumerate(self.beta.columns()))
+
+    def twisted_supports(
+        self, ka: int, kb: int
+    ) -> tuple[dict, tuple[tuple, ...]]:
+        """The support index of the cells of ``twisted_products(ka, kb)``,
+        keyed by (i, j); cached."""
+        table = self.twisted_products(ka, kb)
+        return self._support_index(
+            ("products", ka, kb),
+            (
+                ((i, j), v)
+                for i, row in enumerate(table)
+                for j, v in enumerate(row)
+            ),
+        )
+
+    def _support_index(
+        self, key: tuple, cells: Iterable[tuple]
+    ) -> tuple[dict, tuple[tuple, ...]]:
+        """For the (key, vector) pairs ``cells``: the support set of each
+        vector by its key, and for each basis index u the keys whose vector
+        reaches u, in the order given; cached under ``key``."""
+        hit = self._supports.get(key)
+        if hit is None:
+            supports = {
+                k: frozenset(u for u, c in enumerate(v) if c) for k, v in cells
+            }
+            reach: list[list] = [[] for _ in range(self.dim)]
+            for k, supp in supports.items():
+                for u in supp:
+                    reach[u].append(k)
+            hit = self._supports[key] = (supports, tuple(map(tuple, reach)))
         return hit
 
     def is_regular(self) -> bool:

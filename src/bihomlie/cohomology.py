@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .algebra import (
     AxiomReport,
@@ -643,6 +643,54 @@ def cochain_in_space(
 # the coboundary
 
 
+def _check_prefactor(prefactor: str) -> None:
+    if prefactor not in PREFACTOR_CONVENTIONS:
+        raise ValueError(
+            f"unknown prefactor convention {prefactor!r}; "
+            f"expected one of {PREFACTOR_CONVENTIONS}"
+        )
+
+
+def _reachable_tuples(
+    a: ColourAlgebra,
+    support: Iterable[tuple[int, ...]],
+    beta_pre: Sequence[tuple[int, ...]],
+    bracket_pre: Sequence[tuple[tuple[int, int], ...]],
+) -> list[tuple[int, ...]]:
+    """The canonical (n+1)-tuples X at which the coboundary of a cochain
+    supported on the n-tuples ``support`` can be nonzero, in lexicographic
+    order.
+
+    The action term reads f at X with one entry removed, so X is a support
+    tuple T with one index inserted.  The bracket term at s < t reads f on
+    [alpha^{-1}beta(x_s), x_t] and on beta(x_p) for the other p, so X sorts
+    a pair x_s <= x_t whose bracket reaches one entry of T (``bracket_pre``)
+    together with one beta-preimage of each other entry (``beta_pre``).
+    """
+    eps = a.eps_table()
+    ordered = [
+        tuple((i, j) for i, j in pre if i <= j) for pre in bracket_pre
+    ]
+    found: set[tuple[int, ...]] = set()
+    for T in support:
+        for x in range(a.dim):
+            found.add(tuple(sorted(T + (x,))))
+        for q, u in enumerate(T):
+            if not ordered[u]:
+                continue
+            rest = [beta_pre[v] for v in T[:q] + T[q + 1 :]]
+            for others in iproduct(*rest):
+                for pair in ordered[u]:
+                    found.add(tuple(sorted(others + pair)))
+    return sorted(
+        X
+        for X in found
+        if all(
+            x < y or (x == y and eps[x][x] != 1) for x, y in zip(X, X[1:])
+        )
+    )
+
+
 def apply_coboundary(
     rep: Representation,
     r: int,
@@ -663,12 +711,11 @@ def apply_coboundary(
     x_0+...+x_{t-1} under ``prefactor="full"``.  The bracket replaces the
     slot of x_s, x_t is removed, and every other first-sum argument carries
     beta.  For a 0-cochain only the second sum contributes.
+
+    Only the tuples that f's support can reach are visited (see
+    :func:`_reachable_tuples`), so the cost follows the support of f.
     """
-    if prefactor not in PREFACTOR_CONVENTIONS:
-        raise ValueError(
-            f"unknown prefactor convention {prefactor!r}; "
-            f"expected one of {PREFACTOR_CONVENTIONS}"
-        )
+    _check_prefactor(prefactor)
     if validate:
         ok, reason = cochain_in_space(rep, f)
         if not ok:
@@ -679,11 +726,13 @@ def apply_coboundary(
     gamma = a.basis.group.reduce(f.degree)
 
     # Tables indexed by basis index: beta(e_i), the bracket
-    # [alpha^{-1}beta(e_i), e_j], the action matrices
+    # [alpha^{-1}beta(e_i), e_j], the supports of both, the action matrices
     # rho(alpha beta^{r+n-1}(e_i)), and the signs eps(e_i, e_j) and
     # eps(gamma, e_i).  All but the last are cached on the algebra or module.
     beta = a.beta.columns()
+    beta_supp, beta_pre = a.beta_supports()
     bracket = a.twisted_products(-1, 1) if n else ()
+    bracket_supp, bracket_pre = a.twisted_supports(-1, 1) if n else ({}, ())
     action = rep.action_table(r + n - 1)
     eps = a.eps_table()
     eps_gamma = [a.eps.eval(gamma, a.degree(i)) for i in range(dim)]
@@ -692,19 +741,17 @@ def apply_coboundary(
     # argument, so a term whose argument misses every index of f's support
     # tuples is zero and is skipped.
     used = {i for T in f.values for i in T}
-    beta_hits = [any(beta[i][u] for u in used) for i in range(dim)]
-    bracket_hits = [
-        [any(v[u] for u in used) for v in row] for row in bracket
-    ]
 
     out_vals: dict[tuple[int, ...], Vec] = {}
-    for X in canonical_index_tuples(a, n + 1):
+    for X in _reachable_tuples(a, f.values, beta_pre, bracket_pre):
         total = [_ZERO] * rep.dimV
         for t in range(1, n + 1):
             xt = X[t]
             for s in range(t):
-                if not bracket_hits[X[s]][xt] or not all(
-                    beta_hits[X[p]] for p in range(n + 1) if p != s and p != t
+                if used.isdisjoint(bracket_supp[X[s], xt]) or any(
+                    used.isdisjoint(beta_supp[X[p]])
+                    for p in range(n + 1)
+                    if p != s and p != t
                 ):
                     continue
                 w = -1 if t % 2 else 1
@@ -753,6 +800,7 @@ def coboundary_matrix(
     codomain basis (see :func:`cochain_basis`); the image must then equal
     that combination exactly.
     """
+    _check_prefactor(prefactor)
     dom = cochain_basis(rep, n, gamma)
     cod = cochain_basis(rep, n + 1, gamma)
     if not dom:
@@ -834,7 +882,9 @@ def cohomology_dims(
 
     Verifies the inclusion of coboundaries in cocycles directly: the
     coboundary of every (n-1)-basis cochain is fed through the next
-    coboundary and must map to zero, else RuntimeError.
+    coboundary and must map to zero, else RuntimeError naming the basis
+    cochain and the first tuple where the square is nonzero, with its
+    value.
     """
     if n < 0:
         raise ValueError("cochain arity must be nonnegative")
@@ -848,16 +898,20 @@ def cohomology_dims(
         prev = cochain_basis(rep, n - 1, g)
         mat_prev = coboundary_matrix(rep, n - 1, r, g, prefactor=prefactor)
         dim_b = mat_prev.rank()
-        for fb in prev:
+        for k, fb in enumerate(prev):
             mid = apply_coboundary(rep, r, fb, prefactor=prefactor,
                                    validate=False)
             again = apply_coboundary(rep, r, mid, prefactor=prefactor,
                                      validate=False)
             if not again.is_zero():
+                X, val = next(iter(again.values.items()))
+                args = ", ".join(a.basis.names[i] for i in X)
                 raise RuntimeError(
                     "coboundary image escapes the cocycle space: the "
                     "square of the coboundary is nonzero at "
-                    f"(n={n}, r={r}, degree={g})"
+                    f"(n={n}, r={r}, degree={g}): on basis cochain {k} of "
+                    f"arity {n - 1} it is {format_element(rep.space, val)} "
+                    f"on ({args})"
                 )
     return CohomologyResult(
         n=n,

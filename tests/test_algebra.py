@@ -31,6 +31,7 @@ from bihomlie.grading import (
     super_bicharacter,
 )
 from bihomlie.linalg import Matrix
+from fixtures import LIE_CORPUS
 
 
 def test_lie_suite_passes_on_classical_osp():
@@ -283,14 +284,6 @@ def inflated_twist():
     return tw.with_product(prod)
 
 
-# the names of lie_corpus(), whose algebras are built inside the tests
-LIE_CORPUS = (
-    "zero_3",
-    "osp12_classical",
-    "osp12_twist(2,3)",
-    "z2z2_colour_example",
-    "commutator(mat2_assoc)",
-)
 ORACLE_ALGEBRAS = {
     **{name: (lambda name=name: dict(lie_corpus())[name]) for name in LIE_CORPUS},
     "mat2_assoc": mat2_assoc,

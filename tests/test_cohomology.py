@@ -9,6 +9,7 @@ import pytest
 
 from bihomlie.alg_io import parse_algebra
 from bihomlie.cohomology import (
+    DEFAULT_PREFACTOR,
     PREFACTOR_CONVENTIONS,
     Cochain,
     Representation,
@@ -37,12 +38,7 @@ from bihomlie.constructions import (
     zero_algebra,
 )
 from bihomlie.derivations import derivation_space
-from bihomlie.grading import (
-    GradedBasis,
-    GradingGroup,
-    parse_group,
-    super_bicharacter,
-)
+from bihomlie.grading import GradedBasis, parse_group
 from bihomlie.linalg import (
     Matrix,
     is_zero_vec,
@@ -52,6 +48,7 @@ from bihomlie.linalg import (
     vzero,
 )
 from dense_oracles import solve_many, spans_equal
+from fixtures import LIE_CORPUS, gl21_twist, gl21_units
 
 F = Fraction
 DATA = Path(__file__).resolve().parent.parent / "src" / "bihomlie" / "data"
@@ -467,7 +464,8 @@ def coboundary_oracle(rep, r, f, prefactor):
     eps = a.eps
     n = f.n
     gamma = a.basis.group.reduce(f.degree)
-    inv_ab = a.ab_power(-1, 1)
+    # a 0-cochain has no bracket term, so alpha need not be invertible
+    inv_ab = a.ab_power(-1, 1) if n else None
     act = a.ab_power(1, r + n - 1)
     out_vals = {}
     for X in canonical_index_tuples(a, n + 1):
@@ -506,8 +504,8 @@ def coboundary_oracle(rep, r, f, prefactor):
 
 
 def _conjugation(g, ginv):
-    """x -> g x g^-1 on 2x2 matrices, in the basis E11, E12, E21, E22."""
-    units = ((0, 0), (0, 1), (1, 0), (1, 1))
+    """x -> g x g^-1 on k x k matrices, in the basis E11, E12, ..., Ekk."""
+    units = [(i, j) for i in range(len(g)) for j in range(len(g))]
     cols = [
         [g[k][i] * ginv[j][l] for k, l in units] for i, j in units
     ]
@@ -520,6 +518,20 @@ def gl2_conjugation_twist():
     alpha = _conjugation([[1, 1], [0, 1]], [[1, -1], [0, 1]])
     beta = _conjugation([[1, 2], [0, 1]], [[1, -2], [0, 1]])
     return yau_twist(commutator_algebra(mat2_assoc()), alpha, beta)
+
+
+def gl21_unipotent_twist():
+    """gl(2|1) twisted by conjugation with the even unipotent matrices
+    1 + E12 and 1 + 2 E12: a nine-dimensional algebra whose beta columns
+    have several nonzero entries."""
+    def unipotent(c):
+        return [[1, c, 0], [0, 1, 0], [0, 0, 1]]
+
+    return yau_twist(
+        commutator_algebra(gl21_units()),
+        _conjugation(unipotent(1), unipotent(-1)),
+        _conjugation(unipotent(2), unipotent(-2)),
+    )
 
 
 def shipped_osp12_twist():
@@ -564,7 +576,9 @@ def test_table_driven_coboundary_matches_the_oracle(name, prefactor):
                     got = apply_coboundary(
                         rep, r, f, prefactor=prefactor, validate=False
                     )
-                    assert got == coboundary_oracle(rep, r, f, prefactor)
+                    want = coboundary_oracle(rep, r, f, prefactor)
+                    assert got == want
+                    assert list(got.values) == list(want.values)
                     checked += not got.is_zero()
     assert checked
 
@@ -651,51 +665,6 @@ def coboundary_matrix_oracle(rep, n, r, gamma, prefactor):
     return Matrix.from_cols(sols)
 
 
-def gl21_twist():
-    """gl(2|1): the commutator algebra of the Z2-graded 3x3 matrix units
-    (E11, E12, E21, E22 even), Yau-twisted by the diagonal conjugations
-    with (1, 2, 3) and (1, 5, 7)."""
-    parity = (0, 0, 1)
-    units = [(i, j) for i in range(3) for j in range(3)]
-    basis = GradedBasis(
-        GradingGroup(0, (2,)),
-        tuple(f"E{i + 1}{j + 1}" for i, j in units),
-        tuple(((parity[i] + parity[j]) % 2,) for i, j in units),
-    )
-    product = [
-        [
-            [F(int(j == k and (i, l) == u)) for u in units]
-            for k, l in units
-        ]
-        for i, j in units
-    ]
-    assoc = ColourAlgebra(
-        basis,
-        super_bicharacter(),
-        product,
-        Matrix.identity(9),
-        Matrix.identity(9),
-        kind="associative",
-    )
-
-    def conjugation(d):
-        return Matrix.diagonal([F(d[i], d[j]) for i, j in units])
-
-    return yau_twist(
-        commutator_algebra(assoc),
-        conjugation((1, 2, 3)),
-        conjugation((1, 5, 7)),
-    )
-
-
-# the names of lie_corpus(), whose algebras are built inside the tests
-LIE_CORPUS = (
-    "zero_3",
-    "osp12_classical",
-    "osp12_twist(2,3)",
-    "z2z2_colour_example",
-    "commutator(mat2_assoc)",
-)
 ORACLE_MODULES = {
     **TWISTED,
     **{
@@ -725,6 +694,85 @@ def test_block_solved_bases_and_read_off_matrices_match_the_oracles(name):
                 want = coboundary_matrix_oracle(rep, n, 1, g, prefactor)
                 assert got == want
                 assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
+
+
+def _sparse_cochain(rep, n, gamma, rng):
+    """A cochain on 1-4 random canonical tuples, preferring one that repeats
+    an odd index where such tuples exist.  Each value has one or two
+    coordinates, mostly on the degree-gamma slots of its tuple and
+    otherwise anywhere, so the cochain is seldom in the cochain space."""
+    tuples = canonical_index_tuples(rep.algebra, n)
+    support = rng.sample(tuples, rng.randint(1, min(4, len(tuples))))
+    repeats = [T for T in tuples if len(set(T)) < len(T)]
+    if repeats and rng.random() < 0.5:
+        support[0] = rng.choice(repeats)
+    slots = set(_slots(rep, n, gamma))
+    values = {}
+    for T in support:
+        on = [w for w in range(rep.dimV) if (T, w) in slots]
+        v = [F(0)] * rep.dimV
+        for _ in range(rng.randint(1, 2)):
+            w = (
+                rng.choice(on)
+                if on and rng.random() < 0.75
+                else rng.randrange(rep.dimV)
+            )
+            v[w] = F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2, 5)))
+        values[T] = v
+    return Cochain(n, gamma, values, rep.dimV)
+
+
+SPARSE_MODULES = {
+    **TWISTED,
+    "gl21_twist": ORACLE_MODULES["gl21_twist"],
+    "gl21_unipotent_twist": lambda: adjoint_rep(gl21_unipotent_twist(), 0, 1),
+}
+
+
+@pytest.mark.parametrize("prefactor", PREFACTOR_CONVENTIONS)
+@pytest.mark.parametrize("name", sorted(SPARSE_MODULES))
+def test_support_driven_coboundary_matches_the_oracle(name, prefactor):
+    rep = SPARSE_MODULES[name]()
+    rng = Random(f"{name}/{prefactor}")
+    nonmember = nonzero = False
+    for n in range(4):
+        if not canonical_index_tuples(rep.algebra, n):
+            continue
+        for g in realized_gammas(rep, n):
+            for _ in range(3):
+                f = _sparse_cochain(rep, n, g, rng)
+                r = rng.choice((0, 1))
+                got = apply_coboundary(
+                    rep, r, f, prefactor=prefactor, validate=False
+                )
+                want = coboundary_oracle(rep, r, f, prefactor)
+                assert got == want
+                assert list(got.values) == list(want.values)
+                nonmember = nonmember or not cochain_in_space(rep, f)[0]
+                nonzero = nonzero or not got.is_zero()
+    # non-members were drawn, and some image is nonzero
+    assert nonmember and nonzero
+
+
+def test_singular_alpha_refuses_the_bracket_term_only():
+    # alpha keeps only H, so d of the 0-cochain X is [H, X] at H
+    a = osp12_classical()
+    alpha = Matrix.diagonal([1, 0, 0, 0, 0])
+    rep = adjoint_rep(
+        ColourAlgebra(a.basis, a.eps, a.product, alpha, a.beta), 0, 1
+    )
+    v = rep.algebra.basis_vec(1)
+    f0 = Cochain(0, (0,), {(): v}, rep.dimV)
+    d0 = apply_coboundary(rep, 1, f0, validate=False)
+    assert not d0.is_zero()
+    assert d0 == coboundary_oracle(rep, 1, f0, DEFAULT_PREFACTOR)
+    # at n = 1 the bracket needs alpha^-1: the same error as the oracle's
+    f1 = Cochain(1, (0,), {(0,): v}, rep.dimV)
+    with pytest.raises(ValueError) as want:
+        coboundary_oracle(rep, 1, f1, DEFAULT_PREFACTOR)
+    with pytest.raises(ValueError) as got:
+        apply_coboundary(rep, 1, f1, validate=False)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize(
@@ -773,6 +821,35 @@ def test_image_off_the_slots_raises_with_the_slot():
         coboundary_matrix(rep, 0, 0, (0,))
     with pytest.raises(RuntimeError, match="outside the degree"):
         cohomology_dims(rep, 0, 0, (0,))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_unknown_prefactor_is_refused_on_an_empty_domain(n):
+    rep = twist_rep(0, 1)
+    assert not cochain_basis(rep, n, (1,))
+    with pytest.raises(ValueError, match="unknown prefactor"):
+        coboundary_matrix(rep, n, 1, (1,), prefactor="bogus")
+    with pytest.raises(ValueError, match="unknown prefactor"):
+        cohomology_dims(rep, n, 1, (1,), prefactor="bogus")
+
+
+def test_nonzero_square_names_the_cochain_tuple_and_value():
+    rep = adjoint_rep(osp12_classical(), 0, 1)
+    want = (
+        r"square of the coboundary is nonzero at \(n=2, r=1, "
+        r"degree=\(0,\)\): on basis cochain 0 of arity 1 it is 8 Y on "
+        r"\(H, F, F\)$"
+    )
+    with pytest.raises(RuntimeError, match=want):
+        cohomology_dims(rep, 2, 1, (0,), prefactor="full")
+    # the witness is the first nonzero tuple of the oracle's d(d(f))
+    f = cochain_basis(rep, 1, (0,))[0]
+    mid = coboundary_oracle(rep, 1, f, "full")
+    again = coboundary_oracle(rep, 1, mid, "full")
+    names = rep.algebra.basis.names
+    first = next(iter(again.values))
+    assert tuple(names[i] for i in first) == ("H", "F", "F")
+    assert again.values[first] == (0, 0, 8, 0, 0)
 
 
 @pytest.mark.parametrize("r", [0, 1, 2])

@@ -8,11 +8,9 @@ from bihomlie import derivations as dv
 from bihomlie.algebra import ColourAlgebra
 from bihomlie.constructions import (
     build_osp12,
-    commutator_algebra,
     lie_corpus,
     mat2_assoc,
     osp12_classical,
-    yau_twist,
     zero_algebra,
 )
 from bihomlie.derivations import (
@@ -34,9 +32,9 @@ from bihomlie.derivations import (
     quasi_centroid_space,
     quasi_derivation_space,
 )
-from bihomlie.grading import GradedBasis, GradingGroup, super_bicharacter
 from bihomlie.linalg import Matrix
 from dense_oracles import in_span, spans_equal
+from fixtures import LIE_CORPUS, gl21_twist
 
 F = Fraction
 
@@ -467,42 +465,6 @@ def solver_oracle(kind, a, k, l, gamma, strict=False):
     return solve_blocks_oracle(a, gamma, nmaps, commuting, rows)
 
 
-def gl21_twist():
-    """gl(2|1): the commutator algebra of the Z2-graded 3x3 matrix units
-    (E11, E12, E21, E22 even), Yau-twisted by the diagonal conjugations
-    with (1, 2, 3) and (1, 5, 7)."""
-    parity = (0, 0, 1)
-    units = [(i, j) for i in range(3) for j in range(3)]
-    basis = GradedBasis(
-        GradingGroup(0, (2,)),
-        tuple(f"E{i + 1}{j + 1}" for i, j in units),
-        tuple(((parity[i] + parity[j]) % 2,) for i, j in units),
-    )
-    product = [
-        [[F(int(j == k and (i, l) == u)) for u in units] for k, l in units]
-        for i, j in units
-    ]
-    assoc = ColourAlgebra(
-        basis, super_bicharacter(), product, Matrix.identity(9),
-        Matrix.identity(9), kind="associative",
-    )
-
-    def conjugation(d):
-        return Matrix.diagonal([F(d[i], d[j]) for i, j in units])
-
-    return yau_twist(
-        commutator_algebra(assoc), conjugation((1, 2, 3)), conjugation((1, 5, 7))
-    )
-
-
-# the names of lie_corpus(), whose algebras are built inside the tests
-LIE_CORPUS = (
-    "zero_3",
-    "osp12_classical",
-    "osp12_twist(2,3)",
-    "z2z2_colour_example",
-    "commutator(mat2_assoc)",
-)
 ORACLE_ALGEBRAS = {
     **{name: (lambda name=name: dict(lie_corpus())[name]) for name in LIE_CORPUS},
     "gl21_twist": gl21_twist,
