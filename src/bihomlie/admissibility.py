@@ -21,20 +21,18 @@ this module rests on silently break without them).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as iproduct
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .algebra import (
     AxiomReport,
-    CheckItem,
     ColourAlgebra,
-    Witness,
+    _check_tuples,
     associator,
-    format_element,
     require_passing,
 )
+from .constructions import commutator_table
 from .grading import Bicharacter, GroupElement, homogeneous_degree
-from .linalg import Matrix, Vec, vadd, vscale, vsub, vzero, is_zero_vec
+from .linalg import Matrix, Vec, vadd, vscale, vsub, vzero
 
 
 class Permutation3:
@@ -122,11 +120,7 @@ def perm_degree(
 
 
 def _slot_maps(a: ColourAlgebra) -> tuple[Matrix, Matrix, Matrix]:
-    return (
-        a.map_power("alpha", -1) * a.beta * a.beta,
-        a.beta,
-        a.alpha,
-    )
+    return a.ab_power(-1, 2), a.beta, a.alpha
 
 
 def signed_perm_sum(
@@ -154,7 +148,7 @@ def signed_perm_sum(
 
 
 def _commutator(a: ColourAlgebra, u: Vec, v: Vec, du, dv) -> Vec:
-    ainvb = a.map_power("alpha", -1) * a.beta
+    ainvb = a.ab_power(-1, 1)
     binva = a.map_power("beta", -1) * a.alpha
     e = Fraction(a.eps.eval(du, dv))
     return vsub(
@@ -211,6 +205,7 @@ def cyclic_S(a: ColourAlgebra, x: Vec, y: Vec, z: Vec) -> Vec:
         triples.append((v, d if d is not None else grp.zero()))
 
     m1, m2, m3 = _slot_maps(a)
+    b2 = a.map_power("beta", 2)
     via_as = vzero(a.dim)
     via_comm = vzero(a.dim)
     order = (0, 1, 2)
@@ -228,7 +223,6 @@ def cyclic_S(a: ColourAlgebra, x: Vec, y: Vec, z: Vec) -> Vec:
             ),
         )
         inner = a.product_eval(m2.apply(v), m3.apply(w))
-        b2 = a.beta * a.beta
         via_comm = vadd(
             via_comm,
             vscale(
@@ -263,43 +257,32 @@ def check_g_associative(a: ColourAlgebra, g: str) -> AxiomReport:
         context=f"check_g_associative({g})",
     )
     members = SUBGROUPS[g]
-    witness: Optional[Witness] = None
-    n = a.dim
-    for i, j, k in iproduct(range(n), repeat=3):
-        d = signed_perm_sum(a, members, i, j, k)
-        if not is_zero_vec(d):
-            names = tuple(a.basis.names[t] for t in (i, j, k))
-            witness = Witness(
-                (i, j, k), names, d, format_element(a.basis, d)
+    return AxiomReport(
+        [
+            _check_tuples(
+                a,
+                f"{g.lower()}_bihom_associative",
+                3,
+                lambda i, j, k: signed_perm_sum(a, members, i, j, k),
             )
-            break
-    report = AxiomReport()
-    report.items.append(
-        CheckItem(f"{g.lower()}_bihom_associative", witness is None, witness)
+        ]
     )
-    return report
 
 
 def check_flexible(a: ColourAlgebra) -> AxiomReport:
     """as(x, y, x) = 0 on every basis pair; witness is the first failure."""
-    witness: Optional[Witness] = None
-    n = a.dim
-    for i in range(n):
-        for j in range(n):
-            d = associator(a, a.basis_vec(i), a.basis_vec(j), a.basis_vec(i))
-            if not is_zero_vec(d):
-                witness = Witness(
-                    (i, j),
-                    (a.basis.names[i], a.basis.names[j]),
-                    d,
-                    format_element(a.basis, d),
-                )
-                break
-        if witness:
-            break
-    report = AxiomReport()
-    report.items.append(CheckItem("flexible", witness is None, witness))
-    return report
+    return AxiomReport(
+        [
+            _check_tuples(
+                a,
+                "flexible",
+                2,
+                lambda i, j: associator(
+                    a, a.basis_vec(i), a.basis_vec(j), a.basis_vec(i)
+                ),
+            )
+        ]
+    )
 
 
 def primed_bracket(a: ColourAlgebra) -> ColourAlgebra:
@@ -309,19 +292,4 @@ def primed_bracket(a: ColourAlgebra) -> ColourAlgebra:
     skewsymmetry this doubles the product; in general it symmetrizes it
     into a skewsymmetric one.  Maps must be invertible.
     """
-    ainvb = a.ab_power(-1, 1).columns()
-    a_binv = a.ab_power(1, -1).columns()
-    n = a.dim
-    product = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            swapped = a.product_eval(ainvb[j], a_binv[i])
-            row.append(
-                vsub(
-                    a.product[i][j],
-                    vscale(Fraction(a.eps_ij(i, j)), swapped),
-                )
-            )
-        product.append(row)
-    return ColourAlgebra(a.basis, a.eps, product, a.alpha, a.beta, kind=a.kind)
+    return a.with_product(commutator_table(a))

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product as iproduct
 from typing import Callable, Iterable, Optional
 
 from .grading import Bicharacter, GradedBasis, GroupElement, homogeneous_degree
@@ -362,42 +363,28 @@ def product_eval(a: ColourAlgebra, x: Vec, y: Vec) -> Vec:
     return a.product_eval(x, y)
 
 
-def jacobiator(
-    a: ColourAlgebra, i: int, j: int, k: int, mode: str = "bihom"
-) -> Vec:
-    """Cyclic Jacobi defect on basis indices (i, j, k).
+def jacobiator(a: ColourAlgebra, i: int, j: int, k: int) -> Vec:
+    """Cyclic BiHom-Jacobi defect on basis indices (i, j, k): the sum over
+    cyclic (x,y,z) of eps(z,x) [beta^2(x), [beta(y), alpha(z)]].
 
-    bihom mode: sum over cyclic (x,y,z) of eps(z,x) [b{bb}(x), [b(y), a(z)]]
-    with the algebra's own maps; hom mode drops beta and uses alpha only on
-    the outer left slot: eps(z,x) [a(x), [y, z]].
+    [b(y), a(z)] = sum_t a_tz [b(e_y), e_t], then
+    [bb(x), w] = sum_u w_u [bb(e_x), e_u], both read from the twisted
+    product tables.
     """
-    if mode not in ("bihom", "hom"):
-        raise ValueError(f"unknown jacobiator mode {mode!r}")
     n = a.dim
     eps = a.eps_table()
     acc = [ZERO] * n
-    if mode == "bihom":
-        # [b(y), a(z)] = sum_t a_tz [b(e_y), e_t], then
-        # [bb(x), w] = sum_u w_u [bb(e_x), e_u]
-        alpha = a.alpha.columns()
-        inner_table = a.twisted_products(0, 1)
-        outer_table = a.twisted_products(0, 2)
-        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-            inner = [ZERO] * n
-            for t, c in enumerate(alpha[z]):
-                if c:
-                    add_scaled(inner, c, inner_table[y][t])
-            sign = eps[z][x]
-            for u, c in enumerate(inner):
-                if c:
-                    add_scaled(acc, sign * c, outer_table[x][u])
-    else:
-        # [a(x), [y, z]] = sum_u [y, z]_u [a(e_x), e_u]
-        outer_table = a.twisted_products(1, 0)
-        terms = a.product_terms()
-        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-            sign = eps[z][x]
-            for u, c in terms[y][z]:
+    alpha = a.alpha.columns()
+    inner_table = a.twisted_products(0, 1)
+    outer_table = a.twisted_products(0, 2)
+    for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+        inner = [ZERO] * n
+        for t, c in enumerate(alpha[z]):
+            if c:
+                add_scaled(inner, c, inner_table[y][t])
+        sign = eps[z][x]
+        for u, c in enumerate(inner):
+            if c:
                 add_scaled(acc, sign * c, outer_table[x][u])
     return tuple(acc)
 
@@ -423,27 +410,13 @@ def _check_tuples(
     note: str = "",
 ) -> CheckItem:
     """Scan basis tuples in lexicographic order; first nonzero defect fails."""
-    n = a.dim
-    idx = [0] * arity
-    while True:
+    for idx in iproduct(range(a.dim), repeat=arity):
         defect = defect_fn(*idx)
         if not is_zero_vec(defect):
             return CheckItem(
-                name,
-                False,
-                _pair_witness(a, tuple(idx), defect),
-                advisory,
-                note,
+                name, False, _pair_witness(a, idx, defect), advisory, note
             )
-        pos = arity - 1
-        while pos >= 0:
-            idx[pos] += 1
-            if idx[pos] < n:
-                break
-            idx[pos] = 0
-            pos -= 1
-        if pos < 0:
-            return CheckItem(name, True, None, advisory, note)
+    return CheckItem(name, True, None, advisory, note)
 
 
 def _check_product_even(a: ColourAlgebra) -> CheckItem:
@@ -480,18 +453,15 @@ def _check_map_even(a: ColourAlgebra, name: str, m: Matrix) -> CheckItem:
 
 def _check_maps_commute(a: ColourAlgebra) -> CheckItem:
     d = a.alpha * a.beta - a.beta * a.alpha
-    if d.is_zero():
-        return CheckItem("maps_commute", True)
-    for r in range(a.dim):
-        for c in range(a.dim):
-            if d[r][c]:
-                return CheckItem(
-                    "maps_commute",
-                    False,
-                    _pair_witness(a, (r, c), d.column(c)),
-                    note="alpha.beta - beta.alpha is nonzero",
-                )
-    raise AssertionError("unreachable")
+    for r, c in iproduct(range(a.dim), repeat=2):
+        if d[r][c]:
+            return CheckItem(
+                "maps_commute",
+                False,
+                _pair_witness(a, (r, c), d.column(c)),
+                note="alpha.beta - beta.alpha is nonzero",
+            )
+    return CheckItem("maps_commute", True)
 
 
 def _check_multiplicative(a: ColourAlgebra, name: str) -> CheckItem:
@@ -555,10 +525,7 @@ def check_lie_axioms(a: ColourAlgebra) -> AxiomReport:
     rep.items.append(_check_tuples(a, "bihom_skewsymmetry", 2, skew_defect))
     rep.items.append(
         _check_tuples(
-            a,
-            "bihom_jacobi",
-            3,
-            lambda i, j, k: jacobiator(a, i, j, k, "bihom"),
+            a, "bihom_jacobi", 3, lambda i, j, k: jacobiator(a, i, j, k)
         )
     )
     rep.items.append(_check_regular(a))

@@ -12,9 +12,9 @@ from fractions import Fraction
 from typing import Union
 
 from .algebra import (
-    AxiomReport,
     ColourAlgebra,
-    check_lie_axioms,
+    _check_map_even,
+    _check_tuples,
     require_passing,
 )
 from .grading import (
@@ -24,33 +24,35 @@ from .grading import (
     super_bicharacter,
     trivial_bicharacter,
 )
-from .linalg import Matrix, vsub
+from .linalg import Matrix, Vec, vscale, vsub
 
 Scalar = Union[int, Fraction, str]
 
 
 def _require_even(a: ColourAlgebra, m: Matrix, what: str) -> None:
-    for r in range(a.dim):
-        for c in range(a.dim):
-            if m[r][c] and a.degree(r) != a.degree(c):
-                raise ValueError(
-                    f"{what} is not even: entry "
-                    f"({a.basis.names[r]}, {a.basis.names[c]}) connects "
-                    "different degrees"
-                )
+    item = _check_map_even(a, what, m)
+    if not item.passed:
+        r, c = item.witness.names
+        raise ValueError(
+            f"{what} is not even: entry ({r}, {c}) connects different degrees"
+        )
 
 
 def _require_morphism(a: ColourAlgebra, m: Matrix, what: str) -> None:
     cols = m.columns()
-    for i in range(a.dim):
-        for j in range(a.dim):
-            lhs = m.apply(a.product[i][j])
-            rhs = a.product_eval(cols[i], cols[j])
-            if lhs != rhs:
-                raise ValueError(
-                    f"{what} is not a product morphism; first failure at "
-                    f"({a.basis.names[i]}, {a.basis.names[j]})"
-                )
+    item = _check_tuples(
+        a,
+        what,
+        2,
+        lambda i, j: vsub(
+            m.apply(a.product[i][j]), a.product_eval(cols[i], cols[j])
+        ),
+    )
+    if not item.passed:
+        x, y = item.witness.names
+        raise ValueError(
+            f"{what} is not a product morphism; first failure at ({x}, {y})"
+        )
 
 
 def _require_commuting(pairs: list[tuple[str, Matrix, str, Matrix]]) -> None:
@@ -104,19 +106,27 @@ def commutator_algebra(a: ColourAlgebra) -> ColourAlgebra:
         need_regular=True,
         context="commutator_algebra",
     )
+    return a.with_product(commutator_table(a), kind="lie")
+
+
+def commutator_table(a: ColourAlgebra) -> list[list[Vec]]:
+    """[e_i, e_j] = e_i e_j - eps(i,j) (alpha^-1 beta e_j)(alpha beta^-1 e_i)
+    at [i][j]; the maps must be invertible."""
     ainv_b = a.ab_power(-1, 1).columns()
     a_binv = a.ab_power(1, -1).columns()
-    n = a.dim
-    product = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            direct = a.product[i][j]
-            swapped = a.product_eval(ainv_b[j], a_binv[i])
-            sign = Fraction(a.eps_ij(i, j))
-            row.append(vsub(direct, tuple(sign * c for c in swapped)))
-        product.append(row)
-    return ColourAlgebra(a.basis, a.eps, product, a.alpha, a.beta, kind="lie")
+    eps = a.eps_table()
+    return [
+        [
+            vsub(
+                a.product[i][j],
+                vscale(
+                    Fraction(eps[i][j]), a.product_eval(ainv_b[j], a_binv[i])
+                ),
+            )
+            for j in range(a.dim)
+        ]
+        for i in range(a.dim)
+    ]
 
 
 # -- the corpus -------------------------------------------------------------
@@ -313,13 +323,3 @@ def lie_corpus() -> list[tuple[str, ColourAlgebra]]:
         ("z2z2_colour_example", z2z2_colour_example()),
         ("commutator(mat2_assoc)", commutator_algebra(mat2_assoc())),
     ]
-
-
-def expected_report(name: str) -> AxiomReport:
-    """The shipped verdicts for a corpus member (all suites pass)."""
-    alg = corpus(name)
-    if alg.kind == "associative":
-        from .algebra import check_associative_axioms
-
-        return check_associative_axioms(alg)
-    return check_lie_axioms(alg)

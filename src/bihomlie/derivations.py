@@ -666,7 +666,6 @@ def check_jordan_axioms(
     *,
     cycling: str = DEFAULT_CYCLING,
     sign: int = 1,
-    require_closed: bool = False,
 ) -> AxiomReport:
     """Verify the colour Jordan identities of the product on a family.
 
@@ -683,7 +682,7 @@ def check_jordan_axioms(
     it is the variant that holds on derivation spaces); ``cycling="xzw"``
     rotates (x, z, w) with y fixed instead.  Closure of the family under
     the product is reported as an advisory item (evaluation does not need
-    it); ``require_closed=True`` turns a closure failure into an error.
+    it).
     """
     if cycling not in CYCLING_CONVENTIONS:
         raise ValueError(
@@ -724,9 +723,6 @@ def check_jordan_axioms(
                 break
         if not closed:
             break
-    if require_closed and not closed:
-        raise ValueError(f"family is not closed under the product: "
-                         f"{closure_note}")
     items.append(
         CheckItem(
             "closed_under_product",

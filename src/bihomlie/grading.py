@@ -66,9 +66,6 @@ class GradingGroup:
             total = self.add(total, g)
         return total
 
-    def elements_equal(self, g: GroupElement, h: GroupElement) -> bool:
-        return self.reduce(g) == self.reduce(h)
-
     def _chk(self, g: GroupElement) -> GroupElement:
         if len(g) != self.rank:
             raise GroupMismatchError(

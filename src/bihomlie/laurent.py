@@ -234,7 +234,7 @@ def check_laurent_samples(
             for r in range(3):
                 i, j, k = order[r], order[(r + 1) % 3], order[(r + 2) % 3]
                 inner = _lbracket(a, _lmap(a.beta, elts[j]), _lmap(a.alpha, elts[k]))
-                term = _lbracket(a, _lmap(a.beta * a.beta, elts[i]), inner)
+                term = _lbracket(a, _lmap(a.map_power("beta", 2), elts[i]), inner)
                 e = Fraction(a.eps.eval(degs[k], degs[i]))
                 for kk, v in term.items():
                     acc = vadd(total.get(kk, vzero(n)), vscale(e, v))

@@ -201,9 +201,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(not x for row in self.rows for x in row)
 
-    def is_identity(self) -> bool:
-        return self.nrows == self.ncols and self == Matrix.identity(self.nrows)
-
     def column(self, j: int) -> Vec:
         return tuple(row[j] for row in self.rows)
 
@@ -223,7 +220,7 @@ class Matrix:
         return len(self.rref()[1])
 
     def kernel_basis(self) -> list[Vec]:
-        """Basis of the right null space, deterministic across backends.
+        """Basis of the right null space.
 
         One basis vector per free column, in ascending column order: the
         free coordinate is 1 and pivot coordinates are read off the RREF.

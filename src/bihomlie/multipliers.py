@@ -18,7 +18,8 @@ scalars we support and aborts.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from itertools import product as iproduct
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .algebra import (
     AxiomReport,
@@ -140,61 +141,43 @@ def validate_multiplier(
     if mode not in ("symmetric", "cocycle"):
         raise ValueError(f"unknown multiplier mode {mode!r}")
     grp = s.group
+    value = s.value
     ds = [grp.reduce(d) for d in degrees]
-    n = len(ds)
-    report = AxiomReport()
+
+    def scan(
+        name: str, arity: int, defect: Callable[..., Fraction]
+    ) -> CheckItem:
+        """First position tuple (lexicographic) with a nonzero defect."""
+        for pos in iproduct(range(len(ds)), repeat=arity):
+            d = defect(*(ds[p] for p in pos))
+            if d:
+                return CheckItem(name, False, _degree_witness(pos, ds, d))
+        return CheckItem(name, True)
 
     if mode == "symmetric":
-        sym_witness: Optional[Witness] = None
-        for i in range(n):
-            for j in range(n):
-                d = s.value(ds[i], ds[j]) - s.value(ds[j], ds[i])
-                if d:
-                    sym_witness = _degree_witness((i, j), ds, d)
-                    break
-            if sym_witness:
-                break
-        report.items.append(
-            CheckItem("symmetric", sym_witness is None, sym_witness)
-        )
 
-        cyc_witness: Optional[Witness] = None
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    x, y, z = ds[i], ds[j], ds[k]
-                    v0 = s.value(x, y) * s.value(z, grp.add(x, y))
-                    v1 = s.value(y, z) * s.value(x, grp.add(y, z))
-                    v2 = s.value(z, x) * s.value(y, grp.add(z, x))
-                    if v0 != v1 or v0 != v2:
-                        d = (v1 - v0) if v0 != v1 else (v2 - v0)
-                        cyc_witness = _degree_witness((i, j, k), ds, d)
-                        break
-                if cyc_witness:
-                    break
-            if cyc_witness:
-                break
-        report.items.append(
-            CheckItem("cyclic_invariance", cyc_witness is None, cyc_witness)
-        )
-        return report
+        def cyclic(x, y, z) -> Fraction:
+            v0 = value(x, y) * value(z, grp.add(x, y))
+            v1 = value(y, z) * value(x, grp.add(y, z))
+            v2 = value(z, x) * value(y, grp.add(z, x))
+            return v1 - v0 if v1 != v0 else v2 - v0
 
-    coc_witness: Optional[Witness] = None
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                x, y, z = ds[i], ds[j], ds[k]
-                lhs = s.value(x, grp.add(y, z)) * s.value(y, z)
-                rhs = s.value(x, y) * s.value(grp.add(x, y), z)
-                if lhs != rhs:
-                    coc_witness = _degree_witness((i, j, k), ds, lhs - rhs)
-                    break
-            if coc_witness:
-                break
-        if coc_witness:
-            break
-    report.items.append(CheckItem("cocycle", coc_witness is None, coc_witness))
-    return report
+        return AxiomReport(
+            [
+                scan("symmetric", 2, lambda x, y: value(x, y) - value(y, x)),
+                scan("cyclic_invariance", 3, cyclic),
+            ]
+        )
+    return AxiomReport(
+        [
+            scan(
+                "cocycle",
+                3,
+                lambda x, y, z: value(x, grp.add(y, z)) * value(y, z)
+                - value(x, y) * value(grp.add(x, y), z),
+            )
+        ]
+    )
 
 
 def multiplier_from_omega(

@@ -8,9 +8,15 @@ and builders they share.
 from fractions import Fraction
 
 from bihomlie.algebra import ColourAlgebra
-from bihomlie.constructions import commutator_algebra, yau_twist
+from bihomlie.constructions import (
+    build_osp12,
+    commutator_algebra,
+    mat2_assoc,
+    yau_twist,
+)
 from bihomlie.grading import GradedBasis, GradingGroup, super_bicharacter
 from bihomlie.linalg import Matrix
+from bihomlie.multipliers import MultiplierTable
 
 # the names of lie_corpus(), whose algebras are built inside the tests
 LIE_CORPUS = (
@@ -61,4 +67,53 @@ def gl21_twist() -> ColourAlgebra:
         commutator_algebra(gl21_units()),
         conjugation((1, 2, 3)),
         conjugation((1, 5, 7)),
+    )
+
+
+def conj(c) -> Matrix:
+    """Conjugation by diag(1, c) on the matrix-unit basis."""
+    return Matrix.diagonal([1, Fraction(1, c), Fraction(c), 1])
+
+
+def conj_mat2() -> ColourAlgebra:
+    """Matrix product with two distinct commuting automorphisms.
+
+    Multiplicative, even, invertible, commuting, but NOT BiHom-associative:
+    only good for identities that need morphism maps, not the product law.
+    """
+    a = mat2_assoc()
+    return a.with_product(a.product, alpha=conj(2), beta=conj(3))
+
+
+def twisted_mat2() -> ColourAlgebra:
+    """x*y = alpha(x) beta(y): BiHom-associative with nontrivial maps."""
+    a = mat2_assoc()
+    al, be = conj(2), conj(3)
+    prod = [
+        [
+            a.product_eval(al.apply(a.basis_vec(i)), be.apply(a.basis_vec(j)))
+            for j in range(4)
+        ]
+        for i in range(4)
+    ]
+    return a.with_product(prod, alpha=al, beta=be)
+
+
+def typo_osp() -> ColourAlgebra:
+    """twist(2,3) with {F,F} inflated to 4/3 Y; breaks Jacobi only."""
+    tw = build_osp12(2, 3)
+    i, y = tw.basis.index("F"), tw.basis.index("Y")
+    prod = [[list(cell) for cell in row] for row in tw.product]
+    prod[i][i][y] = Fraction(4, 3)
+    return tw.with_product(prod)
+
+
+def table_from_rule(group, degrees, rule):
+    """Entries on degrees and their pairwise sums, from a value function."""
+    closed = {group.reduce(d) for d in degrees}
+    for g in list(closed):
+        for h in list(closed):
+            closed.add(group.add(g, h))
+    return MultiplierTable(
+        group, {(g, h): rule(g, h) for g in closed for h in closed}
     )

@@ -40,48 +40,9 @@ from bihomlie.constructions import (
 from bihomlie.grading import Bicharacter, parse_group, super_bicharacter
 from bihomlie.linalg import Matrix, is_zero_vec, vscale
 
+from fixtures import conj_mat2, twisted_mat2, typo_osp
+
 F = Fraction
-
-
-# -- fixtures -----------------------------------------------------------------
-
-
-def conj(c):
-    """Conjugation by diag(1, c) on the matrix-unit basis."""
-    return Matrix.diagonal([1, F(1, c), F(c), 1])
-
-
-def conj_mat2():
-    """Matrix product with two distinct commuting automorphisms.
-
-    Multiplicative, even, invertible, commuting, but NOT BiHom-associative:
-    only good for identities that need morphism maps, not the product law.
-    """
-    a = mat2_assoc()
-    return a.with_product(a.product, alpha=conj(2), beta=conj(3))
-
-
-def twisted_mat2():
-    """x*y = alpha(x) beta(y): BiHom-associative with nontrivial maps."""
-    a = mat2_assoc()
-    al, be = conj(2), conj(3)
-    prod = [
-        [
-            a.product_eval(al.apply(a.basis_vec(i)), be.apply(a.basis_vec(j)))
-            for j in range(4)
-        ]
-        for i in range(4)
-    ]
-    return a.with_product(prod, alpha=al, beta=be)
-
-
-def typo_osp():
-    """twist(2,3) with {F,F} inflated to 4/3 Y; breaks Jacobi only."""
-    tw = build_osp12(2, 3)
-    i, y = tw.basis.index("F"), tw.basis.index("Y")
-    prod = [[list(cell) for cell in row] for row in tw.product]
-    prod[i][i][y] = F(4, 3)
-    return tw.with_product(prod)
 
 
 def triples(a):

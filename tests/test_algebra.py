@@ -150,13 +150,8 @@ def test_jacobiator_modes_differ_on_twisted_algebra():
 
     tw = build_osp12(2, 1)
     h, x, y = 0, 1, 2
-    assert any(jacobiator(tw, x, y, h, "hom"))
-    assert not any(jacobiator(tw, x, y, h, "bihom"))
-
-
-def test_jacobiator_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        jacobiator(osp12_classical(), 0, 0, 0, "weird")
+    assert any(jacobiator_oracle(tw, x, y, h, "hom"))
+    assert not any(jacobiator(tw, x, y, h))
 
 
 def test_report_serialization_shape():
@@ -319,10 +314,9 @@ def test_sparse_evaluation_matches_the_dense_oracle(name):
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                for mode in ("bihom", "hom"):
-                    got = jacobiator(a, i, j, k, mode)
-                    assert got == jacobiator_oracle(a, i, j, k, mode)
-                    assert all(isinstance(c, Fraction) for c in got)
+                got = jacobiator(a, i, j, k)
+                assert got == jacobiator_oracle(a, i, j, k)
+                assert all(isinstance(c, Fraction) for c in got)
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))

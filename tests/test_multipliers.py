@@ -25,20 +25,11 @@ from bihomlie.multipliers import (
     validate_multiplier,
 )
 
+from fixtures import table_from_rule
+
 F = Fraction
 Z2 = parse_group("Z2")
 Z2Z2 = parse_group("Z2 x Z2")
-
-
-def table_from_rule(group, degrees, rule):
-    """Entries on degrees and their pairwise sums, from a value function."""
-    closed = {group.reduce(d) for d in degrees}
-    for g in list(closed):
-        for h in list(closed):
-            closed.add(group.add(g, h))
-    return MultiplierTable(
-        group, {(g, h): rule(g, h) for g in closed for h in closed}
-    )
 
 
 def test_zero_value_rejected():
