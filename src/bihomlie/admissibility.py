@@ -147,9 +147,12 @@ def signed_perm_sum(
     return total
 
 
-def _commutator(a: ColourAlgebra, u: Vec, v: Vec, du, dv) -> Vec:
+def _commutator(
+    a: ColourAlgebra, binva: Matrix, u: Vec, v: Vec, du, dv
+) -> Vec:
+    """[u, v] = uv - eps(u, v)(alpha^-1 beta(v))(beta^-1 alpha(u)), with
+    ``binva`` the matrix beta^-1 alpha."""
     ainvb = a.ab_power(-1, 1)
-    binva = a.map_power("beta", -1) * a.alpha
     e = Fraction(a.eps.eval(du, dv))
     return vsub(
         a.product_eval(u, v),
@@ -170,11 +173,13 @@ def commutator_jacobiator(a: ColourAlgebra, i: int, j: int, k: int) -> Vec:
     alpha = a.alpha.columns()
     beta = a.beta.columns()
     beta2 = a.map_power("beta", 2).columns()
+    binva = a.map_power("beta", -1) * a.alpha
     for ii, jj, kk in ((i, j, k), (j, k, i), (k, i, j)):
         dx, dy, dz = a.degree(ii), a.degree(jj), a.degree(kk)
-        inner = _commutator(a, beta[jj], alpha[kk], dy, dz)
+        inner = _commutator(a, binva, beta[jj], alpha[kk], dy, dz)
         outer = _commutator(
             a,
+            binva,
             beta2[ii],
             inner,
             dx,
@@ -206,6 +211,7 @@ def cyclic_S(a: ColourAlgebra, x: Vec, y: Vec, z: Vec) -> Vec:
 
     m1, m2, m3 = _slot_maps(a)
     b2 = a.map_power("beta", 2)
+    binva = a.map_power("beta", -1) * a.alpha
     via_as = vzero(a.dim)
     via_comm = vzero(a.dim)
     order = (0, 1, 2)
@@ -227,7 +233,9 @@ def cyclic_S(a: ColourAlgebra, x: Vec, y: Vec, z: Vec) -> Vec:
             via_comm,
             vscale(
                 e,
-                _commutator(a, b2.apply(u), inner, du, grp.add(dv, dw)),
+                _commutator(
+                    a, binva, b2.apply(u), inner, du, grp.add(dv, dw)
+                ),
             ),
         )
     if via_as != via_comm:

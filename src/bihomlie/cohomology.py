@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from itertools import product as iproduct
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -60,9 +61,24 @@ class Representation:
     ``rho`` is one square matrix on V per basis vector of the algebra.  The
     constructor only checks shapes and group consistency; the module axioms
     are the business of :func:`validate_representation`.
+
+    A module memoizes its cochain complex: each cochain basis under
+    (n, degree), and the coboundary's tables and unit-slot images under
+    (n, r, degree, prefactor) (see :func:`cochain_basis` and
+    :func:`apply_coboundary`).  Repeated queries on one module reuse them;
+    the module must not be changed after its first query.
     """
 
-    __slots__ = ("algebra", "space", "rho", "alphaV", "betaV", "_actions")
+    __slots__ = (
+        "algebra",
+        "space",
+        "rho",
+        "alphaV",
+        "betaV",
+        "_actions",
+        "_bases",
+        "_coboundaries",
+    )
 
     def __init__(
         self,
@@ -90,6 +106,8 @@ class Representation:
         self.alphaV = alphaV
         self.betaV = betaV
         self._actions: dict[int, tuple[Matrix, ...]] = {}
+        self._bases: dict[tuple, tuple[frozenset, tuple[Cochain, ...]]] = {}
+        self._coboundaries: dict[tuple, _Coboundary] = {}
 
     @property
     def dimV(self) -> int:
@@ -372,21 +390,12 @@ def canonical_index_tuples(a: ColourAlgebra, n: int) -> list[tuple[int, ...]]:
     """All canonical n-tuples of basis indices, in lexicographic order."""
     if n < 0:
         return []
-    out: list[tuple[int, ...]] = []
-
-    def grow(prefix: list[int], start: int) -> None:
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        for i in range(start, a.dim):
-            if prefix and prefix[-1] == i and a.eps_ij(i, i) == 1:
-                continue
-            prefix.append(i)
-            grow(prefix, i)
-            prefix.pop()
-
-    grow([], 0)
-    return out
+    eps = a.eps_table()
+    return [
+        T
+        for T in combinations_with_replacement(range(a.dim), n)
+        if _is_canonical(eps, T)
+    ]
 
 
 class Cochain:
@@ -553,14 +562,34 @@ def cochain_basis(
 
     Each basis cochain is 1 at one slot, its free slot, which is its last
     nonzero slot, and 0 at the free slots of the others.
+
+    The basis is memoized on the module under (n, gamma), with its slot
+    set: the first call solves, later calls return a fresh list of the
+    same cochains.
     """
     if n < 0:
         return []
-    a = rep.algebra
-    g = a.basis.group.reduce(gamma)
-    slots = _slots(rep, n, g)
+    g = rep.algebra.basis.group.reduce(gamma)
+    hit = rep._bases.get((n, g))
+    if hit is None:
+        slots = _slots(rep, n, g)
+        hit = rep._bases[n, g] = (
+            frozenset(slots),
+            tuple(_solve_basis(rep, n, g, slots)),
+        )
+    return list(hit[1])
+
+
+def _solve_basis(
+    rep: Representation,
+    n: int,
+    g: GroupElement,
+    slots: list[tuple[tuple[int, ...], int]],
+) -> list[Cochain]:
+    """The basis of :func:`cochain_basis` on the degree-g ``slots``."""
     if not slots:
         return []
+    a = rep.algebra
     # canonical tuple -> its slots (V index, column)
     slot_cols: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for k, (T, w) in enumerate(slots):
@@ -607,7 +636,15 @@ def cochain_basis(
 def cochain_in_space(
     rep: Representation, f: Cochain
 ) -> tuple[bool, str]:
-    """Does f lie in the cochain space: degrees and both intertwinings."""
+    """Does f lie in the cochain space: degrees and both intertwinings.
+
+    An intertwining f(m x_1, ..., m x_n) = m_V f(x_1, ..., x_n) can fail
+    on a canonical tuple T only where one side is nonzero: T is a support
+    tuple of f, or the sort of an m-preimage of one entry each of a
+    support tuple.  Only those tuples are checked, in lexicographic order
+    and alpha before beta, so the first failure is the one a scan of every
+    canonical tuple meets first.
+    """
     a = rep.algebra
     if f.dimV != rep.dimV:
         return False, "value dimension differs from the module"
@@ -623,7 +660,14 @@ def cochain_in_space(
         sign, canon = reduce_index_tuple(a, T)
         if canon != T or sign != 1:
             return False, f"stored tuple {T} is not canonical"
-    for T in canonical_index_tuples(a, f.n):
+    found = set(f.values)
+    for _, pre in (a.alpha_supports(), a.beta_supports()):
+        for S in f.values:
+            found.update(
+                tuple(sorted(T)) for T in iproduct(*(pre[u] for u in S))
+            )
+    eps = a.eps_table()
+    for T in sorted(X for X in found if _is_canonical(eps, X)):
         for amap, vmap, name in (
             (a.alpha, rep.alphaV, "alpha"),
             (a.beta, rep.betaV, "beta"),
@@ -682,13 +726,142 @@ def _reachable_tuples(
             for others in iproduct(*rest):
                 for pair in ordered[u]:
                     found.add(tuple(sorted(others + pair)))
-    return sorted(
-        X
-        for X in found
-        if all(
-            x < y or (x == y and eps[x][x] != 1) for x, y in zip(X, X[1:])
-        )
+    return sorted(X for X in found if _is_canonical(eps, X))
+
+
+def _is_canonical(eps: Sequence[Sequence[int]], X: tuple[int, ...]) -> bool:
+    """Is the sorted tuple X canonical: no repeat of an index whose degree
+    has eps(d, d) = +1."""
+    return all(
+        x < y or (x == y and eps[x][x] != 1) for x, y in zip(X, X[1:])
     )
+
+
+class _Coboundary:
+    """The coboundary on n-cochains of degree gamma, for one r and one
+    prefactor convention: the tables it reads, built once, and the image
+    of each unit cochain, built on first use.
+
+    The unit cochain of a slot (T, w) is e_w at T and zero elsewhere.  The
+    coboundary is linear, so d f is the sum over f's nonzero slots of the
+    slot's value times its unit image.  The images of the slots of one
+    tuple T share the terms by which T enters the coboundary (see
+    :meth:`_reach`).
+    """
+
+    def __init__(
+        self,
+        rep: Representation,
+        n: int,
+        r: int,
+        gamma: GroupElement,
+        prefactor: str,
+    ) -> None:
+        # Tables indexed by basis index: beta(e_i), the bracket
+        # [alpha^{-1}beta(e_i), e_j], the supports of both, the action
+        # matrices rho(alpha beta^{r+n-1}(e_i)), and the signs eps(e_i, e_j)
+        # and eps(gamma, e_i).
+        a = rep.algebra
+        self.n = n
+        self.gamma = gamma
+        self.beta = a.beta.columns()
+        self.beta_supp, self.beta_pre = a.beta_supports()
+        self.bracket = a.twisted_products(-1, 1) if n else ()
+        self.bracket_supp, self.bracket_pre = (
+            a.twisted_supports(-1, 1) if n else ({}, ())
+        )
+        self.action = rep.action_table(r + n - 1)
+        self.eps = a.eps_table()
+        self.eps_gamma = [a.eps.eval(gamma, a.degree(i)) for i in range(a.dim)]
+        self.full = prefactor == "full"
+        # T -> the terms of :meth:`_reach`; (T, w) -> the unit image as
+        # (X, ((k, value), ...)) over its nonzero coordinates, in
+        # lexicographic order of X
+        self.reach: dict[tuple[int, ...], tuple] = {}
+        self.images: dict[tuple, tuple] = {}
+
+    def image(
+        self, rep: Representation, T: tuple[int, ...], w: int
+    ) -> tuple:
+        """The unit image of slot (T, w) on ``rep``, the module this
+        coboundary belongs to (not stored here, so the memo makes no
+        reference cycle)."""
+        hit = self.images.get((T, w))
+        if hit is None:
+            terms = self.reach.get(T)
+            if terms is None:
+                terms = self.reach[T] = self._reach(rep, T)
+            unit = tuple(_ONE if k == w else _ZERO for k in range(rep.dimV))
+            out = []
+            for X, scalar, acts in terms:
+                total = [_ZERO] * rep.dimV
+                total[w] = scalar
+                for sign, xs in acts:
+                    for k, c in enumerate(self.action[xs].apply(unit)):
+                        if c:
+                            total[k] += sign * c
+                nonzero = tuple((k, x) for k, x in enumerate(total) if x)
+                if nonzero:
+                    out.append((X, nonzero))
+            hit = self.images[T, w] = tuple(out)
+        return hit
+
+    def _reach(self, rep: Representation, T: tuple[int, ...]) -> tuple:
+        """How the value v = f(T) of a cochain f supported on the n-tuple T
+        alone enters d f: for each (n+1)-tuple X it can reach, in
+        lexicographic order, (X, s, acts) with
+
+            (d f)(X) = s v + sum over (sign, x) in acts of
+                       sign rho(alpha beta^{r+n-1}(e_x)) v.
+
+        s collects the bracket terms, read off the scalar cochain 1 at T;
+        acts lists the action terms, whose other arguments sort to T.
+        """
+        n = self.n
+        beta, beta_supp = self.beta, self.beta_supp
+        bracket, bracket_supp = self.bracket, self.bracket_supp
+        eps, eps_gamma, full = self.eps, self.eps_gamma, self.full
+        unit = Cochain(n, self.gamma, {T: (_ONE,)}, 1)
+        # unit.eval only reaches tuples that permute T, so a term whose
+        # argument misses every index of T is zero and is skipped.
+        used = set(T)
+        out = []
+        for X in _reachable_tuples(
+            rep.algebra, (T,), self.beta_pre, self.bracket_pre
+        ):
+            scalar = _ZERO
+            for t in range(1, n + 1):
+                xt = X[t]
+                for s in range(t):
+                    if used.isdisjoint(bracket_supp[X[s], xt]) or any(
+                        used.isdisjoint(beta_supp[X[p]])
+                        for p in range(n + 1)
+                        if p != s and p != t
+                    ):
+                        continue
+                    w = -1 if t % 2 else 1
+                    for p in range(0 if full else s + 1, t):
+                        w *= eps[X[p]][xt]
+                    args = [
+                        bracket[X[s]][xt] if p == s else beta[X[p]]
+                        for p in range(n + 1)
+                        if p != t
+                    ]
+                    c = unit.eval(rep, args)[0]
+                    if c:
+                        scalar += w * c
+            acts = []
+            for s in range(n + 1):
+                if X[:s] + X[s + 1 :] != T:
+                    continue
+                xs = X[s]
+                w = -eps_gamma[xs] if s % 2 else eps_gamma[xs]
+                for p in range(s):
+                    w *= eps[X[p]][xs]
+                acts.append((w, xs))
+            if scalar or acts:
+                out.append((X, scalar, tuple(acts)))
+        return tuple(out)
 
 
 def apply_coboundary(
@@ -712,73 +885,38 @@ def apply_coboundary(
     slot of x_s, x_t is removed, and every other first-sum argument carries
     beta.  For a 0-cochain only the second sum contributes.
 
-    Only the tuples that f's support can reach are visited (see
-    :func:`_reachable_tuples`), so the cost follows the support of f.
+    d f is summed exactly from the images of the unit cochains of f's
+    nonzero slots.  The module memoizes each unit image, with the tables
+    the coboundary reads, so a slot's image is computed once per
+    (n, r, gamma, prefactor) and repeated queries reuse it.  A unit image
+    visits only the tuples its slot can reach (see
+    :func:`_reachable_tuples`).
     """
     _check_prefactor(prefactor)
     if validate:
         ok, reason = cochain_in_space(rep, f)
         if not ok:
             raise ValueError(f"cochain is outside the domain space: {reason}")
-    a = rep.algebra
     n = f.n
-    dim = a.dim
-    gamma = a.basis.group.reduce(f.degree)
-
-    # Tables indexed by basis index: beta(e_i), the bracket
-    # [alpha^{-1}beta(e_i), e_j], the supports of both, the action matrices
-    # rho(alpha beta^{r+n-1}(e_i)), and the signs eps(e_i, e_j) and
-    # eps(gamma, e_i).  All but the last are cached on the algebra or module.
-    beta = a.beta.columns()
-    beta_supp, beta_pre = a.beta_supports()
-    bracket = a.twisted_products(-1, 1) if n else ()
-    bracket_supp, bracket_pre = a.twisted_supports(-1, 1) if n else ({}, ())
-    action = rep.action_table(r + n - 1)
-    eps = a.eps_table()
-    eps_gamma = [a.eps.eval(gamma, a.degree(i)) for i in range(dim)]
-    full = prefactor == "full"
-    # f.eval only reaches tuples that permute one support index of each
-    # argument, so a term whose argument misses every index of f's support
-    # tuples is zero and is skipped.
-    used = {i for T in f.values for i in T}
-
-    out_vals: dict[tuple[int, ...], Vec] = {}
-    for X in _reachable_tuples(a, f.values, beta_pre, bracket_pre):
-        total = [_ZERO] * rep.dimV
-        for t in range(1, n + 1):
-            xt = X[t]
-            for s in range(t):
-                if used.isdisjoint(bracket_supp[X[s], xt]) or any(
-                    used.isdisjoint(beta_supp[X[p]])
-                    for p in range(n + 1)
-                    if p != s and p != t
-                ):
-                    continue
-                w = -1 if t % 2 else 1
-                for p in range(0 if full else s + 1, t):
-                    w *= eps[X[p]][xt]
-                args = [
-                    bracket[X[s]][xt] if p == s else beta[X[p]]
-                    for p in range(n + 1)
-                    if p != t
-                ]
-                for k, c in enumerate(f.eval(rep, args)):
-                    if c:
-                        total[k] += w * c
-        for s in range(n + 1):
-            fv = f.values.get(X[:s] + X[s + 1 :])
-            if fv is None:
+    gamma = rep.algebra.basis.group.reduce(f.degree)
+    key = (n, r, gamma, prefactor)
+    cob = rep._coboundaries.get(key)
+    if cob is None:
+        cob = rep._coboundaries[key] = _Coboundary(rep, n, r, gamma, prefactor)
+    acc: dict[tuple[int, ...], list[Fraction]] = {}
+    for T, val in f.values.items():
+        for w, c in enumerate(val):
+            if not c:
                 continue
-            xs = X[s]
-            w = -eps_gamma[xs] if s % 2 else eps_gamma[xs]
-            for p in range(s):
-                w *= eps[X[p]][xs]
-            for k, c in enumerate(action[xs].apply(fv)):
-                if c:
-                    total[k] += w * c
-        if any(total):
-            out_vals[X] = tuple(total)
-    return Cochain(n + 1, gamma, out_vals, rep.dimV)
+            for X, terms in cob.image(rep, T, w):
+                row = acc.get(X)
+                if row is None:
+                    row = acc[X] = [_ZERO] * rep.dimV
+                for k, x in terms:
+                    row[k] += x if c == 1 else c * x
+    return Cochain(
+        n + 1, gamma, {X: tuple(acc[X]) for X in sorted(acc)}, rep.dimV
+    )
 
 
 def coboundary_matrix(
@@ -805,7 +943,7 @@ def coboundary_matrix(
     cod = cochain_basis(rep, n + 1, gamma)
     if not dom:
         return Matrix.zero(len(cod), 0)
-    slot_set = set(_slots(rep, n + 1, gamma))
+    slot_set = rep._bases[n + 1, rep.algebra.basis.group.reduce(gamma)][0]
     free = [
         max(
             (T, w)
@@ -885,6 +1023,11 @@ def cohomology_dims(
     coboundary and must map to zero, else RuntimeError naming the basis
     cochain and the first tuple where the square is nonzero, with its
     value.
+
+    The re-check is still an exact d(d f) on every basis cochain f; it is
+    cheap because the bases and the unit-slot images it reads are those
+    the two coboundary matrices have just memoized on the module, and a
+    repeated query on the same module reuses all of them.
     """
     if n < 0:
         raise ValueError("cochain arity must be nonnegative")

@@ -8,10 +8,11 @@ kernel in bihomlie._rref_py.  It is plain Python and needs no build step.
 Linear systems come as sparse rows {column: value}; ``kernel_by_blocks``
 splits their columns into the independent blocks the rows link and reduces
 each block on its own, which gives the same basis as ``kernel_basis`` of
-the dense matrix.  Span membership goes through ``EchelonBasis``, which
-keeps the vectors added so far as sparse echelon rows and reduces each new
-one in a single pass; the library solves no dense system A x = b (the tests
-keep one as an oracle).  Vector and matrix arithmetic skips zero entries.
+the dense matrix.  Span membership and rank go through ``EchelonBasis``,
+which keeps the vectors added so far as sparse echelon rows and reduces
+each new one in a single pass; the library solves no dense system A x = b
+(the tests keep one as an oracle).  Vector and matrix arithmetic skips zero
+entries.
 
 Scalars are fractions.Fraction throughout; vectors are plain tuples.
 """
@@ -217,7 +218,10 @@ class Matrix:
         return Matrix(reduced, self.ncols), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        """The number of independent rows, counted by one
+        :class:`EchelonBasis` pass over the rows."""
+        span = EchelonBasis()
+        return sum(span.add(row) for row in self.rows)
 
     def kernel_basis(self) -> list[Vec]:
         """Basis of the right null space.

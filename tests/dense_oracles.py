@@ -1,15 +1,17 @@
 """Dense linear-algebra oracles for the tests.
 
-The library decides span membership with ``linalg.EchelonBasis`` and solves
-no dense system.  These are the slow, plainly correct versions the tests
-hold it against: every answer comes from one RREF of an augmented dense
-matrix.
+The library decides span membership and rank with ``linalg.EchelonBasis``
+and solves no dense system.  These are the slow, plainly correct versions
+the tests hold it against: every answer comes from one RREF of a dense
+matrix, augmented for the solves.
 
 >>> from bihomlie.linalg import vec
 >>> solve_many(Matrix([[1, 0], [0, 0]]), [vec([5, 0]), vec([0, 1])])
 [(Fraction(5, 1), Fraction(0, 1)), None]
 >>> in_span([vec([1, 1])], vec([2, 2])), in_span([], vec([0, 1]))
 (True, False)
+>>> dense_rank(Matrix([[1, 2], [2, 4]]))
+1
 """
 
 from fractions import Fraction
@@ -43,6 +45,11 @@ def solve_many(m: Matrix, bs: Sequence[Vec]) -> list[Optional[Vec]]:
         )
         out.append(tuple(x) if consistent else None)
     return out
+
+
+def dense_rank(m: Matrix) -> int:
+    """The rank of m as the pivot count of its RREF."""
+    return len(m.rref()[1])
 
 
 def in_span(vectors: Sequence[Vec], v: Vec) -> bool:

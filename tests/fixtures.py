@@ -28,11 +28,11 @@ LIE_CORPUS = (
 )
 
 
-def gl21_units() -> ColourAlgebra:
-    """The Z2-graded 3x3 matrix units under multiplication (E11, E12, E21,
-    E22 even), with identity maps."""
-    parity = (0, 0, 1)
-    units = [(i, j) for i in range(3) for j in range(3)]
+def gl_units(parity: tuple[int, ...]) -> ColourAlgebra:
+    """The Z2-graded k x k matrix units under multiplication, with identity
+    maps; E_ij has degree parity[i] + parity[j]."""
+    k = len(parity)
+    units = [(i, j) for i in range(k) for j in range(k)]
     basis = GradedBasis(
         GradingGroup(0, (2,)),
         tuple(f"E{i + 1}{j + 1}" for i, j in units),
@@ -40,8 +40,8 @@ def gl21_units() -> ColourAlgebra:
     )
     product = [
         [
-            [Fraction(int(j == k and (i, l) == u)) for u in units]
-            for k, l in units
+            [Fraction(int(j == m and (i, l) == u)) for u in units]
+            for m, l in units
         ]
         for i, j in units
     ]
@@ -49,25 +49,43 @@ def gl21_units() -> ColourAlgebra:
         basis,
         super_bicharacter(),
         product,
-        Matrix.identity(9),
-        Matrix.identity(9),
+        Matrix.identity(k * k),
+        Matrix.identity(k * k),
         kind="associative",
     )
 
 
-def gl21_twist() -> ColourAlgebra:
-    """gl(2|1): the commutator algebra of :func:`gl21_units`, Yau-twisted
-    by the diagonal conjugations with (1, 2, 3) and (1, 5, 7)."""
-    units = [(i, j) for i in range(3) for j in range(3)]
+def gl_twist(parity: tuple[int, ...], da, db) -> ColourAlgebra:
+    """gl(m|n): the commutator algebra of :func:`gl_units`, Yau-twisted by
+    the diagonal conjugations x -> D x D^-1 with D = diag(da), diag(db)."""
+    k = len(parity)
+    units = [(i, j) for i in range(k) for j in range(k)]
 
     def conjugation(d):
         return Matrix.diagonal([Fraction(d[i], d[j]) for i, j in units])
 
     return yau_twist(
-        commutator_algebra(gl21_units()),
-        conjugation((1, 2, 3)),
-        conjugation((1, 5, 7)),
+        commutator_algebra(gl_units(parity)),
+        conjugation(da),
+        conjugation(db),
     )
+
+
+def gl21_units() -> ColourAlgebra:
+    """The Z2-graded 3x3 matrix units (E11, E12, E21, E22 even)."""
+    return gl_units((0, 0, 1))
+
+
+def gl21_twist() -> ColourAlgebra:
+    """gl(2|1) Yau-twisted by the diagonal conjugations with (1, 2, 3) and
+    (1, 5, 7)."""
+    return gl_twist((0, 0, 1), (1, 2, 3), (1, 5, 7))
+
+
+def gl22_twist() -> ColourAlgebra:
+    """gl(2|2) Yau-twisted by the diagonal conjugations with (1, 2, 3, 5)
+    and (1, 7, 11, 13)."""
+    return gl_twist((0, 0, 1, 1), (1, 2, 3, 5), (1, 7, 11, 13))
 
 
 def conj(c) -> Matrix:

@@ -48,7 +48,7 @@ from bihomlie.linalg import (
     vzero,
 )
 from dense_oracles import solve_many, spans_equal
-from fixtures import LIE_CORPUS, gl21_twist, gl21_units
+from fixtures import LIE_CORPUS, gl21_twist, gl21_units, gl22_twist
 
 F = Fraction
 DATA = Path(__file__).resolve().parent.parent / "src" / "bihomlie" / "data"
@@ -754,6 +754,178 @@ def test_support_driven_coboundary_matches_the_oracle(name, prefactor):
     assert nonmember and nonzero
 
 
+def cochain_in_space_oracle(rep, f):
+    """The membership test that checks both intertwinings on every
+    canonical tuple: the full scan the support-driven check replaced."""
+    a = rep.algebra
+    if f.dimV != rep.dimV:
+        return False, "value dimension differs from the module"
+    g = a.basis.group.reduce(f.degree)
+    for T, val in f.values.items():
+        target = a.basis.group.add(g, a.basis.group.sum(a.degree(i) for i in T))
+        for w, c in enumerate(val):
+            if c and rep.space.degrees[w] != target:
+                return False, f"value on {T} leaves the degree-{target} block"
+        sign, canon = reduce_index_tuple(a, T)
+        if canon != T or sign != 1:
+            return False, f"stored tuple {T} is not canonical"
+    for T in canonical_index_tuples(a, f.n):
+        for amap, vmap, name in (
+            (a.alpha, rep.alphaV, "alpha"),
+            (a.beta, rep.betaV, "beta"),
+        ):
+            got = eval_oracle(rep, f, [amap.column(t) for t in T])
+            if got != vmap.apply(f.value(T)):
+                return False, f"{name} intertwining fails on tuple {T}"
+    return True, ""
+
+
+def _perturbed(rep, f, rng):
+    """f plus a random value at one degree-gamma slot: canonical and in
+    the right blocks, but seldom intertwining."""
+    T, w = rng.choice(_slots(rep, f.n, f.degree))
+    v = list(f.value(T))
+    v[w] += F(rng.choice((-2, -1, 1, 3)))
+    return Cochain(f.n, f.degree, {**f.values, T: v}, f.dimV)
+
+
+def gl2_one_sided_twist(side):
+    """gl(2) twisted by conjugation with [[1,1],[0,1]] as alpha (side 0)
+    or beta (side 1) and the identity as the other map: the alpha- and
+    beta-preimages of a tuple differ."""
+    maps = [Matrix.identity(4)] * 2
+    maps[side] = _conjugation([[1, 1], [0, 1]], [[1, -1], [0, 1]])
+    return yau_twist(commutator_algebra(mat2_assoc()), *maps)
+
+
+MEMBERSHIP_MODULES = {
+    **SPARSE_MODULES,
+    **{
+        f"gl2_{name}_only_twist": (
+            lambda side=side: adjoint_rep(gl2_one_sided_twist(side), 0, 1)
+        )
+        for side, name in enumerate(("alpha", "beta"))
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMBERSHIP_MODULES))
+def test_support_driven_membership_matches_the_full_scan(name):
+    rep = MEMBERSHIP_MODULES[name]()
+    rng = Random(name)
+    seen = {True: 0, False: 0}
+    for n in range(4):
+        for g in realized_gammas(rep, n):
+            basis = cochain_basis(rep, n, g)
+            cases = [Cochain(n, g, {}, rep.dimV)] + basis[:3]
+            if basis:
+                cases.append(_perturbed(rep, rng.choice(basis), rng))
+            if _slots(rep, n, g):
+                cases.append(_perturbed(rep, cases[0], rng))
+            if canonical_index_tuples(rep.algebra, n):
+                cases.append(_sparse_cochain(rep, n, g, rng))
+            for f in cases:
+                got = cochain_in_space(rep, f)
+                assert got == cochain_in_space_oracle(rep, f)
+                seen[got[0]] += 1
+    # members and non-members were both drawn
+    assert seen[True] and seen[False]
+
+
+def _combination(basis, rng):
+    """A random combination of up to three basis cochains."""
+    f = basis[0].scale(0)
+    for fb in rng.sample(basis, min(3, len(basis))):
+        f = f.add(fb.scale(F(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2)))))
+    return f
+
+
+def _outcome(query, rep, n, r, g, prefactor):
+    """The query's result, or the message of the RuntimeError it raises
+    (the "full" convention breaks the complex on some modules)."""
+    try:
+        return query(rep, n, r, g, prefactor=prefactor)
+    except RuntimeError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("name", sorted(SPARSE_MODULES))
+def test_memoized_complex_matches_fresh_modules_and_the_oracle(name):
+    # One shared module answers an interleaved run of queries over the
+    # arities, every r, prefactor and degree.  Each answer must equal that
+    # of a fresh module on the same algebra, and the coboundary of the last
+    # cochain of each query the oracle's, dict order included.  On the
+    # nine-dimensional modules the arity stops at 1, where a fresh module
+    # solves its bases in milliseconds rather than a second.
+    shared = SPARSE_MODULES[name]()
+    rng = Random(f"memo/{name}")
+    queries = [
+        (kind, n, r, g, prefactor)
+        for kind in ("apply", "matrix", "dims")
+        for n in range(2 if shared.algebra.dim > 5 else 4)
+        for g in realized_gammas(shared, n)
+        for r in (0, 1, 2)
+        for prefactor in PREFACTOR_CONVENTIONS
+    ]
+    rng.shuffle(queries)
+    for kind, n, r, g, prefactor in queries:
+        fresh = Representation(
+            shared.algebra, shared.space, shared.rho, shared.alphaV, shared.betaV
+        )
+        if kind != "apply":
+            query = coboundary_matrix if kind == "matrix" else cohomology_dims
+            got = _outcome(query, shared, n, r, g, prefactor)
+            assert got == _outcome(query, fresh, n, r, g, prefactor)
+        else:
+            basis = cochain_basis(shared, n, g)
+            cochains = [_sparse_cochain(shared, n, g, rng)]
+            if basis:
+                cochains += [rng.choice(basis), _combination(basis, rng)]
+            for f in cochains:
+                got = apply_coboundary(
+                    shared, r, f, prefactor=prefactor, validate=False
+                )
+                want = apply_coboundary(
+                    fresh, r, f, prefactor=prefactor, validate=False
+                )
+                assert got == want
+                assert list(got.values) == list(want.values)
+            want = coboundary_oracle(shared, r, f, prefactor)
+            assert got == want
+            assert list(got.values) == list(want.values)
+
+
+def test_cochain_basis_returns_a_fresh_list_of_the_memo():
+    rep = twist_rep()
+    first = cochain_basis(rep, 1, (0,))
+    want = list(first)
+    first.clear()
+    again = cochain_basis(rep, 1, (0,))
+    assert again == want == cochain_basis(twist_rep(), 1, (0,))
+    again.append(again[0])
+    assert cochain_basis(rep, 1, [2]) == want
+
+
+GL22_PINS = {1: (28, 4, 3, 1), 2: (120, 24, 24, 0)}
+
+
+def test_gl22_cohomology_on_a_shared_and_on_fresh_modules():
+    # degree 0 of ad_{0,1} with r = 1; the shared module answers each
+    # arity twice, the second time from its memo
+    a = gl22_twist()
+    shared = adjoint_rep(a, 0, 1)
+    for n, want in GL22_PINS.items():
+        for rep in (adjoint_rep(a, 0, 1), shared, shared):
+            res = cohomology_dims(rep, n, 1, (0,))
+            got = (
+                res.dim_cochains,
+                res.dim_cocycles,
+                res.dim_coboundaries,
+                res.dim_h,
+            )
+            assert got == want
+
+
 def test_singular_alpha_refuses_the_bracket_term_only():
     # alpha keeps only H, so d of the 0-cochain X is [H, X] at H
     a = osp12_classical()
@@ -842,6 +1014,14 @@ def test_nonzero_square_names_the_cochain_tuple_and_value():
     )
     with pytest.raises(RuntimeError, match=want):
         cohomology_dims(rep, 2, 1, (0,), prefactor="full")
+    # the same witness from a module whose memo already holds the
+    # default convention's complex and the "full" matrices
+    warm = adjoint_rep(osp12_classical(), 0, 1)
+    for n in range(3):
+        cohomology_dims(warm, n, 1, (0,))
+        coboundary_matrix(warm, n, 1, (0,), prefactor="full")
+    with pytest.raises(RuntimeError, match=want):
+        cohomology_dims(warm, 2, 1, (0,), prefactor="full")
     # the witness is the first nonzero tuple of the oracle's d(d(f))
     f = cochain_basis(rep, 1, (0,))[0]
     mid = coboundary_oracle(rep, 1, f, "full")

@@ -21,7 +21,7 @@ from bihomlie.linalg import (
     vscale,
     vsub,
 )
-from dense_oracles import in_span, solve_many, spans_equal
+from dense_oracles import dense_rank, in_span, solve_many, spans_equal
 
 
 def test_rref_canonical_form():
@@ -319,6 +319,23 @@ def test_block_kernel_equals_the_dense_kernel(system):
     assert got == want
     for v in kernel_by_blocks(rows, ncols):
         assert all(v.values())
+
+
+@st.composite
+def _rank_cases(draw):
+    """The sparse systems above as dense matrices (dependent rows, no rows
+    or no columns), or a zero matrix of a small shape."""
+    if draw(st.booleans()):
+        rows, ncols = draw(_sparse_systems())
+        return Matrix(_dense_rows(rows, ncols), ncols)
+    return Matrix.zero(draw(st.integers(0, 4)), draw(st.integers(0, 4)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rank_cases())
+def test_echelon_rank_equals_the_dense_rref_rank(m):
+    assert m.rank() == dense_rank(m)
+    assert m.transpose().rank() == dense_rank(m)
 
 
 def test_block_kernel_on_hand_built_blocks():
