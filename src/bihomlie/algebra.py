@@ -27,12 +27,22 @@ from itertools import product as iproduct
 from typing import Callable, Iterable, Optional
 
 from .grading import Bicharacter, GradedBasis, GroupElement, homogeneous_degree
-from .linalg import Matrix, Vec, add_scaled, is_zero_vec, vadd, vscale, vsub
+from .linalg import (
+    Matrix,
+    Terms,
+    Vec,
+    add_terms,
+    is_zero_vec,
+    terms_of,
+    vscale,
+    vsub,
+)
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
-# the nonzero terms (k, c) of a vector, in ascending k
-Terms = tuple[tuple[int, Fraction], ...]
+# a table of term lists, indexed [i][j]
+TermTable = tuple[tuple[Terms, ...], ...]
 
 
 def format_element(basis: GradedBasis, v: Vec) -> str:
@@ -126,6 +136,8 @@ class ColourAlgebra:
         "_eps",
         "_products",
         "_terms",
+        "_twisted_terms",
+        "_skew_terms",
         "_supports",
     )
 
@@ -164,7 +176,9 @@ class ColourAlgebra:
         self._powers: dict[tuple, Matrix] = {}
         self._eps: Optional[tuple[tuple[int, ...], ...]] = None
         self._products: dict[tuple, tuple[tuple[Vec, ...], ...]] = {}
-        self._terms: Optional[tuple[tuple[Terms, ...], ...]] = None
+        self._terms: Optional[TermTable] = None
+        self._twisted_terms: dict[tuple, TermTable] = {}
+        self._skew_terms: Optional[TermTable] = None
         self._supports: dict[tuple, tuple] = {}
 
     # -- basic accessors ----------------------------------------------------
@@ -193,16 +207,10 @@ class ColourAlgebra:
             )
         return self._eps
 
-    def product_terms(self) -> tuple[tuple[Terms, ...], ...]:
+    def product_terms(self) -> TermTable:
         """The nonzero terms (k, c) of each cell product[i][j]; cached."""
         if self._terms is None:
-            self._terms = tuple(
-                tuple(
-                    tuple((k, c) for k, c in enumerate(cell) if c)
-                    for cell in row
-                )
-                for row in self.product
-            )
+            self._terms = _term_table(self.product)
         return self._terms
 
     def __eq__(self, other: object) -> bool:
@@ -294,6 +302,30 @@ class ColourAlgebra:
             self._products[key] = hit
         return hit
 
+    def twisted_terms(
+        self, ka: int, kb: int, *, right: bool = False
+    ) -> TermTable:
+        """The nonzero terms of every cell of ``twisted_products(ka, kb,
+        right=right)``; cached beside it."""
+        key = (ka, kb, right)
+        hit = self._twisted_terms.get(key)
+        if hit is None:
+            hit = _term_table(self.twisted_products(ka, kb, right=right))
+            self._twisted_terms[key] = hit
+        return hit
+
+    def skew_terms(self) -> TermTable:
+        """The nonzero terms of [beta(e_i), alpha(e_j)] at [i][j]: the
+        brackets that BiHom-skewsymmetry compares and the inner bracket of
+        the BiHom-Jacobi sum; cached."""
+        if self._skew_terms is None:
+            alpha = self.alpha.columns()
+            self._skew_terms = tuple(
+                tuple(terms_of(self.product_eval(b, x)) for x in alpha)
+                for b in self.beta.columns()
+            )
+        return self._skew_terms
+
     def alpha_supports(self) -> tuple[dict, tuple[tuple, ...]]:
         """The support index (see ``_support_index``) of the columns
         alpha(e_i), keyed by i; cached."""
@@ -364,6 +396,11 @@ class ColourAlgebra:
         return format_element(self.basis, v)
 
 
+def _term_table(table: Iterable[Iterable[Vec]]) -> TermTable:
+    """The nonzero terms of every vector of a table of vectors."""
+    return tuple(tuple(terms_of(v) for v in row) for row in table)
+
+
 def product_eval(a: ColourAlgebra, x: Vec, y: Vec) -> Vec:
     return a.product_eval(x, y)
 
@@ -372,25 +409,18 @@ def jacobiator(a: ColourAlgebra, i: int, j: int, k: int) -> Vec:
     """Cyclic BiHom-Jacobi defect on basis indices (i, j, k): the sum over
     cyclic (x,y,z) of eps(z,x) [beta^2(x), [beta(y), alpha(z)]].
 
-    [b(y), a(z)] = sum_t a_tz [b(e_y), e_t], then
-    [bb(x), w] = sum_u w_u [bb(e_x), e_u], both read from the twisted
-    product tables.
+    The inner bracket [b(e_y), a(e_z)] is read from ``skew_terms``, then
+    [bb(x), w] = sum_u w_u [bb(e_x), e_u] from the twisted product terms.
     """
-    n = a.dim
     eps = a.eps_table()
-    acc = [ZERO] * n
-    alpha = a.alpha.columns()
-    inner_table = a.twisted_products(0, 1)
-    outer_table = a.twisted_products(0, 2)
+    acc = [ZERO] * a.dim
+    inner_table = a.skew_terms()
+    outer_table = a.twisted_terms(0, 2)
     for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-        inner = [ZERO] * n
-        for t, c in enumerate(alpha[z]):
-            if c:
-                add_scaled(inner, c, inner_table[y][t])
         sign = eps[z][x]
-        for u, c in enumerate(inner):
-            if c:
-                add_scaled(acc, sign * c, outer_table[x][u])
+        outer = outer_table[x]
+        for u, c in inner_table[y][z]:
+            add_terms(acc, sign * c, outer[u])
     return tuple(acc)
 
 
@@ -474,17 +504,16 @@ def _check_multiplicative(a: ColourAlgebra, name: str) -> CheckItem:
     sums the columns of m over the cell's terms, the right side the
     twisted products [m e_i, e_t] over the column m e_j."""
     m, twist = (a.alpha, (1, 0)) if name == "alpha" else (a.beta, (0, 1))
-    cols = m.columns()
+    cols = m.column_terms()
     terms = a.product_terms()
-    table = a.twisted_products(*twist)
+    table = a.twisted_terms(*twist)
 
     def defect(i: int, j: int) -> Vec:
         acc = [ZERO] * a.dim
         for k, c in terms[i][j]:
-            add_scaled(acc, c, cols[k])
-        for t, c in enumerate(cols[j]):
-            if c:
-                add_scaled(acc, -c, table[i][t])
+            add_terms(acc, c, cols[k])
+        for t, c in cols[j]:
+            add_terms(acc, -c, table[i][t])
         return tuple(acc)
 
     return _check_tuples(
@@ -519,13 +548,14 @@ def check_lie_axioms(a: ColourAlgebra) -> AxiomReport:
     rep.items.append(_check_multiplicative(a, "alpha"))
     rep.items.append(_check_multiplicative(a, "beta"))
 
-    alpha = a.alpha.columns()
-    beta = a.beta.columns()
+    skew = a.skew_terms()
+    eps = a.eps_table()
 
     def skew_defect(i: int, j: int) -> Vec:
-        lhs = a.product_eval(beta[i], alpha[j])
-        rhs = a.product_eval(beta[j], alpha[i])
-        return vadd(lhs, vscale(Fraction(a.eps_ij(i, j)), rhs))
+        acc = [ZERO] * a.dim
+        add_terms(acc, ONE, skew[i][j])
+        add_terms(acc, Fraction(eps[i][j]), skew[j][i])
+        return tuple(acc)
 
     rep.items.append(_check_tuples(a, "bihom_skewsymmetry", 2, skew_defect))
     rep.items.append(
@@ -541,23 +571,20 @@ def associator(a: ColourAlgebra, x: Vec, y: Vec, z: Vec) -> Vec:
     """alpha(x)(y z) - (x y) beta(z).
 
     alpha(x) w = sum x_i w_u [alpha(e_i), e_u] and w beta(z) = sum w_u z_k
-    [e_u, beta(e_k)], read from the twisted product tables.
+    [e_u, beta(e_k)], read from the twisted product terms.
     """
-    left = a.twisted_products(1, 0)
-    right = a.twisted_products(0, 1, right=True)
-    yz = a.product_eval(y, z)
-    xy = a.product_eval(x, y)
+    left = a.twisted_terms(1, 0)
+    right = a.twisted_terms(0, 1, right=True)
+    yz = terms_of(a.product_eval(y, z))
+    xy = terms_of(a.product_eval(x, y))
+    zs = terms_of(z)
     acc = [ZERO] * a.dim
-    for i, xi in enumerate(x):
-        if xi:
-            for u, c in enumerate(yz):
-                if c:
-                    add_scaled(acc, xi * c, left[i][u])
-    for u, c in enumerate(xy):
-        if c:
-            for k, zk in enumerate(z):
-                if zk:
-                    add_scaled(acc, -(c * zk), right[u][k])
+    for i, xi in terms_of(x):
+        for u, c in yz:
+            add_terms(acc, xi * c, left[i][u])
+    for u, c in xy:
+        for k, zk in zs:
+            add_terms(acc, -(c * zk), right[u][k])
     return tuple(acc)
 
 

@@ -9,6 +9,7 @@ rationals rendered as strings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -341,10 +342,18 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`run_cli`, built on first use and kept for the
+    process: parsing leaves it unchanged, and rebuilding it per call would
+    leave a web of reference cycles to the garbage collector each time.
+    The handlers it names look up their dispatch tables when they run."""
+    return build_parser()
+
+
 def run_cli(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         code = e.code
         return code if isinstance(code, int) else 2

@@ -596,8 +596,8 @@ def _solve_basis(
         slot_cols.setdefault(T, []).append((w, k))
 
     maps = (
-        (a.alpha.columns(), rep.alphaV.columns()),
-        (a.beta.columns(), rep.betaV.columns()),
+        (a.alpha.column_terms(), rep.alphaV.column_terms()),
+        (a.beta.column_terms(), rep.betaV.column_terms()),
     )
     rows: list[dict[int, Fraction]] = []
     for T, own in slot_cols.items():
@@ -605,10 +605,7 @@ def _solve_basis(
             # row w: coefficients of the w-coordinate of
             # f(m e_{T_1}, ..., m e_{T_n}) - m_V f(e_{T_1}, ..., e_{T_n})
             by_w: dict[int, dict[int, Fraction]] = {}
-            supports = [
-                [(u, c) for u, c in enumerate(acols[t]) if c] for t in T
-            ]
-            for combo in iproduct(*supports):
+            for combo in iproduct(*(acols[t] for t in T)):
                 sign, canon = reduce_index_tuple(
                     a, tuple(u for u, _ in combo)
                 )
@@ -621,10 +618,9 @@ def _solve_basis(
                     row = by_w.setdefault(w, {})
                     row[k] = row.get(k, _ZERO) + coeff
             for w, k in own:
-                for rrow, c in enumerate(vcols[w]):
-                    if c:
-                        row = by_w.setdefault(rrow, {})
-                        row[k] = row.get(k, _ZERO) - c
+                for rrow, c in vcols[w]:
+                    row = by_w.setdefault(rrow, {})
+                    row[k] = row.get(k, _ZERO) - c
             rows.extend(by_w.values())
 
     return [

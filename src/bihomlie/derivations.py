@@ -9,7 +9,10 @@ product tables; split the entries into the independent blocks those rows
 link and take the exact kernel of each (linalg.kernel_by_blocks); and
 re-substitute every basis member into the defining identities before
 returning (a wrong answer here would poison everything downstream, so the
-few extra multiplications are cheap insurance).
+few extra multiplications are cheap insurance).  The re-verification is an
+evaluation of the identities on the member, independent of the assembled
+rows: it sums the member's ``column_terms`` against the cached term tables
+of the product and of the twisted products, so it visits nonzero terms only.
 
 The product D1 . D2 + eps(d1, d2) D2 . D1 turns homogeneous endomorphisms
 into a colour analogue of a special Jordan algebra; check_jordan_axioms
@@ -26,13 +29,13 @@ from fractions import Fraction
 from itertools import product as iproduct
 from typing import Optional, Sequence
 
-from .algebra import AxiomReport, CheckItem, ColourAlgebra, Witness
+from .algebra import AxiomReport, CheckItem, ColourAlgebra, TermTable, Witness
 from .grading import Bicharacter, GroupElement
 from .linalg import (
     EchelonBasis,
     Matrix,
     Vec,
-    add_scaled,
+    add_terms,
     is_zero_vec,
     kernel_by_blocks,
     vec,
@@ -83,9 +86,9 @@ def is_homogeneous_endo(
     degrees = a.basis.degrees
     image = [group.add(d, g) for d in degrees]  # the degree of D(e_t)
     return all(
-        not x or degrees[u] == image[t]
-        for u, row in enumerate(matrix.rows)
-        for t, x in enumerate(row)
+        degrees[u] == image[t]
+        for t, col in enumerate(matrix.column_terms())
+        for u, _ in col
     )
 
 
@@ -159,7 +162,7 @@ def _solve_blocks(
     their terms are dropped.  The rows are sparse and the kernel is solved
     per linked block of columns by :func:`kernel_by_blocks`.
     """
-    twisted = [_table_terms(table) for table in _twisted(a, k, l)]
+    twisted = _twisted(a, k, l)
     slots = _block_slots(a, gamma)
     if not slots:
         return []
@@ -192,18 +195,11 @@ def _solve_blocks(
 
 def _twisted(
     a: ColourAlgebra, k: int, l: int
-) -> tuple[tuple[tuple[Vec, ...], ...], ...]:
-    """The twisted product tables [e_t, M e_j] at [t][j] and [M e_i, e_t]
-    at [i][t], M = alpha^k beta^l, cached on the algebra.  A negative
-    power of a singular map raises ValueError."""
-    return a.twisted_products(k, l, right=True), a.twisted_products(k, l)
-
-
-def _table_terms(table) -> list[list[list[tuple[int, Fraction]]]]:
-    """The nonzero terms (u, c) of every vector of a table of vectors."""
-    return [
-        [[(u, c) for u, c in enumerate(v) if c] for v in row] for row in table
-    ]
+) -> tuple[TermTable, TermTable]:
+    """The nonzero terms of the twisted products [e_t, M e_j] at [t][j] and
+    [M e_i, e_t] at [i][t], M = alpha^k beta^l, cached on the algebra.  A
+    negative power of a singular map raises ValueError."""
+    return a.twisted_terms(k, l, right=True), a.twisted_terms(k, l)
 
 
 def _add(row: dict, pos: Optional[int], c: Fraction) -> None:
@@ -215,13 +211,13 @@ def _commuting_rows(
     a: ColourAlgebra, cols: list[list[Optional[int]]], M: Matrix
 ) -> list[dict[int, Fraction]]:
     """Rows of  D M - M D = 0, entry (u, j) each, for the unknown D whose
-    entry (u, t) is column cols[u][t]: sum_t D_ut M_tj - M_ut D_tj."""
+    entry (u, t) is column cols[u][t]: sum_t D_ut M_tj - M_ut D_tj.
+    Rows without terms are left out."""
     n = a.dim
     entries = [
         (t, j, x)
-        for t, row in enumerate(M.rows)
-        for j, x in enumerate(row)
-        if x
+        for j, col in enumerate(M.column_terms())
+        for t, x in col
     ]
     out = []
     for u in range(n):
@@ -230,9 +226,10 @@ def _commuting_rows(
             _add(by_j[j], cols[u][t], x)
         for t, x in enumerate(M.rows[u]):
             if x:
+                nx = -x
                 for j in range(n):
-                    _add(by_j[j], cols[t][j], -x)
-        out += by_j
+                    _add(by_j[j], cols[t][j], nx)
+        out += (row for row in by_j if row)
     return out
 
 
@@ -247,16 +244,17 @@ def _leibniz_rows(
     right_unknown: Optional[int],
     right_sign: Fraction = _ONE,
 ) -> list[dict[int, Fraction]]:
-    """Rows of  D_v([x,y]) - [D_l(x), M(y)] - s*eps(g,x)[M(x), D_r(y)],
+    """Rows of  [D_l(x), M(y)] + s*eps(g,x)[M(x), D_r(y)] - D_v([x,y]),
     M = alpha^k beta^l, set to zero over all basis pairs and coordinates,
     with any of the three slots optional and s = right_sign flipping the
     twisted term for cross conditions.
 
     Coordinate u of the pair (i, j) is the row
-        sum_t D_v[u][t] [e_i, e_j]_t - D_l[t][i] [e_t, M e_j]_u
-              - s eps(g, e_i) D_r[t][j] [M e_i, e_t]_u,
+        sum_t D_l[t][i] [e_t, M e_j]_u
+              + s eps(g, e_i) D_r[t][j] [M e_i, e_t]_u - D_v[u][t] [e_i, e_j]_t,
     built from the nonzero terms of the product table and of the twisted
-    tables of :func:`_twisted`, given as terms (see :func:`_table_terms`).
+    tables of :func:`_twisted`; rows without terms are left out.  (The
+    sign makes the twisted terms, the most numerous, enter unnegated.)
     """
     n = a.dim
     g = a.basis.group.reduce(gamma)
@@ -270,26 +268,32 @@ def _leibniz_rows(
         ]
     out = []
     for i in range(n):
-        w = right_sign * Fraction(a.eps.eval(g, a.degree(i)))
+        if right_unknown is not None:
+            # s eps(g, e_i) [M e_i, e_t] for every t
+            w = right_sign * a.eps.eval(g, a.degree(i))
+            right_i = [
+                [(u, w * c) for u, c in cell] for cell in right_table[i]
+            ]
         for j in range(n):
             by_u: list[dict[int, Fraction]] = [{} for _ in range(n)]
             if value_unknown is not None:
                 for t, c in terms[i][j]:
+                    nc = -c
                     for u, pos in value_cols[t]:
-                        _add(by_u[u], pos, c)
+                        _add(by_u[u], pos, nc)
             if left_unknown is not None:
                 for t in range(n):
                     pos = cols[left_unknown][t][i]
                     if pos is not None:
                         for u, c in left_table[t][j]:
-                            _add(by_u[u], pos, -c)
+                            _add(by_u[u], pos, c)
             if right_unknown is not None:
                 for t in range(n):
                     pos = cols[right_unknown][t][j]
                     if pos is not None:
-                        for u, c in right_table[i][t]:
-                            _add(by_u[u], pos, -(w * c))
-            out += by_u
+                        for u, c in right_i[t]:
+                            _add(by_u[u], pos, c)
+            out += (row for row in by_u if row)
     return out
 
 
@@ -305,55 +309,71 @@ def _bracket_defect(
     """First basis pair violating
     value([x,y]) = [left(x), M y] + s*eps(g,x)[M x, right(y)].
 
-    Each side is a sum over nonzero entries: the columns of d_value over
-    the terms of [e_i, e_j], and the ``twisted`` tables of
-    :func:`_twisted`, [e_t, M e_j] over column i of d_left and
+    Each side is a sum over nonzero terms only: the column terms of
+    d_value over the terms of [e_i, e_j], and the ``twisted`` term tables
+    of :func:`_twisted`, [e_t, M e_j] over column i of d_left and
     [M e_i, e_t] over column j of d_right.
     """
     n = a.dim
     g = a.basis.group.reduce(gamma)
     terms = a.product_terms()
     left, right = twisted
-    vcols = d_value.columns() if d_value is not None else None
-    lcols = d_left.columns() if d_left is not None else None
-    rcols = d_right.columns() if d_right is not None else None
+    degrees = a.basis.degrees
+    vcols = d_value.column_terms() if d_value is not None else None
+    # the column terms of -d_left, and of -s*eps(g, x)*d_right for each
+    # degree x of a basis element
+    lcols = _scaled_columns(d_left, -_ONE) if d_left is not None else None
+    rcols = (
+        {
+            d: _scaled_columns(d_right, -right_sign * a.eps.eval(g, d))
+            for d in set(degrees)
+        }
+        if d_right is not None
+        else None
+    )
+    # entries no term reaches stay the object _ZERO, which the list
+    # comparison with ``zero`` passes by identity
+    zero = [_ZERO] * n
     for i in range(n):
-        w = right_sign * Fraction(a.eps.eval(g, a.degree(i)))
         for j in range(n):
-            acc = [_ZERO] * n
+            acc = zero.copy()
             if vcols is not None:
                 for t, c in terms[i][j]:
-                    add_scaled(acc, c, vcols[t])
+                    add_terms(acc, c, vcols[t])
             if lcols is not None:
-                for t, x in enumerate(lcols[i]):
-                    if x:
-                        add_scaled(acc, -x, left[t][j])
+                for t, x in lcols[i]:
+                    add_terms(acc, x, left[t][j])
             if rcols is not None:
-                for t, x in enumerate(rcols[j]):
-                    if x:
-                        add_scaled(acc, -(w * x), right[i][t])
-            if any(acc):
+                for t, x in rcols[degrees[i]][j]:
+                    add_terms(acc, x, right[i][t])
+            if acc != zero:
                 return i, j, tuple(acc)
     return None
+
+
+def _scaled_columns(
+    m: Matrix, c: Fraction
+) -> list[list[tuple[int, Fraction]]]:
+    """The column terms of c * m."""
+    return [[(t, c * x) for t, x in col] for col in m.column_terms()]
 
 
 def _commutes_with_maps(
     a: ColourAlgebra, m: Matrix, with_beta: bool = True
 ) -> bool:
     """m M = M m for M = alpha (and beta), column by column:
-    sum_t M_tj m(e_t) = sum_t m_tj M(e_t)."""
-    mcols = m.columns()
+    sum_t M_tj m(e_t) = sum_t m_tj M(e_t), over the column terms."""
+    mcols = m.column_terms()
+    zero = [_ZERO] * a.dim
     for M in (a.alpha, a.beta) if with_beta else (a.alpha,):
-        Mcols = M.columns()
+        Mcols = M.column_terms()
         for j in range(a.dim):
-            acc = [_ZERO] * a.dim
-            for t, x in enumerate(Mcols[j]):
-                if x:
-                    add_scaled(acc, x, mcols[t])
-            for t, x in enumerate(mcols[j]):
-                if x:
-                    add_scaled(acc, -x, Mcols[t])
-            if any(acc):
+            acc = zero.copy()
+            for t, x in Mcols[j]:
+                add_terms(acc, x, mcols[t])
+            for t, x in mcols[j]:
+                add_terms(acc, -x, Mcols[t])
+            if acc != zero:
                 return False
     return True
 

@@ -11,8 +11,12 @@ each block on its own, which gives the same basis as ``kernel_basis`` of
 the dense matrix.  Span membership and rank go through ``EchelonBasis``,
 which keeps the vectors added so far as sparse echelon rows and reduces
 each new one in a single pass; the library solves no dense system A x = b
-(the tests keep one as an oracle).  Vector and matrix arithmetic skips zero
-entries.
+(the tests keep one as an oracle).
+
+Sums of basis images read term tables: ``Matrix.column_terms()`` caches the
+nonzero entries (u, x) of every column, and ``add_terms`` adds a scaled
+term list into a dense accumulator, so no loop visits a zero entry of an
+image.
 
 Scalars are fractions.Fraction throughout; vectors are plain tuples.
 """
@@ -58,12 +62,20 @@ def vscale(c: Fraction, u: Vec) -> Vec:
     return tuple(c * a if a else ZERO for a in u)
 
 
-def add_scaled(acc: list, c: Fraction, v: Vec) -> None:
-    """acc += c * v in place, over the nonzero entries of v."""
-    for k, x in enumerate(v):
-        if x:
-            p = c * x
-            acc[k] = acc[k] + p if acc[k] else p
+# the nonzero entries (k, x) of a vector, in ascending k
+Terms = tuple[tuple[int, Fraction], ...]
+
+
+def terms_of(v: Vec) -> Terms:
+    """The nonzero entries (k, x) of v, in ascending k."""
+    return tuple((k, x) for k, x in enumerate(v) if x)
+
+
+def add_terms(acc: list, c: Fraction, terms: Terms) -> None:
+    """acc += c * v in place, for the vector v with nonzero ``terms``."""
+    for k, x in terms:
+        p = c * x
+        acc[k] = acc[k] + p if acc[k] else p
 
 
 def is_zero_vec(u: Vec) -> bool:
@@ -84,7 +96,7 @@ class Matrix:
     True
     """
 
-    __slots__ = ("rows", "nrows", "ncols", "_cols")
+    __slots__ = ("rows", "nrows", "ncols", "_cols", "_col_terms")
 
     def __init__(
         self, rows: Iterable[Iterable], ncols: Optional[int] = None
@@ -94,6 +106,7 @@ class Matrix:
             for row in rows
         )
         self._cols: Optional[tuple[Vec, ...]] = None
+        self._col_terms: Optional[tuple[Terms, ...]] = None
         self.nrows = len(self.rows)
         if self.rows:
             self.ncols = len(self.rows[0])
@@ -186,14 +199,14 @@ class Matrix:
 
     def apply(self, v: Vec) -> Vec:
         """Matrix times column vector: the columns at the nonzero entries
-        of v, scaled and summed over their own nonzero entries."""
+        of v, scaled and summed over their ``column_terms``."""
         if len(v) != self.ncols:
             raise ValueError("shape mismatch")
-        cols = self.columns()
+        terms = self.column_terms()
         acc = [ZERO] * self.nrows
         for j, c in enumerate(v):
             if c:
-                add_scaled(acc, c, cols[j])
+                add_terms(acc, c, terms[j])
         return tuple(acc)
 
     def transpose(self) -> "Matrix":
@@ -212,6 +225,14 @@ class Matrix:
                 tuple(zip(*self.rows)) if self.rows else ((),) * self.ncols
             )
         return self._cols
+
+    def column_terms(self) -> tuple[Terms, ...]:
+        """The nonzero entries (u, x) of every column, in ascending row u;
+        one (possibly empty) term list per column, cached like
+        :meth:`columns`."""
+        if self._col_terms is None:
+            self._col_terms = tuple(terms_of(col) for col in self.columns())
+        return self._col_terms
 
     def rref(self) -> tuple["Matrix", list[int]]:
         reduced, pivots = _rref(self.rows)
@@ -295,24 +316,7 @@ def kernel_by_blocks(
     the kernel vector that is 1 at f and 0 at every other free column, and
     f is its last nonzero column.
     """
-    live = [
-        r for r in ({c: x for c, x in row.items() if x} for row in rows) if r
-    ]
-    forced_zero: set[int] = set()
-    forced = {next(iter(r)) for r in live if len(r) == 1}
-    while forced:
-        forced_zero |= forced
-        live = [
-            r
-            for r in (
-                {c: x for c, x in row.items() if c not in forced}
-                if forced.intersection(row)
-                else row
-                for row in live
-            )
-            if r
-        ]
-        forced = {next(iter(r)) for r in live if len(r) == 1}
+    forced_zero, live = _strike_forced(rows)
 
     parent = list(range(ncols))
 
@@ -349,6 +353,36 @@ def kernel_by_blocks(
             kernel.append((max(coords), coords))
     kernel.sort(key=lambda item: item[0])
     return [coords for _, coords in kernel]
+
+
+def _strike_forced(
+    rows: Iterable[dict[int, Fraction]],
+) -> tuple[set[int], list[dict[int, Fraction]]]:
+    """The columns that one-entry rows force to zero, and the nonzero rows
+    left once those columns are struck, in their given order.
+
+    One worklist pass over a column -> rows index: striking a forced
+    column touches only the rows that hold it, and a row it leaves with
+    one entry puts that entry's column on the worklist.  On return no row
+    has exactly one entry and none holds a forced column.
+    """
+    live = [{c: x for c, x in row.items() if x} for row in rows]
+    holders: dict[int, list[dict[int, Fraction]]] = {}
+    for row in live:
+        for c in row:
+            holders.setdefault(c, []).append(row)
+    work = [next(iter(row)) for row in live if len(row) == 1]
+    forced: set[int] = set()
+    while work:
+        c = work.pop()
+        if c in forced:
+            continue
+        forced.add(c)
+        for row in holders[c]:
+            del row[c]
+            if len(row) == 1:
+                work.append(next(iter(row)))
+    return forced, [row for row in live if row]
 
 
 class EchelonBasis:

@@ -1,9 +1,13 @@
-"""Dense linear-algebra oracles for the tests.
+"""Dense oracles for the tests.
 
 The library decides span membership and rank with ``linalg.EchelonBasis``
 and solves no dense system.  These are the slow, plainly correct versions
 the tests hold it against: every answer comes from one RREF of a dense
 matrix, augmented for the solves.
+
+The derivation predicates read term tables; ``bracket_defect``,
+``commutes_with_maps`` and ``is_homogeneous`` evaluate the same identities
+on dense columns and dense twisted product tables, testing every entry.
 
 >>> from bihomlie.linalg import vec
 >>> solve_many(Matrix([[1, 0], [0, 0]]), [vec([5, 0]), vec([0, 1])])
@@ -17,6 +21,7 @@ matrix, augmented for the solves.
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from bihomlie.algebra import ColourAlgebra
 from bihomlie.linalg import Matrix, Vec, is_zero_vec
 
 
@@ -64,3 +69,91 @@ def in_span(vectors: Sequence[Vec], v: Vec) -> bool:
 def spans_equal(a: Sequence[Vec], b: Sequence[Vec]) -> bool:
     """Mutual containment of two spans (exact, basis-independent)."""
     return all(in_span(a, v) for v in b) and all(in_span(b, u) for u in a)
+
+
+def add_scaled(acc: list, c: Fraction, v: Vec) -> None:
+    """acc += c * v in place, over the nonzero entries of v."""
+    for k, x in enumerate(v):
+        if x:
+            p = c * x
+            acc[k] = acc[k] + p if acc[k] else p
+
+
+def dense_twisted(a: ColourAlgebra, k: int, l: int) -> tuple:
+    """The dense twisted product tables [e_t, M e_j] at [t][j] and
+    [M e_i, e_t] at [i][t], M = alpha^k beta^l."""
+    return a.twisted_products(k, l, right=True), a.twisted_products(k, l)
+
+
+def bracket_defect(
+    a: ColourAlgebra,
+    gamma,
+    twisted: tuple,
+    d_value: Optional[Matrix],
+    d_left: Optional[Matrix],
+    d_right: Optional[Matrix],
+    right_sign: Fraction = Fraction(1),
+) -> Optional[tuple[int, int, Vec]]:
+    """First basis pair (i, j) violating
+    value([x,y]) = [left(x), M y] + s*eps(g,x)[M x, right(y)],
+    with its defect, on dense columns and the dense tables of
+    :func:`dense_twisted`."""
+    n = a.dim
+    g = a.basis.group.reduce(gamma)
+    terms = a.product_terms()
+    left, right = twisted
+    vcols = d_value.columns() if d_value is not None else None
+    lcols = d_left.columns() if d_left is not None else None
+    rcols = d_right.columns() if d_right is not None else None
+    for i in range(n):
+        w = right_sign * Fraction(a.eps.eval(g, a.degree(i)))
+        for j in range(n):
+            acc = [Fraction(0)] * n
+            if vcols is not None:
+                for t, c in terms[i][j]:
+                    add_scaled(acc, c, vcols[t])
+            if lcols is not None:
+                for t, x in enumerate(lcols[i]):
+                    if x:
+                        add_scaled(acc, -x, left[t][j])
+            if rcols is not None:
+                for t, x in enumerate(rcols[j]):
+                    if x:
+                        add_scaled(acc, -(w * x), right[i][t])
+            if any(acc):
+                return i, j, tuple(acc)
+    return None
+
+
+def commutes_with_maps(
+    a: ColourAlgebra, m: Matrix, with_beta: bool = True
+) -> bool:
+    """m M = M m for M = alpha (and beta), on dense columns."""
+    mcols = m.columns()
+    for M in (a.alpha, a.beta) if with_beta else (a.alpha,):
+        Mcols = M.columns()
+        for j in range(a.dim):
+            acc = [Fraction(0)] * a.dim
+            for t, x in enumerate(Mcols[j]):
+                if x:
+                    add_scaled(acc, x, mcols[t])
+            for t, x in enumerate(mcols[j]):
+                if x:
+                    add_scaled(acc, -x, Mcols[t])
+            if any(acc):
+                return False
+    return True
+
+
+def is_homogeneous(a: ColourAlgebra, matrix: Matrix, gamma) -> bool:
+    """Every entry of the matrix, zero or not, tested against the degree
+    block pattern."""
+    group = a.basis.group
+    g = group.reduce(gamma)
+    degrees = a.basis.degrees
+    image = [group.add(d, g) for d in degrees]
+    return all(
+        not x or degrees[u] == image[t]
+        for u, row in enumerate(matrix.rows)
+        for t, x in enumerate(row)
+    )

@@ -6,17 +6,23 @@ and builders they share.
 """
 
 from fractions import Fraction
+from pathlib import Path
 
+from bihomlie.alg_io import parse_algebra
 from bihomlie.algebra import ColourAlgebra
+from bihomlie.cohomology import adjoint_rep
 from bihomlie.constructions import (
     build_osp12,
     commutator_algebra,
     mat2_assoc,
     yau_twist,
+    z2z2_colour_example,
 )
 from bihomlie.grading import GradedBasis, GradingGroup, super_bicharacter
 from bihomlie.linalg import Matrix
 from bihomlie.multipliers import MultiplierTable
+
+DATA = Path(__file__).resolve().parent.parent / "src" / "bihomlie" / "data"
 
 # the names of lie_corpus(), whose algebras are built inside the tests
 LIE_CORPUS = (
@@ -86,6 +92,38 @@ def gl22_twist() -> ColourAlgebra:
     """gl(2|2) Yau-twisted by the diagonal conjugations with (1, 2, 3, 5)
     and (1, 7, 11, 13)."""
     return gl_twist((0, 0, 1, 1), (1, 2, 3, 5), (1, 7, 11, 13))
+
+
+def matrix_conjugation(g, ginv) -> Matrix:
+    """x -> g x g^-1 on k x k matrices, in the basis E11, E12, ..., Ekk."""
+    units = [(i, j) for i in range(len(g)) for j in range(len(g))]
+    cols = [
+        [g[k][i] * ginv[j][l] for k, l in units] for i, j in units
+    ]
+    return Matrix.from_cols(cols)
+
+
+def gl2_conjugation_twist() -> ColourAlgebra:
+    """gl(2) twisted by conjugation with [[1,1],[0,1]] and its square:
+    structure maps with several nonzero entries per column."""
+    alpha = matrix_conjugation([[1, 1], [0, 1]], [[1, -1], [0, 1]])
+    beta = matrix_conjugation([[1, 2], [0, 1]], [[1, -2], [0, 1]])
+    return yau_twist(commutator_algebra(mat2_assoc()), alpha, beta)
+
+
+def shipped_osp12_twist() -> ColourAlgebra:
+    with open(DATA / "osp12_twist_2_3.alg", encoding="utf-8") as fh:
+        return parse_algebra(fh.read())
+
+
+# name -> builder of an adjoint module of a twisted algebra
+TWISTED = {
+    "osp12_twist_ad01": lambda: adjoint_rep(build_osp12(2, 3), 0, 1),
+    "osp12_twist_ad10": lambda: adjoint_rep(build_osp12(2, 3), 1, 0),
+    "osp12_twist_2_3.alg": lambda: adjoint_rep(shipped_osp12_twist(), 0, 1),
+    "gl2_conjugation_twist": lambda: adjoint_rep(gl2_conjugation_twist(), -1, 2),
+    "z2z2_colour": lambda: adjoint_rep(z2z2_colour_example(), 0, 1),
+}
 
 
 def conj(c) -> Matrix:

@@ -31,7 +31,7 @@ from bihomlie.grading import (
     super_bicharacter,
 )
 from bihomlie.linalg import Matrix
-from fixtures import LIE_CORPUS
+from fixtures import LIE_CORPUS, gl2_conjugation_twist
 
 
 def test_lie_suite_passes_on_classical_osp():
@@ -283,6 +283,7 @@ ORACLE_ALGEBRAS = {
     **{name: (lambda name=name: dict(lie_corpus())[name]) for name in LIE_CORPUS},
     "mat2_assoc": mat2_assoc,
     "inflated_twist": inflated_twist,
+    "gl2_conjugation_twist": gl2_conjugation_twist,
     "broken_skew": lambda: _super_algebra({(0, 1): {1: 1}, (1, 0): {1: 1}}),
     "odd_product": lambda: _super_algebra({(0, 0): {1: 1}}),
 }
@@ -317,6 +318,26 @@ def test_sparse_evaluation_matches_the_dense_oracle(name):
                 got = jacobiator(a, i, j, k)
                 assert got == jacobiator_oracle(a, i, j, k)
                 assert all(isinstance(c, Fraction) for c in got)
+
+
+def _terms(v):
+    return tuple((u, c) for u, c in enumerate(v) if c)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
+def test_term_tables_hold_the_nonzero_entries_of_their_products(name):
+    a = ORACLE_ALGEBRAS[name]()
+    alpha, beta = a.alpha.columns(), a.beta.columns()
+    assert a.skew_terms() == tuple(
+        tuple(_terms(product_eval_oracle(a, bi, aj)) for aj in alpha)
+        for bi in beta
+    )
+    for ka, kb in ((1, 0), (0, 1), (0, 2)):
+        for right in (False, True):
+            table = a.twisted_products(ka, kb, right=right)
+            assert a.twisted_terms(ka, kb, right=right) == tuple(
+                tuple(_terms(v) for v in row) for row in table
+            )
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))

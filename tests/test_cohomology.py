@@ -2,12 +2,10 @@
 
 from fractions import Fraction
 from itertools import product as iproduct
-from pathlib import Path
 from random import Random
 
 import pytest
 
-from bihomlie.alg_io import parse_algebra
 from bihomlie.cohomology import (
     DEFAULT_PREFACTOR,
     PREFACTOR_CONVENTIONS,
@@ -48,10 +46,16 @@ from bihomlie.linalg import (
     vzero,
 )
 from dense_oracles import solve_many, spans_equal
-from fixtures import LIE_CORPUS, gl21_twist, gl21_units, gl22_twist
+from fixtures import (
+    LIE_CORPUS,
+    TWISTED,
+    gl21_twist,
+    gl21_units,
+    gl22_twist,
+    matrix_conjugation,
+)
 
 F = Fraction
-DATA = Path(__file__).resolve().parent.parent / "src" / "bihomlie" / "data"
 
 
 def twist_rep(s=0, l=1):
@@ -503,23 +507,6 @@ def coboundary_oracle(rep, r, f, prefactor):
     return Cochain(n + 1, gamma, out_vals, rep.dimV)
 
 
-def _conjugation(g, ginv):
-    """x -> g x g^-1 on k x k matrices, in the basis E11, E12, ..., Ekk."""
-    units = [(i, j) for i in range(len(g)) for j in range(len(g))]
-    cols = [
-        [g[k][i] * ginv[j][l] for k, l in units] for i, j in units
-    ]
-    return Matrix.from_cols(cols)
-
-
-def gl2_conjugation_twist():
-    """gl(2) twisted by conjugation with [[1,1],[0,1]] and its square:
-    structure maps with several nonzero entries per column."""
-    alpha = _conjugation([[1, 1], [0, 1]], [[1, -1], [0, 1]])
-    beta = _conjugation([[1, 2], [0, 1]], [[1, -2], [0, 1]])
-    return yau_twist(commutator_algebra(mat2_assoc()), alpha, beta)
-
-
 def gl21_unipotent_twist():
     """gl(2|1) twisted by conjugation with the even unipotent matrices
     1 + E12 and 1 + 2 E12: a nine-dimensional algebra whose beta columns
@@ -529,23 +516,9 @@ def gl21_unipotent_twist():
 
     return yau_twist(
         commutator_algebra(gl21_units()),
-        _conjugation(unipotent(1), unipotent(-1)),
-        _conjugation(unipotent(2), unipotent(-2)),
+        matrix_conjugation(unipotent(1), unipotent(-1)),
+        matrix_conjugation(unipotent(2), unipotent(-2)),
     )
-
-
-def shipped_osp12_twist():
-    with open(DATA / "osp12_twist_2_3.alg", encoding="utf-8") as fh:
-        return parse_algebra(fh.read())
-
-
-TWISTED = {
-    "osp12_twist_ad01": lambda: adjoint_rep(build_osp12(2, 3), 0, 1),
-    "osp12_twist_ad10": lambda: adjoint_rep(build_osp12(2, 3), 1, 0),
-    "osp12_twist_2_3.alg": lambda: adjoint_rep(shipped_osp12_twist(), 0, 1),
-    "gl2_conjugation_twist": lambda: adjoint_rep(gl2_conjugation_twist(), -1, 2),
-    "z2z2_colour": lambda: adjoint_rep(z2z2_colour_example(), 0, 1),
-}
 
 
 def _dense_cochain(rep, n, gamma, seed):
@@ -794,7 +767,7 @@ def gl2_one_sided_twist(side):
     or beta (side 1) and the identity as the other map: the alpha- and
     beta-preimages of a tuple differ."""
     maps = [Matrix.identity(4)] * 2
-    maps[side] = _conjugation([[1, 1], [0, 1]], [[1, -1], [0, 1]])
+    maps[side] = matrix_conjugation([[1, 1], [0, 1]], [[1, -1], [0, 1]])
     return yau_twist(commutator_algebra(mat2_assoc()), *maps)
 
 

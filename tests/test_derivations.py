@@ -1,6 +1,8 @@
 """Derivation-type solution spaces and the product on their members."""
 
 from fractions import Fraction
+from itertools import product as iproduct
+from random import Random
 
 import pytest
 
@@ -23,9 +25,11 @@ from bihomlie.derivations import (
     derivation_space,
     generalized_derivation_space,
     inner_derivation_space,
+    is_centroid_member,
     is_derivation,
     is_generalized_triple,
     is_homogeneous_endo,
+    is_quasi_centroid_member,
     is_quasi_derivation_pair,
     jordan_closure,
     jordan_product,
@@ -33,8 +37,15 @@ from bihomlie.derivations import (
     quasi_derivation_space,
 )
 from bihomlie.linalg import Matrix
-from dense_oracles import in_span, spans_equal
-from fixtures import LIE_CORPUS, gl21_twist
+from dense_oracles import (
+    bracket_defect,
+    commutes_with_maps,
+    dense_twisted,
+    in_span,
+    is_homogeneous,
+    spans_equal,
+)
+from fixtures import LIE_CORPUS, TWISTED, gl21_twist
 
 F = Fraction
 
@@ -595,3 +606,106 @@ def test_echelon_span_keeps_the_members_the_dense_oracle_keeps(name):
         assert (item.passed, item.note) == closure_item_oracle(
             small, a.eps, sign
         )
+
+
+# ---------------------------------------------------------------------------
+# the predicates read term tables; the dense evaluation of dense_oracles
+# must give every verdict and every first failure they give
+
+# kind -> the library predicate on one solution tuple
+PREDICATES = {
+    "derivation": is_derivation,
+    "quasi_derivation": is_quasi_derivation_pair,
+    "generalized_derivation": is_generalized_triple,
+    "centroid": is_centroid_member,
+    "quasi_centroid": is_quasi_centroid_member,
+}
+
+PREDICATE_ALGEBRAS = {
+    "gl21_twist": gl21_twist,
+    **{name: (lambda name=name: TWISTED[name]().algebra) for name in TWISTED},
+}
+
+
+def bracket_args(members, cond):
+    """The (value, left, right[, sign]) arguments of one bracket condition
+    for a solution tuple."""
+    return [None if s is None else members[s].matrix for s in cond[:3]] + list(
+        cond[3:]
+    )
+
+
+def assert_predicates_match_dense(a, k, l, kind, strict, members):
+    """Every check of ``kind`` on ``members`` against the dense oracles:
+    each bracket condition's first failing (i, j) and defect, commutation
+    with the maps and homogeneity of each member, and the verdict."""
+    _, _, conditions, _ = SOLVER_KINDS[kind]
+    degree = members[0].degree
+    want_ok = True
+    for cond in conditions:
+        args = bracket_args(members, cond)
+        want = bracket_defect(a, degree, dense_twisted(a, k, l), *args)
+        assert dv._bracket_defect(a, degree, dv._twisted(a, k, l), *args) == want
+        want_ok = want_ok and want is None
+    for e in members:
+        for with_beta in (False, True):
+            want = commutes_with_maps(a, e.matrix, with_beta)
+            assert dv._commutes_with_maps(a, e.matrix, with_beta) == want
+        want_ok = want_ok and commutes_with_maps(a, e.matrix, not strict)
+        homogeneous = is_homogeneous(a, e.matrix, e.degree)
+        assert is_homogeneous_endo(a, e.matrix, e.degree) == homogeneous
+        want_ok = want_ok and homogeneous
+    extra = {"strict": True} if strict else {}
+    verdict = PREDICATES[kind](a, k, l, *members, **extra)
+    assert verdict == want_ok
+    return verdict
+
+
+def changed_entry(e, u, t, delta):
+    rows = [list(row) for row in e.matrix.rows]
+    rows[u][t] += delta
+    return HomEndo(Matrix(rows), e.degree)
+
+
+@pytest.mark.parametrize("name", sorted(PREDICATE_ALGEBRAS))
+def test_predicates_match_the_dense_oracles(name):
+    a = PREDICATE_ALGEBRAS[name]()
+    group = a.basis.group
+    rng = Random(name)
+    degrees = sorted(
+        {group.sub(du, dt) for du in a.basis.degrees for dt in a.basis.degrees}
+    )
+    verdicts = []
+    for k, l in ((0, 0), (1, 1)):
+        for gamma in degrees:
+            inside = dv._block_slots(a, gamma)
+            outside = sorted(
+                set(iproduct(range(a.dim), repeat=2)).difference(inside)
+            )
+            for kind, (solver, _, _, has_strict) in SOLVER_KINDS.items():
+                for strict in (False, True) if has_strict else (False,):
+                    extra = {"strict": True} if strict else {}
+                    for entry in solver(a, k, l, gamma, **extra).basis:
+                        members = entry if isinstance(entry, tuple) else (entry,)
+                        verdicts.append(
+                            assert_predicates_match_dense(
+                                a, k, l, kind, strict, members
+                            )
+                        )
+                        # one entry of one member changed, inside the degree
+                        # block and outside it
+                        for slots in (inside, outside):
+                            if not slots:
+                                continue
+                            m = rng.randrange(len(members))
+                            u, t = rng.choice(slots)
+                            changed = list(members)
+                            changed[m] = changed_entry(
+                                members[m], u, t, F(rng.choice((1, -2)), 3)
+                            )
+                            verdicts.append(
+                                assert_predicates_match_dense(
+                                    a, k, l, kind, strict, changed
+                                )
+                            )
+    assert True in verdicts and False in verdicts

@@ -21,6 +21,7 @@ from bihomlie.alg_io import (
     parse_omega,
     serialize_algebra,
 )
+from bihomlie import cli
 from bihomlie.cli import run_cli
 from bihomlie.constructions import CORPUS_NAMES, build_osp12, corpus
 from bihomlie.grading import parse_group
@@ -296,6 +297,23 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli([]) == 2
     assert run_cli(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+def test_the_parser_is_built_once_and_each_call_parses_afresh(capsys):
+    parser = cli._parser()
+    assert cli._parser() is parser
+    path = data_path("osp12_twist_2_3.alg")
+    strict = parser.parse_args(
+        ["derivations", path, "--kind", "centroid", "--strict"]
+    )
+    plain = parser.parse_args(["derivations", path, "--kind", "der"])
+    assert (strict.kind, strict.strict) == ("centroid", True)
+    assert (plain.kind, plain.strict, plain.degree) == ("der", False, None)
+    assert plain.func is cli._cmd_derivations
+    # a usage error leaves the shared parser fit for the next call
+    assert run_cli(["frobnicate"]) == 2
+    assert run_cli(["check", path]) == 0
+    assert "PASS" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("name", DATA_FILES)

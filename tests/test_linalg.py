@@ -14,6 +14,8 @@ from bihomlie.linalg import (
     EchelonBasis,
     Matrix,
     Vec,
+    _strike_forced,
+    add_terms,
     is_zero_vec,
     kernel_by_blocks,
     vadd,
@@ -76,6 +78,29 @@ def test_transpose_of_a_matrix_without_columns_keeps_its_rows():
 
 def test_columns_of_a_matrix_without_rows_are_empty_vectors():
     assert Matrix.zero(0, 3).columns() == ((), (), ())
+
+
+def test_column_terms_of_matrices_without_rows_or_columns():
+    assert Matrix.zero(0, 3).column_terms() == ((), (), ())
+    assert Matrix.from_cols([(), ()]).column_terms() == ((), ())
+    assert Matrix.zero(3, 0).column_terms() == ()
+    assert Matrix([]).column_terms() == ()
+    assert Matrix.zero(0, 3).apply(vec([1, 2, 3])) == ()
+    assert Matrix.zero(3, 0).apply(()) == vec([0, 0, 0])
+
+
+def test_column_terms_are_the_nonzero_entries_of_each_column():
+    m = Matrix([[0, 2, 0], [-1, 0, 0], [3, Fraction(1, 2), 0]])
+    F = Fraction
+    assert m.column_terms() == (
+        ((1, F(-1)), (2, F(3))),
+        ((0, F(2)), (2, F(1, 2))),
+        (),
+    )
+    assert m.column_terms() is m.column_terms()
+    acc = [F(0), F(1), F(0)]
+    add_terms(acc, F(-2), m.column_terms()[0])
+    assert acc == [F(0), F(3), F(-6)]
 
 
 def test_matrices_without_rows_differ_by_their_width():
@@ -348,3 +373,88 @@ def test_block_kernel_on_hand_built_blocks():
         {0: Fraction(2), 3: Fraction(1)},
         {4: Fraction(1)},
     ]
+
+
+def strike_in_rounds(rows):
+    """The forced-zero strike the plain way: strike every column of a
+    one-entry row from every row, and repeat until no row has one entry."""
+    live = [{c: x for c, x in row.items() if x} for row in rows]
+    live = [row for row in live if row]
+    forced = set()
+    while True:
+        new = {next(iter(r)) for r in live if len(r) == 1}
+        if not new:
+            return forced, live
+        forced |= new
+        live = [{c: x for c, x in row.items() if c not in new} for row in live]
+        live = [row for row in live if row]
+
+
+def assert_strike_and_kernel(rows, ncols):
+    snapshot = [dict(row) for row in rows]
+    forced, live = _strike_forced(rows)
+    assert (forced, live) == strike_in_rounds(rows)
+    assert all(len(row) > 1 and not forced.intersection(row) for row in live)
+    got = [_as_dense(v, ncols) for v in kernel_by_blocks(rows, ncols)]
+    assert got == Matrix(_dense_rows(rows, ncols), ncols).kernel_basis()
+    assert rows == snapshot  # the caller's rows are left alone
+
+
+def test_strike_follows_a_cascade_to_an_empty_row():
+    F = Fraction
+    # {4} forces 4; then {3, 4} is left with 3, {2, 3} with 2, {1, 2} with
+    # 1 and {0, 1} with 0, and {0, 2} ends empty.  Listed in reverse, so
+    # every step of the cascade waits for the row after it.
+    rows = [
+        {0: F(1), 2: F(7)},
+        {0: F(-1), 1: F(1)},
+        {1: F(2), 2: F(3)},
+        {2: F(1, 2), 3: F(-1)},
+        {3: F(5), 4: F(1)},
+        {5: F(1), 6: F(-1)},
+        {4: F(2)},
+    ]
+    assert _strike_forced(rows) == ({0, 1, 2, 3, 4}, [{5: F(1), 6: F(-1)}])
+    assert_strike_and_kernel(rows, 8)
+    assert kernel_by_blocks(rows, 8) == [
+        {5: F(1), 6: F(1)},
+        {7: F(1)},
+    ]
+
+
+@st.composite
+def _cascades(draw):
+    """Sparse systems built around strike cascades: a chain of rows in
+    which each row holds the columns forced before it plus one new
+    column, so that the strike forces the chain one column at a time, and
+    rows over forced columns only, which end empty; with noise rows, zero
+    values and shuffled rows."""
+    ncols = draw(st.integers(min_value=1, max_value=12))
+    values = st.integers(min_value=-3, max_value=3).filter(bool).map(Fraction)
+    order = draw(st.permutations(range(ncols)))
+    length = draw(st.integers(min_value=1, max_value=ncols))
+    chain, rows = order[:length], []
+    for k, col in enumerate(chain):
+        earlier = draw(
+            st.lists(st.sampled_from(chain[:k]), max_size=3, unique=True)
+            if k
+            else st.just([])
+        )
+        row = {c: draw(values) for c in earlier}
+        row[col] = draw(values)
+        rows.append(row)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        used = draw(st.lists(st.sampled_from(order), max_size=4, unique=True))
+        rows.append({c: draw(values) for c in used})
+    if draw(st.booleans()):
+        rows.append({c: draw(values) for c in chain[:2]})  # ends empty
+    for row in rows:
+        if row and draw(st.integers(0, 3)) == 0:
+            row[draw(st.sampled_from(sorted(row)))] = Fraction(0)
+    return draw(st.permutations(rows)), ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cascades())
+def test_strike_on_cascades_matches_rounds_and_the_dense_kernel(system):
+    assert_strike_and_kernel(*system)
