@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from itertools import product as iproduct
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .algebra import (
     AxiomReport,
@@ -36,6 +36,7 @@ from .grading import GradedBasis, GroupElement
 from .linalg import (
     Matrix,
     Vec,
+    add_terms,
     is_zero_vec,
     kernel_by_blocks,
     vadd,
@@ -62,11 +63,16 @@ class Representation:
     constructor only checks shapes and group consistency; the module axioms
     are the business of :func:`validate_representation`.
 
-    A module memoizes its cochain complex: each cochain basis under
-    (n, degree), and the coboundary's tables and unit-slot images under
-    (n, r, degree, prefactor) (see :func:`cochain_basis` and
-    :func:`apply_coboundary`).  Repeated queries on one module reuse them;
-    the module must not be changed after its first query.
+    A module memoizes its cochain complex.  Per arity n it keeps the
+    tables that depend on neither the degree nor r: the canonical n-tuples
+    grouped by degree, each tuple's alpha and beta pull-back terms, and
+    per prefactor convention the bracket and action terms by which a
+    tuple enters the coboundary.  Per (n, degree) it keeps the cochain
+    basis, and per (n, r, degree, prefactor) the unit-slot images of the
+    coboundary and the rank of its matrix (see :func:`cochain_basis`,
+    :func:`apply_coboundary` and :func:`cohomology_dims`).  Repeated
+    queries on one module reuse them; the module must not be changed
+    after its first query.
     """
 
     __slots__ = (
@@ -76,8 +82,10 @@ class Representation:
         "alphaV",
         "betaV",
         "_actions",
+        "_arities",
         "_bases",
         "_coboundaries",
+        "_ranks",
     )
 
     def __init__(
@@ -106,20 +114,27 @@ class Representation:
         self.alphaV = alphaV
         self.betaV = betaV
         self._actions: dict[int, tuple[Matrix, ...]] = {}
-        self._bases: dict[tuple, tuple[frozenset, tuple[Cochain, ...]]] = {}
+        self._arities: dict[int, _Arity] = {}
+        self._bases: dict[tuple, _Space] = {}
         self._coboundaries: dict[tuple, _Coboundary] = {}
+        self._ranks: dict[tuple, int] = {}
 
     @property
     def dimV(self) -> int:
         return len(self.space)
 
     def rho_of(self, x: Vec) -> Matrix:
-        """Action matrix of an arbitrary algebra element."""
-        out = Matrix.zero(self.dimV, self.dimV)
+        """Action matrix of an arbitrary algebra element: the column terms
+        of each rho(e_i) scaled by x_i, summed into one matrix."""
+        d = self.dimV
+        rows = [[_ZERO] * d for _ in range(d)]
         for c, m in zip(x, self.rho):
             if c:
-                out = out + m.scale(c)
-        return out
+                c = Fraction(c)
+                for j, terms in enumerate(m.column_terms()):
+                    for u, y in terms:
+                        rows[u][j] += c * y
+        return Matrix._of_rows(rows, d)
 
     def act(self, x: Vec, v: Vec) -> Vec:
         return self.rho_of(x).apply(v)
@@ -429,6 +444,24 @@ class Cochain:
                 kept[tuple(key)] = v
         self.values = kept
 
+    @classmethod
+    def _of(
+        cls,
+        n: int,
+        degree: GroupElement,
+        values: dict[tuple[int, ...], Vec],
+        dimV: int,
+    ) -> "Cochain":
+        """The cochain on values the library built: canonical n-tuples
+        mapped to nonzero tuples of dimV Fractions.  Unlike the public
+        constructor it neither converts nor checks a value."""
+        f = cls.__new__(cls)
+        f.n = n
+        f.degree = degree
+        f.values = values
+        f.dimV = dimV
+        return f
+
     def is_zero(self) -> bool:
         return not self.values
 
@@ -508,30 +541,72 @@ def _tuple_degree(a: ColourAlgebra, idx: Sequence[int]) -> GroupElement:
     return a.basis.group.sum(a.degree(i) for i in idx)
 
 
+class _Arity:
+    """The tables of arity n on one module that depend on neither the
+    degree gamma nor r, shared by every (gamma, r, prefactor) query:
+
+    * ``by_degree``: the canonical n-tuples grouped by their degree, each
+      group in lexicographic order;
+    * ``pullbacks``: for a canonical tuple T, its alpha and beta pull-back
+      terms (see :func:`_pullbacks`), filled on first use;
+    * ``reach``: for (prefactor, T), the terms by which T enters the
+      coboundary (see :func:`_reach`), filled on first use.
+    """
+
+    __slots__ = ("by_degree", "pullbacks", "reach")
+
+    def __init__(self, a: ColourAlgebra, n: int) -> None:
+        group, degs = a.basis.group, a.basis.degrees
+        zero = group.zero()
+        by_degree: dict[GroupElement, list[tuple[int, ...]]] = {}
+        for T in canonical_index_tuples(a, n):
+            # the coordinate sums of zero and the entries' degrees,
+            # reduced once
+            d = group.reduce(map(sum, zip(zero, *(degs[i] for i in T))))
+            by_degree.setdefault(d, []).append(T)
+        self.by_degree = by_degree
+        self.pullbacks: dict[tuple[int, ...], tuple] = {}
+        self.reach: dict[tuple, tuple] = {}
+
+
+def _arity(rep: Representation, n: int) -> _Arity:
+    hit = rep._arities.get(n)
+    if hit is None:
+        hit = rep._arities[n] = _Arity(rep.algebra, n)
+    return hit
+
+
 def _slots(
     rep: Representation, n: int, gamma: GroupElement
 ) -> list[tuple[tuple[int, ...], int]]:
-    """Coordinate slots (canonical tuple, V index) of degree-gamma cochains."""
-    a = rep.algebra
-    g = a.basis.group.reduce(gamma)
-    out = []
-    for T in canonical_index_tuples(a, n):
-        target = a.basis.group.add(g, _tuple_degree(a, T))
-        for w, e in enumerate(rep.space.degrees):
-            if e == target:
-                out.append((T, w))
-    return out
+    """Coordinate slots (canonical tuple, V index) of degree-gamma cochains,
+    in lexicographic order: the tuples of degree e - gamma for each degree
+    e of V, each with the V indices of degree e."""
+    group = rep.algebra.basis.group
+    g = group.reduce(gamma)
+    by_degree = _arity(rep, n).by_degree
+    on: dict[GroupElement, list[int]] = {}
+    for w, e in enumerate(rep.space.degrees):
+        on.setdefault(e, []).append(w)
+    hits = sorted(
+        (T, ws)
+        for e, ws in on.items()
+        for T in by_degree.get(group.sub(e, g), ())
+    )
+    return [(T, w) for T, ws in hits for w in ws]
 
 
 def realized_gammas(rep: Representation, n: int) -> list[GroupElement]:
-    """Degrees gamma for which the degree-gamma slot space is nonzero."""
-    a = rep.algebra
-    seen = set()
-    for T in canonical_index_tuples(a, n):
-        d = _tuple_degree(a, T)
-        for e in rep.space.degrees:
-            seen.add(a.basis.group.sub(e, d))
-    return sorted(seen)
+    """Degrees gamma for which the degree-gamma slot space is nonzero: e - d
+    over the distinct degrees e of V and d of the canonical n-tuples."""
+    group = rep.algebra.basis.group
+    return sorted(
+        {
+            group.sub(e, d)
+            for d in _arity(rep, n).by_degree
+            for e in set(rep.space.degrees)
+        }
+    )
 
 
 def _cochain_from_coords(
@@ -546,7 +621,18 @@ def _cochain_from_coords(
     for k, c in coords.items():
         T, w = slots[k]
         vals.setdefault(T, [_ZERO] * dimV)[w] = c
-    return Cochain(n, gamma, {T: vec(v) for T, v in vals.items()}, dimV)
+    return Cochain._of(n, gamma, {T: tuple(v) for T, v in vals.items()}, dimV)
+
+
+class _Space(NamedTuple):
+    """The degree-gamma n-cochain space of :func:`cochain_basis`: its slot
+    set, its basis, the column of each basis cochain's free slot, and each
+    basis cochain's nonzero entries as ((T, w), value)."""
+
+    slots: frozenset
+    basis: tuple[Cochain, ...]
+    free_column: dict[tuple, int]
+    terms: tuple[tuple, ...]
 
 
 def cochain_basis(
@@ -569,15 +655,55 @@ def cochain_basis(
     """
     if n < 0:
         return []
+    return list(_space(rep, n, gamma).basis)
+
+
+def _space(rep: Representation, n: int, gamma: GroupElement) -> _Space:
+    """The memoized cochain space of :func:`cochain_basis`, n >= 0."""
     g = rep.algebra.basis.group.reduce(gamma)
     hit = rep._bases.get((n, g))
     if hit is None:
         slots = _slots(rep, n, g)
-        hit = rep._bases[n, g] = (
-            frozenset(slots),
-            tuple(_solve_basis(rep, n, g, slots)),
+        basis = tuple(_solve_basis(rep, n, g, slots))
+        terms = tuple(
+            tuple(
+                ((T, w), c)
+                for T, val in f.values.items()
+                for w, c in enumerate(val)
+                if c
+            )
+            for f in basis
         )
-    return list(hit[1])
+        hit = rep._bases[n, g] = _Space(
+            frozenset(slots),
+            basis,
+            {max(slot for slot, _ in t): k for k, t in enumerate(terms)},
+            terms,
+        )
+    return hit
+
+
+def _pullbacks(a: ColourAlgebra, arity: _Arity, T: tuple[int, ...]) -> tuple:
+    """For m = alpha, then beta: the canonical tuples X and coefficients c
+    with f(m e_{T_1}, ..., m e_{T_n}) = sum of c f(X) for every cochain f,
+    as ((X, c), ...) in order of first appearance; memoized on ``arity``."""
+    hit = arity.pullbacks.get(T)
+    if hit is None:
+        out = []
+        for cols in (a.alpha.column_terms(), a.beta.column_terms()):
+            acc: dict[tuple[int, ...], Fraction] = {}
+            for combo in iproduct(*(cols[t] for t in T)):
+                coeff, canon = reduce_index_tuple(
+                    a, tuple(u for u, _ in combo)
+                )
+                if canon is None:
+                    continue
+                for _, c in combo:
+                    coeff *= c
+                acc[canon] = acc.get(canon, _ZERO) + coeff
+            out.append(tuple((X, c) for X, c in acc.items() if c))
+        hit = arity.pullbacks[T] = tuple(out)
+    return hit
 
 
 def _solve_basis(
@@ -590,37 +716,29 @@ def _solve_basis(
     if not slots:
         return []
     a = rep.algebra
+    arity = _arity(rep, n)
     # canonical tuple -> its slots (V index, column)
     slot_cols: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for k, (T, w) in enumerate(slots):
         slot_cols.setdefault(T, []).append((w, k))
 
-    maps = (
-        (a.alpha.column_terms(), rep.alphaV.column_terms()),
-        (a.beta.column_terms(), rep.betaV.column_terms()),
-    )
+    vmaps = (rep.alphaV.column_terms(), rep.betaV.column_terms())
     rows: list[dict[int, Fraction]] = []
     for T, own in slot_cols.items():
-        for acols, vcols in maps:
+        for pull, vcols in zip(_pullbacks(a, arity, T), vmaps):
             # row w: coefficients of the w-coordinate of
             # f(m e_{T_1}, ..., m e_{T_n}) - m_V f(e_{T_1}, ..., e_{T_n})
             by_w: dict[int, dict[int, Fraction]] = {}
-            for combo in iproduct(*(acols[t] for t in T)):
-                sign, canon = reduce_index_tuple(
-                    a, tuple(u for u, _ in combo)
-                )
-                if canon is None:
-                    continue
-                coeff = sign
-                for _, c in combo:
-                    coeff *= c
+            for canon, coeff in pull:
                 for w, k in slot_cols.get(canon, ()):
                     row = by_w.setdefault(w, {})
-                    row[k] = row.get(k, _ZERO) + coeff
+                    prev = row.get(k)
+                    row[k] = coeff if prev is None else prev + coeff
             for w, k in own:
                 for rrow, c in vcols[w]:
                     row = by_w.setdefault(rrow, {})
-                    row[k] = row.get(k, _ZERO) - c
+                    prev = row.get(k)
+                    row[k] = -c if prev is None else prev - c
             rows.extend(by_w.values())
 
     return [
@@ -742,7 +860,7 @@ class _Coboundary:
     coboundary is linear, so d f is the sum over f's nonzero slots of the
     slot's value times its unit image.  The images of the slots of one
     tuple T share the terms by which T enters the coboundary (see
-    :meth:`_reach`).
+    :func:`_reach`), which every degree and r of the arity shares too.
     """
 
     def __init__(
@@ -753,27 +871,16 @@ class _Coboundary:
         gamma: GroupElement,
         prefactor: str,
     ) -> None:
-        # Tables indexed by basis index: beta(e_i), the bracket
-        # [alpha^{-1}beta(e_i), e_j], the supports of both, the action
-        # matrices rho(alpha beta^{r+n-1}(e_i)), and the signs eps(e_i, e_j)
-        # and eps(gamma, e_i).
+        # the shared arity tables, the action matrices
+        # rho(alpha beta^{r+n-1}(e_i)) and the signs eps(gamma, e_i)
         a = rep.algebra
         self.n = n
-        self.gamma = gamma
-        self.beta = a.beta.columns()
-        self.beta_supp, self.beta_pre = a.beta_supports()
-        self.bracket = a.twisted_products(-1, 1) if n else ()
-        self.bracket_supp, self.bracket_pre = (
-            a.twisted_supports(-1, 1) if n else ({}, ())
-        )
+        self.prefactor = prefactor
+        self.arity = _arity(rep, n)
         self.action = rep.action_table(r + n - 1)
-        self.eps = a.eps_table()
         self.eps_gamma = [a.eps.eval(gamma, a.degree(i)) for i in range(a.dim)]
-        self.full = prefactor == "full"
-        # T -> the terms of :meth:`_reach`; (T, w) -> the unit image as
-        # (X, ((k, value), ...)) over its nonzero coordinates, in
-        # lexicographic order of X
-        self.reach: dict[tuple[int, ...], tuple] = {}
+        # (T, w) -> the unit image as (X, ((k, value), ...)) over its
+        # nonzero coordinates, in lexicographic order of X
         self.images: dict[tuple, tuple] = {}
 
     def image(
@@ -784,80 +891,95 @@ class _Coboundary:
         reference cycle)."""
         hit = self.images.get((T, w))
         if hit is None:
-            terms = self.reach.get(T)
+            key = (self.prefactor, T)
+            terms = self.arity.reach.get(key)
             if terms is None:
-                terms = self.reach[T] = self._reach(rep, T)
+                terms = self.arity.reach[key] = _reach(
+                    rep, self.n, T, self.prefactor == "full"
+                )
+            eps_gamma = self.eps_gamma
             unit = tuple(_ONE if k == w else _ZERO for k in range(rep.dimV))
             out = []
             for X, scalar, acts in terms:
                 total = [_ZERO] * rep.dimV
                 total[w] = scalar
                 for sign, xs in acts:
+                    plus = sign * eps_gamma[xs] == 1
                     for k, c in enumerate(self.action[xs].apply(unit)):
                         if c:
-                            total[k] += sign * c
+                            if not plus:
+                                c = -c
+                            y = total[k]
+                            total[k] = y + c if y else c
                 nonzero = tuple((k, x) for k, x in enumerate(total) if x)
                 if nonzero:
                     out.append((X, nonzero))
             hit = self.images[T, w] = tuple(out)
         return hit
 
-    def _reach(self, rep: Representation, T: tuple[int, ...]) -> tuple:
-        """How the value v = f(T) of a cochain f supported on the n-tuple T
-        alone enters d f: for each (n+1)-tuple X it can reach, in
-        lexicographic order, (X, s, acts) with
 
-            (d f)(X) = s v + sum over (sign, x) in acts of
-                       sign rho(alpha beta^{r+n-1}(e_x)) v.
+def _reach(
+    rep: Representation, n: int, T: tuple[int, ...], full: bool
+) -> tuple:
+    """How the value v = f(T) of an n-cochain f supported on the tuple T
+    alone enters d f: for each (n+1)-tuple X it can reach, in
+    lexicographic order, (X, s, acts) with
 
-        s collects the bracket terms, read off the scalar cochain 1 at T;
-        acts lists the action terms, whose other arguments sort to T.
-        """
-        n = self.n
-        beta, beta_supp = self.beta, self.beta_supp
-        bracket, bracket_supp = self.bracket, self.bracket_supp
-        eps, eps_gamma, full = self.eps, self.eps_gamma, self.full
-        unit = Cochain(n, self.gamma, {T: (_ONE,)}, 1)
-        # unit.eval only reaches tuples that permute T, so a term whose
-        # argument misses every index of T is zero and is skipped.
-        used = set(T)
-        out = []
-        for X in _reachable_tuples(
-            rep.algebra, (T,), self.beta_pre, self.bracket_pre
-        ):
-            scalar = _ZERO
-            for t in range(1, n + 1):
-                xt = X[t]
-                for s in range(t):
-                    if used.isdisjoint(bracket_supp[X[s], xt]) or any(
-                        used.isdisjoint(beta_supp[X[p]])
-                        for p in range(n + 1)
-                        if p != s and p != t
-                    ):
-                        continue
-                    w = -1 if t % 2 else 1
-                    for p in range(0 if full else s + 1, t):
-                        w *= eps[X[p]][xt]
-                    args = [
-                        bracket[X[s]][xt] if p == s else beta[X[p]]
-                        for p in range(n + 1)
-                        if p != t
-                    ]
-                    c = unit.eval(rep, args)[0]
-                    if c:
-                        scalar += w * c
-            acts = []
-            for s in range(n + 1):
-                if X[:s] + X[s + 1 :] != T:
+        (d f)(X) = s v + sum over (sign, x) in acts of
+                   sign eps(gamma, e_x) rho(alpha beta^{r+n-1}(e_x)) v.
+
+    s collects the bracket terms, read off the scalar cochain 1 at T under
+    the "full" convention if ``full`` and the default one otherwise; acts
+    lists the action terms, whose other arguments sort to T.  Neither
+    depends on gamma or r.
+    """
+    a = rep.algebra
+    beta = a.beta.columns()
+    beta_supp, beta_pre = a.beta_supports()
+    bracket = a.twisted_products(-1, 1) if n else ()
+    bracket_supp, bracket_pre = (
+        a.twisted_supports(-1, 1) if n else ({}, ())
+    )
+    eps = a.eps_table()
+    unit = Cochain._of(n, a.basis.group.zero(), {T: (_ONE,)}, 1)
+    # unit.eval only reaches tuples that permute T, so a term whose
+    # argument misses every index of T is zero and is skipped.
+    used = set(T)
+    out = []
+    for X in _reachable_tuples(a, (T,), beta_pre, bracket_pre):
+        scalar = _ZERO
+        for t in range(1, n + 1):
+            xt = X[t]
+            for s in range(t):
+                if used.isdisjoint(bracket_supp[X[s], xt]) or any(
+                    used.isdisjoint(beta_supp[X[p]])
+                    for p in range(n + 1)
+                    if p != s and p != t
+                ):
                     continue
-                xs = X[s]
-                w = -eps_gamma[xs] if s % 2 else eps_gamma[xs]
-                for p in range(s):
-                    w *= eps[X[p]][xs]
-                acts.append((w, xs))
-            if scalar or acts:
-                out.append((X, scalar, tuple(acts)))
-        return tuple(out)
+                w = -1 if t % 2 else 1
+                for p in range(0 if full else s + 1, t):
+                    w *= eps[X[p]][xt]
+                args = [
+                    bracket[X[s]][xt] if p == s else beta[X[p]]
+                    for p in range(n + 1)
+                    if p != t
+                ]
+                c = unit.eval(rep, args)[0]
+                if c:
+                    scalar += w * c
+        acts = []
+        for s in range(n + 1):
+            if X[:s] + X[s + 1 :] != T:
+                continue
+            xs = X[s]
+            w = -1 if s % 2 else 1
+            for p in range(s):
+                w *= eps[X[p]][xs]
+            acts.append((w, xs))
+        if scalar or acts:
+            out.append((X, scalar, tuple(acts)))
+    return tuple(out)
 
 
 def apply_coboundary(
@@ -908,10 +1030,14 @@ def apply_coboundary(
                 row = acc.get(X)
                 if row is None:
                     row = acc[X] = [_ZERO] * rep.dimV
-                for k, x in terms:
-                    row[k] += x if c == 1 else c * x
-    return Cochain(
-        n + 1, gamma, {X: tuple(acc[X]) for X in sorted(acc)}, rep.dimV
+                add_terms(row, c, terms)
+    # the sums are Fractions on canonical tuples of the right length, so
+    # only the rows that cancelled to zero are dropped
+    return Cochain._of(
+        n + 1,
+        gamma,
+        {X: tuple(acc[X]) for X in sorted(acc) if any(acc[X])},
+        rep.dimV,
     )
 
 
@@ -932,29 +1058,29 @@ def coboundary_matrix(
 
     The coordinates of an image are its values at the free slots of the
     codomain basis (see :func:`cochain_basis`); the image must then equal
-    that combination exactly.
+    that combination exactly.  Both are read over the image's nonzero
+    slots and the nonzero entries of the codomain basis cochains it
+    combines, never over a dense slot vector.
     """
     _check_prefactor(prefactor)
     dom = cochain_basis(rep, n, gamma)
-    cod = cochain_basis(rep, n + 1, gamma)
+    cod_basis = cochain_basis(rep, n + 1, gamma)
     if not dom:
-        return Matrix.zero(len(cod), 0)
-    slot_set = rep._bases[n + 1, rep.algebra.basis.group.reduce(gamma)][0]
-    free = [
-        max(
-            (T, w)
-            for T, val in gc.values.items()
-            for w, c in enumerate(val)
-            if c
-        )
-        for gc in cod
-    ]
-    cols: list[Vec] = []
+        return Matrix.zero(len(cod_basis), 0)
+    cod = _space(rep, n + 1, gamma)  # the memo entry just read
+    rows = [[_ZERO] * len(dom) for _ in cod_basis]
+    cols = []
     for k, fb in enumerate(dom):
         img = apply_coboundary(rep, r, fb, prefactor=prefactor, validate=False)
+        # the defect img - sum of coords[i] cod.basis[i], over its
+        # nonzero slots
+        rest: dict[tuple[tuple[int, ...], int], Fraction] = {}
+        coords: dict[int, Fraction] = {}
         for T, val in img.values.items():
             for w, c in enumerate(val):
-                if c and (T, w) not in slot_set:
+                if not c:
+                    continue
+                if (T, w) not in cod.slots:
                     args = ", ".join(rep.algebra.basis.names[i] for i in T)
                     raise RuntimeError(
                         f"coboundary image of basis cochain {k} has "
@@ -962,22 +1088,27 @@ def coboundary_matrix(
                         f"({args}), outside the degree-{tuple(gamma)} slots "
                         "of the codomain"
                     )
-        coords = vec(img.value(T)[w] for T, w in free)
-        rest = {T: list(val) for T, val in img.values.items()}
-        for x, gc in zip(coords, cod):
-            if x:
-                for T, val in gc.values.items():
-                    acc = rest.setdefault(T, [_ZERO] * rep.dimV)
-                    for w, c in enumerate(val):
-                        if c:
-                            acc[w] -= x * c
-        if any(any(val) for val in rest.values()):
+                rest[T, w] = c
+                i = cod.free_column.get((T, w))
+                if i is not None:
+                    coords[i] = c
+        for i, x in coords.items():
+            rows[i][k] = x
+            for slot, c in cod.terms[i]:
+                p = x * c
+                y = rest.get(slot)
+                y = -p if y is None else y - p
+                if y:
+                    rest[slot] = y
+                else:
+                    del rest[slot]
+        if rest:
             raise RuntimeError(
                 f"coboundary image of basis cochain {k} does not lie in "
                 "the codomain cochain space"
             )
-        cols.append(coords)
-    return Matrix.from_cols(cols)
+        cols.append(tuple(sorted(coords.items())))
+    return Matrix._of_rows(rows, len(dom), tuple(cols))
 
 
 @dataclass(frozen=True)
@@ -1022,21 +1153,24 @@ def cohomology_dims(
 
     The re-check is still an exact d(d f) on every basis cochain f; it is
     cheap because the bases and the unit-slot images it reads are those
-    the two coboundary matrices have just memoized on the module, and a
-    repeated query on the same module reuses all of them.
+    the two coboundary matrices have just memoized on the module.  The
+    rank of each coboundary matrix is memoized there too, under
+    (n, r, degree, prefactor), so a sweep over n computes the rank of the
+    matrix shared by H^n and H^{n+1} once; the per-arity tables are
+    shared by every degree and r (see :class:`Representation`).
     """
     if n < 0:
         raise ValueError("cochain arity must be nonnegative")
     a = rep.algebra
     g = a.basis.group.reduce(gamma)
     mat = coboundary_matrix(rep, n, r, g, prefactor=prefactor)
-    dim_z = mat.ncols - mat.rank()
+    dim_z = mat.ncols - _rank(rep, (n, r, g, prefactor), mat)
     if n == 0:
         dim_b = 0
     else:
         prev = cochain_basis(rep, n - 1, g)
         mat_prev = coboundary_matrix(rep, n - 1, r, g, prefactor=prefactor)
-        dim_b = mat_prev.rank()
+        dim_b = _rank(rep, (n - 1, r, g, prefactor), mat_prev)
         for k, fb in enumerate(prev):
             mid = apply_coboundary(rep, r, fb, prefactor=prefactor,
                                    validate=False)
@@ -1061,3 +1195,12 @@ def cohomology_dims(
         dim_coboundaries=dim_b,
         dim_h=dim_z - dim_b,
     )
+
+
+def _rank(rep: Representation, key: tuple, mat: Matrix) -> int:
+    """``mat.rank()`` for the coboundary matrix ``mat`` under
+    key = (n, r, degree, prefactor), memoized on the module."""
+    hit = rep._ranks.get(key)
+    if hit is None:
+        hit = rep._ranks[key] = mat.rank()
+    return hit

@@ -77,14 +77,20 @@ class HomEndo:
         return f"HomEndo(degree={self.degree}, dim={self.matrix.nrows})"
 
 
+def _image_degrees(a: ColourAlgebra, gamma: GroupElement) -> list:
+    """deg(e_t) + gamma for every basis index t: the degree of D(e_t) for
+    a degree-gamma map D, one group addition per t."""
+    group = a.basis.group
+    g = group.reduce(gamma)
+    return [group.add(d, g) for d in a.basis.degrees]
+
+
 def is_homogeneous_endo(
     a: ColourAlgebra, matrix: Matrix, gamma: GroupElement
 ) -> bool:
     """True when every nonzero entry maps block d into block d+gamma."""
-    group = a.basis.group
-    g = group.reduce(gamma)
     degrees = a.basis.degrees
-    image = [group.add(d, g) for d in degrees]  # the degree of D(e_t)
+    image = _image_degrees(a, gamma)
     return all(
         degrees[u] == image[t]
         for t, col in enumerate(matrix.column_terms())
@@ -133,12 +139,12 @@ def _flatten(m: Matrix) -> Vec:
 def _block_slots(
     a: ColourAlgebra, gamma: GroupElement
 ) -> list[tuple[int, int]]:
-    g = a.basis.group.reduce(gamma)
+    image = _image_degrees(a, gamma)
     return [
         (u, t)
         for u in range(a.dim)
         for t in range(a.dim)
-        if a.degree(u) == a.basis.group.add(a.degree(t), g)
+        if a.degree(u) == image[t]
     ]
 
 
@@ -189,7 +195,7 @@ def _solve_blocks(
             m, idx = divmod(c, len(slots))
             u, t = slots[idx]
             entries[m][u][t] = x
-        out.append(tuple(Matrix(e) for e in entries))
+        out.append(tuple(Matrix._of_rows(e, n) for e in entries))
     return out
 
 

@@ -188,6 +188,15 @@ class Bicharacter:
             raise ValueError("invalid bicharacter: " + "; ".join(problems))
 
     def eval(self, g: GroupElement, h: GroupElement) -> int:
+        """eps(g, h).  The cache holds reduced pairs only, so reduced
+        tuples are answered before any reduction; other coordinate
+        sequences, such as (3,) in Z2 or a list, are reduced first."""
+        try:
+            hit = self._cache.get((g, h))
+        except TypeError:  # an unhashable coordinate sequence
+            hit = None
+        if hit is not None:
+            return hit
         g = self.group.reduce(g)
         h = self.group.reduce(h)
         key = (g, h)

@@ -18,7 +18,11 @@ nonzero entries (u, x) of every column, and ``add_terms`` adds a scaled
 term list into a dense accumulator, so no loop visits a zero entry of an
 image.
 
-Scalars are fractions.Fraction throughout; vectors are plain tuples.
+Scalars are fractions.Fraction throughout; vectors are plain tuples.  The
+public ``Matrix`` constructor converts every entry and checks the shape;
+matrices the library builds from Fractions itself (RREF output, products
+and sums, kernel blocks, solver solutions, coboundary matrices) go through
+the internal ``Matrix._of_rows``, which does neither.
 """
 
 from __future__ import annotations
@@ -73,9 +77,15 @@ def terms_of(v: Vec) -> Terms:
 
 def add_terms(acc: list, c: Fraction, terms: Terms) -> None:
     """acc += c * v in place, for the vector v with nonzero ``terms``."""
+    if c == 1:
+        for k, x in terms:
+            y = acc[k]
+            acc[k] = y + x if y else x
+        return
     for k, x in terms:
         p = c * x
-        acc[k] = acc[k] + p if acc[k] else p
+        y = acc[k]
+        acc[k] = y + p if y else p
 
 
 def is_zero_vec(u: Vec) -> bool:
@@ -117,6 +127,25 @@ class Matrix:
         for row in self.rows:
             if len(row) != self.ncols:
                 raise ValueError("ragged rows")
+
+    @classmethod
+    def _of_rows(
+        cls,
+        rows: Iterable[Sequence[Fraction]],
+        ncols: int,
+        col_terms: Optional[tuple[Terms, ...]] = None,
+    ) -> "Matrix":
+        """The matrix on rows the library built from Fractions, each
+        ``ncols`` long; unlike the public constructor it neither converts
+        nor checks an entry.  A caller that built the rows from sparse
+        columns may hand those in as the :meth:`column_terms` cache."""
+        m = cls.__new__(cls)
+        m.rows = tuple(map(tuple, rows))
+        m.nrows = len(m.rows)
+        m.ncols = ncols
+        m._cols = None
+        m._col_terms = col_terms
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -166,14 +195,14 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
-        return Matrix(
+        return Matrix._of_rows(
             [vadd(a, b) for a, b in zip(self.rows, other.rows)], self.ncols
         )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
-        return Matrix(
+        return Matrix._of_rows(
             [vsub(a, b) for a, b in zip(self.rows, other.rows)], self.ncols
         )
 
@@ -191,11 +220,13 @@ class Matrix:
                         if b:
                             acc[j] += a * b
             out.append(acc)
-        return Matrix(out, other.ncols)
+        return Matrix._of_rows(out, other.ncols)
 
     def scale(self, c) -> "Matrix":
         c = Fraction(c)
-        return Matrix([vscale(c, row) for row in self.rows], self.ncols)
+        return Matrix._of_rows(
+            [vscale(c, row) for row in self.rows], self.ncols
+        )
 
     def apply(self, v: Vec) -> Vec:
         """Matrix times column vector: the columns at the nonzero entries
@@ -210,7 +241,7 @@ class Matrix:
         return tuple(acc)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.columns(), self.nrows)
+        return Matrix._of_rows(self.columns(), self.nrows)
 
     def is_zero(self) -> bool:
         return all(not x for row in self.rows for x in row)
@@ -236,13 +267,22 @@ class Matrix:
 
     def rref(self) -> tuple["Matrix", list[int]]:
         reduced, pivots = _rref(self.rows)
-        return Matrix(reduced, self.ncols), pivots
+        return Matrix._of_rows(reduced, self.ncols), pivots
 
     def rank(self) -> int:
-        """The number of independent rows, counted by one
-        :class:`EchelonBasis` pass over the rows."""
+        """The number of independent columns, counted by one
+        :class:`EchelonBasis` pass over the :meth:`column_terms`.
+
+        The pass takes the columns last to first.  In a coboundary matrix
+        the image of a later basis cochain sits at later codomain slots,
+        so this keeps the stored echelon rows short: on the degree-0 d_3
+        of the twisted gl(2|2), 1128 x 404, it takes a sixth of the time
+        of a first-to-last pass.
+        """
         span = EchelonBasis()
-        return sum(span.add(row) for row in self.rows)
+        return sum(
+            span.add_sparse(terms) for terms in reversed(self.column_terms())
+        )
 
     def kernel_basis(self) -> list[Vec]:
         """Basis of the right null space.
@@ -347,7 +387,9 @@ def kernel_by_blocks(
         if brows is None:
             kernel.append((cols[0], {cols[0]: ONE}))
             continue
-        dense = Matrix([[row.get(c, ZERO) for c in cols] for row in brows])
+        dense = Matrix._of_rows(
+            [[row.get(c, ZERO) for c in cols] for row in brows], len(cols)
+        )
         for v in dense.kernel_basis():
             coords = {cols[i]: x for i, x in enumerate(v) if x}
             kernel.append((max(coords), coords))
@@ -406,8 +448,8 @@ class EchelonBasis:
     def __init__(self) -> None:
         self._rows: list[tuple[int, dict[int, Fraction]]] = []
 
-    def _remainder(self, v: Vec) -> dict[int, Fraction]:
-        rem = {c: x for c, x in enumerate(v) if x}
+    def _remainder(self, rem: dict[int, Fraction]) -> dict[int, Fraction]:
+        """Reduce the sparse vector ``rem`` in place by the stored rows."""
         for pivot, row in self._rows:
             x = rem.get(pivot)
             if x:
@@ -420,12 +462,20 @@ class EchelonBasis:
         return rem
 
     def __contains__(self, v: Vec) -> bool:
-        return not self._remainder(v)
+        return not self._remainder({c: x for c, x in enumerate(v) if x})
 
     def add(self, v: Vec) -> bool:
         """Store the remainder of v if it is nonzero; True when v was
         outside the span."""
-        rem = self._remainder(v)
+        return self._store({c: x for c, x in enumerate(v) if x})
+
+    def add_sparse(self, terms: Iterable[tuple[int, Fraction]]) -> bool:
+        """:meth:`add` for the vector whose nonzero entries are the
+        (column, value) pairs ``terms``, as in ``Matrix.column_terms``."""
+        return self._store(dict(terms))
+
+    def _store(self, rem: dict[int, Fraction]) -> bool:
+        rem = self._remainder(rem)
         if not rem:
             return False
         pivot = min(rem)

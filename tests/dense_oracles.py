@@ -9,6 +9,10 @@ The derivation predicates read term tables; ``bracket_defect``,
 ``commutes_with_maps`` and ``is_homogeneous`` evaluate the same identities
 on dense columns and dense twisted product tables, testing every entry.
 
+The cochain complex reads per-arity tables: ``slots_oracle``,
+``realized_gammas_oracle`` and ``pullbacks_oracle`` recompute them by the
+per-tuple scans they replaced, tuple by tuple against every V index.
+
 >>> from bihomlie.linalg import vec
 >>> solve_many(Matrix([[1, 0], [0, 0]]), [vec([5, 0]), vec([0, 1])])
 [(Fraction(5, 1), Fraction(0, 1)), None]
@@ -21,7 +25,10 @@ on dense columns and dense twisted product tables, testing every entry.
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from itertools import product as iproduct
+
 from bihomlie.algebra import ColourAlgebra
+from bihomlie.cohomology import canonical_index_tuples, reduce_index_tuple
 from bihomlie.linalg import Matrix, Vec, is_zero_vec
 
 
@@ -157,3 +164,55 @@ def is_homogeneous(a: ColourAlgebra, matrix: Matrix, gamma) -> bool:
         for u, row in enumerate(matrix.rows)
         for t, x in enumerate(row)
     )
+
+
+def _tuple_degree(a: ColourAlgebra, T) -> tuple:
+    return a.basis.group.sum(a.degree(i) for i in T)
+
+
+def slots_oracle(rep, n: int, gamma) -> list:
+    """The slots (T, w) of degree-gamma n-cochains: every canonical tuple T,
+    in lexicographic order, with every V index w of degree gamma + deg T."""
+    a = rep.algebra
+    group = a.basis.group
+    g = group.reduce(gamma)
+    out = []
+    for T in canonical_index_tuples(a, n):
+        target = group.add(g, _tuple_degree(a, T))
+        for w, e in enumerate(rep.space.degrees):
+            if e == target:
+                out.append((T, w))
+    return out
+
+
+def realized_gammas_oracle(rep, n: int) -> list:
+    """The degrees e - deg T over every canonical n-tuple T and every V
+    index of degree e, sorted."""
+    a = rep.algebra
+    seen = set()
+    for T in canonical_index_tuples(a, n):
+        d = _tuple_degree(a, T)
+        for e in rep.space.degrees:
+            seen.add(a.basis.group.sub(e, d))
+    return sorted(seen)
+
+
+def pullbacks_oracle(a: ColourAlgebra, T) -> tuple:
+    """For m = alpha, then beta: {X: c} with f(m e_{T_1}, ..., m e_{T_n})
+    = sum of c f(X) over canonical X, from the dense columns of m."""
+    out = []
+    for m in (a.alpha, a.beta):
+        acc: dict = {}
+        supports = [
+            [(u, m[u][t]) for u in range(a.dim) if m[u][t]] for t in T
+        ]
+        for combo in iproduct(*supports):
+            sign, canon = reduce_index_tuple(a, tuple(u for u, _ in combo))
+            if canon is None:
+                continue
+            coeff = sign
+            for _, c in combo:
+                coeff *= c
+            acc[canon] = acc.get(canon, Fraction(0)) + coeff
+        out.append({X: c for X, c in acc.items() if c})
+    return tuple(out)

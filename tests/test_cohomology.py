@@ -19,6 +19,8 @@ from bihomlie.cohomology import (
     cochain_in_space,
     cohomology_dims,
     dual_rep,
+    _arity,
+    _pullbacks,
     _slots,
     realized_gammas,
     reduce_index_tuple,
@@ -45,10 +47,18 @@ from bihomlie.linalg import (
     vsub,
     vzero,
 )
-from dense_oracles import solve_many, spans_equal
+from dense_oracles import (
+    dense_rank,
+    pullbacks_oracle,
+    realized_gammas_oracle,
+    slots_oracle,
+    solve_many,
+    spans_equal,
+)
 from fixtures import (
     LIE_CORPUS,
     TWISTED,
+    gl2_conjugation_twist,
     gl21_twist,
     gl21_units,
     gl22_twist,
@@ -669,6 +679,49 @@ def test_block_solved_bases_and_read_off_matrices_match_the_oracles(name):
                 assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
 
 
+TABLE_MODULES = {
+    **ORACLE_MODULES,
+    "gl21_unipotent_twist": lambda: adjoint_rep(gl21_unipotent_twist(), 0, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_MODULES))
+def test_per_arity_tables_match_the_per_tuple_scans(name):
+    # the degree-grouped tuples give the slots and degrees of the scans
+    # over every tuple and V index, for reduced and unreduced gamma, and
+    # the shared pull-backs those of the dense columns
+    rep = TABLE_MODULES[name]()
+    group = rep.algebra.basis.group
+    shift = tuple([0] * group.free_rank + list(group.torsion))
+    for n in range(5):
+        gammas = realized_gammas(rep, n)
+        assert gammas == realized_gammas_oracle(rep, n)
+        for g in sorted(set(gammas + realized_gammas(rep, n + 1))):
+            want = slots_oracle(rep, n, g)
+            assert _slots(rep, n, g) == want
+            assert _slots(rep, n, tuple(map(sum, zip(g, shift)))) == want
+        if n < 3:
+            a = rep.algebra
+            for T in canonical_index_tuples(a, n):
+                got = _pullbacks(a, _arity(rep, n), T)
+                assert tuple(map(dict, got)) == pullbacks_oracle(a, T)
+
+
+def test_multi_term_pullbacks_are_exercised():
+    # the two modules named for their structure maps do have tuples whose
+    # pull-back has several terms
+    for rep in (
+        adjoint_rep(gl2_conjugation_twist(), -1, 2),
+        adjoint_rep(gl21_unipotent_twist(), 0, 1),
+    ):
+        a = rep.algebra
+        assert any(
+            len(terms) > 1
+            for T in canonical_index_tuples(a, 2)
+            for terms in _pullbacks(a, _arity(rep, 2), T)
+        )
+
+
 def _sparse_cochain(rep, n, gamma, rng):
     """A cochain on 1-4 random canonical tuples, preferring one that repeats
     an odd index where such tuples exist.  Each value has one or two
@@ -698,7 +751,7 @@ def _sparse_cochain(rep, n, gamma, rng):
 SPARSE_MODULES = {
     **TWISTED,
     "gl21_twist": ORACLE_MODULES["gl21_twist"],
-    "gl21_unipotent_twist": lambda: adjoint_rep(gl21_unipotent_twist(), 0, 1),
+    "gl21_unipotent_twist": TABLE_MODULES["gl21_unipotent_twist"],
 }
 
 
@@ -899,6 +952,58 @@ def test_gl22_cohomology_on_a_shared_and_on_fresh_modules():
             assert got == want
 
 
+def test_sweep_computes_each_coboundary_rank_once(monkeypatch):
+    # H^n and H^{n+1} share the rank of d_n: a sweep over n = 0..3 reduces
+    # d_0, ..., d_3 once each, and a repeated sweep reduces nothing
+    made = []
+    rank = Matrix.rank
+
+    def counting_rank(mat):
+        made.append(mat)
+        return rank(mat)
+
+    monkeypatch.setattr(Matrix, "rank", counting_rank)
+    rep = twist_rep(0, 1)
+    first = [cohomology_dims(rep, n, 1, (0,)) for n in range(4)]
+    assert len(made) == 4
+    assert [cohomology_dims(rep, n, 1, (0,)) for n in range(4)] == first
+    assert len(made) == 4
+    fresh = twist_rep(0, 1)
+    for n, res in enumerate(first):
+        mat = coboundary_matrix(fresh, n, 1, (0,))
+        # the sparse columns handed to the matrix are its column terms
+        assert mat.column_terms() == Matrix(mat.rows, mat.ncols).column_terms()
+        assert res.dim_cocycles == mat.ncols - dense_rank(mat)
+        if n:
+            prev = coboundary_matrix(fresh, n - 1, 1, (0,))
+            assert res.dim_coboundaries == dense_rank(prev)
+
+
+def test_rho_of_sums_the_scaled_actions():
+    # the sum of rho(e_i) scaled by x_i, matrix by matrix, for integer
+    # and fractional coefficients, and the cached action tables
+    rng = Random(7)
+    for rep in (twist_rep(), TWISTED["gl2_conjugation_twist"]()):
+        dim = rep.algebra.dim
+        xs = [rep.algebra.basis_vec(i) for i in range(dim)]
+        xs.append(tuple(rng.randint(-3, 3) for _ in range(dim)))
+        xs.append(
+            tuple(
+                F(rng.randint(-3, 3), rng.choice((1, 2, 3)))
+                for _ in range(dim)
+            )
+        )
+        for x in xs:
+            want = Matrix.zero(rep.dimV, rep.dimV)
+            for c, m in zip(x, rep.rho):
+                if c:
+                    want = want + m.scale(c)
+            assert rep.rho_of(x) == want
+        for k in (0, 1, 2):
+            cols = rep.algebra.ab_power(1, k).columns()
+            assert rep.action_table(k) == tuple(rep.rho_of(c) for c in cols)
+
+
 def test_singular_alpha_refuses_the_bracket_term_only():
     # alpha keeps only H, so d of the 0-cochain X is [H, X] at H
     a = osp12_classical()
@@ -948,8 +1053,29 @@ def test_image_outside_the_codomain_space_raises(n):
     assert report.item("rho_even").passed
     assert report.item("betaV_even").passed
     assert not report.item("beta_intertwine").passed
-    with pytest.raises(RuntimeError, match="does not lie in the codomain"):
+    want = (
+        "coboundary image of basis cochain 0 does not lie in the codomain "
+        "cochain space"
+    )
+    with pytest.raises(RuntimeError) as err:
         coboundary_matrix(bad, n, 1, (0,))
+    assert str(err.value) == want
+
+
+def test_image_outside_the_codomain_space_names_a_later_cochain():
+    # the same beta_V := alpha_V break on the conjugation twist of gl(2):
+    # the images of basis cochains 0 and 1 stay in the codomain space, the
+    # image of 2 does not
+    rep = adjoint_rep(gl2_conjugation_twist(), -1, 2)
+    bad = Representation(
+        rep.algebra, rep.space, rep.rho, rep.alphaV, rep.alphaV
+    )
+    with pytest.raises(RuntimeError) as err:
+        coboundary_matrix(bad, 1, 1, ())
+    assert str(err.value) == (
+        "coboundary image of basis cochain 2 does not lie in the codomain "
+        "cochain space"
+    )
 
 
 def test_image_off_the_slots_raises_with_the_slot():

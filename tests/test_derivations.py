@@ -61,6 +61,26 @@ def _flat(h):
     return tuple(c for row in h.matrix.rows for c in row)
 
 
+def test_block_slots_are_the_degree_pattern():
+    # (u, t) with deg e_u = deg e_t + gamma, in row-major order, for every
+    # difference of two degrees, reduced and with torsion wrapped once
+    for _, a in lie_corpus():
+        group = a.basis.group
+        shift = [0] * group.free_rank + list(group.torsion)
+        degs = a.basis.degrees
+        for g in {group.sub(du, dt) for du in degs for dt in degs}:
+            want = [
+                (u, t)
+                for u in range(a.dim)
+                for t in range(a.dim)
+                if degs[u] == group.add(degs[t], g)
+            ]
+            assert want
+            assert dv._block_slots(a, g) == want
+            unreduced = tuple(x + m for x, m in zip(g, shift))
+            assert dv._block_slots(a, unreduced) == want
+
+
 def test_hom_endo_basics():
     m = Matrix.identity(3)
     d = HomEndo(m, (1,))

@@ -77,6 +77,23 @@ def test_super_bicharacter_values():
     assert eps.eval(even, even) == 1
 
 
+def test_bicharacter_answers_unreduced_degrees_warm_or_cold():
+    # (3,) is (1,) in Z2: the cache holds reduced pairs, and an unreduced
+    # or unhashable degree is reduced first, before or after a cached hit
+    for order in ((3,), (1,)), ((1,), (3,)):
+        eps = super_bicharacter()
+        for g in order:
+            assert eps.eval(g, (1,)) == -1
+            assert eps.eval((1,), g) == -1
+        assert eps.eval([3], [5]) == -1
+        assert eps.eval((2,), (3,)) == 1
+        assert set(eps._cache) <= {((1,), (1,)), ((0,), (1,)), ((1,), (0,))}
+        with pytest.raises(GroupMismatchError):
+            eps.eval((1, 0), (1,))
+    mixed = Bicharacter(GradingGroup(1, (2,)), [[1, 1], [1, -1]])
+    assert mixed.eval((5, 3), (-2, 1)) == mixed.eval((5, 1), (-2, 1)) == -1
+
+
 def test_bicharacter_rejects_non_sign_values():
     group = GradingGroup(0, (2,))
     bad = Bicharacter(group, [[2]])

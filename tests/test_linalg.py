@@ -115,6 +115,45 @@ def test_width_must_match_the_rows():
         Matrix([[1, 2]], 3)
 
 
+def test_public_constructor_converts_every_entry():
+    m = Matrix([[1, "1/2"], [Fraction(2, 3), -4]])
+    assert all(type(x) is Fraction for row in m.rows for x in row)
+    half, two_thirds = Fraction(1, 2), Fraction(2, 3)
+    assert m.rows == ((1, half), (two_thirds, -4))
+    assert m == Matrix._of_rows(
+        [[Fraction(1), half], [two_thirds, Fraction(-4)]], 2
+    )
+
+
+def test_public_constructor_refuses_ragged_rows():
+    with pytest.raises(ValueError, match="ragged rows"):
+        Matrix([[1, 2], [3]])
+    with pytest.raises(ValueError, match="ragged rows"):
+        Matrix([[1], [2, 3]])
+
+
+def test_internal_results_are_tuples_of_fractions():
+    # the results the library builds without conversion compare equal to
+    # the same matrices through the public constructor
+    m = Matrix([[1, 2, 0], [2, 4, 1]])
+    reduced, _ = m.rref()
+    assert reduced == Matrix([[1, 2, 0], [0, 0, 1]])
+    for out in (reduced, m + m, m - m, m.scale(3), m.transpose(),
+                m * m.transpose()):
+        assert all(type(row) is tuple for row in out.rows)
+        assert all(type(x) is Fraction for row in out.rows for x in row)
+        assert out == Matrix(out.rows, out.ncols)
+
+
+def test_echelon_basis_takes_sparse_columns():
+    m = Matrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    span = EchelonBasis()
+    assert [span.add_sparse(t) for t in m.column_terms()] == [
+        True, True, False
+    ]
+    assert vec([0, 0, 1]) in span and vec([1, 0, 0]) not in span
+
+
 def test_products_and_sums_keep_the_shape():
     a = Matrix.zero(0, 2)
     assert (a * Matrix.zero(2, 4)).ncols == 4

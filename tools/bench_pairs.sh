@@ -1,0 +1,28 @@
+#!/bin/bash
+# Alternating perfbench pairs between two checkouts, for a BENCH_<sha>.json.
+#
+#     tools/bench_pairs.sh PARENT_CHECKOUT CHANGE_CHECKOUT [FIRST_SEED [PAIRS]]
+#
+# For pair i (seed FIRST_SEED + i, default 30, PAIRS default 10) it runs
+# every workload once in each checkout, the parent first on even i and the
+# change first on odd i, then one traced corpus-sweep run at seed 77 in
+# each.  Each run writes its result to .perfbench_out/results of its own
+# checkout; empty those directories first, since tools/bench_trajectory.py
+# reads every result file in them.
+set -u
+parent=$1 change=$2 first=${3:-30} pairs=${4:-10}
+for ((i = 0; i < pairs; i++)); do
+  seed=$((first + i))
+  for w in corpus-sweep gl21-solvers gl21-cohomology; do
+    if ((i % 2 == 0)); then order="$parent $change"; else order="$change $parent"; fi
+    for d in $order; do
+      (cd "$d" && python3 perfbench/run.py --workload "$w" --seed "$seed" \
+        --seconds 10 --trace 0 > /dev/null) || echo "FAIL $d $w $seed"
+    done
+    echo "$(date +%T) pair $i $w done"
+  done
+done
+for d in "$parent" "$change"; do
+  (cd "$d" && python3 perfbench/run.py --workload corpus-sweep --seed 77 \
+    --seconds 10 --trace 1 > /dev/null) || echo "FAIL $d traced"
+done

@@ -1,0 +1,113 @@
+#!/usr/bin/env python3
+"""Write a BENCH_<parent sha>.json trajectory point from two sets of
+perfbench results.
+
+    python3 tools/bench_trajectory.py PARENT_RESULTS CHANGE_RESULTS PARENT_SHA
+
+PARENT_RESULTS and CHANGE_RESULTS are the ``.perfbench_out/results``
+directories of the two checkouts, filled by tools/bench_pairs.sh.  The file
+goes to the repo root as BENCH_<first 7 of PARENT_SHA>.json; a file cannot
+name the commit that contains it, so it is named after the parent it is
+measured against.
+
+For every workload and metric of the untraced runs it records, per side,
+the number of runs and the median and quartiles of perfbench/compare.py's
+``summary`` over ``by_metric``.  For the end-to-end metrics of
+BENCHMARK.json it adds the pairs (seeds run on both sides), the pairs the
+change wins and ties, and the relative change of the median.  The counts
+(``count`` and ``bits`` units) of the traced runs go to ``traced_counts``,
+per workload and seed.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+
+from perfbench.compare import EXACT_UNITS, by_metric, load, summary  # noqa: E402
+
+
+def pair_record(sets: dict, workload: str, name: str, better: str) -> dict:
+    by_seed: dict = {}
+    for side, results in sets.items():
+        for r in results:
+            if r["workload"] == workload and r["trace"] == 0:
+                by_seed.setdefault(r["seed"], {})[side] = r["metrics"][name]["value"]
+    pairs = [v for v in by_seed.values() if len(v) == 2]
+    ties = sum(v["change"] == v["parent"] for v in pairs)
+    wins = sum(
+        v["change"] != v["parent"]
+        and (v["change"] < v["parent"]) == (better == "lower")
+        for v in pairs
+    )
+    return {"pairs": len(pairs), "change_wins": wins, "ties": ties}
+
+
+def trajectory(sets: dict, spec: dict, parent_sha: str) -> dict:
+    workloads: dict = {}
+    for side, results in sets.items():
+        for (w, trace, name, unit), values in by_metric(results).items():
+            if trace:
+                continue
+            med, q1, q3, _ = summary(values)
+            entry = workloads.setdefault(w, {}).setdefault(name, {"unit": unit})
+            entry[side] = {"n": len(values), "median": med, "q1": q1, "q3": q3}
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    for w, metrics in workloads.items():
+        for name, entry in metrics.items():
+            if name in better and "parent" in entry and "change" in entry:
+                entry.update(pair_record(sets, w, name, better[name]))
+                base = entry["parent"]["median"]
+                entry["median_change"] = (
+                    entry["change"]["median"] / base - 1 if base else None
+                )
+    traced: dict = {}
+    for side, results in sets.items():
+        for r in results:
+            if r["trace"]:
+                counts = traced.setdefault(f"{r['workload']}@seed{r['seed']}", {})
+                counts[side] = {
+                    name: m["value"]
+                    for name, m in r["metrics"].items()
+                    if m["unit"] in EXACT_UNITS
+                }
+    return {
+        "name": "BENCH_<parent sha>.json: a file cannot name the commit "
+        "that contains it, so it is named after the parent it is measured "
+        "against",
+        "parent": parent_sha,
+        "change": "the commit that adds this file (its parent is the commit above)",
+        "command": "python3 perfbench/run.py --workload W --seed S --seconds 10 "
+        "--trace 0 (traced: --trace 1), run in pairs by tools/bench_pairs.sh",
+        "seeds": sorted(
+            {r["seed"] for rs in sets.values() for r in rs if not r["trace"]}
+        ),
+        "order": "alternating: parent first on even pair index, change first on odd",
+        "summary": "written by tools/bench_trajectory.py: median and quartiles "
+        "from perfbench/compare.py summary() over by_metric(), untraced runs "
+        "only; pairs, change_wins and ties compare the two sides seed by seed",
+        "workloads": workloads,
+        "traced_counts": traced,
+    }
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 3:
+        print(__doc__, file=sys.stderr)
+        return 2
+    parent_dir, change_dir, parent_sha = Path(argv[0]), Path(argv[1]), argv[2]
+    sets = {"parent": load(parent_dir), "change": load(change_dir)}
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text("utf-8"))
+    doc = trajectory(sets, spec, parent_sha)
+    out = ROOT / f"BENCH_{parent_sha[:7]}.json"
+    out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", "utf-8")
+    print(out)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
