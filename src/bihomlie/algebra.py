@@ -326,11 +326,6 @@ class ColourAlgebra:
             )
         return self._skew_terms
 
-    def alpha_supports(self) -> tuple[dict, tuple[tuple, ...]]:
-        """The support index (see ``_support_index``) of the columns
-        alpha(e_i), keyed by i; cached."""
-        return self._support_index(("alpha",), enumerate(self.alpha.columns()))
-
     def beta_supports(self) -> tuple[dict, tuple[tuple, ...]]:
         """The support index (see ``_support_index``) of the columns
         beta(e_i), keyed by i; cached."""

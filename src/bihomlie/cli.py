@@ -359,13 +359,15 @@ def run_cli(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, RuntimeError, ZeroDivisionError) as e:
+    except (
+        ParseError,
+        OSError,
+        ValueError,
+        KeyError,
+        RuntimeError,
+        ZeroDivisionError,
+    ) as e:
+        # OSError covers a path that is missing, a directory or unreadable
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -752,12 +752,11 @@ def cochain_in_space(
 ) -> tuple[bool, str]:
     """Does f lie in the cochain space: degrees and both intertwinings.
 
-    An intertwining f(m x_1, ..., m x_n) = m_V f(x_1, ..., x_n) can fail
-    on a canonical tuple T only where one side is nonzero: T is a support
-    tuple of f, or the sort of an m-preimage of one entry each of a
-    support tuple.  Only those tuples are checked, in lexicographic order
-    and alpha before beta, so the first failure is the one a scan of every
-    canonical tuple meets first.
+    Both intertwinings f(m x_1, ..., m x_n) = m_V f(x_1, ..., x_n) are
+    checked on every canonical tuple T, in lexicographic order and alpha
+    before beta: the left side is the sum of c f(X) over the memoized
+    pull-back terms (X, c) of T, the terms from which
+    :func:`cochain_basis` builds its constraint rows.
     """
     a = rep.algebra
     if f.dimV != rep.dimV:
@@ -774,26 +773,17 @@ def cochain_in_space(
         sign, canon = reduce_index_tuple(a, T)
         if canon != T or sign != 1:
             return False, f"stored tuple {T} is not canonical"
-    found = set(f.values)
-    for _, pre in (a.alpha_supports(), a.beta_supports()):
-        for S in f.values:
-            found.update(
-                tuple(sorted(T)) for T in iproduct(*(pre[u] for u in S))
-            )
-    eps = a.eps_table()
-    for T in sorted(X for X in found if _is_canonical(eps, X)):
-        for amap, vmap, name in (
-            (a.alpha, rep.alphaV, "alpha"),
-            (a.beta, rep.betaV, "beta"),
-        ):
-            cols = amap.columns()
-            got = f.eval(rep, [cols[t] for t in T])
-            want = vmap.apply(f.value(T))
-            if got != want:
-                return (
-                    False,
-                    f"{name} intertwining fails on tuple {T}",
-                )
+    arity = _arity(rep, f.n)
+    vmaps = ((rep.alphaV, "alpha"), (rep.betaV, "beta"))
+    for T in canonical_index_tuples(a, f.n):
+        for pull, (vmap, name) in zip(_pullbacks(a, arity, T), vmaps):
+            got = [_ZERO] * rep.dimV
+            for X, c in pull:
+                for w, x in enumerate(f.values.get(X, ())):
+                    if x:
+                        got[w] += c * x
+            if tuple(got) != vmap.apply(f.value(T)):
+                return False, f"{name} intertwining fails on tuple {T}"
     return True, ""
 
 

@@ -1,24 +1,27 @@
 """Exact linear algebra over the rationals, dense matrices and sparse systems.
 
 Everything downstream (axiom checks, derivation solvers, cochain bases)
-funnels into reduced row echelon form, computed by the one fraction-free
-kernel in bihomlie._rref_py.  It is plain Python and needs no build step.
-``BACKEND`` names that kernel; it is the constant ``"pure"``.
+funnels into one exact elimination routine, ``EchelonBasis``: sparse
+primitive integer echelon rows with fraction-free updates, in plain Python
+with no build step.  It decides span membership, counts ``Matrix.rank``,
+and its reduced row echelon form readout is ``Matrix.rref``, from which
+``kernel_basis`` and ``invert`` read.  ``BACKEND`` names that kernel; it is
+the constant ``"pure"``.
 
 Linear systems come as sparse rows {column: value}; ``kernel_by_blocks``
 splits their columns into the independent blocks the rows link and reduces
 each block on its own, which gives the same basis as ``kernel_basis`` of
-the dense matrix.  Span membership and rank go through ``EchelonBasis``,
-which keeps the vectors added so far as sparse echelon rows and reduces
-each new one in a single pass; the library solves no dense system A x = b
-(the tests keep one as an oracle).
+the dense matrix.  ``EchelonBasis`` keeps the vectors added so far as
+sparse echelon rows and reduces each new one in a single pass; the library
+solves no dense system A x = b (the tests keep one as an oracle).
 
 Sums of basis images read term tables: ``Matrix.column_terms()`` caches the
 nonzero entries (u, x) of every column, and ``add_terms`` adds a scaled
 term list into a dense accumulator, so no loop visits a zero entry of an
 image.
 
-Scalars are fractions.Fraction throughout; vectors are plain tuples.  The
+Scalars are fractions.Fraction throughout, except inside ``EchelonBasis``,
+whose rows hold integers; vectors are plain tuples.  The
 public ``Matrix`` constructor converts every entry and checks the shape;
 matrices the library builds from Fractions itself (RREF output, products
 and sums, kernel blocks, solver solutions, coboundary matrices) go through
@@ -28,9 +31,9 @@ the internal ``Matrix._of_rows``, which does neither.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from ._rref_py import rref as _rref
 
 BACKEND = "pure"
 
@@ -266,7 +269,20 @@ class Matrix:
         return self._col_terms
 
     def rref(self) -> tuple["Matrix", list[int]]:
-        reduced, pivots = _rref(self.rows)
+        """(R, pivots): the reduced row echelon form R, with the zero rows
+        last, and the pivot column of each nonzero row of R, read off one
+        :class:`EchelonBasis` over the rows."""
+        span = EchelonBasis()
+        for row in self.rows:
+            span.add(row)
+        pivots, reduced = [], []
+        for pivot, row in span.rref():
+            dense = [ZERO] * self.ncols
+            for c, x in row.items():
+                dense[c] = x
+            pivots.append(pivot)
+            reduced.append(dense)
+        reduced += [(ZERO,) * self.ncols] * (self.nrows - len(pivots))
         return Matrix._of_rows(reduced, self.ncols), pivots
 
     def rank(self) -> int:
@@ -428,57 +444,120 @@ def _strike_forced(
 
 
 class EchelonBasis:
-    """The span of the vectors added so far, as sparse echelon rows.
+    """The span of the vectors added so far, as sparse primitive integer
+    echelon rows: the one exact elimination routine of the library.
 
-    Each stored row {column: value} is 1 at its pivot column and zero at
-    the pivots of the rows stored before it.  So one pass in insertion
-    order reduces a vector: the remainder is zero at every pivot, and it
-    is empty exactly when the vector lies in the span.  Membership is
-    exact.
+    A vector comes in scaled by the lcm of its denominators and divided by
+    the gcd of its entries.  Each stored row {column: int} is nonzero at its
+    pivot column, its first nonzero one, and zero at the pivots of the rows
+    stored before it.  So one pass in insertion order reduces a vector, by
+    the fraction-free update  rem <- q*rem - y*row,  where y/q in lowest
+    terms is the entry of rem at the row's pivot over the row's own, and
+    one gcd over the entries of rem after each update to keep them small:
+    the remainder is zero at every pivot, and it is empty exactly when the
+    vector lies in the span.
+    Membership is exact.  :meth:`rref` reads the reduced row echelon form
+    of the span off the stored rows.
 
     >>> span = EchelonBasis()
     >>> [span.add(vec(v)) for v in ([1, 2, 0], [2, 4, 0], [0, 1, 1], [0] * 3)]
     [True, False, True, False]
     >>> vec([1, 0, -2]) in span, vec([0, 0, 1]) in span
     (True, False)
+    >>> [(p, {c: str(x) for c, x in row.items()}) for p, row in span.rref()]
+    [(0, {0: '1', 2: '-2'}), (1, {1: '1', 2: '1'})]
     """
 
     __slots__ = ("_rows",)
 
     def __init__(self) -> None:
-        self._rows: list[tuple[int, dict[int, Fraction]]] = []
+        self._rows: list[tuple[int, dict[int, int]]] = []
 
-    def _remainder(self, rem: dict[int, Fraction]) -> dict[int, Fraction]:
-        """Reduce the sparse vector ``rem`` in place by the stored rows."""
+    def _remainder(self, rem: dict[int, int]) -> dict[int, int]:
+        """Reduce the sparse integer vector ``rem`` in place by the stored
+        rows; the result is ``rem`` up to a nonzero factor, less a
+        combination of the rows."""
         for pivot, row in self._rows:
             x = rem.get(pivot)
             if x:
-                for c, y in row.items():
-                    z = rem.get(c, ZERO) - x * y
-                    if z:
-                        rem[c] = z
-                    else:
-                        del rem[c]
+                _eliminate(rem, x, row[pivot], row)
         return rem
 
     def __contains__(self, v: Vec) -> bool:
-        return not self._remainder({c: x for c, x in enumerate(v) if x})
+        return not self._remainder(_primitive(enumerate(v)))
 
     def add(self, v: Vec) -> bool:
         """Store the remainder of v if it is nonzero; True when v was
         outside the span."""
-        return self._store({c: x for c, x in enumerate(v) if x})
+        return self._store(_primitive(enumerate(v)))
 
     def add_sparse(self, terms: Iterable[tuple[int, Fraction]]) -> bool:
         """:meth:`add` for the vector whose nonzero entries are the
         (column, value) pairs ``terms``, as in ``Matrix.column_terms``."""
-        return self._store(dict(terms))
+        return self._store(_primitive(terms))
 
-    def _store(self, rem: dict[int, Fraction]) -> bool:
+    def _store(self, rem: dict[int, int]) -> bool:
         rem = self._remainder(rem)
         if not rem:
             return False
-        pivot = min(rem)
-        inv = ONE / rem[pivot]
-        self._rows.append((pivot, {c: x * inv for c, x in rem.items()}))
+        self._rows.append((min(rem), rem))
         return True
+
+    def rref(self) -> list[tuple[int, dict[int, Fraction]]]:
+        """The reduced row echelon form of the span, as (pivot, row) with
+        row {column: nonzero value} 1 at its pivot, in ascending pivot.
+
+        The stored rows are back-substituted last to first: the last row is
+        zero at every other pivot already, and a row cleared by the rows
+        after it, each reduced and zero at its pivot, stays zero at the
+        other pivots.  Each row is divided by its pivot entry only at the
+        end.  The stored rows are left alone.
+        """
+        done: list[tuple[int, dict[int, int]]] = []
+        for pivot, row in reversed(self._rows):
+            row = dict(row)
+            for p, other in done:
+                x = row.get(p)
+                if x:
+                    _eliminate(row, x, other[p], other)
+            done.append((pivot, row))
+        done.sort(key=lambda item: item[0])
+        return [
+            (pivot, {c: Fraction(x, row[pivot]) for c, x in row.items()})
+            for pivot, row in done
+        ]
+
+
+def _primitive(terms: Iterable[tuple[int, Fraction]]) -> dict[int, int]:
+    """The nonzero (column, value) ``terms`` times the lcm of their
+    denominators, divided by the gcd of the results: {column: int}."""
+    pairs = [(c, x.as_integer_ratio()) for c, x in terms if x]
+    den = lcm(*(d for _, (_, d) in pairs))
+    ints = {c: n * (den // d) for c, (n, d) in pairs}
+    g = gcd(*ints.values())
+    if g > 1:
+        ints = {c: v // g for c, v in ints.items()}
+    return ints
+
+
+def _eliminate(
+    rem: dict[int, int], x: int, p: int, row: dict[int, int]
+) -> None:
+    """rem <- q*rem - y*row in place, where x/p = y/q in lowest terms, so
+    the entry x of rem at the pivot p of row goes; then rem is divided by
+    the gcd of its entries."""
+    g = gcd(x, p)
+    q, y = p // g, x // g
+    if q != 1:
+        for c in rem:
+            rem[c] *= q
+    for c, z in row.items():
+        v = rem.get(c, 0) - y * z
+        if v:
+            rem[c] = v
+        else:
+            del rem[c]
+    g = gcd(*rem.values())
+    if g > 1:
+        for c in rem:
+            rem[c] //= g

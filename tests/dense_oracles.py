@@ -1,9 +1,11 @@
 """Dense oracles for the tests.
 
-The library decides span membership and rank with ``linalg.EchelonBasis``
-and solves no dense system.  These are the slow, plainly correct versions
-the tests hold it against: every answer comes from one RREF of a dense
-matrix, augmented for the solves.
+The library decides span membership, rank and RREF with
+``linalg.EchelonBasis`` and solves no dense system.  These are the slow,
+plainly correct versions the tests hold it against: every answer comes
+from ``fraction_rref``, a textbook Gauss-Jordan in Fraction arithmetic
+that shares no code with the library, on a dense matrix, augmented for
+the solves.
 
 The derivation predicates read term tables; ``bracket_defect``,
 ``commutes_with_maps`` and ``is_homogeneous`` evaluate the same identities
@@ -20,6 +22,8 @@ per-tuple scans they replaced, tuple by tuple against every V index.
 (True, False)
 >>> dense_rank(Matrix([[1, 2], [2, 4]]))
 1
+>>> fraction_rref([[Fraction(2), Fraction(4)], [Fraction(1), Fraction(2)]])
+([[Fraction(1, 1), Fraction(2, 1)], [Fraction(0, 1), Fraction(0, 1)]], [0])
 """
 
 from fractions import Fraction
@@ -32,16 +36,43 @@ from bihomlie.cohomology import canonical_index_tuples, reduce_index_tuple
 from bihomlie.linalg import Matrix, Vec, is_zero_vec
 
 
+def fraction_rref(rows):
+    """(R, pivots): the RREF of ``rows`` as lists, zero rows last, and the
+    pivot column of each nonzero row, by textbook Gauss-Jordan in Fraction
+    arithmetic with the first nonzero entry as pivot; the input is left
+    alone."""
+    m = [list(row) for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    prow = 0
+    for pcol in range(ncols):
+        if prow == nrows:
+            break
+        hit = next((i for i in range(prow, nrows) if m[i][pcol]), -1)
+        if hit < 0:
+            continue
+        m[prow], m[hit] = m[hit], m[prow]
+        inv = Fraction(1) / m[prow][pcol]
+        m[prow] = [x * inv for x in m[prow]]
+        lead = m[prow]
+        for i in range(nrows):
+            f = m[i][pcol]
+            if i != prow and f:
+                m[i] = [a - f * b for a, b in zip(m[i], lead)]
+        pivots.append(pcol)
+        prow += 1
+    return m, pivots
+
+
 def solve_many(m: Matrix, bs: Sequence[Vec]) -> list[Optional[Vec]]:
     """One exact solution of m·x = b for each b, or None where the system
     is inconsistent, from one RREF of m augmented by all the b."""
     for b in bs:
         if len(b) != m.nrows:
             raise ValueError("shape mismatch")
-    aug = Matrix(
-        [list(m.rows[i]) + [b[i] for b in bs] for i in range(m.nrows)]
-    )
-    reduced, pivots = aug.rref()
+    aug = [list(m.rows[i]) + [b[i] for b in bs] for i in range(m.nrows)]
+    reduced, pivots = fraction_rref(aug)
     out: list[Optional[Vec]] = []
     for k in range(len(bs)):
         col = m.ncols + k
@@ -53,7 +84,7 @@ def solve_many(m: Matrix, bs: Sequence[Vec]) -> list[Optional[Vec]]:
         # not makes system k inconsistent
         consistent = not any(
             reduced[r][col] and not any(reduced[r][: m.ncols])
-            for r in range(aug.nrows)
+            for r in range(m.nrows)
         )
         out.append(tuple(x) if consistent else None)
     return out
@@ -61,7 +92,7 @@ def solve_many(m: Matrix, bs: Sequence[Vec]) -> list[Optional[Vec]]:
 
 def dense_rank(m: Matrix) -> int:
     """The rank of m as the pivot count of its RREF."""
-    return len(m.rref()[1])
+    return len(fraction_rref(m.rows)[1])
 
 
 def in_span(vectors: Sequence[Vec], v: Vec) -> bool:

@@ -293,6 +293,19 @@ def test_garbage_input_is_a_usage_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_directory_as_input_is_a_usage_error(tmp_path, capsys):
+    assert run_cli(["check", str(tmp_path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_a_directory_as_report_path_is_a_usage_error(tmp_path, capsys):
+    code = run_cli(
+        ["check", data_path("zero_3.alg"), "--report", str(tmp_path)]
+    )
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_2(capsys):
     assert run_cli([]) == 2
     assert run_cli(["frobnicate"]) == 2
