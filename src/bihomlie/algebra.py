@@ -137,6 +137,7 @@ class ColourAlgebra:
         "_products",
         "_terms",
         "_twisted_terms",
+        "_commutation",
         "_skew_terms",
         "_supports",
     )
@@ -178,6 +179,9 @@ class ColourAlgebra:
         self._products: dict[tuple, tuple[tuple[Vec, ...], ...]] = {}
         self._terms: Optional[TermTable] = None
         self._twisted_terms: dict[tuple, TermTable] = {}
+        # the commutation patterns of derivations._commutation, keyed by
+        # (reduced degree, with_beta)
+        self._commutation: dict[tuple, tuple] = {}
         self._skew_terms: Optional[TermTable] = None
         self._supports: dict[tuple, tuple] = {}
 

@@ -367,8 +367,10 @@ def run_cli(argv=None) -> int:
         RuntimeError,
         ZeroDivisionError,
     ) as e:
-        # OSError covers a path that is missing, a directory or unreadable
-        print(f"error: {e}", file=sys.stderr)
+        # OSError covers a path that is missing, a directory or unreadable;
+        # str() of a KeyError quotes its argument, so print the message
+        msg = e.args[0] if isinstance(e, KeyError) and e.args else e
+        print(f"error: {msg}", file=sys.stderr)
         return 2
 
 

@@ -756,7 +756,9 @@ def cochain_in_space(
     checked on every canonical tuple T, in lexicographic order and alpha
     before beta: the left side is the sum of c f(X) over the memoized
     pull-back terms (X, c) of T, the terms from which
-    :func:`cochain_basis` builds its constraint rows.
+    :func:`cochain_basis` builds its constraint rows.  A tuple T is skipped
+    when f has no value at T nor at any X of its pull-back terms: both
+    sides are zero there.
     """
     a = rep.algebra
     if f.dimV != rep.dimV:
@@ -775,11 +777,17 @@ def cochain_in_space(
             return False, f"stored tuple {T} is not canonical"
     arity = _arity(rep, f.n)
     vmaps = ((rep.alphaV, "alpha"), (rep.betaV, "beta"))
+    values = f.values
     for T in canonical_index_tuples(a, f.n):
-        for pull, (vmap, name) in zip(_pullbacks(a, arity, T), vmaps):
+        pulls = _pullbacks(a, arity, T)
+        if T not in values and not any(
+            X in values for pull in pulls for X, _ in pull
+        ):
+            continue
+        for pull, (vmap, name) in zip(pulls, vmaps):
             got = [_ZERO] * rep.dimV
             for X, c in pull:
-                for w, x in enumerate(f.values.get(X, ())):
+                for w, x in enumerate(values.get(X, ())):
                     if x:
                         got[w] += c * x
             if tuple(got) != vmap.apply(f.value(T)):

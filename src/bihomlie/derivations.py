@@ -3,16 +3,21 @@
 Every space here is cut out of the homogeneous endomorphisms of a colour
 algebra by linear conditions: a twisted Leibniz law, a centroid law, or a
 cross condition, always together with commutation against the two structure
-maps.  The solvers assemble the conditions as sparse rows over the entries
-of one degree block, reading the nonzero terms of the product and twisted
-product tables; split the entries into the independent blocks those rows
-link and take the exact kernel of each (linalg.kernel_by_blocks); and
-re-substitute every basis member into the defining identities before
-returning (a wrong answer here would poison everything downstream, so the
-few extra multiplications are cheap insurance).  The re-verification is an
-evaluation of the identities on the member, independent of the assembled
-rows: it sums the member's ``column_terms`` against the cached term tables
-of the product and of the twisted products, so it visits nonzero terms only.
+maps.  The commutation depends only on the algebra, the degree and
+whether beta is constrained, so it is solved once per such triple and
+cached on the algebra: the entries of the degree block it forces to zero
+are struck, and the commuting rows that survive are kept over the live
+entries.  The solvers assemble the remaining conditions as sparse rows
+over the live entries only, reading the nonzero terms of the product and
+twisted product tables; split the entries into the independent blocks
+those rows link and take the exact kernel of each
+(linalg.kernel_by_blocks); and re-substitute every basis member into the
+defining identities before returning (a wrong answer here would poison
+everything downstream, so the few extra multiplications are cheap
+insurance).  The re-verification is an evaluation of the identities on the
+member, independent of the assembled rows: it sums the member's
+``column_terms`` against the cached term tables of the product and of the
+twisted products, so it visits nonzero terms only.
 
 The product D1 . D2 + eps(d1, d2) D2 . D1 turns homogeneous endomorphisms
 into a colour analogue of a special Jordan algebra; check_jordan_axioms
@@ -35,6 +40,7 @@ from .linalg import (
     EchelonBasis,
     Matrix,
     Vec,
+    _strike_forced,
     add_terms,
     is_zero_vec,
     kernel_by_blocks,
@@ -148,6 +154,40 @@ def _block_slots(
     ]
 
 
+def _commutation(
+    a: ColourAlgebra, gamma: GroupElement, with_beta: bool
+) -> tuple[tuple[tuple[int, int], ...], tuple[dict[int, Fraction], ...]]:
+    """The commutation pattern of one degree-gamma unknown D, gamma
+    reduced: the entries (u, t) that D M = M D leaves live, for M = alpha
+    and, when ``with_beta``, M = beta, in slot order; and the commuting
+    rows that survive, over the positions of those entries.
+
+    The rows over all slots of the degree block are struck once
+    (linalg._strike_forced): an entry they force to zero is zero in every
+    solution of every system that includes them, so no solver needs its
+    column.  Cached on the algebra per (gamma, with_beta).
+    """
+    key = (gamma, with_beta)
+    hit = a._commutation.get(key)
+    if hit is None:
+        n = a.dim
+        slots = _block_slots(a, gamma)
+        cols: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
+        for idx, (u, t) in enumerate(slots):
+            cols[u][t] = idx
+        rows = _commuting_rows(a, cols, a.alpha)
+        if with_beta:
+            rows += _commuting_rows(a, cols, a.beta)
+        forced, rows = _strike_forced(rows)
+        live = [idx for idx in range(len(slots)) if idx not in forced]
+        pos = {idx: p for p, idx in enumerate(live)}
+        hit = a._commutation[key] = (
+            tuple(slots[idx] for idx in live),
+            tuple({pos[c]: x for c, x in row.items()} for row in rows),
+        )
+    return hit
+
+
 def _solve_blocks(
     a: ColourAlgebra,
     k: int,
@@ -158,42 +198,46 @@ def _solve_blocks(
     *,
     with_beta: bool = True,
 ) -> list[tuple[Matrix, ...]]:
-    """Kernel of a linear system in ``nmaps`` stacked degree-gamma unknowns.
+    """Kernel of a linear system in ``nmaps`` stacked degree-gamma unknowns,
+    gamma reduced.
 
     Every unknown commutes with alpha (and with beta unless ``with_beta``
     is false); each entry of ``conditions`` is the argument tuple
     (value, left, right[, right_sign]) of one set of :func:`_leibniz_rows`.
-    Entry (u, t) of unknown m is column ``cols[m][u][t]``; entries outside
-    the degree-block pattern are identically zero, have no column, and
-    their terms are dropped.  The rows are sparse and the kernel is solved
-    per linked block of columns by :func:`kernel_by_blocks`.
+    The commutation is solved once per degree by :func:`_commutation`:
+    each unknown gets a column for each live entry of its pattern and a
+    copy of the surviving commuting rows, and entry (u, t) of unknown m is
+    column ``cols[m][u][t]``.  Entries outside the degree-block pattern
+    and entries the commutation forces to zero have no column, and the
+    Leibniz rows drop their terms.  The rows are sparse and the kernel is
+    solved per linked block of columns by :func:`kernel_by_blocks`; its
+    coordinates map back to the entries in column order, so the basis is
+    the one of the full system over every slot.
     """
     twisted = _twisted(a, k, l)
-    slots = _block_slots(a, gamma)
-    if not slots:
+    live, commuting = _commutation(a, gamma, with_beta)
+    if not live:
         return []
     n = a.dim
+    size = len(live)
     cols: list[list[list[Optional[int]]]] = [
         [[None] * n for _ in range(n)] for _ in range(nmaps)
     ]
-    for m in range(nmaps):
-        for idx, (u, t) in enumerate(slots):
-            cols[m][u][t] = m * len(slots) + idx
-
     rows = []
     for m in range(nmaps):
-        rows += _commuting_rows(a, cols[m], a.alpha)
-        if with_beta:
-            rows += _commuting_rows(a, cols[m], a.beta)
+        base = m * size
+        for p, (u, t) in enumerate(live):
+            cols[m][u][t] = base + p
+        rows += ({base + c: x for c, x in row.items()} for row in commuting)
     for cond in conditions:
         rows += _leibniz_rows(a, cols, gamma, *twisted, *cond)
 
     out = []
-    for coords in kernel_by_blocks(rows, nmaps * len(slots)):
+    for coords in kernel_by_blocks(rows, nmaps * size):
         entries = [[[_ZERO] * n for _ in range(n)] for _ in range(nmaps)]
         for c, x in coords.items():
-            m, idx = divmod(c, len(slots))
-            u, t = slots[idx]
+            m, p = divmod(c, size)
+            u, t = live[p]
             entries[m][u][t] = x
         out.append(tuple(Matrix._of_rows(e, n) for e in entries))
     return out

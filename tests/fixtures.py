@@ -111,6 +111,29 @@ def gl2_conjugation_twist() -> ColourAlgebra:
     return yau_twist(commutator_algebra(mat2_assoc()), alpha, beta)
 
 
+def gl2_one_sided_twist(side: int) -> ColourAlgebra:
+    """gl(2) twisted by conjugation with [[1,1],[0,1]] as alpha (side 0)
+    or beta (side 1) and the identity as the other map: the alpha- and
+    beta-preimages of a tuple differ."""
+    maps = [Matrix.identity(4)] * 2
+    maps[side] = matrix_conjugation([[1, 1], [0, 1]], [[1, -1], [0, 1]])
+    return yau_twist(commutator_algebra(mat2_assoc()), *maps)
+
+
+def gl21_unipotent_twist() -> ColourAlgebra:
+    """gl(2|1) twisted by conjugation with the even unipotent matrices
+    1 + E12 and 1 + 2 E12: a nine-dimensional algebra whose beta columns
+    have several nonzero entries."""
+    def unipotent(c):
+        return [[1, c, 0], [0, 1, 0], [0, 0, 1]]
+
+    return yau_twist(
+        commutator_algebra(gl21_units()),
+        matrix_conjugation(unipotent(1), unipotent(-1)),
+        matrix_conjugation(unipotent(2), unipotent(-2)),
+    )
+
+
 def shipped_osp12_twist() -> ColourAlgebra:
     with open(DATA / "osp12_twist_2_3.alg", encoding="utf-8") as fh:
         return parse_algebra(fh.read())

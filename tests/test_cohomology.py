@@ -29,11 +29,8 @@ from bihomlie.cohomology import (
 from bihomlie.algebra import ColourAlgebra
 from bihomlie.constructions import (
     build_osp12,
-    commutator_algebra,
     lie_corpus,
-    mat2_assoc,
     osp12_classical,
-    yau_twist,
     z2z2_colour_example,
     zero_algebra,
 )
@@ -60,9 +57,9 @@ from fixtures import (
     TWISTED,
     gl2_conjugation_twist,
     gl21_twist,
-    gl21_units,
+    gl2_one_sided_twist,
+    gl21_unipotent_twist,
     gl22_twist,
-    matrix_conjugation,
 )
 
 F = Fraction
@@ -517,20 +514,6 @@ def coboundary_oracle(rep, r, f, prefactor):
     return Cochain(n + 1, gamma, out_vals, rep.dimV)
 
 
-def gl21_unipotent_twist():
-    """gl(2|1) twisted by conjugation with the even unipotent matrices
-    1 + E12 and 1 + 2 E12: a nine-dimensional algebra whose beta columns
-    have several nonzero entries."""
-    def unipotent(c):
-        return [[1, c, 0], [0, 1, 0], [0, 0, 1]]
-
-    return yau_twist(
-        commutator_algebra(gl21_units()),
-        matrix_conjugation(unipotent(1), unipotent(-1)),
-        matrix_conjugation(unipotent(2), unipotent(-2)),
-    )
-
-
 def _dense_cochain(rep, n, gamma, seed):
     """Values on every canonical tuple: not in the cochain space."""
     rng = Random(seed)
@@ -814,15 +797,6 @@ def _perturbed(rep, f, rng):
     v = list(f.value(T))
     v[w] += F(rng.choice((-2, -1, 1, 3)))
     return Cochain(f.n, f.degree, {**f.values, T: v}, f.dimV)
-
-
-def gl2_one_sided_twist(side):
-    """gl(2) twisted by conjugation with [[1,1],[0,1]] as alpha (side 0)
-    or beta (side 1) and the identity as the other map: the alpha- and
-    beta-preimages of a tuple differ."""
-    maps = [Matrix.identity(4)] * 2
-    maps[side] = matrix_conjugation([[1, 1], [0, 1]], [[1, -1], [0, 1]])
-    return yau_twist(commutator_algebra(mat2_assoc()), *maps)
 
 
 MEMBERSHIP_MODULES = {

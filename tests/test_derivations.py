@@ -45,7 +45,14 @@ from dense_oracles import (
     is_homogeneous,
     spans_equal,
 )
-from fixtures import LIE_CORPUS, TWISTED, gl21_twist
+from fixtures import (
+    LIE_CORPUS,
+    TWISTED,
+    gl2_conjugation_twist,
+    gl2_one_sided_twist,
+    gl21_twist,
+    gl21_unipotent_twist,
+)
 
 F = Fraction
 
@@ -494,9 +501,15 @@ def solver_oracle(kind, a, k, l, gamma, strict=False):
     return solve_blocks_oracle(a, gamma, nmaps, commuting, rows)
 
 
+# the conjugation twists have non-diagonal structure maps, so some of their
+# commuting rows survive the strike of the forced entries; on the beta-only
+# one the strict quasi-centroids outnumber the others
 ORACLE_ALGEBRAS = {
     **{name: (lambda name=name: dict(lie_corpus())[name]) for name in LIE_CORPUS},
     "gl21_twist": gl21_twist,
+    "gl21_unipotent_twist": gl21_unipotent_twist,
+    "gl2_conjugation_twist": gl2_conjugation_twist,
+    "gl2_beta_only_twist": lambda: gl2_one_sided_twist(1),
 }
 
 
@@ -521,6 +534,88 @@ def test_block_solves_match_the_dense_oracle(name):
                         for entry in basis
                     ]
                     assert got == want, (kind, k, l, gamma, strict)
+
+
+@pytest.mark.parametrize(
+    "make, gamma, live, rows",
+    [
+        (gl21_twist, (0,), 15, 0),
+        (gl21_twist, (1,), 0, 0),
+        (gl21_unipotent_twist, (0,), 34, 34),
+        (gl2_conjugation_twist, (), 15, 22),
+    ],
+    ids=lambda x: getattr(x, "__name__", None),
+)
+def test_commutation_pattern_sizes(make, gamma, live, rows):
+    # live entries and surviving rows of the alpha-and-beta pattern; the
+    # live entries are slots in slot order, every surviving row links two
+    # or more of them
+    a = make()
+    entries, commuting = dv._commutation(a, gamma, True)
+    assert (len(entries), len(commuting)) == (live, rows)
+    slots = dv._block_slots(a, gamma)
+    assert sorted(entries, key=slots.index) == list(entries)
+    assert set(entries) <= set(slots)
+    assert all(
+        len(row) >= 2 and set(row) <= set(range(live)) for row in commuting
+    )
+
+
+def test_solvers_share_one_commutation_pattern_per_degree(monkeypatch):
+    a = gl21_unipotent_twist()
+    calls = {"commuting": 0, "strike": 0}
+
+    def counted(name, key):
+        inner = getattr(dv, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(dv, name, wrapper)
+
+    counted("_commuting_rows", "commuting")
+    counted("_strike_forced", "strike")
+    for solver, *_ in SOLVER_KINDS.values():
+        solver(a, 0, 0, (0,))
+    # alpha and beta rows, one strike, for five solvers
+    assert calls == {"commuting": 2, "strike": 1}
+    assert set(a._commutation) == {((0,), True)}
+    centroid_space(a, 0, 0, (0,), strict=True)
+    quasi_centroid_space(a, 0, 0, (0,), strict=True)
+    # strict adds its own alpha-only pattern, and it has fewer rows
+    assert calls == {"commuting": 3, "strike": 2}
+    assert set(a._commutation) == {((0,), True), ((0,), False)}
+    assert len(a._commutation[(0,), False][1]) == 17
+    derivation_space(a, 1, 0, (0,))
+    assert calls == {"commuting": 3, "strike": 2}
+
+
+def test_a_degree_the_commutation_strikes_whole_builds_no_leibniz_row(
+    monkeypatch,
+):
+    # on the diagonal twist of gl(2|1) commuting with alpha and beta alone
+    # forces all 40 entries of degree 1 to zero
+    a = gl21_twist()
+
+    def no_rows(*args, **kwargs):
+        raise AssertionError("Leibniz rows built for a struck degree")
+
+    monkeypatch.setattr(dv, "_leibniz_rows", no_rows)
+    for kind, (solver, _, _, has_strict) in SOLVER_KINDS.items():
+        for strict in (False, True) if has_strict else (False,):
+            extra = {"strict": True} if strict else {}
+            assert solver(a, 0, 0, (1,), **extra).basis == (), kind
+
+
+def test_a_singular_negative_power_raises_before_the_pattern():
+    # _twisted comes first, so no pattern is cached for a refused solve
+    a = osp12_classical().with_product(
+        osp12_classical().product, alpha=Matrix.zero(5, 5)
+    )
+    with pytest.raises(ValueError):
+        derivation_space(a, -1, 0, (0,))
+    assert a._commutation == {}
 
 
 # ---------------------------------------------------------------------------

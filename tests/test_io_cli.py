@@ -306,6 +306,13 @@ def test_a_directory_as_report_path_is_a_usage_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_an_unknown_example_name_is_reported_unquoted(capsys):
+    assert run_cli(["example", "nope"]) == 2
+    out = capsys.readouterr()
+    assert out.err == "error: unknown corpus algebra 'nope'\n"
+    assert out.out == ""
+
+
 def test_usage_errors_exit_2(capsys):
     assert run_cli([]) == 2
     assert run_cli(["frobnicate"]) == 2

@@ -5,8 +5,8 @@
 #
 # For pair i (seed FIRST_SEED + i, default 30, PAIRS default 10) it runs
 # every workload once in each checkout, the parent first on even i and the
-# change first on odd i, then one traced corpus-sweep run at seed 77 in
-# each.  Each run writes its result to .perfbench_out/results of its own
+# change first on odd i, then one traced run of every workload at seed 77
+# in each.  Each run writes its result to .perfbench_out/results of its own
 # checkout; empty those directories first, since tools/bench_trajectory.py
 # reads every result file in them.
 set -u
@@ -22,7 +22,9 @@ for ((i = 0; i < pairs; i++)); do
     echo "$(date +%T) pair $i $w done"
   done
 done
-for d in "$parent" "$change"; do
-  (cd "$d" && python3 perfbench/run.py --workload corpus-sweep --seed 77 \
-    --seconds 10 --trace 1 > /dev/null) || echo "FAIL $d traced"
+for w in corpus-sweep gl21-solvers gl21-cohomology; do
+  for d in "$parent" "$change"; do
+    (cd "$d" && python3 perfbench/run.py --workload "$w" --seed 77 \
+      --seconds 10 --trace 1 > /dev/null) || echo "FAIL $d $w traced"
+  done
 done

@@ -16,7 +16,9 @@ the number of runs and the median and quartiles of perfbench/compare.py's
 BENCHMARK.json it adds the pairs (seeds run on both sides), the pairs the
 change wins and ties, and the relative change of the median.  The counts
 (``count`` and ``bits`` units) of the traced runs go to ``traced_counts``,
-per workload and seed.
+per workload and seed, and their per-layer seconds (the ``per_layer``
+metrics of BENCHMARK.json in ``s``) to ``traced_layers``: those come from
+one traced pass per side, not from medians.
 """
 
 from __future__ import annotations
@@ -65,15 +67,21 @@ def trajectory(sets: dict, spec: dict, parent_sha: str) -> dict:
                 entry["median_change"] = (
                     entry["change"]["median"] / base - 1 if base else None
                 )
+    layers = {m["name"] for m in spec["per_layer"] if m["unit"] == "s"}
     traced: dict = {}
+    seconds: dict = {}
     for side, results in sets.items():
         for r in results:
             if r["trace"]:
-                counts = traced.setdefault(f"{r['workload']}@seed{r['seed']}", {})
-                counts[side] = {
+                run = f"{r['workload']}@seed{r['seed']}"
+                metrics = r["metrics"].items()
+                traced.setdefault(run, {})[side] = {
                     name: m["value"]
-                    for name, m in r["metrics"].items()
+                    for name, m in metrics
                     if m["unit"] in EXACT_UNITS
+                }
+                seconds.setdefault(run, {})[side] = {
+                    name: m["value"] for name, m in metrics if name in layers
                 }
     return {
         "name": "BENCH_<parent sha>.json: a file cannot name the commit "
@@ -92,6 +100,11 @@ def trajectory(sets: dict, spec: dict, parent_sha: str) -> dict:
         "only; pairs, change_wins and ties compare the two sides seed by seed",
         "workloads": workloads,
         "traced_counts": traced,
+        "traced_layers": {
+            "single_run": "one traced pass per side, workload and seed: "
+            "seconds of a single run, not medians; compare them with care",
+            "runs": seconds,
+        },
     }
 
 
