@@ -259,7 +259,7 @@ def check_g_associative(a: ColourAlgebra, g: str) -> AxiomReport:
         raise ValueError(f"unknown subgroup id {g!r}; expected G1..G6")
     require_passing(
         a,
-        "generic",
+        "bihom",
         need_multiplicative=True,
         need_regular=True,
         context=f"check_g_associative({g})",

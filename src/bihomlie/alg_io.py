@@ -34,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import ColourAlgebra
+from .algebra import MAX_DIM, ColourAlgebra
 from .grading import (
     Bicharacter,
     GradedBasis,
@@ -234,6 +234,8 @@ def parse_algebra(text: str) -> ColourAlgebra:
 
     if "basis" not in sections or not sections["basis"]:
         raise ParseError("missing or empty [basis] section")
+    if len(sections["basis"]) > MAX_DIM:
+        raise ParseError(f"[basis] has more than {MAX_DIM} elements")
     names: list[str] = []
     degrees: list = []
     for no, body in sections["basis"]:

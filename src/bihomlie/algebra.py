@@ -44,6 +44,11 @@ ONE = Fraction(1)
 # a table of term lists, indexed [i][j]
 TermTable = tuple[tuple[Terms, ...], ...]
 
+# The largest dimension that corpus names and the .alg parser accept.  Both
+# build an n^3 product table: zero_100 took about 2 s and 70 MiB (2-vCPU
+# x86-64 VM), and the cost grows as n^3.
+MAX_DIM = 100
+
 
 def format_element(basis: GradedBasis, v: Vec) -> str:
     """Pretty coordinate vector: "2 X + -1/3 H", or "0"."""
@@ -531,6 +536,19 @@ def _check_regular(a: ColourAlgebra) -> CheckItem:
     )
 
 
+def _structural(a: ColourAlgebra) -> list[CheckItem]:
+    """The items every suite opens with: evenness of the product and of
+    both maps, commuting maps, and (advisory) multiplicativity of each."""
+    return [
+        _check_product_even(a),
+        _check_map_even(a, "alpha", a.alpha),
+        _check_map_even(a, "beta", a.beta),
+        _check_maps_commute(a),
+        _check_multiplicative(a, "alpha"),
+        _check_multiplicative(a, "beta"),
+    ]
+
+
 def check_lie_axioms(a: ColourAlgebra) -> AxiomReport:
     """Full BiHom-Lie colour suite on all basis tuples.
 
@@ -539,13 +557,7 @@ def check_lie_axioms(a: ColourAlgebra) -> AxiomReport:
     eps-BiHom-Jacobi condition.  Multiplicativity of each map and
     regularity are reported alongside as advisory verdicts.
     """
-    rep = AxiomReport()
-    rep.items.append(_check_product_even(a))
-    rep.items.append(_check_map_even(a, "alpha", a.alpha))
-    rep.items.append(_check_map_even(a, "beta", a.beta))
-    rep.items.append(_check_maps_commute(a))
-    rep.items.append(_check_multiplicative(a, "alpha"))
-    rep.items.append(_check_multiplicative(a, "beta"))
+    rep = AxiomReport(_structural(a))
 
     skew = a.skew_terms()
     eps = a.eps_table()
@@ -589,13 +601,7 @@ def associator(a: ColourAlgebra, x: Vec, y: Vec, z: Vec) -> Vec:
 
 def check_associative_axioms(a: ColourAlgebra) -> AxiomReport:
     """BiHom-associativity suite; colour-commutativity is a separate flag."""
-    rep = AxiomReport()
-    rep.items.append(_check_product_even(a))
-    rep.items.append(_check_map_even(a, "alpha", a.alpha))
-    rep.items.append(_check_map_even(a, "beta", a.beta))
-    rep.items.append(_check_maps_commute(a))
-    rep.items.append(_check_multiplicative(a, "alpha"))
-    rep.items.append(_check_multiplicative(a, "beta"))
+    rep = AxiomReport(_structural(a))
 
     def assoc_defect(i: int, j: int, k: int) -> Vec:
         return associator(
@@ -617,21 +623,16 @@ def check_associative_axioms(a: ColourAlgebra) -> AxiomReport:
 
 
 def check_bihom_axioms(a: ColourAlgebra) -> AxiomReport:
-    """Structural items only: no product law is imposed.
+    """The structural items and regularity: no product law is imposed."""
+    return AxiomReport(_structural(a) + [_check_regular(a)])
 
-    Evenness, commuting maps, multiplicativity and regularity; the last
-    three multiplicativity/regularity verdicts stay advisory as in the
-    full suites.
-    """
-    rep = AxiomReport()
-    rep.items.append(_check_product_even(a))
-    rep.items.append(_check_map_even(a, "alpha", a.alpha))
-    rep.items.append(_check_map_even(a, "beta", a.beta))
-    rep.items.append(_check_maps_commute(a))
-    rep.items.append(_check_multiplicative(a, "alpha"))
-    rep.items.append(_check_multiplicative(a, "beta"))
-    rep.items.append(_check_regular(a))
-    return rep
+
+# the axiom suites by name, for require_passing and the command line
+SUITES = {
+    "lie": check_lie_axioms,
+    "associative": check_associative_axioms,
+    "bihom": check_bihom_axioms,
+}
 
 
 def require_passing(
@@ -642,13 +643,12 @@ def require_passing(
     need_regular: bool = False,
     context: str = "",
 ) -> AxiomReport:
-    """Gate helper: run a suite and raise if required verdicts fail."""
-    if suite == "lie":
-        rep = check_lie_axioms(a)
-    elif suite == "associative":
-        rep = check_associative_axioms(a)
-    else:
-        rep = check_bihom_axioms(a)
+    """Gate helper: run a suite of ``SUITES`` and raise if required
+    verdicts fail."""
+    if suite not in SUITES:
+        known = ", ".join(SUITES)
+        raise ValueError(f"unknown axiom suite {suite!r}; expected {known}")
+    rep = SUITES[suite](a)
     bad = [it.name for it in rep.items if not it.passed and not it.advisory]
     if need_multiplicative:
         bad += [

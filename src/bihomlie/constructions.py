@@ -12,6 +12,7 @@ from fractions import Fraction
 from typing import Union
 
 from .algebra import (
+    MAX_DIM,
     ColourAlgebra,
     _check_map_even,
     _check_tuples,
@@ -272,8 +273,9 @@ def z2z2_colour_example() -> ColourAlgebra:
 def corpus(name: str) -> ColourAlgebra:
     """Look up a built-in algebra by its stable CLI-visible name.
 
-    Accepted: zero_<n>, osp12_classical, osp12_twist(<lam>,<kappa>)
-    (bare osp12_twist means (2,3)), mat2_assoc, z2z2_colour_example.
+    Accepted: zero_<n> (1 <= n <= MAX_DIM), osp12_classical,
+    osp12_twist(<lam>,<kappa>) (bare osp12_twist means (2,3)), mat2_assoc,
+    z2z2_colour_example.
     """
     name = name.strip()
     if name.startswith("zero_"):
@@ -281,8 +283,11 @@ def corpus(name: str) -> ColourAlgebra:
             n = int(name[5:])
         except ValueError:
             raise KeyError(f"unknown corpus algebra {name!r}") from None
-        if n < 1:
-            raise KeyError(f"unknown corpus algebra {name!r}")
+        if not 1 <= n <= MAX_DIM:
+            raise KeyError(
+                f"unknown corpus algebra {name!r}; zero_<n> needs "
+                f"1 <= n <= {MAX_DIM}"
+            )
         return zero_algebra(n)
     if name == "osp12_classical":
         return osp12_classical()

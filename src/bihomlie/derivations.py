@@ -1,23 +1,29 @@
 """Exact solvers for twisted derivations, centroids and their relatives.
 
-Every space here is cut out of the homogeneous endomorphisms of a colour
-algebra by linear conditions: a twisted Leibniz law, a centroid law, or a
-cross condition, always together with commutation against the two structure
-maps.  The commutation depends only on the algebra, the degree and
-whether beta is constrained, so it is solved once per such triple and
-cached on the algebra: the entries of the degree block it forces to zero
-are struck, and the commuting rows that survive are kept over the live
-entries.  The solvers assemble the remaining conditions as sparse rows
-over the live entries only, reading the nonzero terms of the product and
-twisted product tables; split the entries into the independent blocks
-those rows link and take the exact kernel of each
-(linalg.kernel_by_blocks); and re-substitute every basis member into the
-defining identities before returning (a wrong answer here would poison
-everything downstream, so the few extra multiplications are cheap
-insurance).  The re-verification is an evaluation of the identities on the
-member, independent of the assembled rows: it sums the member's
-``column_terms`` against the cached term tables of the product and of the
-twisted products, so it visits nonzero terms only.
+Each kind of space is one twisted identity
+
+    value([x, y]) = [left(x), m(y)] + s eps(g, x)[m(x), right(y)],
+
+m = alpha^k beta^l, on one to three stacked endomorphisms of one degree
+that commute with the structure maps.  Its row in ``_KINDS`` names the
+unknown in each slot (or none) and the sign s; the kind's solver and its
+membership predicate both read that row.
+
+The commutation depends only on the algebra, the degree and whether beta
+is constrained, so it is solved once per such triple and cached on the
+algebra: the entries of the degree block it forces to zero are struck,
+and the commuting rows that survive are kept over the live entries.  The
+solvers assemble the conditions as sparse rows over the live entries
+only, reading the nonzero terms of the product and twisted product
+tables; split the entries into the independent blocks those rows link and
+take the exact kernel of each (linalg.kernel_by_blocks); and re-substitute
+every basis member into the defining identities before returning (a wrong
+answer here would poison everything downstream, so the few extra
+multiplications are cheap insurance).  The re-verification is an
+evaluation of the identities on the member, independent of the assembled
+rows: it sums the member's ``column_terms`` against the cached term
+tables of the product and of the twisted products, so it visits nonzero
+terms only.
 
 The product D1 . D2 + eps(d1, d2) D2 . D1 turns homogeneous endomorphisms
 into a colour analogue of a special Jordan algebra; check_jordan_axioms
@@ -32,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .algebra import AxiomReport, CheckItem, ColourAlgebra, TermTable, Witness
 from .grading import Bicharacter, GroupElement
@@ -429,83 +435,71 @@ def _commutes_with_maps(
 
 
 # ---------------------------------------------------------------------------
-# membership predicates (also the post-solve verifiers)
+# the kinds: their membership predicates (also the post-solve verifiers)
+# and their solvers
 
 
-def is_derivation(a: ColourAlgebra, k: int, l: int, d: HomEndo) -> bool:
-    tw = _twisted(a, k, l)
-    return (
-        is_homogeneous_endo(a, d.matrix, d.degree)
-        and _commutes_with_maps(a, d.matrix)
-        and _bracket_defect(a, d.degree, tw, d.matrix, d.matrix, d.matrix)
-        is None
-    )
+# One row per kind (see the module docstring): the number of unknowns and
+# the conditions, each the unknowns in the slots (value, left, right[, s])
+# of one identity, None for an absent term.
+_KINDS: dict[str, tuple[int, tuple[tuple, ...]]] = {
+    "derivation": (1, ((0, 0, 0),)),
+    "quasi_derivation": (2, ((1, 0, 0),)),
+    "generalized_derivation": (3, ((2, 0, 1),)),
+    "centroid": (1, ((0, 0, None), (0, None, 0))),
+    "quasi_centroid": (1, ((None, 0, 0, -_ONE),)),
+}
 
 
-def is_quasi_derivation_pair(
-    a: ColourAlgebra, k: int, l: int, d: HomEndo, d1: HomEndo
-) -> bool:
-    if d.degree != d1.degree:
-        return False
-    tw = _twisted(a, k, l)
-    return (
-        is_homogeneous_endo(a, d.matrix, d.degree)
-        and is_homogeneous_endo(a, d1.matrix, d1.degree)
-        and _commutes_with_maps(a, d.matrix)
-        and _commutes_with_maps(a, d1.matrix)
-        and _bracket_defect(a, d.degree, tw, d1.matrix, d.matrix, d.matrix)
-        is None
-    )
-
-
-def is_generalized_triple(
+def _satisfies(
     a: ColourAlgebra,
+    kind: str,
     k: int,
     l: int,
-    d: HomEndo,
-    d1: HomEndo,
-    d2: HomEndo,
+    *endos: HomEndo,
+    with_beta: bool = True,
 ) -> bool:
-    if not (d.degree == d1.degree == d2.degree):
+    """Whether ``endos``, the unknowns of ``kind`` in order, share one
+    degree, are homogeneous of it, commute with alpha (and with beta when
+    ``with_beta``) and satisfy every condition of the kind's row."""
+    gamma = endos[0].degree
+    if any(e.degree != gamma for e in endos):
         return False
     tw = _twisted(a, k, l)
-    return (
-        all(
-            is_homogeneous_endo(a, e.matrix, e.degree)
-            and _commutes_with_maps(a, e.matrix)
-            for e in (d, d1, d2)
-        )
-        and _bracket_defect(a, d.degree, tw, d2.matrix, d.matrix, d1.matrix)
-        is None
+    # the matrix of each unknown by slot index; pick(None) is None
+    pick = dict(enumerate(e.matrix for e in endos)).get
+    return all(
+        is_homogeneous_endo(a, e.matrix, gamma)
+        and _commutes_with_maps(a, e.matrix, with_beta)
+        for e in endos
+    ) and all(
+        _bracket_defect(a, gamma, tw, *map(pick, cond[:3]), *cond[3:]) is None
+        for cond in _KINDS[kind][1]
     )
 
 
-def is_centroid_member(
-    a: ColourAlgebra, k: int, l: int, d: HomEndo, *, strict: bool = False
-) -> bool:
-    tw = _twisted(a, k, l)
-    return (
-        is_homogeneous_endo(a, d.matrix, d.degree)
-        and _commutes_with_maps(a, d.matrix, with_beta=not strict)
-        and _bracket_defect(a, d.degree, tw, d.matrix, d.matrix, None)
-        is None
-        and _bracket_defect(a, d.degree, tw, d.matrix, None, d.matrix)
-        is None
-    )
-
-
-def is_quasi_centroid_member(
-    a: ColourAlgebra, k: int, l: int, d: HomEndo, *, strict: bool = False
-) -> bool:
-    tw = _twisted(a, k, l)
-    return (
-        is_homogeneous_endo(a, d.matrix, d.degree)
-        and _commutes_with_maps(a, d.matrix, with_beta=not strict)
-        and _bracket_defect(
-            a, d.degree, tw, None, d.matrix, d.matrix, right_sign=-_ONE
-        )
-        is None
-    )
+def _solve(
+    a: ColourAlgebra,
+    kind: str,
+    k: int,
+    l: int,
+    gamma: GroupElement,
+    verify: Callable[..., bool],
+    strict: Optional[bool] = None,
+) -> SolverResult:
+    """The basis of ``kind`` at degree gamma, assembled from its row by
+    :func:`_solve_blocks`; every member is re-verified by ``verify``, the
+    kind's public predicate, before it is returned.  ``strict`` is None for
+    the kinds without that option, and true drops the beta commutation."""
+    nmaps, conditions = _KINDS[kind]
+    g = a.basis.group.reduce(gamma)
+    opts = {} if strict is None else {"strict": strict}
+    sols = _solve_blocks(a, k, l, g, nmaps, conditions, with_beta=not strict)
+    basis = [tuple(HomEndo(m, g) for m in mats) for mats in sols]
+    for members in basis:
+        _reverify(verify(a, k, l, *members, **opts))
+    basis = tuple(m[0] if nmaps == 1 else m for m in basis)
+    return SolverResult(kind, k, l, g, basis, len(basis))
 
 
 def _reverify(ok: bool) -> None:
@@ -516,8 +510,32 @@ def _reverify(ok: bool) -> None:
         )
 
 
-# ---------------------------------------------------------------------------
-# solvers
+def is_derivation(a: ColourAlgebra, k: int, l: int, d: HomEndo) -> bool:
+    return _satisfies(a, "derivation", k, l, d)
+
+
+def is_quasi_derivation_pair(
+    a: ColourAlgebra, k: int, l: int, d: HomEndo, d1: HomEndo
+) -> bool:
+    return _satisfies(a, "quasi_derivation", k, l, d, d1)
+
+
+def is_generalized_triple(
+    a: ColourAlgebra, k: int, l: int, d: HomEndo, d1: HomEndo, d2: HomEndo
+) -> bool:
+    return _satisfies(a, "generalized_derivation", k, l, d, d1, d2)
+
+
+def is_centroid_member(
+    a: ColourAlgebra, k: int, l: int, d: HomEndo, *, strict: bool = False
+) -> bool:
+    return _satisfies(a, "centroid", k, l, d, with_beta=not strict)
+
+
+def is_quasi_centroid_member(
+    a: ColourAlgebra, k: int, l: int, d: HomEndo, *, strict: bool = False
+) -> bool:
+    return _satisfies(a, "quasi_centroid", k, l, d, with_beta=not strict)
 
 
 def derivation_space(
@@ -530,12 +548,7 @@ def derivation_space(
     with D commuting with alpha and beta.  Negative k or l use exact
     inverses and require regular maps.
     """
-    g = a.basis.group.reduce(gamma)
-    sols = _solve_blocks(a, k, l, g, 1, [(0, 0, 0)])
-    basis = tuple(HomEndo(mats[0], g) for mats in sols)
-    for d in basis:
-        _reverify(is_derivation(a, k, l, d))
-    return SolverResult("derivation", k, l, g, basis, len(basis))
+    return _solve(a, "derivation", k, l, gamma, is_derivation)
 
 
 def inner_derivation_space(
@@ -582,14 +595,7 @@ def quasi_derivation_space(
 
         D1([x, y]) = [D(x), m(y)] + eps(g, x)[m(x), D(y)].
     """
-    g = a.basis.group.reduce(gamma)
-    sols = _solve_blocks(a, k, l, g, 2, [(1, 0, 0)])
-    basis = tuple(
-        (HomEndo(mats[0], g), HomEndo(mats[1], g)) for mats in sols
-    )
-    for d, d1 in basis:
-        _reverify(is_quasi_derivation_pair(a, k, l, d, d1))
-    return SolverResult("quasi_derivation", k, l, g, basis, len(basis))
+    return _solve(a, "quasi_derivation", k, l, gamma, is_quasi_derivation_pair)
 
 
 def generalized_derivation_space(
@@ -599,16 +605,8 @@ def generalized_derivation_space(
 
         D2([x, y]) = [D(x), m(y)] + eps(g, x)[m(x), D1(y)].
     """
-    g = a.basis.group.reduce(gamma)
-    sols = _solve_blocks(a, k, l, g, 3, [(2, 0, 1)])
-    basis = tuple(
-        (HomEndo(mats[0], g), HomEndo(mats[1], g), HomEndo(mats[2], g))
-        for mats in sols
-    )
-    for d, d1, d2 in basis:
-        _reverify(is_generalized_triple(a, k, l, d, d1, d2))
-    return SolverResult(
-        "generalized_derivation", k, l, g, basis, len(basis)
+    return _solve(
+        a, "generalized_derivation", k, l, gamma, is_generalized_triple
     )
 
 
@@ -628,14 +626,7 @@ def centroid_space(
     drops the beta condition, for the convention that constrains D
     against alpha only.
     """
-    g = a.basis.group.reduce(gamma)
-    sols = _solve_blocks(
-        a, k, l, g, 1, [(0, 0, None), (0, None, 0)], with_beta=not strict
-    )
-    basis = tuple(HomEndo(mats[0], g) for mats in sols)
-    for d in basis:
-        _reverify(is_centroid_member(a, k, l, d, strict=strict))
-    return SolverResult("centroid", k, l, g, basis, len(basis))
+    return _solve(a, "centroid", k, l, gamma, is_centroid_member, strict)
 
 
 def quasi_centroid_space(
@@ -650,14 +641,9 @@ def quasi_centroid_space(
 
         [D(x), m(y)] = eps(g, x)[m(x), D(y)].
     """
-    g = a.basis.group.reduce(gamma)
-    sols = _solve_blocks(
-        a, k, l, g, 1, [(None, 0, 0, -_ONE)], with_beta=not strict
+    return _solve(
+        a, "quasi_centroid", k, l, gamma, is_quasi_centroid_member, strict
     )
-    basis = tuple(HomEndo(mats[0], g) for mats in sols)
-    for d in basis:
-        _reverify(is_quasi_centroid_member(a, k, l, d, strict=strict))
-    return SolverResult("quasi_centroid", k, l, g, basis, len(basis))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from random import Random
 import pytest
 
 from bihomlie import algebra as alg
+from bihomlie import cli
 from bihomlie.algebra import (
     AxiomReport,
     ColourAlgebra,
@@ -143,6 +144,17 @@ def test_require_passing_can_demand_advisories():
     require_passing(singular, "bihom")
     with pytest.raises(ValueError, match="regular"):
         require_passing(singular, "bihom", need_regular=True)
+
+
+def test_require_passing_refuses_an_unknown_suite():
+    # a misspelt suite used to run the structural suite without a word
+    with pytest.raises(ValueError, match="'lei'.*lie, associative, bihom"):
+        require_passing(zero_algebra(2), "lei")
+
+
+def test_one_suite_table_serves_require_passing_and_the_cli():
+    assert cli._SUITES is alg.SUITES
+    assert list(alg.SUITES) == ["lie", "associative", "bihom"]
 
 
 def test_jacobiator_modes_differ_on_twisted_algebra():

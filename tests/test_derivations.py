@@ -221,6 +221,11 @@ def test_pair_predicate_requires_matching_degrees():
     even = next(d for d in ders if d.degree == (0,))
     odd = next(d for d in ders if d.degree == (1,))
     assert not is_quasi_derivation_pair(a, 0, 0, even, odd)
+    # the zero map is homogeneous of every degree, so only the labels differ
+    zero, zero_odd = (HomEndo(Matrix.zero(5, 5), g) for g in ((0,), (1,)))
+    assert is_quasi_derivation_pair(a, 0, 0, zero, zero)
+    assert not is_quasi_derivation_pair(a, 0, 0, zero, zero_odd)
+    assert not is_generalized_triple(a, 0, 0, zero, zero, zero_odd)
 
 
 def test_derivation_predicate_needs_map_compatibility():
@@ -510,6 +515,8 @@ ORACLE_ALGEBRAS = {
     "gl21_unipotent_twist": gl21_unipotent_twist,
     "gl2_conjugation_twist": gl2_conjugation_twist,
     "gl2_beta_only_twist": lambda: gl2_one_sided_twist(1),
+    # a product that is not skew, so no two slots of a row are interchangeable
+    "mat2_assoc": mat2_assoc,
 }
 
 
@@ -606,6 +613,31 @@ def test_a_degree_the_commutation_strikes_whole_builds_no_leibniz_row(
         for strict in (False, True) if has_strict else (False,):
             extra = {"strict": True} if strict else {}
             assert solver(a, 0, 0, (1,), **extra).basis == (), kind
+
+
+@pytest.mark.parametrize("kind", sorted(SOLVER_KINDS))
+def test_each_solver_reverifies_through_its_public_predicate(
+    kind, monkeypatch
+):
+    # a predicate replaced on the module is the one the solver consults,
+    # once per basis member, so a tracer wrapping it sees every re-verify
+    solver, *_ = SOLVER_KINDS[kind]
+    name = PREDICATES[kind].__name__
+    a = osp12_classical()
+    dim = solver(a, 0, 0, (0,)).dimension
+    assert dim > 0, kind
+    verdicts = []
+
+    def predicate(*args, **kwargs):
+        return verdicts.pop()
+
+    monkeypatch.setattr(dv, name, predicate)
+    verdicts[:] = [True] * dim
+    assert solver(a, 0, 0, (0,)).dimension == dim
+    assert verdicts == []
+    verdicts[:] = [False]
+    with pytest.raises(RuntimeError, match="its own defining"):
+        solver(a, 0, 0, (0,))
 
 
 def test_a_singular_negative_power_raises_before_the_pattern():

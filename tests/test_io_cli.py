@@ -21,7 +21,8 @@ from bihomlie.alg_io import (
     parse_omega,
     serialize_algebra,
 )
-from bihomlie import cli
+from bihomlie import alg_io, cli, constructions
+from bihomlie.algebra import MAX_DIM
 from bihomlie.cli import run_cli
 from bihomlie.constructions import CORPUS_NAMES, build_osp12, corpus
 from bihomlie.grading import parse_group
@@ -554,6 +555,67 @@ def test_derivations_single_degree_and_strict(capsys):
     assert code == 0
     assert out.count("degree") == 1
     assert "total: 1" in out
+
+
+@pytest.mark.parametrize("kind", ["der", "qder", "gder"])
+def test_strict_with_a_kind_that_takes_none_is_a_usage_error(kind, capsys):
+    path = data_path("osp12_classical.alg")
+    code = run_cli(["derivations", path, "--kind", kind, "--strict"])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.err == (
+        "error: --strict applies only to --kind centroid|qcentroid\n"
+    )
+    assert out.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["derivations", "--kind", "der", "--k", "1000000000"],
+        ["derivations", "--kind", "der", "--l", "-1000000000"],
+        ["cohomology", "--n", "1", "--s", "1000000000"],
+        ["cohomology", "--n", "1", "--l", "1000000000"],
+        ["cohomology", "--n", "1", "--r", "1000000000"],
+    ],
+    ids=["der_k", "der_l", "coh_s", "coh_l", "coh_r"],
+)
+def test_a_huge_exponent_exits_2_at_once(argv, capsys, monkeypatch):
+    def no_power(*args):
+        raise AssertionError("a structure map was raised to a power")
+
+    monkeypatch.setattr(Matrix, "power", no_power)
+    code = run_cli(argv[:1] + [data_path("osp12_twist_2_3.alg")] + argv[1:])
+    out = capsys.readouterr()
+    assert code == 2
+    assert f"exceeds {cli.MAX_EXPONENT}" in out.err
+    assert out.out == ""
+
+
+def test_the_exponent_bound_is_inclusive():
+    bound = str(cli.MAX_EXPONENT)
+    argv = ["derivations", "x.alg", "--kind", "der"]
+    args = cli._parser().parse_args(argv + ["--k", bound, "--l", "-" + bound])
+    assert (args.k, args.l) == (cli.MAX_EXPONENT, -cli.MAX_EXPONENT)
+
+
+def test_the_dimension_bound_refuses_larger_algebras(monkeypatch, capsys):
+    assert run_cli(["example", f"zero_{MAX_DIM + 1}"]) == 2
+    assert f"1 <= n <= {MAX_DIM}" in capsys.readouterr().err
+    with pytest.raises(ParseError, match=f"more than {MAX_DIM}"):
+        parse_algebra(
+            "version 1\n[group]\nZ2\n[basis]\n"
+            + "".join(f"e{i} 0\n" for i in range(MAX_DIM + 1))
+        )
+    # the bound itself is accepted, by the parser and by corpus alike
+    monkeypatch.setattr(alg_io, "MAX_DIM", 3)
+    monkeypatch.setattr(constructions, "MAX_DIM", 3)
+    assert parse_algebra(MINIMAL.replace("f 1\n", "f 1\ng 1\n")).dim == 3
+    with pytest.raises(ParseError, match="more than 3"):
+        parse_algebra(MINIMAL.replace("f 1\n", "f 1\ng 1\nh 1\n"))
+    assert corpus("zero_3").dim == 3
+    with pytest.raises(KeyError, match="1 <= n <= 3"):
+        corpus("zero_4")
 
 
 @pytest.mark.skipif(

@@ -8,16 +8,19 @@
 # change first on odd i, then one traced run of every workload at seed 77
 # in each.  Each run writes its result to .perfbench_out/results of its own
 # checkout; empty those directories first, since tools/bench_trajectory.py
-# reads every result file in them.
+# reads every result file in them.  A failed run is reported as FAIL and
+# makes the script exit 1 once every run is done, since its pair is then
+# missing from the results.
 set -u
 parent=$1 change=$2 first=${3:-30} pairs=${4:-10}
+failed=0
 for ((i = 0; i < pairs; i++)); do
   seed=$((first + i))
   for w in corpus-sweep gl21-solvers gl21-cohomology; do
     if ((i % 2 == 0)); then order="$parent $change"; else order="$change $parent"; fi
     for d in $order; do
       (cd "$d" && python3 perfbench/run.py --workload "$w" --seed "$seed" \
-        --seconds 10 --trace 0 > /dev/null) || echo "FAIL $d $w $seed"
+        --seconds 10 --trace 0 > /dev/null) || { echo "FAIL $d $w $seed"; failed=1; }
     done
     echo "$(date +%T) pair $i $w done"
   done
@@ -25,6 +28,7 @@ done
 for w in corpus-sweep gl21-solvers gl21-cohomology; do
   for d in "$parent" "$change"; do
     (cd "$d" && python3 perfbench/run.py --workload "$w" --seed 77 \
-      --seconds 10 --trace 1 > /dev/null) || echo "FAIL $d $w traced"
+      --seconds 10 --trace 1 > /dev/null) || { echo "FAIL $d $w traced"; failed=1; }
   done
 done
+exit $failed
