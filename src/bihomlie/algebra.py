@@ -24,25 +24,30 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
+from math import lcm
 from typing import Callable, Iterable, Optional
 
 from .grading import Bicharacter, GradedBasis, GroupElement, homogeneous_degree
 from .linalg import (
+    IntTerms,
     Matrix,
     Terms,
     Vec,
     add_terms,
     is_zero_vec,
+    scale_to_ints,
     terms_of,
     vscale,
     vsub,
 )
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 # a table of term lists, indexed [i][j]
 TermTable = tuple[tuple[Terms, ...], ...]
+# the integer copy of a term table: (L, table times L), L the lcm of its
+# denominators
+IntTable = tuple[int, tuple[tuple[IntTerms, ...], ...]]
 
 # The largest dimension that corpus names and the .alg parser accept.  Both
 # build an n^3 product table: zero_100 took about 2 s and 70 MiB (2-vCPU
@@ -145,6 +150,8 @@ class ColourAlgebra:
         "_commutation",
         "_skew_terms",
         "_supports",
+        "_int_tables",
+        "_shifts",
     )
 
     def __init__(
@@ -189,6 +196,10 @@ class ColourAlgebra:
         self._commutation: dict[tuple, tuple] = {}
         self._skew_terms: Optional[TermTable] = None
         self._supports: dict[tuple, tuple] = {}
+        # the integer copies of int_table and int_columns, by their key
+        self._int_tables: dict[tuple, tuple] = {}
+        # the degree shifts of derivations._degree_shift, keyed by degree
+        self._shifts: dict[tuple, tuple] = {}
 
     # -- basic accessors ----------------------------------------------------
 
@@ -312,7 +323,7 @@ class ColourAlgebra:
         return hit
 
     def twisted_terms(
-        self, ka: int, kb: int, *, right: bool = False
+        self, ka: int, kb: int, right: bool = False
     ) -> TermTable:
         """The nonzero terms of every cell of ``twisted_products(ka, kb,
         right=right)``; cached beside it."""
@@ -334,6 +345,33 @@ class ColourAlgebra:
                 for b in self.beta.columns()
             )
         return self._skew_terms
+
+    def int_table(self, name: str, *args) -> IntTable:
+        """The integer copy (L, T) of the term table that the method
+        ``name`` ("product_terms", "skew_terms" or "twisted_terms") returns
+        for ``args``: T[i][j] holds the terms (k, c*L) of cell [i][j], L the
+        lcm of the table's denominators; cached beside the table."""
+        key = (name, *args)
+        hit = self._int_tables.get(key)
+        if hit is None:
+            table = getattr(self, name)(*args)
+            den, cells = scale_to_ints([cell for row in table for cell in row])
+            it = iter(cells)
+            hit = self._int_tables[key] = (
+                den,
+                tuple(tuple(next(it) for _ in row) for row in table),
+            )
+        return hit
+
+    def int_columns(self, which: str) -> tuple[int, tuple[IntTerms, ...]]:
+        """The integer copy (L, C) of the column terms of ``which``
+        ("alpha" or "beta"), like :meth:`int_table`; cached beside it."""
+        key = (which,)
+        hit = self._int_tables.get(key)
+        if hit is None:
+            den, cols = scale_to_ints(getattr(self, which).column_terms())
+            hit = self._int_tables[key] = (den, tuple(cols))
+        return hit
 
     def beta_supports(self) -> tuple[dict, tuple[tuple, ...]]:
         """The support index (see ``_support_index``) of the columns
@@ -413,19 +451,39 @@ def jacobiator(a: ColourAlgebra, i: int, j: int, k: int) -> Vec:
     """Cyclic BiHom-Jacobi defect on basis indices (i, j, k): the sum over
     cyclic (x,y,z) of eps(z,x) [beta^2(x), [beta(y), alpha(z)]].
 
-    The inner bracket [b(e_y), a(e_z)] is read from ``skew_terms``, then
-    [bb(x), w] = sum_u w_u [bb(e_x), e_u] from the twisted product terms.
+    A Fraction readout of the integer sum that the bihom_jacobi scan
+    makes (see :func:`_jacobi_defect`).
+    """
+    scale, defect = _jacobi_defect(a)
+    return tuple(Fraction(x, scale) for x in defect(i, j, k))
+
+
+def _jacobi_defect(
+    a: ColourAlgebra,
+) -> tuple[int, Callable[[int, int, int], list[int]]]:
+    """(scale, defect): defect(i, j, k) is the BiHom-Jacobi defect of
+    :func:`jacobiator` times ``scale``, summed in integers.
+
+    The inner bracket [b(e_y), a(e_z)] is read from the integer copy of
+    ``skew_terms``, then [bb(x), w] = sum_u w_u [bb(e_x), e_u] from that of
+    the twisted products.  Each term is a product of one coefficient of
+    each table, so the scale is the product of the two tables' scales.
     """
     eps = a.eps_table()
-    acc = [ZERO] * a.dim
-    inner_table = a.skew_terms()
-    outer_table = a.twisted_terms(0, 2)
-    for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-        sign = eps[z][x]
-        outer = outer_table[x]
-        for u, c in inner_table[y][z]:
-            add_terms(acc, sign * c, outer[u])
-    return tuple(acc)
+    inner_scale, inner_table = a.int_table("skew_terms")
+    outer_scale, outer_table = a.int_table("twisted_terms", 0, 2)
+    n = a.dim
+
+    def defect(i: int, j: int, k: int) -> list[int]:
+        acc = [0] * n
+        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+            sign = eps[z][x]
+            outer = outer_table[x]
+            for u, c in inner_table[y][z]:
+                add_terms(acc, sign * c, outer[u])
+        return acc
+
+    return inner_scale * outer_scale, defect
 
 
 # -- check plumbing ---------------------------------------------------------
@@ -447,11 +505,18 @@ def _check_tuples(
     defect_fn: Callable[..., Vec],
     advisory: bool = False,
     note: str = "",
+    scale: int = 1,
 ) -> CheckItem:
-    """Scan basis tuples in lexicographic order; first nonzero defect fails."""
+    """Scan basis tuples in lexicographic order; first nonzero defect fails.
+
+    ``defect_fn`` returns the defect times ``scale``: the integer sums of
+    the scans over integer term tables pass their scale, and the witness
+    divides by it; a Fraction defect has scale 1.
+    """
     for idx in iproduct(range(a.dim), repeat=arity):
         defect = defect_fn(*idx)
         if not is_zero_vec(defect):
+            defect = tuple(Fraction(x, scale) for x in defect)
             return CheckItem(
                 name, False, _pair_witness(a, idx, defect), advisory, note
             )
@@ -506,22 +571,31 @@ def _check_maps_commute(a: ColourAlgebra) -> CheckItem:
 def _check_multiplicative(a: ColourAlgebra, name: str) -> CheckItem:
     """m[e_i, e_j] = [m e_i, m e_j] for m = alpha or beta: the left side
     sums the columns of m over the cell's terms, the right side the
-    twisted products [m e_i, e_t] over the column m e_j."""
-    m, twist = (a.alpha, (1, 0)) if name == "alpha" else (a.beta, (0, 1))
-    cols = m.column_terms()
-    terms = a.product_terms()
-    table = a.twisted_terms(*twist)
+    twisted products [m e_i, e_t] over the column m e_j, both in the
+    integer copies of the tables, brought to one scale."""
+    twist = (1, 0) if name == "alpha" else (0, 1)
+    col_scale, cols = a.int_columns(name)
+    product_scale, terms = a.int_table("product_terms")
+    twisted_scale, table = a.int_table("twisted_terms", *twist)
+    scale = lcm(product_scale, twisted_scale)
+    fp, ft = scale // product_scale, -(scale // twisted_scale)
+    n = a.dim
 
-    def defect(i: int, j: int) -> Vec:
-        acc = [ZERO] * a.dim
+    def defect(i: int, j: int) -> list[int]:
+        acc = [0] * n
         for k, c in terms[i][j]:
-            add_terms(acc, c, cols[k])
+            add_terms(acc, fp * c, cols[k])
         for t, c in cols[j]:
-            add_terms(acc, -c, table[i][t])
-        return tuple(acc)
+            add_terms(acc, ft * c, table[i][t])
+        return acc
 
     return _check_tuples(
-        a, f"{name}_multiplicative", 2, defect, advisory=True
+        a,
+        f"{name}_multiplicative",
+        2,
+        defect,
+        advisory=True,
+        scale=col_scale * scale,
     )
 
 
@@ -559,20 +633,24 @@ def check_lie_axioms(a: ColourAlgebra) -> AxiomReport:
     """
     rep = AxiomReport(_structural(a))
 
-    skew = a.skew_terms()
+    skew_scale, skew = a.int_table("skew_terms")
     eps = a.eps_table()
+    n = a.dim
 
-    def skew_defect(i: int, j: int) -> Vec:
-        acc = [ZERO] * a.dim
-        add_terms(acc, ONE, skew[i][j])
-        add_terms(acc, Fraction(eps[i][j]), skew[j][i])
-        return tuple(acc)
+    def skew_defect(i: int, j: int) -> list[int]:
+        acc = [0] * n
+        add_terms(acc, 1, skew[i][j])
+        add_terms(acc, eps[i][j], skew[j][i])
+        return acc
 
-    rep.items.append(_check_tuples(a, "bihom_skewsymmetry", 2, skew_defect))
     rep.items.append(
         _check_tuples(
-            a, "bihom_jacobi", 3, lambda i, j, k: jacobiator(a, i, j, k)
+            a, "bihom_skewsymmetry", 2, skew_defect, scale=skew_scale
         )
+    )
+    jacobi_scale, jacobi = _jacobi_defect(a)
+    rep.items.append(
+        _check_tuples(a, "bihom_jacobi", 3, jacobi, scale=jacobi_scale)
     )
     rep.items.append(_check_regular(a))
     return rep

@@ -22,8 +22,13 @@ answer here would poison everything downstream, so the few extra
 multiplications are cheap insurance).  The re-verification is an
 evaluation of the identities on the member, independent of the assembled
 rows: it sums the member's ``column_terms`` against the cached term
-tables of the product and of the twisted products, so it visits nonzero
-terms only.
+tables of the product, of the twisted products and of the columns of
+alpha and beta, so it visits nonzero terms only.  It sums integers: the
+tables are read in their integer copies (``ColourAlgebra.int_table``,
+``int_columns``), the maps of one solution tuple are scaled jointly by
+the lcm of their denominators, and only the defect of a failing pair is
+divided back into Fractions.  The Leibniz rows of the solve stay in
+Fractions.
 
 The product D1 . D2 + eps(d1, d2) D2 . D1 turns homogeneous endomorphisms
 into a colour analogue of a special Jordan algebra; check_jordan_axioms
@@ -38,9 +43,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
+from math import lcm
 from typing import Callable, Optional, Sequence
 
-from .algebra import AxiomReport, CheckItem, ColourAlgebra, TermTable, Witness
+from .algebra import AxiomReport, CheckItem, ColourAlgebra, IntTable, Witness
 from .grading import Bicharacter, GroupElement
 from .linalg import (
     EchelonBasis,
@@ -50,6 +56,7 @@ from .linalg import (
     add_terms,
     is_zero_vec,
     kernel_by_blocks,
+    scale_to_ints,
     vec,
 )
 
@@ -89,12 +96,23 @@ class HomEndo:
         return f"HomEndo(degree={self.degree}, dim={self.matrix.nrows})"
 
 
-def _image_degrees(a: ColourAlgebra, gamma: GroupElement) -> list:
-    """deg(e_t) + gamma for every basis index t: the degree of D(e_t) for
-    a degree-gamma map D, one group addition per t."""
-    group = a.basis.group
-    g = group.reduce(gamma)
-    return [group.add(d, g) for d in a.basis.degrees]
+def _degree_shift(
+    a: ColourAlgebra, gamma: GroupElement
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """For a degree-gamma map D: deg(e_t) + gamma, the degree of D(e_t),
+    and eps(gamma, deg(e_t)), for every basis index t; computed once per
+    degree and cached on the algebra."""
+    key = tuple(gamma)
+    hit = a._shifts.get(key)
+    if hit is None:
+        group = a.basis.group
+        g = group.reduce(gamma)
+        degrees = a.basis.degrees
+        hit = a._shifts[key] = (
+            tuple(group.add(d, g) for d in degrees),
+            tuple(a.eps.eval(g, d) for d in degrees),
+        )
+    return hit
 
 
 def is_homogeneous_endo(
@@ -102,7 +120,7 @@ def is_homogeneous_endo(
 ) -> bool:
     """True when every nonzero entry maps block d into block d+gamma."""
     degrees = a.basis.degrees
-    image = _image_degrees(a, gamma)
+    image = _degree_shift(a, gamma)[0]
     return all(
         degrees[u] == image[t]
         for t, col in enumerate(matrix.column_terms())
@@ -151,7 +169,7 @@ def _flatten(m: Matrix) -> Vec:
 def _block_slots(
     a: ColourAlgebra, gamma: GroupElement
 ) -> list[tuple[int, int]]:
-    image = _image_degrees(a, gamma)
+    image = _degree_shift(a, gamma)[0]
     return [
         (u, t)
         for u in range(a.dim)
@@ -218,9 +236,10 @@ def _solve_blocks(
     Leibniz rows drop their terms.  The rows are sparse and the kernel is
     solved per linked block of columns by :func:`kernel_by_blocks`; its
     coordinates map back to the entries in column order, so the basis is
-    the one of the full system over every slot.
+    the one of the full system over every slot.  A negative power of a
+    singular map raises ValueError before any pattern is cached.
     """
-    twisted = _twisted(a, k, l)
+    twisted = a.twisted_terms(k, l, right=True), a.twisted_terms(k, l)
     live, commuting = _commutation(a, gamma, with_beta)
     if not live:
         return []
@@ -249,13 +268,15 @@ def _solve_blocks(
     return out
 
 
-def _twisted(
-    a: ColourAlgebra, k: int, l: int
-) -> tuple[TermTable, TermTable]:
-    """The nonzero terms of the twisted products [e_t, M e_j] at [t][j] and
-    [M e_i, e_t] at [i][t], M = alpha^k beta^l, cached on the algebra.  A
-    negative power of a singular map raises ValueError."""
-    return a.twisted_terms(k, l, right=True), a.twisted_terms(k, l)
+def _twisted(a: ColourAlgebra, k: int, l: int) -> tuple[IntTable, IntTable]:
+    """The integer copies of the term tables of the twisted products
+    [e_t, M e_j] at [t][j] and [M e_i, e_t] at [i][t], M = alpha^k beta^l,
+    cached on the algebra.  A negative power of a singular map raises
+    ValueError."""
+    return (
+        a.int_table("twisted_terms", k, l, True),
+        a.int_table("twisted_terms", k, l, False),
+    )
 
 
 def _add(row: dict, pos: Optional[int], c: Fraction) -> None:
@@ -356,43 +377,46 @@ def _leibniz_rows(
 def _bracket_defect(
     a: ColourAlgebra,
     gamma: GroupElement,
-    twisted: tuple,
+    twisted: tuple[IntTable, IntTable],
     d_value: Optional[Matrix],
     d_left: Optional[Matrix],
     d_right: Optional[Matrix],
-    right_sign: Fraction = _ONE,
+    right_sign: int = 1,
 ) -> Optional[tuple[int, int, Vec]]:
     """First basis pair violating
     value([x,y]) = [left(x), M y] + s*eps(g,x)[M x, right(y)].
 
     Each side is a sum over nonzero terms only: the column terms of
-    d_value over the terms of [e_i, e_j], and the ``twisted`` term tables
-    of :func:`_twisted`, [e_t, M e_j] over column i of d_left and
-    [M e_i, e_t] over column j of d_right.
+    d_value over the terms of [e_i, e_j], and the ``twisted`` tables of
+    :func:`_twisted`, [e_t, M e_j] over column i of d_left and
+    [M e_i, e_t] over column j of d_right.  The sums are integers: the
+    given maps are scaled jointly by the lcm of their denominators, since
+    one pair mixes them, and the columns summed against each table also
+    by the factor that brings the table's scale to the lcm of the three
+    tables' scales.  The defect of the failing pair is divided by the
+    product of the two scales.
     """
     n = a.dim
-    g = a.basis.group.reduce(gamma)
-    terms = a.product_terms()
-    left, right = twisted
-    degrees = a.basis.degrees
-    vcols = d_value.column_terms() if d_value is not None else None
-    # the column terms of -d_left, and of -s*eps(g, x)*d_right for each
-    # degree x of a basis element
-    lcols = _scaled_columns(d_left, -_ONE) if d_left is not None else None
-    rcols = (
-        {
-            d: _scaled_columns(d_right, -right_sign * a.eps.eval(g, d))
-            for d in set(degrees)
+    signs = _degree_shift(a, gamma)[1]
+    (left_scale, left), (right_scale, right) = twisted
+    product_scale, terms = a.int_table("product_terms")
+    scale = lcm(product_scale, left_scale, right_scale)
+    maps_scale, (vcols, lcols, rcols) = _int_columns(d_value, d_left, d_right)
+    # the member columns times the factor that brings the table they are
+    # summed against to ``scale``: d_value for the product, -d_left, and
+    # -s*eps(g, x)*d_right for each sign eps(g, x) of a basis element x
+    if vcols is not None:
+        vcols = _scaled_columns(vcols, scale // product_scale)
+    if lcols is not None:
+        lcols = _scaled_columns(lcols, -(scale // left_scale))
+    if rcols is not None:
+        rcols = {
+            w: _scaled_columns(rcols, -right_sign * w * (scale // right_scale))
+            for w in set(signs)
         }
-        if d_right is not None
-        else None
-    )
-    # entries no term reaches stay the object _ZERO, which the list
-    # comparison with ``zero`` passes by identity
-    zero = [_ZERO] * n
     for i in range(n):
         for j in range(n):
-            acc = zero.copy()
+            acc = [0] * n
             if vcols is not None:
                 for t, c in terms[i][j]:
                     add_terms(acc, c, vcols[t])
@@ -400,36 +424,48 @@ def _bracket_defect(
                 for t, x in lcols[i]:
                     add_terms(acc, x, left[t][j])
             if rcols is not None:
-                for t, x in rcols[degrees[i]][j]:
+                for t, x in rcols[signs[i]][j]:
                     add_terms(acc, x, right[i][t])
-            if acc != zero:
-                return i, j, tuple(acc)
+            if any(acc):
+                den = maps_scale * scale
+                return i, j, tuple(Fraction(x, den) for x in acc)
     return None
 
 
-def _scaled_columns(
-    m: Matrix, c: Fraction
-) -> list[list[tuple[int, Fraction]]]:
-    """The column terms of c * m."""
-    return [[(t, c * x) for t, x in col] for col in m.column_terms()]
+def _int_columns(*maps: Optional[Matrix]) -> tuple[int, list]:
+    """(L, columns): the column terms of each given matrix (None for
+    None) with every entry read as the integer x*L, L the lcm of the
+    denominators of all their entries."""
+    given = [m.column_terms() for m in maps if m is not None]
+    den, cols = scale_to_ints([col for terms in given for col in terms])
+    it = iter(cols)
+    return den, [
+        None if m is None else [next(it) for _ in range(m.ncols)]
+        for m in maps
+    ]
+
+
+def _scaled_columns(cols: list, c: int) -> list[list[tuple[int, int]]]:
+    """The column terms ``cols`` times c."""
+    return [[(t, c * x) for t, x in col] for col in cols]
 
 
 def _commutes_with_maps(
     a: ColourAlgebra, m: Matrix, with_beta: bool = True
 ) -> bool:
     """m M = M m for M = alpha (and beta), column by column:
-    sum_t M_tj m(e_t) = sum_t m_tj M(e_t), over the column terms."""
-    mcols = m.column_terms()
-    zero = [_ZERO] * a.dim
-    for M in (a.alpha, a.beta) if with_beta else (a.alpha,):
-        Mcols = M.column_terms()
+    sum_t M_tj m(e_t) = sum_t m_tj M(e_t), over the integer column terms
+    of m and M, both sides scaled by the product of their scales."""
+    _, (mcols,) = _int_columns(m)
+    for which in ("alpha", "beta") if with_beta else ("alpha",):
+        _, Mcols = a.int_columns(which)
         for j in range(a.dim):
-            acc = zero.copy()
+            acc = [0] * a.dim
             for t, x in Mcols[j]:
                 add_terms(acc, x, mcols[t])
             for t, x in mcols[j]:
                 add_terms(acc, -x, Mcols[t])
-            if acc != zero:
+            if any(acc):
                 return False
     return True
 
@@ -447,7 +483,7 @@ _KINDS: dict[str, tuple[int, tuple[tuple, ...]]] = {
     "quasi_derivation": (2, ((1, 0, 0),)),
     "generalized_derivation": (3, ((2, 0, 1),)),
     "centroid": (1, ((0, 0, None), (0, None, 0))),
-    "quasi_centroid": (1, ((None, 0, 0, -_ONE),)),
+    "quasi_centroid": (1, ((None, 0, 0, -1),)),
 }
 
 

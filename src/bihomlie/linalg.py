@@ -21,7 +21,9 @@ term list into a dense accumulator, so no loop visits a zero entry of an
 image.
 
 Scalars are fractions.Fraction throughout, except inside ``EchelonBasis``,
-whose rows hold integers; vectors are plain tuples.  The
+whose rows hold integers, and in the integer copies of term tables
+(``scale_to_ints``) that the axiom scans and the solvers' re-verification
+sum; vectors are plain tuples.  The
 public ``Matrix`` constructor converts every entry and checks the shape;
 matrices the library builds from Fractions itself (RREF output, products
 and sums, kernel blocks, solver solutions, coboundary matrices) go through
@@ -78,8 +80,24 @@ def terms_of(v: Vec) -> Terms:
     return tuple((k, x) for k, x in enumerate(v) if x)
 
 
+# the nonzero entries (k, n) of a vector scaled to integers
+IntTerms = tuple[tuple[int, int], ...]
+
+
+def scale_to_ints(term_lists: Sequence[Terms]) -> tuple[int, list[IntTerms]]:
+    """(L, lists): L the lcm of the denominators of every term of
+    ``term_lists`` (1 when there is none), and each term list with every
+    x read as the integer x*L."""
+    den = lcm(*(x.denominator for terms in term_lists for _, x in terms))
+    return den, [
+        tuple((k, x.numerator * (den // x.denominator)) for k, x in terms)
+        for terms in term_lists
+    ]
+
+
 def add_terms(acc: list, c: Fraction, terms: Terms) -> None:
-    """acc += c * v in place, for the vector v with nonzero ``terms``."""
+    """acc += c * v in place, for the vector v with nonzero ``terms``; the
+    same for an integer accumulator, integer c and ``IntTerms``."""
     if c == 1:
         for k, x in terms:
             y = acc[k]
@@ -348,8 +366,14 @@ class Matrix:
             raise ValueError("not square")
         base = self if k >= 0 else self.invert()
         out = Matrix.identity(self.nrows)
-        for _ in range(abs(k)):
-            out = out * base
+        # square and multiply: out collects base**(2**b) for each bit b of |k|
+        k = abs(k)
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
 

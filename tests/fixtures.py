@@ -134,6 +134,41 @@ def gl21_unipotent_twist() -> ColourAlgebra:
     )
 
 
+def fraction_twist(parity: tuple[int, ...], g) -> ColourAlgebra:
+    """gl(m|n) as the commutator of :func:`gl_units`, twisted by conjugation
+    with the even matrix g and with g squared."""
+    gm = Matrix(g)
+    g2 = gm * gm
+    return yau_twist(
+        commutator_algebra(gl_units(parity)),
+        matrix_conjugation(gm.rows, gm.invert().rows),
+        matrix_conjugation(g2.rows, g2.invert().rows),
+    )
+
+
+def gl11_fraction_twist() -> ColourAlgebra:
+    """gl(1|1) twisted by diag(1, 3/7) and its square: structure constants
+    and diagonal maps with the prime denominators 3 and 7."""
+    return fraction_twist((0, 1), [[1, 0], [0, Fraction(3, 7)]])
+
+
+def gl2_fraction_twist() -> ColourAlgebra:
+    """gl(2) twisted by [[2/5, 1/3], [0, 1]] and its square: structure maps
+    with several nonzero entries per column, and denominators 2, 3 and 5
+    in the maps and the structure constants."""
+    return fraction_twist((0, 0), [[Fraction(2, 5), Fraction(1, 3)], [0, 1]])
+
+
+def gl21_fraction_twist() -> ColourAlgebra:
+    """gl(2|1) twisted by the even block matrix [[2/5, 1/3], [0, 1]] + [3/7]
+    and its square: like :func:`gl2_fraction_twist`, with odd elements."""
+    third = Fraction(1, 3)
+    return fraction_twist(
+        (0, 0, 1),
+        [[Fraction(2, 5), third, 0], [0, 1, 0], [0, 0, Fraction(3, 7)]],
+    )
+
+
 def shipped_osp12_twist() -> ColourAlgebra:
     with open(DATA / "osp12_twist_2_3.alg", encoding="utf-8") as fh:
         return parse_algebra(fh.read())

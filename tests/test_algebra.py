@@ -1,6 +1,7 @@
 """Axiom suites, reports, and witnesses on hand-built fixtures."""
 
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
@@ -31,8 +32,14 @@ from bihomlie.grading import (
     GradingGroup,
     super_bicharacter,
 )
+from bihomlie.admissibility import check_flexible
 from bihomlie.linalg import Matrix
-from fixtures import LIE_CORPUS, gl2_conjugation_twist
+from fixtures import (
+    LIE_CORPUS,
+    gl11_fraction_twist,
+    gl2_conjugation_twist,
+    gl2_fraction_twist,
+)
 
 
 def test_lie_suite_passes_on_classical_osp():
@@ -291,11 +298,24 @@ def inflated_twist():
     return tw.with_product(prod)
 
 
+def fraction_inflated():
+    """gl2_fraction_twist with 1/11 added to the E11 coordinate of
+    [E12, E21]: a denominator that no table or map of the algebra has."""
+    tw = gl2_fraction_twist()
+    i, j, h = (tw.basis.index(n) for n in ("E12", "E21", "E11"))
+    prod = [[list(cell) for cell in row] for row in tw.product]
+    prod[i][j][h] += Fraction(1, 11)
+    return tw.with_product(prod)
+
+
 ORACLE_ALGEBRAS = {
     **{name: (lambda name=name: dict(lie_corpus())[name]) for name in LIE_CORPUS},
     "mat2_assoc": mat2_assoc,
     "inflated_twist": inflated_twist,
     "gl2_conjugation_twist": gl2_conjugation_twist,
+    "gl11_fraction_twist": gl11_fraction_twist,
+    "gl2_fraction_twist": gl2_fraction_twist,
+    "fraction_inflated": fraction_inflated,
     "broken_skew": lambda: _super_algebra({(0, 1): {1: 1}, (1, 0): {1: 1}}),
     "odd_product": lambda: _super_algebra({(0, 0): {1: 1}}),
 }
@@ -350,6 +370,32 @@ def test_term_tables_hold_the_nonzero_entries_of_their_products(name):
             assert a.twisted_terms(ka, kb, right=right) == tuple(
                 tuple(_terms(v) for v in row) for row in table
             )
+            assert a.int_table("twisted_terms", ka, kb, right) == _int_copy(
+                table
+            )
+    assert a.int_table("skew_terms") == _int_copy(
+        tuple(
+            tuple(product_eval_oracle(a, bi, aj) for aj in alpha) for bi in beta
+        )
+    )
+    assert a.int_table("product_terms") == _int_copy(a.product)
+    for which in ("alpha", "beta"):
+        scale, (cols,) = _int_copy((getattr(a, which).columns(),))
+        assert a.int_columns(which) == (scale, cols)
+
+
+def _int_copy(table):
+    """(L, the nonzero terms of every vector of the table times L), L the
+    least common denominator of the whole table."""
+    scale = 1
+    for row in table:
+        for v in row:
+            for c in v:
+                scale = scale * c.denominator // gcd(scale, c.denominator)
+    return scale, tuple(
+        tuple(tuple((u, int(c * scale)) for u, c in _terms(v)) for v in row)
+        for row in table
+    )
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
@@ -376,3 +422,31 @@ def test_inflated_twist_fails_jacobi_at_the_pinned_witness():
     assert got == want
     assert got.witness.names == ("X", "F", "F")
     assert got.witness.defect_str == "6 H"
+
+
+def test_fraction_and_integer_scans_report_the_same_witnesses():
+    # bihom_skewsymmetry and bihom_jacobi sum integer tables and divide the
+    # first nonzero defect by their scale; check_flexible's associator
+    # defects are Fractions.  Both kinds of witness keep their exact values.
+    a = fraction_inflated()
+    lie, want = check_lie_axioms(a), report_oracle(a, "lie")
+    pins = {
+        "bihom_skewsymmetry": (("E11", "E21"), "-7/66 E11"),
+        "bihom_jacobi": (("E11", "E11", "E21"), "-182/20625 E12"),
+        "alpha_multiplicative": (("E11", "E21"), "5/66 E11"),
+    }
+    for name, (names, defect) in pins.items():
+        item = lie.item(name)
+        assert item == want.item(name)
+        assert (item.witness.names, item.witness.defect_str) == (names, defect)
+    flexible = check_flexible(a).item("flexible")
+    assert flexible.witness.names == ("E11", "E11")
+    assert flexible.witness.defect_str == "-28/375 E12"
+    assert flexible.witness.defect == associator_oracle(
+        a, a.basis_vec(0), a.basis_vec(0), a.basis_vec(0)
+    )
+    assert all(
+        isinstance(c, Fraction)
+        for item in (flexible, *map(lie.item, pins))
+        for c in item.witness.defect
+    )

@@ -212,6 +212,28 @@ def test_power_negative_uses_inverse():
     assert m.power(0) == Matrix.identity(2)
 
 
+def test_power_of_a_large_exponent_squares():
+    # square and multiply: 22 products, where repeated products took 100000
+    assert Matrix([[1, 1], [0, 1]]).power(100000) == Matrix([[1, 100000], [0, 1]])
+
+
+def test_power_equals_the_repeated_product():
+    m = Matrix(
+        [[Fraction(1, 2), 3, 0], [Fraction(-2, 3), 1, 5], [0, 1, Fraction(1, 7)]]
+    )
+    inverse = m.invert()
+    for k in range(-4, 7):
+        want = Matrix.identity(3)
+        for _ in range(abs(k)):
+            want = want * (m if k >= 0 else inverse)
+        assert m.power(k) == want
+
+
+def test_power_of_a_singular_matrix_with_negative_k_raises():
+    with pytest.raises(ValueError, match="singular"):
+        Matrix([[1, 2], [2, 4]]).power(-3)
+
+
 @pytest.mark.parametrize(
     "cols, v, inside",
     [
