@@ -196,7 +196,7 @@ class ColourAlgebra:
         self._commutation: dict[tuple, tuple] = {}
         self._skew_terms: Optional[TermTable] = None
         self._supports: dict[tuple, tuple] = {}
-        # the integer copies of int_table and int_columns, by their key
+        # the integer copies of int_table, by their key
         self._int_tables: dict[tuple, tuple] = {}
         # the degree shifts of derivations._degree_shift, keyed by degree
         self._shifts: dict[tuple, tuple] = {}
@@ -365,13 +365,9 @@ class ColourAlgebra:
 
     def int_columns(self, which: str) -> tuple[int, tuple[IntTerms, ...]]:
         """The integer copy (L, C) of the column terms of ``which``
-        ("alpha" or "beta"), like :meth:`int_table`; cached beside it."""
-        key = (which,)
-        hit = self._int_tables.get(key)
-        if hit is None:
-            den, cols = scale_to_ints(getattr(self, which).column_terms())
-            hit = self._int_tables[key] = (den, tuple(cols))
-        return hit
+        ("alpha" or "beta"): ``Matrix.int_column_terms``, cached on the
+        map."""
+        return getattr(self, which).int_column_terms()
 
     def beta_supports(self) -> tuple[dict, tuple[tuple, ...]]:
         """The support index (see ``_support_index``) of the columns
@@ -660,7 +656,9 @@ def associator(a: ColourAlgebra, x: Vec, y: Vec, z: Vec) -> Vec:
     """alpha(x)(y z) - (x y) beta(z).
 
     alpha(x) w = sum x_i w_u [alpha(e_i), e_u] and w beta(z) = sum w_u z_k
-    [e_u, beta(e_k)], read from the twisted product terms.
+    [e_u, beta(e_k)], read from the twisted product terms.  On general
+    vectors, in Fractions; the bihom_associative scan sums the same terms
+    in integers on basis triples (see :func:`check_associative_axioms`).
     """
     left = a.twisted_terms(1, 0)
     right = a.twisted_terms(0, 1, right=True)
@@ -678,15 +676,37 @@ def associator(a: ColourAlgebra, x: Vec, y: Vec, z: Vec) -> Vec:
 
 
 def check_associative_axioms(a: ColourAlgebra) -> AxiomReport:
-    """BiHom-associativity suite; colour-commutativity is a separate flag."""
+    """BiHom-associativity suite; colour-commutativity is a separate flag.
+
+    The associator of a basis triple, alpha(e_i)(e_j e_k) - (e_i e_j)
+    beta(e_k), is summed in integers: each term is a product-table
+    coefficient times a coefficient of the integer copy of
+    ``twisted_terms(1, 0)`` or ``twisted_terms(0, 1, right=True)``, the
+    twisted terms brought to the lcm of the two tables' scales.
+    """
     rep = AxiomReport(_structural(a))
 
-    def assoc_defect(i: int, j: int, k: int) -> Vec:
-        return associator(
-            a, a.basis_vec(i), a.basis_vec(j), a.basis_vec(k)
-        )
+    product_scale, terms = a.int_table("product_terms")
+    left_scale, left = a.int_table("twisted_terms", 1, 0)
+    right_scale, right = a.int_table("twisted_terms", 0, 1, True)
+    scale = lcm(left_scale, right_scale)
+    fl, fr = scale // left_scale, -(scale // right_scale)
+    n = a.dim
 
-    rep.items.append(_check_tuples(a, "bihom_associative", 3, assoc_defect))
+    def assoc_defect(i: int, j: int, k: int) -> list[int]:
+        acc = [0] * n
+        left_i = left[i]
+        for u, c in terms[j][k]:
+            add_terms(acc, fl * c, left_i[u])
+        for u, c in terms[i][j]:
+            add_terms(acc, fr * c, right[u][k])
+        return acc
+
+    rep.items.append(
+        _check_tuples(
+            a, "bihom_associative", 3, assoc_defect, scale=product_scale * scale
+        )
+    )
 
     def comm_defect(i: int, j: int) -> Vec:
         lhs = a.product[i][j]

@@ -23,12 +23,17 @@ multiplications are cheap insurance).  The re-verification is an
 evaluation of the identities on the member, independent of the assembled
 rows: it sums the member's ``column_terms`` against the cached term
 tables of the product, of the twisted products and of the columns of
-alpha and beta, so it visits nonzero terms only.  It sums integers: the
-tables are read in their integer copies (``ColourAlgebra.int_table``,
-``int_columns``), the maps of one solution tuple are scaled jointly by
-the lcm of their denominators, and only the defect of a failing pair is
-divided back into Fractions.  The Leibniz rows of the solve stay in
-Fractions.
+alpha and beta, so it visits nonzero terms only.
+
+The solve and the re-verification sum integers.  The commuting and
+Leibniz rows are built over the integer copies of the tables
+(``ColourAlgebra.int_table``, ``int_columns``), each row brought to one
+scale, and ``EchelonBasis`` takes them as they are; the kernel comes back
+in Fractions, and each member is built with its column terms and keeps
+one integer copy of them (``Matrix.int_column_terms``).  A check scales
+the maps of one solution tuple to the lcm of their scales, since a
+condition mixes them, and only the defect of a failing pair is divided
+back into Fractions.
 
 The product D1 . D2 + eps(d1, d2) D2 . D1 turns homogeneous endomorphisms
 into a colour analogue of a special Jordan algebra; check_jordan_axioms
@@ -56,12 +61,10 @@ from .linalg import (
     add_terms,
     is_zero_vec,
     kernel_by_blocks,
-    scale_to_ints,
     vec,
 )
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 CYCLING_CONVENTIONS = ("xyw", "xzw")
 DEFAULT_CYCLING = "xyw"
@@ -180,7 +183,7 @@ def _block_slots(
 
 def _commutation(
     a: ColourAlgebra, gamma: GroupElement, with_beta: bool
-) -> tuple[tuple[tuple[int, int], ...], tuple[dict[int, Fraction], ...]]:
+) -> tuple[tuple[tuple[int, int], ...], tuple[dict[int, int], ...]]:
     """The commutation pattern of one degree-gamma unknown D, gamma
     reduced: the entries (u, t) that D M = M D leaves live, for M = alpha
     and, when ``with_beta``, M = beta, in slot order; and the commuting
@@ -199,9 +202,9 @@ def _commutation(
         cols: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
         for idx, (u, t) in enumerate(slots):
             cols[u][t] = idx
-        rows = _commuting_rows(a, cols, a.alpha)
+        rows = _commuting_rows(a, cols, "alpha")
         if with_beta:
-            rows += _commuting_rows(a, cols, a.beta)
+            rows += _commuting_rows(a, cols, "beta")
         forced, rows = _strike_forced(rows)
         live = [idx for idx in range(len(slots)) if idx not in forced]
         pos = {idx: p for p, idx in enumerate(live)}
@@ -233,13 +236,15 @@ def _solve_blocks(
     copy of the surviving commuting rows, and entry (u, t) of unknown m is
     column ``cols[m][u][t]``.  Entries outside the degree-block pattern
     and entries the commutation forces to zero have no column, and the
-    Leibniz rows drop their terms.  The rows are sparse and the kernel is
-    solved per linked block of columns by :func:`kernel_by_blocks`; its
-    coordinates map back to the entries in column order, so the basis is
-    the one of the full system over every slot.  A negative power of a
-    singular map raises ValueError before any pattern is cached.
+    Leibniz rows drop their terms.  The rows are sparse, with integer
+    values, and the kernel is solved per linked block of columns by
+    :func:`kernel_by_blocks`; its coordinates map back to the entries in
+    column order, so the basis is the one of the full system over every
+    slot.  Each member is built with its column terms, read off the same
+    coordinates, so no check of it scans its n^2 entries.  A negative power
+    of a singular map raises ValueError before any pattern is cached.
     """
-    twisted = a.twisted_terms(k, l, right=True), a.twisted_terms(k, l)
+    twisted = _twisted(a, k, l)
     live, commuting = _commutation(a, gamma, with_beta)
     if not live:
         return []
@@ -260,11 +265,20 @@ def _solve_blocks(
     out = []
     for coords in kernel_by_blocks(rows, nmaps * size):
         entries = [[[_ZERO] * n for _ in range(n)] for _ in range(nmaps)]
+        # the live entries are in slot order, (u, t) ascending, so every
+        # column t gets its terms (u, x) in ascending u
+        terms: list[list[list]] = [[[] for _ in range(n)] for _ in range(nmaps)]
         for c, x in coords.items():
             m, p = divmod(c, size)
             u, t = live[p]
             entries[m][u][t] = x
-        out.append(tuple(Matrix._of_rows(e, n) for e in entries))
+            terms[m][t].append((u, x))
+        out.append(
+            tuple(
+                Matrix._of_rows(e, n, tuple(map(tuple, cols)))
+                for e, cols in zip(entries, terms)
+            )
+        )
     return out
 
 
@@ -279,33 +293,38 @@ def _twisted(a: ColourAlgebra, k: int, l: int) -> tuple[IntTable, IntTable]:
     )
 
 
-def _add(row: dict, pos: Optional[int], c: Fraction) -> None:
+def _add(row: dict, pos: Optional[int], c: int) -> None:
     if pos is not None:
         row[pos] = row[pos] + c if pos in row else c
 
 
 def _commuting_rows(
-    a: ColourAlgebra, cols: list[list[Optional[int]]], M: Matrix
-) -> list[dict[int, Fraction]]:
-    """Rows of  D M - M D = 0, entry (u, j) each, for the unknown D whose
-    entry (u, t) is column cols[u][t]: sum_t D_ut M_tj - M_ut D_tj.
-    Rows without terms are left out."""
+    a: ColourAlgebra, cols: list[list[Optional[int]]], which: str
+) -> list[dict[int, int]]:
+    """Rows of  D M - M D = 0, entry (u, j) each, for M = alpha or beta
+    as ``which`` names it and the unknown D whose entry (u, t) is column
+    cols[u][t]: sum_t D_ut M_tj - M_ut D_tj, read off the integer copy of
+    the columns of M, so every row is scaled by its scale.  Rows without
+    terms are left out."""
     n = a.dim
     entries = [
         (t, j, x)
-        for j, col in enumerate(M.column_terms())
+        for j, col in enumerate(a.int_columns(which)[1])
         for t, x in col
     ]
+    # the nonzero entries (t, M_ut) of each row u of M, in ascending t
+    by_row: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for r, c, x in entries:
+        by_row[r].append((c, x))
     out = []
     for u in range(n):
-        by_j: list[dict[int, Fraction]] = [{} for _ in range(n)]
+        by_j: list[dict[int, int]] = [{} for _ in range(n)]
         for t, j, x in entries:
             _add(by_j[j], cols[u][t], x)
-        for t, x in enumerate(M.rows[u]):
-            if x:
-                nx = -x
-                for j in range(n):
-                    _add(by_j[j], cols[t][j], nx)
+        for t, x in by_row[u]:
+            nx = -x
+            for j in range(n):
+                _add(by_j[j], cols[t][j], nx)
         out += (row for row in by_j if row)
     return out
 
@@ -314,13 +333,13 @@ def _leibniz_rows(
     a: ColourAlgebra,
     cols: list[list[list[Optional[int]]]],
     gamma: GroupElement,
-    left_table: list,
-    right_table: list,
+    left_table: IntTable,
+    right_table: IntTable,
     value_unknown: Optional[int],
     left_unknown: Optional[int],
     right_unknown: Optional[int],
-    right_sign: Fraction = _ONE,
-) -> list[dict[int, Fraction]]:
+    right_sign: int = 1,
+) -> list[dict[int, int]]:
     """Rows of  [D_l(x), M(y)] + s*eps(g,x)[M(x), D_r(y)] - D_v([x,y]),
     M = alpha^k beta^l, set to zero over all basis pairs and coordinates,
     with any of the three slots optional and s = right_sign flipping the
@@ -329,47 +348,56 @@ def _leibniz_rows(
     Coordinate u of the pair (i, j) is the row
         sum_t D_l[t][i] [e_t, M e_j]_u
               + s eps(g, e_i) D_r[t][j] [M e_i, e_t]_u - D_v[u][t] [e_i, e_j]_t,
-    built from the nonzero terms of the product table and of the twisted
-    tables of :func:`_twisted`; rows without terms are left out.  (The
-    sign makes the twisted terms, the most numerous, enter unnegated.)
+    built from the nonzero terms of the integer copies of the product table
+    and of the twisted tables of :func:`_twisted`, each times the factor
+    that brings its scale to the lcm of the three: every row is the row
+    over the Fraction tables times that lcm, so it has the same kernel.
+    Rows without terms are left out.  (The sign makes the twisted terms,
+    the most numerous, enter unnegated.)
     """
     n = a.dim
     g = a.basis.group.reduce(gamma)
-    terms = a.product_terms()
-    if value_unknown is not None:
-        # for each t, the rows u with their column of D_v[u][t]
-        dv = cols[value_unknown]
-        value_cols = [
-            [(u, dv[u][t]) for u in range(n) if dv[u][t] is not None]
-            for t in range(n)
+    (left_scale, left), (right_scale, right) = left_table, right_table
+    product_scale, terms = a.int_table("product_terms")
+    scale = lcm(product_scale, left_scale, right_scale)
+
+    def live(m: int) -> list[list[tuple[int, int]]]:
+        # for each column k of unknown m, the rows t of its live entries,
+        # each with its column of D_m[t][k]
+        return [
+            [(t, cols[m][t][k]) for t in range(n) if cols[m][t][k] is not None]
+            for k in range(n)
         ]
+
+    if value_unknown is not None:
+        value_factor = -(scale // product_scale)
+        value_cols = live(value_unknown)
+    if left_unknown is not None:
+        left_factor = scale // left_scale
+        left_cols = live(left_unknown)
+    if right_unknown is not None:
+        right_cols = live(right_unknown)
     out = []
     for i in range(n):
         if right_unknown is not None:
-            # s eps(g, e_i) [M e_i, e_t] for every t
-            w = right_sign * a.eps.eval(g, a.degree(i))
-            right_i = [
-                [(u, w * c) for u, c in cell] for cell in right_table[i]
-            ]
+            # s eps(g, e_i) [M e_i, e_t] for every t, at the common scale
+            w = right_sign * a.eps.eval(g, a.degree(i)) * (scale // right_scale)
+            right_i = [[(u, w * c) for u, c in cell] for cell in right[i]]
         for j in range(n):
-            by_u: list[dict[int, Fraction]] = [{} for _ in range(n)]
+            by_u: list[dict[int, int]] = [{} for _ in range(n)]
             if value_unknown is not None:
                 for t, c in terms[i][j]:
-                    nc = -c
+                    nc = value_factor * c
                     for u, pos in value_cols[t]:
                         _add(by_u[u], pos, nc)
             if left_unknown is not None:
-                for t in range(n):
-                    pos = cols[left_unknown][t][i]
-                    if pos is not None:
-                        for u, c in left_table[t][j]:
-                            _add(by_u[u], pos, c)
+                for t, pos in left_cols[i]:
+                    for u, c in left[t][j]:
+                        _add(by_u[u], pos, left_factor * c)
             if right_unknown is not None:
-                for t in range(n):
-                    pos = cols[right_unknown][t][j]
-                    if pos is not None:
-                        for u, c in right_i[t]:
-                            _add(by_u[u], pos, c)
+                for t, pos in right_cols[j]:
+                    for u, c in right_i[t]:
+                        _add(by_u[u], pos, c)
             out += (row for row in by_u if row)
     return out
 
@@ -389,65 +417,55 @@ def _bracket_defect(
     Each side is a sum over nonzero terms only: the column terms of
     d_value over the terms of [e_i, e_j], and the ``twisted`` tables of
     :func:`_twisted`, [e_t, M e_j] over column i of d_left and
-    [M e_i, e_t] over column j of d_right.  The sums are integers: the
-    given maps are scaled jointly by the lcm of their denominators, since
-    one pair mixes them, and the columns summed against each table also
-    by the factor that brings the table's scale to the lcm of the three
-    tables' scales.  The defect of the failing pair is divided by the
-    product of the two scales.
+    [M e_i, e_t] over column j of d_right.  The sums are integers, over the
+    cached integer copy of each map (``Matrix.int_column_terms``): each
+    term of a map times a table is multiplied by the factor that brings
+    the map's scale to the lcm of the given maps' scales, since one pair
+    mixes them, and the table's scale to the lcm of the three tables'
+    scales.  The defect of the failing pair is divided by the product of
+    the two lcms.
     """
     n = a.dim
     signs = _degree_shift(a, gamma)[1]
     (left_scale, left), (right_scale, right) = twisted
     product_scale, terms = a.int_table("product_terms")
     scale = lcm(product_scale, left_scale, right_scale)
-    maps_scale, (vcols, lcols, rcols) = _int_columns(d_value, d_left, d_right)
-    # the member columns times the factor that brings the table they are
-    # summed against to ``scale``: d_value for the product, -d_left, and
-    # -s*eps(g, x)*d_right for each sign eps(g, x) of a basis element x
-    if vcols is not None:
-        vcols = _scaled_columns(vcols, scale // product_scale)
-    if lcols is not None:
-        lcols = _scaled_columns(lcols, -(scale // left_scale))
-    if rcols is not None:
-        rcols = {
-            w: _scaled_columns(rcols, -right_sign * w * (scale // right_scale))
-            for w in set(signs)
-        }
+    copies = [
+        None if m is None else m.int_column_terms()
+        for m in (d_value, d_left, d_right)
+    ]
+    maps_scale = lcm(*(copy[0] for copy in copies if copy is not None))
+
+    def factor(copy: tuple, table_scale: int) -> int:
+        return (maps_scale // copy[0]) * (scale // table_scale)
+
+    # the factor of each term: d_value for the product, -d_left, and
+    # -s*eps(g, x)*d_right for the sign eps(g, x) of the basis element x
+    vcopy, lcopy, rcopy = copies
+    if vcopy is not None:
+        fv, vcols = factor(vcopy, product_scale), vcopy[1]
+    if lcopy is not None:
+        fl, lcols = -factor(lcopy, left_scale), lcopy[1]
+    if rcopy is not None:
+        fr, rcols = -right_sign * factor(rcopy, right_scale), rcopy[1]
     for i in range(n):
+        if rcopy is not None:
+            fri = fr * signs[i]
         for j in range(n):
             acc = [0] * n
-            if vcols is not None:
+            if vcopy is not None:
                 for t, c in terms[i][j]:
-                    add_terms(acc, c, vcols[t])
-            if lcols is not None:
+                    add_terms(acc, fv * c, vcols[t])
+            if lcopy is not None:
                 for t, x in lcols[i]:
-                    add_terms(acc, x, left[t][j])
-            if rcols is not None:
-                for t, x in rcols[signs[i]][j]:
-                    add_terms(acc, x, right[i][t])
+                    add_terms(acc, fl * x, left[t][j])
+            if rcopy is not None:
+                for t, x in rcols[j]:
+                    add_terms(acc, fri * x, right[i][t])
             if any(acc):
                 den = maps_scale * scale
                 return i, j, tuple(Fraction(x, den) for x in acc)
     return None
-
-
-def _int_columns(*maps: Optional[Matrix]) -> tuple[int, list]:
-    """(L, columns): the column terms of each given matrix (None for
-    None) with every entry read as the integer x*L, L the lcm of the
-    denominators of all their entries."""
-    given = [m.column_terms() for m in maps if m is not None]
-    den, cols = scale_to_ints([col for terms in given for col in terms])
-    it = iter(cols)
-    return den, [
-        None if m is None else [next(it) for _ in range(m.ncols)]
-        for m in maps
-    ]
-
-
-def _scaled_columns(cols: list, c: int) -> list[list[tuple[int, int]]]:
-    """The column terms ``cols`` times c."""
-    return [[(t, c * x) for t, x in col] for col in cols]
 
 
 def _commutes_with_maps(
@@ -456,7 +474,7 @@ def _commutes_with_maps(
     """m M = M m for M = alpha (and beta), column by column:
     sum_t M_tj m(e_t) = sum_t m_tj M(e_t), over the integer column terms
     of m and M, both sides scaled by the product of their scales."""
-    _, (mcols,) = _int_columns(m)
+    _, mcols = m.int_column_terms()
     for which in ("alpha", "beta") if with_beta else ("alpha",):
         _, Mcols = a.int_columns(which)
         for j in range(a.dim):

@@ -8,12 +8,14 @@ and its reduced row echelon form readout is ``Matrix.rref``, from which
 ``kernel_basis`` and ``invert`` read.  ``BACKEND`` names that kernel; it is
 the constant ``"pure"``.
 
-Linear systems come as sparse rows {column: value}; ``kernel_by_blocks``
-splits their columns into the independent blocks the rows link and reduces
-each block on its own, which gives the same basis as ``kernel_basis`` of
-the dense matrix.  ``EchelonBasis`` keeps the vectors added so far as
-sparse echelon rows and reduces each new one in a single pass; the library
-solves no dense system A x = b (the tests keep one as an oracle).
+Linear systems come as sparse rows {column: value}, values Fractions or
+ints; ``kernel_by_blocks`` splits their columns into the independent
+blocks the rows link and reduces each block in its own ``EchelonBasis``,
+reading the kernel off that span's RREF with no dense block, which gives
+the same basis as ``kernel_basis`` of the dense matrix.  ``EchelonBasis``
+keeps the vectors added so far as sparse echelon rows and reduces each new
+one in a single pass; the library solves no dense system A x = b (the
+tests keep one as an oracle).
 
 Sums of basis images read term tables: ``Matrix.column_terms()`` caches the
 nonzero entries (u, x) of every column, and ``add_terms`` adds a scaled
@@ -21,13 +23,13 @@ term list into a dense accumulator, so no loop visits a zero entry of an
 image.
 
 Scalars are fractions.Fraction throughout, except inside ``EchelonBasis``,
-whose rows hold integers, and in the integer copies of term tables
-(``scale_to_ints``) that the axiom scans and the solvers' re-verification
-sum; vectors are plain tuples.  The
-public ``Matrix`` constructor converts every entry and checks the shape;
-matrices the library builds from Fractions itself (RREF output, products
-and sums, kernel blocks, solver solutions, coboundary matrices) go through
-the internal ``Matrix._of_rows``, which does neither.
+whose rows hold integers, in the solvers' rows, and in the integer copies
+of term tables (``scale_to_ints``, ``Matrix.int_column_terms``) that the
+axiom scans and the solvers sum; vectors are plain tuples.  The public
+``Matrix`` constructor converts every entry and checks the shape; matrices
+the library builds from Fractions itself (RREF output, products and sums,
+solver solutions, coboundary matrices) go through the internal
+``Matrix._of_rows``, which does neither.
 """
 
 from __future__ import annotations
@@ -127,7 +129,7 @@ class Matrix:
     True
     """
 
-    __slots__ = ("rows", "nrows", "ncols", "_cols", "_col_terms")
+    __slots__ = ("rows", "nrows", "ncols", "_cols", "_col_terms", "_int_terms")
 
     def __init__(
         self, rows: Iterable[Iterable], ncols: Optional[int] = None
@@ -138,6 +140,7 @@ class Matrix:
         )
         self._cols: Optional[tuple[Vec, ...]] = None
         self._col_terms: Optional[tuple[Terms, ...]] = None
+        self._int_terms: Optional[tuple[int, tuple[IntTerms, ...]]] = None
         self.nrows = len(self.rows)
         if self.rows:
             self.ncols = len(self.rows[0])
@@ -166,6 +169,7 @@ class Matrix:
         m.ncols = ncols
         m._cols = None
         m._col_terms = col_terms
+        m._int_terms = None
         return m
 
     @classmethod
@@ -286,6 +290,15 @@ class Matrix:
             self._col_terms = tuple(terms_of(col) for col in self.columns())
         return self._col_terms
 
+    def int_column_terms(self) -> tuple[int, tuple[IntTerms, ...]]:
+        """The integer copy (L, C) of :meth:`column_terms`: C[j] holds the
+        terms (u, x*L) of column j, L the lcm of the denominators of the
+        whole matrix (see :func:`scale_to_ints`); cached beside it."""
+        if self._int_terms is None:
+            den, cols = scale_to_ints(self.column_terms())
+            self._int_terms = (den, tuple(cols))
+        return self._int_terms
+
     def rref(self) -> tuple["Matrix", list[int]]:
         """(R, pivots): the reduced row echelon form R, with the zero rows
         last, and the pivot column of each nonzero row of R, read off one
@@ -378,23 +391,27 @@ class Matrix:
 
 
 def kernel_by_blocks(
-    rows: Iterable[dict[int, Fraction]], ncols: int
+    rows: Iterable[dict[int, Fraction | int]], ncols: int
 ) -> list[dict[int, Fraction]]:
     """Kernel basis of sparse rows {column: value} over ``ncols`` columns,
-    as sparse vectors {column: nonzero value} in ascending free-column
-    order: the basis ``kernel_basis`` gives for the dense matrix, vector
-    for vector.  Zero values are ignored.
+    values Fractions or ints, as sparse vectors {column: nonzero Fraction}
+    in ascending free-column order and each in ascending column: the basis
+    ``kernel_basis`` gives for the dense matrix, vector for vector.  Zero
+    values are ignored.
 
     A row with one nonzero entry forces its column to zero: that column is
     a pivot, and it is struck from the other rows, which can leave new
     one-entry rows.  The remaining columns are linked when some row has
     both nonzero; the row space is the direct sum of its restrictions to
     the linked blocks, so the RREF of the whole matrix is the union of the
-    blocks' RREFs, and each block is reduced on its own.  A column no row
-    touches is free with a unit vector.  These steps keep the kernel, and
-    the basis depends on the kernel alone: the vector of free column f is
-    the kernel vector that is 1 at f and 0 at every other free column, and
-    f is its last nonzero column.
+    blocks' RREFs.  Each block is reduced on its own, in one
+    :class:`EchelonBasis` that takes its sparse rows as they are, and the
+    kernel is read off that span's RREF with no dense block: a column of
+    the block that is no pivot is free.  A column no row touches is free
+    with a unit vector.  These steps keep the kernel, and the basis depends
+    on the kernel alone: the vector of free column f is the kernel vector
+    that is 1 at f and 0 at every other free column, and f is its last
+    nonzero column.
     """
     forced_zero, live = _strike_forced(rows)
 
@@ -413,7 +430,7 @@ def kernel_by_blocks(
             rc = root(c)
             if rc != first:
                 parent[rc] = first
-    block_rows: dict[int, list[dict[int, Fraction]]] = {}
+    block_rows: dict[int, list[dict[int, Fraction | int]]] = {}
     for row in live:
         block_rows.setdefault(root(next(iter(row))), []).append(row)
     block_cols: dict[int, list[int]] = {}
@@ -423,23 +440,29 @@ def kernel_by_blocks(
 
     kernel: list[tuple[int, dict[int, Fraction]]] = []
     for b, cols in block_cols.items():
-        brows = block_rows.get(b)
-        if brows is None:
-            kernel.append((cols[0], {cols[0]: ONE}))
-            continue
-        dense = Matrix._of_rows(
-            [[row.get(c, ZERO) for c in cols] for row in brows], len(cols)
-        )
-        for v in dense.kernel_basis():
-            coords = {cols[i]: x for i, x in enumerate(v) if x}
-            kernel.append((max(coords), coords))
+        span = EchelonBasis()
+        for row in block_rows.get(b, ()):
+            span.add_sparse(row.items())
+        reduced = span.rref()
+        # the vector of free column f: -R[p][f] at the pivot p of each row
+        # R[p] of the RREF, in ascending p, then 1 at f
+        vectors: dict[int, dict[int, Fraction]] = {c: {} for c in cols}
+        for p, _ in reduced:
+            del vectors[p]
+        for p, row in reduced:
+            for c, x in row.items():
+                if c != p:
+                    vectors[c][p] = -x
+        for f, v in vectors.items():
+            v[f] = ONE
+            kernel.append((f, v))
     kernel.sort(key=lambda item: item[0])
     return [coords for _, coords in kernel]
 
 
 def _strike_forced(
-    rows: Iterable[dict[int, Fraction]],
-) -> tuple[set[int], list[dict[int, Fraction]]]:
+    rows: Iterable[dict[int, Fraction | int]],
+) -> tuple[set[int], list[dict[int, Fraction | int]]]:
     """The columns that one-entry rows force to zero, and the nonzero rows
     left once those columns are struck, in their given order.
 
@@ -449,7 +472,7 @@ def _strike_forced(
     has exactly one entry and none holds a forced column.
     """
     live = [{c: x for c, x in row.items() if x} for row in rows]
-    holders: dict[int, list[dict[int, Fraction]]] = {}
+    holders: dict[int, list[dict[int, Fraction | int]]] = {}
     for row in live:
         for c in row:
             holders.setdefault(c, []).append(row)
@@ -472,9 +495,9 @@ class EchelonBasis:
     echelon rows: the one exact elimination routine of the library.
 
     A vector comes in scaled by the lcm of its denominators and divided by
-    the gcd of its entries.  Each stored row {column: int} is nonzero at its
-    pivot column, its first nonzero one, and zero at the pivots of the rows
-    stored before it.  So one pass in insertion order reduces a vector, by
+    the gcd of its entries; a vector of ints is only divided.  Each stored
+    row {column: int} is nonzero at its pivot column, its first nonzero
+    one, and zero at the pivots of the rows stored before it.  So one pass in insertion order reduces a vector, by
     the fraction-free update  rem <- q*rem - y*row,  where y/q in lowest
     terms is the entry of rem at the row's pivot over the row's own, and
     one gcd over the entries of rem after each update to keep them small:
@@ -515,9 +538,10 @@ class EchelonBasis:
         outside the span."""
         return self._store(_primitive(enumerate(v)))
 
-    def add_sparse(self, terms: Iterable[tuple[int, Fraction]]) -> bool:
+    def add_sparse(self, terms: Iterable[tuple[int, Fraction | int]]) -> bool:
         """:meth:`add` for the vector whose nonzero entries are the
-        (column, value) pairs ``terms``, as in ``Matrix.column_terms``."""
+        (column, value) pairs ``terms``, as in ``Matrix.column_terms``; the
+        values are Fractions or ints."""
         return self._store(_primitive(terms))
 
     def _store(self, rem: dict[int, int]) -> bool:
@@ -552,12 +576,16 @@ class EchelonBasis:
         ]
 
 
-def _primitive(terms: Iterable[tuple[int, Fraction]]) -> dict[int, int]:
+def _primitive(terms: Iterable[tuple[int, Fraction | int]]) -> dict[int, int]:
     """The nonzero (column, value) ``terms`` times the lcm of their
-    denominators, divided by the gcd of the results: {column: int}."""
+    denominators, divided by the gcd of the results: {column: int}.  Int
+    values have denominator 1, so they are only divided by their gcd."""
     pairs = [(c, x.as_integer_ratio()) for c, x in terms if x]
     den = lcm(*(d for _, (_, d) in pairs))
-    ints = {c: n * (den // d) for c, (n, d) in pairs}
+    if den == 1:
+        ints = {c: n for c, (n, _) in pairs}
+    else:
+        ints = {c: n * (den // d) for c, (n, d) in pairs}
     g = gcd(*ints.values())
     if g > 1:
         ints = {c: v // g for c, v in ints.items()}

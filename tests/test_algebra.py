@@ -1,6 +1,7 @@
 """Axiom suites, reports, and witnesses on hand-built fixtures."""
 
 from fractions import Fraction
+from itertools import product as iproduct
 from math import gcd
 from random import Random
 
@@ -36,9 +37,11 @@ from bihomlie.admissibility import check_flexible
 from bihomlie.linalg import Matrix
 from fixtures import (
     LIE_CORPUS,
+    conj_mat2,
     gl11_fraction_twist,
     gl2_conjugation_twist,
     gl2_fraction_twist,
+    twisted_mat2,
 )
 
 
@@ -414,6 +417,37 @@ def test_table_driven_reports_match_the_dense_oracle(name, suite, check):
     for g, w in zip(got.items, want.items):
         assert g.passed == w.passed, g.name
         assert g == w, g.name
+
+
+def broken_twisted_mat2():
+    """twisted_mat2 with one cell changed by 1/7: not BiHom-associative,
+    and its defects carry a denominator no table of the scan has alone."""
+    a = twisted_mat2()
+    prod = [[list(cell) for cell in row] for row in a.product]
+    prod[1][2][0] += Fraction(1, 7)
+    return a.with_product(prod)
+
+
+@pytest.mark.parametrize(
+    "make", [mat2_assoc, conj_mat2, twisted_mat2, broken_twisted_mat2]
+)
+def test_integer_associative_scan_matches_the_associator(make):
+    # the scan sums integer tables; the public associator, in Fractions on
+    # basis vectors in lexicographic order, gives its first failing triple
+    # and exact defect
+    a = make()
+    item = check_associative_axioms(a).item("bihom_associative")
+    want = None
+    for idx in iproduct(range(a.dim), repeat=3):
+        defect = associator(a, *map(a.basis_vec, idx))
+        if any(defect):
+            want = idx, defect
+            break
+    got = None if item.passed else (item.witness.indices, item.witness.defect)
+    assert got == want
+    assert item.passed == (make in (mat2_assoc, twisted_mat2))
+    if got is not None:
+        assert all(isinstance(c, Fraction) for c in got[1])
 
 
 def test_inflated_twist_fails_jacobi_at_the_pinned_witness():

@@ -45,6 +45,7 @@ from bihomlie.linalg import (
     vzero,
 )
 from dense_oracles import (
+    cochain_in_space_full_scan,
     dense_rank,
     pullbacks_oracle,
     realized_gammas_oracle,
@@ -799,7 +800,22 @@ def _perturbed(rep, f, rng):
     return Cochain(f.n, f.degree, {**f.values, T: v}, f.dimV)
 
 
+def nilpotent_module():
+    """The zero bracket on three elements with alpha = beta the shift
+    e3 -> e2 -> e1 -> 0, on itself with zero action and identity maps: no
+    pull-back term reaches a tuple holding e3, so a value there is read
+    only by the check of its own tuple."""
+    shift = Matrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    a = zero_algebra(3).with_product(
+        zero_algebra(3).product, alpha=shift, beta=shift
+    )
+    return Representation(
+        a, a.basis, [Matrix.zero(3, 3)] * 3, Matrix.identity(3), Matrix.identity(3)
+    )
+
+
 MEMBERSHIP_MODULES = {
+    "nilpotent_maps": nilpotent_module,
     **SPARSE_MODULES,
     **{
         f"gl2_{name}_only_twist": (
@@ -828,6 +844,7 @@ def test_membership_matches_the_dense_scan(name):
             for f in cases:
                 got = cochain_in_space(rep, f)
                 assert got == cochain_in_space_oracle(rep, f)
+                assert got == cochain_in_space_full_scan(rep, f)
                 seen[got[0]] += 1
     # members and non-members were both drawn
     assert seen[True] and seen[False]

@@ -36,7 +36,7 @@ from bihomlie.derivations import (
     quasi_centroid_space,
     quasi_derivation_space,
 )
-from bihomlie.linalg import Matrix
+from bihomlie.linalg import Matrix, scale_to_ints
 from dense_oracles import (
     bracket_defect,
     commutes_with_maps,
@@ -542,6 +542,27 @@ def test_block_solves_match_the_dense_oracle(name):
                         for entry in basis
                     ]
                     assert got == want, (kind, k, l, gamma, strict)
+
+
+@pytest.mark.parametrize(
+    "make", [gl21_twist, gl21_unipotent_twist, gl21_fraction_twist]
+)
+def test_solver_members_carry_the_terms_of_their_entries(make):
+    # the solver hands each member the column terms read off the kernel
+    # coordinates; they and the integer copy must be those of the entries
+    a = make()
+    for (k, l), gamma in iproduct(((0, 0), (1, 1)), ((0,), (1,))):
+        for kind, (solver, _, _, _) in SOLVER_KINDS.items():
+            got = []
+            for entry in solver(a, k, l, gamma).basis:
+                members = entry if isinstance(entry, tuple) else (entry,)
+                for e in members:
+                    terms = Matrix(e.matrix.rows).column_terms()
+                    assert e.matrix.column_terms() == terms
+                    den, cols = scale_to_ints(terms)
+                    assert e.matrix.int_column_terms() == (den, tuple(cols))
+                got.append(tuple(e.matrix for e in members))
+            assert got == solver_oracle(kind, a, k, l, gamma), (kind, k, l, gamma)
 
 
 @pytest.mark.parametrize(

@@ -23,7 +23,13 @@ from bihomlie.linalg import (
     vscale,
     vsub,
 )
-from dense_oracles import dense_rank, in_span, solve_many, spans_equal
+from dense_oracles import (
+    dense_rank,
+    in_span,
+    kernel_oracle,
+    solve_many,
+    spans_equal,
+)
 
 
 def test_rref_canonical_form():
@@ -519,3 +525,31 @@ def _cascades(draw):
 @given(_cascades())
 def test_strike_on_cascades_matches_rounds_and_the_dense_kernel(system):
     assert_strike_and_kernel(*system)
+
+
+@st.composite
+def _valued_systems(draw):
+    """The systems of ``_sparse_systems`` and ``_cascades``, with the
+    values as drawn (integer Fractions), as Python ints, or each value
+    divided by 1-4, so that rows have denominators."""
+    rows, ncols = draw(st.one_of(_sparse_systems(), _cascades()))
+    kind = draw(st.sampled_from(("fraction", "int", "divided")))
+    if kind == "int":
+        rows = [{c: int(x) for c, x in row.items()} for row in rows]
+    elif kind == "divided":
+        rows = [
+            {c: x / draw(st.integers(1, 4)) for c, x in row.items()}
+            for row in rows
+        ]
+    return rows, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(_valued_systems())
+def test_block_kernel_equals_the_fraction_rref_kernel(system):
+    rows, ncols = system
+    got = kernel_by_blocks(rows, ncols)
+    assert [_as_dense(v, ncols) for v in got] == kernel_oracle(rows, ncols)
+    for v in got:
+        assert list(v) == sorted(v)
+        assert all(isinstance(x, Fraction) and x for x in v.values())

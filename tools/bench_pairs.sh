@@ -6,17 +6,22 @@
 # For pair i (seed FIRST_SEED + i, default 30, PAIRS default 10) it runs
 # every workload once in each checkout, the parent first on even i and the
 # change first on odd i, then one traced run of every workload at seed 77
-# in each.  Each run writes its result to .perfbench_out/results of its own
-# checkout; empty those directories first, since tools/bench_trajectory.py
-# reads every result file in them.  A failed run is reported as FAIL and
+# in each.  The workloads are those the parent's BENCHMARK.json lists, so
+# a workload the change adds is paired from the next change on.  Each run
+# writes its result to .perfbench_out/results of its own checkout; empty
+# those directories first, since tools/bench_trajectory.py reads every
+# result file in them.  A failed run is reported as FAIL and
 # makes the script exit 1 once every run is done, since its pair is then
 # missing from the results.
 set -u
 parent=$1 change=$2 first=${3:-30} pairs=${4:-10}
+workloads=$(python3 -c 'import json, sys
+print(" ".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' \
+  "$parent/BENCHMARK.json") || exit 1
 failed=0
 for ((i = 0; i < pairs; i++)); do
   seed=$((first + i))
-  for w in corpus-sweep gl21-solvers gl21-cohomology; do
+  for w in $workloads; do
     if ((i % 2 == 0)); then order="$parent $change"; else order="$change $parent"; fi
     for d in $order; do
       (cd "$d" && python3 perfbench/run.py --workload "$w" --seed "$seed" \
@@ -25,7 +30,7 @@ for ((i = 0; i < pairs; i++)); do
     echo "$(date +%T) pair $i $w done"
   done
 done
-for w in corpus-sweep gl21-solvers gl21-cohomology; do
+for w in $workloads; do
   for d in "$parent" "$change"; do
     (cd "$d" && python3 perfbench/run.py --workload "$w" --seed 77 \
       --seconds 10 --trace 1 > /dev/null) || { echo "FAIL $d $w traced"; failed=1; }
