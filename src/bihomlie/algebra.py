@@ -363,12 +363,6 @@ class ColourAlgebra:
             )
         return hit
 
-    def int_columns(self, which: str) -> tuple[int, tuple[IntTerms, ...]]:
-        """The integer copy (L, C) of the column terms of ``which``
-        ("alpha" or "beta"): ``Matrix.int_column_terms``, cached on the
-        map."""
-        return getattr(self, which).int_column_terms()
-
     def beta_supports(self) -> tuple[dict, tuple[tuple, ...]]:
         """The support index (see ``_support_index``) of the columns
         beta(e_i), keyed by i; cached."""
@@ -570,7 +564,7 @@ def _check_multiplicative(a: ColourAlgebra, name: str) -> CheckItem:
     twisted products [m e_i, e_t] over the column m e_j, both in the
     integer copies of the tables, brought to one scale."""
     twist = (1, 0) if name == "alpha" else (0, 1)
-    col_scale, cols = a.int_columns(name)
+    col_scale, cols = getattr(a, name).int_column_terms()
     product_scale, terms = a.int_table("product_terms")
     twisted_scale, table = a.int_table("twisted_terms", *twist)
     scale = lcm(product_scale, twisted_scale)

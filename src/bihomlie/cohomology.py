@@ -550,13 +550,10 @@ class _Arity:
     * ``pullbacks``: for a canonical tuple T, its alpha and beta pull-back
       terms (see :func:`_pullbacks`), filled on first use;
     * ``reach``: for (prefactor, T), the terms by which T enters the
-      coboundary (see :func:`_reach`), filled on first use;
-    * ``readers``: for a canonical tuple X, the canonical tuples T whose
-      intertwining checks read f(X), T = X among them (see
-      :func:`_readers`), built on first use.
+      coboundary (see :func:`_reach`), filled on first use.
     """
 
-    __slots__ = ("by_degree", "pullbacks", "reach", "readers")
+    __slots__ = ("by_degree", "pullbacks", "reach")
 
     def __init__(self, a: ColourAlgebra, n: int) -> None:
         group, degs = a.basis.group, a.basis.degrees
@@ -570,7 +567,6 @@ class _Arity:
         self.by_degree = by_degree
         self.pullbacks: dict[tuple[int, ...], tuple] = {}
         self.reach: dict[tuple, tuple] = {}
-        self.readers: Optional[dict[tuple[int, ...], set]] = None
 
 
 def _arity(rep: Representation, n: int) -> _Arity:
@@ -710,22 +706,6 @@ def _pullbacks(a: ColourAlgebra, arity: _Arity, T: tuple[int, ...]) -> tuple:
     return hit
 
 
-def _readers(a: ColourAlgebra, arity: _Arity) -> dict[tuple[int, ...], set]:
-    """For each canonical tuple X of the arity: the canonical tuples T
-    with X = T or X among the alpha or beta pull-back terms of T, the
-    tuples whose intertwining checks read f(X); built once per arity."""
-    if arity.readers is None:
-        readers: dict[tuple[int, ...], set] = {}
-        for tuples in arity.by_degree.values():
-            for T in tuples:
-                readers.setdefault(T, set()).add(T)
-                for pull in _pullbacks(a, arity, T):
-                    for X, _ in pull:
-                        readers.setdefault(X, set()).add(T)
-        arity.readers = readers
-    return arity.readers
-
-
 def _solve_basis(
     rep: Representation,
     n: int,
@@ -778,8 +758,7 @@ def cochain_in_space(
     pull-back terms (X, c) of T, the terms from which
     :func:`cochain_basis` builds its constraint rows.  A tuple T is skipped
     when f has no value at T nor at any X of its pull-back terms: both
-    sides are zero there.  So only the tuples that f's support reaches
-    through :func:`_readers` are visited, sorted.
+    sides are zero there.
     """
     a = rep.algebra
     if f.dimV != rep.dimV:
@@ -799,10 +778,12 @@ def cochain_in_space(
     arity = _arity(rep, f.n)
     vmaps = ((rep.alphaV, "alpha"), (rep.betaV, "beta"))
     values = f.values
-    readers = _readers(a, arity)
-    reached = set().union(*(readers.get(X, ()) for X in values))
-    for T in sorted(reached):
+    for T in canonical_index_tuples(a, f.n):
         pulls = _pullbacks(a, arity, T)
+        if T not in values and not any(
+            X in values for pull in pulls for X, _ in pull
+        ):
+            continue
         for pull, (vmap, name) in zip(pulls, vmaps):
             got = [_ZERO] * rep.dimV
             for X, c in pull:

@@ -26,11 +26,12 @@ tables of the product, of the twisted products and of the columns of
 alpha and beta, so it visits nonzero terms only.
 
 The solve and the re-verification sum integers.  The commuting and
-Leibniz rows are built over the integer copies of the tables
-(``ColourAlgebra.int_table``, ``int_columns``), each row brought to one
-scale, and ``EchelonBasis`` takes them as they are; the kernel comes back
-in Fractions, and each member is built with its column terms and keeps
-one integer copy of them (``Matrix.int_column_terms``).  A check scales
+Leibniz rows are built over the integer copies of the tables and of the
+columns of alpha and beta (``ColourAlgebra.int_table``,
+``Matrix.int_column_terms``), each row brought to one scale, and
+``EchelonBasis`` takes them as they are; the kernel comes back in
+Fractions, and each member is built with its column terms and keeps one
+integer copy of them.  A check scales
 the maps of one solution tuple to the lcm of their scales, since a
 condition mixes them, and only the defect of a failing pair is divided
 back into Fractions.
@@ -202,9 +203,9 @@ def _commutation(
         cols: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
         for idx, (u, t) in enumerate(slots):
             cols[u][t] = idx
-        rows = _commuting_rows(a, cols, "alpha")
+        rows = _commuting_rows(a, cols, a.alpha)
         if with_beta:
-            rows += _commuting_rows(a, cols, "beta")
+            rows += _commuting_rows(a, cols, a.beta)
         forced, rows = _strike_forced(rows)
         live = [idx for idx in range(len(slots)) if idx not in forced]
         pos = {idx: p for p, idx in enumerate(live)}
@@ -275,8 +276,8 @@ def _solve_blocks(
             terms[m][t].append((u, x))
         out.append(
             tuple(
-                Matrix._of_rows(e, n, tuple(map(tuple, cols)))
-                for e, cols in zip(entries, terms)
+                Matrix._of_rows(e, n, tuple(map(tuple, col_terms)))
+                for e, col_terms in zip(entries, terms)
             )
         )
     return out
@@ -299,17 +300,16 @@ def _add(row: dict, pos: Optional[int], c: int) -> None:
 
 
 def _commuting_rows(
-    a: ColourAlgebra, cols: list[list[Optional[int]]], which: str
+    a: ColourAlgebra, cols: list[list[Optional[int]]], M: Matrix
 ) -> list[dict[int, int]]:
-    """Rows of  D M - M D = 0, entry (u, j) each, for M = alpha or beta
-    as ``which`` names it and the unknown D whose entry (u, t) is column
-    cols[u][t]: sum_t D_ut M_tj - M_ut D_tj, read off the integer copy of
-    the columns of M, so every row is scaled by its scale.  Rows without
-    terms are left out."""
+    """Rows of  D M - M D = 0, entry (u, j) each, for the unknown D whose
+    entry (u, t) is column cols[u][t]: sum_t D_ut M_tj - M_ut D_tj, read
+    off the integer copy of the columns of M, so every row is scaled by
+    its scale.  Rows without terms are left out."""
     n = a.dim
     entries = [
         (t, j, x)
-        for j, col in enumerate(a.int_columns(which)[1])
+        for j, col in enumerate(M.int_column_terms()[1])
         for t, x in col
     ]
     # the nonzero entries (t, M_ut) of each row u of M, in ascending t
@@ -476,7 +476,7 @@ def _commutes_with_maps(
     of m and M, both sides scaled by the product of their scales."""
     _, mcols = m.int_column_terms()
     for which in ("alpha", "beta") if with_beta else ("alpha",):
-        _, Mcols = a.int_columns(which)
+        _, Mcols = getattr(a, which).int_column_terms()
         for j in range(a.dim):
             acc = [0] * a.dim
             for t, x in Mcols[j]:

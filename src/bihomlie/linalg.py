@@ -582,10 +582,7 @@ def _primitive(terms: Iterable[tuple[int, Fraction | int]]) -> dict[int, int]:
     values have denominator 1, so they are only divided by their gcd."""
     pairs = [(c, x.as_integer_ratio()) for c, x in terms if x]
     den = lcm(*(d for _, (_, d) in pairs))
-    if den == 1:
-        ints = {c: n for c, (n, _) in pairs}
-    else:
-        ints = {c: n * (den // d) for c, (n, d) in pairs}
+    ints = {c: n * (den // d) for c, (n, d) in pairs}
     g = gcd(*ints.values())
     if g > 1:
         ints = {c: v // g for c, v in ints.items()}

@@ -13,9 +13,7 @@ on dense columns and dense twisted product tables, testing every entry.
 
 The cochain complex reads per-arity tables: ``slots_oracle``,
 ``realized_gammas_oracle`` and ``pullbacks_oracle`` recompute them by the
-per-tuple scans they replaced, tuple by tuple against every V index, and
-``cochain_in_space_full_scan`` checks membership on every canonical tuple
-where the library visits only those the cochain's support reaches.
+per-tuple scans they replaced, tuple by tuple against every V index.
 
 ``kernel_oracle`` reads a kernel basis off ``fraction_rref``, for the
 sparse block kernel of the library.
@@ -37,12 +35,7 @@ from typing import Optional, Sequence
 from itertools import product as iproduct
 
 from bihomlie.algebra import ColourAlgebra
-from bihomlie.cohomology import (
-    _arity,
-    _pullbacks,
-    canonical_index_tuples,
-    reduce_index_tuple,
-)
+from bihomlie.cohomology import canonical_index_tuples, reduce_index_tuple
 from bihomlie.linalg import Matrix, Vec, is_zero_vec
 
 
@@ -277,42 +270,3 @@ def pullbacks_oracle(a: ColourAlgebra, T) -> tuple:
             acc[canon] = acc.get(canon, Fraction(0)) + coeff
         out.append({X: c for X, c in acc.items() if c})
     return tuple(out)
-
-
-def cochain_in_space_full_scan(rep, f) -> tuple[bool, str]:
-    """``cohomology.cochain_in_space`` as a scan of every canonical tuple T
-    in lexicographic order, skipping T when f has no value at T nor at any
-    X of its pull-back terms."""
-    a = rep.algebra
-    if f.dimV != rep.dimV:
-        return False, "value dimension differs from the module"
-    g = a.basis.group.reduce(f.degree)
-    for T, val in f.values.items():
-        target = a.basis.group.add(g, _tuple_degree(a, T))
-        for w, c in enumerate(val):
-            if c and rep.space.degrees[w] != target:
-                return (
-                    False,
-                    f"value on {T} leaves the degree-{target} block",
-                )
-        sign, canon = reduce_index_tuple(a, T)
-        if canon != T or sign != 1:
-            return False, f"stored tuple {T} is not canonical"
-    arity = _arity(rep, f.n)
-    vmaps = ((rep.alphaV, "alpha"), (rep.betaV, "beta"))
-    values = f.values
-    for T in canonical_index_tuples(a, f.n):
-        pulls = _pullbacks(a, arity, T)
-        if T not in values and not any(
-            X in values for pull in pulls for X, _ in pull
-        ):
-            continue
-        for pull, (vmap, name) in zip(pulls, vmaps):
-            got = [Fraction(0)] * rep.dimV
-            for X, c in pull:
-                for w, x in enumerate(values.get(X, ())):
-                    if x:
-                        got[w] += c * x
-            if tuple(got) != vmap.apply(f.value(T)):
-                return False, f"{name} intertwining fails on tuple {T}"
-    return True, ""

@@ -384,7 +384,7 @@ def test_term_tables_hold_the_nonzero_entries_of_their_products(name):
     assert a.int_table("product_terms") == _int_copy(a.product)
     for which in ("alpha", "beta"):
         scale, (cols,) = _int_copy((getattr(a, which).columns(),))
-        assert a.int_columns(which) == (scale, cols)
+        assert getattr(a, which).int_column_terms() == (scale, cols)
 
 
 def _int_copy(table):
