@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from itertools import product as iproduct
+from math import lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .algebra import (
@@ -34,11 +35,14 @@ from .algebra import (
 )
 from .grading import GradedBasis, GroupElement
 from .linalg import (
+    ONE,
+    ZERO,
     Matrix,
     Vec,
     add_terms,
     is_zero_vec,
     kernel_by_blocks,
+    scale_to_ints,
     vadd,
     vec,
     vscale,
@@ -52,8 +56,10 @@ from .linalg import (
 PREFACTOR_CONVENTIONS = ("segment", "full")
 DEFAULT_PREFACTOR = "segment"
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+# the zero the library builds its vectors with: scans test for it by
+# identity before they ask a Fraction for its truth value
+_ZERO = ZERO
+_ONE = ONE
 
 
 class Representation:
@@ -385,7 +391,17 @@ def reduce_index_tuple(
     adjacent swaps used, or (0, None) when the tuple repeats an index whose
     degree has eps(d, d) = +1 and the value is forced to vanish.
     """
-    eps = a.eps_table()
+    sign, canon = _sort_sign(a.eps_table(), idx)
+    if canon is None:
+        return _ZERO, None
+    return (_ONE if sign == 1 else -_ONE), canon
+
+
+def _sort_sign(
+    eps: Sequence[Sequence[int]], idx: Sequence[int]
+) -> tuple[int, Optional[tuple[int, ...]]]:
+    """:func:`reduce_index_tuple` over the table ``eps``, with the factor
+    as the int 1 or -1 (0 with None)."""
     lst = list(idx)
     sign = 1
     for i in range(1, len(lst)):
@@ -397,8 +413,8 @@ def reduce_index_tuple(
             j -= 1
     for p in range(len(lst) - 1):
         if lst[p] == lst[p + 1] and eps[lst[p]][lst[p]] == 1:
-            return _ZERO, None
-    return (_ONE if sign == 1 else -_ONE), tuple(lst)
+            return 0, None
+    return sign, tuple(lst)
 
 
 def canonical_index_tuples(a: ColourAlgebra, n: int) -> list[tuple[int, ...]]:
@@ -548,12 +564,13 @@ class _Arity:
     * ``by_degree``: the canonical n-tuples grouped by their degree, each
       group in lexicographic order;
     * ``pullbacks``: for a canonical tuple T, its alpha and beta pull-back
-      terms (see :func:`_pullbacks`), filled on first use;
+      terms (see :func:`_pullbacks`), filled on first use, and
+      ``pullback_scales``, the scale of the alpha and of the beta terms;
     * ``reach``: for (prefactor, T), the terms by which T enters the
       coboundary (see :func:`_reach`), filled on first use.
     """
 
-    __slots__ = ("by_degree", "pullbacks", "reach")
+    __slots__ = ("by_degree", "pullbacks", "pullback_scales", "reach")
 
     def __init__(self, a: ColourAlgebra, n: int) -> None:
         group, degs = a.basis.group, a.basis.degrees
@@ -566,6 +583,9 @@ class _Arity:
             by_degree.setdefault(d, []).append(T)
         self.by_degree = by_degree
         self.pullbacks: dict[tuple[int, ...], tuple] = {}
+        self.pullback_scales = tuple(
+            m.int_column_terms()[0] ** n for m in (a.alpha, a.beta)
+        )
         self.reach: dict[tuple, tuple] = {}
 
 
@@ -626,13 +646,14 @@ def _cochain_from_coords(
 
 class _Space(NamedTuple):
     """The degree-gamma n-cochain space of :func:`cochain_basis`: its slot
-    set, its basis, the column of each basis cochain's free slot, and each
-    basis cochain's nonzero entries as ((T, w), value)."""
+    set, its basis, the column of each basis cochain's free slot, and
+    (S, terms) with terms[k] the nonzero entries of basis cochain k as
+    ((T, w), value * S), S the lcm of the denominators of every entry."""
 
     slots: frozenset
     basis: tuple[Cochain, ...]
     free_column: dict[tuple, int]
-    terms: tuple[tuple, ...]
+    int_terms: tuple[int, tuple[tuple, ...]]
 
 
 def cochain_basis(
@@ -665,42 +686,46 @@ def _space(rep: Representation, n: int, gamma: GroupElement) -> _Space:
     if hit is None:
         slots = _slots(rep, n, g)
         basis = tuple(_solve_basis(rep, n, g, slots))
-        terms = tuple(
-            tuple(
-                ((T, w), c)
-                for T, val in f.values.items()
-                for w, c in enumerate(val)
-                if c
-            )
-            for f in basis
+        scale, terms = scale_to_ints(
+            [
+                tuple(
+                    ((T, w), c)
+                    for T, val in f.values.items()
+                    for w, c in enumerate(val)
+                    if c
+                )
+                for f in basis
+            ]
         )
         hit = rep._bases[n, g] = _Space(
             frozenset(slots),
             basis,
             {max(slot for slot, _ in t): k for k, t in enumerate(terms)},
-            terms,
+            (scale, tuple(terms)),
         )
     return hit
 
 
 def _pullbacks(a: ColourAlgebra, arity: _Arity, T: tuple[int, ...]) -> tuple:
-    """For m = alpha, then beta: the canonical tuples X and coefficients c
-    with f(m e_{T_1}, ..., m e_{T_n}) = sum of c f(X) for every cochain f,
-    as ((X, c), ...) in order of first appearance; memoized on ``arity``."""
+    """For m = alpha, then beta: the canonical tuples X and integers c with
+    f(m e_{T_1}, ..., m e_{T_n}) = sum of (c / S) f(X) for every cochain f,
+    as ((X, c), ...) in order of first appearance, where S = L**n for the
+    scale L of ``m.int_column_terms()`` is the map's entry of
+    ``arity.pullback_scales``; memoized on ``arity``."""
     hit = arity.pullbacks.get(T)
     if hit is None:
+        eps = a.eps_table()
         out = []
-        for cols in (a.alpha.column_terms(), a.beta.column_terms()):
-            acc: dict[tuple[int, ...], Fraction] = {}
+        for m in (a.alpha, a.beta):
+            cols = m.int_column_terms()[1]
+            acc: dict[tuple[int, ...], int] = {}
             for combo in iproduct(*(cols[t] for t in T)):
-                coeff, canon = reduce_index_tuple(
-                    a, tuple(u for u, _ in combo)
-                )
+                coeff, canon = _sort_sign(eps, tuple(u for u, _ in combo))
                 if canon is None:
                     continue
                 for _, c in combo:
                     coeff *= c
-                acc[canon] = acc.get(canon, _ZERO) + coeff
+                acc[canon] = acc.get(canon, 0) + coeff
             out.append(tuple((X, c) for X, c in acc.items() if c))
         hit = arity.pullbacks[T] = tuple(out)
     return hit
@@ -722,23 +747,26 @@ def _solve_basis(
     for k, (T, w) in enumerate(slots):
         slot_cols.setdefault(T, []).append((w, k))
 
-    vmaps = (rep.alphaV.column_terms(), rep.betaV.column_terms())
-    rows: list[dict[int, Fraction]] = []
+    vmaps = (rep.alphaV.int_column_terms(), rep.betaV.int_column_terms())
+    rows: list[dict[int, int]] = []
     for T, own in slot_cols.items():
-        for pull, vcols in zip(_pullbacks(a, arity, T), vmaps):
-            # row w: coefficients of the w-coordinate of
-            # f(m e_{T_1}, ..., m e_{T_n}) - m_V f(e_{T_1}, ..., e_{T_n})
-            by_w: dict[int, dict[int, Fraction]] = {}
+        pulls = zip(_pullbacks(a, arity, T), arity.pullback_scales)
+        for (pull, pden), (vden, vcols) in zip(pulls, vmaps):
+            # row w: the coefficients of the w-coordinate of
+            # f(m e_{T_1}, ..., m e_{T_n}) - m_V f(e_{T_1}, ..., e_{T_n}),
+            # times the lcm of the pull-back and the m_V scale
+            scale = lcm(pden, vden)
+            pf, vf = scale // pden, scale // vden
+            by_w: dict[int, dict[int, int]] = {}
             for canon, coeff in pull:
+                coeff *= pf
                 for w, k in slot_cols.get(canon, ()):
                     row = by_w.setdefault(w, {})
-                    prev = row.get(k)
-                    row[k] = coeff if prev is None else prev + coeff
+                    row[k] = row.get(k, 0) + coeff
             for w, k in own:
                 for rrow, c in vcols[w]:
                     row = by_w.setdefault(rrow, {})
-                    prev = row.get(k)
-                    row[k] = -c if prev is None else prev - c
+                    row[k] = row.get(k, 0) - c * vf
             rows.extend(by_w.values())
 
     return [
@@ -754,11 +782,11 @@ def cochain_in_space(
 
     Both intertwinings f(m x_1, ..., m x_n) = m_V f(x_1, ..., x_n) are
     checked on every canonical tuple T, in lexicographic order and alpha
-    before beta: the left side is the sum of c f(X) over the memoized
-    pull-back terms (X, c) of T, the terms from which
-    :func:`cochain_basis` builds its constraint rows.  A tuple T is skipped
-    when f has no value at T nor at any X of its pull-back terms: both
-    sides are zero there.
+    before beta: the left side is the sum of (c / S) f(X) over the
+    memoized integer pull-back terms (X, c) of T and their scale S, the
+    terms from which :func:`cochain_basis` builds its constraint rows.  A
+    tuple T is skipped when f has no value at T nor at any X of its
+    pull-back terms: both sides are zero there.
     """
     a = rep.algebra
     if f.dimV != rep.dimV:
@@ -784,13 +812,16 @@ def cochain_in_space(
             X in values for pull in pulls for X, _ in pull
         ):
             continue
-        for pull, (vmap, name) in zip(pulls, vmaps):
+        for pull, scale, (vmap, name) in zip(
+            pulls, arity.pullback_scales, vmaps
+        ):
+            # both sides times the pull-back scale
             got = [_ZERO] * rep.dimV
             for X, c in pull:
                 for w, x in enumerate(values.get(X, ())):
                     if x:
                         got[w] += c * x
-            if tuple(got) != vmap.apply(f.value(T)):
+            if got != [scale * y for y in vmap.apply(f.value(T))]:
                 return False, f"{name} intertwining fails on tuple {T}"
     return True, ""
 
@@ -859,6 +890,10 @@ class _Coboundary:
     slot's value times its unit image.  The images of the slots of one
     tuple T share the terms by which T enters the coboundary (see
     :func:`_reach`), which every degree and r of the arity shares too.
+
+    Each unit image is stored as integers over one scale of its own, so
+    :func:`apply_coboundary` sums Python ints and divides back only the
+    nonzero entries of d f.
     """
 
     def __init__(
@@ -877,8 +912,9 @@ class _Coboundary:
         self.arity = _arity(rep, n)
         self.action = rep.action_table(r + n - 1)
         self.eps_gamma = [a.eps.eval(gamma, a.degree(i)) for i in range(a.dim)]
-        # (T, w) -> the unit image as (X, ((k, value), ...)) over its
-        # nonzero coordinates, in lexicographic order of X
+        # (T, w) -> the unit image as (L, ((X, ((k, n), ...)), ...)): its
+        # nonzero coordinates n / L, in lexicographic order of X and
+        # ascending k, over one scale L
         self.images: dict[tuple, tuple] = {}
 
     def image(
@@ -886,7 +922,11 @@ class _Coboundary:
     ) -> tuple:
         """The unit image of slot (T, w) on ``rep``, the module this
         coboundary belongs to (not stored here, so the memo makes no
-        reference cycle)."""
+        reference cycle).
+
+        The bracket scalars of :func:`_reach` and the action columns, read
+        through ``Matrix.apply``, are Fractions; they are brought to the
+        lcm L of their denominators once and summed per X as integers."""
         hit = self.images.get((T, w))
         if hit is None:
             key = (self.prefactor, T)
@@ -897,22 +937,25 @@ class _Coboundary:
                 )
             eps_gamma = self.eps_gamma
             unit = tuple(_ONE if k == w else _ZERO for k in range(rep.dimV))
-            out = []
+            read = []  # (X, [(k, Fraction), ...]) before the sums
             for X, scalar, acts in terms:
-                total = [_ZERO] * rep.dimV
-                total[w] = scalar
+                entries = [(w, scalar)] if scalar else []
                 for sign, xs in acts:
-                    plus = sign * eps_gamma[xs] == 1
+                    minus = sign * eps_gamma[xs] != 1
                     for k, c in enumerate(self.action[xs].apply(unit)):
-                        if c:
-                            if not plus:
-                                c = -c
-                            y = total[k]
-                            total[k] = y + c if y else c
-                nonzero = tuple((k, x) for k, x in enumerate(total) if x)
+                        if c is not _ZERO and c:
+                            entries.append((k, -c if minus else c))
+                read.append((X, entries))
+            scale, ints = scale_to_ints([entries for _, entries in read])
+            out = []
+            for (X, _), entries in zip(read, ints):
+                total: dict[int, int] = {}
+                for k, x in entries:
+                    total[k] = total.get(k, 0) + x
+                nonzero = tuple(sorted((k, x) for k, x in total.items() if x))
                 if nonzero:
                     out.append((X, nonzero))
-            hit = self.images[T, w] = tuple(out)
+            hit = self.images[T, w] = (scale, tuple(out))
         return hit
 
 
@@ -1007,6 +1050,12 @@ def apply_coboundary(
     (n, r, gamma, prefactor) and repeated queries reuse it.  A unit image
     visits only the tuples its slot can reach (see
     :func:`_reachable_tuples`).
+
+    The sum is taken in integers: f's nonzero values are read once as
+    numerator/denominator pairs, each value times the integer terms of its
+    unit image is brought to the lcm D of every value's denominator times
+    its image's scale, and only the nonzero sums are divided by D into
+    Fractions.  When d f is zero no Fraction is built.
     """
     _check_prefactor(prefactor)
     if validate:
@@ -1019,24 +1068,35 @@ def apply_coboundary(
     cob = rep._coboundaries.get(key)
     if cob is None:
         cob = rep._coboundaries[key] = _Coboundary(rep, n, r, gamma, prefactor)
-    acc: dict[tuple[int, ...], list[Fraction]] = {}
+    # each nonzero value p/q of f times the unit image of its slot, with
+    # scale L, as p * (D / (q L)) times the image's integers, D the lcm of
+    # every q L
+    reads = []
     for T, val in f.values.items():
         for w, c in enumerate(val):
-            if not c:
-                continue
-            for X, terms in cob.image(rep, T, w):
-                row = acc.get(X)
-                if row is None:
-                    row = acc[X] = [_ZERO] * rep.dimV
-                add_terms(row, c, terms)
-    # the sums are Fractions on canonical tuples of the right length, so
-    # only the rows that cancelled to zero are dropped
-    return Cochain._of(
-        n + 1,
-        gamma,
-        {X: tuple(acc[X]) for X in sorted(acc) if any(acc[X])},
-        rep.dimV,
-    )
+            if c is not _ZERO and c:
+                p, q = c.as_integer_ratio()
+                scale, terms = cob.image(rep, T, w)
+                reads.append((p, q * scale, terms))
+    den = lcm(*[q for _, q, _ in reads])  # a list: see scale_to_ints
+    dimV = rep.dimV
+    acc: dict[tuple[int, ...], list[int]] = {}
+    for p, q, terms in reads:
+        m = p * (den // q)
+        for X, xterms in terms:
+            row = acc.get(X)
+            if row is None:
+                row = acc[X] = [0] * dimV
+            add_terms(row, m, xterms)
+    # the sums are on canonical tuples of the right length, so only the
+    # rows that cancelled to zero are dropped, and only nonzero sums are
+    # divided back into Fractions
+    values = {}
+    for X in sorted(acc):
+        row = acc[X]
+        if any(row):
+            values[X] = tuple([Fraction(x, den) if x else _ZERO for x in row])
+    return Cochain._of(n + 1, gamma, values, dimV)
 
 
 def coboundary_matrix(
@@ -1058,7 +1118,10 @@ def coboundary_matrix(
     codomain basis (see :func:`cochain_basis`); the image must then equal
     that combination exactly.  Both are read over the image's nonzero
     slots and the nonzero entries of the codomain basis cochains it
-    combines, never over a dense slot vector.
+    combines, never over a dense slot vector.  The check is exact in
+    integers: the image over the lcm of its denominators against the
+    integer copy of the codomain basis terms over their one scale.  The
+    matrix entries are the image's own Fractions at the free slots.
     """
     _check_prefactor(prefactor)
     dom = cochain_basis(rep, n, gamma)
@@ -1066,19 +1129,19 @@ def coboundary_matrix(
     if not dom:
         return Matrix.zero(len(cod_basis), 0)
     cod = _space(rep, n + 1, gamma)  # the memo entry just read
+    scale, cod_terms = cod.int_terms
     rows = [[_ZERO] * len(dom) for _ in cod_basis]
     cols = []
     for k, fb in enumerate(dom):
         img = apply_coboundary(rep, r, fb, prefactor=prefactor, validate=False)
-        # the defect img - sum of coords[i] cod.basis[i], over its
-        # nonzero slots
-        rest: dict[tuple[tuple[int, ...], int], Fraction] = {}
+        entries = []  # (slot, p, q) for each nonzero value p/q of img
         coords: dict[int, Fraction] = {}
         for T, val in img.values.items():
             for w, c in enumerate(val):
-                if not c:
+                if c is _ZERO or not c:
                     continue
-                if (T, w) not in cod.slots:
+                slot = (T, w)
+                if slot not in cod.slots:
                     args = ", ".join(rep.algebra.basis.names[i] for i in T)
                     raise RuntimeError(
                         f"coboundary image of basis cochain {k} has "
@@ -1086,16 +1149,21 @@ def coboundary_matrix(
                         f"({args}), outside the degree-{tuple(gamma)} slots "
                         "of the codomain"
                     )
-                rest[T, w] = c
-                i = cod.free_column.get((T, w))
+                entries.append((slot, *c.as_integer_ratio()))
+                i = cod.free_column.get(slot)
                 if i is not None:
                     coords[i] = c
+        # the defect img - sum of coords[i] cod.basis[i] over its nonzero
+        # slots, times D * S: D the lcm of the image's denominators, S the
+        # scale of the codomain basis terms
+        den = lcm(*[q for _, _, q in entries])
+        rest = {slot: p * (den // q) * scale for slot, p, q in entries}
         for i, x in coords.items():
             rows[i][k] = x
-            for slot, c in cod.terms[i]:
-                p = x * c
-                y = rest.get(slot)
-                y = -p if y is None else y - p
+            p, q = x.as_integer_ratio()
+            m = p * (den // q)
+            for slot, b in cod_terms[i]:
+                y = rest.get(slot, 0) - m * b
                 if y:
                     rest[slot] = y
                 else:
@@ -1151,7 +1219,9 @@ def cohomology_dims(
 
     The re-check is still an exact d(d f) on every basis cochain f; it is
     cheap because the bases and the unit-slot images it reads are those
-    the two coboundary matrices have just memoized on the module.  The
+    the two coboundary matrices have just memoized on the module, and
+    because :func:`apply_coboundary` sums in integers, so the second
+    coboundary of each pair builds no Fraction when d(d f) = 0.  The
     rank of each coboundary matrix is memoized there too, under
     (n, r, degree, prefactor), so a sweep over n computes the rank of the
     matrix shared by H^n and H^{n+1} once; the per-arity tables are

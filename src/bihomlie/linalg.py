@@ -23,11 +23,12 @@ term list into a dense accumulator, so no loop visits a zero entry of an
 image.
 
 Scalars are fractions.Fraction throughout, except inside ``EchelonBasis``,
-whose rows hold integers, in the solvers' rows, and in the integer copies
-of term tables (``scale_to_ints``, ``Matrix.int_column_terms``) that the
-axiom scans and the solvers sum; vectors are plain tuples.  The public
-``Matrix`` constructor converts every entry and checks the shape; matrices
-the library builds from Fractions itself (RREF output, products and sums,
+whose rows hold integers, in the solvers' and the cochain bases' rows, and
+in the integer copies of term tables (``scale_to_ints``,
+``Matrix.int_column_terms``) that the axiom scans, the solvers and the
+cochain complex sum; vectors are plain tuples.  The public ``Matrix``
+constructor converts every entry and checks the shape; matrices the
+library builds from Fractions itself (RREF output, products and sums,
 solver solutions, coboundary matrices) go through the internal
 ``Matrix._of_rows``, which does neither.
 """
@@ -90,7 +91,10 @@ def scale_to_ints(term_lists: Sequence[Terms]) -> tuple[int, list[IntTerms]]:
     """(L, lists): L the lcm of the denominators of every term of
     ``term_lists`` (1 when there is none), and each term list with every
     x read as the integer x*L."""
-    den = lcm(*(x.denominator for terms in term_lists for _, x in terms))
+    # lcm of a list, not of a generator: a tuple built from a generator
+    # is resized down, and once freed it sits on the free list of its new
+    # length, so repeated calls would fill CPython's tuple free lists
+    den = lcm(*[x.denominator for terms in term_lists for _, x in terms])
     return den, [
         tuple((k, x.numerator * (den // x.denominator)) for k, x in terms)
         for terms in term_lists
@@ -405,7 +409,8 @@ def kernel_by_blocks(
     both nonzero; the row space is the direct sum of its restrictions to
     the linked blocks, so the RREF of the whole matrix is the union of the
     blocks' RREFs.  Each block is reduced on its own, in one
-    :class:`EchelonBasis` that takes its sparse rows as they are, and the
+    :class:`EchelonBasis` that takes its sparse rows as they are, less the
+    rows whose primitive form repeats an earlier one up to sign, and the
     kernel is read off that span's RREF with no dense block: a column of
     the block that is no pivot is free.  A column no row touches is free
     with a unit vector.  These steps keep the kernel, and the basis depends
@@ -441,8 +446,17 @@ def kernel_by_blocks(
     kernel: list[tuple[int, dict[int, Fraction]]] = []
     for b, cols in block_cols.items():
         span = EchelonBasis()
+        # a primitive row equal to an earlier one up to sign lies in the
+        # span, where it would reduce to zero, so it is skipped
+        seen: set[tuple[tuple[int, int], ...]] = set()
         for row in block_rows.get(b, ()):
-            span.add_sparse(row.items())
+            prim = _primitive(row.items())
+            key = tuple(sorted(prim.items()))
+            if key[0][1] < 0:
+                key = tuple((c, -x) for c, x in key)
+            if key not in seen:
+                seen.add(key)
+                span._store(prim)
         reduced = span.rref()
         # the vector of free column f: -R[p][f] at the pivot p of each row
         # R[p] of the RREF, in ascending p, then 1 at f
@@ -581,7 +595,7 @@ def _primitive(terms: Iterable[tuple[int, Fraction | int]]) -> dict[int, int]:
     denominators, divided by the gcd of the results: {column: int}.  Int
     values have denominator 1, so they are only divided by their gcd."""
     pairs = [(c, x.as_integer_ratio()) for c, x in terms if x]
-    den = lcm(*(d for _, (_, d) in pairs))
+    den = lcm(*[d for _, (_, d) in pairs])
     ints = {c: n * (den // d) for c, (n, d) in pairs}
     g = gcd(*ints.values())
     if g > 1:

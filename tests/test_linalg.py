@@ -528,6 +528,59 @@ def test_strike_on_cascades_matches_rounds_and_the_dense_kernel(system):
 
 
 @st.composite
+def _repeated_systems(draw):
+    """The systems of ``_sparse_systems`` with up to five copies of drawn
+    rows inserted anywhere, each negated or scaled by an integer or a
+    fraction of either sign."""
+    rows, ncols = draw(_sparse_systems())
+    out = list(rows)
+    factors = st.sampled_from((1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 7)))
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        if not rows:
+            break
+        row = draw(st.sampled_from(rows))
+        c = draw(factors)
+        at = draw(st.integers(min_value=0, max_value=len(out)))
+        out.insert(at, {col: c * x for col, x in row.items()})
+    return out, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(_repeated_systems())
+def test_block_kernel_with_repeated_rows_equals_the_fraction_rref_kernel(
+    system,
+):
+    rows, ncols = system
+    got = kernel_by_blocks(rows, ncols)
+    assert [_as_dense(v, ncols) for v in got] == kernel_oracle(rows, ncols)
+
+
+def test_rows_repeated_up_to_sign_are_stored_once(monkeypatch):
+    # {0: 1, 1: 1} comes back negated, doubled and halved, and is stored
+    # once; {0: 1, 1: -1} differs from it by the sign of one entry only,
+    # so it is stored too, and the block has full rank
+    stored = []
+    store = EchelonBasis._store
+
+    def counting_store(span, rem):
+        stored.append(dict(rem))
+        return store(span, rem)
+
+    monkeypatch.setattr(EchelonBasis, "_store", counting_store)
+    F = Fraction
+    rows = [
+        {0: F(1), 1: F(1)},
+        {0: F(-1), 1: F(-1)},
+        {1: F(2), 0: F(2)},
+        {0: F(1, 2), 1: F(1, 2)},
+        {0: F(1), 1: F(-1)},
+        {0: F(-3), 1: F(3)},
+    ]
+    assert kernel_by_blocks(rows, 3) == [{2: F(1)}]
+    assert stored == [{0: 1, 1: 1}, {0: 1, 1: -1}]
+
+
+@st.composite
 def _valued_systems(draw):
     """The systems of ``_sparse_systems`` and ``_cascades``, with the
     values as drawn (integer Fractions), as Python ints, or each value
