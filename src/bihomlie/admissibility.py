@@ -97,9 +97,6 @@ SUBGROUPS: dict[str, tuple[Permutation3, ...]] = {
     "G6": S3,
 }
 
-SUBGROUP_IDS = tuple(SUBGROUPS)
-
-
 def perm_degree(
     eps: Bicharacter, p: Permutation3, degrees: tuple[GroupElement, ...]
 ) -> Fraction:

@@ -17,6 +17,10 @@ Verdict naming:
 Multiplicativity and regularity are reported but advisory: they do not
 decide `AxiomReport.passed`.  Constructions that need them state so and
 check the specific items themselves.
+
+The scans sum integers over ``ColourAlgebra.int_table``: one table per
+twisted product, one for the skew brackets [beta(e_i), alpha(e_j)] and
+one for the structure constants, each built from the dense products.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .linalg import (
     Terms,
     Vec,
     add_terms,
+    first_off_block,
     is_zero_vec,
     scale_to_ints,
     terms_of,
@@ -146,9 +151,7 @@ class ColourAlgebra:
         "_eps",
         "_products",
         "_terms",
-        "_twisted_terms",
         "_commutation",
-        "_skew_terms",
         "_supports",
         "_int_tables",
         "_shifts",
@@ -190,13 +193,11 @@ class ColourAlgebra:
         self._eps: Optional[tuple[tuple[int, ...], ...]] = None
         self._products: dict[tuple, tuple[tuple[Vec, ...], ...]] = {}
         self._terms: Optional[TermTable] = None
-        self._twisted_terms: dict[tuple, TermTable] = {}
         # the commutation patterns of derivations._commutation, keyed by
         # (reduced degree, with_beta)
         self._commutation: dict[tuple, tuple] = {}
-        self._skew_terms: Optional[TermTable] = None
         self._supports: dict[tuple, tuple] = {}
-        # the integer copies of int_table, by their key
+        # the integer tables of int_table, by their key
         self._int_tables: dict[tuple, tuple] = {}
         # the degree shifts of derivations._degree_shift, keyed by degree
         self._shifts: dict[tuple, tuple] = {}
@@ -230,7 +231,9 @@ class ColourAlgebra:
     def product_terms(self) -> TermTable:
         """The nonzero terms (k, c) of each cell product[i][j]; cached."""
         if self._terms is None:
-            self._terms = _term_table(self.product)
+            self._terms = tuple(
+                tuple(terms_of(v) for v in row) for row in self.product
+            )
         return self._terms
 
     def __eq__(self, other: object) -> bool:
@@ -322,40 +325,31 @@ class ColourAlgebra:
             self._products[key] = hit
         return hit
 
-    def twisted_terms(
-        self, ka: int, kb: int, right: bool = False
-    ) -> TermTable:
-        """The nonzero terms of every cell of ``twisted_products(ka, kb,
-        right=right)``; cached beside it."""
-        key = (ka, kb, right)
-        hit = self._twisted_terms.get(key)
-        if hit is None:
-            hit = _term_table(self.twisted_products(ka, kb, right=right))
-            self._twisted_terms[key] = hit
-        return hit
-
-    def skew_terms(self) -> TermTable:
-        """The nonzero terms of [beta(e_i), alpha(e_j)] at [i][j]: the
-        brackets that BiHom-skewsymmetry compares and the inner bracket of
-        the BiHom-Jacobi sum; cached."""
-        if self._skew_terms is None:
-            alpha = self.alpha.columns()
-            self._skew_terms = tuple(
-                tuple(terms_of(self.product_eval(b, x)) for x in alpha)
-                for b in self.beta.columns()
-            )
-        return self._skew_terms
-
-    def int_table(self, name: str, *args) -> IntTable:
-        """The integer copy (L, T) of the term table that the method
-        ``name`` ("product_terms", "skew_terms" or "twisted_terms") returns
-        for ``args``: T[i][j] holds the terms (k, c*L) of cell [i][j], L the
-        lcm of the table's denominators; cached beside the table."""
-        key = (name, *args)
+    def int_table(
+        self, name: str, ka: int = 0, kb: int = 0, right: bool = False
+    ) -> IntTable:
+        """The integer table (L, T) of "product_terms", the structure
+        constants, "skew_terms", [beta(e_i), alpha(e_j)] at [i][j], or
+        "twisted_terms", ``twisted_products(ka, kb, right=right)``: T[i][j]
+        holds the nonzero terms (k, c*L) of cell [i][j], L the lcm of the
+        table's denominators; cached, one table per product."""
+        key = (name,) if name != "twisted_terms" else (name, ka, kb, right)
         hit = self._int_tables.get(key)
         if hit is None:
-            table = getattr(self, name)(*args)
-            den, cells = scale_to_ints([cell for row in table for cell in row])
+            if name == "product_terms":
+                table = self.product
+            elif name == "twisted_terms":
+                table = self.twisted_products(ka, kb, right=right)
+            elif name == "skew_terms":
+                table = [
+                    [self.product_eval(b, x) for x in self.alpha.columns()]
+                    for b in self.beta.columns()
+                ]
+            else:
+                raise ValueError(f"unknown term table {name!r}")
+            den, cells = scale_to_ints(
+                [terms_of(v) for row in table for v in row]
+            )
             it = iter(cells)
             hit = self._int_tables[key] = (
                 den,
@@ -428,15 +422,6 @@ class ColourAlgebra:
         return format_element(self.basis, v)
 
 
-def _term_table(table: Iterable[Iterable[Vec]]) -> TermTable:
-    """The nonzero terms of every vector of a table of vectors."""
-    return tuple(tuple(terms_of(v) for v in row) for row in table)
-
-
-def product_eval(a: ColourAlgebra, x: Vec, y: Vec) -> Vec:
-    return a.product_eval(x, y)
-
-
 def jacobiator(a: ColourAlgebra, i: int, j: int, k: int) -> Vec:
     """Cyclic BiHom-Jacobi defect on basis indices (i, j, k): the sum over
     cyclic (x,y,z) of eps(z,x) [beta^2(x), [beta(y), alpha(z)]].
@@ -454,8 +439,8 @@ def _jacobi_defect(
     """(scale, defect): defect(i, j, k) is the BiHom-Jacobi defect of
     :func:`jacobiator` times ``scale``, summed in integers.
 
-    The inner bracket [b(e_y), a(e_z)] is read from the integer copy of
-    ``skew_terms``, then [bb(x), w] = sum_u w_u [bb(e_x), e_u] from that of
+    The inner bracket [b(e_y), a(e_z)] is read from the integer skew table,
+    then [bb(x), w] = sum_u w_u [bb(e_x), e_u] from the integer table of
     the twisted products.  Each term is a product of one coefficient of
     each table, so the scale is the product of the two tables' scales.
     """
@@ -530,19 +515,17 @@ def _check_product_even(a: ColourAlgebra) -> CheckItem:
 
 
 def _check_map_even(a: ColourAlgebra, name: str, m: Matrix) -> CheckItem:
-    for r in range(a.dim):
-        for c in range(a.dim):
-            if m[r][c] and a.degree(r) != a.degree(c):
-                defect = tuple(
-                    m[r][c] if k == r else ZERO for k in range(a.dim)
-                )
-                return CheckItem(
-                    f"{name}_even",
-                    False,
-                    _pair_witness(a, (r, c), defect),
-                    note="matrix entry connects different degrees",
-                )
-    return CheckItem(f"{name}_even", True)
+    bad = first_off_block(m, a.basis.degrees, a.basis.degrees)
+    if bad is None:
+        return CheckItem(f"{name}_even", True)
+    r, c = bad
+    defect = tuple(m[r][c] if k == r else ZERO for k in range(a.dim))
+    return CheckItem(
+        f"{name}_even",
+        False,
+        _pair_witness(a, bad, defect),
+        note="matrix entry connects different degrees",
+    )
 
 
 def _check_maps_commute(a: ColourAlgebra) -> CheckItem:
@@ -650,23 +633,27 @@ def associator(a: ColourAlgebra, x: Vec, y: Vec, z: Vec) -> Vec:
     """alpha(x)(y z) - (x y) beta(z).
 
     alpha(x) w = sum x_i w_u [alpha(e_i), e_u] and w beta(z) = sum w_u z_k
-    [e_u, beta(e_k)], read from the twisted product terms.  On general
-    vectors, in Fractions; the bihom_associative scan sums the same terms
-    in integers on basis triples (see :func:`check_associative_axioms`).
+    [e_u, beta(e_k)], read from the integer twisted tables brought to the
+    lcm of their scales: the Fraction coefficients of the general vectors
+    are summed against the integer terms, and the sum is divided by that
+    lcm.  The bihom_associative scan sums the same terms in integers on
+    basis triples (see :func:`check_associative_axioms`).
     """
-    left = a.twisted_terms(1, 0)
-    right = a.twisted_terms(0, 1, right=True)
+    left_scale, left = a.int_table("twisted_terms", 1, 0)
+    right_scale, right = a.int_table("twisted_terms", 0, 1, True)
+    scale = lcm(left_scale, right_scale)
+    fl, fr = scale // left_scale, -(scale // right_scale)
     yz = terms_of(a.product_eval(y, z))
     xy = terms_of(a.product_eval(x, y))
     zs = terms_of(z)
     acc = [ZERO] * a.dim
     for i, xi in terms_of(x):
         for u, c in yz:
-            add_terms(acc, xi * c, left[i][u])
+            add_terms(acc, fl * xi * c, left[i][u])
     for u, c in xy:
         for k, zk in zs:
-            add_terms(acc, -(c * zk), right[u][k])
-    return tuple(acc)
+            add_terms(acc, fr * c * zk, right[u][k])
+    return tuple([Fraction(x, scale) for x in acc])
 
 
 def check_associative_axioms(a: ColourAlgebra) -> AxiomReport:
@@ -674,9 +661,9 @@ def check_associative_axioms(a: ColourAlgebra) -> AxiomReport:
 
     The associator of a basis triple, alpha(e_i)(e_j e_k) - (e_i e_j)
     beta(e_k), is summed in integers: each term is a product-table
-    coefficient times a coefficient of the integer copy of
-    ``twisted_terms(1, 0)`` or ``twisted_terms(0, 1, right=True)``, the
-    twisted terms brought to the lcm of the two tables' scales.
+    coefficient times a coefficient of the integer twisted table of
+    ``twisted_products(1, 0)`` or ``twisted_products(0, 1, right=True)``,
+    the twisted terms brought to the lcm of the two tables' scales.
     """
     rep = AxiomReport(_structural(a))
 

@@ -40,6 +40,7 @@ from .linalg import (
     Matrix,
     Vec,
     add_terms,
+    first_off_block,
     is_zero_vec,
     kernel_by_blocks,
     scale_to_ints,
@@ -177,25 +178,19 @@ def _even_item(
     name: str, space: GradedBasis, m: Matrix, shift: GroupElement
 ) -> CheckItem:
     """Check that m maps the degree-e block into degree e+shift."""
-    for r in range(len(space)):
-        for c in range(len(space)):
-            if not m[r][c]:
-                continue
-            want = space.group.add(space.degrees[c], shift)
-            if space.degrees[r] != want:
-                col = m.column(c)
-                return CheckItem(
-                    name,
-                    False,
-                    Witness(
-                        (r, c),
-                        (space.names[r], space.names[c]),
-                        col,
-                        format_element(space, col),
-                    ),
-                    note="matrix entry leaves the expected degree block",
-                )
-    return CheckItem(name, True)
+    targets = [space.group.add(d, shift) for d in space.degrees]
+    bad = first_off_block(m, space.degrees, targets)
+    if bad is None:
+        return CheckItem(name, True)
+    r, c = bad
+    col = m.column(c)
+    names = (space.names[r], space.names[c])
+    return CheckItem(
+        name,
+        False,
+        Witness(bad, names, col, format_element(space, col)),
+        note="matrix entry leaves the expected degree block",
+    )
 
 
 def _column_witness(
@@ -908,6 +903,7 @@ class _Coboundary:
         # rho(alpha beta^{r+n-1}(e_i)) and the signs eps(gamma, e_i)
         a = rep.algebra
         self.n = n
+        self.gamma = gamma
         self.prefactor = prefactor
         self.arity = _arity(rep, n)
         self.action = rep.action_table(r + n - 1)
@@ -1063,11 +1059,14 @@ def apply_coboundary(
         if not ok:
             raise ValueError(f"cochain is outside the domain space: {reason}")
     n = f.n
-    gamma = rep.algebra.basis.group.reduce(f.degree)
-    key = (n, r, gamma, prefactor)
-    cob = rep._coboundaries.get(key)
+    # the library's cochains carry their reduced degree: reduce on a miss
+    cob = rep._coboundaries.get((n, r, f.degree, prefactor))
     if cob is None:
-        cob = rep._coboundaries[key] = _Coboundary(rep, n, r, gamma, prefactor)
+        gamma = rep.algebra.basis.group.reduce(f.degree)
+        key = (n, r, gamma, prefactor)
+        if key not in rep._coboundaries:
+            rep._coboundaries[key] = _Coboundary(rep, n, r, gamma, prefactor)
+        cob = rep._coboundaries[key]
     # each nonzero value p/q of f times the unit image of its slot, with
     # scale L, as p * (D / (q L)) times the image's integers, D the lcm of
     # every q L
@@ -1096,7 +1095,7 @@ def apply_coboundary(
         row = acc[X]
         if any(row):
             values[X] = tuple([Fraction(x, den) if x else _ZERO for x in row])
-    return Cochain._of(n + 1, gamma, values, dimV)
+    return Cochain._of(n + 1, cob.gamma, values, dimV)
 
 
 def coboundary_matrix(
@@ -1130,7 +1129,6 @@ def coboundary_matrix(
         return Matrix.zero(len(cod_basis), 0)
     cod = _space(rep, n + 1, gamma)  # the memo entry just read
     scale, cod_terms = cod.int_terms
-    rows = [[_ZERO] * len(dom) for _ in cod_basis]
     cols = []
     for k, fb in enumerate(dom):
         img = apply_coboundary(rep, r, fb, prefactor=prefactor, validate=False)
@@ -1159,7 +1157,6 @@ def coboundary_matrix(
         den = lcm(*[q for _, _, q in entries])
         rest = {slot: p * (den // q) * scale for slot, p, q in entries}
         for i, x in coords.items():
-            rows[i][k] = x
             p, q = x.as_integer_ratio()
             m = p * (den // q)
             for slot, b in cod_terms[i]:
@@ -1174,7 +1171,7 @@ def coboundary_matrix(
                 "the codomain cochain space"
             )
         cols.append(tuple(sorted(coords.items())))
-    return Matrix._of_rows(rows, len(dom), tuple(cols))
+    return Matrix._of_columns(cols, len(cod_basis))
 
 
 @dataclass(frozen=True)

@@ -21,20 +21,21 @@ every basis member into the defining identities before returning (a wrong
 answer here would poison everything downstream, so the few extra
 multiplications are cheap insurance).  The re-verification is an
 evaluation of the identities on the member, independent of the assembled
-rows: it sums the member's ``column_terms`` against the cached term
+rows: it sums the member's ``column_terms`` against the cached integer
 tables of the product, of the twisted products and of the columns of
 alpha and beta, so it visits nonzero terms only.
 
-The solve and the re-verification sum integers.  The commuting and
-Leibniz rows are built over the integer copies of the tables and of the
-columns of alpha and beta (``ColourAlgebra.int_table``,
+The solve, the inner derivations and the re-verification sum integers.
+The commuting and Leibniz rows are built over the integer tables and the
+integer columns of alpha and beta (``ColourAlgebra.int_table``,
 ``Matrix.int_column_terms``), each row brought to one scale, and
 ``EchelonBasis`` takes them as they are; the kernel comes back in
 Fractions, and each member is built with its column terms and keeps one
-integer copy of them.  A check scales
-the maps of one solution tuple to the lcm of their scales, since a
-condition mixes them, and only the defect of a failing pair is divided
-back into Fractions.
+integer copy of them.  The inner derivations solve their fixed vectors
+on the same path and read each generator's columns off the integer
+twisted table.  A check scales the maps of one solution tuple to the lcm
+of their scales, since a condition mixes them, and only the defect of a
+failing pair is divided back into Fractions.
 
 The product D1 . D2 + eps(d1, d2) D2 . D1 turns homogeneous endomorphisms
 into a colour analogue of a special Jordan algebra; check_jordan_axioms
@@ -60,12 +61,12 @@ from .linalg import (
     Vec,
     _strike_forced,
     add_terms,
+    first_off_block,
     is_zero_vec,
     kernel_by_blocks,
+    scale_to_ints,
     vec,
 )
-
-_ZERO = Fraction(0)
 
 CYCLING_CONVENTIONS = ("xyw", "xzw")
 DEFAULT_CYCLING = "xyw"
@@ -123,13 +124,8 @@ def is_homogeneous_endo(
     a: ColourAlgebra, matrix: Matrix, gamma: GroupElement
 ) -> bool:
     """True when every nonzero entry maps block d into block d+gamma."""
-    degrees = a.basis.degrees
     image = _degree_shift(a, gamma)[0]
-    return all(
-        degrees[u] == image[t]
-        for t, col in enumerate(matrix.column_terms())
-        for u, _ in col
-    )
+    return first_off_block(matrix, a.basis.degrees, image) is None
 
 
 @dataclass(frozen=True)
@@ -265,21 +261,14 @@ def _solve_blocks(
 
     out = []
     for coords in kernel_by_blocks(rows, nmaps * size):
-        entries = [[[_ZERO] * n for _ in range(n)] for _ in range(nmaps)]
         # the live entries are in slot order, (u, t) ascending, so every
         # column t gets its terms (u, x) in ascending u
         terms: list[list[list]] = [[[] for _ in range(n)] for _ in range(nmaps)]
         for c, x in coords.items():
             m, p = divmod(c, size)
             u, t = live[p]
-            entries[m][u][t] = x
             terms[m][t].append((u, x))
-        out.append(
-            tuple(
-                Matrix._of_rows(e, n, tuple(map(tuple, col_terms)))
-                for e, col_terms in zip(entries, terms)
-            )
-        )
+        out.append(tuple(Matrix._of_columns(cols, n) for cols in terms))
     return out
 
 
@@ -612,34 +601,46 @@ def inner_derivation_space(
 
     Each fixed homogeneous x contributes one generator of degree deg(x);
     the result is an independent subset of these, across all degrees
-    (gamma is None in the result).
+    (gamma is None in the result).  The fixed vectors of one degree are
+    the kernel (:func:`kernel_by_blocks`) of the integer rows of alpha - 1
+    and beta - 1 over its columns, each map's column scale subtracted on
+    the diagonal.  Column j of the generator of x is the sum of x_i
+    [m e_j, e_i], summed in integers over the integer table of
+    ``twisted_products(k, l)``, and the generator joins the span by those
+    terms.
     """
-    m = a.ab_power(k, l)
-    group = a.basis.group
-    ida = Matrix.identity(a.dim)
-    stacked = Matrix(
-        list((a.alpha - ida).rows) + list((a.beta - ida).rows)
-    )
+    scale, table = a.int_table("twisted_terms", k, l)
+    n = a.dim
+    maps = [m.int_column_terms() for m in (a.alpha, a.beta)]
     basis: list[HomEndo] = []
     span = EchelonBasis()
-    degrees_seen = sorted(set(a.basis.degrees))
-    for gdeg in degrees_seen:
-        block = [i for i in range(a.dim) if a.degree(i) == gdeg]
-        cols = [stacked.column(i) for i in block]
-        sub = Matrix.from_cols(cols)
-        for kv in sub.kernel_basis():
-            x = [_ZERO] * a.dim
-            for pos, i in enumerate(block):
-                x[i] = kv[pos]
-            xv = vec(x)
-            mat = Matrix.from_cols(
-                [a.product_eval(mj, xv) for mj in m.columns()]
-            )
-            if span.add(_flatten(mat)):
+    for gdeg in sorted(set(a.basis.degrees)):
+        block = [i for i in range(n) if a.degree(i) == gdeg]
+        rows: list[dict[int, int]] = []
+        for map_scale, cols in maps:
+            by_row: list[dict[int, int]] = [{} for _ in range(n)]
+            for p, i in enumerate(block):
+                by_row[i][p] = -map_scale
+                for r, x in cols[i]:
+                    by_row[r][p] = by_row[r].get(p, 0) + x
+            rows += by_row
+        for coords in kernel_by_blocks(rows, len(block)):
+            den, (xs,) = scale_to_ints([tuple(coords.items())])
+            sums: list[dict[int, int]] = [{} for _ in range(n)]
+            for p, x in xs:
+                for col, cells in zip(sums, table):
+                    for u, c in cells[block[p]]:
+                        col[u] = col.get(u, 0) + x * c
+            terms = [sorted((u, y) for u, y in d.items() if y) for d in sums]
+            if span.add_sparse(
+                (u * n + j, y) for j, col in enumerate(terms) for u, y in col
+            ):
+                den *= scale
+                mat = Matrix._of_columns(
+                    [[(u, Fraction(y, den)) for u, y in c] for c in terms], n
+                )
                 basis.append(HomEndo(mat, gdeg))
-    return SolverResult(
-        "inner", k, l, None, tuple(basis), len(basis)
-    )
+    return SolverResult("inner", k, l, None, tuple(basis), len(basis))
 
 
 def quasi_derivation_space(

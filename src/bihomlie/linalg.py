@@ -5,22 +5,24 @@ funnels into one exact elimination routine, ``EchelonBasis``: sparse
 primitive integer echelon rows with fraction-free updates, in plain Python
 with no build step.  It decides span membership, counts ``Matrix.rank``,
 and its reduced row echelon form readout is ``Matrix.rref``, from which
-``kernel_basis`` and ``invert`` read.  ``BACKEND`` names that kernel; it is
-the constant ``"pure"``.
+``invert`` reads.  ``BACKEND`` names that kernel; it is the constant
+``"pure"``.
 
 Linear systems come as sparse rows {column: value}, values Fractions or
 ints; ``kernel_by_blocks`` splits their columns into the independent
 blocks the rows link and reduces each block in its own ``EchelonBasis``,
-reading the kernel off that span's RREF with no dense block, which gives
-the same basis as ``kernel_basis`` of the dense matrix.  ``EchelonBasis``
-keeps the vectors added so far as sparse echelon rows and reduces each new
-one in a single pass; the library solves no dense system A x = b (the
-tests keep one as an oracle).
+reading the kernel off that span's RREF with no dense block.  It holds the
+one free-column readout of the library: ``Matrix.kernel_basis`` is its
+dense view over the nonzero entries of the matrix's rows.
+``EchelonBasis`` keeps the vectors added so far as sparse echelon rows and
+reduces each new one in a single pass; the library solves no dense system
+A x = b (the tests keep one as an oracle).
 
 Sums of basis images read term tables: ``Matrix.column_terms()`` caches the
 nonzero entries (u, x) of every column, and ``add_terms`` adds a scaled
-term list into a dense accumulator, so no loop visits a zero entry of an
-image.
+term list into an accumulator, so no loop visits a zero entry of an image.
+``first_off_block`` scans the same terms for an entry outside the degree
+blocks a graded map must respect.
 
 Scalars are fractions.Fraction throughout, except inside ``EchelonBasis``,
 whose rows hold integers, in the solvers' and the cochain bases' rows, and
@@ -158,22 +160,31 @@ class Matrix:
 
     @classmethod
     def _of_rows(
-        cls,
-        rows: Iterable[Sequence[Fraction]],
-        ncols: int,
-        col_terms: Optional[tuple[Terms, ...]] = None,
+        cls, rows: Iterable[Sequence[Fraction]], ncols: int
     ) -> "Matrix":
         """The matrix on rows the library built from Fractions, each
         ``ncols`` long; unlike the public constructor it neither converts
-        nor checks an entry.  A caller that built the rows from sparse
-        columns may hand those in as the :meth:`column_terms` cache."""
+        nor checks an entry."""
         m = cls.__new__(cls)
         m.rows = tuple(map(tuple, rows))
         m.nrows = len(m.rows)
         m.ncols = ncols
         m._cols = None
-        m._col_terms = col_terms
+        m._col_terms = None
         m._int_terms = None
+        return m
+
+    @classmethod
+    def _of_columns(cls, col_terms: Sequence, nrows: int) -> "Matrix":
+        """The ``nrows``-row matrix whose column j has the nonzero entries
+        ``col_terms[j]``, Fractions in ascending row, which become its
+        :meth:`column_terms` cache."""
+        rows = [[ZERO] * len(col_terms) for _ in range(nrows)]
+        for j, terms in enumerate(col_terms):
+            for u, x in terms:
+                rows[u][j] = x
+        m = cls._of_rows(rows, len(col_terms))
+        m._col_terms = tuple(map(tuple, col_terms))
         return m
 
     @classmethod
@@ -336,29 +347,16 @@ class Matrix:
         )
 
     def kernel_basis(self) -> list[Vec]:
-        """Basis of the right null space.
-
-        One basis vector per free column, in ascending column order: the
-        free coordinate is 1 and pivot coordinates are read off the RREF.
-        An empty matrix (0 rows) has the full standard basis as kernel.
+        """Basis of the right null space, one vector per free column in
+        ascending column order: :func:`kernel_by_blocks` over the nonzero
+        entries of the rows, read densely.  A matrix without rows has the
+        full standard basis as kernel.
         """
-        if self.nrows == 0:
-            return [
-                tuple(ONE if i == j else ZERO for i in range(self.ncols))
-                for j in range(self.ncols)
-            ]
-        reduced, pivots = self.rref()
-        pivot_set = set(pivots)
-        basis = []
-        for fc in range(self.ncols):
-            if fc in pivot_set:
-                continue
-            v = [ZERO] * self.ncols
-            v[fc] = ONE
-            for k, pc in enumerate(pivots):
-                v[pc] = -reduced[k][fc]
-            basis.append(tuple(v))
-        return basis
+        rows = [dict(terms_of(row)) for row in self.rows]
+        return [
+            tuple(v.get(c, ZERO) for c in range(self.ncols))
+            for v in kernel_by_blocks(rows, self.ncols)
+        ]
 
     def invert(self) -> "Matrix":
         """Exact inverse; raises ValueError on non-square or singular input."""
@@ -399,9 +397,9 @@ def kernel_by_blocks(
 ) -> list[dict[int, Fraction]]:
     """Kernel basis of sparse rows {column: value} over ``ncols`` columns,
     values Fractions or ints, as sparse vectors {column: nonzero Fraction}
-    in ascending free-column order and each in ascending column: the basis
-    ``kernel_basis`` gives for the dense matrix, vector for vector.  Zero
-    values are ignored.
+    in ascending free-column order and each in ascending column, as a
+    Gauss-Jordan reduction of the dense matrix gives them, vector for
+    vector.  Zero values are ignored.
 
     A row with one nonzero entry forces its column to zero: that column is
     a pivot, and it is struck from the other rows, which can leave new
@@ -472,6 +470,24 @@ def kernel_by_blocks(
             kernel.append((f, v))
     kernel.sort(key=lambda item: item[0])
     return [coords for _, coords in kernel]
+
+
+def first_off_block(
+    m: Matrix, row_degrees: Sequence, col_targets: Sequence
+) -> Optional[tuple[int, int]]:
+    """The row-major first, that is the least, nonzero entry (r, c) of m
+    whose row degree ``row_degrees[r]`` is not ``col_targets[c]``, the
+    degree column c must map into, read off :meth:`Matrix.column_terms`;
+    None when every entry keeps to its block."""
+    return min(
+        (
+            (r, c)
+            for c, col in enumerate(m.column_terms())
+            for r, _ in col
+            if row_degrees[r] != col_targets[c]
+        ),
+        default=None,
+    )
 
 
 def _strike_forced(

@@ -363,16 +363,9 @@ def _terms(v):
 def test_term_tables_hold_the_nonzero_entries_of_their_products(name):
     a = ORACLE_ALGEBRAS[name]()
     alpha, beta = a.alpha.columns(), a.beta.columns()
-    assert a.skew_terms() == tuple(
-        tuple(_terms(product_eval_oracle(a, bi, aj)) for aj in alpha)
-        for bi in beta
-    )
     for ka, kb in ((1, 0), (0, 1), (0, 2)):
         for right in (False, True):
             table = a.twisted_products(ka, kb, right=right)
-            assert a.twisted_terms(ka, kb, right=right) == tuple(
-                tuple(_terms(v) for v in row) for row in table
-            )
             assert a.int_table("twisted_terms", ka, kb, right) == _int_copy(
                 table
             )
@@ -385,6 +378,16 @@ def test_term_tables_hold_the_nonzero_entries_of_their_products(name):
     for which in ("alpha", "beta"):
         scale, (cols,) = _int_copy((getattr(a, which).columns(),))
         assert getattr(a, which).int_column_terms() == (scale, cols)
+
+
+def test_one_integer_table_per_product():
+    a = gl2_fraction_twist()
+    assert a.int_table("twisted_terms", 1, 0) is a.int_table(
+        "twisted_terms", 1, 0, False
+    )
+    assert a.int_table("skew_terms") is a.int_table("skew_terms")
+    with pytest.raises(ValueError, match="unknown term table"):
+        a.int_table("twisted_products")
 
 
 def _int_copy(table):
