@@ -25,13 +25,18 @@ one for the structure constants, each built from the dense products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
 from math import lcm
 from typing import Callable, Iterable, Optional
 
-from .grading import Bicharacter, GradedBasis, GroupElement, homogeneous_degree
+from .grading import (
+    Bicharacter,
+    FrozenRecord,
+    GradedBasis,
+    GroupElement,
+    homogeneous_degree,
+)
 from .linalg import (
     IntTerms,
     Matrix,
@@ -42,6 +47,7 @@ from .linalg import (
     is_zero_vec,
     scale_to_ints,
     terms_of,
+    vec,
     vscale,
     vsub,
 )
@@ -68,14 +74,19 @@ def format_element(basis: GradedBasis, v: Vec) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(FrozenRecord):
     """First failing tuple of a check, with the nonzero defect."""
 
-    indices: tuple[int, ...]
-    names: tuple[str, ...]
-    defect: Vec
-    defect_str: str
+    __slots__ = ("indices", "names", "defect", "defect_str")
+
+    def __init__(
+        self,
+        indices: tuple[int, ...],
+        names: tuple[str, ...],
+        defect: Vec,
+        defect_str: str,
+    ) -> None:
+        self._fill(indices, names, defect, defect_str)
 
     def to_dict(self) -> dict:
         return {
@@ -85,13 +96,18 @@ class Witness:
         }
 
 
-@dataclass(frozen=True)
-class CheckItem:
-    name: str
-    passed: bool
-    witness: Optional[Witness] = None
-    advisory: bool = False
-    note: str = ""
+class CheckItem(FrozenRecord):
+    __slots__ = ("name", "passed", "witness", "advisory", "note")
+
+    def __init__(
+        self,
+        name: str,
+        passed: bool,
+        witness: Optional[Witness] = None,
+        advisory: bool = False,
+        note: str = "",
+    ) -> None:
+        self._fill(name, passed, witness, advisory, note)
 
     def to_dict(self) -> dict:
         out: dict = {"name": self.name, "passed": self.passed}
@@ -104,9 +120,17 @@ class CheckItem:
         return out
 
 
-@dataclass
-class AxiomReport:
-    items: list[CheckItem] = field(default_factory=list)
+class AxiomReport(FrozenRecord):
+    """The items of an axiom suite; unlike the other records it is mutable,
+    since the suites append to ``items``, and so unhashable."""
+
+    __slots__ = ("items",)
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, items: Optional[list[CheckItem]] = None) -> None:
+        self.items = [] if items is None else items
 
     @property
     def passed(self) -> bool:
@@ -172,8 +196,7 @@ class ColourAlgebra:
         self.eps = eps
         n = len(basis)
         self.product: tuple[tuple[Vec, ...], ...] = tuple(
-            tuple(tuple(Fraction(c) for c in cell) for cell in row)
-            for row in product
+            tuple(vec(cell) for cell in row) for row in product
         )
         if len(self.product) != n or any(
             len(row) != n or any(len(cell) != n for cell in row)
@@ -294,6 +317,10 @@ class ColourAlgebra:
 
         Its ``columns()`` are the images of the basis vectors.
         """
+        if not kb:
+            return self.map_power("alpha", ka)
+        if not ka:
+            return self.map_power("beta", kb)
         key = ("alpha*beta", ka, kb)
         hit = self._powers.get(key)
         if hit is None:
@@ -310,17 +337,29 @@ class ColourAlgebra:
         key = (ka, kb, right)
         hit = self._products.get(key)
         if hit is None:
-            basis = [self.basis_vec(j) for j in range(self.dim)]
-            images = self.ab_power(ka, kb).columns()
+            # each cell sums the structure-constant cells of the image's
+            # nonzero entries, read from the term tables
+            terms = self.product_terms()
+            images = self.ab_power(ka, kb).column_terms()
+            n = self.dim
+
+            def cell(parts: Iterable[tuple[Fraction, Terms]]) -> Vec:
+                acc = [ZERO] * n
+                for c, ts in parts:
+                    add_terms(acc, c, ts)
+                return tuple(acc)
+
             if right:
                 hit = tuple(
-                    tuple(self.product_eval(e, y) for y in images)
-                    for e in basis
+                    tuple(cell((y, row[u]) for u, y in im) for im in images)
+                    for row in terms
                 )
             else:
                 hit = tuple(
-                    tuple(self.product_eval(x, e) for e in basis)
-                    for x in images
+                    tuple(
+                        cell((x, terms[u][j]) for u, x in im) for j in range(n)
+                    )
+                    for im in images
                 )
             self._products[key] = hit
         return hit

@@ -19,7 +19,6 @@ so the disagreement is testable rather than buried.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from itertools import product as iproduct
@@ -33,7 +32,7 @@ from .algebra import (
     Witness,
     format_element,
 )
-from .grading import GradedBasis, GroupElement
+from .grading import FrozenRecord, GradedBasis, GroupElement
 from .linalg import (
     ONE,
     ZERO,
@@ -1174,17 +1173,32 @@ def coboundary_matrix(
     return Matrix._of_columns(cols, len(cod_basis))
 
 
-@dataclass(frozen=True)
-class CohomologyResult:
+class CohomologyResult(FrozenRecord):
     """Dimensions at one (n, r, degree) triple."""
 
-    n: int
-    r: int
-    degree: GroupElement
-    dim_cochains: int
-    dim_cocycles: int
-    dim_coboundaries: int
-    dim_h: int
+    __slots__ = (
+        "n",
+        "r",
+        "degree",
+        "dim_cochains",
+        "dim_cocycles",
+        "dim_coboundaries",
+        "dim_h",
+    )
+
+    def __init__(
+        self,
+        n: int,
+        r: int,
+        degree: GroupElement,
+        dim_cochains: int,
+        dim_cocycles: int,
+        dim_coboundaries: int,
+        dim_h: int,
+    ) -> None:
+        self._fill(
+            n, r, degree, dim_cochains, dim_cocycles, dim_coboundaries, dim_h
+        )
 
     def to_dict(self) -> dict:
         return {

@@ -47,14 +47,13 @@ are; see jordan_closure).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 from math import lcm
 from typing import Callable, Optional, Sequence
 
 from .algebra import AxiomReport, CheckItem, ColourAlgebra, IntTable, Witness
-from .grading import Bicharacter, GroupElement
+from .grading import Bicharacter, FrozenRecord, GroupElement
 from .linalg import (
     EchelonBasis,
     Matrix,
@@ -128,8 +127,7 @@ def is_homogeneous_endo(
     return first_off_block(matrix, a.basis.degrees, image) is None
 
 
-@dataclass(frozen=True)
-class SolverResult:
+class SolverResult(FrozenRecord):
     """Basis of one solution space, with the parameters that cut it out.
 
     ``basis`` holds HomEndo members for the one-unknown kinds and tuples of
@@ -137,12 +135,18 @@ class SolverResult:
     dimension of the full stacked solution space).
     """
 
-    kind: str
-    k: int
-    l: int
-    gamma: Optional[GroupElement]
-    basis: tuple
-    dimension: int
+    __slots__ = ("kind", "k", "l", "gamma", "basis", "dimension")
+
+    def __init__(
+        self,
+        kind: str,
+        k: int,
+        l: int,
+        gamma: Optional[GroupElement],
+        basis: tuple,
+        dimension: int,
+    ) -> None:
+        self._fill(kind, k, l, gamma, basis, dimension)
 
     def component_basis(self, idx: int = 0) -> list[HomEndo]:
         """Independent spanning subset of one tuple slot's projections."""

@@ -8,29 +8,76 @@ values are restricted to +1/-1, the only roots of unity in the rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 GroupElement = tuple[int, ...]
+
+
+class FrozenRecord:
+    """Base of the library's record types: a value whose fields are the
+    ``__slots__`` of its class, in constructor order.
+
+    It gives what ``dataclasses.dataclass(frozen=True)`` would: ``==``
+    field by field against the same class only, a hash over the fields,
+    the repr ``Name(field=value, ...)``, assignment that raises
+    AttributeError, and a ``__reduce__`` through the constructor, so that
+    pickle and copy work.  The library does not import ``dataclasses``,
+    which loads ``inspect`` and ``ast``, and whose decorators generate
+    code at import: the two took two thirds of ``import bihomlie``.
+    """
+
+    __slots__ = ()
+
+    def _fill(self, *values) -> None:
+        """Set the fields, in slot order; for the constructors."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__
+        )
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
 
 
 class GroupMismatchError(ValueError):
     """Raised when elements of different grading groups are combined."""
 
 
-@dataclass(frozen=True)
-class GradingGroup:
+class GradingGroup(FrozenRecord):
     """Z^free_rank x prod_i Z_torsion[i], in that generator order."""
 
-    free_rank: int = 0
-    torsion: tuple[int, ...] = ()
+    __slots__ = ("free_rank", "torsion")
 
-    def __post_init__(self) -> None:
-        if self.free_rank < 0:
+    def __init__(
+        self, free_rank: int = 0, torsion: tuple[int, ...] = ()
+    ) -> None:
+        if free_rank < 0:
             raise ValueError("negative free rank")
-        for m in self.torsion:
+        for m in torsion:
             if m < 2:
                 raise ValueError(f"torsion modulus {m} < 2")
+        self._fill(free_rank, torsion)
 
     @property
     def rank(self) -> int:
@@ -230,24 +277,22 @@ def super_bicharacter() -> Bicharacter:
     return Bicharacter(GradingGroup(0, (2,)), [[-1]])
 
 
-@dataclass(frozen=True)
-class GradedBasis:
+class GradedBasis(FrozenRecord):
     """Named basis vectors with homogeneous degrees in one group."""
 
-    group: GradingGroup
-    names: tuple[str, ...]
-    degrees: tuple[GroupElement, ...]
+    __slots__ = ("group", "names", "degrees")
 
-    def __post_init__(self) -> None:
-        if len(self.names) != len(self.degrees):
+    def __init__(
+        self,
+        group: GradingGroup,
+        names: tuple[str, ...],
+        degrees: tuple[GroupElement, ...],
+    ) -> None:
+        if len(names) != len(degrees):
             raise ValueError("names and degrees differ in length")
-        if len(set(self.names)) != len(self.names):
+        if len(set(names)) != len(names):
             raise ValueError("duplicate basis names")
-        object.__setattr__(
-            self,
-            "degrees",
-            tuple(self.group.reduce(d) for d in self.degrees),
-        )
+        self._fill(group, names, tuple(group.reduce(d) for d in degrees))
 
     def __len__(self) -> int:
         return len(self.names)

@@ -379,13 +379,15 @@ class Matrix:
         """Integer matrix power; negative k inverts first (may raise)."""
         if self.nrows != self.ncols:
             raise ValueError("not square")
-        base = self if k >= 0 else self.invert()
-        out = Matrix.identity(self.nrows)
+        if k == 0:
+            return Matrix.identity(self.nrows)
+        base = self if k > 0 else self.invert()
         # square and multiply: out collects base**(2**b) for each bit b of |k|
+        out = None
         k = abs(k)
         while k:
             if k & 1:
-                out = out * base
+                out = base if out is None else out * base
             k >>= 1
             if k:
                 base = base * base

@@ -10,6 +10,9 @@ the solves.
 The derivation predicates read term tables; ``bracket_defect``,
 ``commutes_with_maps`` and ``is_homogeneous`` evaluate the same identities
 on dense columns and dense twisted product tables, testing every entry.
+``dense_twisted`` builds those tables from the dense structure-constant
+cells ``a.product`` and powers of alpha and beta taken by repeated
+products, not from the library's term tables.
 
 The cochain complex reads per-arity tables: ``slots_oracle``,
 ``realized_gammas_oracle`` and ``pullbacks_oracle`` recompute them by the
@@ -140,10 +143,53 @@ def add_scaled(acc: list, c: Fraction, v: Vec) -> None:
             acc[k] = acc[k] + p if acc[k] else p
 
 
+def dense_power(m: Matrix, k: int) -> Matrix:
+    """m**k by |k| repeated products, from the inverse that
+    ``fraction_rref`` reads off [m | I] when k is negative."""
+    n = m.nrows
+    if k < 0:
+        eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        reduced, pivots = fraction_rref(
+            [list(row) + e for row, e in zip(m.rows, eye)]
+        )
+        if pivots != list(range(n)):
+            raise ValueError("singular matrix")
+        m = Matrix([row[n:] for row in reduced])
+    out = Matrix.identity(n)
+    for _ in range(abs(k)):
+        out = out * m
+    return out
+
+
 def dense_twisted(a: ColourAlgebra, k: int, l: int) -> tuple:
     """The dense twisted product tables [e_t, M e_j] at [t][j] and
-    [M e_i, e_t] at [i][t], M = alpha^k beta^l."""
-    return a.twisted_products(k, l, right=True), a.twisted_products(k, l)
+    [M e_i, e_t] at [i][t], M = alpha^k beta^l, summed from the dense
+    structure-constant cells a.product and the dense entries of M."""
+    n = a.dim
+    m = dense_power(a.alpha, k) * dense_power(a.beta, l)
+
+    def combination(pairs) -> Vec:
+        acc = [Fraction(0)] * n
+        for c, v in pairs:
+            if c:
+                add_scaled(acc, c, v)
+        return tuple(acc)
+
+    right = tuple(
+        tuple(
+            combination((m[u][j], a.product[i][u]) for u in range(n))
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+    left = tuple(
+        tuple(
+            combination((m[u][i], a.product[u][j]) for u in range(n))
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+    return right, left
 
 
 def bracket_defect(
@@ -161,7 +207,6 @@ def bracket_defect(
     :func:`dense_twisted`."""
     n = a.dim
     g = a.basis.group.reduce(gamma)
-    terms = a.product_terms()
     left, right = twisted
     vcols = d_value.columns() if d_value is not None else None
     lcols = d_left.columns() if d_left is not None else None
@@ -171,8 +216,9 @@ def bracket_defect(
         for j in range(n):
             acc = [Fraction(0)] * n
             if vcols is not None:
-                for t, c in terms[i][j]:
-                    add_scaled(acc, c, vcols[t])
+                for t, c in enumerate(a.product[i][j]):
+                    if c:
+                        add_scaled(acc, c, vcols[t])
             if lcols is not None:
                 for t, x in enumerate(lcols[i]):
                     if x:

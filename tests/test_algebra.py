@@ -35,10 +35,12 @@ from bihomlie.grading import (
 )
 from bihomlie.admissibility import check_flexible
 from bihomlie.linalg import Matrix
+from dense_oracles import dense_twisted
 from fixtures import (
     LIE_CORPUS,
     conj_mat2,
     gl11_fraction_twist,
+    gl21_fraction_twist,
     gl2_conjugation_twist,
     gl2_fraction_twist,
     twisted_mat2,
@@ -388,6 +390,23 @@ def test_one_integer_table_per_product():
     assert a.int_table("skew_terms") is a.int_table("skew_terms")
     with pytest.raises(ValueError, match="unknown term table"):
         a.int_table("twisted_products")
+
+
+@pytest.mark.parametrize(
+    "twist", [gl11_fraction_twist, gl2_fraction_twist, gl21_fraction_twist]
+)
+def test_twisted_products_match_the_dense_oracle(twist):
+    a = twist()
+    for k, l in ((0, 0), (1, 0), (0, 1), (-1, 1), (1, -1), (2, 1), (-2, -1)):
+        want = dense_twisted(a, k, l)
+        got = a.twisted_products(k, l, right=True), a.twisted_products(k, l)
+        assert got == want
+        for table in got:
+            assert all(
+                type(c) is Fraction for row in table for v in row for c in v
+            )
+    # the identity twist is the structure constants themselves
+    assert a.twisted_products(0, 0) == a.product
 
 
 def _int_copy(table):
