@@ -36,6 +36,7 @@ from .grading import FrozenRecord, GradedBasis, GroupElement
 from .linalg import (
     ONE,
     ZERO,
+    IntTerms,
     Matrix,
     Vec,
     add_terms,
@@ -43,6 +44,7 @@ from .linalg import (
     is_zero_vec,
     kernel_by_blocks,
     scale_to_ints,
+    terms_of,
     vadd,
     vec,
     vscale,
@@ -79,6 +81,13 @@ class Representation:
     :func:`apply_coboundary` and :func:`cohomology_dims`).  Repeated
     queries on one module reuse them; the module must not be changed
     after its first query.
+
+    The memo holds integers, not Fractions: the pull-back terms, the unit
+    images and the basis terms each over one scale.  The basis cochains
+    and every cochain and coboundary matrix built from them are Fractions
+    at the API, but carry an integer form and build their Fractions only
+    when a caller reads them (see :class:`Cochain` and
+    :func:`coboundary_matrix`).
     """
 
     __slots__ = (
@@ -429,9 +438,17 @@ class Cochain:
     ``values`` maps canonical index tuples to coordinate vectors of V; zero
     vectors are dropped.  The degree records how the map shifts grading:
     the value on a tuple of total degree d lies in the block gamma + d.
+
+    A cochain has two forms of the same values: ``values``, in Fractions,
+    and the integer form of :meth:`int_values`, which the coboundary sums.
+    The public constructor builds ``values`` and computes the integer form
+    from it on its first read.  The cochains the library builds (the bases
+    of :func:`cochain_basis` and the images of :func:`apply_coboundary`)
+    start in integer form, and their ``values`` are built on first read,
+    in the order of the integer rows.
     """
 
-    __slots__ = ("n", "degree", "values", "dimV")
+    __slots__ = ("n", "degree", "values", "dimV", "_ints")
 
     def __init__(
         self,
@@ -453,27 +470,59 @@ class Cochain:
             if not is_zero_vec(v):
                 kept[tuple(key)] = v
         self.values = kept
+        self._ints: Optional[tuple[int, dict]] = None
 
     @classmethod
     def _of(
         cls,
         n: int,
         degree: GroupElement,
-        values: dict[tuple[int, ...], Vec],
+        den: int,
+        rows: dict[tuple[int, ...], IntTerms],
         dimV: int,
     ) -> "Cochain":
-        """The cochain on values the library built: canonical n-tuples
-        mapped to nonzero tuples of dimV Fractions.  Unlike the public
-        constructor it neither converts nor checks a value."""
+        """The cochain the library built in the integer form of
+        :meth:`int_values`: ``rows`` maps canonical n-tuples to the
+        nonzero entries of their values over the positive ``den``.  Unlike
+        the public constructor it neither converts nor checks a value, and
+        it leaves ``values`` to be built on first read."""
         f = cls.__new__(cls)
         f.n = n
         f.degree = degree
-        f.values = values
         f.dimV = dimV
+        f._ints = (den, rows)
         return f
 
+    def __getattr__(self, name: str):
+        # only ``values`` is ever unset, on a cochain built in integer
+        # form: each value x / D is built as a Fraction on first read
+        if name != "values":
+            raise AttributeError(name)
+        den, rows = self._ints
+        values = {}
+        for T, terms in rows.items():
+            val = [_ZERO] * self.dimV
+            for w, x in terms:
+                val[w] = Fraction(x, den)
+            values[T] = tuple(val)
+        self.values = values
+        return values
+
+    def int_values(self) -> tuple[int, dict[tuple[int, ...], IntTerms]]:
+        """The integer form (D, rows) of the values: rows maps each tuple
+        of ``values``, in its order, to the nonzero entries (w, x) of its
+        value x / D, in ascending w, over one positive D (not always the
+        least).  The one integer reader of a cochain; on a cochain of the
+        public constructor it is computed from ``values`` once, with D the
+        lcm of their denominators (see :func:`scale_to_ints`)."""
+        if self._ints is None:
+            values = self.values
+            den, rows = scale_to_ints([terms_of(v) for v in values.values()])
+            self._ints = (den, dict(zip(values, rows)))
+        return self._ints
+
     def is_zero(self) -> bool:
-        return not self.values
+        return not self.int_values()[1]
 
     def value(self, idx: tuple[int, ...]) -> Vec:
         return self.values.get(idx, vzero(self.dimV))
@@ -623,26 +672,13 @@ def realized_gammas(rep: Representation, n: int) -> list[GroupElement]:
     )
 
 
-def _cochain_from_coords(
-    n: int,
-    gamma: GroupElement,
-    slots: Sequence[tuple[tuple[int, ...], int]],
-    coords: dict[int, Fraction],
-    dimV: int,
-) -> Cochain:
-    """Cochain with the given nonzero coordinates {slot index: value}."""
-    vals: dict[tuple[int, ...], list[Fraction]] = {}
-    for k, c in coords.items():
-        T, w = slots[k]
-        vals.setdefault(T, [_ZERO] * dimV)[w] = c
-    return Cochain._of(n, gamma, {T: tuple(v) for T, v in vals.items()}, dimV)
-
-
 class _Space(NamedTuple):
     """The degree-gamma n-cochain space of :func:`cochain_basis`: its slot
     set, its basis, the column of each basis cochain's free slot, and
     (S, terms) with terms[k] the nonzero entries of basis cochain k as
-    ((T, w), value * S), S the lcm of the denominators of every entry."""
+    ((T, w), value * S) in ascending slot, S the lcm of the denominators
+    of every entry.  Each basis cochain is built in integer form from its
+    terms, over S."""
 
     slots: frozenset
     basis: tuple[Cochain, ...]
@@ -679,21 +715,30 @@ def _space(rep: Representation, n: int, gamma: GroupElement) -> _Space:
     hit = rep._bases.get((n, g))
     if hit is None:
         slots = _slots(rep, n, g)
-        basis = tuple(_solve_basis(rep, n, g, slots))
+        # each kernel vector is in ascending column, so in ascending slot
         scale, terms = scale_to_ints(
             [
-                tuple(
-                    ((T, w), c)
-                    for T, val in f.values.items()
-                    for w, c in enumerate(val)
-                    if c
-                )
-                for f in basis
+                tuple((slots[k], c) for k, c in coords.items())
+                for coords in _solve_basis(rep, n, g, slots)
             ]
         )
+        basis = []
+        for t in terms:
+            rows: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+            for (T, w), x in t:
+                rows.setdefault(T, []).append((w, x))
+            basis.append(
+                Cochain._of(
+                    n,
+                    g,
+                    scale,
+                    {T: tuple(row) for T, row in rows.items()},
+                    rep.dimV,
+                )
+            )
         hit = rep._bases[n, g] = _Space(
             frozenset(slots),
-            basis,
+            tuple(basis),
             {max(slot for slot, _ in t): k for k, t in enumerate(terms)},
             (scale, tuple(terms)),
         )
@@ -730,8 +775,10 @@ def _solve_basis(
     n: int,
     g: GroupElement,
     slots: list[tuple[tuple[int, ...], int]],
-) -> list[Cochain]:
-    """The basis of :func:`cochain_basis` on the degree-g ``slots``."""
+) -> list[dict[int, Fraction]]:
+    """The basis of :func:`cochain_basis` on the degree-g ``slots``, as
+    the kernel vectors {slot index: nonzero value} of the intertwining
+    rows, in ascending free slot (see :func:`kernel_by_blocks`)."""
     if not slots:
         return []
     a = rep.algebra
@@ -763,10 +810,7 @@ def _solve_basis(
                     row[k] = row.get(k, 0) - c * vf
             rows.extend(by_w.values())
 
-    return [
-        _cochain_from_coords(n, g, slots, coords, rep.dimV)
-        for coords in kernel_by_blocks(rows, len(slots))
-    ]
+    return kernel_by_blocks(rows, len(slots))
 
 
 def cochain_in_space(
@@ -886,8 +930,8 @@ class _Coboundary:
     :func:`_reach`), which every degree and r of the arity shares too.
 
     Each unit image is stored as integers over one scale of its own, so
-    :func:`apply_coboundary` sums Python ints and divides back only the
-    nonzero entries of d f.
+    :func:`apply_coboundary` sums Python ints and returns d f in integer
+    form.
     """
 
     def __init__(
@@ -977,7 +1021,7 @@ def _reach(
         a.twisted_supports(-1, 1) if n else ({}, ())
     )
     eps = a.eps_table()
-    unit = Cochain._of(n, a.basis.group.zero(), {T: (_ONE,)}, 1)
+    unit = Cochain._of(n, a.basis.group.zero(), 1, {T: ((0, 1),)}, 1)
     # unit.eval only reaches tuples that permute T, so a term whose
     # argument misses every index of T is zero and is skipped.
     used = set(T)
@@ -1046,11 +1090,12 @@ def apply_coboundary(
     visits only the tuples its slot can reach (see
     :func:`_reachable_tuples`).
 
-    The sum is taken in integers: f's nonzero values are read once as
-    numerator/denominator pairs, each value times the integer terms of its
-    unit image is brought to the lcm D of every value's denominator times
-    its image's scale, and only the nonzero sums are divided by D into
-    Fractions.  When d f is zero no Fraction is built.
+    The sum is taken in integers, and no Fraction is built: f is read in
+    its integer form (see :meth:`Cochain.int_values`), each nonzero entry
+    x / D of f times the integer terms of its unit image, of scale L, is
+    brought to the lcm M of the scales of the images read, and d f is
+    returned in integer form over D * M, its ``values`` built only when
+    a caller reads them.
     """
     _check_prefactor(prefactor)
     if validate:
@@ -1066,35 +1111,54 @@ def apply_coboundary(
         if key not in rep._coboundaries:
             rep._coboundaries[key] = _Coboundary(rep, n, r, gamma, prefactor)
         cob = rep._coboundaries[key]
-    # each nonzero value p/q of f times the unit image of its slot, with
-    # scale L, as p * (D / (q L)) times the image's integers, D the lcm of
-    # every q L
+    # each nonzero entry x / D of f times the unit image of its slot, with
+    # scale L, as x * (M / L) times the image's integers over D * M, M the
+    # lcm of every L
+    den, rows = f.int_values()
     reads = []
-    for T, val in f.values.items():
-        for w, c in enumerate(val):
-            if c is not _ZERO and c:
-                p, q = c.as_integer_ratio()
-                scale, terms = cob.image(rep, T, w)
-                reads.append((p, q * scale, terms))
-    den = lcm(*[q for _, q, _ in reads])  # a list: see scale_to_ints
+    for T, terms in rows.items():
+        for w, x in terms:
+            scale, image = cob.image(rep, T, w)
+            reads.append((x, scale, image))
     dimV = rep.dimV
-    acc: dict[tuple[int, ...], list[int]] = {}
-    for p, q, terms in reads:
-        m = p * (den // q)
-        for X, xterms in terms:
-            row = acc.get(X)
-            if row is None:
-                row = acc[X] = [0] * dimV
-            add_terms(row, m, xterms)
+    if len(reads) == 1:
+        # one entry: its image's terms, in their order, times x over D * L
+        ((x, scale, image),) = reads
+        out = dict(image) if x == 1 else {
+            X: tuple([(k, x * y) for k, y in xterms]) for X, xterms in image
+        }
+        return Cochain._of(n + 1, cob.gamma, den * scale, out, dimV)
+    # lcm of a list, not of a generator: see scale_to_ints
+    common = lcm(*[scale for _, scale, _ in reads])
+    # the scaled image terms that reach each tuple X
+    parts: dict[tuple[int, ...], list[tuple[int, IntTerms]]] = {}
+    for x, scale, image in reads:
+        m = x * (common // scale)
+        for X, xterms in image:
+            hit = parts.get(X)
+            if hit is None:
+                parts[X] = [(m, xterms)]
+            else:
+                hit.append((m, xterms))
     # the sums are on canonical tuples of the right length, so only the
-    # rows that cancelled to zero are dropped, and only nonzero sums are
-    # divided back into Fractions
-    values = {}
-    for X in sorted(acc):
-        row = acc[X]
-        if any(row):
-            values[X] = tuple([Fraction(x, den) if x else _ZERO for x in row])
-    return Cochain._of(n + 1, cob.gamma, values, dimV)
+    # rows that cancelled to zero are dropped; a tuple one image reaches
+    # takes its nonzero terms as they are, scaled
+    out = {}
+    for X in sorted(parts):
+        hit = parts[X]
+        if len(hit) == 1:
+            m, xterms = hit[0]
+            out[X] = (
+                xterms if m == 1 else tuple([(k, m * y) for k, y in xterms])
+            )
+            continue
+        row = [0] * dimV
+        for m, xterms in hit:
+            add_terms(row, m, xterms)
+        terms = tuple([(k, y) for k, y in enumerate(row) if y])
+        if terms:
+            out[X] = terms
+    return Cochain._of(n + 1, cob.gamma, den * common, out, dimV)
 
 
 def coboundary_matrix(
@@ -1117,9 +1181,13 @@ def coboundary_matrix(
     that combination exactly.  Both are read over the image's nonzero
     slots and the nonzero entries of the codomain basis cochains it
     combines, never over a dense slot vector.  The check is exact in
-    integers: the image over the lcm of its denominators against the
-    integer copy of the codomain basis terms over their one scale.  The
-    matrix entries are the image's own Fractions at the free slots.
+    integers: the integer form of the image (see
+    :meth:`Cochain.int_values`) against the integer copy of the codomain
+    basis terms over their one scale.  The matrix is built from integer
+    columns, the image's integers at the free slots over its D, and its
+    Fractions are built only when a caller reads its rows or column terms
+    (see :meth:`Matrix.int_column_terms`); a Fraction is built here only
+    for the text of an error.
     """
     _check_prefactor(prefactor)
     dom = cochain_basis(rep, n, gamma)
@@ -1127,39 +1195,39 @@ def coboundary_matrix(
     if not dom:
         return Matrix.zero(len(cod_basis), 0)
     cod = _space(rep, n + 1, gamma)  # the memo entry just read
+    cod_slots, free_column = cod.slots, cod.free_column
     scale, cod_terms = cod.int_terms
     cols = []
     for k, fb in enumerate(dom):
         img = apply_coboundary(rep, r, fb, prefactor=prefactor, validate=False)
-        entries = []  # (slot, p, q) for each nonzero value p/q of img
-        coords: dict[int, Fraction] = {}
-        for T, val in img.values.items():
-            for w, c in enumerate(val):
-                if c is _ZERO or not c:
-                    continue
+        den, rows = img.int_values()
+        # the defect img - sum of coords[i] cod.basis[i] at the slots that
+        # are no free slot, times D * S: D the scale of the image's integer
+        # form, S that of the codomain basis terms; coords[i] * D is the
+        # image's integer at the free slot of cod.basis[i].  At a free slot
+        # the defect is zero by construction: cod.basis[i] is 1 at its own
+        # (its last term) and every basis cochain is 0 at the others'.
+        rest: dict[tuple, int] = {}
+        coords: list[tuple[int, int]] = []
+        for T, terms in rows.items():
+            for w, x in terms:
                 slot = (T, w)
-                if slot not in cod.slots:
+                i = free_column.get(slot)
+                if i is not None:
+                    coords.append((i, x))
+                elif slot in cod_slots:
+                    rest[slot] = x * scale
+                else:
                     args = ", ".join(rep.algebra.basis.names[i] for i in T)
                     raise RuntimeError(
                         f"coboundary image of basis cochain {k} has "
-                        f"coordinate {rep.space.names[w]} = {c} on "
-                        f"({args}), outside the degree-{tuple(gamma)} slots "
-                        "of the codomain"
+                        f"coordinate {rep.space.names[w]} = "
+                        f"{Fraction(x, den)} on ({args}), outside the "
+                        f"degree-{tuple(gamma)} slots of the codomain"
                     )
-                entries.append((slot, *c.as_integer_ratio()))
-                i = cod.free_column.get(slot)
-                if i is not None:
-                    coords[i] = c
-        # the defect img - sum of coords[i] cod.basis[i] over its nonzero
-        # slots, times D * S: D the lcm of the image's denominators, S the
-        # scale of the codomain basis terms
-        den = lcm(*[q for _, _, q in entries])
-        rest = {slot: p * (den // q) * scale for slot, p, q in entries}
-        for i, x in coords.items():
-            p, q = x.as_integer_ratio()
-            m = p * (den // q)
-            for slot, b in cod_terms[i]:
-                y = rest.get(slot, 0) - m * b
+        for i, x in coords:
+            for slot, b in cod_terms[i][:-1]:
+                y = rest.get(slot, 0) - x * b
                 if y:
                     rest[slot] = y
                 else:
@@ -1169,8 +1237,8 @@ def coboundary_matrix(
                 f"coboundary image of basis cochain {k} does not lie in "
                 "the codomain cochain space"
             )
-        cols.append(tuple(sorted(coords.items())))
-    return Matrix._of_columns(cols, len(cod_basis))
+        cols.append((den, tuple(sorted(coords))))
+    return Matrix._of_int_columns(cols, len(cod_basis))
 
 
 class CohomologyResult(FrozenRecord):
@@ -1231,8 +1299,9 @@ def cohomology_dims(
     The re-check is still an exact d(d f) on every basis cochain f; it is
     cheap because the bases and the unit-slot images it reads are those
     the two coboundary matrices have just memoized on the module, and
-    because :func:`apply_coboundary` sums in integers, so the second
-    coboundary of each pair builds no Fraction when d(d f) = 0.  The
+    because :func:`apply_coboundary` sums in integers and returns its
+    image in integer form, whose zero test reads the integers: only a
+    nonzero d(d f) builds Fractions, for the text of the error.  The
     rank of each coboundary matrix is memoized there too, under
     (n, r, degree, prefactor), so a sweep over n computes the rank of the
     matrix shared by H^n and H^{n+1} once; the per-arity tables are

@@ -30,9 +30,11 @@ in the integer copies of term tables (``scale_to_ints``,
 ``Matrix.int_column_terms``) that the axiom scans, the solvers and the
 cochain complex sum; vectors are plain tuples.  The public ``Matrix``
 constructor converts every entry and checks the shape; matrices the
-library builds from Fractions itself (RREF output, products and sums,
-solver solutions, coboundary matrices) go through the internal
-``Matrix._of_rows``, which does neither.
+library builds itself go through internal constructors, which do
+neither: ``Matrix._of_rows`` for rows of Fractions (RREF output, products
+and sums), ``Matrix._of_columns`` for column terms (solver solutions) and
+``Matrix._of_int_columns`` for integer columns (coboundary matrices).  The
+last two build their rows on first read, the last its Fractions too.
 """
 
 from __future__ import annotations
@@ -103,6 +105,25 @@ def scale_to_ints(term_lists: Sequence[Terms]) -> tuple[int, list[IntTerms]]:
     ]
 
 
+def _lowest_common_scale(
+    cols: Sequence[tuple[int, IntTerms]],
+) -> tuple[int, list[IntTerms]]:
+    """:func:`scale_to_ints` for columns given as (d, terms) with value
+    terms / d: each column is brought to lowest terms by the gcd of d and
+    its entries, so L is the lcm of the denominators of every entry."""
+    reduced = []
+    for d, terms in cols:
+        g = gcd(d, *[x for _, x in terms])
+        if g > 1:
+            d, terms = d // g, tuple([(u, x // g) for u, x in terms])
+        reduced.append((d, terms))
+    den = lcm(*[d for d, _ in reduced])
+    return den, [
+        terms if d == den else tuple([(u, x * (den // d)) for u, x in terms])
+        for d, terms in reduced
+    ]
+
+
 def add_terms(acc: list, c: Fraction, terms: Terms) -> None:
     """acc += c * v in place, for the vector v with nonzero ``terms``; the
     same for an integer accumulator, integer c and ``IntTerms``."""
@@ -135,7 +156,15 @@ class Matrix:
     True
     """
 
-    __slots__ = ("rows", "nrows", "ncols", "_cols", "_col_terms", "_int_terms")
+    __slots__ = (
+        "rows",
+        "nrows",
+        "ncols",
+        "_cols",
+        "_col_terms",
+        "_int_terms",
+        "_int_cols",
+    )
 
     def __init__(
         self, rows: Iterable[Iterable], ncols: Optional[int] = None
@@ -147,6 +176,7 @@ class Matrix:
         self._cols: Optional[tuple[Vec, ...]] = None
         self._col_terms: Optional[tuple[Terms, ...]] = None
         self._int_terms: Optional[tuple[int, tuple[IntTerms, ...]]] = None
+        self._int_cols: Optional[tuple[tuple[int, IntTerms], ...]] = None
         self.nrows = len(self.rows)
         if self.rows:
             self.ncols = len(self.rows[0])
@@ -165,27 +195,58 @@ class Matrix:
         """The matrix on rows the library built from Fractions, each
         ``ncols`` long; unlike the public constructor it neither converts
         nor checks an entry."""
+        rows = tuple(map(tuple, rows))
+        m = cls._blank(len(rows), ncols)
+        m.rows = rows
+        return m
+
+    @classmethod
+    def _blank(cls, nrows: int, ncols: int) -> "Matrix":
+        """A matrix of the given shape with every cache empty and ``rows``
+        unset, for the internal constructors to fill."""
         m = cls.__new__(cls)
-        m.rows = tuple(map(tuple, rows))
-        m.nrows = len(m.rows)
+        m.nrows = nrows
         m.ncols = ncols
         m._cols = None
         m._col_terms = None
         m._int_terms = None
+        m._int_cols = None
         return m
 
     @classmethod
     def _of_columns(cls, col_terms: Sequence, nrows: int) -> "Matrix":
         """The ``nrows``-row matrix whose column j has the nonzero entries
         ``col_terms[j]``, Fractions in ascending row, which become its
-        :meth:`column_terms` cache."""
-        rows = [[ZERO] * len(col_terms) for _ in range(nrows)]
-        for j, terms in enumerate(col_terms):
-            for u, x in terms:
-                rows[u][j] = x
-        m = cls._of_rows(rows, len(col_terms))
+        :meth:`column_terms` cache; its rows are built on first read."""
+        m = cls._blank(nrows, len(col_terms))
         m._col_terms = tuple(map(tuple, col_terms))
         return m
+
+    @classmethod
+    def _of_int_columns(
+        cls, cols: Sequence[tuple[int, IntTerms]], nrows: int
+    ) -> "Matrix":
+        """The ``nrows``-row matrix whose column j is terms / d for
+        cols[j] = (d, terms): the integer entries (u, x) of the column in
+        ascending row u, over a positive d.  Nothing else is built here;
+        :meth:`int_column_terms` brings the columns to one scale on first
+        read, and the Fractions of :meth:`column_terms` and of the rows are
+        built from that copy on theirs."""
+        m = cls._blank(nrows, len(cols))
+        m._int_cols = tuple(cols)
+        return m
+
+    def __getattr__(self, name: str):
+        # only ``rows`` is ever unset, on a matrix built from its column
+        # terms or from integer columns: built from the terms on first read
+        if name != "rows":
+            raise AttributeError(name)
+        rows = [[ZERO] * self.ncols for _ in range(self.nrows)]
+        for j, terms in enumerate(self.column_terms()):
+            for u, x in terms:
+                rows[u][j] = x
+        self.rows = rows = tuple(map(tuple, rows))
+        return rows
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -302,15 +363,28 @@ class Matrix:
         one (possibly empty) term list per column, cached like
         :meth:`columns`."""
         if self._col_terms is None:
-            self._col_terms = tuple(terms_of(col) for col in self.columns())
+            if self._int_cols is None:
+                terms = tuple(terms_of(col) for col in self.columns())
+            else:
+                den, cols = self.int_column_terms()
+                terms = tuple(
+                    tuple([(u, Fraction(x, den)) for u, x in col])
+                    for col in cols
+                )
+            self._col_terms = terms
         return self._col_terms
 
     def int_column_terms(self) -> tuple[int, tuple[IntTerms, ...]]:
         """The integer copy (L, C) of :meth:`column_terms`: C[j] holds the
         terms (u, x*L) of column j, L the lcm of the denominators of the
-        whole matrix (see :func:`scale_to_ints`); cached beside it."""
+        whole matrix; cached beside it.  It is read off the column terms
+        (see :func:`scale_to_ints`), or on a matrix built from integer
+        columns off those, each brought to lowest terms first."""
         if self._int_terms is None:
-            den, cols = scale_to_ints(self.column_terms())
+            if self._int_cols is None:
+                den, cols = scale_to_ints(self.column_terms())
+            else:
+                den, cols = _lowest_common_scale(self._int_cols)
             self._int_terms = (den, tuple(cols))
         return self._int_terms
 
@@ -333,7 +407,9 @@ class Matrix:
 
     def rank(self) -> int:
         """The number of independent columns, counted by one
-        :class:`EchelonBasis` pass over the :meth:`column_terms`.
+        :class:`EchelonBasis` pass over the integer copy of the columns,
+        :meth:`int_column_terms`, so a matrix built from integer columns
+        builds no Fraction here.
 
         The pass takes the columns last to first.  In a coboundary matrix
         the image of a later basis cochain sits at later codomain slots,
@@ -343,7 +419,8 @@ class Matrix:
         """
         span = EchelonBasis()
         return sum(
-            span.add_sparse(terms) for terms in reversed(self.column_terms())
+            span.add_sparse(terms)
+            for terms in reversed(self.int_column_terms()[1])
         )
 
     def kernel_basis(self) -> list[Vec]:

@@ -21,6 +21,14 @@ per-tuple scans they replaced, tuple by tuple against every V index.
 ``kernel_oracle`` reads a kernel basis off ``fraction_rref``, for the
 sparse block kernel of the library.
 
+The cochain complex sums integers and reads tables; ``eval_oracle``,
+``act_oracle`` and ``coboundary_oracle`` evaluate the coboundary term by
+term in Fractions, on basis vectors with dense action matrices.
+``cochain_basis_oracle`` solves every intertwining constraint as one dense
+RREF, ``coboundary_matrix_oracle`` solves the images of its basis against
+the next one with ``solve_many``, and ``cochain_in_space_oracle`` checks
+membership by dense evaluation on the columns of alpha and beta.
+
 >>> from bihomlie.linalg import vec
 >>> solve_many(Matrix([[1, 0], [0, 0]]), [vec([5, 0]), vec([0, 1])])
 [(Fraction(5, 1), Fraction(0, 1)), None]
@@ -38,8 +46,16 @@ from typing import Optional, Sequence
 from itertools import product as iproduct
 
 from bihomlie.algebra import ColourAlgebra
-from bihomlie.cohomology import canonical_index_tuples, reduce_index_tuple
-from bihomlie.linalg import Matrix, Vec, is_zero_vec
+from bihomlie.cohomology import (
+    Cochain,
+    _slots,
+    apply_coboundary,
+    canonical_index_tuples,
+    reduce_index_tuple,
+)
+from bihomlie.linalg import Matrix, Vec, is_zero_vec, vadd, vscale, vzero
+
+F = Fraction
 
 
 def fraction_rref(rows):
@@ -316,3 +332,181 @@ def pullbacks_oracle(a: ColourAlgebra, T) -> tuple:
             acc[canon] = acc.get(canon, Fraction(0)) + coeff
         out.append({X: c for X, c in acc.items() if c})
     return tuple(out)
+
+
+def eval_oracle(rep, f, args):
+    """Multilinear evaluation, one sign reduction per support combination."""
+    out = vzero(f.dimV)
+    supports = [[(i, c) for i, c in enumerate(v) if c] for v in args]
+    for combo in iproduct(*supports):
+        coeff = F(1)
+        for _, c in combo:
+            coeff *= c
+        sign, canon = reduce_index_tuple(rep.algebra, tuple(i for i, _ in combo))
+        if canon is not None and canon in f.values:
+            out = vadd(out, vscale(coeff * sign, f.values[canon]))
+    return out
+
+
+def act_oracle(rep, x, v):
+    """rho(x) v with rho(x) summed as a dense matrix."""
+    m = Matrix.zero(rep.dimV, rep.dimV)
+    for c, rho in zip(x, rep.rho):
+        if c:
+            m = m + rho.scale(c)
+    return m.apply(v)
+
+
+def coboundary_oracle(rep, r, f, prefactor):
+    """The coboundary evaluated term by term on basis vectors, with dense
+    action matrices and mat-vecs: the slow path the tables replaced."""
+    a = rep.algebra
+    eps = a.eps
+    n = f.n
+    gamma = a.basis.group.reduce(f.degree)
+    # a 0-cochain has no bracket term, so alpha need not be invertible
+    inv_ab = a.ab_power(-1, 1) if n else None
+    act = a.ab_power(1, r + n - 1)
+    out_vals = {}
+    for X in canonical_index_tuples(a, n + 1):
+        degs = [a.degree(i) for i in X]
+        total = vzero(rep.dimV)
+        for t in range(1, n + 1):
+            for s in range(t):
+                seg = degs[s + 1 : t] if prefactor == "segment" else degs[:t]
+                w = eps.eval_many(seg, degs[t])
+                args = []
+                for p in range(n + 1):
+                    if p == t:
+                        continue
+                    if p == s:
+                        args.append(
+                            a.product_eval(
+                                inv_ab.apply(a.basis_vec(X[s])),
+                                a.basis_vec(X[t]),
+                            )
+                        )
+                    else:
+                        args.append(a.beta.apply(a.basis_vec(X[p])))
+                term = eval_oracle(rep, f, args)
+                total = vadd(total, vscale(F((-1) ** t * w), term))
+        for s in range(n + 1):
+            w = eps.eval_many([gamma] + degs[:s], degs[s])
+            rest = [a.basis_vec(X[p]) for p in range(n + 1) if p != s]
+            fv = eval_oracle(rep, f, rest)
+            if is_zero_vec(fv):
+                continue
+            term = act_oracle(rep, act.apply(a.basis_vec(X[s])), fv)
+            total = vadd(total, vscale(F((-1) ** s * w), term))
+        if not is_zero_vec(total):
+            out_vals[X] = total
+    return Cochain(n + 1, gamma, out_vals, rep.dimV)
+
+
+def cochain_basis_oracle(rep, n, gamma):
+    """The dense assembly the block solve replaced: every intertwining
+    constraint as a row over all slots, reduced in one RREF."""
+    if n < 0:
+        return []
+    a = rep.algebra
+    g = a.basis.group.reduce(gamma)
+    slots = _slots(rep, n, g)
+    if not slots:
+        return []
+    col_of = {slot: k for k, slot in enumerate(slots)}
+    rows = []
+    for T in sorted({T for T, _ in slots}):
+        for amap, vmap in ((a.alpha, rep.alphaV), (a.beta, rep.betaV)):
+            lhs = {}
+            supports = [
+                [(u, amap[u][t]) for u in range(a.dim) if amap[u][t]]
+                for t in T
+            ]
+            for combo in iproduct(*supports):
+                coeff = F(1)
+                for _, c in combo:
+                    coeff *= c
+                sign, canon = reduce_index_tuple(a, tuple(u for u, _ in combo))
+                if canon is None:
+                    continue
+                for w in range(rep.dimV):
+                    if (canon, w) in col_of:
+                        prev = lhs.get((canon, w), F(0))
+                        lhs[canon, w] = prev + coeff * sign
+            for rrow in range(rep.dimV):
+                coeffs = [F(0)] * len(slots)
+                touched = False
+                for slot, c in lhs.items():
+                    if slot[1] == rrow and c:
+                        coeffs[col_of[slot]] += c
+                        touched = True
+                for w in range(rep.dimV):
+                    if (T, w) in col_of and vmap[rrow][w]:
+                        coeffs[col_of[T, w]] -= vmap[rrow][w]
+                        touched = True
+                if touched:
+                    rows.append(coeffs)
+    if rows:
+        kernel = Matrix(rows).kernel_basis()
+    else:
+        kernel = Matrix.identity(len(slots)).rows
+    out = []
+    for coords in kernel:
+        vals = {}
+        for (T, w), c in zip(slots, coords):
+            if c:
+                vals.setdefault(T, [F(0)] * rep.dimV)[w] = c
+        out.append(Cochain(n, g, vals, rep.dimV))
+    return out
+
+
+def coboundary_matrix_oracle(rep, n, r, gamma, prefactor):
+    """Images of the oracle basis solved against the oracle codomain
+    basis with ``solve_many``."""
+    dom = cochain_basis_oracle(rep, n, gamma)
+    cod = cochain_basis_oracle(rep, n + 1, gamma)
+    if not dom:
+        return Matrix.zero(len(cod), 0)
+    images = [
+        apply_coboundary(rep, r, f, prefactor=prefactor, validate=False)
+        for f in dom
+    ]
+    if not cod:
+        assert all(img.is_zero() for img in images)
+        return Matrix.zero(0, len(dom))
+    slots = _slots(rep, n + 1, gamma)
+
+    def coords(f):
+        return tuple(f.value(T)[w] for T, w in slots)
+
+    basis_mat = Matrix.from_cols([coords(gc) for gc in cod])
+    sols = solve_many(basis_mat, [coords(img) for img in images])
+    assert None not in sols
+    return Matrix.from_cols(sols)
+
+
+def cochain_in_space_oracle(rep, f):
+    """The membership test that checks both intertwinings on every
+    canonical tuple by dense evaluation of f on the columns of alpha and
+    beta, not by the pull-back terms the library reads."""
+    a = rep.algebra
+    if f.dimV != rep.dimV:
+        return False, "value dimension differs from the module"
+    g = a.basis.group.reduce(f.degree)
+    for T, val in f.values.items():
+        target = a.basis.group.add(g, a.basis.group.sum(a.degree(i) for i in T))
+        for w, c in enumerate(val):
+            if c and rep.space.degrees[w] != target:
+                return False, f"value on {T} leaves the degree-{target} block"
+        sign, canon = reduce_index_tuple(a, T)
+        if canon != T or sign != 1:
+            return False, f"stored tuple {T} is not canonical"
+    for T in canonical_index_tuples(a, f.n):
+        for amap, vmap, name in (
+            (a.alpha, rep.alphaV, "alpha"),
+            (a.beta, rep.betaV, "beta"),
+        ):
+            got = eval_oracle(rep, f, [amap.column(t) for t in T])
+            if got != vmap.apply(f.value(T)):
+                return False, f"{name} intertwining fails on tuple {T}"
+    return True, ""

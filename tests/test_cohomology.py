@@ -1,5 +1,7 @@
 """Representations, cochain spaces, and the parametrized coboundary."""
 
+import copy
+import pickle
 from fractions import Fraction
 from itertools import product as iproduct
 from random import Random
@@ -38,24 +40,26 @@ from bihomlie.derivations import derivation_space
 from bihomlie.grading import GradedBasis, parse_group
 from bihomlie.linalg import (
     Matrix,
-    is_zero_vec,
-    vadd,
+    terms_of,
     vscale,
     vsub,
-    vzero,
 )
 from dense_oracles import (
+    coboundary_matrix_oracle,
+    coboundary_oracle,
+    cochain_basis_oracle,
+    cochain_in_space_oracle,
     dense_rank,
     pullbacks_oracle,
     realized_gammas_oracle,
     slots_oracle,
-    solve_many,
     spans_equal,
 )
 from fixtures import (
     LIE_CORPUS,
     TWISTED,
     gl2_conjugation_twist,
+    gl11_fraction_twist,
     gl21_fraction_twist,
     gl21_twist,
     gl2_one_sided_twist,
@@ -65,6 +69,8 @@ from fixtures import (
 )
 
 F = Fraction
+# a slotted class without __getstate__ pickles from protocol 2 on
+PICKLE_PROTOCOLS = range(2, pickle.HIGHEST_PROTOCOL + 1)
 
 
 def twist_rep(s=0, l=1):
@@ -447,75 +453,6 @@ def test_coboundary_output_stays_in_the_cochain_space():
             assert ok, why
 
 
-def eval_oracle(rep, f, args):
-    """Multilinear evaluation, one sign reduction per support combination."""
-    out = vzero(f.dimV)
-    supports = [[(i, c) for i, c in enumerate(v) if c] for v in args]
-    for combo in iproduct(*supports):
-        coeff = F(1)
-        for _, c in combo:
-            coeff *= c
-        sign, canon = reduce_index_tuple(rep.algebra, tuple(i for i, _ in combo))
-        if canon is not None and canon in f.values:
-            out = vadd(out, vscale(coeff * sign, f.values[canon]))
-    return out
-
-
-def act_oracle(rep, x, v):
-    """rho(x) v with rho(x) summed as a dense matrix."""
-    m = Matrix.zero(rep.dimV, rep.dimV)
-    for c, rho in zip(x, rep.rho):
-        if c:
-            m = m + rho.scale(c)
-    return m.apply(v)
-
-
-def coboundary_oracle(rep, r, f, prefactor):
-    """The coboundary evaluated term by term on basis vectors, with dense
-    action matrices and mat-vecs: the slow path the tables replaced."""
-    a = rep.algebra
-    eps = a.eps
-    n = f.n
-    gamma = a.basis.group.reduce(f.degree)
-    # a 0-cochain has no bracket term, so alpha need not be invertible
-    inv_ab = a.ab_power(-1, 1) if n else None
-    act = a.ab_power(1, r + n - 1)
-    out_vals = {}
-    for X in canonical_index_tuples(a, n + 1):
-        degs = [a.degree(i) for i in X]
-        total = vzero(rep.dimV)
-        for t in range(1, n + 1):
-            for s in range(t):
-                seg = degs[s + 1 : t] if prefactor == "segment" else degs[:t]
-                w = eps.eval_many(seg, degs[t])
-                args = []
-                for p in range(n + 1):
-                    if p == t:
-                        continue
-                    if p == s:
-                        args.append(
-                            a.product_eval(
-                                inv_ab.apply(a.basis_vec(X[s])),
-                                a.basis_vec(X[t]),
-                            )
-                        )
-                    else:
-                        args.append(a.beta.apply(a.basis_vec(X[p])))
-                term = eval_oracle(rep, f, args)
-                total = vadd(total, vscale(F((-1) ** t * w), term))
-        for s in range(n + 1):
-            w = eps.eval_many([gamma] + degs[:s], degs[s])
-            rest = [a.basis_vec(X[p]) for p in range(n + 1) if p != s]
-            fv = eval_oracle(rep, f, rest)
-            if is_zero_vec(fv):
-                continue
-            term = act_oracle(rep, act.apply(a.basis_vec(X[s])), fv)
-            total = vadd(total, vscale(F((-1) ** s * w), term))
-        if not is_zero_vec(total):
-            out_vals[X] = total
-    return Cochain(n + 1, gamma, out_vals, rep.dimV)
-
-
 def _dense_cochain(rep, n, gamma, seed):
     """Values on every canonical tuple: not in the cochain space."""
     rng = Random(seed)
@@ -549,88 +486,6 @@ def test_table_driven_coboundary_matches_the_oracle(name, prefactor):
                     assert list(got.values) == list(want.values)
                     checked += not got.is_zero()
     assert checked
-
-
-def cochain_basis_oracle(rep, n, gamma):
-    """The dense assembly the block solve replaced: every intertwining
-    constraint as a row over all slots, reduced in one RREF."""
-    if n < 0:
-        return []
-    a = rep.algebra
-    g = a.basis.group.reduce(gamma)
-    slots = _slots(rep, n, g)
-    if not slots:
-        return []
-    col_of = {slot: k for k, slot in enumerate(slots)}
-    rows = []
-    for T in sorted({T for T, _ in slots}):
-        for amap, vmap in ((a.alpha, rep.alphaV), (a.beta, rep.betaV)):
-            lhs = {}
-            supports = [
-                [(u, amap[u][t]) for u in range(a.dim) if amap[u][t]]
-                for t in T
-            ]
-            for combo in iproduct(*supports):
-                coeff = F(1)
-                for _, c in combo:
-                    coeff *= c
-                sign, canon = reduce_index_tuple(a, tuple(u for u, _ in combo))
-                if canon is None:
-                    continue
-                for w in range(rep.dimV):
-                    if (canon, w) in col_of:
-                        prev = lhs.get((canon, w), F(0))
-                        lhs[canon, w] = prev + coeff * sign
-            for rrow in range(rep.dimV):
-                coeffs = [F(0)] * len(slots)
-                touched = False
-                for slot, c in lhs.items():
-                    if slot[1] == rrow and c:
-                        coeffs[col_of[slot]] += c
-                        touched = True
-                for w in range(rep.dimV):
-                    if (T, w) in col_of and vmap[rrow][w]:
-                        coeffs[col_of[T, w]] -= vmap[rrow][w]
-                        touched = True
-                if touched:
-                    rows.append(coeffs)
-    if rows:
-        kernel = Matrix(rows).kernel_basis()
-    else:
-        kernel = Matrix.identity(len(slots)).rows
-    out = []
-    for coords in kernel:
-        vals = {}
-        for (T, w), c in zip(slots, coords):
-            if c:
-                vals.setdefault(T, [F(0)] * rep.dimV)[w] = c
-        out.append(Cochain(n, g, vals, rep.dimV))
-    return out
-
-
-def coboundary_matrix_oracle(rep, n, r, gamma, prefactor):
-    """Images of the oracle basis solved against the oracle codomain
-    basis with ``solve_many``."""
-    dom = cochain_basis_oracle(rep, n, gamma)
-    cod = cochain_basis_oracle(rep, n + 1, gamma)
-    if not dom:
-        return Matrix.zero(len(cod), 0)
-    images = [
-        apply_coboundary(rep, r, f, prefactor=prefactor, validate=False)
-        for f in dom
-    ]
-    if not cod:
-        assert all(img.is_zero() for img in images)
-        return Matrix.zero(0, len(dom))
-    slots = _slots(rep, n + 1, gamma)
-
-    def coords(f):
-        return tuple(f.value(T)[w] for T, w in slots)
-
-    basis_mat = Matrix.from_cols([coords(gc) for gc in cod])
-    sols = solve_many(basis_mat, [coords(img) for img in images])
-    assert None not in sols
-    return Matrix.from_cols(sols)
 
 
 ORACLE_MODULES = {
@@ -856,31 +711,129 @@ def test_integer_sums_match_the_oracle_on_large_denominators(name, prefactor):
     assert nonzero or all(m.is_zero() for m in rep.rho)
 
 
-def cochain_in_space_oracle(rep, f):
-    """The membership test that checks both intertwinings on every
-    canonical tuple by dense evaluation of f on the columns of alpha and
-    beta, not by the pull-back terms the library reads."""
-    a = rep.algebra
-    if f.dimV != rep.dimV:
-        return False, "value dimension differs from the module"
-    g = a.basis.group.reduce(f.degree)
-    for T, val in f.values.items():
-        target = a.basis.group.add(g, a.basis.group.sum(a.degree(i) for i in T))
-        for w, c in enumerate(val):
-            if c and rep.space.degrees[w] != target:
-                return False, f"value on {T} leaves the degree-{target} block"
-        sign, canon = reduce_index_tuple(a, T)
-        if canon != T or sign != 1:
-            return False, f"stored tuple {T} is not canonical"
-    for T in canonical_index_tuples(a, f.n):
-        for amap, vmap, name in (
-            (a.alpha, rep.alphaV, "alpha"),
-            (a.beta, rep.betaV, "beta"),
-        ):
-            got = eval_oracle(rep, f, [amap.column(t) for t in T])
-            if got != vmap.apply(f.value(T)):
-                return False, f"{name} intertwining fails on tuple {T}"
-    return True, ""
+# Library-built cochains and coboundary matrices against objects the
+# public constructors build from the oracles' Fraction entries: every
+# reader must see the same values, in the same order, whichever form
+# the object was built in and whichever reader comes first.
+FORM_MODULES = {
+    "gl11_fraction_twist": lambda: adjoint_rep(gl11_fraction_twist(), 0, 1),
+    "gl21_fraction_twist": INTEGER_MODULES["gl21_fraction_twist"],
+    "osp12_twist_2_3.alg_ad10": INTEGER_MODULES["osp12_twist_2_3.alg_ad10"],
+}
+
+
+def _same_cochain(got, want):
+    """got reads like want through every public reader of a cochain; the
+    copies are taken first, while got may still hold its values unbuilt."""
+    copies = [pickle.loads(pickle.dumps(got, p)) for p in PICKLE_PROTOCOLS]
+    copies.append(copy.deepcopy(got))
+    for f in [got] + copies:
+        assert type(f) is Cochain
+        assert list(f.values.items()) == list(want.values.items())
+        assert all(
+            type(x) is Fraction for val in f.values.values() for x in val
+        )
+        assert (f.n, f.degree, f.dimV) == (want.n, want.degree, want.dimV)
+        assert f == want and want == f and not f != want
+        assert hash(f) == hash(want)
+        assert repr(f) == repr(want)
+        assert f.is_zero() == want.is_zero()
+        for T in want.values:
+            assert f.value(T) == want.value(T)
+    c = F(-3, 10007)
+    for left, right in (
+        (got.scale(c), want.scale(c)),
+        (got.add(want), want.add(want)),
+    ):
+        assert left == right
+        assert list(left.values.items()) == list(right.values.items())
+
+
+def _eager(f):
+    """The cochain of f's values through the public constructor."""
+    return Cochain(
+        f.n, f.degree, {T: list(v) for T, v in f.values.items()}, f.dimV
+    )
+
+
+@pytest.mark.parametrize("name", sorted(FORM_MODULES))
+def test_library_cochains_read_like_constructed_ones(name):
+    rep = FORM_MODULES[name]()
+    rng = Random(f"forms/{name}")
+    top = 2 if rep.algebra.dim < 5 else 1
+    checked = 0
+    for n in range(top + 1):
+        for g in realized_gammas(rep, n):
+            # the basis, first read while fresh, against the oracle's
+            basis = cochain_basis(rep, n, g)
+            want_basis = cochain_basis_oracle(rep, n, g)
+            assert len(basis) == len(want_basis)
+            for got, want in zip(basis, want_basis):
+                _same_cochain(got, want)
+            cochains = basis[:3] + _large_denominator_cochains(rep, n, g, rng)
+            for f in cochains:
+                for prefactor in PREFACTOR_CONVENTIONS:
+                    for r in (0, 1):
+                        want = coboundary_oracle(rep, r, f, prefactor)
+                        for source in (f, _eager(f)):
+                            got = apply_coboundary(
+                                rep, r, source, prefactor=prefactor,
+                                validate=False,
+                            )
+                            _same_cochain(got, want)
+                        # the image of an image: a library cochain as input
+                        again = apply_coboundary(
+                            rep, r, got, prefactor=prefactor, validate=False
+                        )
+                        _same_cochain(
+                            again, coboundary_oracle(rep, r, want, prefactor)
+                        )
+                        checked += not got.is_zero()
+    assert checked
+
+
+MATRIX_READERS = (
+    lambda m: m.rows,
+    lambda m: m.columns(),
+    lambda m: m.column_terms(),
+    lambda m: m.int_column_terms(),
+    lambda m: m.rank(),
+    lambda m: (m.nrows, m.ncols),
+    hash,
+    repr,
+    lambda m: pickle.loads(pickle.dumps(m)).rows,
+    lambda m: copy.deepcopy(m).column_terms(),
+)
+
+
+@pytest.mark.parametrize("name", sorted(FORM_MODULES))
+def test_coboundary_matrices_read_like_constructed_ones(name):
+    rep = FORM_MODULES[name]()
+    fractional = 0
+    for n in range(2):
+        for g in realized_gammas(rep, n):
+            for r in (0, 1):
+                oracle = coboundary_matrix_oracle(
+                    rep, n, r, g, DEFAULT_PREFACTOR
+                )
+                want = Matrix._of_columns(
+                    [terms_of(col) for col in oracle.columns()], oracle.nrows
+                )
+                assert want == oracle
+                # each reader first, on a matrix of its own
+                for read in MATRIX_READERS:
+                    got = coboundary_matrix(rep, n, r, g)
+                    assert read(got) == read(want)
+                got = coboundary_matrix(rep, n, r, g)
+                assert got == want and want == got
+                assert got.rank() == dense_rank(oracle)
+                assert all(
+                    type(x) is Fraction for row in got.rows for x in row
+                )
+                fractional += any(
+                    x.denominator > 1 for row in got.rows for x in row
+                )
+    assert fractional
 
 
 def _perturbed(rep, f, rng):

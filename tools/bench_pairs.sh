@@ -8,13 +8,19 @@
 # change first on odd i, then one traced run of every workload at seed 77
 # in each.  The workloads are those the parent's BENCHMARK.json lists, so
 # a workload the change adds is paired from the next change on.  Each run
-# writes its result to .perfbench_out/results of its own checkout; empty
-# those directories first, since tools/bench_trajectory.py reads every
-# result file in them.  A failed run is reported as FAIL and
-# makes the script exit 1 once every run is done, since its pair is then
-# missing from the results.
+# writes its result to .perfbench_out/results of its own checkout, and
+# tools/bench_trajectory.py reads every result file there: so the script
+# exits 2 before any run when either directory already holds a result,
+# naming it.  A failed run is reported as FAIL and makes the script exit 1
+# once every run is done, since its pair is then missing from the results.
 set -u
 parent=$1 change=$2 first=${3:-30} pairs=${4:-10}
+for d in "$parent" "$change"; do
+  if compgen -G "$d/.perfbench_out/results/*.json" > /dev/null; then
+    echo "stale results in $d/.perfbench_out/results: empty it first" >&2
+    exit 2
+  fi
+done
 workloads=$(python3 -c 'import json, sys
 print(" ".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' \
   "$parent/BENCHMARK.json") || exit 1
