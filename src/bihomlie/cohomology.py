@@ -522,7 +522,10 @@ class Cochain:
         return self._ints
 
     def is_zero(self) -> bool:
-        return not self.int_values()[1]
+        # read whichever form is built: a zero value is never kept in either
+        if self._ints is None:
+            return not self.values
+        return not self._ints[1]
 
     def value(self, idx: tuple[int, ...]) -> Vec:
         return self.values.get(idx, vzero(self.dimV))
@@ -1121,13 +1124,6 @@ def apply_coboundary(
             scale, image = cob.image(rep, T, w)
             reads.append((x, scale, image))
     dimV = rep.dimV
-    if len(reads) == 1:
-        # one entry: its image's terms, in their order, times x over D * L
-        ((x, scale, image),) = reads
-        out = dict(image) if x == 1 else {
-            X: tuple([(k, x * y) for k, y in xterms]) for X, xterms in image
-        }
-        return Cochain._of(n + 1, cob.gamma, den * scale, out, dimV)
     # lcm of a list, not of a generator: see scale_to_ints
     common = lcm(*[scale for _, scale, _ in reads])
     # the scaled image terms that reach each tuple X

@@ -105,22 +105,16 @@ def scale_to_ints(term_lists: Sequence[Terms]) -> tuple[int, list[IntTerms]]:
     ]
 
 
-def _lowest_common_scale(
+def _common_scale(
     cols: Sequence[tuple[int, IntTerms]],
 ) -> tuple[int, list[IntTerms]]:
     """:func:`scale_to_ints` for columns given as (d, terms) with value
-    terms / d: each column is brought to lowest terms by the gcd of d and
-    its entries, so L is the lcm of the denominators of every entry."""
-    reduced = []
-    for d, terms in cols:
-        g = gcd(d, *[x for _, x in terms])
-        if g > 1:
-            d, terms = d // g, tuple([(u, x // g) for u, x in terms])
-        reduced.append((d, terms))
-    den = lcm(*[d for d, _ in reduced])
+    terms / d: L is the lcm of the d's, a common scale of every entry but
+    not always the least."""
+    den = lcm(*[d for d, _ in cols])
     return den, [
         terms if d == den else tuple([(u, x * (den // d)) for u, x in terms])
-        for d, terms in reduced
+        for d, terms in cols
     ]
 
 
@@ -376,15 +370,16 @@ class Matrix:
 
     def int_column_terms(self) -> tuple[int, tuple[IntTerms, ...]]:
         """The integer copy (L, C) of :meth:`column_terms`: C[j] holds the
-        terms (u, x*L) of column j, L the lcm of the denominators of the
-        whole matrix; cached beside it.  It is read off the column terms
-        (see :func:`scale_to_ints`), or on a matrix built from integer
-        columns off those, each brought to lowest terms first."""
+        terms (u, x*L) of column j, L a common scale of the whole matrix;
+        cached beside it.  It is read off the column terms, with L the lcm
+        of their denominators (see :func:`scale_to_ints`), or on a matrix
+        built from integer columns off those, with L the lcm of their
+        scales, not always the least (see :func:`_common_scale`)."""
         if self._int_terms is None:
             if self._int_cols is None:
                 den, cols = scale_to_ints(self.column_terms())
             else:
-                den, cols = _lowest_common_scale(self._int_cols)
+                den, cols = _common_scale(self._int_cols)
             self._int_terms = (den, tuple(cols))
         return self._int_terms
 

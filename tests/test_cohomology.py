@@ -796,7 +796,11 @@ MATRIX_READERS = (
     lambda m: m.rows,
     lambda m: m.columns(),
     lambda m: m.column_terms(),
-    lambda m: m.int_column_terms(),
+    # the integer copy over its scale: a common one, not always the least
+    lambda m: tuple(
+        tuple((u, Fraction(x, m.int_column_terms()[0])) for u, x in col)
+        for col in m.int_column_terms()[1]
+    ),
     lambda m: m.rank(),
     lambda m: (m.nrows, m.ncols),
     hash,
