@@ -78,9 +78,10 @@ class Representation:
     tuple enters the coboundary.  Per (n, degree) it keeps the cochain
     basis, and per (n, r, degree, prefactor) the unit-slot images of the
     coboundary and the rank of its matrix (see :func:`cochain_basis`,
-    :func:`apply_coboundary` and :func:`cohomology_dims`).  Repeated
-    queries on one module reuse them; the module must not be changed
-    after its first query.
+    :func:`apply_coboundary` and :func:`cohomology_dims`): a repeated
+    :func:`cohomology_dims` reads dim C and both ranks from them, builds
+    a coboundary matrix only on a rank miss and re-checks d(d f) = 0 on
+    every call.  The module must not be changed after its first query.
 
     The memo holds integers, not Fractions: the pull-back terms, the unit
     images and the basis terms each over one scale.  The basis cochains
@@ -1286,35 +1287,33 @@ def cohomology_dims(
 ) -> CohomologyResult:
     """Cocycle, coboundary and quotient dimensions at degree gamma.
 
-    Verifies the inclusion of coboundaries in cocycles directly: the
-    coboundary of every (n-1)-basis cochain is fed through the next
-    coboundary and must map to zero, else RuntimeError naming the basis
-    cochain and the first tuple where the square is nonzero, with its
-    value.
+    Verifies the inclusion of coboundaries in cocycles directly, on every
+    call: the coboundary of every (n-1)-basis cochain is fed through the
+    next coboundary and must map to zero, else RuntimeError naming the
+    basis cochain and the first tuple where the square is nonzero, with
+    its value.  The re-check is exact and cheap: it reads the bases and
+    unit-slot images memoized on the module, and :func:`apply_coboundary`
+    sums in integers, so only a nonzero d(d f) builds Fractions.
 
-    The re-check is still an exact d(d f) on every basis cochain f; it is
-    cheap because the bases and the unit-slot images it reads are those
-    the two coboundary matrices have just memoized on the module, and
-    because :func:`apply_coboundary` sums in integers and returns its
-    image in integer form, whose zero test reads the integers: only a
-    nonzero d(d f) builds Fractions, for the text of the error.  The
-    rank of each coboundary matrix is memoized there too, under
-    (n, r, degree, prefactor), so a sweep over n computes the rank of the
-    matrix shared by H^n and H^{n+1} once; the per-arity tables are
-    shared by every degree and r (see :class:`Representation`).
+    dim C is the length of the memoized cochain basis, and the rank of
+    each coboundary matrix is memoized under (n, r, degree, prefactor):
+    a matrix is built, with its checks, only on a rank miss, and its rank
+    stored once it was built without error.  So a sweep over n builds the
+    matrix shared by H^n and H^{n+1} once, and a repeated query builds
+    none (see :class:`Representation`).
     """
     if n < 0:
         raise ValueError("cochain arity must be nonnegative")
+    _check_prefactor(prefactor)
     a = rep.algebra
     g = a.basis.group.reduce(gamma)
-    mat = coboundary_matrix(rep, n, r, g, prefactor=prefactor)
-    dim_z = mat.ncols - _rank(rep, (n, r, g, prefactor), mat)
+    dim_c = len(cochain_basis(rep, n, g))
+    dim_z = dim_c - _rank_of(rep, n, r, g, prefactor)
     if n == 0:
         dim_b = 0
     else:
         prev = cochain_basis(rep, n - 1, g)
-        mat_prev = coboundary_matrix(rep, n - 1, r, g, prefactor=prefactor)
-        dim_b = _rank(rep, (n - 1, r, g, prefactor), mat_prev)
+        dim_b = _rank_of(rep, n - 1, r, g, prefactor)
         for k, fb in enumerate(prev):
             mid = apply_coboundary(rep, r, fb, prefactor=prefactor,
                                    validate=False)
@@ -1334,17 +1333,18 @@ def cohomology_dims(
         n=n,
         r=r,
         degree=g,
-        dim_cochains=mat.ncols,
+        dim_cochains=dim_c,
         dim_cocycles=dim_z,
         dim_coboundaries=dim_b,
         dim_h=dim_z - dim_b,
     )
 
 
-def _rank(rep: Representation, key: tuple, mat: Matrix) -> int:
-    """``mat.rank()`` for the coboundary matrix ``mat`` under
-    key = (n, r, degree, prefactor), memoized on the module."""
+def _rank_of(rep: Representation, n: int, r: int, g, prefactor: str) -> int:
+    """Rank of the coboundary matrix of (n, r, g, prefactor), memoized."""
+    key = (n, r, g, prefactor)
     hit = rep._ranks.get(key)
     if hit is None:
+        mat = coboundary_matrix(rep, n, r, g, prefactor=prefactor)
         hit = rep._ranks[key] = mat.rank()
     return hit

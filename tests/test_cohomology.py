@@ -8,6 +8,7 @@ from random import Random
 
 import pytest
 
+from bihomlie import cohomology
 from bihomlie.cohomology import (
     DEFAULT_PREFACTOR,
     PREFACTOR_CONVENTIONS,
@@ -1019,6 +1020,27 @@ def test_sweep_computes_each_coboundary_rank_once(monkeypatch):
             assert res.dim_coboundaries == dense_rank(prev)
 
 
+def test_repeated_queries_read_the_memo_and_build_no_matrix(monkeypatch):
+    # H^n reads the rank of d_{n-1} that H^{n-1} stored: a sweep over
+    # n = 0..3 builds d_0, ..., d_3 once each (4 builds, not 7), and a
+    # repeated sweep builds none
+    built = []
+    build = cohomology.coboundary_matrix
+
+    def counting_build(rep, n, *args, **kwargs):
+        built.append(n)
+        return build(rep, n, *args, **kwargs)
+
+    monkeypatch.setattr(cohomology, "coboundary_matrix", counting_build)
+    rep = twist_rep(0, 1)
+    first = [cohomology_dims(rep, n, 1, (0,)) for n in range(4)]
+    assert built == [0, 1, 2, 3]
+    assert [cohomology_dims(rep, n, 1, (0,)) for n in range(4)] == first
+    assert built == [0, 1, 2, 3]
+    for n, res in enumerate(first):
+        assert cohomology_dims(twist_rep(0, 1), n, 1, (0,)) == res
+
+
 def test_rho_of_sums_the_scaled_actions():
     # the sum of rho(e_i) scaled by x_i, matrix by matrix, for integer
     # and fractional coefficients, and the cached action tables
@@ -1130,8 +1152,11 @@ def test_image_off_the_slots_raises_with_the_slot():
     want = r"basis cochain 0 .*coordinate F = 1 on \(H\)"
     with pytest.raises(RuntimeError, match=want):
         coboundary_matrix(rep, 0, 0, (0,))
-    with pytest.raises(RuntimeError, match="outside the degree"):
-        cohomology_dims(rep, 0, 0, (0,))
+    # a failed build stores no rank, so a repeated query fails again
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="outside the degree"):
+            cohomology_dims(rep, 0, 0, (0,))
+    assert not rep._ranks
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
@@ -1144,6 +1169,18 @@ def test_unknown_prefactor_is_refused_on_an_empty_domain(n):
         cohomology_dims(rep, n, 1, (1,), prefactor="bogus")
 
 
+def test_unknown_prefactor_is_refused_on_a_warm_module():
+    # a rank memo holding the default convention's ranks, empty domains
+    # at degree (1,) included, does not let an unknown convention through
+    rep = twist_rep(0, 1)
+    for n in range(3):
+        for g in ((0,), (1,)):
+            cohomology_dims(rep, n, 1, g)
+            assert (n, 1, g, DEFAULT_PREFACTOR) in rep._ranks
+            with pytest.raises(ValueError, match="unknown prefactor"):
+                cohomology_dims(rep, n, 1, g, prefactor="bogus")
+
+
 def test_nonzero_square_names_the_cochain_tuple_and_value():
     rep = adjoint_rep(osp12_classical(), 0, 1)
     want = (
@@ -1151,6 +1188,11 @@ def test_nonzero_square_names_the_cochain_tuple_and_value():
         r"degree=\(0,\)\): on basis cochain 0 of arity 1 it is 8 Y on "
         r"\(H, F, F\)$"
     )
+    with pytest.raises(RuntimeError, match=want):
+        cohomology_dims(rep, 2, 1, (0,), prefactor="full")
+    # both ranks were stored before the re-check ran, and the re-check
+    # runs on every call: a repeated query gives the same witness
+    assert {(1, 1, (0,), "full"), (2, 1, (0,), "full")} <= rep._ranks.keys()
     with pytest.raises(RuntimeError, match=want):
         cohomology_dims(rep, 2, 1, (0,), prefactor="full")
     # the same witness from a module whose memo already holds the
