@@ -20,8 +20,8 @@ this module rests on silently break without them).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 from .algebra import (
     AxiomReport,

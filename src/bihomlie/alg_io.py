@@ -32,7 +32,6 @@ as `g v` lines, with degrees written as comma-separated tuples.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
 
 from .algebra import MAX_DIM, ColourAlgebra
 from .grading import (
@@ -55,7 +54,7 @@ _SECTIONS = ("group", "bicharacter", "basis", "product", "alpha", "beta", "kind"
 class ParseError(ValueError):
     """Malformed or inconsistent input text, with a 1-based line number."""
 
-    def __init__(self, message: str, line: Optional[int] = None) -> None:
+    def __init__(self, message: str, line: int | None = None) -> None:
         self.line = line
         prefix = f"line {line}: " if line is not None else ""
         super().__init__(prefix + message)
@@ -81,7 +80,7 @@ def _split_sections(
             f"expected 'version {FORMAT_VERSION}' header, got {first!r}", no
         )
     sections: dict[str, list[tuple[int, str]]] = {}
-    current: Optional[str] = None
+    current: str | None = None
     for no, body in lines[1:]:
         if body.startswith("[") and body.endswith("]"):
             name = body[1:-1].strip()
@@ -148,7 +147,7 @@ def _parse_map_section(
     lines: list[tuple[int, str]], basis: GradedBasis, what: str
 ) -> Matrix:
     n = len(basis)
-    cols: list[Optional[Vec]] = [None] * n
+    cols: list[Vec | None] = [None] * n
     for no, body in lines:
         if "->" not in body:
             raise ParseError(f"[{what}] line needs '->': {body!r}", no)

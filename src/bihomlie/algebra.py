@@ -25,10 +25,10 @@ one for the structure constants, each built from the dense products.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 from itertools import product as iproduct
 from math import lcm
-from typing import Callable, Iterable, Optional
 
 from .grading import (
     Bicharacter,
@@ -103,7 +103,7 @@ class CheckItem(FrozenRecord):
         self,
         name: str,
         passed: bool,
-        witness: Optional[Witness] = None,
+        witness: Witness | None = None,
         advisory: bool = False,
         note: str = "",
     ) -> None:
@@ -129,7 +129,7 @@ class AxiomReport(FrozenRecord):
     __delattr__ = object.__delattr__
     __hash__ = None
 
-    def __init__(self, items: Optional[list[CheckItem]] = None) -> None:
+    def __init__(self, items: list[CheckItem] | None = None) -> None:
         self.items = [] if items is None else items
 
     @property
@@ -213,9 +213,9 @@ class ColourAlgebra:
             raise ValueError(f"unknown kind {kind!r}")
         self.kind = kind
         self._powers: dict[tuple, Matrix] = {}
-        self._eps: Optional[tuple[tuple[int, ...], ...]] = None
+        self._eps: tuple[tuple[int, ...], ...] | None = None
         self._products: dict[tuple, tuple[tuple[Vec, ...], ...]] = {}
-        self._terms: Optional[TermTable] = None
+        self._terms: TermTable | None = None
         # the commutation patterns of derivations._commutation, keyed by
         # (reduced degree, with_beta)
         self._commutation: dict[tuple, tuple] = {}
@@ -443,10 +443,10 @@ class ColourAlgebra:
         return True
 
     def with_product(
-        self, product, kind: Optional[str] = None,
-        eps: Optional[Bicharacter] = None,
-        alpha: Optional[Matrix] = None,
-        beta: Optional[Matrix] = None,
+        self, product, kind: str | None = None,
+        eps: Bicharacter | None = None,
+        alpha: Matrix | None = None,
+        beta: Matrix | None = None,
     ) -> "ColourAlgebra":
         return ColourAlgebra(
             self.basis,

@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import sys
-from typing import Optional
 
 from .admissibility import SUBGROUPS, check_g_associative
 from .alg_io import (
@@ -91,7 +90,7 @@ def _print_report(report: AxiomReport) -> None:
             print(f"          at {where}: defect {w.defect_str}")
 
 
-def _write_json(path: Optional[str], command: str, payload) -> None:
+def _write_json(path: str | None, command: str, payload) -> None:
     if not path:
         return
     doc = {"version": 1, "command": command, "payload": jsonable(payload)}
@@ -100,7 +99,7 @@ def _write_json(path: Optional[str], command: str, payload) -> None:
         fh.write("\n")
 
 
-def _emit_algebra(text: str, out: Optional[str]) -> None:
+def _emit_algebra(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)

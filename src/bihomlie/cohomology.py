@@ -19,11 +19,11 @@ so the disagreement is testable rather than buried.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from itertools import product as iproduct
 from math import lcm
-from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .algebra import (
     AxiomReport,
@@ -41,7 +41,6 @@ from .linalg import (
     Vec,
     add_terms,
     first_off_block,
-    is_zero_vec,
     kernel_by_blocks,
     scale_to_ints,
     terms_of,
@@ -84,11 +83,11 @@ class Representation:
     every call.  The module must not be changed after its first query.
 
     The memo holds integers, not Fractions: the pull-back terms, the unit
-    images and the basis terms each over one scale.  The basis cochains
-    and every cochain and coboundary matrix built from them are Fractions
-    at the API, but carry an integer form and build their Fractions only
-    when a caller reads them (see :class:`Cochain` and
-    :func:`coboundary_matrix`).
+    images and the basis terms each over one scale.  The basis cochains,
+    every cochain and coboundary matrix built from them and the action
+    matrices of :meth:`rho_of` are Fractions at the API, but hold one
+    integer form, with their ``Fraction`` views cached on first read (see
+    :class:`Cochain` and :class:`~bihomlie.linalg.Matrix`).
     """
 
     __slots__ = (
@@ -140,17 +139,28 @@ class Representation:
         return len(self.space)
 
     def rho_of(self, x: Vec) -> Matrix:
-        """Action matrix of an arbitrary algebra element: the column terms
-        of each rho(e_i) scaled by x_i, summed into one matrix."""
-        d = self.dimV
-        rows = [[_ZERO] * d for _ in range(d)]
+        """Action matrix of an arbitrary algebra element: the integer
+        column terms of each rho(e_i) times x_i, summed into one matrix over
+        the lcm of the scales."""
+        parts = []
         for c, m in zip(x, self.rho):
             if c:
-                c = Fraction(c)
-                for j, terms in enumerate(m.column_terms()):
-                    for u, y in terms:
-                        rows[u][j] += c * y
-        return Matrix._of_rows(rows, d)
+                p, q = c.as_integer_ratio()
+                scale, cols = m.int_column_terms()
+                parts.append((p, q * scale, cols))
+        # lcm of a list, not of a generator: see scale_to_ints
+        common = lcm(*[scale for _, scale, _ in parts])
+        d = self.dimV
+        sums = [[0] * d for _ in range(d)]
+        for p, scale, cols in parts:
+            p *= common // scale
+            for acc, terms in zip(sums, cols):
+                add_terms(acc, p, terms)
+        return Matrix._of(
+            common,
+            [[(u, y) for u, y in enumerate(acc) if y] for acc in sums],
+            d,
+        )
 
     def act(self, x: Vec, v: Vec) -> Vec:
         return self.rho_of(x).apply(v)
@@ -209,12 +219,13 @@ def _column_witness(
     names: tuple[str, ...] = (),
     *,
     locate: bool = True,
-) -> Optional[Witness]:
+) -> Witness | None:
     """The first nonzero column of a matrix defect on V as a witness at
     ``idx``, or None when the defect is zero.  With ``locate`` the column
     index and its basis name close the index and name tuples."""
-    for c, col in enumerate(diff.columns()):
-        if any(col):
+    for c, terms in enumerate(diff.int_column_terms()[1]):
+        if terms:
+            col = diff.column(c)
             if locate:
                 idx, names = idx + (c,), names + (space.names[c],)
             return Witness(idx, names, col, format_element(space, col))
@@ -388,7 +399,7 @@ def dual_rep(rep: Representation) -> tuple[Representation, AxiomReport]:
 
 def reduce_index_tuple(
     a: ColourAlgebra, idx: Sequence[int]
-) -> tuple[Fraction, Optional[tuple[int, ...]]]:
+) -> tuple[Fraction, tuple[int, ...] | None]:
     """Sort an index tuple into canonical order, tracking the sign rule.
 
     Returns (factor, canonical) with factor the product of -eps over the
@@ -403,7 +414,7 @@ def reduce_index_tuple(
 
 def _sort_sign(
     eps: Sequence[Sequence[int]], idx: Sequence[int]
-) -> tuple[int, Optional[tuple[int, ...]]]:
+) -> tuple[int, tuple[int, ...] | None]:
     """:func:`reduce_index_tuple` over the table ``eps``, with the factor
     as the int 1 or -1 (0 with None)."""
     lst = list(idx)
@@ -440,16 +451,16 @@ class Cochain:
     vectors are dropped.  The degree records how the map shifts grading:
     the value on a tuple of total degree d lies in the block gamma + d.
 
-    A cochain has two forms of the same values: ``values``, in Fractions,
-    and the integer form of :meth:`int_values`, which the coboundary sums.
-    The public constructor builds ``values`` and computes the integer form
-    from it on its first read.  The cochains the library builds (the bases
-    of :func:`cochain_basis` and the images of :func:`apply_coboundary`)
-    start in integer form, and their ``values`` are built on first read,
-    in the order of the integer rows.
+    A cochain holds one integer form, (D, rows) of :meth:`int_values`,
+    which the coboundary sums; ``values`` is its read-only ``Fraction``
+    view, built on first read in the order of the rows and cached.  The
+    public constructor converts and checks the values, then scales them
+    to that form; the cochains the library builds (the bases of
+    :func:`cochain_basis` and the images of :func:`apply_coboundary`) are
+    built in it by :meth:`_of`.
     """
 
-    __slots__ = ("n", "degree", "values", "dimV", "_ints")
+    __slots__ = ("n", "degree", "dimV", "_ints", "_values")
 
     def __init__(
         self,
@@ -461,17 +472,19 @@ class Cochain:
         self.n = n
         self.degree = tuple(degree)
         self.dimV = dimV
-        kept: dict[tuple[int, ...], Vec] = {}
+        kept: dict[tuple[int, ...], tuple] = {}
         for key, val in values.items():
             if len(key) != n:
                 raise ValueError(f"tuple {key} has arity {len(key)}, not {n}")
             v = vec(val)
             if len(v) != dimV:
                 raise ValueError("value has wrong dimension")
-            if not is_zero_vec(v):
-                kept[tuple(key)] = v
-        self.values = kept
-        self._ints: Optional[tuple[int, dict]] = None
+            terms = terms_of(v)
+            if terms:
+                kept[tuple(key)] = terms
+        den, rows = scale_to_ints(list(kept.values()))
+        self._ints = (den, dict(zip(kept, rows)))
+        self._values = None
 
     @classmethod
     def _of(
@@ -485,47 +498,39 @@ class Cochain:
         """The cochain the library built in the integer form of
         :meth:`int_values`: ``rows`` maps canonical n-tuples to the
         nonzero entries of their values over the positive ``den``.  Unlike
-        the public constructor it neither converts nor checks a value, and
-        it leaves ``values`` to be built on first read."""
+        the public constructor it neither converts nor checks a value."""
         f = cls.__new__(cls)
         f.n = n
         f.degree = degree
         f.dimV = dimV
         f._ints = (den, rows)
+        f._values = None
         return f
 
-    def __getattr__(self, name: str):
-        # only ``values`` is ever unset, on a cochain built in integer
-        # form: each value x / D is built as a Fraction on first read
-        if name != "values":
-            raise AttributeError(name)
-        den, rows = self._ints
-        values = {}
-        for T, terms in rows.items():
-            val = [_ZERO] * self.dimV
-            for w, x in terms:
-                val[w] = Fraction(x, den)
-            values[T] = tuple(val)
-        self.values = values
-        return values
+    @property
+    def values(self) -> dict[tuple[int, ...], Vec]:
+        """The canonical tuples with their nonzero values, coordinate
+        vectors of Fractions: each entry x / D of :meth:`int_values`."""
+        if self._values is None:
+            den, rows = self._ints
+            values = {}
+            for T, terms in rows.items():
+                val = [_ZERO] * self.dimV
+                for w, x in terms:
+                    val[w] = Fraction(x, den)
+                values[T] = tuple(val)
+            self._values = values
+        return self._values
 
     def int_values(self) -> tuple[int, dict[tuple[int, ...], IntTerms]]:
-        """The integer form (D, rows) of the values: rows maps each tuple
-        of ``values``, in its order, to the nonzero entries (w, x) of its
+        """The form (D, rows) the cochain holds: rows maps each tuple of
+        ``values``, in its order, to the nonzero entries (w, x) of its
         value x / D, in ascending w, over one positive D (not always the
-        least).  The one integer reader of a cochain; on a cochain of the
-        public constructor it is computed from ``values`` once, with D the
-        lcm of their denominators (see :func:`scale_to_ints`)."""
-        if self._ints is None:
-            values = self.values
-            den, rows = scale_to_ints([terms_of(v) for v in values.values()])
-            self._ints = (den, dict(zip(values, rows)))
+        least).  The public constructor takes D the lcm of the
+        denominators (see :func:`scale_to_ints`)."""
         return self._ints
 
     def is_zero(self) -> bool:
-        # read whichever form is built: a zero value is never kept in either
-        if self._ints is None:
-            return not self.values
         return not self._ints[1]
 
     def value(self, idx: tuple[int, ...]) -> Vec:
@@ -676,7 +681,7 @@ def realized_gammas(rep: Representation, n: int) -> list[GroupElement]:
     )
 
 
-class _Space(NamedTuple):
+class _Space(FrozenRecord):
     """The degree-gamma n-cochain space of :func:`cochain_basis`: its slot
     set, its basis, the column of each basis cochain's free slot, and
     (S, terms) with terms[k] the nonzero entries of basis cochain k as
@@ -684,10 +689,10 @@ class _Space(NamedTuple):
     of every entry.  Each basis cochain is built in integer form from its
     terms, over S."""
 
-    slots: frozenset
-    basis: tuple[Cochain, ...]
-    free_column: dict[tuple, int]
-    int_terms: tuple[int, tuple[tuple, ...]]
+    __slots__ = ("slots", "basis", "free_column", "int_terms")
+
+    def __init__(self, slots, basis, free_column, int_terms) -> None:
+        self._fill(slots, basis, free_column, int_terms)
 
 
 def cochain_basis(
@@ -829,41 +834,51 @@ def cochain_in_space(
     terms from which :func:`cochain_basis` builds its constraint rows.  A
     tuple T is skipped when f has no value at T nor at any X of its
     pull-back terms: both sides are zero there.
+
+    The check reads the integer form of f (see :meth:`Cochain.int_values`)
+    and the integer columns of m_V, and compares both sides times D and
+    the lcm of S and the m_V scale, so it builds no Fraction.
     """
     a = rep.algebra
     if f.dimV != rep.dimV:
         return False, "value dimension differs from the module"
     g = a.basis.group.reduce(f.degree)
-    for T, val in f.values.items():
+    eps = a.eps_table()
+    _, rows = f.int_values()
+    for T, terms in rows.items():
         target = a.basis.group.add(g, _tuple_degree(a, T))
-        for w, c in enumerate(val):
-            if c and rep.space.degrees[w] != target:
+        for w, _ in terms:
+            if rep.space.degrees[w] != target:
                 return (
                     False,
                     f"value on {T} leaves the degree-{target} block",
                 )
-        sign, canon = reduce_index_tuple(a, T)
+        sign, canon = _sort_sign(eps, T)
         if canon != T or sign != 1:
             return False, f"stored tuple {T} is not canonical"
     arity = _arity(rep, f.n)
-    vmaps = ((rep.alphaV, "alpha"), (rep.betaV, "beta"))
-    values = f.values
+    vmaps = (
+        (rep.alphaV.int_column_terms(), "alpha"),
+        (rep.betaV.int_column_terms(), "beta"),
+    )
+    dimV = rep.dimV
     for T in canonical_index_tuples(a, f.n):
         pulls = _pullbacks(a, arity, T)
-        if T not in values and not any(
-            X in values for pull in pulls for X, _ in pull
+        if T not in rows and not any(
+            X in rows for pull in pulls for X, _ in pull
         ):
             continue
-        for pull, scale, (vmap, name) in zip(
+        for pull, pden, ((vden, vcols), name) in zip(
             pulls, arity.pullback_scales, vmaps
         ):
-            # both sides times the pull-back scale
-            got = [_ZERO] * rep.dimV
+            scale = lcm(pden, vden)
+            pf, vf = scale // pden, scale // vden
+            got, want = [0] * dimV, [0] * dimV
             for X, c in pull:
-                for w, x in enumerate(values.get(X, ())):
-                    if x:
-                        got[w] += c * x
-            if got != [scale * y for y in vmap.apply(f.value(T))]:
+                add_terms(got, c * pf, rows.get(X, ()))
+            for w, x in rows.get(T, ()):
+                add_terms(want, x * vf, vcols[w])
+            if got != want:
                 return False, f"{name} intertwining fails on tuple {T}"
     return True, ""
 
@@ -1180,11 +1195,11 @@ def coboundary_matrix(
     combines, never over a dense slot vector.  The check is exact in
     integers: the integer form of the image (see
     :meth:`Cochain.int_values`) against the integer copy of the codomain
-    basis terms over their one scale.  The matrix is built from integer
-    columns, the image's integers at the free slots over its D, and its
-    Fractions are built only when a caller reads its rows or column terms
-    (see :meth:`Matrix.int_column_terms`); a Fraction is built here only
-    for the text of an error.
+    basis terms over their one scale.  The matrix is built in its integer
+    form, column k the image's integers at the free slots, brought from
+    its D to the lcm of every D, and its Fraction views are built only
+    when a caller reads them (see :meth:`Matrix.int_column_terms`); a
+    Fraction is built here only for the text of an error.
     """
     _check_prefactor(prefactor)
     dom = cochain_basis(rep, n, gamma)
@@ -1235,7 +1250,18 @@ def coboundary_matrix(
                 "the codomain cochain space"
             )
         cols.append((den, tuple(sorted(coords))))
-    return Matrix._of_int_columns(cols, len(cod_basis))
+    # the columns brought to the lcm of their scales: a common scale of
+    # the matrix, not always the least
+    common = lcm(*[den for den, _ in cols])
+    return Matrix._of(
+        common,
+        [
+            terms if den == common
+            else [(u, x * (common // den)) for u, x in terms]
+            for den, terms in cols
+        ],
+        len(cod_basis),
+    )
 
 
 class CohomologyResult(FrozenRecord):

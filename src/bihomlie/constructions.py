@@ -9,7 +9,6 @@ validated before anything is built; the functions never trust the caller.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
 
 from .algebra import (
     MAX_DIM,
@@ -27,7 +26,7 @@ from .grading import (
 )
 from .linalg import Matrix, Vec, vscale, vsub
 
-Scalar = Union[int, Fraction, str]
+Scalar = int | Fraction | str
 
 
 def _require_even(a: ColourAlgebra, m: Matrix, what: str) -> None:

@@ -30,12 +30,13 @@ The commuting and Leibniz rows are built over the integer tables and the
 integer columns of alpha and beta (``ColourAlgebra.int_table``,
 ``Matrix.int_column_terms``), each row brought to one scale, and
 ``EchelonBasis`` takes them as they are; the kernel comes back in
-Fractions, and each member is built with its column terms and keeps one
-integer copy of them.  The inner derivations solve their fixed vectors
-on the same path and read each generator's columns off the integer
-twisted table.  A check scales the maps of one solution tuple to the lcm
-of their scales, since a condition mixes them, and only the defect of a
-failing pair is divided back into Fractions.
+Fractions, and each member is built in the integer form of a ``Matrix``,
+its column terms over the lcm of their denominators.  The inner
+derivations solve their fixed vectors on the same path and build each
+generator in that form off the integer twisted table.  A check scales
+the maps of one solution tuple to the lcm of their scales, since a
+condition mixes them, and only the defect of a failing pair is divided
+back into Fractions.
 
 The product D1 . D2 + eps(d1, d2) D2 . D1 turns homogeneous endomorphisms
 into a colour analogue of a special Jordan algebra; check_jordan_axioms
@@ -47,10 +48,10 @@ are; see jordan_closure).
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from itertools import product as iproduct
 from math import lcm
-from typing import Callable, Optional, Sequence
 
 from .algebra import AxiomReport, CheckItem, ColourAlgebra, IntTable, Witness
 from .grading import Bicharacter, FrozenRecord, GroupElement
@@ -142,7 +143,7 @@ class SolverResult(FrozenRecord):
         kind: str,
         k: int,
         l: int,
-        gamma: Optional[GroupElement],
+        gamma: GroupElement | None,
         basis: tuple,
         dimension: int,
     ) -> None:
@@ -200,7 +201,7 @@ def _commutation(
     if hit is None:
         n = a.dim
         slots = _block_slots(a, gamma)
-        cols: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
+        cols: list[list[int | None]] = [[None] * n for _ in range(n)]
         for idx, (u, t) in enumerate(slots):
             cols[u][t] = idx
         rows = _commuting_rows(a, cols, a.alpha)
@@ -241,9 +242,10 @@ def _solve_blocks(
     values, and the kernel is solved per linked block of columns by
     :func:`kernel_by_blocks`; its coordinates map back to the entries in
     column order, so the basis is the one of the full system over every
-    slot.  Each member is built with its column terms, read off the same
-    coordinates, so no check of it scans its n^2 entries.  A negative power
-    of a singular map raises ValueError before any pattern is cached.
+    slot.  Each member is built in integer form from its column terms,
+    read off the same coordinates, so no check of it scans its n^2
+    entries.  A negative power of a singular map raises ValueError before
+    any pattern is cached.
     """
     twisted = _twisted(a, k, l)
     live, commuting = _commutation(a, gamma, with_beta)
@@ -251,7 +253,7 @@ def _solve_blocks(
         return []
     n = a.dim
     size = len(live)
-    cols: list[list[list[Optional[int]]]] = [
+    cols: list[list[list[int | None]]] = [
         [[None] * n for _ in range(n)] for _ in range(nmaps)
     ]
     rows = []
@@ -272,7 +274,9 @@ def _solve_blocks(
             m, p = divmod(c, size)
             u, t = live[p]
             terms[m][t].append((u, x))
-        out.append(tuple(Matrix._of_columns(cols, n) for cols in terms))
+        out.append(
+            tuple(Matrix._of(*scale_to_ints(cols), n) for cols in terms)
+        )
     return out
 
 
@@ -287,17 +291,17 @@ def _twisted(a: ColourAlgebra, k: int, l: int) -> tuple[IntTable, IntTable]:
     )
 
 
-def _add(row: dict, pos: Optional[int], c: int) -> None:
+def _add(row: dict, pos: int | None, c: int) -> None:
     if pos is not None:
         row[pos] = row[pos] + c if pos in row else c
 
 
 def _commuting_rows(
-    a: ColourAlgebra, cols: list[list[Optional[int]]], M: Matrix
+    a: ColourAlgebra, cols: list[list[int | None]], M: Matrix
 ) -> list[dict[int, int]]:
     """Rows of  D M - M D = 0, entry (u, j) each, for the unknown D whose
     entry (u, t) is column cols[u][t]: sum_t D_ut M_tj - M_ut D_tj, read
-    off the integer copy of the columns of M, so every row is scaled by
+    off the integer form of the columns of M, so every row is scaled by
     its scale.  Rows without terms are left out."""
     n = a.dim
     entries = [
@@ -324,13 +328,13 @@ def _commuting_rows(
 
 def _leibniz_rows(
     a: ColourAlgebra,
-    cols: list[list[list[Optional[int]]]],
+    cols: list[list[list[int | None]]],
     gamma: GroupElement,
     left_table: IntTable,
     right_table: IntTable,
-    value_unknown: Optional[int],
-    left_unknown: Optional[int],
-    right_unknown: Optional[int],
+    value_unknown: int | None,
+    left_unknown: int | None,
+    right_unknown: int | None,
     right_sign: int = 1,
 ) -> list[dict[int, int]]:
     """Rows of  [D_l(x), M(y)] + s*eps(g,x)[M(x), D_r(y)] - D_v([x,y]),
@@ -399,11 +403,11 @@ def _bracket_defect(
     a: ColourAlgebra,
     gamma: GroupElement,
     twisted: tuple[IntTable, IntTable],
-    d_value: Optional[Matrix],
-    d_left: Optional[Matrix],
-    d_right: Optional[Matrix],
+    d_value: Matrix | None,
+    d_left: Matrix | None,
+    d_right: Matrix | None,
     right_sign: int = 1,
-) -> Optional[tuple[int, int, Vec]]:
+) -> tuple[int, int, Vec] | None:
     """First basis pair violating
     value([x,y]) = [left(x), M y] + s*eps(g,x)[M x, right(y)].
 
@@ -411,7 +415,7 @@ def _bracket_defect(
     d_value over the terms of [e_i, e_j], and the ``twisted`` tables of
     :func:`_twisted`, [e_t, M e_j] over column i of d_left and
     [M e_i, e_t] over column j of d_right.  The sums are integers, over the
-    cached integer copy of each map (``Matrix.int_column_terms``): each
+    integer form of each map (``Matrix.int_column_terms``): each
     term of a map times a table is multiplied by the factor that brings
     the map's scale to the lcm of the given maps' scales, since one pair
     mixes them, and the table's scale to the lcm of the three tables'
@@ -532,7 +536,7 @@ def _solve(
     l: int,
     gamma: GroupElement,
     verify: Callable[..., bool],
-    strict: Optional[bool] = None,
+    strict: bool | None = None,
 ) -> SolverResult:
     """The basis of ``kind`` at degree gamma, assembled from its row by
     :func:`_solve_blocks`; every member is re-verified by ``verify``, the
@@ -639,10 +643,7 @@ def inner_derivation_space(
             if span.add_sparse(
                 (u * n + j, y) for j, col in enumerate(terms) for u, y in col
             ):
-                den *= scale
-                mat = Matrix._of_columns(
-                    [[(u, Fraction(y, den)) for u, y in c] for c in terms], n
-                )
+                mat = Matrix._of(den * scale, terms, n)
                 basis.append(HomEndo(mat, gdeg))
     return SolverResult("inner", k, l, None, tuple(basis), len(basis))
 

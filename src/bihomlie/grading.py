@@ -8,7 +8,7 @@ values are restricted to +1/-1, the only roots of unity in the rationals.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from collections.abc import Iterable
 
 GroupElement = tuple[int, ...]
 
@@ -306,12 +306,12 @@ class GradedBasis(FrozenRecord):
 
 def homogeneous_degree(
     basis: GradedBasis, coords: Iterable
-) -> tuple[bool, Optional[GroupElement]]:
+) -> tuple[bool, GroupElement | None]:
     """(is_homogeneous, degree) of a coordinate vector.
 
     The zero vector is homogeneous of every degree; its degree is None.
     """
-    seen: Optional[GroupElement] = None
+    seen: GroupElement | None = None
     for c, d in zip(coords, basis.degrees):
         if not c:
             continue

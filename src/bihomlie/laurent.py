@@ -13,14 +13,14 @@ sample triples.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
 
 from .algebra import AxiomReport, CheckItem, ColourAlgebra, Witness
 from .grading import homogeneous_degree
 from .linalg import Vec, is_zero_vec, vadd, vscale, vzero
 
-Scalar = Union[int, Fraction, str]
+Scalar = int | Fraction | str
 
 
 class LaurentPoly:

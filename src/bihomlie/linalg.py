@@ -24,24 +24,25 @@ term list into an accumulator, so no loop visits a zero entry of an image.
 ``first_off_block`` scans the same terms for an entry outside the degree
 blocks a graded map must respect.
 
-Scalars are fractions.Fraction throughout, except inside ``EchelonBasis``,
-whose rows hold integers, in the solvers' and the cochain bases' rows, and
-in the integer copies of term tables (``scale_to_ints``,
-``Matrix.int_column_terms``) that the axiom scans, the solvers and the
-cochain complex sum; vectors are plain tuples.  The public ``Matrix``
-constructor converts every entry and checks the shape; matrices the
-library builds itself go through internal constructors, which do
-neither: ``Matrix._of_rows`` for rows of Fractions (RREF output, products
-and sums), ``Matrix._of_columns`` for column terms (solver solutions) and
-``Matrix._of_int_columns`` for integer columns (coboundary matrices).  The
-last two build their rows on first read, the last its Fractions too.
+Scalars are fractions.Fraction at the API, and vectors are plain tuples.
+Inside, the sums run in integers: ``EchelonBasis`` rows, the solvers' and
+the cochain bases' rows, and the integer copies of term tables
+(``scale_to_ints``) that the axiom scans, the solvers and the cochain
+complex sum.  A ``Matrix`` holds one integer form, its column terms over
+one scale (``Matrix.int_column_terms``), and its ``Fraction`` views, the
+rows, columns and column terms, are cached on first read.  The public
+constructor converts every entry, checks the shape and scales the
+entries to that form; the matrices the library builds go through the one
+internal constructor ``Matrix._of``, which takes the form as it is: the
+dense operations, RREF output, action matrices, solver solutions and
+coboundary matrices.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
 
 
 BACKEND = "pure"
@@ -105,19 +106,6 @@ def scale_to_ints(term_lists: Sequence[Terms]) -> tuple[int, list[IntTerms]]:
     ]
 
 
-def _common_scale(
-    cols: Sequence[tuple[int, IntTerms]],
-) -> tuple[int, list[IntTerms]]:
-    """:func:`scale_to_ints` for columns given as (d, terms) with value
-    terms / d: L is the lcm of the d's, a common scale of every entry but
-    not always the least."""
-    den = lcm(*[d for d, _ in cols])
-    return den, [
-        terms if d == den else tuple([(u, x * (den // d)) for u, x in terms])
-        for d, terms in cols
-    ]
-
-
 def add_terms(acc: list, c: Fraction, terms: Terms) -> None:
     """acc += c * v in place, for the vector v with nonzero ``terms``; the
     same for an integer accumulator, integer c and ``IntTerms``."""
@@ -137,7 +125,14 @@ def is_zero_vec(u: Vec) -> bool:
 
 
 class Matrix:
-    """Immutable dense matrix of Fractions.
+    """Immutable dense matrix of Fractions, held in one integer form.
+
+    A matrix stores its shape and (L, C), the form
+    :meth:`int_column_terms` returns: C[j] holds the integer terms (u, x)
+    of column j in ascending row u, zeros left out, each entry x / L over
+    one positive common scale L, not always the least.  ``rows``,
+    :meth:`columns` and :meth:`column_terms` are read-only Fraction views
+    of that form, each built on its first read and cached.
 
     ``ncols`` gives the width of a matrix without rows; with rows it must
     match them.  The shape is part of the value: a 0 x 3 matrix is not the
@@ -150,107 +145,53 @@ class Matrix:
     True
     """
 
-    __slots__ = (
-        "rows",
-        "nrows",
-        "ncols",
-        "_cols",
-        "_col_terms",
-        "_int_terms",
-        "_int_cols",
-    )
+    __slots__ = ("nrows", "ncols", "_ints", "_rows", "_cols", "_terms")
 
     def __init__(
-        self, rows: Iterable[Iterable], ncols: Optional[int] = None
+        self, rows: Iterable[Iterable], ncols: int | None = None
     ) -> None:
-        self.rows: tuple[Vec, ...] = tuple(
+        rows = tuple(
             tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row)
             for row in rows
         )
-        self._cols: Optional[tuple[Vec, ...]] = None
-        self._col_terms: Optional[tuple[Terms, ...]] = None
-        self._int_terms: Optional[tuple[int, tuple[IntTerms, ...]]] = None
-        self._int_cols: Optional[tuple[tuple[int, IntTerms], ...]] = None
-        self.nrows = len(self.rows)
-        if self.rows:
-            self.ncols = len(self.rows[0])
+        self.nrows = len(rows)
+        if rows:
+            self.ncols = len(rows[0])
         else:
             self.ncols = 0 if ncols is None else ncols
         if ncols is not None and ncols != self.ncols:
             raise ValueError("rows do not have ncols entries")
-        for row in self.rows:
+        for row in rows:
             if len(row) != self.ncols:
                 raise ValueError("ragged rows")
+        cols = zip(*rows) if rows else ((),) * self.ncols
+        scale, ints = scale_to_ints([terms_of(col) for col in cols])
+        self._ints = (scale, tuple(ints))
+        self._rows = self._cols = self._terms = None
 
     @classmethod
-    def _of_rows(
-        cls, rows: Iterable[Sequence[Fraction]], ncols: int
+    def _of(
+        cls, scale: int, cols: Sequence[IntTerms], nrows: int
     ) -> "Matrix":
-        """The matrix on rows the library built from Fractions, each
-        ``ncols`` long; unlike the public constructor it neither converts
-        nor checks an entry."""
-        rows = tuple(map(tuple, rows))
-        m = cls._blank(len(rows), ncols)
-        m.rows = rows
-        return m
-
-    @classmethod
-    def _blank(cls, nrows: int, ncols: int) -> "Matrix":
-        """A matrix of the given shape with every cache empty and ``rows``
-        unset, for the internal constructors to fill."""
+        """The ``nrows``-row matrix whose column j is cols[j] / ``scale``:
+        the integer entries (u, x) of the column in ascending row u, zeros
+        left out, over the positive ``scale``.  The one internal
+        constructor: unlike the public one it neither converts nor checks
+        an entry."""
         m = cls.__new__(cls)
         m.nrows = nrows
-        m.ncols = ncols
-        m._cols = None
-        m._col_terms = None
-        m._int_terms = None
-        m._int_cols = None
+        m.ncols = len(cols)
+        m._ints = (scale, tuple(map(tuple, cols)))
+        m._rows = m._cols = m._terms = None
         return m
-
-    @classmethod
-    def _of_columns(cls, col_terms: Sequence, nrows: int) -> "Matrix":
-        """The ``nrows``-row matrix whose column j has the nonzero entries
-        ``col_terms[j]``, Fractions in ascending row, which become its
-        :meth:`column_terms` cache; its rows are built on first read."""
-        m = cls._blank(nrows, len(col_terms))
-        m._col_terms = tuple(map(tuple, col_terms))
-        return m
-
-    @classmethod
-    def _of_int_columns(
-        cls, cols: Sequence[tuple[int, IntTerms]], nrows: int
-    ) -> "Matrix":
-        """The ``nrows``-row matrix whose column j is terms / d for
-        cols[j] = (d, terms): the integer entries (u, x) of the column in
-        ascending row u, over a positive d.  Nothing else is built here;
-        :meth:`int_column_terms` brings the columns to one scale on first
-        read, and the Fractions of :meth:`column_terms` and of the rows are
-        built from that copy on theirs."""
-        m = cls._blank(nrows, len(cols))
-        m._int_cols = tuple(cols)
-        return m
-
-    def __getattr__(self, name: str):
-        # only ``rows`` is ever unset, on a matrix built from its column
-        # terms or from integer columns: built from the terms on first read
-        if name != "rows":
-            raise AttributeError(name)
-        rows = [[ZERO] * self.ncols for _ in range(self.nrows)]
-        for j, terms in enumerate(self.column_terms()):
-            for u, x in terms:
-                rows[u][j] = x
-        self.rows = rows = tuple(map(tuple, rows))
-        return rows
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(
-            [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-        )
+        return cls._of(1, [((i, 1),) for i in range(n)], n)
 
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "Matrix":
-        return cls([[ZERO] * ncols for _ in range(nrows)], ncols)
+        return cls._of(1, [()] * ncols, nrows)
 
     @classmethod
     def diagonal(cls, entries: Iterable) -> "Matrix":
@@ -268,18 +209,27 @@ class Matrix:
             [[c[i] for c in cols] for i in range(len(cols[0]))], len(cols)
         )
 
+    @property
+    def rows(self) -> tuple[Vec, ...]:
+        """The rows, tuples of Fractions: a view of :meth:`columns`."""
+        if self._rows is None:
+            cols = self.columns()
+            self._rows = tuple(zip(*cols)) if cols else ((),) * self.nrows
+        return self._rows
+
     def __getitem__(self, i: int) -> Vec:
         return self.rows[i]
 
     def __eq__(self, other: object) -> bool:
+        # scales are not canonical: compare the Fraction view
         return (
             isinstance(other, Matrix)
-            and self.ncols == other.ncols
-            and self.rows == other.rows
+            and (self.nrows, self.ncols) == (other.nrows, other.ncols)
+            and self.column_terms() == other.column_terms()
         )
 
     def __hash__(self) -> int:
-        return hash((self.ncols, self.rows))
+        return hash((self.nrows, self.ncols, self.column_terms()))
 
     def __repr__(self) -> str:
         body = "; ".join(
@@ -287,41 +237,50 @@ class Matrix:
         )
         return f"Matrix[{body}]"
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _plus(self, other: "Matrix", sign: int) -> "Matrix":
+        """self + sign * other, over the lcm of the two scales."""
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
-        return Matrix._of_rows(
-            [vadd(a, b) for a, b in zip(self.rows, other.rows)], self.ncols
-        )
+        (la, acols), (lb, bcols) = self._ints, other._ints
+        scale = lcm(la, lb)
+        fa, fb = scale // la, sign * (scale // lb)
+        out = []
+        for a, b in zip(acols, bcols):
+            acc = [0] * self.nrows
+            add_terms(acc, fa, a)
+            add_terms(acc, fb, b)
+            out.append([(u, x) for u, x in enumerate(acc) if x])
+        return Matrix._of(scale, out, self.nrows)
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        return Matrix._of_rows(
-            [vsub(a, b) for a, b in zip(self.rows, other.rows)], self.ncols
-        )
+        return self._plus(other, -1)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        # row i of the product is the sum of a_ik * (row k of other) over
-        # the nonzero a_ik, which skips the zeros of both factors
+        # column j of the product sums x * (column t of self) over the
+        # terms (t, x) of column j of other, over the product of the scales
+        (la, acols), (lb, bcols) = self._ints, other._ints
         out = []
-        for row in self.rows:
-            acc = [ZERO] * other.ncols
-            for k, a in enumerate(row):
-                if a:
-                    for j, b in enumerate(other.rows[k]):
-                        if b:
-                            acc[j] += a * b
-            out.append(acc)
-        return Matrix._of_rows(out, other.ncols)
+        for bcol in bcols:
+            acc = [0] * self.nrows
+            for t, x in bcol:
+                add_terms(acc, x, acols[t])
+            out.append([(u, y) for u, y in enumerate(acc) if y])
+        return Matrix._of(la * lb, out, self.nrows)
 
     def scale(self, c) -> "Matrix":
         c = Fraction(c)
-        return Matrix._of_rows(
-            [vscale(c, row) for row in self.rows], self.ncols
-        )
+        scale, cols = self._ints
+        p = c.numerator
+        if not p:
+            cols = [()] * self.ncols
+        elif p != 1:
+            cols = [[(u, p * x) for u, x in col] for col in cols]
+        return Matrix._of(scale * c.denominator, cols, self.nrows)
 
     def apply(self, v: Vec) -> Vec:
         """Matrix times column vector: the columns at the nonzero entries
@@ -336,75 +295,73 @@ class Matrix:
         return tuple(acc)
 
     def transpose(self) -> "Matrix":
-        return Matrix._of_rows(self.columns(), self.nrows)
+        scale, cols = self._ints
+        rows: list[list[tuple[int, int]]] = [[] for _ in range(self.nrows)]
+        for j, col in enumerate(cols):
+            for u, x in col:
+                rows[u].append((j, x))
+        return Matrix._of(scale, rows, self.ncols)
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.rows for x in row)
+        return not any(self._ints[1])
 
     def column(self, j: int) -> Vec:
-        return tuple(row[j] for row in self.rows)
+        return self.columns()[j]
 
     def columns(self) -> tuple[Vec, ...]:
-        """All columns, i.e. the images of the basis vectors; cached."""
+        """All columns, i.e. the images of the basis vectors: a view of
+        :meth:`column_terms`, cached."""
         if self._cols is None:
-            self._cols = (
-                tuple(zip(*self.rows)) if self.rows else ((),) * self.ncols
-            )
+            cols = []
+            for terms in self.column_terms():
+                col = [ZERO] * self.nrows
+                for u, x in terms:
+                    col[u] = x
+                cols.append(tuple(col))
+            self._cols = tuple(cols)
         return self._cols
 
     def column_terms(self) -> tuple[Terms, ...]:
         """The nonzero entries (u, x) of every column, in ascending row u;
-        one (possibly empty) term list per column, cached like
-        :meth:`columns`."""
-        if self._col_terms is None:
-            if self._int_cols is None:
-                terms = tuple(terms_of(col) for col in self.columns())
-            else:
-                den, cols = self.int_column_terms()
-                terms = tuple(
-                    tuple([(u, Fraction(x, den)) for u, x in col])
-                    for col in cols
-                )
-            self._col_terms = terms
-        return self._col_terms
+        one (possibly empty) term list per column, the Fractions of
+        :meth:`int_column_terms`, cached."""
+        if self._terms is None:
+            scale, cols = self._ints
+            self._terms = tuple(
+                tuple([(u, Fraction(x, scale)) for u, x in col])
+                for col in cols
+            )
+        return self._terms
 
     def int_column_terms(self) -> tuple[int, tuple[IntTerms, ...]]:
-        """The integer copy (L, C) of :meth:`column_terms`: C[j] holds the
-        terms (u, x*L) of column j, L a common scale of the whole matrix;
-        cached beside it.  It is read off the column terms, with L the lcm
-        of their denominators (see :func:`scale_to_ints`), or on a matrix
-        built from integer columns off those, with L the lcm of their
-        scales, not always the least (see :func:`_common_scale`)."""
-        if self._int_terms is None:
-            if self._int_cols is None:
-                den, cols = scale_to_ints(self.column_terms())
-            else:
-                den, cols = _common_scale(self._int_cols)
-            self._int_terms = (den, tuple(cols))
-        return self._int_terms
+        """The form (L, C) the matrix holds: C[j] holds the integer terms
+        (u, x) of column j, each entry x / L, L a positive common scale of
+        the whole matrix.  The public constructor takes L the lcm of the
+        denominators (see :func:`scale_to_ints`); a matrix the library
+        builds may sit over a larger one."""
+        return self._ints
 
     def rref(self) -> tuple["Matrix", list[int]]:
         """(R, pivots): the reduced row echelon form R, with the zero rows
         last, and the pivot column of each nonzero row of R, read off one
-        :class:`EchelonBasis` over the rows."""
+        :class:`EchelonBasis` over the integer rows."""
         span = EchelonBasis()
-        for row in self.rows:
-            span.add(row)
-        pivots, reduced = [], []
-        for pivot, row in span.rref():
-            dense = [ZERO] * self.ncols
-            for c, x in row.items():
-                dense[c] = x
+        for terms in self.transpose().int_column_terms()[1]:
+            span.add_sparse(terms)
+        pivots: list[int] = []
+        cols: list[list[tuple[int, Fraction]]] = [
+            [] for _ in range(self.ncols)
+        ]
+        for i, (pivot, row) in enumerate(span.rref()):
             pivots.append(pivot)
-            reduced.append(dense)
-        reduced += [(ZERO,) * self.ncols] * (self.nrows - len(pivots))
-        return Matrix._of_rows(reduced, self.ncols), pivots
+            for c, x in row.items():
+                cols[c].append((i, x))
+        return Matrix._of(*scale_to_ints(cols), self.nrows), pivots
 
     def rank(self) -> int:
         """The number of independent columns, counted by one
-        :class:`EchelonBasis` pass over the integer copy of the columns,
-        :meth:`int_column_terms`, so a matrix built from integer columns
-        builds no Fraction here.
+        :class:`EchelonBasis` pass over the integer form of the columns,
+        :meth:`int_column_terms`, so it builds no Fraction.
 
         The pass takes the columns last to first.  In a coboundary matrix
         the image of a later basis cochain sits at later codomain slots,
@@ -435,17 +392,14 @@ class Matrix:
         if self.nrows != self.ncols:
             raise ValueError("not square")
         n = self.nrows
-        aug = Matrix(
-            [
-                list(self.rows[i])
-                + [ONE if i == j else ZERO for j in range(n)]
-                for i in range(n)
-            ]
-        )
-        reduced, pivots = aug.rref()
-        if pivots[:n] != list(range(n)) or len(pivots) != n:
+        # [self | 1] reduces to [1 | self^-1] exactly when self is regular
+        scale, cols = self._ints
+        unit = tuple(((i, scale),) for i in range(n))
+        reduced, pivots = Matrix._of(scale, cols + unit, n).rref()
+        if pivots != list(range(n)):
             raise ValueError("singular matrix")
-        return Matrix([row[n:] for row in reduced.rows])
+        scale, cols = reduced.int_column_terms()
+        return Matrix._of(scale, cols[n:], n)
 
     def power(self, k: int) -> "Matrix":
         """Integer matrix power; negative k inverts first (may raise)."""
@@ -548,15 +502,15 @@ def kernel_by_blocks(
 
 def first_off_block(
     m: Matrix, row_degrees: Sequence, col_targets: Sequence
-) -> Optional[tuple[int, int]]:
+) -> tuple[int, int] | None:
     """The row-major first, that is the least, nonzero entry (r, c) of m
     whose row degree ``row_degrees[r]`` is not ``col_targets[c]``, the
-    degree column c must map into, read off :meth:`Matrix.column_terms`;
+    degree column c must map into, read off :meth:`Matrix.int_column_terms`;
     None when every entry keeps to its block."""
     return min(
         (
             (r, c)
-            for c, col in enumerate(m.column_terms())
+            for c, col in enumerate(m.int_column_terms()[1])
             for r, _ in col
             if row_degrees[r] != col_targets[c]
         ),

@@ -17,9 +17,9 @@ scalars we support and aborts.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from itertools import product as iproduct
-from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .algebra import (
     AxiomReport,
@@ -31,7 +31,7 @@ from .algebra import (
 from .grading import Bicharacter, GradingGroup, GroupElement, format_degree
 from .linalg import vscale
 
-Scalar = Union[int, Fraction, str]
+Scalar = int | Fraction | str
 
 
 class MissingEntryError(KeyError):

@@ -4,12 +4,15 @@ Span membership goes through ``EchelonBasis``; the dense solve lives only in
 the test oracles of ``dense_oracles``, which are tested here as well.
 """
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bihomlie.cohomology import adjoint_rep
 from bihomlie.linalg import (
     EchelonBasis,
     Matrix,
@@ -31,6 +34,7 @@ from dense_oracles import (
     solve_many,
     spans_equal,
 )
+from fixtures import gl11_fraction_twist
 
 
 def test_rref_canonical_form():
@@ -136,8 +140,8 @@ def test_public_constructor_converts_every_entry():
     assert all(type(x) is Fraction for row in m.rows for x in row)
     half, two_thirds = Fraction(1, 2), Fraction(2, 3)
     assert m.rows == ((1, half), (two_thirds, -4))
-    assert m == Matrix._of_rows(
-        [[Fraction(1), half], [two_thirds, Fraction(-4)]], 2
+    assert m == Matrix.from_cols(
+        [[Fraction(1), two_thirds], [half, Fraction(-4)]]
     )
 
 
@@ -154,11 +158,25 @@ def test_internal_results_are_tuples_of_fractions():
     m = Matrix([[1, 2, 0], [2, 4, 1]])
     reduced, _ = m.rref()
     assert reduced == Matrix([[1, 2, 0], [0, 0, 1]])
+    square = Matrix([[1, Fraction(1, 2)], [2, Fraction(-3, 7)]])
+    rep = adjoint_rep(gl11_fraction_twist(), 0, 1)
+    action = rep.rho_of(vec([Fraction(1, 3), 0, Fraction(-5, 2), 1]))
     for out in (reduced, m + m, m - m, m.scale(3), m.transpose(),
-                m * m.transpose()):
+                m * m.transpose(), square.power(3), square.power(-1),
+                square.invert(), action):
         assert all(type(row) is tuple for row in out.rows)
         assert all(type(x) is Fraction for row in out.rows for x in row)
-        assert out == Matrix(out.rows, out.ncols)
+        want = Matrix(out.rows, out.ncols)
+        assert out == want
+        assert out.rows == want.rows
+        assert out.column_terms() == want.column_terms()
+        scale, cols = out.int_column_terms()
+        assert tuple(
+            tuple((u, Fraction(x, scale)) for u, x in col) for col in cols
+        ) == want.column_terms()
+        assert hash(out) == hash(want)
+        for again in (pickle.loads(pickle.dumps(out)), copy.deepcopy(out)):
+            assert again == want and again.rows == want.rows
 
 
 def test_echelon_basis_takes_sparse_columns():

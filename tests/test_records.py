@@ -219,7 +219,8 @@ def test_import_loads_no_dataclasses_and_nine_modules():
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import bihomlie; "
         "print(' '.join(sorted(m for m in sys.modules if m in "
-        "('dataclasses', 'inspect') or m.split('.')[0] == 'bihomlie')))"
+        "('dataclasses', 'inspect', 'typing') "
+        "or m.split('.')[0] == 'bihomlie')))"
     )
     out = subprocess.run(
         [sys.executable, "-S", "-E", "-c", code, str(SRC)],
