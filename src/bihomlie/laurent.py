@@ -13,7 +13,7 @@ sample triples.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 
 from .algebra import AxiomReport, CheckItem, ColourAlgebra, Witness
