@@ -82,12 +82,20 @@ class Representation:
     a coboundary matrix only on a rank miss and re-checks d(d f) = 0 on
     every call.  The module must not be changed after its first query.
 
+    Two memos serve every arity, degree and r: the dense integer rows on
+    which :func:`_reach` evaluates a unit cochain (see
+    :func:`_reach_rows`), and per action power k the action columns
+    rho(alpha beta^k(e_x)) e_w that the unit images read, each read once
+    through ``Matrix.apply`` and kept as integers over the common scale of
+    :meth:`action_table` (k).
+
     The memo holds integers, not Fractions: the pull-back terms, the unit
-    images and the basis terms each over one scale.  The basis cochains,
-    every cochain and coboundary matrix built from them and the action
-    matrices of :meth:`rho_of` are Fractions at the API, but hold one
-    integer form, with their ``Fraction`` views cached on first read (see
-    :class:`Cochain` and :class:`~bihomlie.linalg.Matrix`).
+    images, the action columns and the basis terms each over one scale.
+    The basis cochains, every cochain and coboundary matrix built from
+    them and the action matrices of :meth:`rho_of` are Fractions at the
+    API, but hold one integer form, with their ``Fraction`` views cached
+    on first read (see :class:`Cochain` and
+    :class:`~bihomlie.linalg.Matrix`).
     """
 
     __slots__ = (
@@ -97,6 +105,8 @@ class Representation:
         "alphaV",
         "betaV",
         "_actions",
+        "_columns",
+        "_reach_rows",
         "_arities",
         "_bases",
         "_coboundaries",
@@ -129,6 +139,9 @@ class Representation:
         self.alphaV = alphaV
         self.betaV = betaV
         self._actions: dict[int, tuple[Matrix, ...]] = {}
+        # action power k -> (L, {(x, w): integer column over L})
+        self._columns: dict[int, tuple[int, dict]] = {}
+        self._reach_rows: tuple | None = None
         self._arities: dict[int, _Arity] = {}
         self._bases: dict[tuple, _Space] = {}
         self._coboundaries: dict[tuple, _Coboundary] = {}
@@ -537,28 +550,34 @@ class Cochain:
         return self.values.get(idx, vzero(self.dimV))
 
     def eval(self, rep: Representation, args: Sequence[Vec]) -> Vec:
-        """Multilinear evaluation on arbitrary coordinate vectors."""
+        """Multilinear evaluation on arbitrary coordinate vectors.
+
+        The sum runs over the integer form (D, rows) of :meth:`int_values`:
+        each combination of the arguments' nonzero entries is sorted by
+        :func:`_sort_sign` into an int sign and a canonical tuple, and the
+        product of its entries times that sign scales the tuple's integer
+        row.  The sum is then divided by D.  When D is 1 and every entry of
+        every argument is an int, the value is a tuple of ints; otherwise
+        it is a tuple of Fractions, never a float."""
         if len(args) != self.n:
             raise ValueError(f"expected {self.n} arguments, got {len(args)}")
-        out = [_ZERO] * self.dimV
+        den, rows = self._ints
+        eps = rep.algebra.eps_table()
+        acc = [0] * self.dimV
         supports = [
             [(i, c) for i, c in enumerate(v) if c] for v in args
         ]
         for combo in iproduct(*supports):
-            coeff, canon = reduce_index_tuple(
-                rep.algebra, tuple(i for i, _ in combo)
-            )
-            if canon is None:
-                continue
-            val = self.values.get(canon)
-            if val is None:
+            coeff, canon = _sort_sign(eps, tuple(i for i, _ in combo))
+            terms = rows.get(canon)  # None also for a vanishing tuple
+            if terms is None:
                 continue
             for _, c in combo:
                 coeff *= c
-            for k, x in enumerate(val):
-                if x:
-                    out[k] += coeff * x
-        return tuple(out)
+            add_terms(acc, coeff, terms)
+        if den == 1 and all(type(c) is int for v in args for c in v):
+            return tuple(acc)
+        return tuple([Fraction(y, den) if y else _ZERO for y in acc])
 
     def add(self, other: "Cochain") -> "Cochain":
         if (self.n, self.degree, self.dimV) != (
@@ -618,11 +637,16 @@ class _Arity:
     * ``pullbacks``: for a canonical tuple T, its alpha and beta pull-back
       terms (see :func:`_pullbacks`), filled on first use, and
       ``pullback_scales``, the scale of the alpha and of the beta terms;
+    * ``pulled_by``: for a canonical tuple X, the canonical tuples T whose
+      alpha or beta pull-back terms name X, in lexicographic order (see
+      :func:`_pulled_by`), built on first use;
     * ``reach``: for (prefactor, T), the terms by which T enters the
       coboundary (see :func:`_reach`), filled on first use.
     """
 
-    __slots__ = ("by_degree", "pullbacks", "pullback_scales", "reach")
+    __slots__ = (
+        "by_degree", "pullbacks", "pullback_scales", "pulled_by", "reach"
+    )
 
     def __init__(self, a: ColourAlgebra, n: int) -> None:
         group, degs = a.basis.group, a.basis.degrees
@@ -638,6 +662,7 @@ class _Arity:
         self.pullback_scales = tuple(
             m.int_column_terms()[0] ** n for m in (a.alpha, a.beta)
         )
+        self.pulled_by: dict[tuple[int, ...], tuple] | None = None
         self.reach: dict[tuple, tuple] = {}
 
 
@@ -779,6 +804,23 @@ def _pullbacks(a: ColourAlgebra, arity: _Arity, T: tuple[int, ...]) -> tuple:
     return hit
 
 
+def _pulled_by(a: ColourAlgebra, arity: _Arity) -> dict:
+    """The index ``arity.pulled_by``: each canonical tuple X named by a
+    pull-back term, with the canonical tuples T whose alpha or beta
+    pull-back terms name it, in lexicographic order; built once per
+    arity from every tuple's memoized pull-back terms."""
+    if arity.pulled_by is None:
+        index: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for T in sorted(T for ts in arity.by_degree.values() for T in ts):
+            for pull in _pullbacks(a, arity, T):
+                for X, _ in pull:
+                    ts = index.setdefault(X, [])
+                    if not ts or ts[-1] != T:
+                        ts.append(T)
+        arity.pulled_by = {X: tuple(ts) for X, ts in index.items()}
+    return arity.pulled_by
+
+
 def _solve_basis(
     rep: Representation,
     n: int,
@@ -828,12 +870,14 @@ def cochain_in_space(
     """Does f lie in the cochain space: degrees and both intertwinings.
 
     Both intertwinings f(m x_1, ..., m x_n) = m_V f(x_1, ..., x_n) are
-    checked on every canonical tuple T, in lexicographic order and alpha
-    before beta: the left side is the sum of (c / S) f(X) over the
-    memoized integer pull-back terms (X, c) of T and their scale S, the
-    terms from which :func:`cochain_basis` builds its constraint rows.  A
-    tuple T is skipped when f has no value at T nor at any X of its
-    pull-back terms: both sides are zero there.
+    checked on the canonical tuples T where either side can be nonzero,
+    in lexicographic order and alpha before beta: the left side is the sum
+    of (c / S) f(X) over the memoized integer pull-back terms (X, c) of T
+    and their scale S, the terms from which :func:`cochain_basis` builds
+    its constraint rows.  So the check visits the tuples of f's support
+    and, through the per-arity index of :func:`_pulled_by`, the tuples
+    whose pull-back terms name one of them; on every other tuple both
+    sides are zero.
 
     The check reads the integer form of f (see :meth:`Cochain.int_values`)
     and the integer columns of m_V, and compares both sides times D and
@@ -862,14 +906,13 @@ def cochain_in_space(
         (rep.betaV.int_column_terms(), "beta"),
     )
     dimV = rep.dimV
-    for T in canonical_index_tuples(a, f.n):
-        pulls = _pullbacks(a, arity, T)
-        if T not in rows and not any(
-            X in rows for pull in pulls for X, _ in pull
-        ):
-            continue
+    pulled_by = _pulled_by(a, arity)
+    reached = set(rows)
+    for X in rows:
+        reached.update(pulled_by.get(X, ()))
+    for T in sorted(reached):
         for pull, pden, ((vden, vcols), name) in zip(
-            pulls, arity.pullback_scales, vmaps
+            _pullbacks(a, arity, T), arity.pullback_scales, vmaps
         ):
             scale = lcm(pden, vden)
             pf, vf = scale // pden, scale // vden
@@ -948,7 +991,12 @@ class _Coboundary:
     tuple T share the terms by which T enters the coboundary (see
     :func:`_reach`), which every degree and r of the arity shares too.
 
-    Each unit image is stored as integers over one scale of its own, so
+    Every unit image is stored as integers over one scale, ``scale``, the
+    lcm of the scale S = L_bracket L_beta^(n-1) of the bracket scalars of
+    :func:`_reach` and the common scale L_action of the action table
+    rho(alpha beta^(r+n-1)(e_x)).  The action columns it reads are the
+    module's memo for that power (see :class:`Representation`), which
+    every (n, r) with the same r + n - 1 shares.  So
     :func:`apply_coboundary` sums Python ints and returns d f in integer
     form.
     """
@@ -962,17 +1010,31 @@ class _Coboundary:
         prefactor: str,
     ) -> None:
         # the shared arity tables, the action matrices
-        # rho(alpha beta^{r+n-1}(e_i)) and the signs eps(gamma, e_i)
+        # rho(alpha beta^{r+n-1}(e_i)) with their integer columns, and the
+        # signs eps(gamma, e_i)
         a = rep.algebra
         self.n = n
         self.gamma = gamma
         self.prefactor = prefactor
         self.arity = _arity(rep, n)
-        self.action = rep.action_table(r + n - 1)
+        power = r + n - 1
+        self.action = rep.action_table(power)
+        columns = rep._columns.get(power)
+        if columns is None:
+            # lcm of a list, not of a generator: see scale_to_ints
+            common = lcm(*[m.int_column_terms()[0] for m in self.action])
+            columns = rep._columns[power] = (common, {})
+        self.action_scale, self.columns = columns
+        if n:
+            bracket_scale, _, beta_scale, _ = _reach_rows(rep)
+            self.bracket_scale = bracket_scale * beta_scale ** (n - 1)
+        else:
+            self.bracket_scale = 1
+        self.scale = lcm(self.bracket_scale, self.action_scale)
         self.eps_gamma = [a.eps.eval(gamma, a.degree(i)) for i in range(a.dim)]
-        # (T, w) -> the unit image as (L, ((X, ((k, n), ...)), ...)): its
-        # nonzero coordinates n / L, in lexicographic order of X and
-        # ascending k, over one scale L
+        # (T, w) -> the unit image as ((X, ((k, y), ...)), ...): its
+        # nonzero coordinates y / scale, in lexicographic order of X and
+        # ascending k
         self.images: dict[tuple, tuple] = {}
 
     def image(
@@ -980,11 +1042,13 @@ class _Coboundary:
     ) -> tuple:
         """The unit image of slot (T, w) on ``rep``, the module this
         coboundary belongs to (not stored here, so the memo makes no
-        reference cycle).
+        reference cycle), over ``scale``.
 
-        The bracket scalars of :func:`_reach` and the action columns, read
-        through ``Matrix.apply``, are Fractions; they are brought to the
-        lcm L of their denominators once and summed per X as integers."""
+        The bracket scalars of :func:`_reach` are ints over S and the
+        action columns ints over L_action; each is brought to ``scale``
+        and summed per X.  An action column rho(alpha beta^(r+n-1)(e_x))
+        e_w is read through ``Matrix.apply`` on its first use for (x, w),
+        then from the module's memo."""
         hit = self.images.get((T, w))
         if hit is None:
             key = (self.prefactor, T)
@@ -994,27 +1058,65 @@ class _Coboundary:
                     rep, self.n, T, self.prefactor == "full"
                 )
             eps_gamma = self.eps_gamma
-            unit = tuple(_ONE if k == w else _ZERO for k in range(rep.dimV))
-            read = []  # (X, [(k, Fraction), ...]) before the sums
-            for X, scalar, acts in terms:
-                entries = [(w, scalar)] if scalar else []
-                for sign, xs in acts:
-                    minus = sign * eps_gamma[xs] != 1
-                    for k, c in enumerate(self.action[xs].apply(unit)):
-                        if c is not _ZERO and c:
-                            entries.append((k, -c if minus else c))
-                read.append((X, entries))
-            scale, ints = scale_to_ints([entries for _, entries in read])
+            fs = self.scale // self.bracket_scale
+            fa = self.scale // self.action_scale
             out = []
-            for (X, _), entries in zip(read, ints):
-                total: dict[int, int] = {}
-                for k, x in entries:
-                    total[k] = total.get(k, 0) + x
-                nonzero = tuple(sorted((k, x) for k, x in total.items() if x))
+            for X, scalar, acts in terms:
+                total = {w: scalar * fs} if scalar else {}
+                for sign, xs in acts:
+                    c = fa if sign * eps_gamma[xs] == 1 else -fa
+                    for k, y in self._column(rep, xs, w):
+                        total[k] = total.get(k, 0) + c * y
+                nonzero = tuple(sorted((k, y) for k, y in total.items() if y))
                 if nonzero:
                     out.append((X, nonzero))
-            hit = self.images[T, w] = (scale, tuple(out))
+            hit = self.images[T, w] = tuple(out)
         return hit
+
+    def _column(self, rep: Representation, x: int, w: int) -> IntTerms:
+        """The nonzero entries of rho(alpha beta^(r+n-1)(e_x)) e_w, as
+        integers over ``action_scale``; memoized on the module."""
+        hit = self.columns.get((x, w))
+        if hit is None:
+            unit = tuple(_ONE if k == w else _ZERO for k in range(rep.dimV))
+            scale = self.action_scale
+            hit = self.columns[x, w] = tuple(
+                [
+                    (k, y.numerator * (scale // y.denominator))
+                    for k, y in enumerate(self.action[x].apply(unit))
+                    if y
+                ]
+            )
+        return hit
+
+
+def _reach_rows(rep: Representation) -> tuple:
+    """(L_bracket, bracket, L_beta, beta): the dense integer rows on which
+    :func:`_reach` evaluates a unit cochain, built once per module.
+    bracket[i][j] is the cell [alpha^-1 beta(e_i), e_j] of
+    ``int_table("twisted_terms", -1, 1)`` and beta[i] the column
+    beta(e_i) of ``beta.int_column_terms()``, each a tuple of ints over
+    its table's scale.  The bracket rows need an invertible alpha, which
+    only cochains of arity n >= 1 ask for."""
+    hit = rep._reach_rows
+    if hit is None:
+        a = rep.algebra
+
+        def dense(terms: IntTerms) -> tuple[int, ...]:
+            row = [0] * a.dim
+            for k, x in terms:
+                row[k] = x
+            return tuple(row)
+
+        bracket_scale, cells = a.int_table("twisted_terms", -1, 1)
+        beta_scale, cols = a.beta.int_column_terms()
+        hit = rep._reach_rows = (
+            bracket_scale,
+            tuple(tuple(map(dense, row)) for row in cells),
+            beta_scale,
+            tuple(map(dense, cols)),
+        )
+    return hit
 
 
 def _reach(
@@ -1024,37 +1126,48 @@ def _reach(
     alone enters d f: for each (n+1)-tuple X it can reach, in
     lexicographic order, (X, s, acts) with
 
-        (d f)(X) = s v + sum over (sign, x) in acts of
+        (d f)(X) = (s / S) v + sum over (sign, x) in acts of
                    sign eps(gamma, e_x) rho(alpha beta^{r+n-1}(e_x)) v.
 
-    s collects the bracket terms, read off the scalar cochain 1 at T under
-    the "full" convention if ``full`` and the default one otherwise; acts
-    lists the action terms, whose other arguments sort to T.  Neither
-    depends on gamma or r.
+    s, an int over S = L_bracket L_beta^(n-1), collects the bracket
+    terms: the scalar cochain 1 at T is evaluated by :meth:`Cochain.eval`
+    on the integer rows of :func:`_reach_rows`, one bracket row and n - 1
+    beta rows, under the "full" convention if ``full`` and the default one
+    otherwise.  acts lists the action terms, whose other arguments sort to
+    T.  Neither depends on gamma or r.
     """
     a = rep.algebra
-    beta = a.beta.columns()
     beta_supp, beta_pre = a.beta_supports()
-    bracket = a.twisted_products(-1, 1) if n else ()
     bracket_supp, bracket_pre = (
         a.twisted_supports(-1, 1) if n else ({}, ())
     )
+    _, bracket, _, beta = _reach_rows(rep) if n else (1, (), 1, ())
     eps = a.eps_table()
     unit = Cochain._of(n, a.basis.group.zero(), 1, {T: ((0, 1),)}, 1)
-    # unit.eval only reaches tuples that permute T, so a term whose
-    # argument misses every index of T is zero and is skipped.
+    # unit.eval only reaches the orderings of T, so a bracket term is zero,
+    # and skipped, unless some ordering of T takes each entry from the
+    # support of its argument (see _covers): the bracket [alpha^-1
+    # beta(x_s), x_t] at s and beta(x_p) at every other position p.  A
+    # bracket that misses T rules the pair out before the supports are
+    # gathered.
     used = set(T)
+    need: dict[int, int] = {}
+    for u in T:
+        need[u] = need.get(u, 0) + 1
     out = []
     for X in _reachable_tuples(a, (T,), beta_pre, bracket_pre):
-        scalar = _ZERO
+        scalar = 0
         for t in range(1, n + 1):
             xt = X[t]
             for s in range(t):
-                if used.isdisjoint(bracket_supp[X[s], xt]) or any(
-                    used.isdisjoint(beta_supp[X[p]])
+                if used.isdisjoint(bracket_supp[X[s], xt]):
+                    continue
+                supports = [
+                    bracket_supp[X[s], xt] if p == s else beta_supp[X[p]]
                     for p in range(n + 1)
-                    if p != s and p != t
-                ):
+                    if p != t
+                ]
+                if not _covers(supports, need):
                     continue
                 w = -1 if t % 2 else 1
                 for p in range(0 if full else s + 1, t):
@@ -1079,6 +1192,23 @@ def _reach(
         if scalar or acts:
             out.append((X, scalar, tuple(acts)))
     return tuple(out)
+
+
+def _covers(supports: Sequence[frozenset], need: dict[int, int]) -> bool:
+    """Can the multiset ``need`` (entry -> count) be ordered so that its
+    q-th entry lies in supports[q], for every q?  A backtracking search
+    over the entries left; ``need`` is restored before it returns."""
+    if not supports:
+        return True
+    first = supports[0]
+    for u, left in need.items():
+        if left and u in first:
+            need[u] = left - 1
+            found = _covers(supports[1:], need)
+            need[u] = left
+            if found:
+                return True
+    return False
 
 
 def apply_coboundary(
@@ -1111,10 +1241,10 @@ def apply_coboundary(
 
     The sum is taken in integers, and no Fraction is built: f is read in
     its integer form (see :meth:`Cochain.int_values`), each nonzero entry
-    x / D of f times the integer terms of its unit image, of scale L, is
-    brought to the lcm M of the scales of the images read, and d f is
-    returned in integer form over D * M, its ``values`` built only when
-    a caller reads them.
+    x / D of f times the integer terms of its unit image, all over the one
+    scale M of the coboundary, is summed per tuple, and d f is returned in
+    integer form over D * M, its ``values`` built only when a caller
+    reads them.
     """
     _check_prefactor(prefactor)
     if validate:
@@ -1130,28 +1260,19 @@ def apply_coboundary(
         if key not in rep._coboundaries:
             rep._coboundaries[key] = _Coboundary(rep, n, r, gamma, prefactor)
         cob = rep._coboundaries[key]
-    # each nonzero entry x / D of f times the unit image of its slot, with
-    # scale L, as x * (M / L) times the image's integers over D * M, M the
-    # lcm of every L
+    # each nonzero entry x / D of f times the unit image of its slot: the
+    # image's integers times x, over D * M; the terms that reach each X
     den, rows = f.int_values()
-    reads = []
-    for T, terms in rows.items():
-        for w, x in terms:
-            scale, image = cob.image(rep, T, w)
-            reads.append((x, scale, image))
     dimV = rep.dimV
-    # lcm of a list, not of a generator: see scale_to_ints
-    common = lcm(*[scale for _, scale, _ in reads])
-    # the scaled image terms that reach each tuple X
     parts: dict[tuple[int, ...], list[tuple[int, IntTerms]]] = {}
-    for x, scale, image in reads:
-        m = x * (common // scale)
-        for X, xterms in image:
-            hit = parts.get(X)
-            if hit is None:
-                parts[X] = [(m, xterms)]
-            else:
-                hit.append((m, xterms))
+    for T, terms in rows.items():
+        for w, m in terms:
+            for X, xterms in cob.image(rep, T, w):
+                hit = parts.get(X)
+                if hit is None:
+                    parts[X] = [(m, xterms)]
+                else:
+                    hit.append((m, xterms))
     # the sums are on canonical tuples of the right length, so only the
     # rows that cancelled to zero are dropped; a tuple one image reaches
     # takes its nonzero terms as they are, scaled
@@ -1170,7 +1291,7 @@ def apply_coboundary(
         terms = tuple([(k, y) for k, y in enumerate(row) if y])
         if terms:
             out[X] = terms
-    return Cochain._of(n + 1, cob.gamma, den * common, out, dimV)
+    return Cochain._of(n + 1, cob.gamma, den * cob.scale, out, dimV)
 
 
 def coboundary_matrix(

@@ -24,6 +24,7 @@ from bihomlie.cohomology import (
     dual_rep,
     _arity,
     _pullbacks,
+    _pulled_by,
     _slots,
     realized_gammas,
     reduce_index_tuple,
@@ -41,6 +42,7 @@ from bihomlie.derivations import derivation_space
 from bihomlie.grading import GradedBasis, parse_group
 from bihomlie.linalg import (
     Matrix,
+    vec,
     vscale,
     vsub,
 )
@@ -50,6 +52,7 @@ from dense_oracles import (
     cochain_basis_oracle,
     cochain_in_space_oracle,
     dense_rank,
+    eval_oracle,
     pullbacks_oracle,
     realized_gammas_oracle,
     slots_oracle,
@@ -291,6 +294,98 @@ def test_cochain_eval_uses_the_sign_reduction():
     )
     # repeated even argument vanishes
     assert not any(f.eval(rep, [a.basis_vec(x), a.basis_vec(x)]))
+
+
+# modules whose beta columns have several nonzero entries
+NONDIAGONAL_MODULES = {
+    "gl21_fraction_twist": lambda: adjoint_rep(gl21_fraction_twist(), 0, 1),
+    "gl21_unipotent_twist": lambda: adjoint_rep(gl21_unipotent_twist(), 0, 1),
+}
+
+
+def _fraction_arguments(a, n, rng):
+    """n coordinate vectors of the algebra, each with two to four nonzero
+    Fraction entries."""
+    out = []
+    for _ in range(n):
+        v = [F(0)] * a.dim
+        for i in rng.sample(range(a.dim), rng.randint(2, 4)):
+            v[i] = F(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2, 7)))
+        out.append(tuple(v))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(NONDIAGONAL_MODULES))
+def test_eval_matches_the_oracle_on_fraction_vectors(name):
+    # the integer sum of Cochain.eval against the term-by-term Fraction
+    # oracle, on arguments with several nonzero entries: random vectors,
+    # and the columns of beta, which is not diagonal on these modules
+    rep = NONDIAGONAL_MODULES[name]()
+    a = rep.algebra
+    beta = a.beta.columns()
+    assert any(sum(1 for x in col if x) > 1 for col in beta)
+    rng = Random(f"eval/{name}")
+    nonzero = 0
+    for n in (1, 2):
+        tuples = canonical_index_tuples(a, n)
+        for g in realized_gammas(rep, n):
+            cochains = cochain_basis(rep, n, g)[:2]
+            cochains.append(_sparse_cochain(rep, n, g, rng))
+            for f in cochains:
+                for args in (
+                    _fraction_arguments(a, n, rng),
+                    [beta[i] for i in rng.choice(tuples)],
+                ):
+                    got = f.eval(rep, args)
+                    assert got == eval_oracle(rep, f, args)
+                    assert all(type(x) is Fraction for x in got)
+                    nonzero += any(got)
+    assert nonzero
+
+
+def test_eval_on_int_arguments_is_exact_and_holds_no_float():
+    # int arguments on a cochain over D > 1 give the oracle's Fractions;
+    # over D = 1 they give ints
+    rep = NONDIAGONAL_MODULES["gl21_fraction_twist"]()
+    a = rep.algebra
+    rng = Random("eval/ints")
+    tuples = canonical_index_tuples(a, 2)
+    f = Cochain(
+        2,
+        (0,),
+        {
+            T: [
+                F(rng.randint(-5, 5), rng.choice((3, 7, 10)))
+                for _ in range(rep.dimV)
+            ]
+            for T in rng.sample(tuples, 6)
+        },
+        rep.dimV,
+    )
+    den = f.int_values()[0]
+    assert den > 1
+    whole = f.scale(den)
+    assert whole.int_values()[0] == 1
+    fractional = 0
+    for _ in range(20):
+        T = rng.choice(list(f.values))
+        # random int vectors, plus e_u in the argument at u's position
+        # of a stored tuple, so some value is read
+        args = [
+            tuple(
+                (rng.randint(-3, 3) if rng.random() < 0.5 else 0) + (i == u)
+                for i in range(a.dim)
+            )
+            for u in T
+        ]
+        got = f.eval(rep, args)
+        assert got == eval_oracle(rep, f, [vec(v) for v in args])
+        assert all(type(x) is Fraction for x in got)
+        fractional += any(x.denominator > 1 for x in got)
+        got = whole.eval(rep, args)
+        assert got == eval_oracle(rep, whole, [vec(v) for v in args])
+        assert all(type(x) is int for x in got)
+    assert fractional
 
 
 def test_cochain_basis_spot_dimensions():
@@ -896,6 +991,64 @@ def test_membership_matches_the_dense_scan(name):
     assert seen[True] and seen[False]
 
 
+# modules with a pull-back term that names another tuple
+CROSSING_MODULES = {
+    **{
+        name: MEMBERSHIP_MODULES[name]
+        for name in (
+            "gl2_conjugation_twist",
+            "gl2_alpha_only_twist",
+            "gl2_beta_only_twist",
+        )
+    },
+    **NONDIAGONAL_MODULES,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CROSSING_MODULES))
+def test_membership_visits_the_tuples_the_index_names(name):
+    # The per-arity index names, for each tuple X, the tuples whose
+    # pull-back terms name X, as a scan of every tuple finds them.  On
+    # basis cochains (members), perturbed ones and cochains with one value
+    # (mostly not), the check that visits f's support and the tuples the
+    # index names for it agrees with the dense scan of every tuple, and
+    # some cochains fail at a tuple outside their support.
+    rep = CROSSING_MODULES[name]()
+    a = rep.algebra
+    rng = Random(f"pulled/{name}")
+    seen = {True: 0, False: 0}
+    elsewhere = crossing = 0
+    for n in range(3):
+        arity = _arity(rep, n)
+        want: dict = {}
+        for T in canonical_index_tuples(a, n):
+            for pull in _pullbacks(a, arity, T):
+                for X, _ in pull:
+                    if T not in want.setdefault(X, []):
+                        want[X].append(T)
+        index = {X: tuple(ts) for X, ts in want.items()}
+        assert _pulled_by(a, arity) == index
+        crossing += any(ts != [X] for X, ts in want.items())
+        for g in realized_gammas(rep, n):
+            basis = cochain_basis(rep, n, g)
+            cases = basis[:2]
+            if basis:
+                cases.append(_perturbed(rep, rng.choice(basis), rng))
+            slots = _slots(rep, n, g)
+            for T, w in rng.sample(slots, min(4, len(slots))):
+                v = [F(0)] * rep.dimV
+                v[w] = F(rng.choice((-2, 1, 3)), rng.choice((1, 5)))
+                cases.append(Cochain(n, g, {T: v}, rep.dimV))
+            for f in cases:
+                got = cochain_in_space(rep, f)
+                assert got == cochain_in_space_oracle(rep, f)
+                seen[got[0]] += 1
+                elsewhere += not got[0] and not any(
+                    got[1].endswith(str(T)) for T in f.values
+                )
+    assert seen[True] and seen[False] and crossing and elsewhere
+
+
 def _combination(basis, rng):
     """A random combination of up to three basis cochains."""
     f = basis[0].scale(0)
@@ -957,6 +1110,29 @@ def test_memoized_complex_matches_fresh_modules_and_the_oracle(name):
             want = coboundary_oracle(shared, r, f, prefactor)
             assert got == want
             assert list(got.values) == list(want.values)
+
+
+@pytest.mark.parametrize("first", [(1, 2), (2, 1)])
+@pytest.mark.parametrize("name", sorted(TWISTED))
+def test_coboundaries_sharing_an_action_power_match_the_oracle(name, first):
+    # (n, r) = (1, 2) and (2, 1) both act through rho(alpha beta^2(e_x)),
+    # so on one module the second coboundary reads the action columns
+    # the first stored.  In either order each image equals the oracle's,
+    # and a fresh module's, dict order included.
+    make = TWISTED[name]
+    shared = make()
+    rng = Random(f"power/{name}/{first}")
+    for n, r in (first, first[::-1]):
+        for g in realized_gammas(shared, n):
+            cochains = cochain_basis(shared, n, g)[:3]
+            cochains.append(_sparse_cochain(shared, n, g, rng))
+            for f in cochains:
+                want = coboundary_oracle(shared, r, f, DEFAULT_PREFACTOR)
+                for rep in (shared, make()):
+                    got = apply_coboundary(rep, r, f, validate=False)
+                    assert got == want
+                    assert list(got.values) == list(want.values)
+    assert list(shared._columns) == [2]
 
 
 def test_cochain_basis_returns_a_fresh_list_of_the_memo():

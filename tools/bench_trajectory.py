@@ -18,12 +18,16 @@ change wins and ties, and the relative change of the median.  The counts
 (``count`` and ``bits`` units) of the traced runs go to ``traced_counts``,
 per workload and seed, and their per-layer seconds (the ``per_layer``
 metrics of BENCHMARK.json in ``s``) to ``traced_layers``: those come from
-one traced pass per side, not from medians.
+one traced pass per side, not from medians.  ``slowest_jobs`` names, per
+workload and side, the job that was the slowest of each untraced pass: for
+every job that was, the number of passes it was the slowest in and the
+median of its time over those passes.
 """
 
 from __future__ import annotations
 
 import json
+import statistics
 import sys
 from pathlib import Path
 
@@ -47,6 +51,31 @@ def pair_record(sets: dict, workload: str, name: str, better: str) -> dict:
         for v in pairs
     )
     return {"pairs": len(pairs), "change_wins": wins, "ties": ties}
+
+
+def slowest_jobs(sets: dict) -> dict:
+    """workload -> side -> job -> {"passes", "median_s"}: each job that was
+    the slowest of some untraced pass, the number of such passes and the
+    median of the job's time over them."""
+    times: dict = {}
+    for side, results in sets.items():
+        for r in results:
+            if r["trace"]:
+                continue
+            by_job = times.setdefault(r["workload"], {}).setdefault(side, {})
+            for p in r["detail"]["passes"]:
+                job = max(p["times"], key=p["times"].get)
+                by_job.setdefault(job, []).append(p["times"][job])
+    return {
+        w: {
+            side: {
+                job: {"passes": len(ts), "median_s": statistics.median(ts)}
+                for job, ts in sorted(by_job.items())
+            }
+            for side, by_job in sides.items()
+        }
+        for w, sides in times.items()
+    }
 
 
 def trajectory(sets: dict, spec: dict, parent_sha: str) -> dict:
@@ -99,6 +128,7 @@ def trajectory(sets: dict, spec: dict, parent_sha: str) -> dict:
         "from perfbench/compare.py summary() over by_metric(), untraced runs "
         "only; pairs, change_wins and ties compare the two sides seed by seed",
         "workloads": workloads,
+        "slowest_jobs": slowest_jobs(sets),
         "traced_counts": traced,
         "traced_layers": {
             "single_run": "one traced pass per side, workload and seed: "
