@@ -19,16 +19,17 @@ decide `AxiomReport.passed`.  Constructions that need them state so and
 check the specific items themselves.
 
 The scans sum integers over ``ColourAlgebra.int_table``: one table per
-twisted product, one for the skew brackets [beta(e_i), alpha(e_j)] and
-one for the structure constants, each built from the dense products.
+twisted product, summed in integers from the structure constants and the
+map's integer columns, one for the skew brackets [beta(e_i), alpha(e_j)]
+and one for the structure constants, both read off the dense products.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from itertools import product as iproduct
-from math import lcm
+from math import gcd, lcm
 
 from .grading import (
     Bicharacter,
@@ -173,10 +174,8 @@ class ColourAlgebra:
         "kind",
         "_powers",
         "_eps",
-        "_products",
         "_terms",
         "_commutation",
-        "_supports",
         "_int_tables",
         "_shifts",
     )
@@ -214,12 +213,10 @@ class ColourAlgebra:
         self.kind = kind
         self._powers: dict[tuple, Matrix] = {}
         self._eps: tuple[tuple[int, ...], ...] | None = None
-        self._products: dict[tuple, tuple[tuple[Vec, ...], ...]] = {}
         self._terms: TermTable | None = None
         # the commutation patterns of derivations._commutation, keyed by
         # (reduced degree, with_beta)
         self._commutation: dict[tuple, tuple] = {}
-        self._supports: dict[tuple, tuple] = {}
         # the integer tables of int_table, by their key
         self._int_tables: dict[tuple, tuple] = {}
         # the degree shifts of derivations._degree_shift, keyed by degree
@@ -332,106 +329,50 @@ class ColourAlgebra:
         self, ka: int, kb: int, *, right: bool = False
     ) -> tuple[tuple[Vec, ...], ...]:
         """[alpha**ka beta**kb (e_i), e_j] at [i][j], or with ``right``
-        the map on the right factor, [e_i, alpha**ka beta**kb (e_j)];
-        cached."""
-        key = (ka, kb, right)
-        hit = self._products.get(key)
-        if hit is None:
-            # each cell sums the structure-constant cells of the image's
-            # nonzero entries, read from the term tables
-            terms = self.product_terms()
-            images = self.ab_power(ka, kb).column_terms()
-            n = self.dim
-
-            def cell(parts: Iterable[tuple[Fraction, Terms]]) -> Vec:
-                acc = [ZERO] * n
-                for c, ts in parts:
-                    add_terms(acc, c, ts)
-                return tuple(acc)
-
-            if right:
-                hit = tuple(
-                    tuple(cell((y, row[u]) for u, y in im) for im in images)
-                    for row in terms
-                )
-            else:
-                hit = tuple(
-                    tuple(
-                        cell((x, terms[u][j]) for u, x in im) for j in range(n)
-                    )
-                    for im in images
-                )
-            self._products[key] = hit
-        return hit
+        the map on the right factor, [e_i, alpha**ka beta**kb (e_j)]: the
+        dense Fraction view of ``int_table("twisted_terms", ka, kb,
+        right)``, built anew on each call."""
+        scale, table = self.int_table("twisted_terms", ka, kb, right)
+        n = self.dim
+        return tuple(Matrix._of(scale, row, n).columns() for row in table)
 
     def int_table(
         self, name: str, ka: int = 0, kb: int = 0, right: bool = False
     ) -> IntTable:
         """The integer table (L, T) of "product_terms", the structure
         constants, "skew_terms", [beta(e_i), alpha(e_j)] at [i][j], or
-        "twisted_terms", ``twisted_products(ka, kb, right=right)``: T[i][j]
-        holds the nonzero terms (k, c*L) of cell [i][j], L the lcm of the
-        table's denominators; cached, one table per product."""
+        "twisted_terms", [alpha**ka beta**kb (e_i), e_j] at [i][j] (with
+        ``right``, [e_i, alpha**ka beta**kb (e_j)]): T[i][j] holds the
+        nonzero terms (k, c*L) of cell [i][j], L the lcm of the table's
+        denominators; cached, one table per product.  A twisted table is
+        summed in integers (see :func:`_twisted_table`), the other two are
+        read off dense Fraction products."""
         key = (name,) if name != "twisted_terms" else (name, ka, kb, right)
         hit = self._int_tables.get(key)
         if hit is None:
-            if name == "product_terms":
-                table = self.product
-            elif name == "twisted_terms":
-                table = self.twisted_products(ka, kb, right=right)
-            elif name == "skew_terms":
-                table = [
-                    [self.product_eval(b, x) for x in self.alpha.columns()]
-                    for b in self.beta.columns()
-                ]
+            if name == "twisted_terms":
+                hit = _twisted_table(
+                    self, self.ab_power(ka, kb).int_column_terms(), right
+                )
             else:
-                raise ValueError(f"unknown term table {name!r}")
-            den, cells = scale_to_ints(
-                [terms_of(v) for row in table for v in row]
-            )
-            it = iter(cells)
-            hit = self._int_tables[key] = (
-                den,
-                tuple(tuple(next(it) for _ in row) for row in table),
-            )
-        return hit
-
-    def beta_supports(self) -> tuple[dict, tuple[tuple, ...]]:
-        """The support index (see ``_support_index``) of the columns
-        beta(e_i), keyed by i; cached."""
-        return self._support_index(("beta",), enumerate(self.beta.columns()))
-
-    def twisted_supports(
-        self, ka: int, kb: int
-    ) -> tuple[dict, tuple[tuple, ...]]:
-        """The support index of the cells of ``twisted_products(ka, kb)``,
-        keyed by (i, j); cached."""
-        table = self.twisted_products(ka, kb)
-        return self._support_index(
-            ("products", ka, kb),
-            (
-                ((i, j), v)
-                for i, row in enumerate(table)
-                for j, v in enumerate(row)
-            ),
-        )
-
-    def _support_index(
-        self, key: tuple, cells: Iterable[tuple]
-    ) -> tuple[dict, tuple[tuple, ...]]:
-        """For the (key, vector) pairs ``cells``: the support set of each
-        vector by its key, and for each basis index u the keys whose vector
-        reaches u, in the order given; cached under ``key``."""
-        hit = self._supports.get(key)
-        if hit is None:
-            supports = {
-                k: frozenset(u for u, c in enumerate(v) if c) for k, v in cells
-            }
-            reach: list[list] = [[] for _ in range(self.dim)]
-            for k, supp in supports.items():
-                for u in supp:
-                    reach[u].append(k)
-            hit = self._supports[key] = (supports, tuple(map(tuple, reach)))
+                if name == "product_terms":
+                    table = self.product
+                elif name == "skew_terms":
+                    table = [
+                        [self.product_eval(b, x) for x in self.alpha.columns()]
+                        for b in self.beta.columns()
+                    ]
+                else:
+                    raise ValueError(f"unknown term table {name!r}")
+                den, cells = scale_to_ints(
+                    [terms_of(v) for row in table for v in row]
+                )
+                it = iter(cells)
+                hit = (
+                    den,
+                    tuple(tuple(next(it) for _ in row) for row in table),
+                )
+            self._int_tables[key] = hit
         return hit
 
     def is_regular(self) -> bool:
@@ -459,6 +400,43 @@ class ColourAlgebra:
 
     def fmt(self, v: Vec) -> str:
         return format_element(self.basis, v)
+
+
+def _twisted_table(
+    a: ColourAlgebra, images: tuple[int, Sequence[IntTerms]], right: bool
+) -> IntTable:
+    """The integer table (L, T) of [m e_i, e_j] at [i][j], or with
+    ``right`` of [e_i, m e_j], for the map m with m.int_column_terms() =
+    ``images``: each cell sums the integer structure-constant cells of the
+    image's nonzero entries over the product of the two scales, and the
+    gcd of that scale and every entry divides it down to L, the lcm of
+    the table's denominators."""
+    product_scale, terms = a.int_table("product_terms")
+    map_scale, cols = images
+    n = a.dim
+
+    def cell(parts: Iterable[tuple[int, IntTerms]]) -> IntTerms:
+        acc = [0] * n
+        for c, ts in parts:
+            add_terms(acc, c, ts)
+        return tuple([(k, x) for k, x in enumerate(acc) if x])
+
+    if right:
+        table = [
+            [cell((y, row[u]) for u, y in im) for im in cols] for row in terms
+        ]
+    else:
+        table = [
+            [cell((x, terms[u][j]) for u, x in im) for j in range(n)]
+            for im in cols
+        ]
+    scale = product_scale * map_scale
+    # gcd of a list, not of a generator: see scale_to_ints
+    g = gcd(scale, *[x for row in table for ts in row for _, x in ts])
+    return scale // g, tuple(
+        tuple(tuple([(k, x // g) for k, x in ts]) for ts in row)
+        for row in table
+    )
 
 
 def jacobiator(a: ColourAlgebra, i: int, j: int, k: int) -> Vec:
@@ -580,15 +558,22 @@ def _check_maps_commute(a: ColourAlgebra) -> CheckItem:
     return CheckItem("maps_commute", True)
 
 
-def _check_multiplicative(a: ColourAlgebra, name: str) -> CheckItem:
-    """m[e_i, e_j] = [m e_i, m e_j] for m = alpha or beta: the left side
-    sums the columns of m over the cell's terms, the right side the
-    twisted products [m e_i, e_t] over the column m e_j, both in the
-    integer copies of the tables, brought to one scale."""
-    twist = (1, 0) if name == "alpha" else (0, 1)
-    col_scale, cols = getattr(a, name).int_column_terms()
+def _check_multiplicative(
+    a: ColourAlgebra, name: str, m: Matrix | None = None
+) -> CheckItem:
+    """m[e_i, e_j] = [m e_i, m e_j] for an even map m, by default the
+    structure map ``name``: the left side sums the columns of m over the
+    cell's terms, the right side the twisted products [m e_i, e_t] over
+    the column m e_j, both in the integer copies of the tables (that of
+    any other m from :func:`_twisted_table`), brought to one scale."""
+    if m is None:
+        m = getattr(a, name)
+        twist = (1, 0) if name == "alpha" else (0, 1)
+        twisted_scale, table = a.int_table("twisted_terms", *twist)
+    else:
+        twisted_scale, table = _twisted_table(a, m.int_column_terms(), False)
+    col_scale, cols = m.int_column_terms()
     product_scale, terms = a.int_table("product_terms")
-    twisted_scale, table = a.int_table("twisted_terms", *twist)
     scale = lcm(product_scale, twisted_scale)
     fp, ft = scale // product_scale, -(scale // twisted_scale)
     n = a.dim

@@ -123,18 +123,24 @@ def _cmd_check(args) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_twist(args) -> int:
-    a = _load(args.file)
-    a2 = parse_linear_map(_read(args.a2), a.basis, "a2")
-    b2 = parse_linear_map(_read(args.b2), a.basis, "b2")
-    twisted = yau_twist(a, a2, b2)
+def _emit_twisted(args, command: str, twisted: ColourAlgebra) -> int:
+    """The tail of every twist command: check the bracket suite on the
+    twisted algebra, write the algebra out, print a failing report (its
+    header on stderr), write the JSON report and return the exit code."""
     report = check_lie_axioms(twisted)
     _emit_algebra(serialize_algebra(twisted), args.output)
     if not report.passed:
         print("twisted algebra FAILS the bracket suite", file=sys.stderr)
         _print_report(report)
-    _write_json(args.report, "twist", report.to_dict())
+    _write_json(args.report, command, report.to_dict())
     return 0 if report.passed else 1
+
+
+def _cmd_twist(args) -> int:
+    a = _load(args.file)
+    a2 = parse_linear_map(_read(args.a2), a.basis, "a2")
+    b2 = parse_linear_map(_read(args.b2), a.basis, "b2")
+    return _emit_twisted(args, "twist", yau_twist(a, a2, b2))
 
 
 def _run_multiplier_twist(args) -> int:
@@ -152,13 +158,7 @@ def _run_multiplier_twist(args) -> int:
         if args.command == "sigma-twist"
         else delta_twist(a, table)
     )
-    report = check_lie_axioms(twisted)
-    _emit_algebra(serialize_algebra(twisted), args.output)
-    if not report.passed:
-        print("twisted algebra FAILS the bracket suite", file=sys.stderr)
-        _print_report(report)
-    _write_json(args.report, args.command, report.to_dict())
-    return 0 if report.passed else 1
+    return _emit_twisted(args, args.command, twisted)
 
 
 def _cmd_admissible(args) -> int:

@@ -19,7 +19,7 @@ so the disagreement is testable rather than buried.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from itertools import product as iproduct
@@ -359,8 +359,11 @@ def adjoint_rep(a: ColourAlgebra, s: int, l: int) -> Representation:
 
     The element a acts by x |-> [alpha^s beta^l(a), x]; the module maps are
     alpha and beta themselves.  Negative exponents need invertible maps.
+    rho(e_i) is row i of ``int_table("twisted_terms", s, l)``, its columns
+    the cells [alpha^s beta^l(e_i), e_j], over the table's scale.
     """
-    rho = [Matrix.from_cols(cols) for cols in a.twisted_products(s, l)]
+    scale, table = a.int_table("twisted_terms", s, l)
+    rho = [Matrix._of(scale, row, a.dim) for row in table]
     return Representation(a, a.basis, rho, a.alpha, a.beta)
 
 
@@ -940,35 +943,29 @@ def _check_prefactor(prefactor: str) -> None:
 
 def _reachable_tuples(
     a: ColourAlgebra,
-    support: Iterable[tuple[int, ...]],
+    T: tuple[int, ...],
     beta_pre: Sequence[tuple[int, ...]],
     bracket_pre: Sequence[tuple[tuple[int, int], ...]],
 ) -> list[tuple[int, ...]]:
     """The canonical (n+1)-tuples X at which the coboundary of a cochain
-    supported on the n-tuples ``support`` can be nonzero, in lexicographic
-    order.
+    supported on the n-tuple T can be nonzero, in lexicographic order.
 
-    The action term reads f at X with one entry removed, so X is a support
-    tuple T with one index inserted.  The bracket term at s < t reads f on
+    The action term reads f at X with one entry removed, so X is T with
+    one index inserted.  The bracket term at s < t reads f on
     [alpha^{-1}beta(x_s), x_t] and on beta(x_p) for the other p, so X sorts
     a pair x_s <= x_t whose bracket reaches one entry of T (``bracket_pre``)
     together with one beta-preimage of each other entry (``beta_pre``).
     """
     eps = a.eps_table()
-    ordered = [
-        tuple((i, j) for i, j in pre if i <= j) for pre in bracket_pre
-    ]
-    found: set[tuple[int, ...]] = set()
-    for T in support:
-        for x in range(a.dim):
-            found.add(tuple(sorted(T + (x,))))
-        for q, u in enumerate(T):
-            if not ordered[u]:
-                continue
-            rest = [beta_pre[v] for v in T[:q] + T[q + 1 :]]
-            for others in iproduct(*rest):
-                for pair in ordered[u]:
-                    found.add(tuple(sorted(others + pair)))
+    found = {tuple(sorted(T + (x,))) for x in range(a.dim)}
+    for q, u in enumerate(T):
+        pairs = [(i, j) for i, j in bracket_pre[u] if i <= j]
+        if not pairs:
+            continue
+        rest = [beta_pre[v] for v in T[:q] + T[q + 1 :]]
+        for others in iproduct(*rest):
+            for pair in pairs:
+                found.add(tuple(sorted(others + pair)))
     return sorted(X for X in found if _is_canonical(eps, X))
 
 
@@ -1026,8 +1023,8 @@ class _Coboundary:
             columns = rep._columns[power] = (common, {})
         self.action_scale, self.columns = columns
         if n:
-            bracket_scale, _, beta_scale, _ = _reach_rows(rep)
-            self.bracket_scale = bracket_scale * beta_scale ** (n - 1)
+            bracket, beta = _reach_rows(rep)
+            self.bracket_scale = bracket[0] * beta[0] ** (n - 1)
         else:
             self.bracket_scale = 1
         self.scale = lcm(self.bracket_scale, self.action_scale)
@@ -1091,30 +1088,39 @@ class _Coboundary:
 
 
 def _reach_rows(rep: Representation) -> tuple:
-    """(L_bracket, bracket, L_beta, beta): the dense integer rows on which
-    :func:`_reach` evaluates a unit cochain, built once per module.
-    bracket[i][j] is the cell [alpha^-1 beta(e_i), e_j] of
-    ``int_table("twisted_terms", -1, 1)`` and beta[i] the column
-    beta(e_i) of ``beta.int_column_terms()``, each a tuple of ints over
-    its table's scale.  The bracket rows need an invertible alpha, which
-    only cochains of arity n >= 1 ask for."""
+    """(bracket, beta): the tables on which :func:`_reach` evaluates a
+    unit cochain, built once per module.  Each is (L, rows, supports,
+    pre): rows[key] a dense tuple of ints over L, supports[key] the set of
+    its nonzero indices, and pre[u] the keys whose row is nonzero at u, in
+    ascending key order.  The bracket rows, keyed (i, j), are the cells
+    [alpha^-1 beta(e_i), e_j] of ``int_table("twisted_terms", -1, 1)``,
+    and the beta rows, keyed i, the columns beta(e_i) of
+    ``beta.int_column_terms()``.  The bracket rows need an invertible
+    alpha, which only cochains of arity n >= 1 ask for."""
     hit = rep._reach_rows
     if hit is None:
         a = rep.algebra
 
-        def dense(terms: IntTerms) -> tuple[int, ...]:
-            row = [0] * a.dim
-            for k, x in terms:
-                row[k] = x
-            return tuple(row)
+        def index(scale: int, cells: dict) -> tuple:
+            rows, supports = {}, {}
+            pre: list[list] = [[] for _ in range(a.dim)]
+            for key, terms in cells.items():
+                row = [0] * a.dim
+                for k, x in terms:
+                    row[k] = x
+                    pre[k].append(key)
+                rows[key] = tuple(row)
+                supports[key] = frozenset(k for k, _ in terms)
+            return scale, rows, supports, tuple(map(tuple, pre))
 
-        bracket_scale, cells = a.int_table("twisted_terms", -1, 1)
+        bracket_scale, table = a.int_table("twisted_terms", -1, 1)
         beta_scale, cols = a.beta.int_column_terms()
+        cells = {
+            (i, j): c for i, r in enumerate(table) for j, c in enumerate(r)
+        }
         hit = rep._reach_rows = (
-            bracket_scale,
-            tuple(tuple(map(dense, row)) for row in cells),
-            beta_scale,
-            tuple(map(dense, cols)),
+            index(bracket_scale, cells),
+            index(beta_scale, dict(enumerate(cols))),
         )
     return hit
 
@@ -1137,11 +1143,13 @@ def _reach(
     T.  Neither depends on gamma or r.
     """
     a = rep.algebra
-    beta_supp, beta_pre = a.beta_supports()
-    bracket_supp, bracket_pre = (
-        a.twisted_supports(-1, 1) if n else ({}, ())
-    )
-    _, bracket, _, beta = _reach_rows(rep) if n else (1, (), 1, ())
+    if n:
+        bracket_rows, beta_rows = _reach_rows(rep)
+        _, bracket, bracket_supp, bracket_pre = bracket_rows
+        _, beta, beta_supp, beta_pre = beta_rows
+    else:
+        # a 0-cochain has no bracket term
+        beta_pre = bracket_pre = ()
     eps = a.eps_table()
     unit = Cochain._of(n, a.basis.group.zero(), 1, {T: ((0, 1),)}, 1)
     # unit.eval only reaches the orderings of T, so a bracket term is zero,
@@ -1155,7 +1163,7 @@ def _reach(
     for u in T:
         need[u] = need.get(u, 0) + 1
     out = []
-    for X in _reachable_tuples(a, (T,), beta_pre, bracket_pre):
+    for X in _reachable_tuples(a, T, beta_pre, bracket_pre):
         scalar = 0
         for t in range(1, n + 1):
             xt = X[t]
@@ -1173,7 +1181,7 @@ def _reach(
                 for p in range(0 if full else s + 1, t):
                     w *= eps[X[p]][xt]
                 args = [
-                    bracket[X[s]][xt] if p == s else beta[X[p]]
+                    bracket[X[s], xt] if p == s else beta[X[p]]
                     for p in range(n + 1)
                     if p != t
                 ]

@@ -14,7 +14,7 @@ from .algebra import (
     MAX_DIM,
     ColourAlgebra,
     _check_map_even,
-    _check_tuples,
+    _check_multiplicative,
     require_passing,
 )
 from .grading import (
@@ -39,15 +39,9 @@ def _require_even(a: ColourAlgebra, m: Matrix, what: str) -> None:
 
 
 def _require_morphism(a: ColourAlgebra, m: Matrix, what: str) -> None:
-    cols = m.columns()
-    item = _check_tuples(
-        a,
-        what,
-        2,
-        lambda i, j: vsub(
-            m.apply(a.product[i][j]), a.product_eval(cols[i], cols[j])
-        ),
-    )
+    """Raise unless m[x, y] = [m x, m y] on every basis pair, naming the
+    first failing pair of :func:`_check_multiplicative`'s scan."""
+    item = _check_multiplicative(a, what, m)
     if not item.passed:
         x, y = item.witness.names
         raise ValueError(

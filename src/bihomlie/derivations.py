@@ -613,9 +613,8 @@ def inner_derivation_space(
     the kernel (:func:`kernel_by_blocks`) of the integer rows of alpha - 1
     and beta - 1 over its columns, each map's column scale subtracted on
     the diagonal.  Column j of the generator of x is the sum of x_i
-    [m e_j, e_i], summed in integers over the integer table of
-    ``twisted_products(k, l)``, and the generator joins the span by those
-    terms.
+    [m e_j, e_i], summed in integers over ``int_table("twisted_terms", k,
+    l)``, and the generator joins the span by those terms.
     """
     scale, table = a.int_table("twisted_terms", k, l)
     n = a.dim

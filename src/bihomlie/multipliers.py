@@ -46,6 +46,15 @@ class MissingEntryError(KeyError):
         return self.args[0]
 
 
+def _closure(group: GradingGroup, degrees: Iterable) -> tuple[set, set]:
+    """(D, D ∪ (D + D)) for the reduced degrees D of ``degrees``: every
+    degree a validator or twist looks a multiplier up at."""
+    base = {group.reduce(d) for d in degrees}
+    closed = set(base)
+    closed.update(group.add(g, h) for g in base for h in base)
+    return base, closed
+
+
 class MultiplierTable:
     """Finite table sigma: pairs of degrees -> nonzero rationals."""
 
@@ -102,11 +111,7 @@ class MultiplierTable:
         Covers all pairs of elements of D and D+D, which is what the
         validators and both twists ever look up.
         """
-        base = {group.reduce(d) for d in degrees}
-        closed = set(base)
-        for g in base:
-            for h in base:
-                closed.add(group.add(g, h))
+        _, closed = _closure(group, degrees)
         return cls(
             group, {(g, h): value for g in closed for h in closed}
         )
@@ -206,11 +211,7 @@ def multiplier_from_omega(
         except KeyError:
             raise MissingEntryError("omega", format_degree(g)) from None
 
-    base = {group.reduce(d) for d in degrees}
-    closed = set(base)
-    for g in base:
-        for h in base:
-            closed.add(group.add(g, h))
+    base, closed = _closure(group, degrees)
     entries = {}
     for g in closed:
         for h in closed:

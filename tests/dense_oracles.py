@@ -12,7 +12,9 @@ The derivation predicates read term tables; ``bracket_defect``,
 on dense columns and dense twisted product tables, testing every entry.
 ``dense_twisted`` builds those tables from the dense structure-constant
 cells ``a.product`` and powers of alpha and beta taken by repeated
-products, not from the library's term tables.
+products, not from the library's term tables.  ``morphism_failures``
+scans the identity m[x, y] = [m x, m y] the same way, on every basis
+pair, for the integer scan by which ``yau_twist`` refuses a map.
 
 The cochain complex reads per-arity tables: ``slots_oracle``,
 ``realized_gammas_oracle`` and ``pullbacks_oracle`` recompute them by the
@@ -206,6 +208,28 @@ def dense_twisted(a: ColourAlgebra, k: int, l: int) -> tuple:
         for i in range(n)
     )
     return right, left
+
+
+def morphism_failures(a: ColourAlgebra, m: Matrix) -> list[tuple[int, int]]:
+    """Every basis pair (i, j) with m[e_i, e_j] != [m e_i, m e_j], in the
+    lexicographic order of a dense scan: m times the dense cell
+    a.product[i][j] against the bracket of the dense columns m e_i and
+    m e_j, summed over every pair of their entries."""
+    n = a.dim
+    cols = m.columns()
+    out = []
+    for i, j in iproduct(range(n), repeat=2):
+        acc = [Fraction(0)] * n
+        for t, c in enumerate(a.product[i][j]):
+            if c:
+                add_scaled(acc, c, cols[t])
+        for u, x in enumerate(cols[i]):
+            for v, y in enumerate(cols[j]):
+                if x and y:
+                    add_scaled(acc, -x * y, a.product[u][v])
+        if any(acc):
+            out.append((i, j))
+    return out
 
 
 def bracket_defect(

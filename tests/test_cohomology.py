@@ -25,6 +25,7 @@ from bihomlie.cohomology import (
     _arity,
     _pullbacks,
     _pulled_by,
+    _reach_rows,
     _slots,
     realized_gammas,
     reduce_index_tuple,
@@ -52,6 +53,7 @@ from dense_oracles import (
     cochain_basis_oracle,
     cochain_in_space_oracle,
     dense_rank,
+    dense_twisted,
     eval_oracle,
     pullbacks_oracle,
     realized_gammas_oracle,
@@ -1212,6 +1214,43 @@ def test_repeated_queries_read_the_memo_and_build_no_matrix(monkeypatch):
     assert built == [0, 1, 2, 3]
     for n, res in enumerate(first):
         assert cohomology_dims(twist_rep(0, 1), n, 1, (0,)) == res
+
+
+@pytest.mark.parametrize("s, l", [(0, 1), (1, 0), (-1, 1), (2, -1)])
+@pytest.mark.parametrize("make", [gl11_fraction_twist, gl21_fraction_twist])
+def test_adjoint_action_is_the_dense_twisted_cells(make, s, l):
+    a = make()
+    _, left = dense_twisted(a, s, l)
+    rho = adjoint_rep(a, s, l).rho
+    # rho(e_i) e_j = [alpha^s beta^l(e_i), e_j]
+    assert rho == tuple(Matrix.from_cols(cells) for cells in left)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [gl11_fraction_twist, gl21_fraction_twist, gl21_unipotent_twist,
+     gl2_conjugation_twist],
+)
+def test_reach_rows_index_the_dense_cells(make):
+    a = make()
+    n = a.dim
+    _, left = dense_twisted(a, -1, 1)
+    bracket = {(i, j): left[i][j] for i in range(n) for j in range(n)}
+    beta = dict(enumerate(a.beta.columns()))
+    for (scale, rows, supports, pre), dense in zip(
+        _reach_rows(adjoint_rep(a, 0, 1)), (bracket, beta)
+    ):
+        assert rows == {
+            key: tuple(c * scale for c in v) for key, v in dense.items()
+        }
+        assert all(type(c) is int for row in rows.values() for c in row)
+        assert supports == {
+            key: frozenset(u for u, c in enumerate(v) if c)
+            for key, v in dense.items()
+        }
+        assert pre == tuple(
+            tuple(key for key, v in dense.items() if v[u]) for u in range(n)
+        )
 
 
 def test_rho_of_sums_the_scaled_actions():

@@ -7,6 +7,7 @@ import pytest
 from bihomlie.algebra import check_lie_axioms
 from bihomlie.constructions import (
     CORPUS_NAMES,
+    _require_morphism,
     build_osp12,
     commutator_algebra,
     corpus,
@@ -18,7 +19,10 @@ from bihomlie.constructions import (
     z2z2_colour_example,
     zero_algebra,
 )
+from bihomlie.algebra import ColourAlgebra
 from bihomlie.linalg import Matrix
+from dense_oracles import morphism_failures
+from fixtures import gl21_fraction_twist
 
 F = Fraction
 
@@ -150,6 +154,55 @@ def test_yau_twist_rejects_non_morphism():
     odd_scale = Matrix.diagonal([1, 1, 1, 1, 2])
     with pytest.raises(ValueError, match="morphism"):
         yau_twist(osp12_classical(), odd_scale, Matrix.identity(5))
+
+
+def _shear(n, src, dst, c):
+    """The identity plus c times the map e_src -> e_dst."""
+    cols = [[F(int(u == j)) for u in range(n)] for j in range(n)]
+    cols[src][dst] = F(c)
+    return Matrix.from_cols([tuple(col) for col in cols])
+
+
+@pytest.mark.parametrize(
+    "make_map",
+    [
+        lambda n: Matrix.diagonal([1] * 5 + [F(5, 3)] + [1] * 3),
+        lambda n: _shear(n, 2, 5, F(-2, 7)),
+    ],
+)
+def test_yau_twist_names_the_first_pair_of_the_dense_morphism_scan(make_map):
+    a = gl21_fraction_twist()
+    m = make_map(a.dim)
+    failures = morphism_failures(a, m)
+    # the first failure is not (0, 0), and a scan in another order would
+    # name another pair
+    assert failures[0] != (0, 0) and failures[-1] != failures[0]
+    x, y = (a.basis.names[i] for i in failures[0])
+    for args, what in (
+        ((m, Matrix.identity(a.dim)), "first twist map"),
+        ((Matrix.identity(a.dim), m), "second twist map"),
+    ):
+        with pytest.raises(ValueError) as err:
+            yau_twist(a, *args)
+        assert str(err.value) == (
+            f"{what} is not a product morphism; first failure at ({x}, {y})"
+        )
+
+
+def test_morphism_check_reads_no_fraction_product(monkeypatch):
+    a = gl21_fraction_twist()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Fraction product was read")
+
+    monkeypatch.setattr(ColourAlgebra, "product_eval", refuse)
+    monkeypatch.setattr(ColourAlgebra, "twisted_products", refuse)
+    # a fresh algebra: no table of it is cached yet
+    b = ColourAlgebra(a.basis, a.eps, a.product, a.alpha, a.beta, a.kind)
+    with pytest.raises(ValueError, match="morphism"):
+        _require_morphism(b, _shear(b.dim, 2, 5, F(-2, 7)), "map")
+    _require_morphism(b, b.alpha, "alpha")
+    assert b.int_table("twisted_terms", 1, 2, True)[0] > 1
 
 
 def test_yau_twist_rejects_noncommuting_maps():
