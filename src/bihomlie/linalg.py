@@ -1,22 +1,23 @@
 """Exact linear algebra over the rationals, dense matrices and sparse systems.
 
 Everything downstream (axiom checks, derivation solvers, cochain bases)
-funnels into one exact elimination routine, ``EchelonBasis``: sparse
-primitive integer echelon rows with fraction-free updates, in plain Python
-with no build step.  It decides span membership, counts ``Matrix.rank``,
-and its reduced row echelon form readout is ``Matrix.rref``, from which
+funnels into one exact elimination step, the fraction-free update of
+sparse integer vectors ``_eliminate``, in plain Python with no build
+step.  Two drivers share it.  ``EchelonBasis`` keeps primitive integer
+echelon rows: it decides span membership, counts ``Matrix.rank``, and
+its reduced row echelon form readout is ``Matrix.rref``, from which
 ``invert`` reads.  ``BACKEND`` names that kernel; it is the constant
 ``"pure"``.
 
 Linear systems come as sparse rows {column: value}, values Fractions or
 ints; ``kernel_by_blocks`` splits their columns into the independent
-blocks the rows link and reduces each block in its own ``EchelonBasis``,
-reading the kernel off that span's RREF with no dense block.  It holds the
-one free-column readout of the library: ``Matrix.kernel_basis`` is its
-dense view over the nonzero entries of the matrix's rows.
-``EchelonBasis`` keeps the vectors added so far as sparse echelon rows and
-reduces each new one in a single pass; the library solves no dense system
-A x = b (the tests keep one as an oracle).
+blocks the rows link and solves each block by a null-space update: it
+starts from the unit vectors on the block's columns and updates them,
+row by row, so that every vector is orthogonal to every row seen, and a
+row orthogonal to all of them costs its dots alone.  It holds the one
+free-column readout of the library: ``Matrix.kernel_basis`` is its
+dense view over the nonzero entries of the matrix's rows.  The library
+solves no dense system A x = b (the tests keep one as an oracle).
 
 Sums of basis images read term tables: ``Matrix.column_terms()`` caches the
 nonzero entries (u, x) of every column, and ``add_terms`` adds a scaled
@@ -40,6 +41,7 @@ coboundary matrices.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
@@ -429,20 +431,75 @@ def kernel_by_blocks(
     Gauss-Jordan reduction of the dense matrix gives them, vector for
     vector.  Zero values are ignored.
 
-    A row with one nonzero entry forces its column to zero: that column is
-    a pivot, and it is struck from the other rows, which can leave new
-    one-entry rows.  The remaining columns are linked when some row has
-    both nonzero; the row space is the direct sum of its restrictions to
-    the linked blocks, so the RREF of the whole matrix is the union of the
-    blocks' RREFs.  Each block is reduced on its own, in one
-    :class:`EchelonBasis` that takes its sparse rows as they are, less the
-    rows whose primitive form repeats an earlier one up to sign, and the
-    kernel is read off that span's RREF with no dense block: a column of
-    the block that is no pivot is free.  A column no row touches is free
-    with a unit vector.  These steps keep the kernel, and the basis depends
-    on the kernel alone: the vector of free column f is the kernel vector
-    that is 1 at f and 0 at every other free column, and f is its last
-    nonzero column.
+    The columns that one-entry rows force to zero are struck first (see
+    :func:`_strike_forced`), and the rest split into the blocks that the
+    remaining rows link (see :func:`_linked_blocks`); the kernel is the
+    direct sum of the blocks' kernels.  A block no row touches is one free
+    column, with a unit vector.  Every other block is solved by a
+    null-space update: it starts from the integer unit vectors on its
+    columns, and each row, an int row as it is and a Fraction row through
+    :func:`_primitive`, takes its sparse dot with every current kernel
+    vector.  A row orthogonal to all of them lies in the row space, which
+    is the kernel's orthogonal complement, and costs nothing more.
+    Otherwise the first vector with a nonzero dot is dropped and every
+    other one with a nonzero dot takes the fraction-free step
+    :func:`_eliminate` against it, which makes its dot zero.
+
+    Each vector belongs to the free column f whose unit vector it started
+    as, and the vectors are kept in ascending f.  The vector of f is
+    nonzero at f, zero at every other free column, and f is its last
+    nonzero column: a step subtracts from it a multiple of the vector of a
+    smaller free column, and that column stops being free, so each
+    survivor stays so.  Divided by its entry at f, it is the kernel
+    vector that is 1 at f and 0 at every other free column.  That vector
+    depends on the kernel alone, and it is the one the RREF gives.  A
+    vector whose free column lies below the least column of a row is zero
+    on that row's columns, so it is not dotted.
+    """
+    kernel: list[tuple[int, dict[int, Fraction]]] = []
+    for cols, block in _linked_blocks(rows, ncols):
+        if not block:
+            kernel.append((cols[0], {cols[0]: ONE}))
+            continue
+        free = list(cols)
+        vectors = [{c: 1} for c in cols]
+        for row in block:
+            if not all(type(x) is int for x in row.values()):
+                row = _primitive(row.items())
+            first = None
+            for k in range(bisect_left(free, min(row)), len(free)):
+                v = vectors[k]
+                d = 0
+                for c, x in row.items():
+                    y = v.get(c)
+                    if y:
+                        d += x * y
+                if not d:
+                    continue
+                if first is None:
+                    first, d0, v0 = k, d, v
+                else:
+                    _eliminate(v, d, d0, v0)
+            if first is not None:
+                del free[first], vectors[first]
+        for f, v in zip(free, vectors):
+            p = v[f]
+            kernel.append((f, {c: Fraction(v[c], p) for c in sorted(v)}))
+    kernel.sort(key=lambda item: item[0])
+    return [coords for _, coords in kernel]
+
+
+def _linked_blocks(
+    rows: Iterable[dict[int, Fraction | int]], ncols: int
+) -> list[tuple[list[int], list[dict[int, Fraction | int]]]]:
+    """The columns below ``ncols`` that no one-entry row forces to zero,
+    split into the blocks that the remaining rows link, as (columns, rows)
+    in ascending columns and the rows in their given order.
+
+    Two columns are linked when some row has both nonzero once the forced
+    columns are struck; the row space is the direct sum of its
+    restrictions to the blocks.  A column no row touches is a block of its
+    own, with no rows.
     """
     forced_zero, live = _strike_forced(rows)
 
@@ -468,36 +525,7 @@ def kernel_by_blocks(
     for c in range(ncols):
         if c not in forced_zero:
             block_cols.setdefault(root(c), []).append(c)
-
-    kernel: list[tuple[int, dict[int, Fraction]]] = []
-    for b, cols in block_cols.items():
-        span = EchelonBasis()
-        # a primitive row equal to an earlier one up to sign lies in the
-        # span, where it would reduce to zero, so it is skipped
-        seen: set[tuple[tuple[int, int], ...]] = set()
-        for row in block_rows.get(b, ()):
-            prim = _primitive(row.items())
-            key = tuple(sorted(prim.items()))
-            if key[0][1] < 0:
-                key = tuple((c, -x) for c, x in key)
-            if key not in seen:
-                seen.add(key)
-                span._store(prim)
-        reduced = span.rref()
-        # the vector of free column f: -R[p][f] at the pivot p of each row
-        # R[p] of the RREF, in ascending p, then 1 at f
-        vectors: dict[int, dict[int, Fraction]] = {c: {} for c in cols}
-        for p, _ in reduced:
-            del vectors[p]
-        for p, row in reduced:
-            for c, x in row.items():
-                if c != p:
-                    vectors[c][p] = -x
-        for f, v in vectors.items():
-            v[f] = ONE
-            kernel.append((f, v))
-    kernel.sort(key=lambda item: item[0])
-    return [coords for _, coords in kernel]
+    return [(cols, block_rows.get(b, [])) for b, cols in block_cols.items()]
 
 
 def first_off_block(
@@ -550,7 +578,8 @@ def _strike_forced(
 
 class EchelonBasis:
     """The span of the vectors added so far, as sparse primitive integer
-    echelon rows: the one exact elimination routine of the library.
+    echelon rows: the span driver of the library's one elimination step,
+    :func:`_eliminate`, which :func:`kernel_by_blocks` shares.
 
     A vector comes in scaled by the lcm of its denominators and divided by
     the gcd of its entries; a vector of ints is only divided.  Each stored

@@ -21,7 +21,13 @@ The cochain complex reads per-arity tables: ``slots_oracle``,
 per-tuple scans they replaced, tuple by tuple against every V index.
 
 ``kernel_oracle`` reads a kernel basis off ``fraction_rref``, for the
-sparse block kernel of the library.
+sparse block kernel of the library.  ``echelon_block_kernel`` is the
+block kernel's earlier driver, an ``EchelonBasis`` per linked block read
+off its RREF, kept to hold the null-space update against.
+
+``twisted_products`` is the dense Fraction view of a twisted integer
+table, ``ColourAlgebra.int_table("twisted_terms", ...)``, for the tests
+that hold the table against ``dense_twisted``.
 
 The cochain complex sums integers and reads tables; ``eval_oracle``,
 ``act_oracle`` and ``coboundary_oracle`` evaluate the coboundary term by
@@ -55,7 +61,17 @@ from bihomlie.cohomology import (
     canonical_index_tuples,
     reduce_index_tuple,
 )
-from bihomlie.linalg import Matrix, Vec, is_zero_vec, vadd, vscale, vzero
+from bihomlie.linalg import (
+    EchelonBasis,
+    Matrix,
+    Vec,
+    _linked_blocks,
+    _primitive,
+    is_zero_vec,
+    vadd,
+    vscale,
+    vzero,
+)
 
 F = Fraction
 
@@ -107,6 +123,40 @@ def kernel_oracle(rows, ncols: int) -> list[Vec]:
             v[p] = -reduced[r][f]
         basis.append(tuple(v))
     return basis
+
+
+def echelon_block_kernel(rows, ncols: int) -> list[dict[int, Fraction]]:
+    """The kernel of ``kernel_by_blocks`` as its earlier driver read it:
+    each linked block of ``_linked_blocks`` reduced in one
+    ``EchelonBasis`` over its primitive rows, less the rows that repeat an
+    earlier one up to sign, and the vector of each free column f read off
+    that span's RREF, -R[p][f] at the pivot p of each row R[p] in
+    ascending p, then 1 at f; in ascending f over all blocks."""
+    kernel = []
+    for cols, block in _linked_blocks(rows, ncols):
+        span = EchelonBasis()
+        seen = set()
+        for row in block:
+            prim = _primitive(row.items())
+            key = tuple(sorted(prim.items()))
+            if key[0][1] < 0:
+                key = tuple((c, -x) for c, x in key)
+            if key not in seen:
+                seen.add(key)
+                span.add_sparse(prim.items())
+        reduced = span.rref()
+        vectors = {c: {} for c in cols}
+        for p, _ in reduced:
+            del vectors[p]
+        for p, row in reduced:
+            for c, x in row.items():
+                if c != p:
+                    vectors[c][p] = -x
+        for f, v in vectors.items():
+            v[f] = Fraction(1)
+            kernel.append((f, v))
+    kernel.sort(key=lambda item: item[0])
+    return [v for _, v in kernel]
 
 
 def solve_many(m: Matrix, bs: Sequence[Vec]) -> list[Optional[Vec]]:
@@ -208,6 +258,16 @@ def dense_twisted(a: ColourAlgebra, k: int, l: int) -> tuple:
         for i in range(n)
     )
     return right, left
+
+
+def twisted_products(
+    a: ColourAlgebra, ka: int, kb: int, *, right: bool = False
+) -> tuple[tuple[Vec, ...], ...]:
+    """[alpha**ka beta**kb (e_i), e_j] at [i][j], or with ``right`` the
+    map on the right factor, [e_i, alpha**ka beta**kb (e_j)]: the dense
+    Fraction view of ``a.int_table("twisted_terms", ka, kb, right)``."""
+    scale, table = a.int_table("twisted_terms", ka, kb, right)
+    return tuple(Matrix._of(scale, row, a.dim).columns() for row in table)
 
 
 def morphism_failures(a: ColourAlgebra, m: Matrix) -> list[tuple[int, int]]:

@@ -196,7 +196,6 @@ def test_morphism_check_reads_no_fraction_product(monkeypatch):
         raise AssertionError("a Fraction product was read")
 
     monkeypatch.setattr(ColourAlgebra, "product_eval", refuse)
-    monkeypatch.setattr(ColourAlgebra, "twisted_products", refuse)
     # a fresh algebra: no table of it is cached yet
     b = ColourAlgebra(a.basis, a.eps, a.product, a.alpha, a.beta, a.kind)
     with pytest.raises(ValueError, match="morphism"):

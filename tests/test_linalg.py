@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bihomlie import derivations, linalg
 from bihomlie.cohomology import adjoint_rep
 from bihomlie.linalg import (
     EchelonBasis,
@@ -29,12 +30,13 @@ from bihomlie.linalg import (
 )
 from dense_oracles import (
     dense_rank,
+    echelon_block_kernel,
     in_span,
     kernel_oracle,
     solve_many,
     spans_equal,
 )
-from fixtures import gl11_fraction_twist
+from fixtures import gl11_fraction_twist, gl21_fraction_twist
 
 
 def test_rref_canonical_form():
@@ -586,18 +588,19 @@ def test_block_kernel_with_repeated_rows_equals_the_fraction_rref_kernel(
     assert [_as_dense(v, ncols) for v in got] == kernel_oracle(rows, ncols)
 
 
-def test_rows_repeated_up_to_sign_are_stored_once(monkeypatch):
-    # {0: 1, 1: 1} comes back negated, doubled and halved, and is stored
-    # once; {0: 1, 1: -1} differs from it by the sign of one entry only,
-    # so it is stored too, and the block has full rank
-    stored = []
-    store = EchelonBasis._store
+def test_rows_repeated_up_to_sign_trigger_no_update(monkeypatch):
+    # {0: 1, 1: 1} comes back negated, doubled and halved: orthogonal to
+    # the kernel vector its first copy leaves, each costs its dot alone;
+    # {0: 1, 1: -1} differs from it by the sign of one entry only, so it
+    # drops that last vector, and the block has full rank
+    updates = []
+    eliminate = linalg._eliminate
 
-    def counting_store(span, rem):
-        stored.append(dict(rem))
-        return store(span, rem)
+    def counting_eliminate(rem, x, p, row):
+        updates.append((dict(rem), x, p, dict(row)))
+        eliminate(rem, x, p, row)
 
-    monkeypatch.setattr(EchelonBasis, "_store", counting_store)
+    monkeypatch.setattr(linalg, "_eliminate", counting_eliminate)
     F = Fraction
     rows = [
         {0: F(1), 1: F(1)},
@@ -608,7 +611,8 @@ def test_rows_repeated_up_to_sign_are_stored_once(monkeypatch):
         {0: F(-3), 1: F(3)},
     ]
     assert kernel_by_blocks(rows, 3) == [{2: F(1)}]
-    assert stored == [{0: 1, 1: 1}, {0: 1, 1: -1}]
+    # the one update: the first row drops e_0 and takes e_1 to e_1 - e_0
+    assert updates == [({1: 1}, 1, 1, {0: 1})]
 
 
 @st.composite
@@ -637,3 +641,93 @@ def test_block_kernel_equals_the_fraction_rref_kernel(system):
     for v in got:
         assert list(v) == sorted(v)
         assert all(isinstance(x, Fraction) and x for x in v.values())
+
+
+@st.composite
+def _overdetermined_systems(draw):
+    """Overdetermined systems: 1-6 generator rows on at most 12 columns
+    and 10-40 integer combinations of them, entries up to about 10^4,
+    shuffled, so that most rows lie in the span of those before them; the
+    values as ints, as Fractions, or each divided by 1-4."""
+    ncols = draw(st.integers(min_value=1, max_value=12))
+    entries = st.integers(min_value=-20, max_value=20)
+    generators = [
+        {
+            c: draw(entries)
+            for c in draw(
+                st.lists(
+                    st.integers(min_value=0, max_value=ncols - 1),
+                    min_size=1,
+                    max_size=ncols,
+                    unique=True,
+                )
+            )
+        }
+        for _ in range(draw(st.integers(min_value=1, max_value=6)))
+    ]
+    rows = []
+    for _ in range(draw(st.integers(min_value=10, max_value=40))):
+        row: dict[int, int] = {}
+        for g in generators:
+            k = draw(st.integers(min_value=-60, max_value=60))
+            for c, x in g.items():
+                row[c] = row.get(c, 0) + k * x
+        rows.append(row)
+    rows = draw(st.permutations(rows))
+    kind = draw(st.sampled_from(("int", "fraction", "divided")))
+    if kind == "fraction":
+        rows = [{c: Fraction(x) for c, x in row.items()} for row in rows]
+    elif kind == "divided":
+        rows = [
+            {c: Fraction(x, draw(st.integers(1, 4))) for c, x in row.items()}
+            for row in rows
+        ]
+    return rows, ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(_overdetermined_systems())
+def test_null_space_update_equals_both_oracles_on_overdetermined_systems(
+    system,
+):
+    rows, ncols = system
+    got = kernel_by_blocks(rows, ncols)
+    assert got == echelon_block_kernel(rows, ncols)
+    assert [_as_dense(v, ncols) for v in got] == kernel_oracle(rows, ncols)
+    for v in got:
+        assert list(v) == sorted(v)
+        assert all(type(x) is Fraction and x for x in v.values())
+
+
+def test_null_space_update_equals_both_oracles_on_the_leibniz_systems(
+    monkeypatch,
+):
+    systems = []
+    solve = derivations.kernel_by_blocks
+
+    def recording(rows, ncols):
+        rows = list(rows)
+        got = solve(rows, ncols)
+        systems.append((rows, ncols, got))
+        return got
+
+    monkeypatch.setattr(derivations, "kernel_by_blocks", recording)
+    a = gl21_fraction_twist()
+    solvers = (
+        derivations.derivation_space,
+        derivations.centroid_space,
+        derivations.quasi_derivation_space,
+        derivations.generalized_derivation_space,
+        derivations.quasi_centroid_space,
+    )
+    for solver in solvers:
+        for gamma in ((0,), (1,)):
+            solver(a, 0, 0, gamma)
+    # at the odd degree the commutation strikes every entry, so each
+    # solver assembles one system, that of degree 0
+    assert len(systems) == 5
+    for rows, ncols, got in systems:
+        assert got == echelon_block_kernel(rows, ncols)
+        assert [_as_dense(v, ncols) for v in got] == kernel_oracle(
+            rows, ncols
+        )
