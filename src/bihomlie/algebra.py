@@ -493,9 +493,9 @@ def _check_tuples(
 
     ``defect_fn`` returns the defect times ``scale``: the integer sums of
     the scans over integer term tables pass their scale, and the witness
-    divides by it; a Fraction defect has scale 1.  ``tuples``, in
-    lexicographic order, replaces the scan of every ``arity``-tuple when
-    the first failure is known to lie among them.
+    divides by it; a Fraction defect has scale 1.  ``tuples``, a
+    lexicographic subset holding the first failure, replaces the scan of
+    every ``arity``-tuple.
     """
     if tuples is None:
         tuples = iproduct(range(a.dim), repeat=arity)
@@ -639,11 +639,9 @@ def check_lie_axioms(a: ColourAlgebra) -> AxiomReport:
             a, "bihom_skewsymmetry", 2, skew_defect, scale=skew_scale
         )
     )
-    # the Jacobi defect is a sum over the rotations of (i, j, k), so a
-    # triple fails with every rotation of it, and the first failing triple
-    # is the least of its rotations: only those are scanned, the triples
-    # (i, j, k) with i their least entry, less (i, j, i) with j > i, which
-    # its rotation (i, i, j) precedes
+    # the Jacobi defect sums the rotations of (i, j, k), so the first
+    # failing triple is the least of its rotations: the scan visits those
+    # only, (i, j, k) with i least, less (i, j, i) with j > i
     jacobi_scale, jacobi = _jacobi_defect(a)
     least = (
         (i, j, k)

@@ -431,30 +431,24 @@ def kernel_by_blocks(
     Gauss-Jordan reduction of the dense matrix gives them, vector for
     vector.  Zero values are ignored.
 
-    The columns that one-entry rows force to zero are struck first (see
-    :func:`_strike_forced`), and the rest split into the blocks that the
-    remaining rows link (see :func:`_linked_blocks`); the kernel is the
-    direct sum of the blocks' kernels.  A block no row touches is one free
-    column, with a unit vector.  Every other block is solved by a
-    null-space update: it starts from the integer unit vectors on its
-    columns, and each row, an int row as it is and a Fraction row through
-    :func:`_primitive`, takes its sparse dot with every current kernel
-    vector.  A row orthogonal to all of them lies in the row space, which
-    is the kernel's orthogonal complement, and costs nothing more.
-    Otherwise the first vector with a nonzero dot is dropped and every
-    other one with a nonzero dot takes the fraction-free step
-    :func:`_eliminate` against it, which makes its dot zero.
+    The forced columns are struck and the rest split into linked blocks
+    (:func:`_linked_blocks`); a block with no row is one free column.
+    Each other block is solved by a null-space update from the integer
+    unit vectors on its columns: each row (a Fraction row through
+    :func:`_primitive`) takes its sparse dot with every current kernel
+    vector.  A row orthogonal to all of them lies in the row space and
+    costs nothing more; otherwise the first vector with a nonzero dot is
+    dropped, and every other one with a nonzero dot takes the step
+    :func:`_eliminate` against it, which zeroes its dot.
 
-    Each vector belongs to the free column f whose unit vector it started
-    as, and the vectors are kept in ascending f.  The vector of f is
-    nonzero at f, zero at every other free column, and f is its last
-    nonzero column: a step subtracts from it a multiple of the vector of a
-    smaller free column, and that column stops being free, so each
-    survivor stays so.  Divided by its entry at f, it is the kernel
-    vector that is 1 at f and 0 at every other free column.  That vector
-    depends on the kernel alone, and it is the one the RREF gives.  A
-    vector whose free column lies below the least column of a row is zero
-    on that row's columns, so it is not dotted.
+    The vectors are kept in ascending free column f, the column whose
+    unit vector each started as.  A step subtracts from the vector of f a
+    multiple of that of a smaller free column, which stops being free, so
+    f stays its last nonzero column and it stays zero at the other free
+    columns: divided by its entry at f it is the kernel vector 1 at f and
+    0 at every other free column, which the kernel alone fixes.  It is
+    zero on the columns of a row whose least column exceeds f, so it is
+    not dotted with that row.
     """
     kernel: list[tuple[int, dict[int, Fraction]]] = []
     for cols, block in _linked_blocks(rows, ncols):
@@ -623,16 +617,13 @@ class EchelonBasis:
     def add(self, v: Vec) -> bool:
         """Store the remainder of v if it is nonzero; True when v was
         outside the span."""
-        return self._store(_primitive(enumerate(v)))
+        return self.add_sparse(enumerate(v))
 
     def add_sparse(self, terms: Iterable[tuple[int, Fraction | int]]) -> bool:
         """:meth:`add` for the vector whose nonzero entries are the
         (column, value) pairs ``terms``, as in ``Matrix.column_terms``; the
         values are Fractions or ints."""
-        return self._store(_primitive(terms))
-
-    def _store(self, rem: dict[int, int]) -> bool:
-        rem = self._remainder(rem)
+        rem = self._remainder(_primitive(terms))
         if not rem:
             return False
         self._rows.append((min(rem), rem))

@@ -147,8 +147,11 @@ def perturbed_corpus():
 
 
 def test_jacobi_scan_of_least_rotations_names_the_full_scan_witness():
+    # the matrix units under their associative product fail first at
+    # (0, 0, 0), a triple that is its own rotation
+    broken = [("ruined_sl2", ruined_sl2()), ("mat2_assoc", mat2_assoc())]
     failing = set()
-    for label, a in [("ruined_sl2", ruined_sl2())] + perturbed_corpus():
+    for label, a in broken + perturbed_corpus():
         scale, defect = alg._jacobi_defect(a)
         want = alg._check_tuples(a, "bihom_jacobi", 3, defect, scale=scale)
         got = check_lie_axioms(a).item("bihom_jacobi")
@@ -158,6 +161,7 @@ def test_jacobi_scan_of_least_rotations_names_the_full_scan_witness():
     # witnesses of several shapes, first entries past 0 among them
     assert len(failing) >= 5
     assert any(idx[0] > 0 for idx in failing)
+    assert (0, 0, 0) in failing
 
 
 def test_noncommuting_maps_rejected():
