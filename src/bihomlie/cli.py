@@ -24,13 +24,7 @@ from .alg_io import (
 )
 from .algebra import SUITES as _SUITES
 from .algebra import AxiomReport, ColourAlgebra, check_lie_axioms
-from .cohomology import (
-    DEFAULT_PREFACTOR,
-    PREFACTOR_CONVENTIONS,
-    adjoint_rep,
-    cohomology_dims,
-    realized_gammas,
-)
+from .cohomology import adjoint_rep, cohomology_dims, realized_gammas
 from .constructions import CORPUS_NAMES, corpus, yau_twist
 from .derivations import (
     centroid_space,
@@ -188,9 +182,7 @@ def _cmd_cohomology(args) -> int:
         gammas = realized_gammas(rep, args.n)
     payload = []
     for g in gammas:
-        res = cohomology_dims(
-            rep, args.n, args.r, g, prefactor=args.prefactor
-        )
+        res = cohomology_dims(rep, args.n, args.r, g)
         payload.append(res.to_dict())
         print(
             f"degree {format_degree(g) or '()'}: "
@@ -312,11 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s", type=exponent, default=0)
     sp.add_argument("--l", type=exponent, default=1)
     sp.add_argument("--degree", help="comma-separated tuple; default: all")
-    sp.add_argument(
-        "--prefactor",
-        choices=PREFACTOR_CONVENTIONS,
-        default=DEFAULT_PREFACTOR,
-    )
 
     sp = add("derivations", _cmd_derivations, "twisted derivation solvers")
     sp.add_argument("file")

@@ -10,11 +10,12 @@ degrees in the super case).  Every other tuple reduces to a canonical one
 through adjacent transpositions, each contributing a factor -eps(.,.).
 
 The coboundary takes an n-cochain of degree gamma to an (n+1)-cochain of the
-same degree.  Its epsilon prefactor on the bracket terms exists in two
-variants that disagree in arity three and up; ``DEFAULT_PREFACTOR`` selects
-the one under which the square of the coboundary vanishes on the whole test
-corpus.  The other variant stays available through the ``prefactor`` keyword
-so the disagreement is testable rather than buried.
+same degree.  The bracket term that removes x_t and brackets x_s into it
+carries eps(x_{s+1} + ... + x_{t-1}, x_t), the degree of the segment that
+x_t passes, the usual sign rule of Lie colour cohomology (Scheunert and
+Zhang, J. Math. Phys. 39, 1998).  Under it the square of the coboundary
+vanishes on the whole test corpus; the sign eps(x_0 + ... + x_{t-1}, x_t)
+breaks the square already on osp(1|2) with identity maps.
 """
 
 from __future__ import annotations
@@ -50,18 +51,6 @@ from .linalg import (
     vzero,
 )
 
-# Conventions for the bracket-term prefactor in the coboundary: "segment"
-# multiplies by eps(x_{s+1}+...+x_{t-1}, x_t), "full" by
-# eps(x_0+...+x_{t-1}, x_t).  The default is frozen by the d.d = 0 sweep in
-# the test suite; "full" breaks the square on the twisted fixtures.
-PREFACTOR_CONVENTIONS = ("segment", "full")
-DEFAULT_PREFACTOR = "segment"
-
-# the zero the library builds its vectors with: scans test for it by
-# identity before they ask a Fraction for its truth value
-_ZERO = ZERO
-_ONE = ONE
-
 
 class Representation:
     """Module (V, rho, alpha_V, beta_V) over a colour algebra.
@@ -73,14 +62,14 @@ class Representation:
     A module memoizes its cochain complex.  Per arity n it keeps the
     tables that depend on neither the degree nor r: the canonical n-tuples
     grouped by degree, each tuple's alpha and beta pull-back terms, and
-    per prefactor convention the bracket and action terms by which a
-    tuple enters the coboundary.  Per (n, degree) it keeps the cochain
-    basis, and per (n, r, degree, prefactor) the unit-slot images of the
-    coboundary and the rank of its matrix (see :func:`cochain_basis`,
-    :func:`apply_coboundary` and :func:`cohomology_dims`): a repeated
-    :func:`cohomology_dims` reads dim C and both ranks from them, builds
-    a coboundary matrix only on a rank miss and re-checks d(d f) = 0 on
-    every call.  The module must not be changed after its first query.
+    the bracket and action terms by which a tuple enters the coboundary.
+    Per (n, degree) it keeps the cochain basis, and per (n, r, degree)
+    the unit-slot images of the coboundary and the rank of its matrix
+    (see :func:`cochain_basis`, :func:`apply_coboundary` and
+    :func:`cohomology_dims`): a repeated :func:`cohomology_dims` reads
+    dim C and both ranks from them, builds a coboundary matrix only on a
+    rank miss and re-checks d(d f) = 0 on every call.  The module must
+    not be changed after its first query.
 
     Two memos serve every arity, degree and r: the dense integer rows on
     which :func:`_reach` evaluates a unit cochain (see
@@ -413,26 +402,17 @@ def dual_rep(rep: Representation) -> tuple[Representation, AxiomReport]:
 # cochains
 
 
-def reduce_index_tuple(
-    a: ColourAlgebra, idx: Sequence[int]
-) -> tuple[Fraction, tuple[int, ...] | None]:
-    """Sort an index tuple into canonical order, tracking the sign rule.
-
-    Returns (factor, canonical) with factor the product of -eps over the
-    adjacent swaps used, or (0, None) when the tuple repeats an index whose
-    degree has eps(d, d) = +1 and the value is forced to vanish.
-    """
-    sign, canon = _sort_sign(a.eps_table(), idx)
-    if canon is None:
-        return _ZERO, None
-    return (_ONE if sign == 1 else -_ONE), canon
-
-
 def _sort_sign(
     eps: Sequence[Sequence[int]], idx: Sequence[int]
 ) -> tuple[int, tuple[int, ...] | None]:
-    """:func:`reduce_index_tuple` over the table ``eps``, with the factor
-    as the int 1 or -1 (0 with None)."""
+    """Sort an index tuple into canonical order over the bicharacter table
+    ``eps``, tracking the sign rule.
+
+    Returns (sign, canonical) with sign the product of -eps over the
+    adjacent swaps used, the int 1 or -1, or (0, None) when the tuple
+    repeats an index whose degree has eps(d, d) = +1 and the value is
+    forced to vanish.
+    """
     lst = list(idx)
     sign = 1
     for i in range(1, len(lst)):
@@ -531,7 +511,7 @@ class Cochain:
             den, rows = self._ints
             values = {}
             for T, terms in rows.items():
-                val = [_ZERO] * self.dimV
+                val = [ZERO] * self.dimV
                 for w, x in terms:
                     val[w] = Fraction(x, den)
                 values[T] = tuple(val)
@@ -580,7 +560,7 @@ class Cochain:
             add_terms(acc, coeff, terms)
         if den == 1 and all(type(c) is int for v in args for c in v):
             return tuple(acc)
-        return tuple([Fraction(y, den) if y else _ZERO for y in acc])
+        return tuple([Fraction(y, den) if y else ZERO for y in acc])
 
     def add(self, other: "Cochain") -> "Cochain":
         if (self.n, self.degree, self.dimV) != (
@@ -633,7 +613,7 @@ def _tuple_degree(a: ColourAlgebra, idx: Sequence[int]) -> GroupElement:
 
 class _Arity:
     """The tables of arity n on one module that depend on neither the
-    degree gamma nor r, shared by every (gamma, r, prefactor) query:
+    degree gamma nor r, shared by every (gamma, r) query:
 
     * ``by_degree``: the canonical n-tuples grouped by their degree, each
       group in lexicographic order;
@@ -643,7 +623,7 @@ class _Arity:
     * ``pulled_by``: for a canonical tuple X, the canonical tuples T whose
       alpha or beta pull-back terms name X, in lexicographic order (see
       :func:`_pulled_by`), built on first use;
-    * ``reach``: for (prefactor, T), the terms by which T enters the
+    * ``reach``: for a canonical tuple T, the terms by which T enters the
       coboundary (see :func:`_reach`), filled on first use.
     """
 
@@ -933,14 +913,6 @@ def cochain_in_space(
 # the coboundary
 
 
-def _check_prefactor(prefactor: str) -> None:
-    if prefactor not in PREFACTOR_CONVENTIONS:
-        raise ValueError(
-            f"unknown prefactor convention {prefactor!r}; "
-            f"expected one of {PREFACTOR_CONVENTIONS}"
-        )
-
-
 def _reachable_tuples(
     a: ColourAlgebra,
     T: tuple[int, ...],
@@ -978,9 +950,9 @@ def _is_canonical(eps: Sequence[Sequence[int]], X: tuple[int, ...]) -> bool:
 
 
 class _Coboundary:
-    """The coboundary on n-cochains of degree gamma, for one r and one
-    prefactor convention: the tables it reads, built once, and the image
-    of each unit cochain, built on first use.
+    """The coboundary on n-cochains of degree gamma, for one r: the
+    tables it reads, built once, and the image of each unit cochain,
+    built on first use.
 
     The unit cochain of a slot (T, w) is e_w at T and zero elsewhere.  The
     coboundary is linear, so d f is the sum over f's nonzero slots of the
@@ -999,12 +971,7 @@ class _Coboundary:
     """
 
     def __init__(
-        self,
-        rep: Representation,
-        n: int,
-        r: int,
-        gamma: GroupElement,
-        prefactor: str,
+        self, rep: Representation, n: int, r: int, gamma: GroupElement
     ) -> None:
         # the shared arity tables, the action matrices
         # rho(alpha beta^{r+n-1}(e_i)) with their integer columns, and the
@@ -1012,7 +979,6 @@ class _Coboundary:
         a = rep.algebra
         self.n = n
         self.gamma = gamma
-        self.prefactor = prefactor
         self.arity = _arity(rep, n)
         power = r + n - 1
         self.action = rep.action_table(power)
@@ -1048,12 +1014,9 @@ class _Coboundary:
         then from the module's memo."""
         hit = self.images.get((T, w))
         if hit is None:
-            key = (self.prefactor, T)
-            terms = self.arity.reach.get(key)
+            terms = self.arity.reach.get(T)
             if terms is None:
-                terms = self.arity.reach[key] = _reach(
-                    rep, self.n, T, self.prefactor == "full"
-                )
+                terms = self.arity.reach[T] = _reach(rep, self.n, T)
             eps_gamma = self.eps_gamma
             fs = self.scale // self.bracket_scale
             fa = self.scale // self.action_scale
@@ -1075,7 +1038,7 @@ class _Coboundary:
         integers over ``action_scale``; memoized on the module."""
         hit = self.columns.get((x, w))
         if hit is None:
-            unit = tuple(_ONE if k == w else _ZERO for k in range(rep.dimV))
+            unit = tuple(ONE if k == w else ZERO for k in range(rep.dimV))
             scale = self.action_scale
             hit = self.columns[x, w] = tuple(
                 [
@@ -1125,9 +1088,7 @@ def _reach_rows(rep: Representation) -> tuple:
     return hit
 
 
-def _reach(
-    rep: Representation, n: int, T: tuple[int, ...], full: bool
-) -> tuple:
+def _reach(rep: Representation, n: int, T: tuple[int, ...]) -> tuple:
     """How the value v = f(T) of an n-cochain f supported on the tuple T
     alone enters d f: for each (n+1)-tuple X it can reach, in
     lexicographic order, (X, s, acts) with
@@ -1138,8 +1099,7 @@ def _reach(
     s, an int over S = L_bracket L_beta^(n-1), collects the bracket
     terms: the scalar cochain 1 at T is evaluated by :meth:`Cochain.eval`
     on the integer rows of :func:`_reach_rows`, one bracket row and n - 1
-    beta rows, under the "full" convention if ``full`` and the default one
-    otherwise.  acts lists the action terms, whose other arguments sort to
+    beta rows.  acts lists the action terms, whose other arguments sort to
     T.  Neither depends on gamma or r.
     """
     a = rep.algebra
@@ -1178,7 +1138,7 @@ def _reach(
                 if not _covers(supports, need):
                     continue
                 w = -1 if t % 2 else 1
-                for p in range(0 if full else s + 1, t):
+                for p in range(s + 1, t):
                     w *= eps[X[p]][xt]
                 args = [
                     bracket[X[s], xt] if p == s else beta[X[p]]
@@ -1220,30 +1180,24 @@ def _covers(supports: Sequence[frozenset], need: dict[int, int]) -> bool:
 
 
 def apply_coboundary(
-    rep: Representation,
-    r: int,
-    f: Cochain,
-    *,
-    prefactor: str = DEFAULT_PREFACTOR,
-    validate: bool = True,
+    rep: Representation, r: int, f: Cochain, *, validate: bool = True
 ) -> Cochain:
     """Coboundary of an n-cochain: the (n+1)-cochain
 
         (df)(x_0, ..., x_n)
-          = sum_{s<t} (-1)^t eps(<segment>, x_t)
+          = sum_{s<t} (-1)^t eps(x_{s+1} + ... + x_{t-1}, x_t)
                 f(beta x_0, ..., [alpha^{-1}beta(x_s), x_t], ..., ^x_t, ..., beta x_n)
           + sum_s (-1)^s eps(gamma + x_0 + ... + x_{s-1}, x_s)
                 rho(alpha beta^{r+n-1}(x_s)) f(x_0, ..., ^x_s, ..., x_n)
 
-    where <segment> is x_{s+1}+...+x_{t-1} under the default convention and
-    x_0+...+x_{t-1} under ``prefactor="full"``.  The bracket replaces the
-    slot of x_s, x_t is removed, and every other first-sum argument carries
-    beta.  For a 0-cochain only the second sum contributes.
+    The bracket replaces the slot of x_s, x_t is removed, and every other
+    first-sum argument carries beta.  For a 0-cochain only the second sum
+    contributes.
 
     d f is summed exactly from the images of the unit cochains of f's
     nonzero slots.  The module memoizes each unit image, with the tables
     the coboundary reads, so a slot's image is computed once per
-    (n, r, gamma, prefactor) and repeated queries reuse it.  A unit image
+    (n, r, gamma) and repeated queries reuse it.  A unit image
     visits only the tuples its slot can reach (see
     :func:`_reachable_tuples`).
 
@@ -1254,19 +1208,18 @@ def apply_coboundary(
     integer form over D * M, its ``values`` built only when a caller
     reads them.
     """
-    _check_prefactor(prefactor)
     if validate:
         ok, reason = cochain_in_space(rep, f)
         if not ok:
             raise ValueError(f"cochain is outside the domain space: {reason}")
     n = f.n
     # the library's cochains carry their reduced degree: reduce on a miss
-    cob = rep._coboundaries.get((n, r, f.degree, prefactor))
+    cob = rep._coboundaries.get((n, r, f.degree))
     if cob is None:
         gamma = rep.algebra.basis.group.reduce(f.degree)
-        key = (n, r, gamma, prefactor)
+        key = (n, r, gamma)
         if key not in rep._coboundaries:
-            rep._coboundaries[key] = _Coboundary(rep, n, r, gamma, prefactor)
+            rep._coboundaries[key] = _Coboundary(rep, n, r, gamma)
         cob = rep._coboundaries[key]
     # each nonzero entry x / D of f times the unit image of its slot: the
     # image's integers times x, over D * M; the terms that reach each X
@@ -1303,19 +1256,13 @@ def apply_coboundary(
 
 
 def coboundary_matrix(
-    rep: Representation,
-    n: int,
-    r: int,
-    gamma: GroupElement,
-    *,
-    prefactor: str = DEFAULT_PREFACTOR,
+    rep: Representation, n: int, r: int, gamma: GroupElement
 ) -> Matrix:
     """Matrix of the coboundary from the degree-gamma n-cochain basis to
     the (n+1)-basis.  Raises RuntimeError if some image fails to land in
     the codomain space (the intertwining conditions guarantee it does, so
-    a miss indicates a broken prefactor convention or a module that fails
-    its axioms), naming the basis cochain and, where the image leaves the
-    degree-gamma slots, the slot.
+    a miss indicates a module that fails its axioms), naming the basis
+    cochain and, where the image leaves the degree-gamma slots, the slot.
 
     The coordinates of an image are its values at the free slots of the
     codomain basis (see :func:`cochain_basis`); the image must then equal
@@ -1330,7 +1277,6 @@ def coboundary_matrix(
     when a caller reads them (see :meth:`Matrix.int_column_terms`); a
     Fraction is built here only for the text of an error.
     """
-    _check_prefactor(prefactor)
     dom = cochain_basis(rep, n, gamma)
     cod_basis = cochain_basis(rep, n + 1, gamma)
     if not dom:
@@ -1340,7 +1286,7 @@ def coboundary_matrix(
     scale, cod_terms = cod.int_terms
     cols = []
     for k, fb in enumerate(dom):
-        img = apply_coboundary(rep, r, fb, prefactor=prefactor, validate=False)
+        img = apply_coboundary(rep, r, fb, validate=False)
         den, rows = img.int_values()
         # the defect img - sum of coords[i] cod.basis[i] at the slots that
         # are no free slot, times D * S: D the scale of the image's integer
@@ -1433,12 +1379,7 @@ class CohomologyResult(FrozenRecord):
 
 
 def cohomology_dims(
-    rep: Representation,
-    n: int,
-    r: int,
-    gamma: GroupElement,
-    *,
-    prefactor: str = DEFAULT_PREFACTOR,
+    rep: Representation, n: int, r: int, gamma: GroupElement
 ) -> CohomologyResult:
     """Cocycle, coboundary and quotient dimensions at degree gamma.
 
@@ -1451,7 +1392,7 @@ def cohomology_dims(
     sums in integers, so only a nonzero d(d f) builds Fractions.
 
     dim C is the length of the memoized cochain basis, and the rank of
-    each coboundary matrix is memoized under (n, r, degree, prefactor):
+    each coboundary matrix is memoized under (n, r, degree):
     a matrix is built, with its checks, only on a rank miss, and its rank
     stored once it was built without error.  So a sweep over n builds the
     matrix shared by H^n and H^{n+1} once, and a repeated query builds
@@ -1459,21 +1400,18 @@ def cohomology_dims(
     """
     if n < 0:
         raise ValueError("cochain arity must be nonnegative")
-    _check_prefactor(prefactor)
     a = rep.algebra
     g = a.basis.group.reduce(gamma)
     dim_c = len(cochain_basis(rep, n, g))
-    dim_z = dim_c - _rank_of(rep, n, r, g, prefactor)
+    dim_z = dim_c - _rank_of(rep, n, r, g)
     if n == 0:
         dim_b = 0
     else:
         prev = cochain_basis(rep, n - 1, g)
-        dim_b = _rank_of(rep, n - 1, r, g, prefactor)
+        dim_b = _rank_of(rep, n - 1, r, g)
         for k, fb in enumerate(prev):
-            mid = apply_coboundary(rep, r, fb, prefactor=prefactor,
-                                   validate=False)
-            again = apply_coboundary(rep, r, mid, prefactor=prefactor,
-                                     validate=False)
+            mid = apply_coboundary(rep, r, fb, validate=False)
+            again = apply_coboundary(rep, r, mid, validate=False)
             if not again.is_zero():
                 X, val = next(iter(again.values.items()))
                 args = ", ".join(a.basis.names[i] for i in X)
@@ -1495,11 +1433,11 @@ def cohomology_dims(
     )
 
 
-def _rank_of(rep: Representation, n: int, r: int, g, prefactor: str) -> int:
-    """Rank of the coboundary matrix of (n, r, g, prefactor), memoized."""
-    key = (n, r, g, prefactor)
+def _rank_of(rep: Representation, n: int, r: int, g) -> int:
+    """Rank of the coboundary matrix of (n, r, g), memoized."""
+    key = (n, r, g)
     hit = rep._ranks.get(key)
     if hit is None:
-        mat = coboundary_matrix(rep, n, r, g, prefactor=prefactor)
+        mat = coboundary_matrix(rep, n, r, g)
         hit = rep._ranks[key] = mat.rank()
     return hit

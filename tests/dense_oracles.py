@@ -16,6 +16,10 @@ products, not from the library's term tables.  ``morphism_failures``
 scans the identity m[x, y] = [m x, m y] the same way, on every basis
 pair, for the integer scan by which ``yau_twist`` refuses a map.
 
+``reduce_index_tuple`` is the library's sort of an index tuple into
+canonical order with its sign, as a Fraction factor, for the oracles that
+evaluate cochains term by term.
+
 The cochain complex reads per-arity tables: ``slots_oracle``,
 ``realized_gammas_oracle`` and ``pullbacks_oracle`` recompute them by the
 per-tuple scans they replaced, tuple by tuple against every V index.
@@ -32,6 +36,8 @@ that hold the table against ``dense_twisted``.
 The cochain complex sums integers and reads tables; ``eval_oracle``,
 ``act_oracle`` and ``coboundary_oracle`` evaluate the coboundary term by
 term in Fractions, on basis vectors with dense action matrices.
+``coboundary_oracle`` also keeps the sign convention the library dropped,
+``"full"``, which breaks d∘d = 0, so that finding stays testable.
 ``cochain_basis_oracle`` solves every intertwining constraint as one dense
 RREF, ``coboundary_matrix_oracle`` solves the images of its basis against
 the next one with ``solve_many``, and ``cochain_in_space_oracle`` checks
@@ -57,9 +63,9 @@ from bihomlie.algebra import ColourAlgebra
 from bihomlie.cohomology import (
     Cochain,
     _slots,
+    _sort_sign,
     apply_coboundary,
     canonical_index_tuples,
-    reduce_index_tuple,
 )
 from bihomlie.linalg import (
     EchelonBasis,
@@ -366,6 +372,15 @@ def is_homogeneous(a: ColourAlgebra, matrix: Matrix, gamma) -> bool:
     )
 
 
+def reduce_index_tuple(a: ColourAlgebra, idx) -> tuple:
+    """(factor, canonical): the index tuple sorted into canonical order,
+    with factor the product of -eps over the adjacent swaps used, as a
+    Fraction, or (0, None) when the tuple repeats an index whose degree
+    has eps(d, d) = +1 and the value is forced to vanish."""
+    sign, canon = _sort_sign(a.eps_table(), idx)
+    return F(sign), canon
+
+
 def _tuple_degree(a: ColourAlgebra, T) -> tuple:
     return a.basis.group.sum(a.degree(i) for i in T)
 
@@ -441,9 +456,14 @@ def act_oracle(rep, x, v):
     return m.apply(v)
 
 
-def coboundary_oracle(rep, r, f, prefactor):
+def coboundary_oracle(rep, r, f, prefactor="segment"):
     """The coboundary evaluated term by term on basis vectors, with dense
-    action matrices and mat-vecs: the slow path the tables replaced."""
+    action matrices and mat-vecs: the slow path the tables replaced.
+
+    The bracket term that removes x_t carries eps(<segment>, x_t), where
+    <segment> is x_{s+1}+...+x_{t-1} under ``"segment"``, the library's
+    one convention, and x_0+...+x_{t-1} under ``"full"``, a variant under
+    which the square of the coboundary is nonzero already on osp(1|2)."""
     a = rep.algebra
     eps = a.eps
     n = f.n
@@ -544,7 +564,7 @@ def cochain_basis_oracle(rep, n, gamma):
     return out
 
 
-def coboundary_matrix_oracle(rep, n, r, gamma, prefactor):
+def coboundary_matrix_oracle(rep, n, r, gamma):
     """Images of the oracle basis solved against the oracle codomain
     basis with ``solve_many``."""
     dom = cochain_basis_oracle(rep, n, gamma)
@@ -552,8 +572,7 @@ def coboundary_matrix_oracle(rep, n, r, gamma, prefactor):
     if not dom:
         return Matrix.zero(len(cod), 0)
     images = [
-        apply_coboundary(rep, r, f, prefactor=prefactor, validate=False)
-        for f in dom
+        apply_coboundary(rep, r, f, validate=False) for f in dom
     ]
     if not cod:
         assert all(img.is_zero() for img in images)

@@ -10,8 +10,6 @@ import pytest
 
 from bihomlie import cohomology
 from bihomlie.cohomology import (
-    DEFAULT_PREFACTOR,
-    PREFACTOR_CONVENTIONS,
     Cochain,
     Representation,
     adjoint_rep,
@@ -28,7 +26,6 @@ from bihomlie.cohomology import (
     _reach_rows,
     _slots,
     realized_gammas,
-    reduce_index_tuple,
     validate_representation,
 )
 from bihomlie.algebra import ColourAlgebra
@@ -57,6 +54,7 @@ from dense_oracles import (
     eval_oracle,
     pullbacks_oracle,
     realized_gammas_oracle,
+    reduce_index_tuple,
     slots_oracle,
     spans_equal,
 )
@@ -528,15 +526,12 @@ def test_coboundary_of_zero_cochain():
     assert apply_coboundary(rep, 1, z).is_zero()
 
 
-def test_coboundary_rejects_nonmembers_and_unknown_conventions():
+def test_coboundary_rejects_nonmembers():
     rep = twist_rep()
     a = rep.algebra
     outside = Cochain(1, (0,), {(1,): a.basis_vec(2)}, a.dim)
     with pytest.raises(ValueError, match="outside the domain"):
         apply_coboundary(rep, 1, outside)
-    member = cochain_basis(rep, 1, (0,))[0]
-    with pytest.raises(ValueError, match="prefactor"):
-        apply_coboundary(rep, 1, member, prefactor="mixed")
 
 
 def test_coboundary_output_stays_in_the_cochain_space():
@@ -564,9 +559,8 @@ def _dense_cochain(rep, n, gamma, seed):
     )
 
 
-@pytest.mark.parametrize("prefactor", PREFACTOR_CONVENTIONS)
 @pytest.mark.parametrize("name", sorted(TWISTED))
-def test_table_driven_coboundary_matches_the_oracle(name, prefactor):
+def test_table_driven_coboundary_matches_the_oracle(name):
     rep = TWISTED[name]()
     assert validate_representation(rep).passed
     checked = 0
@@ -575,10 +569,8 @@ def test_table_driven_coboundary_matches_the_oracle(name, prefactor):
             cochains = cochain_basis(rep, n, g) + [_dense_cochain(rep, n, g, n)]
             for f in cochains:
                 for r in (0, 1):
-                    got = apply_coboundary(
-                        rep, r, f, prefactor=prefactor, validate=False
-                    )
-                    want = coboundary_oracle(rep, r, f, prefactor)
+                    got = apply_coboundary(rep, r, f, validate=False)
+                    want = coboundary_oracle(rep, r, f)
                     assert got == want
                     assert list(got.values) == list(want.values)
                     checked += not got.is_zero()
@@ -620,20 +612,11 @@ def test_block_solved_bases_and_read_off_matrices_match_the_oracles(name):
             assert cochain_basis(rep, n, g) == cochain_basis_oracle(rep, n, g)
             if n == 3:
                 continue
-            for prefactor in PREFACTOR_CONVENTIONS:
-                for r in (0, 1):
-                    got = _outcome(coboundary_matrix, rep, n, r, g, prefactor)
-                    try:
-                        want = coboundary_matrix_oracle(
-                            rep, n, r, g, prefactor
-                        )
-                    except AssertionError:
-                        # an image outside the codomain space: the library
-                        # raises, the oracle finds no solution
-                        assert isinstance(got, str) and prefactor == "full"
-                        continue
-                    assert got == want
-                    assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
+            for r in (0, 1):
+                got = coboundary_matrix(rep, n, r, g)
+                want = coboundary_matrix_oracle(rep, n, r, g)
+                assert got == want
+                assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
 
 
 TABLE_MODULES = {
@@ -723,11 +706,10 @@ SPARSE_MODULES = {
 }
 
 
-@pytest.mark.parametrize("prefactor", PREFACTOR_CONVENTIONS)
 @pytest.mark.parametrize("name", sorted(SPARSE_MODULES))
-def test_support_driven_coboundary_matches_the_oracle(name, prefactor):
+def test_support_driven_coboundary_matches_the_oracle(name):
     rep = SPARSE_MODULES[name]()
-    rng = Random(f"{name}/{prefactor}")
+    rng = Random(f"{name}/segment")
     nonmember = nonzero = False
     for n in range(4):
         if not canonical_index_tuples(rep.algebra, n):
@@ -736,10 +718,8 @@ def test_support_driven_coboundary_matches_the_oracle(name, prefactor):
             for _ in range(3):
                 f = _sparse_cochain(rep, n, g, rng)
                 r = rng.choice((0, 1))
-                got = apply_coboundary(
-                    rep, r, f, prefactor=prefactor, validate=False
-                )
-                want = coboundary_oracle(rep, r, f, prefactor)
+                got = apply_coboundary(rep, r, f, validate=False)
+                want = coboundary_oracle(rep, r, f)
                 assert got == want
                 assert list(got.values) == list(want.values)
                 nonmember = nonmember or not cochain_in_space(rep, f)[0]
@@ -780,23 +760,20 @@ def _large_denominator_cochains(rep, n, gamma, rng):
     return out
 
 
-@pytest.mark.parametrize("prefactor", PREFACTOR_CONVENTIONS)
 @pytest.mark.parametrize("name", sorted(INTEGER_MODULES))
-def test_integer_sums_match_the_oracle_on_large_denominators(name, prefactor):
+def test_integer_sums_match_the_oracle_on_large_denominators(name):
     # the coboundary summed in integers over one lcm equals the
     # term-by-term Fraction oracle, dict order included, on values whose
     # denominators share no factor with each other or with the module
     rep = INTEGER_MODULES[name]()
-    rng = Random(f"large/{name}/{prefactor}")
+    rng = Random(f"large/{name}/segment")
     nonzero = 0
     for n in range(3):
         for g in realized_gammas(rep, n):
             for f in _large_denominator_cochains(rep, n, g, rng):
                 for r in (0, 1):
-                    got = apply_coboundary(
-                        rep, r, f, prefactor=prefactor, validate=False
-                    )
-                    want = coboundary_oracle(rep, r, f, prefactor)
+                    got = apply_coboundary(rep, r, f, validate=False)
+                    want = coboundary_oracle(rep, r, f)
                     assert got == want
                     assert list(got.values) == list(want.values)
                     nonzero += any(
@@ -869,23 +846,15 @@ def test_library_cochains_read_like_constructed_ones(name):
                 _same_cochain(got, want)
             cochains = basis[:3] + _large_denominator_cochains(rep, n, g, rng)
             for f in cochains:
-                for prefactor in PREFACTOR_CONVENTIONS:
-                    for r in (0, 1):
-                        want = coboundary_oracle(rep, r, f, prefactor)
-                        for source in (f, _eager(f)):
-                            got = apply_coboundary(
-                                rep, r, source, prefactor=prefactor,
-                                validate=False,
-                            )
-                            _same_cochain(got, want)
-                        # the image of an image: a library cochain as input
-                        again = apply_coboundary(
-                            rep, r, got, prefactor=prefactor, validate=False
-                        )
-                        _same_cochain(
-                            again, coboundary_oracle(rep, r, want, prefactor)
-                        )
-                        checked += not got.is_zero()
+                for r in (0, 1):
+                    want = coboundary_oracle(rep, r, f)
+                    for source in (f, _eager(f)):
+                        got = apply_coboundary(rep, r, source, validate=False)
+                        _same_cochain(got, want)
+                    # the image of an image: a library cochain as input
+                    again = apply_coboundary(rep, r, got, validate=False)
+                    _same_cochain(again, coboundary_oracle(rep, r, want))
+                    checked += not got.is_zero()
     assert checked
 
 
@@ -914,9 +883,7 @@ def test_coboundary_matrices_read_like_constructed_ones(name):
     for n in range(2):
         for g in realized_gammas(rep, n):
             for r in (0, 1):
-                oracle = coboundary_matrix_oracle(
-                    rep, n, r, g, DEFAULT_PREFACTOR
-                )
+                oracle = coboundary_matrix_oracle(rep, n, r, g)
                 want = Matrix(oracle.rows, oracle.ncols)
                 assert want == oracle
                 # each reader first, on a matrix of its own
@@ -1059,19 +1026,10 @@ def _combination(basis, rng):
     return f
 
 
-def _outcome(query, rep, n, r, g, prefactor):
-    """The query's result, or the message of the RuntimeError it raises
-    (the "full" convention breaks the complex on some modules)."""
-    try:
-        return query(rep, n, r, g, prefactor=prefactor)
-    except RuntimeError as err:
-        return str(err)
-
-
 @pytest.mark.parametrize("name", sorted(SPARSE_MODULES))
 def test_memoized_complex_matches_fresh_modules_and_the_oracle(name):
     # One shared module answers an interleaved run of queries over the
-    # arities, every r, prefactor and degree.  Each answer must equal that
+    # arities, every r and degree.  Each answer must equal that
     # of a fresh module on the same algebra, and the coboundary of the last
     # cochain of each query the oracle's, dict order included.  On the
     # nine-dimensional modules the arity stops at 1, where a fresh module
@@ -1079,37 +1037,31 @@ def test_memoized_complex_matches_fresh_modules_and_the_oracle(name):
     shared = SPARSE_MODULES[name]()
     rng = Random(f"memo/{name}")
     queries = [
-        (kind, n, r, g, prefactor)
+        (kind, n, r, g)
         for kind in ("apply", "matrix", "dims")
         for n in range(2 if shared.algebra.dim > 5 else 4)
         for g in realized_gammas(shared, n)
         for r in (0, 1, 2)
-        for prefactor in PREFACTOR_CONVENTIONS
     ]
     rng.shuffle(queries)
-    for kind, n, r, g, prefactor in queries:
+    for kind, n, r, g in queries:
         fresh = Representation(
             shared.algebra, shared.space, shared.rho, shared.alphaV, shared.betaV
         )
         if kind != "apply":
             query = coboundary_matrix if kind == "matrix" else cohomology_dims
-            got = _outcome(query, shared, n, r, g, prefactor)
-            assert got == _outcome(query, fresh, n, r, g, prefactor)
+            assert query(shared, n, r, g) == query(fresh, n, r, g)
         else:
             basis = cochain_basis(shared, n, g)
             cochains = [_sparse_cochain(shared, n, g, rng)]
             if basis:
                 cochains += [rng.choice(basis), _combination(basis, rng)]
             for f in cochains:
-                got = apply_coboundary(
-                    shared, r, f, prefactor=prefactor, validate=False
-                )
-                want = apply_coboundary(
-                    fresh, r, f, prefactor=prefactor, validate=False
-                )
+                got = apply_coboundary(shared, r, f, validate=False)
+                want = apply_coboundary(fresh, r, f, validate=False)
                 assert got == want
                 assert list(got.values) == list(want.values)
-            want = coboundary_oracle(shared, r, f, prefactor)
+            want = coboundary_oracle(shared, r, f)
             assert got == want
             assert list(got.values) == list(want.values)
 
@@ -1129,7 +1081,7 @@ def test_coboundaries_sharing_an_action_power_match_the_oracle(name, first):
             cochains = cochain_basis(shared, n, g)[:3]
             cochains.append(_sparse_cochain(shared, n, g, rng))
             for f in cochains:
-                want = coboundary_oracle(shared, r, f, DEFAULT_PREFACTOR)
+                want = coboundary_oracle(shared, r, f)
                 for rep in (shared, make()):
                     got = apply_coboundary(rep, r, f, validate=False)
                     assert got == want
@@ -1289,11 +1241,11 @@ def test_singular_alpha_refuses_the_bracket_term_only():
     f0 = Cochain(0, (0,), {(): v}, rep.dimV)
     d0 = apply_coboundary(rep, 1, f0, validate=False)
     assert not d0.is_zero()
-    assert d0 == coboundary_oracle(rep, 1, f0, DEFAULT_PREFACTOR)
+    assert d0 == coboundary_oracle(rep, 1, f0)
     # at n = 1 the bracket needs alpha^-1: the same error as the oracle's
     f1 = Cochain(1, (0,), {(0,): v}, rep.dimV)
     with pytest.raises(ValueError) as want:
-        coboundary_oracle(rep, 1, f1, DEFAULT_PREFACTOR)
+        coboundary_oracle(rep, 1, f1)
     with pytest.raises(ValueError) as got:
         apply_coboundary(rep, 1, f1, validate=False)
     assert str(got.value) == str(want.value)
@@ -1371,65 +1323,68 @@ def test_image_off_the_slots_raises_with_the_slot():
     assert not rep._ranks
 
 
-@pytest.mark.parametrize("n", [0, 1, 2])
-def test_unknown_prefactor_is_refused_on_an_empty_domain(n):
-    rep = twist_rep(0, 1)
-    assert not cochain_basis(rep, n, (1,))
-    with pytest.raises(ValueError, match="unknown prefactor"):
-        coboundary_matrix(rep, n, 1, (1,), prefactor="bogus")
-    with pytest.raises(ValueError, match="unknown prefactor"):
-        cohomology_dims(rep, n, 1, (1,), prefactor="bogus")
+def _scaled(rep, c):
+    """rep with every action matrix scaled by c: the module maps still
+    intertwine, so the coboundary keeps to the cochain spaces, but bracket
+    compatibility, linear in rho on one side and quadratic on the other,
+    fails for c other than 0 and 1 on a nonzero action, and d(d f) need
+    not vanish."""
+    rho = [m.scale(c) for m in rep.rho]
+    return Representation(rep.algebra, rep.space, rho, rep.alphaV, rep.betaV)
 
 
-def test_unknown_prefactor_is_refused_on_a_warm_module():
-    # a rank memo holding the default convention's ranks, empty domains
-    # at degree (1,) included, does not let an unknown convention through
-    rep = twist_rep(0, 1)
-    for n in range(3):
-        for g in ((0,), (1,)):
-            cohomology_dims(rep, n, 1, g)
-            assert (n, 1, g, DEFAULT_PREFACTOR) in rep._ranks
-            with pytest.raises(ValueError, match="unknown prefactor"):
-                cohomology_dims(rep, n, 1, g, prefactor="bogus")
+def _square_error(n, k, witness):
+    return (
+        "coboundary image escapes the cocycle space: the square of the "
+        f"coboundary is nonzero at (n={n}, r=1, degree=(0,)): on basis "
+        f"cochain {k} of arity {n - 1} it is {witness}"
+    )
 
 
 def test_nonzero_square_names_the_cochain_tuple_and_value():
-    rep = adjoint_rep(osp12_classical(), 0, 1)
-    want = (
-        r"square of the coboundary is nonzero at \(n=2, r=1, "
-        r"degree=\(0,\)\): on basis cochain 0 of arity 1 it is 8 Y on "
-        r"\(H, F, F\)$"
-    )
-    with pytest.raises(RuntimeError, match=want):
-        cohomology_dims(rep, 2, 1, (0,), prefactor="full")
+    # the adjoint action of osp(1|2) doubled fails only the module
+    # condition, and the square of its coboundary is nonzero
+    rep = _scaled(adjoint_rep(osp12_classical(), 0, 1), 2)
+    report = validate_representation(rep)
+    assert [it.name for it in report.items if not it.passed] == [
+        "module_condition"
+    ]
+    want = _square_error(2, 0, "-2 G on (H, X, F)")
+    with pytest.raises(RuntimeError) as err:
+        cohomology_dims(rep, 2, 1, (0,))
+    assert str(err.value) == want
     # both ranks were stored before the re-check ran, and the re-check
     # runs on every call: a repeated query gives the same witness
-    assert {(1, 1, (0,), "full"), (2, 1, (0,), "full")} <= rep._ranks.keys()
-    with pytest.raises(RuntimeError, match=want):
-        cohomology_dims(rep, 2, 1, (0,), prefactor="full")
-    # the same witness from a module whose memo already holds the
-    # default convention's complex and the "full" matrices
-    warm = adjoint_rep(osp12_classical(), 0, 1)
+    assert {(1, 1, (0,)), (2, 1, (0,))} <= rep._ranks.keys()
+    with pytest.raises(RuntimeError) as err:
+        cohomology_dims(rep, 2, 1, (0,))
+    assert str(err.value) == want
+    with pytest.raises(RuntimeError) as err:
+        cohomology_dims(rep, 1, 1, (0,))
+    assert str(err.value) == _square_error(1, 0, "-8 X on (H, X)")
+    # the same witness from a module whose memo already holds every
+    # matrix of the complex
+    warm = _scaled(adjoint_rep(osp12_classical(), 0, 1), 2)
+    cohomology_dims(warm, 0, 1, (0,))
     for n in range(3):
-        cohomology_dims(warm, n, 1, (0,))
-        coboundary_matrix(warm, n, 1, (0,), prefactor="full")
-    with pytest.raises(RuntimeError, match=want):
-        cohomology_dims(warm, 2, 1, (0,), prefactor="full")
+        coboundary_matrix(warm, n, 1, (0,))
+    with pytest.raises(RuntimeError) as err:
+        cohomology_dims(warm, 2, 1, (0,))
+    assert str(err.value) == want
     # the witness is the first nonzero tuple of the oracle's d(d(f))
     f = cochain_basis(rep, 1, (0,))[0]
-    mid = coboundary_oracle(rep, 1, f, "full")
-    again = coboundary_oracle(rep, 1, mid, "full")
+    again = coboundary_oracle(rep, 1, coboundary_oracle(rep, 1, f))
     names = rep.algebra.basis.names
     first = next(iter(again.values))
-    assert tuple(names[i] for i in first) == ("H", "F", "F")
-    assert again.values[first] == (0, 0, 8, 0, 0)
+    assert tuple(names[i] for i in first) == ("H", "X", "F")
+    assert again.values[first] == (0, 0, 0, 0, -2)
 
 
 def test_internal_errors_keep_their_text_on_fractional_values():
     # the value in each message is the exact Fraction of the image, not
     # an integer over some scale: an action scaled by -2/3 on the module
-    # of the off-slot test, and the "full" convention on two twists with
-    # fractional structure constants
+    # of the off-slot test and on two adjoint modules, one of a twist
+    # with fractional structure constants
     a = osp12_classical()
     e41 = Matrix(
         [
@@ -1450,37 +1405,28 @@ def test_internal_errors_keep_their_text_on_fractional_values():
         with pytest.raises(RuntimeError) as err:
             query(off, n, 0, (0,))
         assert str(err.value) == want
-    square = (
-        "coboundary image escapes the cocycle space: the square of the "
-        "coboundary is nonzero at (n={}, r=1, degree=(0,)): on basis "
-        "cochain 0 of arity {} it is {}"
-    )
-    outside = (
-        "coboundary image of basis cochain {} does not lie in the codomain "
-        "cochain space"
-    )
-    for rep, pins in (
-        (
-            twist_rep(0, 1),
-            {
-                1: square.format(1, 0, "1/162 Y on (F, F)"),
-                2: square.format(2, 1, "1/1458 Y on (H, F, F)"),
-                3: square.format(3, 2, "-1/324 H on (H, X, F, F)"),
-            },
-        ),
-        (
-            adjoint_rep(gl21_fraction_twist(), 0, 1),
-            {
-                1: square.format(1, 0, "128/15625 E12 on (E13, E31)"),
-                2: outside.format(5),
-                3: outside.format(4),
-            },
-        ),
+    osp = _scaled(adjoint_rep(osp12_classical(), 0, 1), F(-2, 3))
+    gl21 = _scaled(adjoint_rep(gl21_fraction_twist(), 0, 1), F(-2, 3))
+    for rep, n, witness in (
+        (osp, 1, "-40/9 X on (H, X)"),
+        (gl21, 1, "128/15625 E12 on (E11, E12)"),
+        (gl21, 2, "-512/390625 E12 on (E11, E12, E21)"),
     ):
-        for n, want in pins.items():
-            with pytest.raises(RuntimeError) as err:
-                cohomology_dims(rep, n, 1, (0,), prefactor="full")
-            assert str(err.value) == want
+        with pytest.raises(RuntimeError) as err:
+            cohomology_dims(rep, n, 1, (0,))
+        assert str(err.value) == _square_error(n, 0, witness)
+    # beta_V := alpha_V on the same twist: images leave the cochain space
+    rep = adjoint_rep(gl21_fraction_twist(), 0, 1)
+    bad = Representation(
+        rep.algebra, rep.space, rep.rho, rep.alphaV, rep.alphaV
+    )
+    for n in (0, 1, 2):
+        with pytest.raises(RuntimeError) as err:
+            cohomology_dims(bad, n, 1, (0,))
+        assert str(err.value) == (
+            "coboundary image of basis cochain 0 does not lie in the "
+            "codomain cochain space"
+        )
 
 
 @pytest.mark.parametrize("r", [0, 1, 2])
@@ -1493,12 +1439,20 @@ def test_square_of_coboundary_vanishes(r):
 
 
 def test_alternate_prefactor_breaks_the_square():
-    # the variant convention fails d.d = 0 already with identity maps,
-    # which is what froze the default
+    # the variant sign eps(x_0 + ... + x_{t-1}, x_t), kept only in the
+    # oracle, fails d.d = 0 already with identity maps, which is what
+    # froze the library's one convention
     rep = adjoint_rep(osp12_classical(), 0, 1)
-    m1 = coboundary_matrix(rep, 1, 1, (0,), prefactor="full")
-    m2 = coboundary_matrix(rep, 2, 1, (0,), prefactor="full")
-    assert not (m2 * m1).is_zero()
+    f = cochain_basis(rep, 1, (0,))[0]
+    mid = coboundary_oracle(rep, 1, f, "full")
+    again = coboundary_oracle(rep, 1, mid, "full")
+    names = rep.algebra.basis.names
+    first = next(iter(again.values))
+    assert tuple(names[i] for i in first) == ("H", "F", "F")
+    assert again.values[first] == (0, 0, 8, 0, 0)
+    # under the library's convention it vanishes
+    again = coboundary_oracle(rep, 1, coboundary_oracle(rep, 1, f))
+    assert again.is_zero()
 
 
 # -- kernels, spans, dimensions --------------------------------------------------

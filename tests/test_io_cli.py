@@ -497,6 +497,42 @@ def test_cohomology_subcommand(tmp_path, capsys):
     assert doc["payload"][0]["dim_h"] == 3
 
 
+def test_cohomology_output_and_report_are_pinned(tmp_path, capsys):
+    report = tmp_path / "coh.json"
+    path = data_path("osp12_classical.alg")
+    code = run_cli(["cohomology", path, "--n", "2", "--report", str(report)])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "degree 0: dim C=30 Z=10 B=10 H=0\n"
+        "degree 1: dim C=30 Z=10 B=10 H=0\n"
+    )
+    dims = {
+        "dim_coboundaries": 10,
+        "dim_cochains": 30,
+        "dim_cocycles": 10,
+        "dim_h": 0,
+        "n": 2,
+        "r": 1,
+    }
+    assert json.loads(report.read_text()) == {
+        "command": "cohomology",
+        "payload": [{"degree": [0], **dims}, {"degree": [1], **dims}],
+        "version": 1,
+    }
+
+
+def test_cohomology_has_no_prefactor_option(capsys):
+    # the coboundary has one sign convention, so the option is refused
+    # by the parser, before any algebra is read
+    path = data_path("osp12_classical.alg")
+    argv = ["cohomology", path, "--n", "2", "--prefactor", "full"]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --prefactor full" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_cohomology_bad_degree(capsys):
     code = run_cli(
         [
