@@ -20,9 +20,9 @@ breaks the square already on osp(1|2) with identity maps.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from itertools import product as iproduct
 from math import lcm
 
@@ -63,13 +63,16 @@ class Representation:
     tables that depend on neither the degree nor r: the canonical n-tuples
     grouped by degree, each tuple's alpha and beta pull-back terms, and
     the bracket and action terms by which a tuple enters the coboundary.
-    Per (n, degree) it keeps the cochain basis, and per (n, r, degree)
-    the unit-slot images of the coboundary and the rank of its matrix
-    (see :func:`cochain_basis`, :func:`apply_coboundary` and
-    :func:`cohomology_dims`): a repeated :func:`cohomology_dims` reads
-    dim C and both ranks from them, builds a coboundary matrix only on a
-    rank miss and re-checks d(d f) = 0 on every call.  The module must
-    not be changed after its first query.
+    Per (n, degree) it keeps the cochain basis, solved from the rows of
+    :func:`_intertwining_rows`, and per (n, r, degree) the unit-slot
+    images of the coboundary and the rank of its matrix (see
+    :func:`cochain_basis`, :func:`apply_coboundary` and
+    :func:`cohomology_dims`); :func:`_coordinates` reads coboundary images
+    and the cochains of :func:`cochain_in_space` off that basis.  A
+    repeated :func:`cohomology_dims` reads dim C and both ranks from the
+    memo, builds a coboundary matrix only on a rank miss and re-checks
+    d(d f) = 0 on every call.  The module must not be changed after its
+    first query.
 
     Two memos serve every arity, degree and r: the dense integer rows on
     which :func:`_reach` evaluates a unit cochain (see
@@ -620,16 +623,11 @@ class _Arity:
     * ``pullbacks``: for a canonical tuple T, its alpha and beta pull-back
       terms (see :func:`_pullbacks`), filled on first use, and
       ``pullback_scales``, the scale of the alpha and of the beta terms;
-    * ``pulled_by``: for a canonical tuple X, the canonical tuples T whose
-      alpha or beta pull-back terms name X, in lexicographic order (see
-      :func:`_pulled_by`), built on first use;
     * ``reach``: for a canonical tuple T, the terms by which T enters the
       coboundary (see :func:`_reach`), filled on first use.
     """
 
-    __slots__ = (
-        "by_degree", "pullbacks", "pullback_scales", "pulled_by", "reach"
-    )
+    __slots__ = ("by_degree", "pullbacks", "pullback_scales", "reach")
 
     def __init__(self, a: ColourAlgebra, n: int) -> None:
         group, degs = a.basis.group, a.basis.degrees
@@ -645,7 +643,6 @@ class _Arity:
         self.pullback_scales = tuple(
             m.int_column_terms()[0] ** n for m in (a.alpha, a.beta)
         )
-        self.pulled_by: dict[tuple[int, ...], tuple] | None = None
         self.reach: dict[tuple, tuple] = {}
 
 
@@ -690,12 +687,14 @@ def realized_gammas(rep: Representation, n: int) -> list[GroupElement]:
 
 
 class _Space(FrozenRecord):
-    """The degree-gamma n-cochain space of :func:`cochain_basis`: its slot
-    set, its basis, the column of each basis cochain's free slot, and
-    (S, terms) with terms[k] the nonzero entries of basis cochain k as
-    ((T, w), value * S) in ascending slot, S the lcm of the denominators
-    of every entry.  Each basis cochain is built in integer form from its
-    terms, over S."""
+    """The degree-gamma n-cochain space of :func:`cochain_basis`: ``slots``
+    maps each slot (T, w), in lexicographic order, to its column in the
+    rows of :func:`_intertwining_rows`; ``basis`` is the basis;
+    ``free_column`` maps each basis cochain's free slot to its index; and
+    ``int_terms`` is (S, terms) with terms[k] the nonzero entries of basis
+    cochain k as ((T, w), value * S) in ascending slot, S the lcm of the
+    denominators of every entry.  Each basis cochain is built in integer
+    form from its terms, over S."""
 
     __slots__ = ("slots", "basis", "free_column", "int_terms")
 
@@ -727,16 +726,21 @@ def cochain_basis(
 
 
 def _space(rep: Representation, n: int, gamma: GroupElement) -> _Space:
-    """The memoized cochain space of :func:`cochain_basis`, n >= 0."""
+    """The memoized cochain space of :func:`cochain_basis`: the kernel of
+    the rows of :func:`_intertwining_rows` on the degree-gamma slots."""
     g = rep.algebra.basis.group.reduce(gamma)
     hit = rep._bases.get((n, g))
     if hit is None:
-        slots = _slots(rep, n, g)
+        order = _slots(rep, n, g)
+        slots = {slot: k for k, slot in enumerate(order)}
+        conditions = chain.from_iterable(
+            rows for _, _, rows in _intertwining_rows(rep, n, slots)
+        )
         # each kernel vector is in ascending column, so in ascending slot
         scale, terms = scale_to_ints(
             [
-                tuple((slots[k], c) for k, c in coords.items())
-                for coords in _solve_basis(rep, n, g, slots)
+                tuple((order[k], c) for k, c in coords.items())
+                for coords in kernel_by_blocks(conditions, len(order))
             ]
         )
         basis = []
@@ -754,7 +758,7 @@ def _space(rep: Representation, n: int, gamma: GroupElement) -> _Space:
                 )
             )
         hit = rep._bases[n, g] = _Space(
-            frozenset(slots),
+            slots,
             tuple(basis),
             {max(slot for slot, _ in t): k for k, t in enumerate(terms)},
             (scale, tuple(terms)),
@@ -787,49 +791,30 @@ def _pullbacks(a: ColourAlgebra, arity: _Arity, T: tuple[int, ...]) -> tuple:
     return hit
 
 
-def _pulled_by(a: ColourAlgebra, arity: _Arity) -> dict:
-    """The index ``arity.pulled_by``: each canonical tuple X named by a
-    pull-back term, with the canonical tuples T whose alpha or beta
-    pull-back terms name it, in lexicographic order; built once per
-    arity from every tuple's memoized pull-back terms."""
-    if arity.pulled_by is None:
-        index: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for T in sorted(T for ts in arity.by_degree.values() for T in ts):
-            for pull in _pullbacks(a, arity, T):
-                for X, _ in pull:
-                    ts = index.setdefault(X, [])
-                    if not ts or ts[-1] != T:
-                        ts.append(T)
-        arity.pulled_by = {X: tuple(ts) for X, ts in index.items()}
-    return arity.pulled_by
-
-
-def _solve_basis(
-    rep: Representation,
-    n: int,
-    g: GroupElement,
-    slots: list[tuple[tuple[int, ...], int]],
-) -> list[dict[int, Fraction]]:
-    """The basis of :func:`cochain_basis` on the degree-g ``slots``, as
-    the kernel vectors {slot index: nonzero value} of the intertwining
-    rows, in ascending free slot (see :func:`kernel_by_blocks`)."""
-    if not slots:
-        return []
+def _intertwining_rows(
+    rep: Representation, n: int, slots: dict[tuple, int]
+) -> Iterator[tuple[tuple[int, ...], str, list[dict[int, int]]]]:
+    """The conditions f(m x_1, ..., m x_n) = m_V f(x_1, ..., x_n) on the
+    n-cochains whose ``slots`` map each slot (T, w), in lexicographic
+    order, to its column: for each tuple T of a slot, in that order, and
+    m = alpha, then beta, yields (T, "alpha" or "beta", rows), row w the
+    {column: integer} coefficients of the w-coordinate of
+    f(m e_{T_1}, ..., m e_{T_n}) - m_V f(e_{T_1}, ..., e_{T_n}) times the
+    lcm of the pull-back and the m_V scale.  On a tuple with no slot
+    both sides vanish, since m and m_V are even."""
     a = rep.algebra
     arity = _arity(rep, n)
     # canonical tuple -> its slots (V index, column)
     slot_cols: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for k, (T, w) in enumerate(slots):
+    for (T, w), k in slots.items():
         slot_cols.setdefault(T, []).append((w, k))
-
-    vmaps = (rep.alphaV.int_column_terms(), rep.betaV.int_column_terms())
-    rows: list[dict[int, int]] = []
+    vmaps = (
+        ("alpha", rep.alphaV.int_column_terms()),
+        ("beta", rep.betaV.int_column_terms()),
+    )
     for T, own in slot_cols.items():
         pulls = zip(_pullbacks(a, arity, T), arity.pullback_scales)
-        for (pull, pden), (vden, vcols) in zip(pulls, vmaps):
-            # row w: the coefficients of the w-coordinate of
-            # f(m e_{T_1}, ..., m e_{T_n}) - m_V f(e_{T_1}, ..., e_{T_n}),
-            # times the lcm of the pull-back and the m_V scale
+        for (pull, pden), (name, (vden, vcols)) in zip(pulls, vmaps):
             scale = lcm(pden, vden)
             pf, vf = scale // pden, scale // vden
             by_w: dict[int, dict[int, int]] = {}
@@ -842,9 +827,46 @@ def _solve_basis(
                 for rrow, c in vcols[w]:
                     row = by_w.setdefault(rrow, {})
                     row[k] = row.get(k, 0) - c * vf
-            rows.extend(by_w.values())
+            yield T, name, list(by_w.values())
 
-    return kernel_by_blocks(rows, len(slots))
+
+def _coordinates(
+    space: _Space, rows: dict[tuple[int, ...], IntTerms]
+) -> tuple[list[tuple[int, int]] | None, tuple | None]:
+    """Read the cochain f with integer form (D, rows) (see
+    :meth:`Cochain.int_values`) off ``space``: (coords, None) when
+    f = sum of (x / D) basis[i] over the pairs (i, x) of coords, x the
+    integer of f at the free slot of basis cochain i; (None, None) when f
+    lies on the space's slots but not in it; (None, ((T, w), x)) at f's
+    first slot, in the order of its rows, off those slots.
+
+    The defect of f from that sum, times D * S for the scale S of the
+    basis terms, is summed over f's nonzero slots that are no free slot
+    and the terms of the basis cochains it combines.  At a free slot it
+    is zero: basis[i] is 1 at its own and 0 at the others'.
+    """
+    slots, free_column = space.slots, space.free_column
+    scale, terms = space.int_terms
+    rest: dict[tuple, int] = {}
+    coords: list[tuple[int, int]] = []
+    for T, row in rows.items():
+        for w, x in row:
+            slot = (T, w)
+            i = free_column.get(slot)
+            if i is not None:
+                coords.append((i, x))
+            elif slot in slots:
+                rest[slot] = x * scale
+            else:
+                return None, (slot, x)
+    for i, x in coords:
+        for slot, b in terms[i][:-1]:
+            y = rest.get(slot, 0) - x * b
+            if y:
+                rest[slot] = y
+            else:
+                del rest[slot]
+    return (None if rest else coords), None
 
 
 def cochain_in_space(
@@ -852,19 +874,12 @@ def cochain_in_space(
 ) -> tuple[bool, str]:
     """Does f lie in the cochain space: degrees and both intertwinings.
 
-    Both intertwinings f(m x_1, ..., m x_n) = m_V f(x_1, ..., x_n) are
-    checked on the canonical tuples T where either side can be nonzero,
-    in lexicographic order and alpha before beta: the left side is the sum
-    of (c / S) f(X) over the memoized integer pull-back terms (X, c) of T
-    and their scale S, the terms from which :func:`cochain_basis` builds
-    its constraint rows.  So the check visits the tuples of f's support
-    and, through the per-arity index of :func:`_pulled_by`, the tuples
-    whose pull-back terms name one of them; on every other tuple both
-    sides are zero.
-
-    The check reads the integer form of f (see :meth:`Cochain.int_values`)
-    and the integer columns of m_V, and compares both sides times D and
-    the lcm of S and the m_V scale, so it builds no Fraction.
+    Once its values lie in the right degree blocks on canonical tuples, f
+    is read off the memoized basis of its space by :func:`_coordinates`,
+    in integers; the first check on a fresh module solves and memoizes
+    that basis (see :func:`cochain_basis`).  A non-member is refused with
+    the first row of :func:`_intertwining_rows` it breaks, the rows the
+    basis is solved from, in lexicographic tuple and alpha before beta.
     """
     a = rep.algebra
     if f.dimV != rep.dimV:
@@ -883,30 +898,18 @@ def cochain_in_space(
         sign, canon = _sort_sign(eps, T)
         if canon != T or sign != 1:
             return False, f"stored tuple {T} is not canonical"
-    arity = _arity(rep, f.n)
-    vmaps = (
-        (rep.alphaV.int_column_terms(), "alpha"),
-        (rep.betaV.int_column_terms(), "beta"),
+    space = _space(rep, f.n, g)
+    if _coordinates(space, rows)[0] is not None:
+        return True, ""
+    x = {space.slots[T, w]: v for T, terms in rows.items() for w, v in terms}
+    T, name = next(
+        (T, name)
+        for T, name, conditions in _intertwining_rows(rep, f.n, space.slots)
+        if any(
+            sum(c * x.get(k, 0) for k, c in row.items()) for row in conditions
+        )
     )
-    dimV = rep.dimV
-    pulled_by = _pulled_by(a, arity)
-    reached = set(rows)
-    for X in rows:
-        reached.update(pulled_by.get(X, ()))
-    for T in sorted(reached):
-        for pull, pden, ((vden, vcols), name) in zip(
-            _pullbacks(a, arity, T), arity.pullback_scales, vmaps
-        ):
-            scale = lcm(pden, vden)
-            pf, vf = scale // pden, scale // vden
-            got, want = [0] * dimV, [0] * dimV
-            for X, c in pull:
-                add_terms(got, c * pf, rows.get(X, ()))
-            for w, x in rows.get(T, ()):
-                add_terms(want, x * vf, vcols[w])
-            if got != want:
-                return False, f"{name} intertwining fails on tuple {T}"
-    return True, ""
+    return False, f"{name} intertwining fails on tuple {T}"
 
 
 # ---------------------------------------------------------------------------
@@ -1207,6 +1210,10 @@ def apply_coboundary(
     scale M of the coboundary, is summed per tuple, and d f is returned in
     integer form over D * M, its ``values`` built only when a caller
     reads them.
+
+    With ``validate`` f must pass :func:`cochain_in_space`, else
+    ValueError; the first validation on a fresh module solves and
+    memoizes the n-cochain basis.
     """
     if validate:
         ok, reason = cochain_in_space(rep, f)
@@ -1264,62 +1271,38 @@ def coboundary_matrix(
     a miss indicates a module that fails its axioms), naming the basis
     cochain and, where the image leaves the degree-gamma slots, the slot.
 
-    The coordinates of an image are its values at the free slots of the
-    codomain basis (see :func:`cochain_basis`); the image must then equal
-    that combination exactly.  Both are read over the image's nonzero
-    slots and the nonzero entries of the codomain basis cochains it
-    combines, never over a dense slot vector.  The check is exact in
-    integers: the integer form of the image (see
-    :meth:`Cochain.int_values`) against the integer copy of the codomain
-    basis terms over their one scale.  The matrix is built in its integer
-    form, column k the image's integers at the free slots, brought from
-    its D to the lcm of every D, and its Fraction views are built only
-    when a caller reads them (see :meth:`Matrix.int_column_terms`); a
-    Fraction is built here only for the text of an error.
+    Each image is read off the memoized codomain space by
+    :func:`_coordinates`, the readout that :func:`cochain_in_space` also
+    uses: its coordinates are its integers at the free slots of the
+    codomain basis (see :func:`cochain_basis`), and it must equal that
+    combination exactly, checked in integers over its nonzero slots and
+    the codomain basis terms it combines.  The matrix is built in its
+    integer form, column k the image's integers at the free slots,
+    brought from its D to the lcm of every D, and its Fraction views are
+    built only when a caller reads them (see
+    :meth:`Matrix.int_column_terms`); a Fraction is built here only for
+    the text of an error.
     """
     dom = cochain_basis(rep, n, gamma)
     cod_basis = cochain_basis(rep, n + 1, gamma)
     if not dom:
         return Matrix.zero(len(cod_basis), 0)
     cod = _space(rep, n + 1, gamma)  # the memo entry just read
-    cod_slots, free_column = cod.slots, cod.free_column
-    scale, cod_terms = cod.int_terms
     cols = []
     for k, fb in enumerate(dom):
         img = apply_coboundary(rep, r, fb, validate=False)
         den, rows = img.int_values()
-        # the defect img - sum of coords[i] cod.basis[i] at the slots that
-        # are no free slot, times D * S: D the scale of the image's integer
-        # form, S that of the codomain basis terms; coords[i] * D is the
-        # image's integer at the free slot of cod.basis[i].  At a free slot
-        # the defect is zero by construction: cod.basis[i] is 1 at its own
-        # (its last term) and every basis cochain is 0 at the others'.
-        rest: dict[tuple, int] = {}
-        coords: list[tuple[int, int]] = []
-        for T, terms in rows.items():
-            for w, x in terms:
-                slot = (T, w)
-                i = free_column.get(slot)
-                if i is not None:
-                    coords.append((i, x))
-                elif slot in cod_slots:
-                    rest[slot] = x * scale
-                else:
-                    args = ", ".join(rep.algebra.basis.names[i] for i in T)
-                    raise RuntimeError(
-                        f"coboundary image of basis cochain {k} has "
-                        f"coordinate {rep.space.names[w]} = "
-                        f"{Fraction(x, den)} on ({args}), outside the "
-                        f"degree-{tuple(gamma)} slots of the codomain"
-                    )
-        for i, x in coords:
-            for slot, b in cod_terms[i][:-1]:
-                y = rest.get(slot, 0) - x * b
-                if y:
-                    rest[slot] = y
-                else:
-                    del rest[slot]
-        if rest:
+        coords, stray = _coordinates(cod, rows)
+        if stray is not None:
+            (T, w), x = stray
+            args = ", ".join(rep.algebra.basis.names[i] for i in T)
+            raise RuntimeError(
+                f"coboundary image of basis cochain {k} has "
+                f"coordinate {rep.space.names[w]} = "
+                f"{Fraction(x, den)} on ({args}), outside the "
+                f"degree-{tuple(gamma)} slots of the codomain"
+            )
+        if coords is None:
             raise RuntimeError(
                 f"coboundary image of basis cochain {k} does not lie in "
                 "the codomain cochain space"

@@ -29,7 +29,7 @@ The solve, the inner derivations and the re-verification sum integers.
 The commuting and Leibniz rows are built over the integer tables and the
 integer columns of alpha and beta (``ColourAlgebra.int_table``,
 ``Matrix.int_column_terms``), each row brought to one scale, and
-``EchelonBasis`` takes them as they are; the kernel comes back in
+``kernel_by_blocks`` takes them as they are; the kernel comes back in
 Fractions, and each member is built in the integer form of a ``Matrix``,
 its column terms over the lcm of their denominators.  The inner
 derivations solve their fixed vectors on the same path and build each

@@ -22,7 +22,6 @@ from bihomlie.cohomology import (
     dual_rep,
     _arity,
     _pullbacks,
-    _pulled_by,
     _reach_rows,
     _slots,
     realized_gammas,
@@ -994,12 +993,10 @@ CROSSING_MODULES = {
 
 @pytest.mark.parametrize("name", sorted(CROSSING_MODULES))
 def test_membership_visits_the_tuples_the_index_names(name):
-    # The per-arity index names, for each tuple X, the tuples whose
-    # pull-back terms name X, as a scan of every tuple finds them.  On
+    # On modules where some pull-back term names another tuple, and on
     # basis cochains (members), perturbed ones and cochains with one value
-    # (mostly not), the check that visits f's support and the tuples the
-    # index names for it agrees with the dense scan of every tuple, and
-    # some cochains fail at a tuple outside their support.
+    # (mostly not), the verdict and reason agree with the dense scan of
+    # every tuple, and some cochains fail at a tuple outside their support.
     rep = CROSSING_MODULES[name]()
     a = rep.algebra
     rng = Random(f"pulled/{name}")
@@ -1013,8 +1010,6 @@ def test_membership_visits_the_tuples_the_index_names(name):
                 for X, _ in pull:
                     if T not in want.setdefault(X, []):
                         want[X].append(T)
-        index = {X: tuple(ts) for X, ts in want.items()}
-        assert _pulled_by(a, arity) == index
         crossing += any(ts != [X] for X, ts in want.items())
         for g in realized_gammas(rep, n):
             basis = cochain_basis(rep, n, g)
@@ -1118,7 +1113,12 @@ def test_cochain_basis_returns_a_fresh_list_of_the_memo():
     assert cochain_basis(rep, 1, [2]) == want
 
 
-GL22_PINS = {1: (28, 4, 3, 1), 2: (120, 24, 24, 0)}
+GL22_PINS = {
+    1: (28, 4, 3, 1),
+    2: (120, 24, 24, 0),
+    3: (404, 98, 96, 2),
+    4: (1128, 308, 306, 2),
+}
 
 
 def test_gl22_cohomology_on_a_shared_and_on_fresh_modules():

@@ -21,7 +21,7 @@ from bihomlie.alg_io import (
     parse_omega,
     serialize_algebra,
 )
-from bihomlie import alg_io, cli, constructions
+from bihomlie import alg_io, cli, cohomology, constructions
 from bihomlie.algebra import MAX_DIM
 from bihomlie.cli import run_cli
 from bihomlie.constructions import CORPUS_NAMES, build_osp12, corpus
@@ -633,6 +633,27 @@ def test_the_exponent_bound_is_inclusive():
     argv = ["derivations", "x.alg", "--kind", "der"]
     args = cli._parser().parse_args(argv + ["--k", bound, "--l", "-" + bound])
     assert (args.k, args.l) == (cli.MAX_EXPONENT, -cli.MAX_EXPONENT)
+
+
+def test_a_huge_arity_exits_2_before_any_tuple_is_built(capsys, monkeypatch):
+    # the arity bound is inclusive and checked before any canonical tuple
+    # is built; a negative arity keeps its own error
+    built = []
+
+    def spy(a, n):
+        built.append(n)
+        return []
+
+    monkeypatch.setattr(cohomology, "canonical_index_tuples", spy)
+    path = data_path("osp12_classical.alg")
+    for n in (cli.MAX_ARITY + 1, 1000, 10**9):
+        assert run_cli(["cohomology", path, "--n", str(n)]) == 2
+        out = capsys.readouterr()
+        assert out.err == f"error: cochain arity {n} exceeds {cli.MAX_ARITY}\n"
+        assert out.out == ""
+    assert built == []
+    assert run_cli(["cohomology", path, "--n", str(cli.MAX_ARITY)]) == 0
+    assert built == [cli.MAX_ARITY]
 
 
 def test_the_dimension_bound_refuses_larger_algebras(monkeypatch, capsys):
