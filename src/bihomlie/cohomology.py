@@ -874,32 +874,30 @@ def cochain_in_space(
 ) -> tuple[bool, str]:
     """Does f lie in the cochain space: degrees and both intertwinings.
 
-    Once its values lie in the right degree blocks on canonical tuples, f
-    is read off the memoized basis of its space by :func:`_coordinates`,
+    f is read off the memoized basis of its space by :func:`_coordinates`,
     in integers; the first check on a fresh module solves and memoizes
-    that basis (see :func:`cochain_basis`).  A non-member is refused with
-    the first row of :func:`_intertwining_rows` it breaks, the rows the
-    basis is solved from, in lexicographic tuple and alpha before beta.
+    that basis (see :func:`cochain_basis`).  A value off the space's slots
+    is refused as leaving its degree block or lying on a non-canonical
+    tuple; a non-member is refused with the first row of
+    :func:`_intertwining_rows` it breaks, the rows the basis is solved
+    from, in lexicographic tuple and alpha before beta.
     """
     a = rep.algebra
     if f.dimV != rep.dimV:
         return False, "value dimension differs from the module"
     g = a.basis.group.reduce(f.degree)
-    eps = a.eps_table()
     _, rows = f.int_values()
-    for T, terms in rows.items():
-        target = a.basis.group.add(g, _tuple_degree(a, T))
-        for w, _ in terms:
-            if rep.space.degrees[w] != target:
-                return (
-                    False,
-                    f"value on {T} leaves the degree-{target} block",
-                )
-        sign, canon = _sort_sign(eps, T)
-        if canon != T or sign != 1:
-            return False, f"stored tuple {T} is not canonical"
     space = _space(rep, f.n, g)
-    if _coordinates(space, rows)[0] is not None:
+    coords, stray = _coordinates(space, rows)
+    if stray is not None:
+        # a slot (T, w) is off the space's slots when w has the wrong
+        # degree for T or T is not canonical
+        (T, _), _ = stray
+        target = a.basis.group.add(g, _tuple_degree(a, T))
+        if any(rep.space.degrees[w] != target for w, _ in rows[T]):
+            return False, f"value on {T} leaves the degree-{target} block"
+        return False, f"stored tuple {T} is not canonical"
+    if coords is not None:
         return True, ""
     x = {space.slots[T, w]: v for T, terms in rows.items() for w, v in terms}
     T, name = next(
