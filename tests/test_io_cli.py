@@ -637,7 +637,7 @@ def test_the_exponent_bound_is_inclusive():
 
 def test_a_huge_arity_exits_2_before_any_tuple_is_built(capsys, monkeypatch):
     # the arity bound is inclusive and checked before any canonical tuple
-    # is built; a negative arity keeps its own error
+    # is built
     built = []
 
     def spy(a, n):
