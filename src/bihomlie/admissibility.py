@@ -3,7 +3,10 @@
 Everything here asks one question in different strengths: does the
 commutator built from a product mu satisfy the twisted Jacobi identity?
 The cyclic sum S, the signed sums over subgroups of S3, flexibility and
-the primed bracket are the standard instruments for answering it.
+the primed bracket are the standard instruments for answering it.  The
+commutator is written once, as the product of :func:`primed_bracket`
+(``constructions.commutator_table``); the commutator Jacobiator and the
+commutator form of S read it there.
 
 Convention note.  In the signed permutation sums, each of the three
 argument slots owns a fixed twist (alpha^-1 beta^2 on the first, beta on
@@ -28,11 +31,12 @@ from .algebra import (
     ColourAlgebra,
     _check_tuples,
     associator,
+    jacobiator,
     require_passing,
 )
 from .constructions import commutator_table
 from .grading import Bicharacter, GroupElement, homogeneous_degree
-from .linalg import Matrix, Vec, vadd, vscale, vsub, vzero
+from .linalg import Matrix, Vec, vadd, vscale, vzero
 
 
 class Permutation3:
@@ -144,46 +148,19 @@ def signed_perm_sum(
     return total
 
 
-def _commutator(
-    a: ColourAlgebra, binva: Matrix, u: Vec, v: Vec, du, dv
-) -> Vec:
-    """[u, v] = uv - eps(u, v)(alpha^-1 beta(v))(beta^-1 alpha(u)), with
-    ``binva`` the matrix beta^-1 alpha."""
-    ainvb = a.ab_power(-1, 1)
-    e = Fraction(a.eps.eval(du, dv))
-    return vsub(
-        a.product_eval(u, v),
-        vscale(e, a.product_eval(ainvb.apply(v), binva.apply(u))),
-    )
-
-
 def commutator_jacobiator(a: ColourAlgebra, i: int, j: int, k: int) -> Vec:
     """Twisted Jacobi defect of the commutator bracket of a's product.
 
-    The bracket is [x,y] = xy - eps(x,y)(alpha^-1 beta(y))(beta^-1 alpha(x))
-    and the defect is the cyclic sum eps(z,x)[beta^2(x), [beta(y), alpha(z)]]
-    evaluated on the basis triple.  The product itself need satisfy no law;
-    the maps must be invertible.
+    The bracket is [x,y] = xy - eps(x,y)(alpha^-1 beta(y))(beta^-1 alpha(x)),
+    the product of :func:`primed_bracket`, and the defect is its
+    :func:`~bihomlie.algebra.jacobiator`, the cyclic sum
+    eps(z,x)[beta^2(x), [beta(y), alpha(z)]] evaluated on the basis triple.
+    The product itself need satisfy no law; the maps must be invertible.
+    The outer bracket is bilinear in the inner one: on a product that is
+    not even the inner bracket need not be homogeneous, and each of its
+    components is signed by its own degree, not all by deg y + deg z.
     """
-    total = vzero(a.dim)
-    grp = a.basis.group
-    alpha = a.alpha.columns()
-    beta = a.beta.columns()
-    beta2 = a.map_power("beta", 2).columns()
-    binva = a.map_power("beta", -1) * a.alpha
-    for ii, jj, kk in ((i, j, k), (j, k, i), (k, i, j)):
-        dx, dy, dz = a.degree(ii), a.degree(jj), a.degree(kk)
-        inner = _commutator(a, binva, beta[jj], alpha[kk], dy, dz)
-        outer = _commutator(
-            a,
-            binva,
-            beta2[ii],
-            inner,
-            dx,
-            grp.add(dy, dz),
-        )
-        total = vadd(total, vscale(Fraction(a.eps.eval(dz, dx)), outer))
-    return total
+    return jacobiator(primed_bracket(a), i, j, k)
 
 
 def cyclic_S(a: ColourAlgebra, x: Vec, y: Vec, z: Vec) -> Vec:
@@ -192,7 +169,8 @@ def cyclic_S(a: ColourAlgebra, x: Vec, y: Vec, z: Vec) -> Vec:
     Two expressions are evaluated: the cyclic sum of
     eps(z,x) as(alpha^-1 beta^2(x), beta(y), alpha(z)), and the same sum
     with each associator replaced by the commutator
-    eps(z,x)[beta^2(x), beta(y) alpha(z)].  For even, commuting,
+    eps(z,x)[beta^2(x), beta(y) alpha(z)], the bracket read from
+    :func:`primed_bracket`, built once per call.  For even, commuting,
     multiplicative, invertible maps the two agree identically; they are
     both computed every time and any disagreement raises RuntimeError
     (it would mean the identity this module is built on does not apply,
@@ -208,7 +186,7 @@ def cyclic_S(a: ColourAlgebra, x: Vec, y: Vec, z: Vec) -> Vec:
 
     m1, m2, m3 = _slot_maps(a)
     b2 = a.map_power("beta", 2)
-    binva = a.map_power("beta", -1) * a.alpha
+    bracket = primed_bracket(a).product_eval
     via_as = vzero(a.dim)
     via_comm = vzero(a.dim)
     order = (0, 1, 2)
@@ -226,15 +204,7 @@ def cyclic_S(a: ColourAlgebra, x: Vec, y: Vec, z: Vec) -> Vec:
             ),
         )
         inner = a.product_eval(m2.apply(v), m3.apply(w))
-        via_comm = vadd(
-            via_comm,
-            vscale(
-                e,
-                _commutator(
-                    a, binva, b2.apply(u), inner, du, grp.add(dv, dw)
-                ),
-            ),
-        )
+        via_comm = vadd(via_comm, vscale(e, bracket(b2.apply(u), inner)))
     if via_as != via_comm:
         raise RuntimeError(
             "cyclic associator sum and its commutator form disagree; "

@@ -1209,10 +1209,13 @@ def apply_coboundary(
     integer form over D * M, its ``values`` built only when a caller
     reads them.
 
-    With ``validate`` f must pass :func:`cochain_in_space`, else
-    ValueError; the first validation on a fresh module solves and
+    A cochain of negative arity raises ValueError, with or without
+    ``validate``.  With ``validate`` f must pass :func:`cochain_in_space`,
+    else ValueError; the first validation on a fresh module solves and
     memoizes the n-cochain basis.
     """
+    if f.n < 0:
+        raise ValueError("cochain arity must be nonnegative")
     if validate:
         ok, reason = cochain_in_space(rep, f)
         if not ok:

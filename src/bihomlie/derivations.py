@@ -43,7 +43,10 @@ into a colour analogue of a special Jordan algebra; check_jordan_axioms
 verifies its defining identities on a finite family, evaluating all
 compositions in the ambient endomorphism algebra, so the family itself
 does not have to be closed under the product (derivation spaces rarely
-are; see jordan_closure).
+are; see jordan_closure).  It checks one four-variable identity, and
+builds each composite of a member with the structure maps, and each
+product of the family that the identity reads, once.  A member enters a
+span by its integer entry terms (:func:`_entry_terms`).
 """
 
 from __future__ import annotations
@@ -65,11 +68,7 @@ from .linalg import (
     is_zero_vec,
     kernel_by_blocks,
     scale_to_ints,
-    vec,
 )
-
-CYCLING_CONVENTIONS = ("xyw", "xzw")
-DEFAULT_CYCLING = "xyw"
 
 
 class HomEndo:
@@ -153,7 +152,7 @@ class SolverResult(FrozenRecord):
         """Independent spanning subset of one tuple slot's projections."""
         span = EchelonBasis()
         endos = (e[idx] if isinstance(e, tuple) else e for e in self.basis)
-        return [d for d in endos if span.add(_flatten(d.matrix))]
+        return [d for d in endos if span.add_sparse(_entry_terms(d.matrix))]
 
     def to_dict(self) -> dict:
         out = {
@@ -167,8 +166,15 @@ class SolverResult(FrozenRecord):
         return out
 
 
-def _flatten(m: Matrix) -> Vec:
-    return vec(x for row in m.rows for x in row)
+def _entry_terms(m: Matrix) -> list[tuple[int, int]]:
+    """The integer terms of m keyed u * n + j for entry (u, j), n its
+    number of columns: the row-major entries of m times its scale."""
+    n = m.ncols
+    return [
+        (u * n + j, x)
+        for j, col in enumerate(m.int_column_terms()[1])
+        for u, x in col
+    ]
 
 
 def _block_slots(
@@ -639,10 +645,8 @@ def inner_derivation_space(
                     for u, c in cells[block[p]]:
                         col[u] = col.get(u, 0) + x * c
             terms = [sorted((u, y) for u, y in d.items() if y) for d in sums]
-            if span.add_sparse(
-                (u * n + j, y) for j, col in enumerate(terms) for u, y in col
-            ):
-                mat = Matrix._of(den * scale, terms, n)
+            mat = Matrix._of(den * scale, terms, n)
+            if span.add_sparse(_entry_terms(mat)):
                 basis.append(HomEndo(mat, gdeg))
     return SolverResult("inner", k, l, None, tuple(basis), len(basis))
 
@@ -729,10 +733,6 @@ def colour_bracket(d1: HomEndo, d2: HomEndo, eps: Bicharacter) -> HomEndo:
     return jordan_product(d1, d2, eps, sign=-1)
 
 
-def _compose(m: Matrix, d: HomEndo) -> HomEndo:
-    return HomEndo(m * d.matrix, d.degree)
-
-
 def _endo_witness(
     space_names: Sequence[str], idx: tuple[int, ...], diff: Matrix
 ) -> Witness:
@@ -756,7 +756,7 @@ def jordan_closure(
     span; terminates because everything lives inside a fixed matrix space.
     """
     span = EchelonBasis()
-    members = [d for d in space if span.add(_flatten(d.matrix))]
+    members = [d for d in space if span.add_sparse(_entry_terms(d.matrix))]
     frontier = list(members)
     while frontier:
         fresh = []
@@ -766,7 +766,7 @@ def jordan_closure(
                     jordan_product(d1, d2, eps, sign=sign),
                     jordan_product(d2, d1, eps, sign=sign),
                 ):
-                    if span.add(_flatten(prod.matrix)):
+                    if span.add_sparse(_entry_terms(prod.matrix)):
                         fresh.append(prod)
         members.extend(fresh)
         frontier = fresh
@@ -779,7 +779,6 @@ def check_jordan_axioms(
     alphaOp: Matrix,
     betaOp: Matrix,
     *,
-    cycling: str = DEFAULT_CYCLING,
     sign: int = 1,
 ) -> AxiomReport:
     """Verify the colour Jordan identities of the product on a family.
@@ -792,114 +791,86 @@ def check_jordan_axioms(
         sum_cyc eps(w, x+z) as(mu(beta^2 x, alphabeta y), alpha^2beta z, alpha^3 w) = 0
 
     where as(u, v, w) = mu(alpha u, mu(v, w)) - mu(mu(u, v), beta w) and
-    the cycle runs over (x, y, w) with z fixed by default (with identity
-    structure maps this is the classical linearized Jordan identity, and
-    it is the variant that holds on derivation spaces); ``cycling="xzw"``
-    rotates (x, z, w) with y fixed instead.  Closure of the family under
-    the product is reported as an advisory item (evaluation does not need
-    it).
-    """
-    if cycling not in CYCLING_CONVENTIONS:
-        raise ValueError(
-            f"unknown cycling convention {cycling!r}; "
-            f"expected one of {CYCLING_CONVENTIONS}"
-        )
-    space = list(space)
-    names = [f"D{i}" for i in range(len(space))]
-    group = eps.group
-    items: list[CheckItem] = []
+    the cycle runs over (x, y, w) with z fixed (with identity structure
+    maps this is the classical linearized Jordan identity, and it holds
+    on derivation spaces).  Closure of the family under the product is
+    reported as an advisory item (evaluation does not need it).
 
-    comm = alphaOp * betaOp - betaOp * alphaOp
-    items.append(
-        CheckItem(
-            "structure_maps_commute",
-            comm.is_zero(),
-            None
-            if comm.is_zero()
-            else _endo_witness(names, (), comm),
-        )
-    )
+    Each composite of a member with the structure maps is built once, and
+    so is every product of fewer than four members:
+    U[x][y] = mu(beta^2 x, alphabeta y), alpha U[x][y],
+    V[z][w] = mu(alpha^2beta z, alpha^3 w) and P[x][y][z] =
+    mu(U[x][y], alpha^2beta z).  One term of the cycle is then
+    eps(w, x+z)(mu(alpha U[x][y], V[z][w]) - mu(P[x][y][z], beta alpha^3 w)),
+    two products.  Each item's witness is its first failing tuple.
+    """
+    space = list(space)
+    n = len(space)
+    names = [f"D{i}" for i in range(n)]
+    degrees = [d.degree for d in space]
+    group = eps.group
 
     def mu(x: HomEndo, y: HomEndo) -> HomEndo:
         return jordan_product(x, y, eps, sign=sign)
 
-    closed = True
-    closure_note = ""
+    def then(m: Matrix, ds: Sequence[HomEndo]) -> list[HomEndo]:
+        return [HomEndo(m * d.matrix, d.degree) for d in ds]
+
+    def first_failure(name: str, arity: int, defect) -> CheckItem:
+        for idx in iproduct(range(n), repeat=arity):
+            diff = defect(*idx)
+            if not diff.is_zero():
+                return CheckItem(name, False, _endo_witness(names, idx, diff))
+        return CheckItem(name, True)
+
+    # the first product that grows the span leaves it
+    note = ""
     span = EchelonBasis()
     for d in space:
-        span.add(_flatten(d.matrix))
-    for i, d1 in enumerate(space):
-        for j, d2 in enumerate(space):
-            if _flatten(mu(d1, d2).matrix) not in span:
-                closed = False
-                closure_note = (
-                    f"product of {names[i]} and {names[j]} leaves the span"
-                )
-                break
-        if not closed:
+        span.add_sparse(_entry_terms(d.matrix))
+    for i, j in iproduct(range(n), repeat=2):
+        if span.add_sparse(_entry_terms(mu(space[i], space[j]).matrix)):
+            note = f"product of {names[i]} and {names[j]} leaves the span"
             break
-    items.append(
-        CheckItem(
-            "closed_under_product",
-            closed,
-            advisory=True,
-            note=closure_note,
-        )
-    )
 
-    cc = CheckItem("colour_commutative", True)
-    for i, d1 in enumerate(space):
-        if not cc.passed:
-            break
-        for j, d2 in enumerate(space):
-            lhs = mu(_compose(betaOp, d1), _compose(alphaOp, d2))
-            rhs = mu(_compose(betaOp, d2), _compose(alphaOp, d1)).scale(
-                eps.eval(d1.degree, d2.degree)
-            )
-            diff = lhs.matrix - rhs.matrix
-            if not diff.is_zero():
-                cc = CheckItem(
-                    "colour_commutative",
-                    False,
-                    _endo_witness(names, (i, j), diff),
-                )
-                break
-    items.append(cc)
+    # C[i][j] = mu(beta D_i, alpha D_j)
+    alpha_d = then(alphaOp, space)
+    C = [[mu(b, a) for a in alpha_d] for b in then(betaOp, space)]
 
-    def assoc(u: HomEndo, v: HomEndo, w: HomEndo) -> Matrix:
-        return (
-            mu(_compose(alphaOp, u), mu(v, w)).matrix
-            - mu(mu(u, v), _compose(betaOp, w)).matrix
-        )
-
-    b2 = betaOp * betaOp
     ab = alphaOp * betaOp
-    a2b = alphaOp * ab
-    a3 = alphaOp * alphaOp * alphaOp
+    a3_d = then(alphaOp * alphaOp * alphaOp, space)
+    a2b_d = then(alphaOp * ab, space)
+    ba3_d = then(betaOp, a3_d)
+    U = [
+        [mu(b2x, aby) for aby in then(ab, space)]
+        for b2x in then(betaOp * betaOp, space)
+    ]
+    alpha_U = [then(alphaOp, row) for row in U]
+    V = [[mu(z, w) for w in a3_d] for z in a2b_d]
+    P = [[[mu(u, z) for z in a2b_d] for u in row] for row in U]
 
-    def term(x: HomEndo, y: HomEndo, z: HomEndo, w: HomEndo) -> Matrix:
-        u = mu(_compose(b2, x), _compose(ab, y))
-        pref = eps.eval(w.degree, group.add(x.degree, z.degree))
-        return assoc(u, _compose(a2b, z), _compose(a3, w)).scale(pref)
+    def term(x: int, y: int, z: int, w: int) -> Matrix:
+        pref = eps.eval(degrees[w], group.add(degrees[x], degrees[z]))
+        return (
+            mu(alpha_U[x][y], V[z][w]).matrix
+            - mu(P[x][y][z], ba3_d[w]).matrix
+        ).scale(pref)
 
-    ji = CheckItem("jordan_identity", True)
-    n = len(space)
-    for idx in iproduct(range(n), repeat=4):
-        x, y, z, w = (space[i] for i in idx)
-        if cycling == "xzw":
-            total = (
-                term(x, y, z, w) + term(z, y, w, x) + term(w, y, x, z)
-            )
-        else:
-            total = (
-                term(x, y, z, w) + term(y, w, z, x) + term(w, x, z, y)
-            )
-        if not total.is_zero():
-            ji = CheckItem(
-                "jordan_identity",
-                False,
-                _endo_witness(names, idx, total),
-            )
-            break
-    items.append(ji)
-    return AxiomReport(items)
+    def commutativity_defect(i: int, j: int) -> Matrix:
+        rhs = C[j][i].matrix.scale(eps.eval(degrees[i], degrees[j]))
+        return C[i][j].matrix - rhs
+
+    def jordan_defect(x: int, y: int, z: int, w: int) -> Matrix:
+        return term(x, y, z, w) + term(y, w, z, x) + term(w, x, z, y)
+
+    comm = alphaOp * betaOp - betaOp * alphaOp
+    return AxiomReport(
+        [
+            first_failure("structure_maps_commute", 0, lambda: comm),
+            CheckItem(
+                "closed_under_product", not note, advisory=True, note=note
+            ),
+            first_failure("colour_commutative", 2, commutativity_defect),
+            first_failure("jordan_identity", 4, jordan_defect),
+        ]
+    )

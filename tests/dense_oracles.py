@@ -43,6 +43,13 @@ RREF, ``coboundary_matrix_oracle`` solves the images of its basis against
 the next one with ``solve_many``, and ``cochain_in_space_oracle`` checks
 membership by dense evaluation on the columns of alpha and beta.
 
+``check_jordan_axioms_oracle`` is the Jordan check that composes and
+multiplies afresh in every term of every 4-tuple, with both cyclings of
+the identity; the library builds each composite and product once and
+checks the (x, y, w) cycle only.  ``commutator_jacobiator_oracle``
+evaluates the commutator bracket of a product densely, where the library
+reads the Jacobiator of ``primed_bracket``.
+
 >>> from bihomlie.linalg import vec
 >>> solve_many(Matrix([[1, 0], [0, 0]]), [vec([5, 0]), vec([0, 1])])
 [(Fraction(5, 1), Fraction(0, 1)), None]
@@ -59,7 +66,7 @@ from typing import Optional, Sequence
 
 from itertools import product as iproduct
 
-from bihomlie.algebra import ColourAlgebra
+from bihomlie.algebra import AxiomReport, CheckItem, ColourAlgebra
 from bihomlie.cohomology import (
     Cochain,
     _slots,
@@ -67,6 +74,7 @@ from bihomlie.cohomology import (
     apply_coboundary,
     canonical_index_tuples,
 )
+from bihomlie.derivations import HomEndo, _endo_witness, jordan_product
 from bihomlie.linalg import (
     EchelonBasis,
     Matrix,
@@ -613,3 +621,124 @@ def cochain_in_space_oracle(rep, f):
             if got != vmap.apply(f.value(T)):
                 return False, f"{name} intertwining fails on tuple {T}"
     return True, ""
+
+
+def check_jordan_axioms_oracle(
+    space, eps, alphaOp, betaOp, *, cycling="xyw", sign=1
+):
+    """The Jordan check as it was before its products were built once:
+    every term of every 4-tuple composes and multiplies its members
+    afresh, and closure is decided by ``in_span`` on the flattened
+    matrices.  ``cycling="xzw"`` rotates (x, z, w) with y fixed instead of
+    (x, y, w) with z fixed; the library checks only the latter, and the
+    former fails on the osp(1|2) derivations."""
+    space = list(space)
+    names = [f"D{i}" for i in range(len(space))]
+    group = eps.group
+    items = []
+
+    def flat(d):
+        return tuple(x for row in d.matrix.rows for x in row)
+
+    def compose(m, d):
+        return HomEndo(m * d.matrix, d.degree)
+
+    def mu(x, y):
+        return jordan_product(x, y, eps, sign=sign)
+
+    comm = alphaOp * betaOp - betaOp * alphaOp
+    items.append(
+        CheckItem(
+            "structure_maps_commute",
+            comm.is_zero(),
+            None if comm.is_zero() else _endo_witness(names, (), comm),
+        )
+    )
+
+    flats = [flat(d) for d in space]
+    note = next(
+        (
+            f"product of {names[i]} and {names[j]} leaves the span"
+            for i, d1 in enumerate(space)
+            for j, d2 in enumerate(space)
+            if not in_span(flats, flat(mu(d1, d2)))
+        ),
+        "",
+    )
+    items.append(
+        CheckItem("closed_under_product", not note, advisory=True, note=note)
+    )
+
+    cc = CheckItem("colour_commutative", True)
+    for (i, d1), (j, d2) in iproduct(enumerate(space), repeat=2):
+        lhs = mu(compose(betaOp, d1), compose(alphaOp, d2))
+        rhs = mu(compose(betaOp, d2), compose(alphaOp, d1)).scale(
+            eps.eval(d1.degree, d2.degree)
+        )
+        diff = lhs.matrix - rhs.matrix
+        if not diff.is_zero():
+            cc = CheckItem(
+                "colour_commutative", False, _endo_witness(names, (i, j), diff)
+            )
+            break
+    items.append(cc)
+
+    def assoc(u, v, w):
+        return (
+            mu(compose(alphaOp, u), mu(v, w)).matrix
+            - mu(mu(u, v), compose(betaOp, w)).matrix
+        )
+
+    b2 = betaOp * betaOp
+    ab = alphaOp * betaOp
+    a2b = alphaOp * ab
+    a3 = alphaOp * alphaOp * alphaOp
+
+    def term(x, y, z, w):
+        u = mu(compose(b2, x), compose(ab, y))
+        pref = eps.eval(w.degree, group.add(x.degree, z.degree))
+        return assoc(u, compose(a2b, z), compose(a3, w)).scale(pref)
+
+    ji = CheckItem("jordan_identity", True)
+    for idx in iproduct(range(len(space)), repeat=4):
+        x, y, z, w = (space[i] for i in idx)
+        if cycling == "xzw":
+            total = term(x, y, z, w) + term(z, y, w, x) + term(w, y, x, z)
+        else:
+            total = term(x, y, z, w) + term(y, w, z, x) + term(w, x, z, y)
+        if not total.is_zero():
+            ji = CheckItem(
+                "jordan_identity", False, _endo_witness(names, idx, total)
+            )
+            break
+    items.append(ji)
+    return AxiomReport(items)
+
+
+def commutator_jacobiator_oracle(a: ColourAlgebra, i: int, j: int, k: int):
+    """The twisted Jacobi defect of the commutator bracket
+    [x, y] = xy - eps(x, y)(alpha^-1 beta(y))(beta^-1 alpha(x)), each
+    bracket evaluated densely from ``product_eval`` on the cyclic sum
+    eps(z, x)[beta^2(x), [beta(y), alpha(z)]] over the basis triple.  The
+    outer bracket signs the inner one by the single degree deg y + deg z,
+    which is its degree only when the product is even."""
+    grp = a.basis.group
+    alpha, beta = a.alpha.columns(), a.beta.columns()
+    beta2 = dense_power(a.beta, 2).columns()
+    ainvb = dense_power(a.alpha, -1) * a.beta
+    binva = dense_power(a.beta, -1) * a.alpha
+
+    def bracket(u, v, du, dv):
+        e = F(a.eps.eval(du, dv))
+        return vadd(
+            a.product_eval(u, v),
+            vscale(-e, a.product_eval(ainvb.apply(v), binva.apply(u))),
+        )
+
+    total = vzero(a.dim)
+    for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+        dx, dy, dz = a.degree(x), a.degree(y), a.degree(z)
+        inner = bracket(beta[y], alpha[z], dy, dz)
+        outer = bracket(beta2[x], inner, dx, grp.add(dy, dz))
+        total = vadd(total, vscale(F(a.eps.eval(dz, dx)), outer))
+    return total

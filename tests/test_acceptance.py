@@ -42,7 +42,6 @@ from bihomlie.constructions import (
     zero_algebra,
 )
 from bihomlie.derivations import (
-    DEFAULT_CYCLING,
     centroid_space,
     check_jordan_axioms,
     derivation_space,
@@ -478,9 +477,7 @@ def test_criterion_13_centroid_pairs_and_the_jordan_identity():
         derivation_space(a, 0, 0, (1,)).basis
     )
     ida = Matrix.identity(a.dim)
-    report = check_jordan_axioms(
-        ders, a.eps, ida, ida, cycling=DEFAULT_CYCLING
-    )
+    report = check_jordan_axioms(ders, a.eps, ida, ida)
     if not report.passed:
         bad.append(
             "derivation product: "

@@ -31,7 +31,9 @@ from bihomlie.admissibility import (
 )
 from bihomlie.algebra import associator, check_associative_axioms
 from bihomlie.constructions import (
+    CORPUS_NAMES,
     build_osp12,
+    corpus,
     mat2_assoc,
     osp12_classical,
     z2z2_colour_example,
@@ -40,7 +42,14 @@ from bihomlie.constructions import (
 from bihomlie.grading import Bicharacter, parse_group, super_bicharacter
 from bihomlie.linalg import Matrix, is_zero_vec, vscale
 
-from fixtures import conj_mat2, twisted_mat2, typo_osp
+from dense_oracles import commutator_jacobiator_oracle
+from fixtures import (
+    conj_mat2,
+    gl2_conjugation_twist,
+    gl2_fraction_twist,
+    twisted_mat2,
+    typo_osp,
+)
 
 F = Fraction
 
@@ -225,6 +234,26 @@ def test_full_sum_is_the_prefactored_commutator_jacobiator():
             e = F(a.eps.eval(a.degree(k), a.degree(i)))
             lhs = vscale(e, signed_perm_sum(a, S3, i, j, k))
             assert lhs == commutator_jacobiator(a, i, j, k)
+
+
+JACOBIATOR_ALGEBRAS = {
+    **{name: (lambda name=name: corpus(name)) for name in CORPUS_NAMES},
+    "conj_mat2": conj_mat2,
+    "twisted_mat2": twisted_mat2,
+    "typo_osp": typo_osp,
+    "gl2_conjugation_twist": gl2_conjugation_twist,
+    "gl2_fraction_twist": gl2_fraction_twist,
+}
+
+
+@pytest.mark.parametrize("name", sorted(JACOBIATOR_ALGEBRAS))
+def test_commutator_jacobiator_matches_the_dense_oracle(name):
+    # the Jacobiator of the primed bracket is the dense commutator defect
+    a = JACOBIATOR_ALGEBRAS[name]()
+    for i, j, k in triples(a):
+        assert commutator_jacobiator(a, i, j, k) == (
+            commutator_jacobiator_oracle(a, i, j, k)
+        )
 
 
 def test_unknown_subgroup_id():

@@ -1541,5 +1541,13 @@ def test_negative_arity_rejected():
         cohomology_dims(twist_rep(), -1, 0, (0,))
 
 
+@pytest.mark.parametrize("validate", [True, False])
+def test_apply_coboundary_refuses_a_negative_arity(validate):
+    rep = adjoint_rep(osp12_classical(), 0, 1)
+    f = Cochain(-1, (0,), {}, rep.dimV)
+    with pytest.raises(ValueError, match="cochain arity must be nonnegative"):
+        apply_coboundary(rep, 1, f, validate=validate)
+
+
 def test_realized_gammas_cover_the_group():
     assert realized_gammas(twist_rep(), 1) == [(0,), (1,)]

@@ -16,8 +16,6 @@ from bihomlie.constructions import (
     zero_algebra,
 )
 from bihomlie.derivations import (
-    CYCLING_CONVENTIONS,
-    DEFAULT_CYCLING,
     HomEndo,
     centroid_space,
     check_jordan_axioms,
@@ -39,6 +37,7 @@ from bihomlie.derivations import (
 from bihomlie.linalg import Matrix, scale_to_ints
 from dense_oracles import (
     bracket_defect,
+    check_jordan_axioms_oracle,
     commutes_with_maps,
     dense_twisted,
     in_span,
@@ -305,11 +304,10 @@ def test_derivations_satisfy_the_default_jordan_identity():
 
 def test_alternate_cycling_is_a_different_identity():
     # rotating (x, z, w) instead of (x, y, w) fails on the same family,
-    # which is why the default is frozen the way it is
+    # which is why the library checks the (x, y, w) cycle only
     a, ders = osp_derivations()
     ida = Matrix.identity(5)
-    assert DEFAULT_CYCLING == "xyw" and "xzw" in CYCLING_CONVENTIONS
-    rep = check_jordan_axioms(ders, a.eps, ida, ida, cycling="xzw")
+    rep = check_jordan_axioms_oracle(ders, a.eps, ida, ida, cycling="xzw")
     assert not rep.item("jordan_identity").passed
     assert rep.item("jordan_identity").witness is not None
 
@@ -325,11 +323,12 @@ def test_quasi_centroid_family_passes_for_both_signs(sign):
     assert rep.all_passed
 
 
-def test_unknown_cycling_rejected():
+def test_jordan_check_takes_no_cycling_convention():
+    # one identity is checked; passing the cycle it checks is refused too
     a = osp12_classical()
-    with pytest.raises(ValueError, match="cycling convention"):
+    with pytest.raises(TypeError, match="cycling"):
         check_jordan_axioms(
-            [], a.eps, Matrix.identity(5), Matrix.identity(5), cycling="xy"
+            [], a.eps, Matrix.identity(5), Matrix.identity(5), cycling="xyw"
         )
 
 
@@ -794,6 +793,57 @@ def test_echelon_span_keeps_the_members_the_dense_oracle_keeps(name):
         ).item("closed_under_product")
         assert (item.passed, item.note) == closure_item_oracle(
             small, a.eps, sign
+        )
+
+
+JORDAN_ALGEBRAS = {
+    "osp12_classical": osp12_classical,
+    "osp12_twist_2_3": lambda: build_osp12(2, 3),
+    "gl21_twist": gl21_twist,
+    "gl21_fraction_twist": gl21_fraction_twist,
+}
+
+
+@pytest.mark.parametrize("maps", ["identity", "own"])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("kind", ["derivation", "quasi_centroid"])
+@pytest.mark.parametrize("name", sorted(JORDAN_ALGEBRAS))
+def test_jordan_check_matches_the_dense_oracle(name, kind, sign, maps):
+    # the products built once give the report of the dense check that
+    # builds every product afresh, witnesses and notes included
+    a = JORDAN_ALGEBRAS[name]()
+    solve = {
+        "derivation": derivation_space,
+        "quasi_centroid": quasi_centroid_space,
+    }
+    group = a.basis.group
+    degrees = sorted(
+        {group.sub(du, dt) for du in a.basis.degrees for dt in a.basis.degrees}
+    )
+    family = [d for g in degrees for d in solve[kind](a, 0, 0, g).basis]
+    ida = Matrix.identity(a.dim)
+    alpha, beta = (ida, ida) if maps == "identity" else (a.alpha, a.beta)
+    assert check_jordan_axioms(
+        family, a.eps, alpha, beta, sign=sign
+    ) == check_jordan_axioms_oracle(family, a.eps, alpha, beta, sign=sign)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_jordan_check_matches_the_dense_oracle_on_shears(sign):
+    # maps that are no morphisms, and a pair that does not commute, fail
+    # items with witnesses
+    z = zero_algebra(2)
+    family = [
+        HomEndo(Matrix([[F(1), F(0)], [F(0), F(0)]]), ()),
+        HomEndo(Matrix([[F(0), F(0)], [F(1), F(0)]]), ()),
+    ]
+    shear_up = Matrix([[F(1), F(1)], [F(0), F(1)]])
+    shear_down = Matrix([[F(1), F(0)], [F(1), F(1)]])
+    for alpha, beta in ((shear_up, Matrix.identity(2)), (shear_up, shear_down)):
+        got = check_jordan_axioms(family, z.eps, alpha, beta, sign=sign)
+        assert not got.passed
+        assert got == check_jordan_axioms_oracle(
+            family, z.eps, alpha, beta, sign=sign
         )
 
 
