@@ -816,7 +816,9 @@ def check_jordan_axioms(
     def then(m: Matrix, ds: Sequence[HomEndo]) -> list[HomEndo]:
         return [HomEndo(m * d.matrix, d.degree) for d in ds]
 
-    def first_failure(name: str, arity: int, defect) -> CheckItem:
+    def first_failure(
+        name: str, arity: int, defect: Callable[..., Matrix]
+    ) -> CheckItem:
         for idx in iproduct(range(n), repeat=arity):
             diff = defect(*idx)
             if not diff.is_zero():
