@@ -15,15 +15,14 @@ algebra: the entries of the degree block it forces to zero are struck,
 and the commuting rows that survive are kept over the live entries.  The
 solvers assemble the conditions as sparse rows over the live entries
 only, reading the nonzero terms of the product and twisted product
-tables; split the entries into the independent blocks those rows link and
-take the exact kernel of each (linalg.kernel_by_blocks); and re-substitute
-every basis member into the defining identities before returning (a wrong
-answer here would poison everything downstream, so the few extra
-multiplications are cheap insurance).  The re-verification is an
-evaluation of the identities on the member, independent of the assembled
-rows: it sums the member's ``column_terms`` against the cached integer
-tables of the product, of the twisted products and of the columns of
-alpha and beta, so it visits nonzero terms only.
+tables; take their exact kernel (linalg.kernel_by_blocks); and
+re-substitute every basis member into the defining identities before
+returning (a wrong answer here would poison everything downstream, so
+the few extra multiplications are cheap insurance).  The re-verification
+is an evaluation of the identities on the member, independent of the
+assembled rows: it sums the member's ``column_terms`` against the cached
+integer tables of the product, of the twisted products and of the
+columns of alpha and beta, so it visits nonzero terms only.
 
 The solve, the inner derivations and the re-verification sum integers.
 The commuting and Leibniz rows are built over the integer tables and the
@@ -245,10 +244,9 @@ def _solve_blocks(
     column ``cols[m][u][t]``.  Entries outside the degree-block pattern
     and entries the commutation forces to zero have no column, and the
     Leibniz rows drop their terms.  The rows are sparse, with integer
-    values, and the kernel is solved per linked block of columns by
-    :func:`kernel_by_blocks`; its coordinates map back to the entries in
-    column order, so the basis is the one of the full system over every
-    slot.  Each member is built in integer form from its column terms,
+    values, and the kernel is solved by :func:`kernel_by_blocks`; its
+    coordinates map back to the entries in column order, so the basis is
+    the one of the full system over every slot.  Each member is built in integer form from its column terms,
     read off the same coordinates, so no check of it scans its n^2
     entries.  A negative power of a singular map raises ValueError before
     any pattern is cached.

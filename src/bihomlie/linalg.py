@@ -10,14 +10,14 @@ its reduced row echelon form readout is ``Matrix.rref``, from which
 ``"pure"``.
 
 Linear systems come as sparse rows {column: value}, values Fractions or
-ints; ``kernel_by_blocks`` splits their columns into the independent
-blocks the rows link and solves each block by a null-space update: it
-starts from the unit vectors on the block's columns and updates them,
-row by row, so that every vector is orthogonal to every row seen, and a
-row orthogonal to all of them costs its dots alone.  It holds the one
-free-column readout of the library: ``Matrix.kernel_basis`` is its
-dense view over the nonzero entries of the matrix's rows.  The library
-solves no dense system A x = b (the tests keep one as an oracle).
+ints; ``kernel_by_blocks`` strikes the columns they force to zero and
+solves the rest by one null-space update: it starts from the unit
+vectors on those columns and updates them, row by row, so that every
+vector is orthogonal to every row seen, and a row orthogonal to all of
+them costs its dots alone.  It holds the one free-column readout of the
+library: ``Matrix.kernel_basis`` is its dense view over the nonzero
+entries of the matrix's rows.  The library solves no dense system
+A x = b (the tests keep one as an oracle).
 
 Sums of basis images read term tables: ``Matrix.column_terms()`` caches the
 nonzero entries (u, x) of every column, and ``add_terms`` adds a scaled
@@ -431,15 +431,14 @@ def kernel_by_blocks(
     Gauss-Jordan reduction of the dense matrix gives them, vector for
     vector.  Zero values are ignored.
 
-    The forced columns are struck and the rest split into linked blocks
-    (:func:`_linked_blocks`); a block with no row is one free column.
-    Each other block is solved by a null-space update from the integer
-    unit vectors on its columns: each row (a Fraction row through
-    :func:`_primitive`) takes its sparse dot with every current kernel
-    vector.  A row orthogonal to all of them lies in the row space and
-    costs nothing more; otherwise the first vector with a nonzero dot is
-    dropped, and every other one with a nonzero dot takes the step
-    :func:`_eliminate` against it, which zeroes its dot.
+    The forced columns are struck (:func:`_strike_forced`), and the rest
+    are solved by one null-space update from the integer unit vectors on
+    them: each row left (a Fraction row through :func:`_primitive`) takes
+    its sparse dot with every current kernel vector.  A row orthogonal to
+    all of them lies in the row space and costs nothing more; otherwise
+    the first vector with a nonzero dot is dropped, and every other one
+    with a nonzero dot takes the step :func:`_eliminate` against it, which
+    zeroes its dot.
 
     The vectors are kept in ascending free column f, the column whose
     unit vector each started as.  A step subtracts from the vector of f a
@@ -448,78 +447,37 @@ def kernel_by_blocks(
     columns: divided by its entry at f it is the kernel vector 1 at f and
     0 at every other free column, which the kernel alone fixes.  It is
     zero on the columns of a row whose least column exceeds f, so it is
-    not dotted with that row.
+    not dotted with that row; nor is any vector with no entry on the
+    row's columns changed by it, as its dot is zero.
     """
-    kernel: list[tuple[int, dict[int, Fraction]]] = []
-    for cols, block in _linked_blocks(rows, ncols):
-        if not block:
-            kernel.append((cols[0], {cols[0]: ONE}))
-            continue
-        free = list(cols)
-        vectors = [{c: 1} for c in cols]
-        for row in block:
-            if not all(type(x) is int for x in row.values()):
-                row = _primitive(row.items())
-            first = None
-            for k in range(bisect_left(free, min(row)), len(free)):
-                v = vectors[k]
-                d = 0
-                for c, x in row.items():
-                    y = v.get(c)
-                    if y:
-                        d += x * y
-                if not d:
-                    continue
-                if first is None:
-                    first, d0, v0 = k, d, v
-                else:
-                    _eliminate(v, d, d0, v0)
-            if first is not None:
-                del free[first], vectors[first]
-        for f, v in zip(free, vectors):
-            p = v[f]
-            kernel.append((f, {c: Fraction(v[c], p) for c in sorted(v)}))
-    kernel.sort(key=lambda item: item[0])
-    return [coords for _, coords in kernel]
-
-
-def _linked_blocks(
-    rows: Iterable[dict[int, Fraction | int]], ncols: int
-) -> list[tuple[list[int], list[dict[int, Fraction | int]]]]:
-    """The columns below ``ncols`` that no one-entry row forces to zero,
-    split into the blocks that the remaining rows link, as (columns, rows)
-    in ascending columns and the rows in their given order.
-
-    Two columns are linked when some row has both nonzero once the forced
-    columns are struck; the row space is the direct sum of its
-    restrictions to the blocks.  A column no row touches is a block of its
-    own, with no rows.
-    """
-    forced_zero, live = _strike_forced(rows)
-
-    parent = list(range(ncols))
-
-    def root(c: int) -> int:
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
+    forced, live = _strike_forced(rows)
+    free = [c for c in range(ncols) if c not in forced]
+    vectors: list[dict[int, int]] = [{c: 1} for c in free]
     for row in live:
-        first, *rest = row
-        first = root(first)
-        for c in rest:
-            rc = root(c)
-            if rc != first:
-                parent[rc] = first
-    block_rows: dict[int, list[dict[int, Fraction | int]]] = {}
-    for row in live:
-        block_rows.setdefault(root(next(iter(row))), []).append(row)
-    block_cols: dict[int, list[int]] = {}
-    for c in range(ncols):
-        if c not in forced_zero:
-            block_cols.setdefault(root(c), []).append(c)
-    return [(cols, block_rows.get(b, [])) for b, cols in block_cols.items()]
+        if not all(type(x) is int for x in row.values()):
+            row = _primitive(row.items())
+        first = None
+        for k in range(bisect_left(free, min(row)), len(free)):
+            v = vectors[k]
+            d = 0
+            for c, x in row.items():
+                y = v.get(c)
+                if y:
+                    d += x * y
+            if not d:
+                continue
+            if first is None:
+                first, d0, v0 = k, d, v
+            else:
+                _eliminate(v, d, d0, v0)
+        if first is not None:
+            del free[first], vectors[first]
+    # a one-entry vector, as is each one no row touched, is 1 at f
+    return [
+        {f: ONE} if len(v) == 1
+        else {c: Fraction(v[c], v[f]) for c in sorted(v)}
+        for f, v in zip(free, vectors)
+    ]
 
 
 def first_off_block(

@@ -25,9 +25,11 @@ The cochain complex reads per-arity tables: ``slots_oracle``,
 per-tuple scans they replaced, tuple by tuple against every V index.
 
 ``kernel_oracle`` reads a kernel basis off ``fraction_rref``, for the
-sparse block kernel of the library.  ``echelon_block_kernel`` is the
-block kernel's earlier driver, an ``EchelonBasis`` per linked block read
-off its RREF, kept to hold the null-space update against.
+sparse kernel of the library.  ``echelon_block_kernel`` is that kernel's
+earlier driver: it splits the columns left after the strike into the
+blocks the rows link (``_linked_blocks``, which the library no longer
+has) and reads an ``EchelonBasis`` per block off its RREF, kept to hold
+the one null-space update over all the columns against.
 
 ``twisted_products`` is the dense Fraction view of a twisted integer
 table, ``ColourAlgebra.int_table("twisted_terms", ...)``, for the tests
@@ -62,7 +64,7 @@ reads the Jacobiator of ``primed_bracket``.
 """
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from itertools import product as iproduct
 
@@ -79,8 +81,8 @@ from bihomlie.linalg import (
     EchelonBasis,
     Matrix,
     Vec,
-    _linked_blocks,
     _primitive,
+    _strike_forced,
     is_zero_vec,
     vadd,
     vscale,
@@ -137,6 +139,45 @@ def kernel_oracle(rows, ncols: int) -> list[Vec]:
             v[p] = -reduced[r][f]
         basis.append(tuple(v))
     return basis
+
+
+def _linked_blocks(
+    rows: Iterable[dict[int, Fraction | int]], ncols: int
+) -> list[tuple[list[int], list[dict[int, Fraction | int]]]]:
+    """The columns below ``ncols`` that no one-entry row forces to zero,
+    split into the blocks that the remaining rows link, as (columns, rows)
+    in ascending columns and the rows in their given order.
+
+    Two columns are linked when some row has both nonzero once the forced
+    columns are struck; the row space is the direct sum of its
+    restrictions to the blocks.  A column no row touches is a block of its
+    own, with no rows.
+    """
+    forced_zero, live = _strike_forced(rows)
+
+    parent = list(range(ncols))
+
+    def root(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    for row in live:
+        first, *rest = row
+        first = root(first)
+        for c in rest:
+            rc = root(c)
+            if rc != first:
+                parent[rc] = first
+    block_rows: dict[int, list[dict[int, Fraction | int]]] = {}
+    for row in live:
+        block_rows.setdefault(root(next(iter(row))), []).append(row)
+    block_cols: dict[int, list[int]] = {}
+    for c in range(ncols):
+        if c not in forced_zero:
+            block_cols.setdefault(root(c), []).append(c)
+    return [(cols, block_rows.get(b, [])) for b, cols in block_cols.items()]
 
 
 def echelon_block_kernel(rows, ncols: int) -> list[dict[int, Fraction]]:

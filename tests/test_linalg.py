@@ -615,6 +615,84 @@ def test_rows_repeated_up_to_sign_trigger_no_update(monkeypatch):
     assert updates == [({1: 1}, 1, 1, {0: 1})]
 
 
+def _eliminate_calls(rows, ncols):
+    """The ``_eliminate`` calls of ``kernel_by_blocks(rows, ncols)``, each
+    as (rem, x, p, row) on entry."""
+    calls = []
+    eliminate = linalg._eliminate
+
+    def spy(rem, x, p, row):
+        calls.append((dict(rem), x, p, dict(row)))
+        eliminate(rem, x, p, row)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_eliminate", spy)
+        kernel_by_blocks(rows, ncols)
+    return calls
+
+
+def _calls_per_row(rows, ncols):
+    """The ``_eliminate`` calls each row makes, read off the calls of the
+    prefixes of ``rows``: no row has one entry, so the strike forces no
+    column and each prefix is solved as the start of the whole."""
+    ends = [
+        len(_eliminate_calls(rows[:k], ncols)) for k in range(len(rows) + 1)
+    ]
+    calls = _eliminate_calls(rows, ncols)
+    return [calls[ends[k] : ends[k + 1]] for k in range(len(rows))]
+
+
+@st.composite
+def _two_column_sets(draw):
+    """Rows on the even and on the odd columns of 0..11, each with at
+    least two nonzero entries (or none), as (even rows, odd rows, order):
+    order[i] names the set of the i-th row when the two are interleaved.
+    Some rows are combinations of earlier rows of their set, so they lie
+    in its row space."""
+    values = st.integers(min_value=-3, max_value=3).filter(bool)
+    sets, order = ([], []), []
+    for _ in range(draw(st.integers(min_value=0, max_value=14))):
+        s = draw(st.integers(min_value=0, max_value=1))
+        own = sets[s]
+        if own and draw(st.booleans()):
+            row = dict(draw(st.sampled_from(own)))
+            c = draw(values)
+            for col, x in draw(st.sampled_from(own)).items():
+                row[col] = row.get(col, 0) + c * x
+            row = {col: x for col, x in row.items() if x}
+            if len(row) == 1:
+                continue
+        else:
+            cols = draw(
+                st.lists(
+                    st.sampled_from(range(s, 12, 2)),
+                    min_size=2,
+                    max_size=4,
+                    unique=True,
+                )
+            )
+            row = {col: draw(values) for col in cols}
+        own.append(row)
+        order.append(s)
+    return (*sets, order)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_two_column_sets())
+def test_two_column_sets_make_the_updates_each_makes_alone(system):
+    # a row has a zero dot with every kernel vector that has no entry on
+    # its columns, so interleaving the rows of two column sets makes each
+    # set's updates, in row order, and no other: the kernel needs no split
+    # into the blocks the rows link
+    even, odd, order = system
+    alone = [iter(_calls_per_row(rows, 12)) for rows in (even, odd)]
+    sets = [iter(even), iter(odd)]
+    rows = [next(sets[s]) for s in order]
+    assert _eliminate_calls(rows, 12) == [
+        call for s in order for call in next(alone[s])
+    ]
+
+
 @st.composite
 def _valued_systems(draw):
     """The systems of ``_sparse_systems`` and ``_cascades``, with the
