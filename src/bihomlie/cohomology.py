@@ -877,10 +877,11 @@ def cochain_in_space(
     f is read off the memoized basis of its space by :func:`_coordinates`,
     in integers; the first check on a fresh module solves and memoizes
     that basis (see :func:`cochain_basis`).  A value off the space's slots
-    is refused as leaving its degree block or lying on a non-canonical
-    tuple; a non-member is refused with the first row of
-    :func:`_intertwining_rows` it breaks, the rows the basis is solved
-    from, in lexicographic tuple and alpha before beta.
+    is refused as lying on a tuple with an index outside 0..dim-1, as
+    leaving its degree block or as lying on a non-canonical tuple; a
+    non-member is refused with the first row of :func:`_intertwining_rows`
+    it breaks, the rows the basis is solved from, in lexicographic tuple
+    and alpha before beta.
     """
     a = rep.algebra
     if f.dimV != rep.dimV:
@@ -890,9 +891,11 @@ def cochain_in_space(
     space = _space(rep, f.n, g)
     coords, stray = _coordinates(space, rows)
     if stray is not None:
-        # a slot (T, w) is off the space's slots when w has the wrong
-        # degree for T or T is not canonical
+        # a slot (T, w) is off the space's slots when T has an index out
+        # of range, w has the wrong degree for T or T is not canonical
         (T, _), _ = stray
+        if not all(0 <= i < a.dim for i in T):
+            return False, f"stored tuple {T} leaves the basis 0..{a.dim - 1}"
         target = a.basis.group.add(g, _tuple_degree(a, T))
         if any(rep.space.degrees[w] != target for w, _ in rows[T]):
             return False, f"value on {T} leaves the degree-{target} block"

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import re
 from fractions import Fraction
 from itertools import product as iproduct
 from random import Random
@@ -1547,6 +1548,21 @@ def test_apply_coboundary_refuses_a_negative_arity(validate):
     f = Cochain(-1, (0,), {}, rep.dimV)
     with pytest.raises(ValueError, match="cochain arity must be nonnegative"):
         apply_coboundary(rep, 1, f, validate=validate)
+
+
+@pytest.mark.parametrize("index", ["dim", 99, -1])
+def test_a_stored_index_outside_the_basis_is_refused_by_name(index):
+    # -1 must not wrap round to the last basis vector, nor dim or 99 raise
+    # IndexError from the degree lookup
+    rep = adjoint_rep(osp12_classical(), 0, 1)
+    dim = rep.algebra.dim
+    if index == "dim":
+        index = dim
+    f = Cochain(1, (0,), {(index,): (1,) + (0,) * (dim - 1)}, rep.dimV)
+    reason = f"stored tuple ({index},) leaves the basis 0..{dim - 1}"
+    assert cochain_in_space(rep, f) == (False, reason)
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        apply_coboundary(rep, 1, f)
 
 
 def test_realized_gammas_cover_the_group():
