@@ -170,11 +170,11 @@ def cyclic_S(a: ColourAlgebra, x: Vec, y: Vec, z: Vec) -> Vec:
     eps(z,x) as(alpha^-1 beta^2(x), beta(y), alpha(z)), and the same sum
     with each associator replaced by the commutator
     eps(z,x)[beta^2(x), beta(y) alpha(z)], the bracket read from
-    :func:`primed_bracket`, built once per call.  For even, commuting,
-    multiplicative, invertible maps the two agree identically; they are
-    both computed every time and any disagreement raises RuntimeError
-    (it would mean the identity this module is built on does not apply,
-    e.g. non-multiplicative maps slipped through).
+    :func:`primed_bracket`.  For even, commuting, multiplicative,
+    invertible maps the two agree identically; they are both computed
+    every time and any disagreement raises RuntimeError (it would mean the
+    identity this module is built on does not apply, e.g.
+    non-multiplicative maps slipped through).
     """
     grp = a.basis.group
     triples = []
@@ -265,6 +265,9 @@ def primed_bracket(a: ColourAlgebra) -> ColourAlgebra:
 
     On an algebra whose product already satisfies the twisted
     skewsymmetry this doubles the product; in general it symmetrizes it
-    into a skewsymmetric one.  Maps must be invertible.
+    into a skewsymmetric one.  Maps must be invertible.  Cached on the
+    algebra, so a scan over its triples builds one bracket.
     """
-    return a.with_product(commutator_table(a))
+    if a._primed is None:
+        a._primed = a.with_product(commutator_table(a))
+    return a._primed

@@ -178,6 +178,7 @@ class ColourAlgebra:
         "_commutation",
         "_int_tables",
         "_shifts",
+        "_primed",
     )
 
     def __init__(
@@ -221,6 +222,8 @@ class ColourAlgebra:
         self._int_tables: dict[tuple, tuple] = {}
         # the degree shifts of derivations._degree_shift, keyed by degree
         self._shifts: dict[tuple, tuple] = {}
+        # the algebra of admissibility.primed_bracket, built on first use
+        self._primed: ColourAlgebra | None = None
 
     # -- basic accessors ----------------------------------------------------
 

@@ -11,6 +11,7 @@ from itertools import product as iproduct
 
 import pytest
 
+from bihomlie import admissibility
 from bihomlie.admissibility import (
     CYCLE_LEFT,
     CYCLE_RIGHT,
@@ -254,6 +255,25 @@ def test_commutator_jacobiator_matches_the_dense_oracle(name):
         assert commutator_jacobiator(a, i, j, k) == (
             commutator_jacobiator_oracle(a, i, j, k)
         )
+
+
+def test_a_triple_scan_builds_one_commutator_table(monkeypatch):
+    # both commutator forms read the primed bracket cached on the algebra,
+    # so a scan over every triple builds the commutator table once
+    calls = []
+    table = admissibility.commutator_table
+
+    def counting_table(a):
+        calls.append(a)
+        return table(a)
+
+    monkeypatch.setattr(admissibility, "commutator_table", counting_table)
+    a = build_osp12(2, 3)
+    for i, j, k in triples(a):
+        commutator_jacobiator(a, i, j, k)
+        cyclic_S(a, a.basis_vec(i), a.basis_vec(j), a.basis_vec(k))
+    assert calls == [a]
+    assert primed_bracket(a) is primed_bracket(a)
 
 
 def test_unknown_subgroup_id():
