@@ -61,7 +61,8 @@ class Representation:
 
     A module memoizes its cochain complex.  Per arity n it keeps the
     tables that depend on neither the degree nor r: the canonical n-tuples
-    grouped by degree, each tuple's alpha and beta pull-back terms, and
+    numbered in lexicographic order and grouped by degree, each tuple's
+    alpha and beta pull-back terms, and
     the bracket and action terms by which a tuple enters the coboundary.
     Per (n, degree) it keeps the cochain basis, solved from the rows of
     :func:`_intertwining_rows`, and per (n, r, degree) the unit-slot
@@ -618,6 +619,9 @@ class _Arity:
     """The tables of arity n on one module that depend on neither the
     degree gamma nor r, shared by every (gamma, r) query:
 
+    * ``tuples``: the canonical n-tuples in lexicographic order, and
+      ``number``, each one's position there: the numbering of the slot
+      numbers of the unit images of arity n - 1 (see :class:`_Coboundary`);
     * ``by_degree``: the canonical n-tuples grouped by their degree, each
       group in lexicographic order;
     * ``pullbacks``: for a canonical tuple T, its alpha and beta pull-back
@@ -627,13 +631,22 @@ class _Arity:
       coboundary (see :func:`_reach`), filled on first use.
     """
 
-    __slots__ = ("by_degree", "pullbacks", "pullback_scales", "reach")
+    __slots__ = (
+        "tuples",
+        "number",
+        "by_degree",
+        "pullbacks",
+        "pullback_scales",
+        "reach",
+    )
 
     def __init__(self, a: ColourAlgebra, n: int) -> None:
         group, degs = a.basis.group, a.basis.degrees
         zero = group.zero()
+        self.tuples = tuple(canonical_index_tuples(a, n))
+        self.number = {T: p for p, T in enumerate(self.tuples)}
         by_degree: dict[GroupElement, list[tuple[int, ...]]] = {}
-        for T in canonical_index_tuples(a, n):
+        for T in self.tuples:
             # the coordinate sums of zero and the entries' degrees,
             # reduced once
             d = group.reduce(map(sum, zip(zero, *(degs[i] for i in T))))
@@ -869,6 +882,14 @@ def _coordinates(
     return (None if rest else coords), None
 
 
+def _outside_basis(a: ColourAlgebra, T: tuple[int, ...]) -> str:
+    """The reason that refuses a stored tuple T with an index outside the
+    basis 0..dim-1 of ``a``, or "" when every index lies in it."""
+    if all(0 <= i < a.dim for i in T):
+        return ""
+    return f"stored tuple {T} leaves the basis 0..{a.dim - 1}"
+
+
 def cochain_in_space(
     rep: Representation, f: Cochain
 ) -> tuple[bool, str]:
@@ -894,8 +915,9 @@ def cochain_in_space(
         # a slot (T, w) is off the space's slots when T has an index out
         # of range, w has the wrong degree for T or T is not canonical
         (T, _), _ = stray
-        if not all(0 <= i < a.dim for i in T):
-            return False, f"stored tuple {T} leaves the basis 0..{a.dim - 1}"
+        reason = _outside_basis(a, T)
+        if reason:
+            return False, reason
         target = a.basis.group.add(g, _tuple_degree(a, T))
         if any(rep.space.degrees[w] != target for w, _ in rows[T]):
             return False, f"value on {T} leaves the degree-{target} block"
@@ -964,26 +986,36 @@ class _Coboundary:
     tuple T share the terms by which T enters the coboundary (see
     :func:`_reach`), which every degree and r of the arity shares too.
 
+    A unit image is one flat tuple of (slot number, integer) pairs in
+    ascending slot number.  The coordinate k of the (n+1)-tuple X has the
+    slot number pos(X) * dimV + k, where pos(X) is the position of X among
+    the canonical (n+1)-tuples in lexicographic order: the ``number`` of
+    the (n+1)-arity tables ``codomain``, which every r and gamma shares.
+    So the numbers ascend in the lexicographic order of (X, k), and each
+    X an image reaches, canonical by :func:`_reachable_tuples`, has one,
+    also where it leaves the degree-gamma slots.
+
     Every unit image is stored as integers over one scale, ``scale``, the
     lcm of the scale S = L_bracket L_beta^(n-1) of the bracket scalars of
     :func:`_reach` and the common scale L_action of the action table
     rho(alpha beta^(r+n-1)(e_x)).  The action columns it reads are the
     module's memo for that power (see :class:`Representation`), which
     every (n, r) with the same r + n - 1 shares.  So
-    :func:`apply_coboundary` sums Python ints and returns d f in integer
-    form.
+    :func:`apply_coboundary` sums Python ints, keyed by slot number, and
+    returns d f in integer form.
     """
 
     def __init__(
         self, rep: Representation, n: int, r: int, gamma: GroupElement
     ) -> None:
-        # the shared arity tables, the action matrices
-        # rho(alpha beta^{r+n-1}(e_i)) with their integer columns, and the
-        # signs eps(gamma, e_i)
+        # the shared arity tables and the numbering of the (n+1)-tuples,
+        # the action matrices rho(alpha beta^{r+n-1}(e_i)) with their
+        # integer columns, and the signs eps(gamma, e_i)
         a = rep.algebra
         self.n = n
         self.gamma = gamma
         self.arity = _arity(rep, n)
+        self.codomain = _arity(rep, n + 1)
         power = r + n - 1
         self.action = rep.action_table(power)
         columns = rep._columns.get(power)
@@ -999,9 +1031,8 @@ class _Coboundary:
             self.bracket_scale = 1
         self.scale = lcm(self.bracket_scale, self.action_scale)
         self.eps_gamma = [a.eps.eval(gamma, a.degree(i)) for i in range(a.dim)]
-        # (T, w) -> the unit image as ((X, ((k, y), ...)), ...): its
-        # nonzero coordinates y / scale, in lexicographic order of X and
-        # ascending k
+        # (T, w) -> the unit image ((slot number, y), ...): its nonzero
+        # coordinates y / scale in ascending slot number
         self.images: dict[tuple, tuple] = {}
 
     def image(
@@ -1009,21 +1040,31 @@ class _Coboundary:
     ) -> tuple:
         """The unit image of slot (T, w) on ``rep``, the module this
         coboundary belongs to (not stored here, so the memo makes no
-        reference cycle), over ``scale``.
+        reference cycle), over ``scale``, as the flat tuple of
+        (slot number, integer) pairs of the class note.
 
-        The bracket scalars of :func:`_reach` are ints over S and the
-        action columns ints over L_action; each is brought to ``scale``
-        and summed per X.  An action column rho(alpha beta^(r+n-1)(e_x))
-        e_w is read through ``Matrix.apply`` on its first use for (x, w),
-        then from the module's memo."""
+        On a memo miss a tuple T with an index outside the algebra's basis
+        is refused first, as ValueError with the reason of
+        :func:`cochain_in_space`, before any table is read.  The bracket
+        scalars of :func:`_reach` are ints over S and the action columns
+        ints over L_action; each is brought to ``scale`` and summed per
+        X.  An action column rho(alpha beta^(r+n-1)(e_x)) e_w is read
+        through ``Matrix.apply`` on its first use for (x, w), then from
+        the module's memo."""
         hit = self.images.get((T, w))
         if hit is None:
+            reason = _outside_basis(rep.algebra, T)
+            if reason:
+                raise ValueError(
+                    f"cochain is outside the domain space: {reason}"
+                )
             terms = self.arity.reach.get(T)
             if terms is None:
                 terms = self.arity.reach[T] = _reach(rep, self.n, T)
             eps_gamma = self.eps_gamma
             fs = self.scale // self.bracket_scale
             fa = self.scale // self.action_scale
+            number, dimV = self.codomain.number, rep.dimV
             out = []
             for X, scalar, acts in terms:
                 total = {w: scalar * fs} if scalar else {}
@@ -1031,9 +1072,10 @@ class _Coboundary:
                     c = fa if sign * eps_gamma[xs] == 1 else -fa
                     for k, y in self._column(rep, xs, w):
                         total[k] = total.get(k, 0) + c * y
-                nonzero = tuple(sorted((k, y) for k, y in total.items() if y))
-                if nonzero:
-                    out.append((X, nonzero))
+                base = number[X] * dimV
+                out.extend(
+                    sorted([(base + k, y) for k, y in total.items() if y])
+                )
             hit = self.images[T, w] = tuple(out)
         return hit
 
@@ -1206,16 +1248,21 @@ def apply_coboundary(
     :func:`_reachable_tuples`).
 
     The sum is taken in integers, and no Fraction is built: f is read in
-    its integer form (see :meth:`Cochain.int_values`), each nonzero entry
-    x / D of f times the integer terms of its unit image, all over the one
-    scale M of the coboundary, is summed per tuple, and d f is returned in
+    its integer form (see :meth:`Cochain.int_values`), and each nonzero
+    entry x / D of f times the integers of its unit image, all over the
+    one scale M of the coboundary, is added into one dict keyed by slot
+    number (see :class:`_Coboundary`).  Its keys are sorted once and
+    decoded with ``divmod`` into the slots (X, k) in lexicographic order,
+    the sums that cancelled to zero dropped, and d f is returned in
     integer form over D * M, its ``values`` built only when a caller
     reads them.
 
     A cochain of negative arity raises ValueError, with or without
     ``validate``.  With ``validate`` f must pass :func:`cochain_in_space`,
     else ValueError; the first validation on a fresh module solves and
-    memoizes the n-cochain basis.
+    memoizes the n-cochain basis.  Without it, a stored tuple with an index
+    outside the algebra's basis still raises ValueError with the reason of
+    :func:`cochain_in_space`, when its unit image is first built.
     """
     if f.n < 0:
         raise ValueError("cochain arity must be nonnegative")
@@ -1233,36 +1280,36 @@ def apply_coboundary(
             rep._coboundaries[key] = _Coboundary(rep, n, r, gamma)
         cob = rep._coboundaries[key]
     # each nonzero entry x / D of f times the unit image of its slot: the
-    # image's integers times x, over D * M; the terms that reach each X
+    # image's integers times x, over D * M, summed into one accumulator
+    # keyed by slot number
     den, rows = f.int_values()
-    dimV = rep.dimV
-    parts: dict[tuple[int, ...], list[tuple[int, IntTerms]]] = {}
+    images = cob.images
+    acc: dict[int, int] = {}
+    get = acc.get
     for T, terms in rows.items():
         for w, m in terms:
-            for X, xterms in cob.image(rep, T, w):
-                hit = parts.get(X)
-                if hit is None:
-                    parts[X] = [(m, xterms)]
-                else:
-                    hit.append((m, xterms))
-    # the sums are on canonical tuples of the right length, so only the
-    # rows that cancelled to zero are dropped; a tuple one image reaches
-    # takes its nonzero terms as they are, scaled
+            image = images.get((T, w))
+            if image is None:
+                image = cob.image(rep, T, w)
+            for s, y in image:
+                acc[s] = get(s, 0) + m * y
+    # the numbers in ascending order are the slots (X, k) in lexicographic
+    # order; only the sums that cancelled to zero are dropped
+    tuples, dimV = cob.codomain.tuples, rep.dimV
     out = {}
-    for X in sorted(parts):
-        hit = parts[X]
-        if len(hit) == 1:
-            m, xterms = hit[0]
-            out[X] = (
-                xterms if m == 1 else tuple([(k, m * y) for k, y in xterms])
-            )
-            continue
-        row = [0] * dimV
-        for m, xterms in hit:
-            add_terms(row, m, xterms)
-        terms = tuple([(k, y) for k, y in enumerate(row) if y])
-        if terms:
-            out[X] = terms
+    row: list[tuple[int, int]] = []
+    last = -1
+    for s in sorted(acc):
+        y = acc[s]
+        if y:
+            p, k = divmod(s, dimV)
+            if p != last:
+                if row:
+                    out[tuples[last]] = tuple(row)
+                row, last = [], p
+            row.append((k, y))
+    if row:
+        out[tuples[last]] = tuple(row)
     return Cochain._of(n + 1, cob.gamma, den * cob.scale, out, dimV)
 
 
@@ -1375,8 +1422,10 @@ def cohomology_dims(
     next coboundary and must map to zero, else RuntimeError naming the
     basis cochain and the first tuple where the square is nonzero, with
     its value.  The re-check is exact and cheap: it reads the bases and
-    unit-slot images memoized on the module, and :func:`apply_coboundary`
-    sums in integers, so only a nonzero d(d f) builds Fractions.
+    unit-slot images memoized on the module, and each
+    :func:`apply_coboundary` sums the numbered flat images in one integer
+    accumulator keyed by slot number, so only a nonzero d(d f) builds
+    Fractions.
 
     dim C is the length of the memoized cochain basis, and the rank of
     each coboundary matrix is memoized under (n, r, degree):

@@ -646,6 +646,8 @@ def cochain_in_space_oracle(rep, f):
         return False, "value dimension differs from the module"
     g = a.basis.group.reduce(f.degree)
     for T, val in f.values.items():
+        if not all(0 <= i < a.dim for i in T):
+            return False, f"stored tuple {T} leaves the basis 0..{a.dim - 1}"
         target = a.basis.group.add(g, a.basis.group.sum(a.degree(i) for i in T))
         for w, c in enumerate(val):
             if c and rep.space.degrees[w] != target:

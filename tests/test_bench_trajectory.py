@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location(
     "bench_trajectory", ROOT / "tools" / "bench_trajectory.py"
@@ -103,3 +105,61 @@ def test_trajectory_names_the_slowest_job_of_each_untraced_pass(tmp_path):
     # the record is plain JSON, like the rest of the file
     assert json.loads(json.dumps(doc))["slowest_jobs"] == doc["slowest_jobs"]
     assert doc["workloads"]["corpus-sweep"]["slowest_job_s"]["pairs"] == 1
+
+
+PARENT_WALLS = [0.100 + 0.001 * i for i in range(10)]
+
+
+@pytest.mark.parametrize(
+    "change, shown",
+    [
+        # every pair won, by far more than the parent's spread
+        ([0.090] * 10, True),
+        # nine wins of ten
+        ([0.090] * 9 + [0.2], True),
+        # nine wins and a tie: the tie counts for neither side
+        ([0.090] * 9 + [PARENT_WALLS[9]], True),
+        # eight wins and two ties
+        ([0.090] * 8 + PARENT_WALLS[8:], False),
+        # eight wins of ten
+        ([0.090] * 8 + [0.2, 0.2], False),
+        # every pair won, but the medians are closer than the parent's IQR
+        ([w - 0.001 for w in PARENT_WALLS], False),
+    ],
+)
+def test_gain_is_shown_on_nine_wins_in_ten_beyond_the_parent_iqr(
+    tmp_path, change, shown
+):
+    # one pass per run, so each run's wall_s is that pass's time
+    for side, walls in (("parent", PARENT_WALLS), ("change", change)):
+        for seed, wall in enumerate(walls, start=30):
+            run = _result(seed, [{"h2": wall}])
+            _write(tmp_path / side, f"{seed}.json", run)
+    sets = {
+        side: bench_trajectory.load(tmp_path / side)
+        for side in ("parent", "change")
+    }
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text("utf-8"))
+    doc = bench_trajectory.trajectory(sets, spec, "0123456789")
+    entry = doc["workloads"]["corpus-sweep"]["wall_s"]
+    # statistics.quantiles of 0.100..0.109: q1 = 0.10175, q3 = 0.10725
+    assert entry["parent_iqr"] == pytest.approx(0.0055)
+    assert entry["pairs"] == 10
+    assert entry["gain_shown"] is shown
+    assert json.loads(json.dumps(doc))["workloads"] == doc["workloads"]
+
+
+@pytest.mark.parametrize(
+    "better, change, shown",
+    [("higher", 1.0, True), ("higher", 0.5, False), ("lower", 0.5, True)],
+)
+def test_gain_direction_follows_the_metric(better, change, shown):
+    # the same pair record either way: the sign of the median gap decides
+    entry = {
+        "parent": {"median": 0.8, "q1": 0.75, "q3": 0.85},
+        "change": {"median": change, "q1": change, "q3": change},
+        "pairs": 10,
+        "change_wins": 10,
+    }
+    got = bench_trajectory.gain_record(entry, better)
+    assert got == {"parent_iqr": pytest.approx(0.1), "gain_shown": shown}

@@ -848,6 +848,35 @@ def _eager(f):
     )
 
 
+@pytest.mark.parametrize("name", sorted({**SPARSE_MODULES, **FORM_MODULES}))
+def test_unit_images_are_numbered_in_lexicographic_slot_order(name):
+    # every unit image of arity n <= 2 is flat: its slot numbers strictly
+    # increase, each decodes to (X, k) with X a canonical (n+1)-tuple and
+    # k < dimV, and the decoded slots are in lexicographic order
+    rep = {**SPARSE_MODULES, **FORM_MODULES}[name]()
+    dimV = rep.dimV
+    images = 0
+    for n in range(3):
+        codomain = canonical_index_tuples(rep.algebra, n + 1)
+        for g in realized_gammas(rep, n):
+            for r in (0, 1):
+                zero = Cochain(n, g, {}, dimV)
+                apply_coboundary(rep, r, zero, validate=False)
+                cob = rep._coboundaries[n, r, g]
+                for T, w in _slots(rep, n, g):
+                    image = cob.image(rep, T, w)
+                    numbers = [s for s, _ in image]
+                    assert all(u < v for u, v in zip(numbers, numbers[1:]))
+                    decoded = []
+                    for s in numbers:
+                        p, k = divmod(s, dimV)
+                        assert 0 <= p < len(codomain) and 0 <= k < dimV
+                        decoded.append((codomain[p], k))
+                    assert decoded == sorted(decoded)
+                    images += bool(image)
+    assert images
+
+
 @pytest.mark.parametrize("name", sorted(FORM_MODULES))
 def test_library_cochains_read_like_constructed_ones(name):
     rep = FORM_MODULES[name]()
@@ -1563,6 +1592,23 @@ def test_a_stored_index_outside_the_basis_is_refused_by_name(index):
     assert cochain_in_space(rep, f) == (False, reason)
     with pytest.raises(ValueError, match=re.escape(reason)):
         apply_coboundary(rep, 1, f)
+
+
+@pytest.mark.parametrize("index", [5, 99, -1])
+def test_an_unvalidated_coboundary_refuses_a_stored_index_outside_the_basis(
+    index,
+):
+    # refused on the unit-image memo miss before any table is read: not an
+    # IndexError from the reach tables, nor a KeyError for -1; the oracle
+    # gives the same reason
+    rep = adjoint_rep(osp12_classical(), 0, 1)
+    f = Cochain(1, (0,), {(index,): (1, 0, 0, 0, 0)}, rep.dimV)
+    reason = f"stored tuple ({index},) leaves the basis 0..4"
+    assert cochain_in_space_oracle(rep, f) == (False, reason)
+    with pytest.raises(ValueError) as err:
+        apply_coboundary(rep, 1, f, validate=False)
+    assert str(err.value) == f"cochain is outside the domain space: {reason}"
+    assert not _arity(rep, 1).reach
 
 
 def test_realized_gammas_cover_the_group():

@@ -14,7 +14,11 @@ For every workload and metric of the untraced runs it records, per side,
 the number of runs and the median and quartiles of perfbench/compare.py's
 ``summary`` over ``by_metric``.  For the end-to-end metrics of
 BENCHMARK.json it adds the pairs (seeds run on both sides), the pairs the
-change wins and ties, and the relative change of the median.  The counts
+change wins and ties, the relative change of the median, the parent's
+interquartile range ``parent_iqr`` (q3 - q1) and ``gain_shown``: true when
+the change wins at least 9 of every 10 pairs (a tie counts for neither
+side) and its median beats the parent's by more than ``parent_iqr``.  The
+counts
 (``count`` and ``bits`` units) of the traced runs go to ``traced_counts``,
 per workload and seed, and their per-layer seconds (the ``per_layer``
 metrics of BENCHMARK.json in ``s``) to ``traced_layers``: those come from
@@ -51,6 +55,21 @@ def pair_record(sets: dict, workload: str, name: str, better: str) -> dict:
         for v in pairs
     )
     return {"pairs": len(pairs), "change_wins": wins, "ties": ties}
+
+
+def gain_record(entry: dict, better: str) -> dict:
+    """``parent_iqr`` and ``gain_shown`` of an end-to-end entry that holds
+    both sides' summaries and its pair record: the gain is shown when the
+    change wins at least 9/10 of the pairs and the gap between the
+    medians, in the better direction, exceeds the parent's q3 - q1."""
+    parent, change = entry["parent"], entry["change"]
+    iqr = parent["q3"] - parent["q1"]
+    gap = parent["median"] - change["median"]
+    if better != "lower":
+        gap = -gap
+    pairs = entry["pairs"]
+    shown = pairs > 0 and 10 * entry["change_wins"] >= 9 * pairs and gap > iqr
+    return {"parent_iqr": iqr, "gain_shown": shown}
 
 
 def slowest_jobs(sets: dict) -> dict:
@@ -96,6 +115,7 @@ def trajectory(sets: dict, spec: dict, parent_sha: str) -> dict:
                 entry["median_change"] = (
                     entry["change"]["median"] / base - 1 if base else None
                 )
+                entry.update(gain_record(entry, better[name]))
     layers = {m["name"] for m in spec["per_layer"] if m["unit"] == "s"}
     traced: dict = {}
     seconds: dict = {}
