@@ -848,21 +848,22 @@ def _eager(f):
     )
 
 
-@pytest.mark.parametrize("name", sorted({**SPARSE_MODULES, **FORM_MODULES}))
+NUMBERED_MODULES = {**SPARSE_MODULES, **FORM_MODULES}
+
+
+@pytest.mark.parametrize("name", sorted(NUMBERED_MODULES))
 def test_unit_images_are_numbered_in_lexicographic_slot_order(name):
     # every unit image of arity n <= 2 is flat: its slot numbers strictly
     # increase, each decodes to (X, k) with X a canonical (n+1)-tuple and
     # k < dimV, and the decoded slots are in lexicographic order
-    rep = {**SPARSE_MODULES, **FORM_MODULES}[name]()
+    rep = NUMBERED_MODULES[name]()
     dimV = rep.dimV
     images = 0
     for n in range(3):
         codomain = canonical_index_tuples(rep.algebra, n + 1)
         for g in realized_gammas(rep, n):
             for r in (0, 1):
-                zero = Cochain(n, g, {}, dimV)
-                apply_coboundary(rep, r, zero, validate=False)
-                cob = rep._coboundaries[n, r, g]
+                cob = cohomology._Coboundary(rep, n, r, g)
                 for T, w in _slots(rep, n, g):
                     image = cob.image(rep, T, w)
                     numbers = [s for s, _ in image]
