@@ -726,11 +726,6 @@ def jordan_product(
     return HomEndo(mat, eps.group.add(d1.degree, d2.degree))
 
 
-def colour_bracket(d1: HomEndo, d2: HomEndo, eps: Bicharacter) -> HomEndo:
-    """D1 . D2 - eps(d1, d2) D2 . D1."""
-    return jordan_product(d1, d2, eps, sign=-1)
-
-
 def _endo_witness(
     space_names: Sequence[str], idx: tuple[int, ...], diff: Matrix
 ) -> Witness:

@@ -19,7 +19,6 @@ from bihomlie.derivations import (
     HomEndo,
     centroid_space,
     check_jordan_axioms,
-    colour_bracket,
     derivation_space,
     generalized_derivation_space,
     inner_derivation_space,
@@ -259,7 +258,7 @@ def test_jordan_product_is_colour_symmetric():
 def test_odd_self_bracket_is_twice_the_square():
     a = osp12_classical()
     d = derivation_space(a, 0, 0, (1,)).basis[0]
-    cb = colour_bracket(d, d, a.eps)
+    cb = jordan_product(d, d, a.eps, sign=-1)
     assert cb.matrix == (d.matrix * d.matrix).scale(2)
     assert cb.degree == (0,)
 

@@ -1,5 +1,9 @@
 """The public names of the package: a removal that drops one fails here."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import bihomlie
 
 PUBLIC = [
@@ -63,3 +67,24 @@ def test_public_names_are_pinned_and_each_resolves():
     assert sorted(bihomlie.__all__) == PUBLIC
     missing = [name for name in PUBLIC if not hasattr(bihomlie, name)]
     assert missing == []
+
+
+def test_the_package_and_its_cli_load_every_module():
+    # a module that neither the package nor the command line imports is
+    # reached by nothing but its tests
+    package = Path(bihomlie.__file__).parent
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import bihomlie, "
+        "bihomlie.cli; print(' '.join(m for m in sys.modules "
+        "if m.startswith('bihomlie.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-E", "-c", code, str(package.parent)],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    ).stdout.split()
+    modules = {f"bihomlie.{p.stem}" for p in package.glob("*.py")}
+    unreached = modules - set(out) - {"bihomlie.__init__", "bihomlie.__main__"}
+    assert sorted(unreached) == []
