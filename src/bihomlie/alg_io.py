@@ -25,15 +25,15 @@ completed by skewsymmetry); unstated pairs multiply to zero.  [alpha] and
 canonical form (fixed section order, declaration-order lines, lowest-term
 coefficients) so that serialize(parse(serialize(a))) == serialize(a).
 
-Multiplier tables arrive as side files of `g h v` lines and omega tables
-as `g v` lines, with degrees written as comma-separated tuples.
+Multiplier tables arrive as side files of `g h v` lines, with degrees
+written as comma-separated tuples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import MAX_DIM, ColourAlgebra
+from .algebra import MAX_DIM, ColourAlgebra, read_scalar
 from .grading import (
     Bicharacter,
     GradedBasis,
@@ -97,12 +97,15 @@ def _split_sections(
     return sections
 
 
-def _is_scalar_token(tok: str) -> bool:
+def _scalar(tok: str, no: int, what: str) -> Fraction:
+    """read_scalar, with a refusal raised as a ParseError at line no."""
     try:
-        Fraction(tok)
-    except (ValueError, ZeroDivisionError):
-        return False
-    return True
+        c = read_scalar(tok)
+    except ValueError as e:
+        raise ParseError(str(e), no) from None
+    if c is None:
+        raise ParseError(f"bad {what} {tok!r}", no)
+    return c
 
 
 def _parse_expr(
@@ -118,12 +121,7 @@ def _parse_expr(
         if len(toks) == 1:
             c, name = Fraction(1), toks[0]
         elif len(toks) == 2:
-            if not _is_scalar_token(toks[0]):
-                raise ParseError(
-                    f"bad coefficient {toks[0]!r} in term {term.strip()!r}",
-                    no,
-                )
-            c, name = Fraction(toks[0]), toks[1]
+            c, name = _scalar(toks[0], no, "coefficient"), toks[1]
         else:
             raise ParseError(f"bad term {term.strip()!r}", no)
         try:
@@ -164,15 +162,10 @@ def _parse_map_section(
         if cols[j] is not None:
             raise ParseError(f"duplicate [{what}] line for {toks[0]}", no)
         cols[j] = _parse_expr(rhs, basis, no)
-    filled = [
-        c
-        if c is not None
-        else vec(
-            Fraction(1) if i == j else Fraction(0) for i in range(n)
-        )
-        for j, c in enumerate(cols)
-    ]
-    return Matrix.from_cols(filled)
+    ident = Matrix.identity(n)
+    return Matrix.from_cols(
+        [ident.column(j) if c is None else c for j, c in enumerate(cols)]
+    )
 
 
 def parse_linear_map(text: str, basis: GradedBasis, what: str = "map") -> Matrix:
@@ -240,7 +233,11 @@ def parse_algebra(text: str) -> ColourAlgebra:
     for no, body in sections["basis"]:
         toks = body.split()
         name = toks[0]
-        if _is_scalar_token(name):
+        try:
+            ambiguous = read_scalar(name) is not None
+        except ValueError:
+            ambiguous = True
+        if ambiguous:
             raise ParseError(
                 f"basis name {name!r} would be ambiguous in expressions", no
             )
@@ -370,35 +367,15 @@ def parse_multiplier(text: str, group: GradingGroup) -> MultiplierTable:
             h = parse_degree(group, toks[1])
         except ValueError as e:
             raise ParseError(str(e), no) from None
-        if not _is_scalar_token(toks[2]):
-            raise ParseError(f"bad value {toks[2]!r}", no)
+        value = _scalar(toks[2], no, "value")
         key = (g, h)
         if key in entries:
             raise ParseError(f"duplicate entry for {toks[0]} {toks[1]}", no)
-        entries[key] = Fraction(toks[2])
+        entries[key] = value
     try:
         return MultiplierTable(group, entries)
     except ValueError as e:
         raise ParseError(str(e)) from None
-
-
-def parse_omega(text: str, group: GradingGroup) -> dict:
-    """Side file of `g v` lines for the coboundary-style multiplier."""
-    out = {}
-    for no, body in _logical_lines(text):
-        toks = body.split()
-        if len(toks) != 2:
-            raise ParseError("expected 'g value'", no)
-        try:
-            g = parse_degree(group, toks[0])
-        except ValueError as e:
-            raise ParseError(str(e), no) from None
-        if not _is_scalar_token(toks[1]):
-            raise ParseError(f"bad value {toks[1]!r}", no)
-        if g in out:
-            raise ParseError(f"duplicate entry for {toks[0]}", no)
-        out[g] = Fraction(toks[1])
-    return out
 
 
 def jsonable(obj):

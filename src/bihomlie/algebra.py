@@ -26,6 +26,7 @@ and one for the structure constants, both read off the dense products.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from itertools import product as iproduct
@@ -65,6 +66,37 @@ IntTable = tuple[int, tuple[tuple[IntTerms, ...], ...]]
 # build an n^3 product table: zero_100 took about 2 s and 70 MiB (2-vCPU
 # x86-64 VM), and the cost grows as n^3.
 MAX_DIM = 100
+
+# The most digits, and the largest |exponent|, of a written scalar, as in
+# int('...'): Fraction('1e10000000') took 13.4 s (2-vCPU x86-64 VM).
+MAX_SCALAR_DIGITS = 4300
+
+# Fraction's string syntax, without surrounding whitespace
+_SCALAR = re.compile(
+    r"([-+]?)(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:/(\d+(?:_\d+)*)"
+    r"|(?:\.(\d*|\d+(?:_\d+)*))?(?:[eE]([-+]?\d+(?:_\d+)*))?)"
+)
+
+
+def read_scalar(tok: str) -> Fraction | None:
+    """The rational ``tok`` writes in Fraction's syntax, or None if it is
+    not that syntax or has a zero denominator.  ValueError, before any power
+    of ten is built, for over MAX_SCALAR_DIGITS digits or exponent."""
+    m = _SCALAR.fullmatch(tok)
+    if m is None:
+        return None
+    sign, num, den, dec, exp = m.groups("")
+    bound = MAX_SCALAR_DIGITS
+    if sum(map(str.isdigit, tok)) > bound or abs(int(exp or 0)) > bound:
+        raise ValueError(
+            f"scalar has more than {bound} digits or an exponent above {bound}"
+        )
+    if den and not int(den):
+        return None
+    dec = dec.replace("_", "")
+    value = Fraction(int(num + dec or 0), int(den or 1))
+    value *= Fraction(10) ** (int(exp or 0) - len(dec))
+    return -value if sign == "-" else value
 
 
 def format_element(basis: GradedBasis, v: Vec) -> str:

@@ -15,6 +15,7 @@ from .algebra import (
     ColourAlgebra,
     _check_map_even,
     _check_multiplicative,
+    read_scalar,
     require_passing,
 )
 from .grading import (
@@ -288,10 +289,13 @@ def corpus(name: str) -> ColourAlgebra:
         return build_osp12(2, 3)
     if name.startswith("osp12_twist(") and name.endswith(")"):
         inner = name[len("osp12_twist(") : -1]
-        parts = inner.split(",")
-        if len(parts) != 2:
+        try:
+            params = [read_scalar(p.strip()) for p in inner.split(",")]
+        except ValueError:
+            params = []
+        if len(params) != 2 or None in params:
             raise KeyError(f"unknown corpus algebra {name!r}")
-        return build_osp12(Fraction(parts[0]), Fraction(parts[1]))
+        return build_osp12(*params)
     if name == "mat2_assoc":
         return mat2_assoc()
     if name == "z2z2_colour_example":

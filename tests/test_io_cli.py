@@ -1,14 +1,18 @@
 """The .alg text format and the command-line front end."""
 
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bihomlie
 from bihomlie.alg_io import (
@@ -18,11 +22,10 @@ from bihomlie.alg_io import (
     parse_algebra,
     parse_linear_map,
     parse_multiplier,
-    parse_omega,
     serialize_algebra,
 )
 from bihomlie import alg_io, cli, cohomology, constructions
-from bihomlie.algebra import MAX_DIM
+from bihomlie.algebra import MAX_DIM, MAX_SCALAR_DIGITS, read_scalar
 from bihomlie.cli import run_cli
 from bihomlie.constructions import CORPUS_NAMES, build_osp12, corpus
 from bihomlie.grading import parse_group
@@ -219,15 +222,6 @@ def test_parse_multiplier_side_file():
         parse_multiplier("0 0 1\n0 0 2\n", g)
     with pytest.raises(ParseError, match="multiplier value 0"):
         parse_multiplier("0 0 0\n", g)
-
-
-def test_parse_omega_side_file():
-    g = parse_group("Z2")
-    assert parse_omega("0 2\n1 1/3\n", g) == {(0,): F(2), (1,): F(1, 3)}
-    with pytest.raises(ParseError, match="expected 'g value'"):
-        parse_omega("0\n", g)
-    with pytest.raises(ParseError, match="duplicate entry"):
-        parse_omega("0 1\n0 2\n", g)
 
 
 def test_jsonable_rewrites_fractions_and_tuples():
@@ -673,6 +667,145 @@ def test_the_dimension_bound_refuses_larger_algebras(monkeypatch, capsys):
     assert corpus("zero_3").dim == 3
     with pytest.raises(KeyError, match="1 <= n <= 3"):
         corpus("zero_4")
+
+
+def _outcome_in_child(call, timeout=30):
+    """Run call() in a forked child process; return what it raised
+    ("ParseError: ...") or the int it returned, with the seconds it took.
+    A call that runs past the timeout fails the test instead of hanging it."""
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+
+    def child():
+        start = time.perf_counter()
+        try:
+            out = call()
+        except Exception as e:
+            out = f"{type(e).__name__}: {e}"
+        else:
+            out = out if type(out) is int else f"returned {type(out).__name__}"
+        send.send((out, time.perf_counter() - start))
+
+    proc = ctx.Process(target=child)
+    proc.start()
+    try:
+        if not recv.poll(timeout):
+            pytest.fail(f"no outcome within {timeout} s")
+        return recv.recv()
+    finally:
+        proc.kill()
+        proc.join()
+
+
+def _sigma_twist(tok, tmp_path):
+    path = tmp_path / "sigma.mult"
+    path.write_text(f"0 0 {tok}\n", encoding="utf-8")
+    return run_cli(
+        ["sigma-twist", data_path("osp12_classical.alg"), str(path)]
+    )
+
+
+# Every place a written scalar is read, with the outcome a refusal gives.
+SCALAR_SITES = {
+    "product": (
+        lambda tok, _: parse_algebra(MINIMAL.replace("2 x", f"{tok} x")),
+        "ParseError: line 10:",
+    ),
+    "alpha": (
+        lambda tok, _: parse_algebra(MINIMAL + f"[alpha]\nx -> {tok} x\n"),
+        "ParseError: line 14:",
+    ),
+    "beta": (
+        lambda tok, _: parse_algebra(MINIMAL + f"[beta]\nf -> {tok} f\n"),
+        "ParseError: line 14:",
+    ),
+    "side file": (
+        lambda tok, _: parse_linear_map(
+            f"x -> x\nf -> {tok} f\n", parse_algebra(MINIMAL).basis
+        ),
+        "ParseError: line 2:",
+    ),
+    "basis name": (
+        lambda tok, _: parse_algebra(
+            f"version 1\n[group]\nZ2\n[basis]\n{tok} 0\n"
+        ),
+        "ParseError: line 5: basis name",
+    ),
+    "multiplier": (
+        lambda tok, _: parse_multiplier(f"0 0 {tok}\n", parse_group("Z2")),
+        "ParseError: line 1:",
+    ),
+    "corpus": (
+        lambda tok, _: corpus(f"osp12_twist({tok},3)"),
+        "KeyError: \"unknown corpus algebra",
+    ),
+    "example": (
+        lambda tok, _: run_cli(["example", f"osp12_twist(2,{tok})"]),
+        2,
+    ),
+    "sigma-twist": (_sigma_twist, 2),
+}
+
+OVERSIZED = {
+    "huge exponent": "1e999999999",
+    "tiny exponent": "1.5e-999999999",
+    "5000 digits": "7" * 5000,
+}
+
+
+@pytest.mark.parametrize("token", OVERSIZED.values(), ids=OVERSIZED)
+@pytest.mark.parametrize("site", SCALAR_SITES)
+def test_an_oversized_scalar_is_refused_at_once(site, token, tmp_path):
+    call, refusal = SCALAR_SITES[site]
+    out, seconds = _outcome_in_child(lambda: call(token, tmp_path))
+    if isinstance(refusal, int):
+        assert out == refusal
+    else:
+        assert out.startswith(refusal)
+    assert seconds < 1
+
+
+def test_the_scalar_bound_is_inclusive():
+    n = MAX_SCALAR_DIGITS
+    assert read_scalar("9" * n) == 10**n - 1
+    assert read_scalar(f"1e{n}") == 10**n
+    assert read_scalar(f"-2.5e-{n}") == F(-25, 10 ** (n + 1))
+    for tok in ("9" * (n + 1), f"1e-{n + 1}", f"1.5e+{n + 1}"):
+        with pytest.raises(ValueError, match=f"more than {n} digits or an"):
+            read_scalar(tok)
+    # a zero denominator writes no scalar, as for Fraction
+    assert read_scalar("1/0") is None
+    with pytest.raises(ParseError, match="line 10: bad coefficient '1/0'"):
+        parse_algebra(MINIMAL.replace("2 x", "1/0 x"))
+
+
+def _fraction_reader(tok):
+    """The reader the parser had before the bound: Fraction itself."""
+    try:
+        return Fraction(tok)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+@given(st.text(alphabet="0123456789_./eE+-x", max_size=12))
+@settings(max_examples=500, deadline=None)
+def test_read_scalar_agrees_with_fraction(tok):
+    try:
+        mine = read_scalar(tok)
+    except ValueError:
+        return  # over the bound, which Fraction does not have
+    assert mine == _fraction_reader(tok)
+
+
+@pytest.mark.parametrize("name", DATA_FILES)
+def test_shipped_files_read_as_fraction_reads_them(name, monkeypatch):
+    with open(data_path(name), encoding="utf-8") as fh:
+        text = fh.read()
+    a = parse_algebra(text)
+    monkeypatch.setattr(alg_io, "read_scalar", _fraction_reader)
+    b = parse_algebra(text)
+    assert a == b
+    assert serialize_algebra(a) == serialize_algebra(b)
 
 
 @pytest.mark.skipif(
