@@ -71,8 +71,9 @@ MAX_DIM = 100
 # int('...'): Fraction('1e10000000') took 13.4 s (2-vCPU x86-64 VM).
 MAX_SCALAR_DIGITS = 4300
 
-# Fraction's string syntax, without surrounding whitespace
-_SCALAR = re.compile(
+# Fraction's string syntax, without surrounding whitespace; compiled on
+# first use (by re's cache), since compiling it took 0.5 ms of the import
+_SCALAR = (
     r"([-+]?)(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:/(\d+(?:_\d+)*)"
     r"|(?:\.(\d*|\d+(?:_\d+)*))?(?:[eE]([-+]?\d+(?:_\d+)*))?)"
 )
@@ -82,7 +83,7 @@ def read_scalar(tok: str) -> Fraction | None:
     """The rational ``tok`` writes in Fraction's syntax, or None if it is
     not that syntax or has a zero denominator.  ValueError, before any power
     of ten is built, for over MAX_SCALAR_DIGITS digits or exponent."""
-    m = _SCALAR.fullmatch(tok)
+    m = re.fullmatch(_SCALAR, tok)
     if m is None:
         return None
     sign, num, den, dec, exp = m.groups("")
