@@ -100,6 +100,19 @@ def read_scalar(tok: str) -> Fraction | None:
     return -value if sign == "-" else value
 
 
+def to_fraction(value: int | Fraction | str) -> Fraction:
+    """Fraction(value), a string read by :func:`read_scalar` once stripped
+    of the whitespace Fraction allows around it: so a string over the
+    bound is refused with ValueError at once, and one that writes no
+    rational with the error Fraction gives it."""
+    if not isinstance(value, str):
+        return Fraction(value)
+    tok = value.strip()
+    got = read_scalar(tok)
+    # a token read_scalar does not read, Fraction refuses
+    return Fraction(tok) if got is None else got
+
+
 def format_element(basis: GradedBasis, v: Vec) -> str:
     """Pretty coordinate vector: "2 X + -1/3 H", or "0"."""
     parts = [

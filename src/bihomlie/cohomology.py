@@ -24,7 +24,8 @@ from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import chain, combinations_with_replacement
 from itertools import product as iproduct
-from math import lcm
+from math import lcm, prod
+from operator import sub
 
 from .algebra import (
     AxiomReport,
@@ -562,7 +563,8 @@ class Cochain:
             for _, c in combo:
                 coeff *= c
             add_terms(acc, coeff, terms)
-        if den == 1 and all(type(c) is int for v in args for c in v):
+        entries = chain.from_iterable(args)
+        if den == 1 and {int}.issuperset(map(type, entries)):
             return tuple(acc)
         return tuple([Fraction(y, den) if y else ZERO for y in acc])
 
@@ -646,10 +648,14 @@ class _Arity:
         self.tuples = tuple(canonical_index_tuples(a, n))
         self.number = {T: p for p, T in enumerate(self.tuples)}
         by_degree: dict[GroupElement, list[tuple[int, ...]]] = {}
+        # the coordinate sums of zero and the entries' degrees -> their
+        # reduction, each distinct sum reduced once
+        reduced: dict[tuple[int, ...], GroupElement] = {}
         for T in self.tuples:
-            # the coordinate sums of zero and the entries' degrees,
-            # reduced once
-            d = group.reduce(map(sum, zip(zero, *(degs[i] for i in T))))
+            raw = tuple(map(sum, zip(zero, *[degs[i] for i in T])))
+            d = reduced.get(raw)
+            if d is None:
+                d = reduced[raw] = group.reduce(raw)
             by_degree.setdefault(d, []).append(T)
         self.by_degree = by_degree
         self.pullbacks: dict[tuple[int, ...], tuple] = {}
@@ -674,16 +680,22 @@ def _slots(
     e of V, each with the V indices of degree e."""
     group = rep.algebra.basis.group
     g = group.reduce(gamma)
-    by_degree = _arity(rep, n).by_degree
+    arity = _arity(rep, n)
     on: dict[GroupElement, list[int]] = {}
     for w, e in enumerate(rep.space.degrees):
         on.setdefault(e, []).append(w)
-    hits = sorted(
-        (T, ws)
+    # e - gamma, both reduced, in one reduction
+    hits = {
+        T: ws
         for e, ws in on.items()
-        for T in by_degree.get(group.sub(e, g), ())
-    )
-    return [(T, w) for T, ws in hits for w in ws]
+        for T in arity.by_degree.get(group.reduce(map(sub, e, g)), ())
+    }
+    # the lexicographic order of the tuples is their numbering
+    return [
+        (T, w)
+        for T in sorted(hits, key=arity.number.__getitem__)
+        for w in hits[T]
+    ]
 
 
 def realized_gammas(rep: Representation, n: int) -> list[GroupElement]:
@@ -740,40 +752,46 @@ def cochain_basis(
 
 def _space(rep: Representation, n: int, gamma: GroupElement) -> _Space:
     """The memoized cochain space of :func:`cochain_basis`: the kernel of
-    the rows of :func:`_intertwining_rows` on the degree-gamma slots."""
+    the conditions of :func:`_intertwining_rows` on the degree-gamma
+    slots.  The slots those conditions force to zero one by one leave the
+    system; :func:`kernel_by_blocks` solves the rows that couple slots
+    over the slots left, numbered in order, and its vectors are read back
+    onto the slots."""
     g = rep.algebra.basis.group.reduce(gamma)
     hit = rep._bases.get((n, g))
     if hit is None:
         order = _slots(rep, n, g)
         slots = {slot: k for k, slot in enumerate(order)}
-        conditions = chain.from_iterable(
-            rows for _, _, rows in _intertwining_rows(rep, n, slots)
-        )
+        forced: set[int] = set()
+        coupled: list[dict[int, int]] = []
+        for _, _, zero, rows in _intertwining_rows(rep, n, slots):
+            forced.update(zero)
+            coupled += rows
+        live = [slot for k, slot in enumerate(order) if k not in forced]
+        if coupled:
+            pos = {slots[slot]: p for p, slot in enumerate(live)}
+            coupled = [
+                {pos[k]: x for k, x in row.items() if k in pos}
+                for row in coupled
+            ]
         # each kernel vector is in ascending column, so in ascending slot
         scale, terms = scale_to_ints(
             [
-                tuple((order[k], c) for k, c in coords.items())
-                for coords in kernel_by_blocks(conditions, len(order))
+                tuple(zip(map(live.__getitem__, coords), coords.values()))
+                for coords in kernel_by_blocks(coupled, len(live))
             ]
         )
+        dimV = rep.dimV
         basis = []
         for t in terms:
-            rows: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+            rows: dict[tuple[int, ...], IntTerms] = {}
             for (T, w), x in t:
-                rows.setdefault(T, []).append((w, x))
-            basis.append(
-                Cochain._of(
-                    n,
-                    g,
-                    scale,
-                    {T: tuple(row) for T, row in rows.items()},
-                    rep.dimV,
-                )
-            )
+                rows[T] = rows.get(T, ()) + ((w, x),)
+            basis.append(Cochain._of(n, g, scale, rows, dimV))
         hit = rep._bases[n, g] = _Space(
             slots,
             tuple(basis),
-            {max(slot for slot, _ in t): k for k, t in enumerate(terms)},
+            {t[-1][0]: k for k, t in enumerate(terms)},
             (scale, tuple(terms)),
         )
     return hit
@@ -804,43 +822,98 @@ def _pullbacks(a: ColourAlgebra, arity: _Arity, T: tuple[int, ...]) -> tuple:
     return hit
 
 
+def _diagonal(cols: Sequence[IntTerms]) -> dict[int, int]:
+    """{i: x} over the columns i of an integer column form with no entry
+    off row i: x is the entry at row i, 0 for a zero column."""
+    out = {}
+    for i, col in enumerate(cols):
+        if not col:
+            out[i] = 0
+        elif len(col) == 1 and col[0][0] == i:
+            out[i] = col[0][1]
+    return out
+
+
 def _intertwining_rows(
     rep: Representation, n: int, slots: dict[tuple, int]
-) -> Iterator[tuple[tuple[int, ...], str, list[dict[int, int]]]]:
+) -> Iterator[
+    tuple[tuple[int, ...], str, list[int], list[dict[int, int]]]
+]:
     """The conditions f(m x_1, ..., m x_n) = m_V f(x_1, ..., x_n) on the
     n-cochains whose ``slots`` map each slot (T, w), in lexicographic
     order, to its column: for each tuple T of a slot, in that order, and
-    m = alpha, then beta, yields (T, "alpha" or "beta", rows), row w the
-    {column: integer} coefficients of the w-coordinate of
+    m = alpha, then beta, yields (T, "alpha" or "beta", forced, rows).
+    The condition on T is the row of each w, the {column: integer}
+    coefficients of the w-coordinate of
     f(m e_{T_1}, ..., m e_{T_n}) - m_V f(e_{T_1}, ..., e_{T_n}) times the
-    lcm of the pull-back and the m_V scale.  On a tuple with no slot
-    both sides vanish, since m and m_V are even."""
+    lcm S of the pull-back and the m_V scale.  On a tuple with no slot
+    both sides vanish, since m and m_V are even.
+
+    Where m acts diagonally on the indices of T, m e_{T_i} = a_i e_{T_i},
+    and m_V on w, m_V e_w = b e_w with no other column of m_V reaching
+    row w, the row of w is the one integer
+    (a_1 ... a_n) S / L**n - b S / L_V at the slot (T, w), for the scales
+    L of m and L_V of m_V.  Such a slot is decided by that integer alone,
+    and its row is not built: its column goes to ``forced`` when the
+    integer is nonzero, and nowhere when it is zero.  ``rows`` holds the
+    rows of the other slots, some of which may have one entry too, and a
+    condition whose slots are all decided free is not yielded.  T's
+    pull-back terms (:func:`_pullbacks`) are read only when m is not
+    diagonal on T."""
     a = rep.algebra
     arity = _arity(rep, n)
     # canonical tuple -> its slots (V index, column)
     slot_cols: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for (T, w), k in slots.items():
         slot_cols.setdefault(T, []).append((w, k))
-    vmaps = (
-        ("alpha", rep.alphaV.int_column_terms()),
-        ("beta", rep.betaV.int_column_terms()),
-    )
+    maps = []
+    for i, (name, m, vm) in enumerate(
+        (("alpha", a.alpha, rep.alphaV), ("beta", a.beta, rep.betaV))
+    ):
+        pden = arity.pullback_scales[i]
+        vden, vcols = vm.int_column_terms()
+        scale = lcm(pden, vden)
+        pf, vf = scale // pden, scale // vden
+        # the rows of m_V that another column reaches
+        crossed = {u for j, col in enumerate(vcols) for u, _ in col if u != j}
+        # w -> b S / L_V, for the V indices w at which m_V is diagonal
+        vdiag = {
+            w: x * vf
+            for w, x in _diagonal(vcols).items()
+            if w not in crossed
+        }
+        vrest = set(range(len(vcols))) - vdiag.keys()
+        diag = _diagonal(m.int_column_terms()[1])
+        maps.append((i, name, pf, vf, vcols, diag, vdiag, vrest))
     for T, own in slot_cols.items():
-        pulls = zip(_pullbacks(a, arity, T), arity.pullback_scales)
-        for (pull, pden), (name, (vden, vcols)) in zip(pulls, vmaps):
-            scale = lcm(pden, vden)
-            pf, vf = scale // pden, scale // vden
+        for i, name, pf, vf, vcols, diag, vdiag, vrest in maps:
+            if all(map(diag.__contains__, T)):
+                p = pf * prod(map(diag.__getitem__, T))
+                # an undecided w gets p, which forces nothing
+                forced = [k for w, k in own if vdiag.get(w, p) != p]
+                undecided = vrest and [wk for wk in own if wk[0] in vrest]
+                if not undecided:
+                    if forced:
+                        yield T, name, forced, []
+                    continue
+                pulled = [(p, undecided)] if p else []
+            else:
+                forced = []
+                undecided = own
+                pulled = [
+                    (c * pf, slot_cols.get(X, ()))
+                    for X, c in _pullbacks(a, arity, T)[i]
+                ]
             by_w: dict[int, dict[int, int]] = {}
-            for canon, coeff in pull:
-                coeff *= pf
-                for w, k in slot_cols.get(canon, ()):
+            for coeff, cols in pulled:
+                for w, k in cols:
                     row = by_w.setdefault(w, {})
                     row[k] = row.get(k, 0) + coeff
-            for w, k in own:
+            for w, k in undecided:
                 for rrow, c in vcols[w]:
                     row = by_w.setdefault(rrow, {})
                     row[k] = row.get(k, 0) - c * vf
-            yield T, name, list(by_w.values())
+            yield T, name, forced, list(by_w.values())
 
 
 def _coordinates(
@@ -900,9 +973,10 @@ def cochain_in_space(
     that basis (see :func:`cochain_basis`).  A value off the space's slots
     is refused as lying on a tuple with an index outside 0..dim-1, as
     leaving its degree block or as lying on a non-canonical tuple; a
-    non-member is refused with the first row of :func:`_intertwining_rows`
-    it breaks, the rows the basis is solved from, in lexicographic tuple
-    and alpha before beta.
+    non-member is refused with the first condition of
+    :func:`_intertwining_rows` it breaks, the conditions the basis is
+    solved from, in lexicographic tuple and alpha before beta: a slot the
+    condition forces where f is nonzero, or a row f does not satisfy.
     """
     a = rep.algebra
     if f.dimV != rep.dimV:
@@ -927,10 +1001,9 @@ def cochain_in_space(
     x = {space.slots[T, w]: v for T, terms in rows.items() for w, v in terms}
     T, name = next(
         (T, name)
-        for T, name, conditions in _intertwining_rows(rep, f.n, space.slots)
-        if any(
-            sum(c * x.get(k, 0) for k, c in row.items()) for row in conditions
-        )
+        for T, name, forced, rows in _intertwining_rows(rep, f.n, space.slots)
+        if any(k in x for k in forced)
+        or any(sum(c * x.get(k, 0) for k, c in row.items()) for row in rows)
     )
     return False, f"{name} intertwining fails on tuple {T}"
 

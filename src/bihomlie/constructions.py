@@ -17,6 +17,7 @@ from .algebra import (
     _check_multiplicative,
     read_scalar,
     require_passing,
+    to_fraction,
 )
 from .grading import (
     Bicharacter,
@@ -198,9 +199,10 @@ def osp12_classical() -> ColourAlgebra:
     )
 
 
-def osp12_scaling_map(t: Fraction) -> Matrix:
-    """diag action H -> H, X -> t^2 X, Y -> t^-2 Y, F -> t^-1 F, G -> t G."""
-    t = Fraction(t)
+def osp12_scaling_map(t: Scalar) -> Matrix:
+    """diag action H -> H, X -> t^2 X, Y -> t^-2 Y, F -> t^-1 F, G -> t G;
+    a string t is read by :func:`~bihomlie.algebra.to_fraction`."""
+    t = to_fraction(t)
     if not t:
         raise ValueError("scaling parameter must be nonzero")
     return Matrix.diagonal([1, t * t, 1 / (t * t), 1 / t, t])
@@ -210,9 +212,10 @@ def build_osp12(lam: Scalar, kappa: Scalar) -> ColourAlgebra:
     """Twist of the classical algebra by the two scaling morphisms.
 
     {x, y} = [a_lam(x), b_kappa(y)] with structure maps a_lam, b_kappa.
+    A string parameter is read by :func:`~bihomlie.algebra.to_fraction`.
     """
-    lam = Fraction(lam)
-    kappa = Fraction(kappa)
+    lam = to_fraction(lam)
+    kappa = to_fraction(kappa)
     if not lam or not kappa:
         raise ValueError("twist parameters must be nonzero")
     return yau_twist(

@@ -14,7 +14,8 @@ ints; ``kernel_by_blocks`` strikes the columns they force to zero and
 solves the rest by one null-space update: it starts from the unit
 vectors on those columns and updates them, row by row, so that every
 vector is orthogonal to every row seen, and a row orthogonal to all of
-them costs its dots alone.  It holds the one free-column readout of the
+them costs its dots alone, taken only with the vectors that have an
+entry on its columns.  It holds the one free-column readout of the
 library: ``Matrix.kernel_basis`` is its dense view over the nonzero
 entries of the matrix's rows.  The library solves no dense system
 A x = b (the tests keep one as an oracle).
@@ -41,7 +42,6 @@ coboundary matrices.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
@@ -98,12 +98,13 @@ def scale_to_ints(term_lists: Sequence[Terms]) -> tuple[int, list[IntTerms]]:
     """(L, lists): L the lcm of the denominators of every term of
     ``term_lists`` (1 when there is none), and each term list with every
     x read as the integer x*L."""
-    # lcm of a list, not of a generator: a tuple built from a generator
-    # is resized down, and once freed it sits on the free list of its new
-    # length, so repeated calls would fill CPython's tuple free lists
+    # lcm of a list and tuples of lists, not of generators: a tuple built
+    # from a generator is resized down, and once freed it sits on the free
+    # list of its new length, so repeated calls would fill CPython's tuple
+    # free lists; a tuple of a list is also built at half the cost
     den = lcm(*[x.denominator for terms in term_lists for _, x in terms])
     return den, [
-        tuple((k, x.numerator * (den // x.denominator)) for k, x in terms)
+        tuple([(k, x.numerator * (den // x.denominator)) for k, x in terms])
         for terms in term_lists
     ]
 
@@ -434,31 +435,36 @@ def kernel_by_blocks(
     The forced columns are struck (:func:`_strike_forced`), and the rest
     are solved by one null-space update from the integer unit vectors on
     them: each row left (a Fraction row through :func:`_primitive`) takes
-    its sparse dot with every current kernel vector.  A row orthogonal to
-    all of them lies in the row space and costs nothing more; otherwise
-    the first vector with a nonzero dot is dropped, and every other one
-    with a nonzero dot takes the step :func:`_eliminate` against it, which
-    zeroes its dot.
+    its sparse dot with every current kernel vector that has an entry on
+    one of its columns, found through a column -> vectors index.  A row
+    orthogonal to all of them lies in the row space and costs nothing
+    more; otherwise the first vector with a nonzero dot is dropped, and
+    every other one with a nonzero dot takes the step :func:`_eliminate`
+    against it, which zeroes its dot.  A step changes the vector only at
+    the columns of the dropped one, so only those columns are re-indexed.
 
     The vectors are kept in ascending free column f, the column whose
-    unit vector each started as.  A step subtracts from the vector of f a
-    multiple of that of a smaller free column, which stops being free, so
-    f stays its last nonzero column and it stays zero at the other free
-    columns: divided by its entry at f it is the kernel vector 1 at f and
-    0 at every other free column, which the kernel alone fixes.  It is
-    zero on the columns of a row whose least column exceeds f, so it is
-    not dotted with that row; nor is any vector with no entry on the
-    row's columns changed by it, as its dot is zero.
+    unit vector each started as, and a row meets them in that order.  A
+    step subtracts from the vector of f a multiple of that of a smaller
+    free column, which stops being free, so f stays its last nonzero
+    column and it stays zero at the other free columns: divided by its
+    entry at f it is the kernel vector 1 at f and 0 at every other free
+    column, which the kernel alone fixes.  A vector with no entry on a
+    row's columns has a zero dot with it and is not changed by it.
     """
     forced, live = _strike_forced(rows)
-    free = [c for c in range(ncols) if c not in forced]
-    vectors: list[dict[int, int]] = [{c: 1} for c in free]
+    # free column f -> its vector, in ascending f; column c -> the free
+    # columns whose vector has an entry at c
+    vectors: dict[int, dict[int, int]] = {
+        f: {f: 1} for f in range(ncols) if f not in forced
+    }
+    holders: dict[int, set[int]] = {f: {f} for f in vectors} if live else {}
     for row in live:
         if not all(type(x) is int for x in row.values()):
             row = _primitive(row.items())
         first = None
-        for k in range(bisect_left(free, min(row)), len(free)):
-            v = vectors[k]
+        for f in sorted(set().union(*[holders[c] for c in row])):
+            v = vectors[f]
             d = 0
             for c, x in row.items():
                 y = v.get(c)
@@ -467,16 +473,23 @@ def kernel_by_blocks(
             if not d:
                 continue
             if first is None:
-                first, d0, v0 = k, d, v
-            else:
-                _eliminate(v, d, d0, v0)
+                first, d0, v0 = f, d, v
+                continue
+            _eliminate(v, d, d0, v0)
+            for c in v0:
+                if c in v:
+                    holders[c].add(f)
+                else:
+                    holders[c].discard(f)
         if first is not None:
-            del free[first], vectors[first]
+            del vectors[first]
+            for c in v0:
+                holders[c].discard(first)
     # a one-entry vector, as is each one no row touched, is 1 at f
     return [
         {f: ONE} if len(v) == 1
         else {c: Fraction(v[c], v[f]) for c in sorted(v)}
-        for f, v in zip(free, vectors)
+        for f, v in vectors.items()
     ]
 
 
@@ -502,7 +515,11 @@ def _strike_forced(
     rows: Iterable[dict[int, Fraction | int]],
 ) -> tuple[set[int], list[dict[int, Fraction | int]]]:
     """The columns that one-entry rows force to zero, and the nonzero rows
-    left once those columns are struck, in their given order.
+    left once those columns are struck, in their given order.  The cochain
+    spaces decide the slots that a row of one entry forces before they
+    build a system (see ``cohomology._intertwining_rows``), so from them
+    it sees only the rows that couple slots; the derivation solvers hand
+    it their commuting rows whole.
 
     One worklist pass over a column -> rows index: striking a forced
     column touches only the rows that hold it, and a row it leaves with

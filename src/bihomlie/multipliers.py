@@ -27,6 +27,7 @@ from .algebra import (
     ColourAlgebra,
     Witness,
     require_passing,
+    to_fraction,
 )
 from .grading import Bicharacter, GradingGroup, GroupElement, format_degree
 from .linalg import vscale
@@ -56,7 +57,8 @@ def _closure(group: GradingGroup, degrees: Iterable) -> tuple[set, set]:
 
 
 class MultiplierTable:
-    """Finite table sigma: pairs of degrees -> nonzero rationals."""
+    """Finite table sigma: pairs of degrees -> nonzero rationals; a string
+    value is read by :func:`~bihomlie.algebra.to_fraction`."""
 
     __slots__ = ("group", "entries")
 
@@ -67,7 +69,7 @@ class MultiplierTable:
     ):
         reduced: dict[tuple[GroupElement, GroupElement], Fraction] = {}
         for (g, h), v in entries.items():
-            v = Fraction(v)
+            v = to_fraction(v)
             if not v:
                 raise ValueError(
                     "multiplier value 0 at "
@@ -196,11 +198,12 @@ def multiplier_from_omega(
     built on every pair whose three omega lookups resolve, which always
     includes all pairs from the degree list itself.  The result passes
     symmetric-mode validation by construction (both conditions reduce to
-    identical omega products).
+    identical omega products).  A string value is read by
+    :func:`~bihomlie.algebra.to_fraction`.
     """
     om: dict[GroupElement, Fraction] = {}
     for g, v in omega.items():
-        v = Fraction(v)
+        v = to_fraction(v)
         if not v:
             raise ValueError(f"omega value 0 at {format_degree(g)}")
         om[group.reduce(g)] = v

@@ -8,6 +8,8 @@ from itertools import product as iproduct
 from random import Random
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from bihomlie import cohomology
 from bihomlie.cohomology import (
@@ -22,6 +24,7 @@ from bihomlie.cohomology import (
     cohomology_dims,
     dual_rep,
     _arity,
+    _intertwining_rows,
     _pullbacks,
     _reach_rows,
     _slots,
@@ -40,18 +43,21 @@ from bihomlie.derivations import derivation_space
 from bihomlie.grading import GradedBasis, parse_group
 from bihomlie.linalg import (
     Matrix,
+    kernel_by_blocks,
     vec,
     vscale,
     vsub,
 )
 from dense_oracles import (
     coboundary_matrix_oracle,
+    echelon_block_kernel,
     coboundary_oracle,
     cochain_basis_oracle,
     cochain_in_space_oracle,
     dense_rank,
     dense_twisted,
     eval_oracle,
+    kernel_oracle,
     pullbacks_oracle,
     realized_gammas_oracle,
     reduce_index_tuple,
@@ -68,6 +74,7 @@ from fixtures import (
     gl2_one_sided_twist,
     gl21_unipotent_twist,
     gl22_twist,
+    gl_twist,
     shipped_osp12_twist,
 )
 
@@ -388,6 +395,41 @@ def test_eval_on_int_arguments_is_exact_and_holds_no_float():
     assert fractional
 
 
+def test_eval_gives_ints_only_when_every_entry_is_an_int():
+    # over D = 1, int arguments give ints; one Fraction entry, even a
+    # zero one, gives Fractions of the same values
+    rep = adjoint_rep(gl21_twist(), 0, 1)
+    a = rep.algebra
+    rng = Random("eval/types")
+    tuples = canonical_index_tuples(a, 2)
+    f = Cochain(
+        2,
+        (0,),
+        {
+            T: [rng.randint(-4, 4) for _ in range(rep.dimV)]
+            for T in rng.sample(tuples, 8)
+        },
+        rep.dimV,
+    )
+    assert f.int_values()[0] == 1
+    nonzero = 0
+    for T in f.values:
+        args = [
+            tuple(rng.randint(-2, 2) + (i == u) for i in range(a.dim))
+            for u in T
+        ]
+        got = f.eval(rep, args)
+        assert all(type(x) is int for x in got)
+        nonzero += any(got)
+        for c in (F(0), F(2)):
+            u = rng.randrange(a.dim)
+            mixed = [args[0][:u] + (c,) + args[0][u + 1 :], args[1]]
+            want = eval_oracle(rep, f, [vec(v) for v in mixed])
+            assert f.eval(rep, mixed) == want
+            assert all(type(x) is Fraction for x in f.eval(rep, mixed))
+    assert nonzero
+
+
 def test_cochain_basis_spot_dimensions():
     # fixed vectors of the twist maps: only H survives at degree 0
     basis0 = cochain_basis(twist_rep(), 0, (0,))
@@ -689,6 +731,192 @@ def test_multi_term_pullbacks_are_exercised():
             for T in canonical_index_tuples(a, 2)
             for terms in _pullbacks(a, _arity(rep, 2), T)
         )
+
+
+# -- slots decided by one comparison ------------------------------------------
+
+
+def _every_intertwining_row(rep, n, gamma):
+    """The degree-gamma slots and every intertwining row over them, one
+    per tuple T with a slot, map m and V index, as sparse {column: Fraction}
+    rows, from the dense pull-backs of ``pullbacks_oracle`` and the dense
+    columns of m_V: the system with no slot decided, as the dense oracle
+    builds it but kept sparse, for spaces too large for its dense solve."""
+    a = rep.algebra
+    slots = _slots(rep, n, gamma)
+    col = {slot: k for k, slot in enumerate(slots)}
+    rows = []
+    for T in sorted({T for T, _ in slots}):
+        for pull, vmap in zip(pullbacks_oracle(a, T), (rep.alphaV, rep.betaV)):
+            by_w: dict = {}
+            for X, c in pull.items():
+                for w in range(rep.dimV):
+                    if (X, w) in col:
+                        row = by_w.setdefault(w, {})
+                        row[col[X, w]] = row.get(col[X, w], 0) + c
+            for w in range(rep.dimV):
+                if (T, w) in col:
+                    for u, x in enumerate(vmap.column(w)):
+                        if x:
+                            row = by_w.setdefault(u, {})
+                            row[col[T, w]] = row.get(col[T, w], 0) - x
+            rows += by_w.values()
+    return slots, rows
+
+
+def crossed_module():
+    """The zero bracket on two elements with alpha = diag(1, 2) and beta
+    the identity, on three vectors with zero action, beta_V the identity
+    and alpha_V = [[2, 1, 0], [0, 1, 0], [0, 0, 3]]: alpha_V is diagonal
+    on column 0, but column 1 reaches row 0, so a slot of V index 0 is
+    not decided alone where alpha gives it a factor other than 2."""
+    a = zero_algebra(2).with_product(
+        zero_algebra(2).product,
+        alpha=Matrix.diagonal([1, 2]),
+        beta=Matrix.identity(2),
+    )
+    return Representation(
+        a,
+        zero_algebra(3).basis,
+        [Matrix.zero(3, 3)] * 2,
+        Matrix([[2, 1, 0], [0, 1, 0], [0, 0, 3]]),
+        Matrix.identity(3),
+    )
+
+
+DECIDED_MODULES = {
+    "gl22_twist": lambda: adjoint_rep(gl22_twist(), 0, 1),
+    "gl21_unipotent_twist": lambda: adjoint_rep(gl21_unipotent_twist(), 0, 1),
+    "crossed_module": crossed_module,
+}
+
+
+@pytest.mark.parametrize(
+    "name, n",
+    [("gl22_twist", n) for n in (0, 1, 2)]
+    + [
+        (name, n)
+        for name in ("crossed_module", "gl21_unipotent_twist")
+        for n in range(4)
+    ],
+)
+def test_decided_slots_give_the_dense_oracle_basis(name, n):
+    # every structure map acts diagonally on gl22_twist, so no row reaches
+    # the kernel; on the unipotent twist some indices are diagonal and
+    # some are not, and on the crossed module a diagonal column of
+    # alpha_V shares its row.  The corpus twists are checked the same way
+    # above.  (gl22 at n = 3 has 5504 slots per degree: the dense solve
+    # took 55 s, so its basis is checked against every row below.)
+    rep = DECIDED_MODULES[name]()
+    for g in realized_gammas(rep, n):
+        assert cochain_basis(rep, n, g) == cochain_basis_oracle(rep, n, g)
+
+
+def test_gl22_c3_basis_is_the_kernel_of_every_row():
+    rep = adjoint_rep(gl22_twist(), 0, 1)
+    for g in realized_gammas(rep, 3):
+        slots, rows = _every_intertwining_row(rep, 3, g)
+        want = []
+        for v in kernel_by_blocks(rows, len(slots)):
+            vals: dict = {}
+            for k, x in v.items():
+                T, w = slots[k]
+                vals.setdefault(T, [F(0)] * rep.dimV)[w] = x
+            want.append(Cochain(3, g, vals, rep.dimV))
+        got = cochain_basis(rep, 3, g)
+        assert got == want
+        # and no row is left for the kernel
+        slot_of = {slot: k for k, slot in enumerate(slots)}
+        assert not any(
+            rows for *_, rows in _intertwining_rows(rep, 3, slot_of)
+        )
+    assert len(cochain_basis(rep, 3, (0,))) == GL22_PINS[3][0]
+
+
+# diagonal twists: gl(2|1) and gl(2|2) by two conjugations, and gl(2) with
+# one structure map the identity, so that only the other forces a slot
+FORCING_MODULES = {
+    "gl21_twist": (lambda: adjoint_rep(gl21_twist(), 0, 1), {"alpha"}),
+    "gl22_twist": (lambda: adjoint_rep(gl22_twist(), 0, 1), {"alpha"}),
+    "gl2_alpha_diagonal": (
+        lambda: adjoint_rep(gl_twist((0, 0), (1, 3), (1, 1)), 0, 1),
+        {"alpha"},
+    ),
+    "gl2_beta_diagonal": (
+        lambda: adjoint_rep(gl_twist((0, 0), (1, 1), (1, 3)), 0, 1),
+        {"beta"},
+    ),
+    "osp12_beta_scaling": (
+        lambda: adjoint_rep(build_osp12(1, 3), 0, 1),
+        {"beta"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORCING_MODULES))
+def test_a_slot_forced_by_one_comparison_is_refused_by_its_map(name):
+    # a cochain with one value, at a slot that the diagonal decision
+    # forces, fails at its own tuple: by alpha when alpha forces the
+    # slot, by beta when only beta does, as the dense scan has it
+    make, names = FORCING_MODULES[name]
+    rep = make()
+    rng = Random(f"forced/{name}")
+    seen = set()
+    for n in (1, 2):
+        for g in realized_gammas(rep, n):
+            slots = _slots(rep, n, g)
+            col = {slot: k for k, slot in enumerate(slots)}
+            first: dict = {}
+            for T, m, forced, rows in _intertwining_rows(rep, n, col):
+                assert not rows
+                for k in forced:
+                    first.setdefault(k, (T, m))
+            for k in rng.sample(sorted(first), min(3, len(first))):
+                T, w = slots[k]
+                value = [F(0)] * rep.dimV
+                value[w] = F(rng.choice((-2, 1, 3)), rng.choice((1, 5)))
+                f = Cochain(n, g, {T: value}, rep.dimV)
+                want = (False, f"{first[k][1]} intertwining fails on tuple {T}")
+                assert first[k][0] == T
+                assert cochain_in_space(rep, f) == want
+                assert cochain_in_space_oracle(rep, f) == want
+                seen.add(first[k][1])
+    assert seen == names
+
+
+# the modules of NONDIAGONAL_MODULES, each built once on first draw
+MIXED_MODULES: dict = {}
+
+
+@st.composite
+def _intertwining_systems(draw):
+    """Rows drawn from the intertwining system of an arity-1 or arity-2
+    cochain space on a module with diagonal and non-diagonal indices: each
+    slot the diagonal decision forces as a one-entry row, and the rows
+    that couple slots as built, with repeats; over every slot's column."""
+    name = draw(st.sampled_from(sorted(NONDIAGONAL_MODULES)))
+    if name not in MIXED_MODULES:
+        MIXED_MODULES[name] = NONDIAGONAL_MODULES[name]()
+    rep = MIXED_MODULES[name]
+    n = draw(st.integers(min_value=1, max_value=2))
+    g = draw(st.sampled_from(realized_gammas(rep, n)))
+    col = {slot: k for k, slot in enumerate(_slots(rep, n, g))}
+    pool = []
+    for _, _, forced, rows in _intertwining_rows(rep, n, col):
+        pool += [{k: 1} for k in forced] + rows
+    rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30))
+    return [dict(row) for row in rows], len(col)
+
+
+@seed(2024)
+@settings(max_examples=60, deadline=None)
+@given(_intertwining_systems())
+def test_kernel_of_intertwining_rows_equals_both_oracles(system):
+    rows, ncols = system
+    got = kernel_by_blocks(rows, ncols)
+    assert got == echelon_block_kernel(rows, ncols)
+    dense = [tuple(v.get(c, F(0)) for c in range(ncols)) for v in got]
+    assert dense == kernel_oracle(rows, ncols)
 
 
 def _sparse_cochain(rep, n, gamma, rng):

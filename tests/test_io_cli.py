@@ -25,12 +25,21 @@ from bihomlie.alg_io import (
     serialize_algebra,
 )
 from bihomlie import alg_io, cli, cohomology, constructions
-from bihomlie.algebra import MAX_DIM, MAX_SCALAR_DIGITS, read_scalar
+from bihomlie.algebra import (
+    MAX_DIM,
+    MAX_SCALAR_DIGITS,
+    read_scalar,
+    to_fraction,
+)
 from bihomlie.cli import run_cli
 from bihomlie.constructions import CORPUS_NAMES, build_osp12, corpus
 from bihomlie.grading import parse_group
 from bihomlie.linalg import Matrix
-from bihomlie.multipliers import multiplier_from_omega, sigma_twist
+from bihomlie.multipliers import (
+    MultiplierTable,
+    multiplier_from_omega,
+    sigma_twist,
+)
 
 F = Fraction
 
@@ -744,6 +753,21 @@ SCALAR_SITES = {
         2,
     ),
     "sigma-twist": (_sigma_twist, 2),
+    # library constructors that take a scalar as a string
+    "build_osp12": (
+        lambda tok, _: build_osp12(tok, 3),
+        "ValueError: scalar has more than",
+    ),
+    "multiplier table": (
+        lambda tok, _: MultiplierTable(parse_group("Z2"), {((0,), (0,)): tok}),
+        "ValueError: scalar has more than",
+    ),
+    "omega": (
+        lambda tok, _: multiplier_from_omega(
+            parse_group("Z2"), {(0,): tok, (1,): 1}, [(0,), (1,)]
+        ),
+        "ValueError: scalar has more than",
+    ),
 }
 
 OVERSIZED = {
@@ -777,6 +801,26 @@ def test_the_scalar_bound_is_inclusive():
     assert read_scalar("1/0") is None
     with pytest.raises(ParseError, match="line 10: bad coefficient '1/0'"):
         parse_algebra(MINIMAL.replace("2 x", "1/0 x"))
+
+
+@pytest.mark.parametrize(
+    "tok", ["3", " -2/6 ", "1.5e2", "\t7_0\n", "x", "1/0", "", "1e", "٣"]
+)
+def test_string_scalars_read_as_fraction_reads_them(tok):
+    # to_fraction, as the library constructors call it, against Fraction
+    try:
+        want = Fraction(tok)
+    except (ValueError, ZeroDivisionError) as e:
+        with pytest.raises(type(e)):
+            to_fraction(tok)
+        with pytest.raises(type(e)):
+            build_osp12(tok, 3)
+    else:
+        assert to_fraction(tok) == want and type(to_fraction(tok)) is Fraction
+        if want:
+            assert build_osp12(tok, 3) == build_osp12(want, 3)
+            table = MultiplierTable(parse_group("Z2"), {((0,), (0,)): tok})
+            assert table.value((0,), (0,)) == want
 
 
 def _fraction_reader(tok):

@@ -9,7 +9,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from bihomlie import derivations, linalg
@@ -775,6 +775,60 @@ def test_null_space_update_equals_both_oracles_on_overdetermined_systems(
     for v in got:
         assert list(v) == sorted(v)
         assert all(type(x) is Fraction and x for x in v.values())
+
+
+@st.composite
+def _forced_and_coupled_systems(draw):
+    """Systems shaped like the intertwining rows of a cochain space: rows
+    with one entry, some on a column that other rows hold or that another
+    one-entry row forces again, mixed with coupled rows of two to five
+    entries, some of which meet the kernel vectors of many free columns
+    and some of which repeat an earlier row scaled; shuffled, with the
+    values as ints, as Fractions, or each divided by 1-4."""
+    ncols = draw(st.integers(min_value=2, max_value=16))
+    values = st.integers(min_value=-4, max_value=4).filter(bool)
+    cols = st.integers(min_value=0, max_value=ncols - 1)
+    rows = [
+        {draw(cols): draw(values)}
+        for _ in range(draw(st.integers(min_value=0, max_value=ncols)))
+    ]
+    coupled = []
+    for _ in range(draw(st.integers(min_value=0, max_value=10))):
+        used = draw(
+            st.lists(cols, min_size=2, max_size=min(5, ncols), unique=True)
+        )
+        coupled.append({c: draw(values) for c in used})
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        if not coupled:
+            break
+        row = draw(st.sampled_from(coupled))
+        k = draw(st.sampled_from((-1, 2, -3)))
+        coupled.append({c: k * x for c, x in row.items()})
+    rows = draw(st.permutations(rows + coupled))
+    kind = draw(st.sampled_from(("int", "fraction", "divided")))
+    if kind == "fraction":
+        rows = [{c: Fraction(x) for c, x in row.items()} for row in rows]
+    elif kind == "divided":
+        rows = [
+            {c: Fraction(x, draw(st.integers(1, 4))) for c, x in row.items()}
+            for row in rows
+        ]
+    return rows, ncols
+
+
+@seed(1212)
+@settings(max_examples=400, deadline=None)
+@given(_forced_and_coupled_systems())
+def test_column_indexed_update_equals_both_oracles_on_forced_and_coupled_rows(
+    system,
+):
+    # the vectors a row meets, found through the column index, are all
+    # that its dots and steps change: the same kernel as the per-block
+    # RREF and the dense Gauss-Jordan, vector for vector
+    rows, ncols = system
+    got = kernel_by_blocks(rows, ncols)
+    assert got == echelon_block_kernel(rows, ncols)
+    assert [_as_dense(v, ncols) for v in got] == kernel_oracle(rows, ncols)
 
 
 def test_null_space_update_equals_both_oracles_on_the_leibniz_systems(
