@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import MAX_DIM, ColourAlgebra, read_scalar
+from .algebra import MAX_DIM, MAX_SCALAR_DIGITS, ColourAlgebra, read_scalar
 from .grading import (
     Bicharacter,
     GradedBasis,
@@ -132,12 +132,31 @@ def _parse_expr(
     return vec(acc)
 
 
-def _format_expr(basis: GradedBasis, v: Vec) -> str:
+def _format_expr(basis: GradedBasis, v: Vec, entry: str) -> str:
+    """The right side of the line ``entry`` (such as "[product] x y"):
+    ValueError, naming the entry and the basis vector, for a coefficient
+    the reader would refuse, one of more than MAX_SCALAR_DIGITS digits
+    (str() refuses to write most of those before it is asked)."""
     terms = []
     for c, name in zip(v, basis.names):
         if not c:
             continue
-        terms.append(name if c == 1 else f"{c} {name}")
+        if c == 1:
+            terms.append(name)
+            continue
+        try:
+            text = str(c)
+        except ValueError:  # the interpreter's own limit on int digits
+            text = None
+        if text is None or (
+            len(text) > MAX_SCALAR_DIGITS
+            and sum(map(str.isdigit, text)) > MAX_SCALAR_DIGITS
+        ):
+            raise ValueError(
+                f"{entry}: the coefficient of {name} has more than "
+                f"{MAX_SCALAR_DIGITS} digits, more than a .alg scalar may have"
+            )
+        terms.append(f"{text} {name}")
     return " + ".join(terms) if terms else "0"
 
 
@@ -331,13 +350,14 @@ def serialize_algebra(a: ColourAlgebra) -> str:
     for name, deg in zip(a.basis.names, a.basis.degrees):
         lines.append(" ".join([name] + [str(x) for x in deg]))
 
-    prod = [
-        f"{a.basis.names[i]} {a.basis.names[j]} -> "
-        + _format_expr(a.basis, a.product[i][j])
-        for i in range(a.dim)
-        for j in range(a.dim)
-        if any(a.product[i][j])
-    ]
+    names = a.basis.names
+    prod = []
+    for i, row in enumerate(a.product):
+        for j, cell in enumerate(row):
+            if any(cell):
+                pair = f"{names[i]} {names[j]}"
+                expr = _format_expr(a.basis, cell, f"[product] {pair}")
+                prod.append(f"{pair} -> {expr}")
     if prod:
         lines.append("[product]")
         lines.extend(prod)
@@ -347,8 +367,9 @@ def serialize_algebra(a: ColourAlgebra) -> str:
         if m == ident:
             continue
         lines.append(f"[{what}]")
-        for j, name in enumerate(a.basis.names):
-            lines.append(f"{name} -> " + _format_expr(a.basis, m.column(j)))
+        for j, name in enumerate(names):
+            expr = _format_expr(a.basis, m.column(j), f"[{what}] {name}")
+            lines.append(f"{name} -> {expr}")
 
     lines.append("[kind]")
     lines.append(a.kind)

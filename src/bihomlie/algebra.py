@@ -32,13 +32,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 from math import gcd, lcm
 
-from .grading import (
-    Bicharacter,
-    FrozenRecord,
-    GradedBasis,
-    GroupElement,
-    homogeneous_degree,
-)
+from .grading import Bicharacter, FrozenRecord, GradedBasis, GroupElement
 from .linalg import (
     IntTerms,
     Matrix,
@@ -559,16 +553,27 @@ def _check_tuples(
 
 
 def _check_product_even(a: ColourAlgebra) -> CheckItem:
-    for i in range(a.dim):
-        for j in range(a.dim):
-            cell = a.product[i][j]
-            homog, deg = homogeneous_degree(a.basis, cell)
-            want = a.basis.group.add(a.degree(i), a.degree(j))
-            if not homog or (deg is not None and deg != want):
+    """Every term k of every cell [e_i, e_j], read off the term indices of
+    ``int_table("product_terms")``, has degree deg(i) + deg(j); the sum
+    is formed once per pair of degrees.  The first failing pair is
+    witnessed by its cell."""
+    degrees = a.basis.degrees
+    add = a.basis.group.add
+    sums: dict[tuple[GroupElement, GroupElement], GroupElement] = {}
+    for i, row in enumerate(a.int_table("product_terms")[1]):
+        di = degrees[i]
+        for j, cell in enumerate(row):
+            if not cell:
+                continue
+            key = (di, degrees[j])
+            want = sums.get(key)
+            if want is None:
+                want = sums[key] = add(*key)
+            if any(degrees[k] != want for k, _ in cell):
                 return CheckItem(
                     "product_even",
                     False,
-                    _pair_witness(a, (i, j), cell),
+                    _pair_witness(a, (i, j), a.product[i][j]),
                     note="degree of product differs from sum of degrees",
                 )
     return CheckItem("product_even", True)

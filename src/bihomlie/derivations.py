@@ -22,7 +22,8 @@ the few extra multiplications are cheap insurance).  The re-verification
 is an evaluation of the identities on the member, independent of the
 assembled rows: it sums the member's ``column_terms`` against the cached
 integer tables of the product, of the twisted products and of the
-columns of alpha and beta, so it visits nonzero terms only.
+columns of alpha and beta, so it visits nonzero terms only, and keeps a
+sum only for an entry or a basis pair that some term reaches.
 
 The solve, the inner derivations and the re-verification sum integers.
 The commuting and Leibniz rows are built over the integer tables and the
@@ -62,7 +63,6 @@ from .linalg import (
     Matrix,
     Vec,
     _strike_forced,
-    add_terms,
     first_off_block,
     is_zero_vec,
     kernel_by_blocks,
@@ -240,13 +240,14 @@ def _solve_blocks(
     (value, left, right[, right_sign]) of one set of :func:`_leibniz_rows`.
     The commutation is solved once per degree by :func:`_commutation`:
     each unknown gets a column for each live entry of its pattern and a
-    copy of the surviving commuting rows, and entry (u, t) of unknown m is
-    column ``cols[m][u][t]``.  Entries outside the degree-block pattern
-    and entries the commutation forces to zero have no column, and the
-    Leibniz rows drop their terms.  The rows are sparse, with integer
-    values, and the kernel is solved by :func:`kernel_by_blocks`; its
-    coordinates map back to the entries in column order, so the basis is
-    the one of the full system over every slot.  Each member is built in integer form from its column terms,
+    copy of the surviving commuting rows, and ``by_col[m][t]`` lists the
+    live entries (u, column) of column t of unknown m.  Entries outside
+    the degree-block pattern and entries the commutation forces to zero
+    have no column, and the Leibniz rows drop their terms.  The rows are
+    sparse, with integer values, and the kernel is solved by
+    :func:`kernel_by_blocks`; its coordinates map back to the entries in
+    column order, so the basis is the one of the full system over every
+    slot.  Each member is built in integer form from its column terms,
     read off the same coordinates, so no check of it scans its n^2
     entries.  A negative power of a singular map raises ValueError before
     any pattern is cached.
@@ -257,17 +258,24 @@ def _solve_blocks(
         return []
     n = a.dim
     size = len(live)
-    cols: list[list[list[int | None]]] = [
-        [[None] * n for _ in range(n)] for _ in range(nmaps)
-    ]
+    by_col: list[list[list[tuple[int, int]]]] = []
     rows = []
     for m in range(nmaps):
         base = m * size
+        # the live entries are in slot order, so each column lists its
+        # entries in ascending u
+        cols_m: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for p, (u, t) in enumerate(live):
-            cols[m][u][t] = base + p
-        rows += ({base + c: x for c, x in row.items()} for row in commuting)
+            cols_m[t].append((u, base + p))
+        by_col.append(cols_m)
+        # kernel_by_blocks copies the rows it takes, so the cached rows of
+        # the first unknown go in as they are
+        rows += (
+            commuting if not base
+            else ({base + c: x for c, x in row.items()} for row in commuting)
+        )
     for cond in conditions:
-        rows += _leibniz_rows(a, cols, gamma, *twisted, *cond)
+        rows += _leibniz_rows(a, by_col, gamma, *twisted, *cond)
 
     out = []
     for coords in kernel_by_blocks(rows, nmaps * size):
@@ -332,7 +340,7 @@ def _commuting_rows(
 
 def _leibniz_rows(
     a: ColourAlgebra,
-    cols: list[list[list[int | None]]],
+    by_col: list[list[list[tuple[int, int]]]],
     gamma: GroupElement,
     left_table: IntTable,
     right_table: IntTable,
@@ -344,7 +352,9 @@ def _leibniz_rows(
     """Rows of  [D_l(x), M(y)] + s*eps(g,x)[M(x), D_r(y)] - D_v([x,y]),
     M = alpha^k beta^l, set to zero over all basis pairs and coordinates,
     with any of the three slots optional and s = right_sign flipping the
-    twisted term for cross conditions.
+    twisted term for cross conditions.  ``by_col[m][k]`` lists the live
+    entries (t, column) of column k of unknown m, as :func:`_solve_blocks`
+    numbers them.
 
     Coordinate u of the pair (i, j) is the row
         sum_t D_l[t][i] [e_t, M e_j]_u
@@ -353,53 +363,59 @@ def _leibniz_rows(
     and of the twisted tables of :func:`_twisted`, each times the factor
     that brings its scale to the lcm of the three: every row is the row
     over the Fraction tables times that lcm, so it has the same kernel.
-    Rows without terms are left out.  (The sign makes the twisted terms,
-    the most numerous, enter unnegated.)
+    The rows of one pair are keyed by u in one dict, and the row of u is
+    made when the first term reaches it: a coordinate no term reaches has
+    no row, and a pair no term reaches costs only its scans of empty
+    cells.  (The sign makes the twisted terms, the most numerous, enter
+    unnegated.)
     """
     n = a.dim
-    g = a.basis.group.reduce(gamma)
+    signs = _degree_shift(a, gamma)[1]
     (left_scale, left), (right_scale, right) = left_table, right_table
     product_scale, terms = a.int_table("product_terms")
     scale = lcm(product_scale, left_scale, right_scale)
-
-    def live(m: int) -> list[list[tuple[int, int]]]:
-        # for each column k of unknown m, the rows t of its live entries,
-        # each with its column of D_m[t][k]
-        return [
-            [(t, cols[m][t][k]) for t in range(n) if cols[m][t][k] is not None]
-            for k in range(n)
-        ]
-
     if value_unknown is not None:
         value_factor = -(scale // product_scale)
-        value_cols = live(value_unknown)
+        value_cols = by_col[value_unknown]
     if left_unknown is not None:
         left_factor = scale // left_scale
-        left_cols = live(left_unknown)
+        left_cols = by_col[left_unknown]
     if right_unknown is not None:
-        right_cols = live(right_unknown)
+        right_cols = by_col[right_unknown]
     out = []
     for i in range(n):
+        if left_unknown is not None:
+            # the rows [e_t, M e_j] of the live entries of column i of D_l
+            left_i = [(pos, left[t]) for t, pos in left_cols[i]]
         if right_unknown is not None:
             # s eps(g, e_i) [M e_i, e_t] for every t, at the common scale
-            w = right_sign * a.eps.eval(g, a.degree(i)) * (scale // right_scale)
+            w = right_sign * signs[i] * (scale // right_scale)
             right_i = [[(u, w * c) for u, c in cell] for cell in right[i]]
         for j in range(n):
-            by_u: list[dict[int, int]] = [{} for _ in range(n)]
+            by_u: dict[int, dict[int, int]] = {}
             if value_unknown is not None:
                 for t, c in terms[i][j]:
                     nc = value_factor * c
                     for u, pos in value_cols[t]:
-                        _add(by_u[u], pos, nc)
+                        row = by_u.get(u)
+                        if row is None:
+                            row = by_u[u] = {}
+                        row[pos] = row.get(pos, 0) + nc
             if left_unknown is not None:
-                for t, pos in left_cols[i]:
-                    for u, c in left[t][j]:
-                        _add(by_u[u], pos, left_factor * c)
+                for pos, table_row in left_i:
+                    for u, c in table_row[j]:
+                        row = by_u.get(u)
+                        if row is None:
+                            row = by_u[u] = {}
+                        row[pos] = row.get(pos, 0) + left_factor * c
             if right_unknown is not None:
                 for t, pos in right_cols[j]:
                     for u, c in right_i[t]:
-                        _add(by_u[u], pos, c)
-            out += (row for row in by_u if row)
+                        row = by_u.get(u)
+                        if row is None:
+                            row = by_u[u] = {}
+                        row[pos] = row.get(pos, 0) + c
+            out += by_u.values()
     return out
 
 
@@ -425,6 +441,15 @@ def _bracket_defect(
     mixes them, and the table's scale to the lcm of the three tables'
     scales.  The defect of the failing pair is divided by the product of
     the two lcms.
+
+    Each term is summed into a small {u: int} of the pair (i, j) it
+    reaches, made when the first term reaches that pair: the value term
+    over the nonzero cells of the product table, skipping a t whose column
+    of d_value is empty; the left term over the column terms of d_left;
+    the right term over those of d_right.  A pair no term reaches has
+    defect zero, so the least reached pair, in row-major order, whose sum
+    is nonzero is the first failure of a scan over every pair, with the
+    same defect.
     """
     n = a.dim
     signs = _degree_shift(a, gamma)[1]
@@ -449,43 +474,79 @@ def _bracket_defect(
         fl, lcols = -factor(lcopy, left_scale), lcopy[1]
     if rcopy is not None:
         fr, rcols = -right_sign * factor(rcopy, right_scale), rcopy[1]
-    for i in range(n):
-        if rcopy is not None:
-            fri = fr * signs[i]
-        for j in range(n):
-            acc = [0] * n
-            if vcopy is not None:
-                for t, c in terms[i][j]:
-                    add_terms(acc, fv * c, vcols[t])
-            if lcopy is not None:
-                for t, x in lcols[i]:
-                    add_terms(acc, fl * x, left[t][j])
-            if rcopy is not None:
-                for t, x in rcols[j]:
-                    add_terms(acc, fri * x, right[i][t])
-            if any(acc):
-                den = maps_scale * scale
-                return i, j, tuple(Fraction(x, den) for x in acc)
+    # i * n + j -> {u: the sum at coordinate u of the pair (i, j)}, made
+    # when the first term reaches the pair
+    sums: dict[int, dict[int, int]] = {}
+    if vcopy is not None:
+        for i, row in enumerate(terms):
+            for j, cell in enumerate(row):
+                for t, c in cell:
+                    col = vcols[t]
+                    if col:
+                        key = i * n + j
+                        acc = sums.get(key)
+                        if acc is None:
+                            acc = sums[key] = {}
+                        f = fv * c
+                        for u, x in col:
+                            acc[u] = acc.get(u, 0) + f * x
+    if lcopy is not None:
+        for i, col in enumerate(lcols):
+            for t, x in col:
+                f = fl * x
+                for j, cell in enumerate(left[t]):
+                    if cell:
+                        key = i * n + j
+                        acc = sums.get(key)
+                        if acc is None:
+                            acc = sums[key] = {}
+                        for u, c in cell:
+                            acc[u] = acc.get(u, 0) + f * c
+    if rcopy is not None:
+        for j, col in enumerate(rcols):
+            for t, x in col:
+                f = fr * x
+                for i, row in enumerate(right):
+                    cell = row[t]
+                    if cell:
+                        key = i * n + j
+                        acc = sums.get(key)
+                        if acc is None:
+                            acc = sums[key] = {}
+                        fi = f * signs[i]
+                        for u, c in cell:
+                            acc[u] = acc.get(u, 0) + fi * c
+    for key in sorted(sums):
+        acc = sums[key]
+        if any(acc.values()):
+            i, j = divmod(key, n)
+            den = maps_scale * scale
+            return i, j, tuple(Fraction(acc.get(u, 0), den) for u in range(n))
     return None
 
 
 def _commutes_with_maps(
     a: ColourAlgebra, m: Matrix, with_beta: bool = True
 ) -> bool:
-    """m M = M m for M = alpha (and beta), column by column:
-    sum_t M_tj m(e_t) = sum_t m_tj M(e_t), over the integer column terms
-    of m and M, both sides scaled by the product of their scales."""
+    """m M = M m for M = alpha (and beta), as one sparse product of the
+    integer column terms of m and M, both sides scaled by the product of
+    their scales: entry (u, j) of m M - M m is summed over the terms
+    M_tj m_ut and m_tj M_ut, in a dict that holds only the entries some
+    term reaches, so an entry no term reaches is zero on both sides."""
     _, mcols = m.int_column_terms()
     for which in ("alpha", "beta") if with_beta else ("alpha",):
         _, Mcols = getattr(a, which).int_column_terms()
-        for j in range(a.dim):
-            acc = [0] * a.dim
-            for t, x in Mcols[j]:
-                add_terms(acc, x, mcols[t])
-            for t, x in mcols[j]:
-                add_terms(acc, -x, Mcols[t])
-            if any(acc):
-                return False
+        # (u, j) -> (m M - M m)_uj
+        acc: dict[tuple[int, int], int] = {}
+        for first, second, sign in ((mcols, Mcols, 1), (Mcols, mcols, -1)):
+            for j, col in enumerate(second):
+                for t, x in col:
+                    f = sign * x
+                    for u, y in first[t]:
+                        key = (u, j)
+                        acc[key] = acc.get(key, 0) + f * y
+        if any(acc.values()):
+            return False
     return True
 
 

@@ -105,7 +105,10 @@ class GradingGroup(FrozenRecord):
         return self.reduce(-a for a in self._chk(g))
 
     def sub(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        return self.add(g, self.neg(h))
+        """g - h, reduced once; h is checked first, as add(g, neg(h))
+        checks it."""
+        self._chk(h)
+        return self.reduce(a - b for a, b in zip(self._chk(g), h))
 
     def sum(self, elements: Iterable[GroupElement]) -> GroupElement:
         total = self.zero()

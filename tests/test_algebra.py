@@ -31,6 +31,7 @@ from bihomlie.grading import (
     Bicharacter,
     GradedBasis,
     GradingGroup,
+    homogeneous_degree,
     super_bicharacter,
 )
 from bihomlie.admissibility import check_flexible
@@ -92,6 +93,42 @@ def test_odd_product_fails_evenness_with_witness():
     assert not item.passed
     assert item.witness.names == ("x", "x")
     assert "f" in item.witness.defect_str
+
+
+def product_even_oracle(a):
+    """The first pair (i, j), in row-major order, whose dense cell is not
+    homogeneous of degree deg(i) + deg(j); None when there is none."""
+    for i, j in iproduct(range(a.dim), repeat=2):
+        homog, deg = homogeneous_degree(a.basis, a.product[i][j])
+        want = a.basis.group.add(a.degree(i), a.degree(j))
+        if not homog or (deg is not None and deg != want):
+            return i, j
+    return None
+
+
+@pytest.mark.parametrize("name", LIE_CORPUS)
+def test_product_even_fails_first_where_a_dense_scan_does(name):
+    a = dict(lie_corpus())[name]
+    assert alg._check_product_even(a) == alg.CheckItem("product_even", True)
+    rng = Random(name)
+    n = a.dim
+    for _ in range(40):
+        # two cells given one more term each: into an empty cell, a term of
+        # some degree; into a nonempty one, a second degree when it differs
+        product = [[list(cell) for cell in row] for row in a.product]
+        for _ in range(2):
+            i, j, k = (rng.randrange(n) for _ in range(3))
+            product[i][j][k] += Fraction(rng.choice((1, -3)), 2)
+        b = a.with_product(product)
+        item = alg._check_product_even(b)
+        first = product_even_oracle(b)
+        if first is None:
+            assert item == alg.CheckItem("product_even", True)
+            continue
+        assert not item.passed
+        assert item.witness.indices == first
+        assert item.witness.defect == b.product[first[0]][first[1]]
+        assert item.note == "degree of product differs from sum of degrees"
 
 
 def test_skewsymmetry_witness_names_the_pair():

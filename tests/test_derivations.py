@@ -33,6 +33,7 @@ from bihomlie.derivations import (
     quasi_centroid_space,
     quasi_derivation_space,
 )
+from bihomlie.grading import GradedBasis, GradingGroup, trivial_bicharacter
 from bihomlie.linalg import Matrix, scale_to_ints
 from dense_oracles import (
     bracket_defect,
@@ -862,6 +863,7 @@ PREDICATES = {
 PREDICATE_ALGEBRAS = {
     "gl21_twist": gl21_twist,
     "gl21_fraction_twist": gl21_fraction_twist,
+    "gl21_unipotent_twist": gl21_unipotent_twist,
     **{name: (lambda name=name: TWISTED[name]().algebra) for name in TWISTED},
 }
 
@@ -904,6 +906,34 @@ def changed_entry(e, u, t, delta):
     rows = [list(row) for row in e.matrix.rows]
     rows[u][t] += delta
     return HomEndo(Matrix(rows), e.degree)
+
+
+def test_the_first_failure_is_the_least_pair_whichever_term_reaches_it():
+    # one nonzero cell, [x, y] = z, and identity maps.  The right term
+    # reaches only (x, x), through [x, D_r x] = [x, y] = z, and the value
+    # term only (x, y), through D_v z = x: the later pair is reached first
+    # in the scan, and both fail
+    group = GradingGroup(0, ())
+    basis = GradedBasis(group, ("x", "y", "z"), ((),) * 3)
+    product = [[[F(0)] * 3 for _ in range(3)] for _ in range(3)]
+    product[0][1][2] = F(1)
+    one = Matrix.identity(3)
+    a = ColourAlgebra(basis, trivial_bicharacter(group), product, one, one)
+
+    def unit(u, t):
+        rows = [[F(0)] * 3 for _ in range(3)]
+        rows[u][t] = F(1)
+        return Matrix(rows)
+
+    d_value, d_right = unit(0, 2), unit(1, 0)
+    tables, dense = dv._twisted(a, 0, 0), dense_twisted(a, 0, 0)
+    for args, first in (
+        ((d_value, None, d_right), (0, 0, (F(0), F(0), F(-1)))),
+        ((d_value, None, None), (0, 1, (F(1), F(0), F(0)))),
+        ((None, None, d_right), (0, 0, (F(0), F(0), F(-1)))),
+    ):
+        want = bracket_defect(a, (), dense, *args)
+        assert dv._bracket_defect(a, (), tables, *args) == want == first
 
 
 @pytest.mark.parametrize("name", sorted(PREDICATE_ALGEBRAS))

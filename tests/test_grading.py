@@ -61,6 +61,39 @@ def test_wrong_rank_raises():
         g.reduce((1, 0))
 
 
+def _sub_by_negation(group, g, h):
+    """g - h as the sum with the negation, the definition sub keeps."""
+    return group.add(g, group.neg(h))
+
+
+@pytest.mark.parametrize(
+    "group, elements",
+    [
+        (GradingGroup(0, (2, 2)), [(0, 0), (0, 1), (1, 0), (1, 1)]),
+        (GradingGroup(0, (3,)), [(a,) for a in range(3)]),
+        (
+            GradingGroup(1, (2,)),
+            [(0, 0), (1, 1), (-3, 0), (7, 1), (-12, 1)],
+        ),
+    ],
+)
+def test_sub_is_the_sum_with_the_negation(group, elements):
+    for g in elements:
+        for h in elements:
+            assert group.sub(g, h) == _sub_by_negation(group, g, h)
+
+
+def test_sub_refuses_a_wrong_rank_as_the_sum_with_the_negation_does():
+    group = GradingGroup(1, (2,))
+    # h is checked before g, so with both wrong the error names h
+    for g, h in (((1, 0, 0), (1, 1)), ((1, 1), (1,)), ((1,), (1, 0, 1))):
+        with pytest.raises(GroupMismatchError) as want:
+            _sub_by_negation(group, g, h)
+        with pytest.raises(GroupMismatchError) as got:
+            group.sub(g, h)
+        assert str(got.value) == str(want.value)
+
+
 def test_degree_string_round_trip():
     g = GradingGroup(2, ())
     d = parse_degree(g, "3,-4")

@@ -803,6 +803,35 @@ def test_the_scalar_bound_is_inclusive():
         parse_algebra(MINIMAL.replace("2 x", "1/0 x"))
 
 
+def test_an_entry_too_large_to_write_is_named(capsys):
+    # the parameter is inside the bound, but the bracket squares it, and
+    # a product entry of 6001 digits is more than the reader takes
+    assert run_cli(["example", "osp12_twist(1e3000,3)"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        f"error: [product] X H: the coefficient of X has more than "
+        f"{MAX_SCALAR_DIGITS} digits, more than a .alg scalar may have\n"
+    )
+
+
+def test_the_written_bound_is_the_read_bound():
+    n = MAX_SCALAR_DIGITS
+    a = corpus("osp12_classical")
+    # every part written under the interpreter's limit, 4,902 digits in all
+    big = F(10**2500 + 1, 10**2400 + 7)
+    too_big = a.with_product(
+        a.product, alpha=Matrix.diagonal([1, 1, 1, big, 1])
+    )
+    with pytest.raises(ValueError, match=r"^\[alpha\] F: the coefficient "):
+        serialize_algebra(too_big)
+    # n digits are written, and read back
+    edge = a.with_product(
+        a.product, beta=Matrix.diagonal([1, 10**n - 1, 1, 1, 1])
+    )
+    assert parse_algebra(serialize_algebra(edge)) == edge
+
+
 @pytest.mark.parametrize(
     "tok", ["3", " -2/6 ", "1.5e2", "\t7_0\n", "x", "1/0", "", "1e", "٣"]
 )
