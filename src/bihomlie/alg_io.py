@@ -135,8 +135,10 @@ def _parse_expr(
 def _format_expr(basis: GradedBasis, v: Vec, entry: str) -> str:
     """The right side of the line ``entry`` (such as "[product] x y"):
     ValueError, naming the entry and the basis vector, for a coefficient
-    the reader would refuse, one of more than MAX_SCALAR_DIGITS digits
-    (str() refuses to write most of those before it is asked)."""
+    the reader would refuse, one of more than MAX_SCALAR_DIGITS digits.
+    str() itself refuses a numerator or denominator over the interpreter's
+    digit limit, which is the same 4300 by default; that is the same
+    refusal."""
     terms = []
     for c, name in zip(v, basis.names):
         if not c:
