@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import MAX_DIM, MAX_SCALAR_DIGITS, ColourAlgebra, read_scalar
+from .algebra import MAX_DIM, ColourAlgebra, read_scalar
 from .grading import (
     Bicharacter,
     GradedBasis,
@@ -43,7 +43,7 @@ from .grading import (
     parse_degree,
     parse_group,
 )
-from .linalg import Matrix, Vec, vec, vzero
+from .linalg import Matrix, Vec, vec, vzero, write_scalar
 from .multipliers import MultiplierTable
 
 FORMAT_VERSION = 1
@@ -135,30 +135,15 @@ def _parse_expr(
 def _format_expr(basis: GradedBasis, v: Vec, entry: str) -> str:
     """The right side of the line ``entry`` (such as "[product] x y"):
     ValueError, naming the entry and the basis vector, for a coefficient
-    the reader would refuse, one of more than MAX_SCALAR_DIGITS digits.
-    str() itself refuses a numerator or denominator over the interpreter's
-    digit limit, which is the same 4300 by default; that is the same
-    refusal."""
+    the reader would refuse, one of more than MAX_SCALAR_DIGITS digits
+    (:func:`~bihomlie.linalg.write_scalar`)."""
     terms = []
     for c, name in zip(v, basis.names):
-        if not c:
-            continue
         if c == 1:
             terms.append(name)
-            continue
-        try:
-            text = str(c)
-        except ValueError:  # the interpreter's own limit on int digits
-            text = None
-        if text is None or (
-            len(text) > MAX_SCALAR_DIGITS
-            and sum(map(str.isdigit, text)) > MAX_SCALAR_DIGITS
-        ):
-            raise ValueError(
-                f"{entry}: the coefficient of {name} has more than "
-                f"{MAX_SCALAR_DIGITS} digits, more than a .alg scalar may have"
-            )
-        terms.append(f"{text} {name}")
+        elif c:
+            text = write_scalar(c, f"{entry}: the coefficient of {name}")
+            terms.append(f"{text} {name}")
     return " + ".join(terms) if terms else "0"
 
 
@@ -404,12 +389,19 @@ def parse_multiplier(text: str, group: GradingGroup) -> MultiplierTable:
 def jsonable(obj):
     """Recursively rewrite report payloads for json.dump.
 
-    Fractions become strings "p/q" (or "p"); tuples become lists.
+    Fractions become strings "p/q" (or "p"); tuples become lists.  A
+    Fraction of more than MAX_SCALAR_DIGITS digits is refused with
+    ValueError naming the keys and positions that lead to it
+    (:func:`~bihomlie.linalg.write_scalar`).
     """
+    return _jsonable(obj, "report value payload")
+
+
+def _jsonable(obj, where: str):
     if isinstance(obj, Fraction):
-        return str(obj)
+        return write_scalar(obj, where)
     if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
+        return {str(k): _jsonable(v, f"{where}.{k}") for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [jsonable(x) for x in obj]
+        return [_jsonable(x, f"{where}[{i}]") for i, x in enumerate(obj)]
     return obj

@@ -26,14 +26,14 @@ and one for the structure constants, both read off the dense products.
 
 from __future__ import annotations
 
-import re
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from itertools import product as iproduct
 from math import gcd, lcm
 
 from .grading import Bicharacter, FrozenRecord, GradedBasis, GroupElement
-from .linalg import (
+from .linalg import (  # the scalar bound and readers, re-exported here
+    MAX_SCALAR_DIGITS,
     IntTerms,
     Matrix,
     Terms,
@@ -41,11 +41,14 @@ from .linalg import (
     add_terms,
     first_off_block,
     is_zero_vec,
+    read_scalar,
     scale_to_ints,
     terms_of,
+    to_fraction,
     vec,
     vscale,
     vsub,
+    write_scalar,
 )
 
 ZERO = Fraction(0)
@@ -61,56 +64,14 @@ IntTable = tuple[int, tuple[tuple[IntTerms, ...], ...]]
 # x86-64 VM), and the cost grows as n^3.
 MAX_DIM = 100
 
-# The most digits, and the largest |exponent|, of a written scalar, as in
-# int('...'): Fraction('1e10000000') took 13.4 s (2-vCPU x86-64 VM).
-MAX_SCALAR_DIGITS = 4300
-
-# Fraction's string syntax, without surrounding whitespace; compiled on
-# first use (by re's cache), since compiling it took 0.5 ms of the import
-_SCALAR = (
-    r"([-+]?)(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:/(\d+(?:_\d+)*)"
-    r"|(?:\.(\d*|\d+(?:_\d+)*))?(?:[eE]([-+]?\d+(?:_\d+)*))?)"
-)
-
-
-def read_scalar(tok: str) -> Fraction | None:
-    """The rational ``tok`` writes in Fraction's syntax, or None if it is
-    not that syntax or has a zero denominator.  ValueError, before any power
-    of ten is built, for over MAX_SCALAR_DIGITS digits or exponent."""
-    m = re.fullmatch(_SCALAR, tok)
-    if m is None:
-        return None
-    sign, num, den, dec, exp = m.groups("")
-    bound = MAX_SCALAR_DIGITS
-    if sum(map(str.isdigit, tok)) > bound or abs(int(exp or 0)) > bound:
-        raise ValueError(
-            f"scalar has more than {bound} digits or an exponent above {bound}"
-        )
-    if den and not int(den):
-        return None
-    dec = dec.replace("_", "")
-    value = Fraction(int(num + dec or 0), int(den or 1))
-    value *= Fraction(10) ** (int(exp or 0) - len(dec))
-    return -value if sign == "-" else value
-
-
-def to_fraction(value: int | Fraction | str) -> Fraction:
-    """Fraction(value), a string read by :func:`read_scalar` once stripped
-    of the whitespace Fraction allows around it: so a string over the
-    bound is refused with ValueError at once, and one that writes no
-    rational with the error Fraction gives it."""
-    if not isinstance(value, str):
-        return Fraction(value)
-    tok = value.strip()
-    got = read_scalar(tok)
-    # a token read_scalar does not read, Fraction refuses
-    return Fraction(tok) if got is None else got
-
-
 def format_element(basis: GradedBasis, v: Vec) -> str:
-    """Pretty coordinate vector: "2 X + -1/3 H", or "0"."""
+    """Pretty coordinate vector: "2 X + -1/3 H", or "0".  ValueError
+    naming the basis vector for a coefficient of more than
+    MAX_SCALAR_DIGITS digits (see :func:`~bihomlie.linalg.write_scalar`)."""
     parts = [
-        f"{c} {name}" for c, name in zip(v, basis.names) if c
+        f"{write_scalar(c, f'the coefficient of {name}')} {name}"
+        for c, name in zip(v, basis.names)
+        if c
     ]
     return " + ".join(parts) if parts else "0"
 
@@ -514,12 +475,14 @@ def _jacobi_defect(
 
 
 def _pair_witness(a: ColourAlgebra, idx: tuple[int, ...], defect: Vec) -> Witness:
-    return Witness(
-        indices=idx,
-        names=tuple(a.basis.names[i] for i in idx),
-        defect=defect,
-        defect_str=a.fmt(defect),
-    )
+    """The witness at ``idx``; ValueError naming the tuple for a defect
+    too large to write (see :func:`format_element`)."""
+    names = tuple(a.basis.names[i] for i in idx)
+    try:
+        text = a.fmt(defect)
+    except ValueError as e:
+        raise ValueError(f"the defect at ({', '.join(names)}): {e}") from None
+    return Witness(indices=idx, names=names, defect=defect, defect_str=text)
 
 
 def _check_tuples(

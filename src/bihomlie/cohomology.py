@@ -46,6 +46,7 @@ from .linalg import (
     kernel_by_blocks,
     scale_to_ints,
     terms_of,
+    to_fraction,
     vadd,
     vec,
     vscale,
@@ -584,10 +585,11 @@ class Cochain:
         )
 
     def scale(self, c) -> "Cochain":
+        c = to_fraction(c)
         return Cochain(
             self.n,
             self.degree,
-            {k: vscale(Fraction(c), v) for k, v in self.values.items()},
+            {k: vscale(c, v) for k, v in self.values.items()},
             self.dimV,
         )
 
@@ -755,8 +757,9 @@ def _space(rep: Representation, n: int, gamma: GroupElement) -> _Space:
     the conditions of :func:`_intertwining_rows` on the degree-gamma
     slots.  The slots those conditions force to zero one by one leave the
     system; :func:`kernel_by_blocks` solves the rows that couple slots
-    over the slots left, numbered in order, and its vectors are read back
-    onto the slots."""
+    over the slots left, numbered in order, and its integer vectors v are
+    read back onto the slots, each as v / v[f] over the lcm of the v[f],
+    f the free column of v."""
     g = rep.algebra.basis.group.reduce(gamma)
     hit = rep._bases.get((n, g))
     if hit is None:
@@ -775,19 +778,19 @@ def _space(rep: Representation, n: int, gamma: GroupElement) -> _Space:
                 for row in coupled
             ]
         # each kernel vector is in ascending column, so in ascending slot
-        scale, terms = scale_to_ints(
-            [
-                tuple(zip(map(live.__getitem__, coords), coords.values()))
-                for coords in kernel_by_blocks(coupled, len(live))
-            ]
-        )
-        dimV = rep.dimV
+        kernel = kernel_by_blocks(coupled, len(live))
+        dens = [v[next(reversed(v))] for v in kernel]
+        scale = lcm(*dens)
+        terms = [
+            tuple([(live[c], x * (scale // d)) for c, x in v.items()])
+            for v, d in zip(kernel, dens)
+        ]
         basis = []
         for t in terms:
             rows: dict[tuple[int, ...], IntTerms] = {}
             for (T, w), x in t:
                 rows[T] = rows.get(T, ()) + ((w, x),)
-            basis.append(Cochain._of(n, g, scale, rows, dimV))
+            basis.append(Cochain._of(n, g, scale, rows, rep.dimV))
         hit = rep._bases[n, g] = _Space(
             slots,
             tuple(basis),

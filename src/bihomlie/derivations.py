@@ -29,11 +29,12 @@ The solve, the inner derivations and the re-verification sum integers.
 The commuting and Leibniz rows are built over the integer tables and the
 integer columns of alpha and beta (``ColourAlgebra.int_table``,
 ``Matrix.int_column_terms``), each row brought to one scale, and
-``kernel_by_blocks`` takes them as they are; the kernel comes back in
-Fractions, and each member is built in the integer form of a ``Matrix``,
-its column terms over the lcm of their denominators.  The inner
-derivations solve their fixed vectors on the same path and build each
-generator in that form off the integer twisted table.  A check scales
+``kernel_by_blocks`` takes them as they are.  Its kernel vectors are
+primitive integer vectors v, and each member is v / v[f] (f the free
+column) built in the integer form of a ``Matrix``: each unknown's column
+terms and v[f] divided by their gcd, the least scale of that unknown.
+The inner derivations solve their fixed vectors on the same path and
+build each generator over v[f] off the integer twisted table.  A check scales
 the maps of one solution tuple to the lcm of their scales, since a
 condition mixes them, and only the defect of a failing pair is divided
 back into Fractions.
@@ -54,7 +55,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from fractions import Fraction
 from itertools import product as iproduct
-from math import lcm
+from math import gcd, lcm
 
 from .algebra import AxiomReport, CheckItem, ColourAlgebra, IntTable, Witness
 from .grading import Bicharacter, FrozenRecord, GroupElement
@@ -66,7 +67,6 @@ from .linalg import (
     first_off_block,
     is_zero_vec,
     kernel_by_blocks,
-    scale_to_ints,
 )
 
 
@@ -248,8 +248,8 @@ def _solve_blocks(
     :func:`kernel_by_blocks`; its coordinates map back to the entries in
     column order, so the basis is the one of the full system over every
     slot.  Each member is built in integer form from its column terms,
-    read off the same coordinates, so no check of it scans its n^2
-    entries.  A negative power of a singular map raises ValueError before
+    read off the same integer coordinates, so no check of it scans its
+    n^2 entries.  A negative power of a singular map raises ValueError before
     any pattern is cached.
     """
     twisted = _twisted(a, k, l)
@@ -286,9 +286,15 @@ def _solve_blocks(
             m, p = divmod(c, size)
             u, t = live[p]
             terms[m][t].append((u, x))
-        out.append(
-            tuple(Matrix._of(*scale_to_ints(cols), n) for cols in terms)
-        )
+        # each unknown is its terms over d, the entry at the free column,
+        # brought to its least scale by their gcd
+        d = coords[next(reversed(coords))]
+        member = []
+        for cols in terms:
+            g = gcd(d, *[x for col in cols for _, x in col])
+            ints = [[(u, x // g) for u, x in col] for col in cols]
+            member.append(Matrix._of(d // g, ints, n))
+        out.append(tuple(member))
     return out
 
 
@@ -677,8 +683,9 @@ def inner_derivation_space(
     (gamma is None in the result).  The fixed vectors of one degree are
     the kernel (:func:`kernel_by_blocks`) of the integer rows of alpha - 1
     and beta - 1 over its columns, each map's column scale subtracted on
-    the diagonal.  Column j of the generator of x is the sum of x_i
-    [m e_j, e_i], summed in integers over ``int_table("twisted_terms", k,
+    the diagonal.  Column j of the generator of x = v / v[f], v a
+    kernel vector and f its free column, is the sum of v_i [m e_j, e_i]
+    over v[f], summed in integers over ``int_table("twisted_terms", k,
     l)``, and the generator joins the span by those terms.
     """
     scale, table = a.int_table("twisted_terms", k, l)
@@ -697,14 +704,13 @@ def inner_derivation_space(
                     by_row[r][p] = by_row[r].get(p, 0) + x
             rows += by_row
         for coords in kernel_by_blocks(rows, len(block)):
-            den, (xs,) = scale_to_ints([tuple(coords.items())])
             sums: list[dict[int, int]] = [{} for _ in range(n)]
-            for p, x in xs:
+            for p, x in coords.items():
                 for col, cells in zip(sums, table):
                     for u, c in cells[block[p]]:
                         col[u] = col.get(u, 0) + x * c
             terms = [sorted((u, y) for u, y in d.items() if y) for d in sums]
-            mat = Matrix._of(den * scale, terms, n)
+            mat = Matrix._of(coords[next(reversed(coords))] * scale, terms, n)
             if span.add_sparse(_entry_terms(mat)):
                 basis.append(HomEndo(mat, gdeg))
     return SolverResult("inner", k, l, None, tuple(basis), len(basis))

@@ -15,10 +15,15 @@ solves the rest by one null-space update: it starts from the unit
 vectors on those columns and updates them, row by row, so that every
 vector is orthogonal to every row seen, and a row orthogonal to all of
 them costs its dots alone, taken only with the vectors that have an
-entry on its columns.  It holds the one free-column readout of the
-library: ``Matrix.kernel_basis`` is its dense view over the nonzero
-entries of the matrix's rows.  The library solves no dense system
-A x = b (the tests keep one as an oracle).
+entry on its columns.  The library solves no dense system A x = b (the
+tests keep one as an oracle).
+
+Both readouts of the elimination are integer: a kernel vector is the
+primitive {column: int} the update holds, positive at its free column f,
+and its Gauss-Jordan vector is v / v[f]; an ``EchelonBasis.rref`` row is
+primitive with a positive pivot entry.  The readers build their integer
+forms off these, and ``Matrix.kernel_basis``, whose API returns
+Fractions, is the one place a kernel is divided.
 
 Sums of basis images read term tables: ``Matrix.column_terms()`` caches the
 nonzero entries (u, x) of every column, and ``add_terms`` adds a scaled
@@ -27,8 +32,8 @@ term list into an accumulator, so no loop visits a zero entry of an image.
 blocks a graded map must respect.
 
 Scalars are fractions.Fraction at the API, and vectors are plain tuples.
-Inside, the sums run in integers: ``EchelonBasis`` rows, the solvers' and
-the cochain bases' rows, and the integer copies of term tables
+Inside, the sums run in integers: the rows and vectors of the solve, and
+the integer copies of term tables
 (``scale_to_ints``) that the axiom scans, the solvers and the cochain
 complex sum.  A ``Matrix`` holds one integer form, its column terms over
 one scale (``Matrix.int_column_terms``), and its ``Fraction`` views, the
@@ -38,10 +43,18 @@ entries to that form; the matrices the library builds go through the one
 internal constructor ``Matrix._of``, which takes the form as it is: the
 dense operations, RREF output, action matrices, solver solutions and
 coboundary matrices.
+
+Scalars are bounded here, at both ends.  Every public entry point that
+takes a scalar (``vec``, ``Matrix``, ``Matrix.diagonal``,
+``Matrix.scale``, and the cochain and endomorphism constructors and
+scalings built on them) reads a string through ``to_fraction``, so one of
+more than ``MAX_SCALAR_DIGITS`` digits is refused before it is evaluated;
+``write_scalar`` refuses to write one over the bound.
 """
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
@@ -54,10 +67,76 @@ Vec = tuple[Fraction, ...]
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+# The most digits, and the largest |exponent|, of a written scalar, as in
+# int('...'): Fraction('1e10000000') took 13.4 s (2-vCPU x86-64 VM).
+MAX_SCALAR_DIGITS = 4300
+
+# Fraction's string syntax, without surrounding whitespace; compiled on
+# first use (by re's cache), since compiling it took 0.5 ms of the import
+_SCALAR = (
+    r"([-+]?)(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:/(\d+(?:_\d+)*)"
+    r"|(?:\.(\d*|\d+(?:_\d+)*))?(?:[eE]([-+]?\d+(?:_\d+)*))?)"
+)
+
+
+def read_scalar(tok: str) -> Fraction | None:
+    """The rational ``tok`` writes in Fraction's syntax, or None if it is
+    not that syntax or has a zero denominator.  ValueError, before any power
+    of ten is built, for over MAX_SCALAR_DIGITS digits or exponent."""
+    m = re.fullmatch(_SCALAR, tok)
+    if m is None:
+        return None
+    sign, num, den, dec, exp = m.groups("")
+    bound = MAX_SCALAR_DIGITS
+    if sum(map(str.isdigit, tok)) > bound or abs(int(exp or 0)) > bound:
+        raise ValueError(
+            f"scalar has more than {bound} digits or an exponent above {bound}"
+        )
+    if den and not int(den):
+        return None
+    dec = dec.replace("_", "")
+    value = Fraction(int(num + dec or 0), int(den or 1))
+    value *= Fraction(10) ** (int(exp or 0) - len(dec))
+    return -value if sign == "-" else value
+
+
+def to_fraction(value: int | Fraction | str) -> Fraction:
+    """Fraction(value), a string read by :func:`read_scalar` once stripped
+    of the whitespace Fraction allows around it: so a string over the
+    bound is refused with ValueError at once, and one that writes no
+    rational with the error Fraction gives it."""
+    if not isinstance(value, str):
+        return Fraction(value)
+    tok = value.strip()
+    got = read_scalar(tok)
+    # a token read_scalar does not read, Fraction refuses
+    return Fraction(tok) if got is None else got
+
+
+def write_scalar(x: Fraction, item: str) -> str:
+    """str(x), or ValueError naming ``item`` when x has more than
+    MAX_SCALAR_DIGITS digits, more than :func:`read_scalar` reads back.
+    str() itself refuses a numerator or denominator over the
+    interpreter's limit on int digits, the same 4300 by default, with a
+    hint to raise that limit; that is the same refusal, made here."""
+    try:
+        text = str(x)
+    except ValueError:  # the interpreter's own limit on int digits
+        text = None
+    if text is None or (
+        len(text) > MAX_SCALAR_DIGITS
+        and sum(map(str.isdigit, text)) > MAX_SCALAR_DIGITS
+    ):
+        raise ValueError(
+            f"{item} has more than {MAX_SCALAR_DIGITS} digits, more than a "
+            ".alg scalar may have"
+        )
+    return text
+
 
 def vec(entries: Iterable) -> Vec:
     return tuple(
-        x if isinstance(x, Fraction) else Fraction(x) for x in entries
+        x if isinstance(x, Fraction) else to_fraction(x) for x in entries
     )
 
 
@@ -154,7 +233,9 @@ class Matrix:
         self, rows: Iterable[Iterable], ncols: int | None = None
     ) -> None:
         rows = tuple(
-            tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row)
+            tuple(
+                x if isinstance(x, Fraction) else to_fraction(x) for x in row
+            )
             for row in rows
         )
         self.nrows = len(rows)
@@ -198,7 +279,7 @@ class Matrix:
 
     @classmethod
     def diagonal(cls, entries: Iterable) -> "Matrix":
-        ent = [Fraction(x) for x in entries]
+        ent = [to_fraction(x) for x in entries]
         n = len(ent)
         return cls(
             [[ent[i] if i == j else ZERO for j in range(n)] for i in range(n)]
@@ -276,7 +357,7 @@ class Matrix:
         return Matrix._of(la * lb, out, self.nrows)
 
     def scale(self, c) -> "Matrix":
-        c = Fraction(c)
+        c = to_fraction(c)
         scale, cols = self._ints
         p = c.numerator
         if not p:
@@ -347,19 +428,19 @@ class Matrix:
     def rref(self) -> tuple["Matrix", list[int]]:
         """(R, pivots): the reduced row echelon form R, with the zero rows
         last, and the pivot column of each nonzero row of R, read off one
-        :class:`EchelonBasis` over the integer rows."""
+        :class:`EchelonBasis` over the integer rows: R sits over the lcm
+        L of the pivot entries of its integer rows, each row times L over
+        its pivot entry."""
         span = EchelonBasis()
         for terms in self.transpose().int_column_terms()[1]:
             span.add_sparse(terms)
-        pivots: list[int] = []
-        cols: list[list[tuple[int, Fraction]]] = [
-            [] for _ in range(self.ncols)
-        ]
-        for i, (pivot, row) in enumerate(span.rref()):
-            pivots.append(pivot)
+        reduced = span.rref()
+        scale = lcm(*[row[pivot] for pivot, row in reduced])
+        cols: list[list[tuple[int, int]]] = [[] for _ in range(self.ncols)]
+        for i, (pivot, row) in enumerate(reduced):
             for c, x in row.items():
-                cols[c].append((i, x))
-        return Matrix._of(*scale_to_ints(cols), self.nrows), pivots
+                cols[c].append((i, x * scale // row[pivot]))
+        return Matrix._of(scale, cols, self.nrows), [p for p, _ in reduced]
 
     def rank(self) -> int:
         """The number of independent columns, counted by one
@@ -380,14 +461,16 @@ class Matrix:
 
     def kernel_basis(self) -> list[Vec]:
         """Basis of the right null space, one vector per free column in
-        ascending column order: :func:`kernel_by_blocks` over the nonzero
-        entries of the rows, read densely.  A matrix without rows has the
-        full standard basis as kernel.
+        ascending column order: each integer vector v of
+        :func:`kernel_by_blocks` over the integer rows of the matrix, read
+        densely as v / v[f], f its free column.  A matrix without rows has
+        the full standard basis as kernel.
         """
-        rows = [dict(terms_of(row)) for row in self.rows]
+        rows = map(dict, self.transpose().int_column_terms()[1])
         return [
-            tuple(v.get(c, ZERO) for c in range(self.ncols))
+            tuple(Fraction(v.get(c, 0), d) for c in range(self.ncols))
             for v in kernel_by_blocks(rows, self.ncols)
+            for d in [v[next(reversed(v))]]
         ]
 
     def invert(self) -> "Matrix":
@@ -425,12 +508,13 @@ class Matrix:
 
 def kernel_by_blocks(
     rows: Iterable[dict[int, Fraction | int]], ncols: int
-) -> list[dict[int, Fraction]]:
+) -> list[dict[int, int]]:
     """Kernel basis of sparse rows {column: value} over ``ncols`` columns,
-    values Fractions or ints, as sparse vectors {column: nonzero Fraction}
-    in ascending free-column order and each in ascending column, as a
-    Gauss-Jordan reduction of the dense matrix gives them, vector for
-    vector.  Zero values are ignored.
+    values Fractions or ints, as primitive integer vectors {column: int}
+    in ascending free-column order, each in ascending column and positive
+    at its free column f, its last: v / v[f] is the vector a Gauss-Jordan
+    reduction of the dense matrix gives, vector for vector.  Zero values
+    are ignored.
 
     The forced columns are struck (:func:`_strike_forced`), and the rest
     are solved by one null-space update from the integer unit vectors on
@@ -449,8 +533,10 @@ def kernel_by_blocks(
     free column, which stops being free, so f stays its last nonzero
     column and it stays zero at the other free columns: divided by its
     entry at f it is the kernel vector 1 at f and 0 at every other free
-    column, which the kernel alone fixes.  A vector with no entry on a
-    row's columns has a zero dot with it and is not changed by it.
+    column, which the kernel alone fixes.  Each step divides the vector by
+    the gcd of its entries, so it is primitive, and it is negated where
+    its entry at f is negative.  A vector with no entry on a row's columns
+    has a zero dot with it and is not changed by it.
     """
     forced, live = _strike_forced(rows)
     # free column f -> its vector, in ascending f; column c -> the free
@@ -485,10 +571,8 @@ def kernel_by_blocks(
             del vectors[first]
             for c in v0:
                 holders[c].discard(first)
-    # a one-entry vector, as is each one no row touched, is 1 at f
     return [
-        {f: ONE} if len(v) == 1
-        else {c: Fraction(v[c], v[f]) for c in sorted(v)}
+        {c: v[c] if v[f] > 0 else -v[c] for c in sorted(v)}
         for f, v in vectors.items()
     ]
 
@@ -553,22 +637,22 @@ class EchelonBasis:
     A vector comes in scaled by the lcm of its denominators and divided by
     the gcd of its entries; a vector of ints is only divided.  Each stored
     row {column: int} is nonzero at its pivot column, its first nonzero
-    one, and zero at the pivots of the rows stored before it.  So one pass in insertion order reduces a vector, by
-    the fraction-free update  rem <- q*rem - y*row,  where y/q in lowest
-    terms is the entry of rem at the row's pivot over the row's own, and
-    one gcd over the entries of rem after each update to keep them small:
-    the remainder is zero at every pivot, and it is empty exactly when the
-    vector lies in the span.
+    one, and zero at the pivots of the rows stored before it.  So one pass
+    in insertion order reduces a vector, by the fraction-free update
+    rem <- q*rem - y*row,  where y/q in lowest terms is the entry of rem
+    at the row's pivot over the row's own, and one gcd over the entries of
+    rem after each update to keep them small: the remainder is zero at
+    every pivot, and it is empty exactly when the vector lies in the span.
     Membership is exact.  :meth:`rref` reads the reduced row echelon form
-    of the span off the stored rows.
+    of the span off the stored rows, in integers.
 
     >>> span = EchelonBasis()
     >>> [span.add(vec(v)) for v in ([1, 2, 0], [2, 4, 0], [0, 1, 1], [0] * 3)]
     [True, False, True, False]
     >>> vec([1, 0, -2]) in span, vec([0, 0, 1]) in span
     (True, False)
-    >>> [(p, {c: str(x) for c, x in row.items()}) for p, row in span.rref()]
-    [(0, {0: '1', 2: '-2'}), (1, {1: '1', 2: '1'})]
+    >>> span.rref()
+    [(0, {0: 1, 2: -2}), (1, {1: 1, 2: 1})]
     """
 
     __slots__ = ("_rows",)
@@ -604,15 +688,17 @@ class EchelonBasis:
         self._rows.append((min(rem), rem))
         return True
 
-    def rref(self) -> list[tuple[int, dict[int, Fraction]]]:
+    def rref(self) -> list[tuple[int, dict[int, int]]]:
         """The reduced row echelon form of the span, as (pivot, row) with
-        row {column: nonzero value} 1 at its pivot, in ascending pivot.
+        row a primitive {column: int}, positive at its pivot, in ascending
+        pivot: divided by its pivot entry it is the row of the reduced
+        form.
 
         The stored rows are back-substituted last to first: the last row is
         zero at every other pivot already, and a row cleared by the rows
         after it, each reduced and zero at its pivot, stays zero at the
-        other pivots.  Each row is divided by its pivot entry only at the
-        end.  The stored rows are left alone.
+        other pivots.  A row is negated where its pivot entry is negative.
+        The stored rows are left alone.
         """
         done: list[tuple[int, dict[int, int]]] = []
         for pivot, row in reversed(self._rows):
@@ -624,7 +710,7 @@ class EchelonBasis:
             done.append((pivot, row))
         done.sort(key=lambda item: item[0])
         return [
-            (pivot, {c: Fraction(x, row[pivot]) for c, x in row.items()})
+            (pivot, row if row[pivot] > 0 else {c: -x for c, x in row.items()})
             for pivot, row in done
         ]
 

@@ -29,7 +29,11 @@ sparse kernel of the library.  ``echelon_block_kernel`` is that kernel's
 earlier driver: it splits the columns left after the strike into the
 blocks the rows link (``_linked_blocks``, which the library no longer
 has) and reads an ``EchelonBasis`` per block off its RREF, kept to hold
-the one null-space update over all the columns against.
+the one null-space update over all the columns against.  Both return
+Gauss-Jordan vectors, 1 at the free column; the library's kernel vectors
+and RREF rows are primitive integer vectors, and ``divided`` is the one
+view that divides such a vector by its entry at its free column or
+pivot, to compare them.
 
 ``twisted_products`` is the dense Fraction view of a twisted integer
 table, ``ColourAlgebra.int_table("twisted_terms", ...)``, for the tests
@@ -180,13 +184,22 @@ def _linked_blocks(
     return [(cols, block_rows.get(b, [])) for b, cols in block_cols.items()]
 
 
+def divided(v: dict[int, int], k: int | None = None) -> dict[int, Fraction]:
+    """v / v[k] for an integer vector v {column: int}, k its last column
+    unless given: the Gauss-Jordan view of a ``kernel_by_blocks`` vector
+    (k its free column) or of an ``EchelonBasis.rref`` row (k its pivot)."""
+    d = v[max(v) if k is None else k]
+    return {c: Fraction(x, d) for c, x in v.items()}
+
+
 def echelon_block_kernel(rows, ncols: int) -> list[dict[int, Fraction]]:
     """The kernel of ``kernel_by_blocks`` as its earlier driver read it:
     each linked block of ``_linked_blocks`` reduced in one
     ``EchelonBasis`` over its primitive rows, less the rows that repeat an
     earlier one up to sign, and the vector of each free column f read off
-    that span's RREF, -R[p][f] at the pivot p of each row R[p] in
-    ascending p, then 1 at f; in ascending f over all blocks."""
+    that span's RREF, -R[p][f] at the pivot p of each row R[p] (divided
+    by its pivot entry) in ascending p, then 1 at f; in ascending f over
+    all blocks."""
     kernel = []
     for cols, block in _linked_blocks(rows, ncols):
         span = EchelonBasis()
@@ -204,7 +217,7 @@ def echelon_block_kernel(rows, ncols: int) -> list[dict[int, Fraction]]:
         for p, _ in reduced:
             del vectors[p]
         for p, row in reduced:
-            for c, x in row.items():
+            for c, x in divided(row, p).items():
                 if c != p:
                     vectors[c][p] = -x
         for f, v in vectors.items():

@@ -28,13 +28,16 @@ from bihomlie import alg_io, cli, cohomology, constructions
 from bihomlie.algebra import (
     MAX_DIM,
     MAX_SCALAR_DIGITS,
+    check_lie_axioms,
     read_scalar,
     to_fraction,
 )
 from bihomlie.cli import run_cli
+from bihomlie.cohomology import Cochain
 from bihomlie.constructions import CORPUS_NAMES, build_osp12, corpus
+from bihomlie.derivations import HomEndo
 from bihomlie.grading import parse_group
-from bihomlie.linalg import Matrix
+from bihomlie.linalg import Matrix, vec
 from bihomlie.multipliers import (
     MultiplierTable,
     multiplier_from_omega,
@@ -768,6 +771,32 @@ SCALAR_SITES = {
         ),
         "ValueError: scalar has more than",
     ),
+    # the public Fraction entry points of linalg, cohomology, derivations
+    "Matrix": (
+        lambda tok, _: Matrix([[1, tok]]),
+        "ValueError: scalar has more than",
+    ),
+    "Matrix.diagonal": (
+        lambda tok, _: Matrix.diagonal([1, tok]),
+        "ValueError: scalar has more than",
+    ),
+    "Matrix.scale": (
+        lambda tok, _: Matrix.identity(2).scale(tok),
+        "ValueError: scalar has more than",
+    ),
+    "vec": (lambda tok, _: vec([0, tok]), "ValueError: scalar has more than"),
+    "Cochain": (
+        lambda tok, _: Cochain(1, (0,), {(0,): [tok, 0]}, 2),
+        "ValueError: scalar has more than",
+    ),
+    "Cochain.scale": (
+        lambda tok, _: Cochain(1, (0,), {(0,): [1, 0]}, 2).scale(tok),
+        "ValueError: scalar has more than",
+    ),
+    "HomEndo.scale": (
+        lambda tok, _: HomEndo(Matrix.identity(2), (0,)).scale(tok),
+        "ValueError: scalar has more than",
+    ),
 }
 
 OVERSIZED = {
@@ -813,6 +842,55 @@ def test_an_entry_too_large_to_write_is_named(capsys):
         f"error: [product] X H: the coefficient of X has more than "
         f"{MAX_SCALAR_DIGITS} digits, more than a .alg scalar may have\n"
     )
+
+
+BIG_DEFECT = """\
+version 1
+[group]
+0
+[basis]
+x
+y
+[product]
+x x -> 1e3000 y
+x y -> 1e3000 x
+[kind]
+lie
+"""
+
+
+def test_a_defect_too_large_to_write_is_named(tmp_path, capsys):
+    # every scalar is inside the bound, but the Jacobi defect at (x, x, x)
+    # has a coefficient of 6001 digits
+    path = tmp_path / "big.alg"
+    path.write_text(BIG_DEFECT, encoding="utf-8")
+    refusal = (
+        "the defect at (x, x, x): the coefficient of x has more than "
+        f"{MAX_SCALAR_DIGITS} digits, more than a .alg scalar may have"
+    )
+    for extra in ([], ["--report", str(tmp_path / "r.json")]):
+        assert run_cli(["check", str(path), *extra]) == 2
+        out = capsys.readouterr()
+        assert out.err == f"error: {refusal}\n"
+        assert "set_int_max_str_digits" not in out.err
+    with pytest.raises(ValueError) as caught:
+        check_lie_axioms(parse_algebra(BIG_DEFECT))
+    assert str(caught.value) == refusal
+
+
+def test_a_report_value_too_large_to_write_is_named():
+    big = F(10**MAX_SCALAR_DIGITS + 1, 3)
+    with pytest.raises(ValueError) as caught:
+        jsonable({"items": [{"defect": (F(1), big)}]})
+    assert str(caught.value) == (
+        "report value payload.items[0].defect[1] has more than "
+        f"{MAX_SCALAR_DIGITS} digits, more than a .alg scalar may have"
+    )
+    # the bound counts the digits of both parts, inclusive, as the reader
+    # counts them
+    edge = 10 ** (MAX_SCALAR_DIGITS - 1) - 1
+    assert jsonable([F(edge, 7)]) == [f"{edge}/7"]
+    assert read_scalar(f"{edge}/7") == F(edge, 7)
 
 
 def test_the_written_bound_is_the_read_bound():

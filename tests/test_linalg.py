@@ -7,6 +7,7 @@ the test oracles of ``dense_oracles``, which are tested here as well.
 import copy
 import pickle
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, seed, settings
@@ -30,6 +31,7 @@ from bihomlie.linalg import (
 )
 from dense_oracles import (
     dense_rank,
+    divided,
     echelon_block_kernel,
     in_span,
     kernel_oracle,
@@ -393,8 +395,19 @@ def _dense_rows(rows, ncols):
     return [[row.get(c, Fraction(0)) for c in range(ncols)] for row in rows]
 
 
-def _as_dense(coords, ncols):
-    return tuple(coords.get(c, Fraction(0)) for c in range(ncols))
+def _as_dense(v, ncols):
+    """The Gauss-Jordan vector of the integer kernel vector v, densely."""
+    v = divided(v)
+    return tuple(v.get(c, Fraction(0)) for c in range(ncols))
+
+
+def assert_primitive_kernel_vector(v):
+    """v is an int vector, ascending, primitive and positive at its free
+    column, its last."""
+    assert list(v) == sorted(v)
+    assert all(type(x) is int and x for x in v.values())
+    assert gcd(*v.values()) == 1
+    assert v[max(v)] > 0
 
 
 @st.composite
@@ -473,6 +486,37 @@ def test_block_kernel_on_hand_built_blocks():
         {0: Fraction(2), 3: Fraction(1)},
         {4: Fraction(1)},
     ]
+
+
+def test_a_kernel_vector_is_positive_at_its_free_column(monkeypatch):
+    # the one step takes e_1 to -(e_0 + e_1): the update holds the vector
+    # (-1, -1), and the readout negates it
+    held = []
+    eliminate = linalg._eliminate
+
+    def spy(rem, x, p, row):
+        eliminate(rem, x, p, row)
+        held.append(dict(rem))
+
+    monkeypatch.setattr(linalg, "_eliminate", spy)
+    got = kernel_by_blocks([{0: -1, 1: 1}], 2)
+    assert held == [{0: -1, 1: -1}]
+    assert got == [{0: 1, 1: 1}]
+    assert list(got[0]) == [0, 1]
+
+
+def test_rref_rows_are_positive_at_their_pivots():
+    # the stored rows are (-2, 3, 0) and (0, -4, 1); back-substitution
+    # takes the first to (8, 0, -3), and the readout negates the second
+    span = EchelonBasis()
+    for v in ([-2, 3, 0], [0, -4, 1]):
+        span.add(vec(v))
+    got = span.rref()
+    assert got == [(0, {0: 8, 2: -3}), (1, {1: 4, 2: -1})]
+    assert all(type(x) is int for _, row in got for x in row.values())
+    assert Matrix([[-2, 3, 0], [0, -4, 1]]).rref()[0] == Matrix(
+        [[1, 0, Fraction(-3, 8)], [0, 1, Fraction(-1, 4)]]
+    )
 
 
 def strike_in_rounds(rows):
@@ -717,8 +761,7 @@ def test_block_kernel_equals_the_fraction_rref_kernel(system):
     got = kernel_by_blocks(rows, ncols)
     assert [_as_dense(v, ncols) for v in got] == kernel_oracle(rows, ncols)
     for v in got:
-        assert list(v) == sorted(v)
-        assert all(isinstance(x, Fraction) and x for x in v.values())
+        assert_primitive_kernel_vector(v)
 
 
 @st.composite
@@ -770,11 +813,10 @@ def test_null_space_update_equals_both_oracles_on_overdetermined_systems(
 ):
     rows, ncols = system
     got = kernel_by_blocks(rows, ncols)
-    assert got == echelon_block_kernel(rows, ncols)
+    assert [divided(v) for v in got] == echelon_block_kernel(rows, ncols)
     assert [_as_dense(v, ncols) for v in got] == kernel_oracle(rows, ncols)
     for v in got:
-        assert list(v) == sorted(v)
-        assert all(type(x) is Fraction and x for x in v.values())
+        assert_primitive_kernel_vector(v)
 
 
 @st.composite
@@ -827,7 +869,7 @@ def test_column_indexed_update_equals_both_oracles_on_forced_and_coupled_rows(
     # RREF and the dense Gauss-Jordan, vector for vector
     rows, ncols = system
     got = kernel_by_blocks(rows, ncols)
-    assert got == echelon_block_kernel(rows, ncols)
+    assert [divided(v) for v in got] == echelon_block_kernel(rows, ncols)
     assert [_as_dense(v, ncols) for v in got] == kernel_oracle(rows, ncols)
 
 
@@ -859,7 +901,7 @@ def test_null_space_update_equals_both_oracles_on_the_leibniz_systems(
     # solver assembles one system, that of degree 0
     assert len(systems) == 5
     for rows, ncols, got in systems:
-        assert got == echelon_block_kernel(rows, ncols)
+        assert [divided(v) for v in got] == echelon_block_kernel(rows, ncols)
         assert [_as_dense(v, ncols) for v in got] == kernel_oracle(
             rows, ncols
         )
