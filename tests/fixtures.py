@@ -134,6 +134,16 @@ def gl21_unipotent_twist() -> ColourAlgebra:
     )
 
 
+def gl21_noncommuting_twist() -> ColourAlgebra:
+    """:func:`gl21_twist` with beta replaced by conjugation with the even
+    unipotent matrix 1 + E12: an even map that does not commute with
+    alpha, so the structure maps fail ``maps_commute``."""
+    a = gl21_twist()
+    g, ginv = ([[1, c, 0], [0, 1, 0], [0, 0, 1]] for c in (1, -1))
+    beta = matrix_conjugation(g, ginv)
+    return a.with_product(a.product, beta=beta)
+
+
 def fraction_twist(parity: tuple[int, ...], g) -> ColourAlgebra:
     """gl(m|n) as the commutator of :func:`gl_units`, twisted by conjugation
     with the even matrix g and with g squared."""

@@ -42,6 +42,7 @@ from fixtures import (
     conj_mat2,
     gl11_fraction_twist,
     gl21_fraction_twist,
+    gl21_noncommuting_twist,
     gl2_conjugation_twist,
     gl2_fraction_twist,
     twisted_mat2,
@@ -201,17 +202,29 @@ def test_jacobi_scan_of_least_rotations_names_the_full_scan_witness():
     assert (0, 0, 0) in failing
 
 
-def test_noncommuting_maps_rejected():
+def shear_pair():
+    """The zero algebra on two vectors with the shears [[1, 1], [0, 1]] and
+    [[1, 0], [1, 1]] as maps, which do not commute."""
     a = zero_algebra(2)
-    bad = ColourAlgebra(
+    return ColourAlgebra(
         a.basis,
         a.eps,
         a.product,
         Matrix([[1, 1], [0, 1]]),
         Matrix([[1, 0], [1, 1]]),
     )
-    report = check_bihom_axioms(bad)
-    assert not report.item("maps_commute").passed
+
+
+def test_noncommuting_maps_rejected():
+    report = check_bihom_axioms(shear_pair())
+    item = report.item("maps_commute")
+    assert not item.passed
+    # alpha beta - beta alpha = [[1, 0], [0, -1]]: the least entry (0, 0),
+    # witnessed by its column
+    assert item.witness.indices == (0, 0)
+    assert item.witness.names == ("e1", "e1")
+    assert item.witness.defect_str == "1 e1"
+    assert item.note == "alpha.beta - beta.alpha is nonzero"
 
 
 def test_require_passing_raises_with_context():
@@ -277,9 +290,15 @@ def _dense_apply(m, v):
 
 
 def product_eval_oracle(a, x, y):
+    # every cell of the dense table, skipping only a zero coordinate of x
+    # or y, whose terms are all zero
     acc = [Fraction(0)] * a.dim
     for i, xi in enumerate(x):
+        if not xi:
+            continue
         for j, yj in enumerate(y):
+            if not yj:
+                continue
             for k, ck in enumerate(a.product[i][j]):
                 acc[k] += xi * yj * ck
     return tuple(acc)
@@ -310,12 +329,33 @@ def associator_oracle(a, x, y, z):
     return _dense_add(lhs, _dense_scale(Fraction(-1), rhs))
 
 
+def maps_commute_oracle(a):
+    """alpha beta - beta alpha from the dense columns: its row-major first
+    nonzero entry (r, c) fails, witnessed by column c."""
+    diff = [
+        _dense_add(
+            _dense_apply(a.alpha, b),
+            _dense_scale(Fraction(-1), _dense_apply(a.beta, al)),
+        )
+        for al, b in zip(a.alpha.columns(), a.beta.columns())
+    ]
+    for r, c in iproduct(range(a.dim), repeat=2):
+        if diff[c][r]:
+            return alg.CheckItem(
+                "maps_commute",
+                False,
+                alg._pair_witness(a, (r, c), diff[c]),
+                note="alpha.beta - beta.alpha is nonzero",
+            )
+    return alg.CheckItem("maps_commute", True)
+
+
 def _structural_items_oracle(a):
     items = [
         alg._check_product_even(a),
         alg._check_map_even(a, "alpha", a.alpha),
         alg._check_map_even(a, "beta", a.beta),
-        alg._check_maps_commute(a),
+        maps_commute_oracle(a),
     ]
     for name, m in (("alpha", a.alpha), ("beta", a.beta)):
         cols = m.columns()
@@ -396,6 +436,8 @@ ORACLE_ALGEBRAS = {
     "fraction_inflated": fraction_inflated,
     "broken_skew": lambda: _super_algebra({(0, 1): {1: 1}, (1, 0): {1: 1}}),
     "odd_product": lambda: _super_algebra({(0, 0): {1: 1}}),
+    "shear_pair": shear_pair,
+    "gl21_noncommuting_twist": gl21_noncommuting_twist,
 }
 
 

@@ -20,10 +20,23 @@ hash moves when any bit of the output does.  The records are
   in (0, 1), (1, 0), with the ``CohomologyResult`` at r = 1;
 - ``matrix/<i>-<j>``: ``rref``, ``invert`` and ``kernel_basis`` of the
   seeded random matrices i to j, square or not, some singular, with
-  ``Fraction`` entries.
+  ``Fraction`` entries;
+- ``report/<algebra>/<suite>``: the whole ``AxiomReport`` of
+  ``check_lie_axioms``, ``check_associative_axioms`` and
+  ``check_bihom_axioms`` (suites ``lie``, ``associative``, ``bihom``),
+  every witness with its exact defect and its text, on the corpus Lie
+  algebras, ``mat2_assoc``, the gl(2|1) twists, ``typo_osp``,
+  ``conj_mat2``, ``gl21_noncommuting_twist``, and two copies of each
+  with one structure constant moved (``<algebra>[i][j][k]``, seeded), so
+  that the twisted ones fail multiplicativity; ``check_flexible`` and
+  ``check_g_associative`` (suites ``flexible``, ``G1`` to ``G6``) on
+  ``osp12_classical``, ``typo_osp`` and ``conj_mat2``; and
+  ``report/<algebra>/ad<s><l>/module``, ``validate_representation`` of
+  the corpus adjoint modules.
 
-The algebras are the five corpus Lie algebras (cochains for n <= 3) and
-the gl(2|1) twists of ``tests/fixtures.py`` (n <= 2).  ``check`` exits 1
+The solver and cochain algebras are the five corpus Lie algebras
+(cochains for n <= 3) and the gl(2|1) twists of ``tests/fixtures.py``
+(n <= 2).  ``check`` exits 1
 and lists the changed, missing and new records when FILE does not match;
 ``diff`` does the same for two files, so the output of ``write`` on two
 trees shows which records a change moved.  Stdlib only; it imports the
@@ -42,13 +55,24 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from bihomlie import derivations  # noqa: E402
+from bihomlie.admissibility import (  # noqa: E402
+    SUBGROUPS,
+    check_flexible,
+    check_g_associative,
+)
+from bihomlie.algebra import SUITES  # noqa: E402
 from bihomlie.cohomology import (  # noqa: E402
     adjoint_rep,
     cochain_basis,
     cohomology_dims,
     realized_gammas,
+    validate_representation,
 )
-from bihomlie.constructions import lie_corpus  # noqa: E402
+from bihomlie.constructions import (  # noqa: E402
+    lie_corpus,
+    mat2_assoc,
+    osp12_classical,
+)
 from bihomlie.linalg import Matrix  # noqa: E402
 
 import fixtures  # noqa: E402
@@ -156,12 +180,56 @@ def _matrix_records(blocks: int = 16, size: int = 25, seed: int = 34):
         yield f"matrix/{b * size}-{(b + 1) * size - 1}", tuple(out)
 
 
+def _report_algebras():
+    """(name, algebra) of every algebra whose axiom reports are hashed:
+    each listed algebra, then two copies of each with one structure
+    constant moved by a small fraction at a cell drawn from a fixed seed."""
+    listed = [*lie_corpus(), ("mat2_assoc", mat2_assoc())]
+    listed += [(name, getattr(fixtures, name)()) for name in GL21]
+    listed += [
+        (name, getattr(fixtures, name)())
+        for name in ("typo_osp", "conj_mat2", "gl21_noncommuting_twist")
+    ]
+    yield from listed
+    rng = random.Random("report perturbations")
+    for name, a in listed:
+        n = a.dim
+        for _ in range(2):
+            i, j, k = (rng.randrange(n) for _ in range(3))
+            prod = [[list(cell) for cell in row] for row in a.product]
+            c = Fraction(rng.choice((1, -2, 3)), rng.randint(1, 4))
+            prod[i][j][k] += c
+            yield f"{name}[{i}][{j}][{k}]", a.with_product(prod)
+
+
+def _report_records():
+    for name, a in _report_algebras():
+        for suite, check in SUITES.items():
+            yield f"report/{name}/{suite}", check(a)
+    for name, make in (
+        ("osp12_classical", osp12_classical),
+        ("typo_osp", fixtures.typo_osp),
+        ("conj_mat2", fixtures.conj_mat2),
+    ):
+        a = make()
+        yield f"report/{name}/flexible", check_flexible(a)
+        for g in SUBGROUPS:
+            yield f"report/{name}/{g}", check_g_associative(a, g)
+    for name, a in lie_corpus():
+        for s, l in ((0, 1), (1, 0)):
+            yield (
+                f"report/{name}/ad{s}{l}/module",
+                validate_representation(adjoint_rep(a, s, l)),
+            )
+
+
 def records():
     """(name, output) of every record, in a fixed order."""
     for name, a, top in _algebras():
         yield from _solver_records(name, a)
         yield from _cochain_records(name, a, top)
     yield from _matrix_records()
+    yield from _report_records()
 
 
 def hashes() -> dict[str, str]:
