@@ -22,6 +22,13 @@ The scans sum integers over ``ColourAlgebra.int_table``: one table per
 twisted product, summed in integers from the structure constants and the
 map's integer columns, one for the skew brackets [beta(e_i), alpha(e_j)]
 and one for the structure constants, both read off the dense products.
+
+Each identity shape has one evaluator here, shared with the other
+modules: :func:`_bracket_defect` for value([x, y]) = [left(x), M y] +
+s eps(g, x)[M x, right(y)], read by the multiplicativity items and by the
+membership predicates of ``derivations``; and :func:`_commutator` for
+m M - M m, read by ``maps_commute``, by the commutation test of those
+predicates and by the twist gates of ``constructions``.
 """
 
 from __future__ import annotations
@@ -36,7 +43,6 @@ from .linalg import (  # the scalar bound and readers, re-exported here
     MAX_SCALAR_DIGITS,
     IntTerms,
     Matrix,
-    Terms,
     Vec,
     add_terms,
     first_off_block,
@@ -46,15 +52,11 @@ from .linalg import (  # the scalar bound and readers, re-exported here
     terms_of,
     to_fraction,
     vec,
-    vscale,
-    vsub,
     write_scalar,
 )
 
 ZERO = Fraction(0)
 
-# a table of term lists, indexed [i][j]
-TermTable = tuple[tuple[Terms, ...], ...]
 # the integer copy of a term table: (L, table times L), L the lcm of its
 # denominators
 IntTable = tuple[int, tuple[tuple[IntTerms, ...], ...]]
@@ -175,7 +177,6 @@ class ColourAlgebra:
         "kind",
         "_powers",
         "_eps",
-        "_terms",
         "_commutation",
         "_int_tables",
         "_shifts",
@@ -215,13 +216,12 @@ class ColourAlgebra:
         self.kind = kind
         self._powers: dict[tuple, Matrix] = {}
         self._eps: tuple[tuple[int, ...], ...] | None = None
-        self._terms: TermTable | None = None
         # the commutation patterns of derivations._commutation, keyed by
         # (reduced degree, with_beta)
         self._commutation: dict[tuple, tuple] = {}
         # the integer tables of int_table, by their key
         self._int_tables: dict[tuple, tuple] = {}
-        # the degree shifts of derivations._degree_shift, keyed by degree
+        # the degree shifts of _degree_shift, keyed by degree
         self._shifts: dict[tuple, tuple] = {}
         # the algebra of admissibility.primed_bracket, built on first use
         self._primed: ColourAlgebra | None = None
@@ -252,14 +252,6 @@ class ColourAlgebra:
             )
         return self._eps
 
-    def product_terms(self) -> TermTable:
-        """The nonzero terms (k, c) of each cell product[i][j]; cached."""
-        if self._terms is None:
-            self._terms = tuple(
-                tuple(terms_of(v) for v in row) for row in self.product
-            )
-        return self._terms
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, ColourAlgebra)
@@ -284,9 +276,11 @@ class ColourAlgebra:
 
     def product_eval(self, x: Vec, y: Vec) -> Vec:
         """Bilinear extension of the structure constants, summed over the
-        supports of x and y and the nonzero terms of their cells."""
-        terms = self.product_terms()
+        supports of x and y and the nonzero terms of their cells in
+        ``int_table("product_terms")``, then divided by its scale once."""
+        scale, terms = self.int_table("product_terms")
         ys = [(j, yj) for j, yj in enumerate(y) if yj]
+        # Fraction zeros, so that int coordinates sum to Fractions too
         acc = [ZERO] * self.dim
         for i, xi in enumerate(x):
             if not xi:
@@ -297,9 +291,10 @@ class ColourAlgebra:
                 if cell:
                     c = xi * yj
                     for k, ck in cell:
-                        p = c * ck
-                        acc[k] = acc[k] + p if acc[k] else p
-        return tuple(acc)
+                        acc[k] += c * ck
+        if scale == 1:
+            return tuple(acc)
+        return tuple([v / scale if v else v for v in acc])
 
     bracket = product_eval
 
@@ -432,6 +427,166 @@ def _twisted_table(
     )
 
 
+# -- the shared evaluators: one per identity shape --------------------------
+
+
+def _degree_shift(
+    a: ColourAlgebra, gamma: GroupElement
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """For a degree-gamma map D: deg(e_t) + gamma, the degree of D(e_t),
+    and eps(gamma, deg(e_t)), for every basis index t; computed once per
+    degree and cached on the algebra."""
+    key = tuple(gamma)
+    hit = a._shifts.get(key)
+    if hit is None:
+        group = a.basis.group
+        g = group.reduce(gamma)
+        degrees = a.basis.degrees
+        hit = a._shifts[key] = (
+            tuple(group.add(d, g) for d in degrees),
+            tuple(a.eps.eval(g, d) for d in degrees),
+        )
+    return hit
+
+
+def _bracket_defect(
+    a: ColourAlgebra,
+    gamma: GroupElement,
+    twisted: tuple[IntTable, IntTable],
+    d_value: Matrix | None,
+    d_left: Matrix | None,
+    d_right: Matrix | None,
+    right_sign: int = 1,
+) -> tuple[int, int, Vec] | None:
+    """First basis pair violating
+    value([x,y]) = [left(x), M y] + s*eps(g,x)[M x, right(y)].
+
+    The membership predicates of ``derivations`` read it, and so do the
+    multiplicativity items, with value = right = M and no left term.
+
+    Each side is a sum over nonzero terms only: the column terms of
+    d_value over the terms of [e_i, e_j], and the ``twisted`` integer
+    tables, [e_t, M e_j] at [t][j] over column i of d_left and
+    [M e_i, e_t] at [i][t] over column j of d_right.  The sums are
+    integers, over the integer form of each map
+    (``Matrix.int_column_terms``): each
+    term of a map times a table is multiplied by the factor that brings
+    the map's scale to the lcm of the given maps' scales, since one pair
+    mixes them, and the table's scale to the lcm of the three tables'
+    scales.  The defect of the failing pair is divided by the product of
+    the two lcms.
+
+    Each term is summed into a small {u: int} of the pair (i, j) it
+    reaches, made when the first term reaches that pair: the value term
+    over the nonzero cells of the product table, skipping a t whose column
+    of d_value is empty; the left term over the column terms of d_left;
+    the right term over those of d_right.  A pair no term reaches has
+    defect zero, so the least reached pair, in row-major order, whose sum
+    is nonzero is the first failure of a scan over every pair, with the
+    same defect.
+    """
+    n = a.dim
+    signs = _degree_shift(a, gamma)[1]
+    (left_scale, left), (right_scale, right) = twisted
+    product_scale, terms = a.int_table("product_terms")
+    scale = lcm(product_scale, left_scale, right_scale)
+    copies = [
+        None if m is None else m.int_column_terms()
+        for m in (d_value, d_left, d_right)
+    ]
+    maps_scale = lcm(*(copy[0] for copy in copies if copy is not None))
+
+    def factor(copy: tuple, table_scale: int) -> int:
+        return (maps_scale // copy[0]) * (scale // table_scale)
+
+    # the factor of each term: d_value for the product, -d_left, and
+    # -s*eps(g, x)*d_right for the sign eps(g, x) of the basis element x
+    vcopy, lcopy, rcopy = copies
+    if vcopy is not None:
+        fv, vcols = factor(vcopy, product_scale), vcopy[1]
+    if lcopy is not None:
+        fl, lcols = -factor(lcopy, left_scale), lcopy[1]
+    if rcopy is not None:
+        fr, rcols = -right_sign * factor(rcopy, right_scale), rcopy[1]
+    # i * n + j -> {u: the sum at coordinate u of the pair (i, j)}, made
+    # when the first term reaches the pair
+    sums: dict[int, dict[int, int]] = {}
+    if vcopy is not None:
+        for i, row in enumerate(terms):
+            for j, cell in enumerate(row):
+                for t, c in cell:
+                    col = vcols[t]
+                    if col:
+                        key = i * n + j
+                        acc = sums.get(key)
+                        if acc is None:
+                            acc = sums[key] = {}
+                        f = fv * c
+                        for u, x in col:
+                            acc[u] = acc.get(u, 0) + f * x
+    if lcopy is not None:
+        for i, col in enumerate(lcols):
+            for t, x in col:
+                f = fl * x
+                for j, cell in enumerate(left[t]):
+                    if cell:
+                        key = i * n + j
+                        acc = sums.get(key)
+                        if acc is None:
+                            acc = sums[key] = {}
+                        for u, c in cell:
+                            acc[u] = acc.get(u, 0) + f * c
+    if rcopy is not None:
+        for j, col in enumerate(rcols):
+            for t, x in col:
+                f = fr * x
+                for i, row in enumerate(right):
+                    cell = row[t]
+                    if cell:
+                        key = i * n + j
+                        acc = sums.get(key)
+                        if acc is None:
+                            acc = sums[key] = {}
+                        fi = f * signs[i]
+                        for u, c in cell:
+                            acc[u] = acc.get(u, 0) + fi * c
+    for key in sorted(sums):
+        acc = sums[key]
+        if any(acc.values()):
+            i, j = divmod(key, n)
+            den = maps_scale * scale
+            return i, j, tuple(Fraction(acc.get(u, 0), den) for u in range(n))
+    return None
+
+
+def _commutator(m: Matrix, M: Matrix) -> tuple[int, int, Vec] | None:
+    """The row-major least nonzero entry (r, c) of m M - M m, with column c
+    of it as Fractions, or None when m and M commute.
+
+    One sparse product of the integer column terms of m and M, both sides
+    scaled by the product of their scales: entry (u, j) sums the terms
+    M_tj m_ut and -m_tj M_ut, in a dict that holds only the entries some
+    term reaches, so an entry no term reaches is zero on both sides."""
+    m_scale, mcols = m.int_column_terms()
+    M_scale, Mcols = M.int_column_terms()
+    # (u, j) -> (m M - M m)_uj times m_scale * M_scale
+    acc: dict[tuple[int, int], int] = {}
+    for first, second, sign in ((mcols, Mcols, 1), (Mcols, mcols, -1)):
+        for j, col in enumerate(second):
+            for t, x in col:
+                f = sign * x
+                for u, y in first[t]:
+                    key = (u, j)
+                    acc[key] = acc.get(key, 0) + f * y
+    bad = min((key for key, x in acc.items() if x), default=None)
+    if bad is None:
+        return None
+    r, c = bad
+    den = m_scale * M_scale
+    column = tuple(Fraction(acc.get((u, c), 0), den) for u in range(m.nrows))
+    return r, c, column
+
+
 def jacobiator(a: ColourAlgebra, i: int, j: int, k: int) -> Vec:
     """Cyclic BiHom-Jacobi defect on basis indices (i, j, k): the sum over
     cyclic (x,y,z) of eps(z,x) [beta^2(x), [beta(y), alpha(z)]].
@@ -557,54 +712,34 @@ def _check_map_even(a: ColourAlgebra, name: str, m: Matrix) -> CheckItem:
 
 
 def _check_maps_commute(a: ColourAlgebra) -> CheckItem:
-    d = a.alpha * a.beta - a.beta * a.alpha
-    for r, c in iproduct(range(a.dim), repeat=2):
-        if d[r][c]:
-            return CheckItem(
-                "maps_commute",
-                False,
-                _pair_witness(a, (r, c), d.column(c)),
-                note="alpha.beta - beta.alpha is nonzero",
-            )
-    return CheckItem("maps_commute", True)
+    bad = _commutator(a.alpha, a.beta)
+    if bad is None:
+        return CheckItem("maps_commute", True)
+    return CheckItem(
+        "maps_commute",
+        False,
+        _pair_witness(a, bad[:2], bad[2]),
+        note="alpha.beta - beta.alpha is nonzero",
+    )
 
 
 def _check_multiplicative(
     a: ColourAlgebra, name: str, m: Matrix | None = None
 ) -> CheckItem:
     """m[e_i, e_j] = [m e_i, m e_j] for an even map m, by default the
-    structure map ``name``: the left side sums the columns of m over the
-    cell's terms, the right side the twisted products [m e_i, e_t] over
-    the column m e_j, both in the integer copies of the tables (that of
-    any other m from :func:`_twisted_table`), brought to one scale."""
+    structure map ``name``: the identity of :func:`_bracket_defect` at
+    degree 0 with value = right = m and no left term, over the integer
+    table T = [m e_i, e_t] (that of any other m from
+    :func:`_twisted_table`)."""
     if m is None:
         m = getattr(a, name)
         twist = (1, 0) if name == "alpha" else (0, 1)
-        twisted_scale, table = a.int_table("twisted_terms", *twist)
+        table = a.int_table("twisted_terms", *twist)
     else:
-        twisted_scale, table = _twisted_table(a, m.int_column_terms(), False)
-    col_scale, cols = m.int_column_terms()
-    product_scale, terms = a.int_table("product_terms")
-    scale = lcm(product_scale, twisted_scale)
-    fp, ft = scale // product_scale, -(scale // twisted_scale)
-    n = a.dim
-
-    def defect(i: int, j: int) -> list[int]:
-        acc = [0] * n
-        for k, c in terms[i][j]:
-            add_terms(acc, fp * c, cols[k])
-        for t, c in cols[j]:
-            add_terms(acc, ft * c, table[i][t])
-        return acc
-
-    return _check_tuples(
-        a,
-        f"{name}_multiplicative",
-        2,
-        defect,
-        advisory=True,
-        scale=col_scale * scale,
-    )
+        table = _twisted_table(a, m.int_column_terms(), False)
+    bad = _bracket_defect(a, a.basis.group.zero(), (table,) * 2, m, None, m)
+    witness = None if bad is None else _pair_witness(a, bad[:2], bad[2])
+    return CheckItem(f"{name}_multiplicative", bad is None, witness, True)
 
 
 def _check_regular(a: ColourAlgebra) -> CheckItem:
@@ -736,13 +871,23 @@ def check_associative_axioms(a: ColourAlgebra) -> AxiomReport:
         )
     )
 
-    def comm_defect(i: int, j: int) -> Vec:
-        lhs = a.product[i][j]
-        rhs = vscale(Fraction(a.eps_ij(i, j)), a.product[j][i])
-        return vsub(lhs, rhs)
+    eps = a.eps_table()
+
+    def comm_defect(i: int, j: int) -> list[int]:
+        acc = [0] * n
+        add_terms(acc, 1, terms[i][j])
+        add_terms(acc, -eps[i][j], terms[j][i])
+        return acc
 
     rep.items.append(
-        _check_tuples(a, "colour_commutative", 2, comm_defect, advisory=True)
+        _check_tuples(
+            a,
+            "colour_commutative",
+            2,
+            comm_defect,
+            advisory=True,
+            scale=product_scale,
+        )
     )
     rep.items.append(_check_regular(a))
     return rep

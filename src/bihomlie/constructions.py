@@ -15,6 +15,7 @@ from .algebra import (
     ColourAlgebra,
     _check_map_even,
     _check_multiplicative,
+    _commutator,
     read_scalar,
     require_passing,
     to_fraction,
@@ -53,7 +54,7 @@ def _require_morphism(a: ColourAlgebra, m: Matrix, what: str) -> None:
 
 def _require_commuting(pairs: list[tuple[str, Matrix, str, Matrix]]) -> None:
     for na, ma, nb, mb in pairs:
-        if ma * mb != mb * ma:
+        if _commutator(ma, mb) is not None:
             raise ValueError(f"{na} and {nb} do not commute")
 
 

@@ -20,10 +20,12 @@ re-substitute every basis member into the defining identities before
 returning (a wrong answer here would poison everything downstream, so
 the few extra multiplications are cheap insurance).  The re-verification
 is an evaluation of the identities on the member, independent of the
-assembled rows: it sums the member's ``column_terms`` against the cached
-integer tables of the product, of the twisted products and of the
-columns of alpha and beta, so it visits nonzero terms only, and keeps a
-sum only for an entry or a basis pair that some term reaches.
+assembled rows, by the evaluators the axiom suites share
+(``algebra._bracket_defect`` and ``algebra._commutator``): it sums the
+member's ``column_terms`` against the cached integer tables of the
+product, of the twisted products and of the columns of alpha and beta,
+so it visits nonzero terms only, and keeps a sum only for an entry or a
+basis pair that some term reaches.
 
 The solve, the inner derivations and the re-verification sum integers.
 The commuting and Leibniz rows are built over the integer tables and the
@@ -57,7 +59,16 @@ from fractions import Fraction
 from itertools import product as iproduct
 from math import gcd, lcm
 
-from .algebra import AxiomReport, CheckItem, ColourAlgebra, IntTable, Witness
+from .algebra import (
+    AxiomReport,
+    CheckItem,
+    ColourAlgebra,
+    IntTable,
+    Witness,
+    _bracket_defect,
+    _commutator,
+    _degree_shift,
+)
 from .grading import Bicharacter, FrozenRecord, GroupElement
 from .linalg import (
     EchelonBasis,
@@ -97,25 +108,6 @@ class HomEndo:
 
     def __repr__(self) -> str:
         return f"HomEndo(degree={self.degree}, dim={self.matrix.nrows})"
-
-
-def _degree_shift(
-    a: ColourAlgebra, gamma: GroupElement
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """For a degree-gamma map D: deg(e_t) + gamma, the degree of D(e_t),
-    and eps(gamma, deg(e_t)), for every basis index t; computed once per
-    degree and cached on the algebra."""
-    key = tuple(gamma)
-    hit = a._shifts.get(key)
-    if hit is None:
-        group = a.basis.group
-        g = group.reduce(gamma)
-        degrees = a.basis.degrees
-        hit = a._shifts[key] = (
-            tuple(group.add(d, g) for d in degrees),
-            tuple(a.eps.eval(g, d) for d in degrees),
-        )
-    return hit
 
 
 def is_homogeneous_endo(
@@ -425,135 +417,12 @@ def _leibniz_rows(
     return out
 
 
-def _bracket_defect(
-    a: ColourAlgebra,
-    gamma: GroupElement,
-    twisted: tuple[IntTable, IntTable],
-    d_value: Matrix | None,
-    d_left: Matrix | None,
-    d_right: Matrix | None,
-    right_sign: int = 1,
-) -> tuple[int, int, Vec] | None:
-    """First basis pair violating
-    value([x,y]) = [left(x), M y] + s*eps(g,x)[M x, right(y)].
-
-    Each side is a sum over nonzero terms only: the column terms of
-    d_value over the terms of [e_i, e_j], and the ``twisted`` tables of
-    :func:`_twisted`, [e_t, M e_j] over column i of d_left and
-    [M e_i, e_t] over column j of d_right.  The sums are integers, over the
-    integer form of each map (``Matrix.int_column_terms``): each
-    term of a map times a table is multiplied by the factor that brings
-    the map's scale to the lcm of the given maps' scales, since one pair
-    mixes them, and the table's scale to the lcm of the three tables'
-    scales.  The defect of the failing pair is divided by the product of
-    the two lcms.
-
-    Each term is summed into a small {u: int} of the pair (i, j) it
-    reaches, made when the first term reaches that pair: the value term
-    over the nonzero cells of the product table, skipping a t whose column
-    of d_value is empty; the left term over the column terms of d_left;
-    the right term over those of d_right.  A pair no term reaches has
-    defect zero, so the least reached pair, in row-major order, whose sum
-    is nonzero is the first failure of a scan over every pair, with the
-    same defect.
-    """
-    n = a.dim
-    signs = _degree_shift(a, gamma)[1]
-    (left_scale, left), (right_scale, right) = twisted
-    product_scale, terms = a.int_table("product_terms")
-    scale = lcm(product_scale, left_scale, right_scale)
-    copies = [
-        None if m is None else m.int_column_terms()
-        for m in (d_value, d_left, d_right)
-    ]
-    maps_scale = lcm(*(copy[0] for copy in copies if copy is not None))
-
-    def factor(copy: tuple, table_scale: int) -> int:
-        return (maps_scale // copy[0]) * (scale // table_scale)
-
-    # the factor of each term: d_value for the product, -d_left, and
-    # -s*eps(g, x)*d_right for the sign eps(g, x) of the basis element x
-    vcopy, lcopy, rcopy = copies
-    if vcopy is not None:
-        fv, vcols = factor(vcopy, product_scale), vcopy[1]
-    if lcopy is not None:
-        fl, lcols = -factor(lcopy, left_scale), lcopy[1]
-    if rcopy is not None:
-        fr, rcols = -right_sign * factor(rcopy, right_scale), rcopy[1]
-    # i * n + j -> {u: the sum at coordinate u of the pair (i, j)}, made
-    # when the first term reaches the pair
-    sums: dict[int, dict[int, int]] = {}
-    if vcopy is not None:
-        for i, row in enumerate(terms):
-            for j, cell in enumerate(row):
-                for t, c in cell:
-                    col = vcols[t]
-                    if col:
-                        key = i * n + j
-                        acc = sums.get(key)
-                        if acc is None:
-                            acc = sums[key] = {}
-                        f = fv * c
-                        for u, x in col:
-                            acc[u] = acc.get(u, 0) + f * x
-    if lcopy is not None:
-        for i, col in enumerate(lcols):
-            for t, x in col:
-                f = fl * x
-                for j, cell in enumerate(left[t]):
-                    if cell:
-                        key = i * n + j
-                        acc = sums.get(key)
-                        if acc is None:
-                            acc = sums[key] = {}
-                        for u, c in cell:
-                            acc[u] = acc.get(u, 0) + f * c
-    if rcopy is not None:
-        for j, col in enumerate(rcols):
-            for t, x in col:
-                f = fr * x
-                for i, row in enumerate(right):
-                    cell = row[t]
-                    if cell:
-                        key = i * n + j
-                        acc = sums.get(key)
-                        if acc is None:
-                            acc = sums[key] = {}
-                        fi = f * signs[i]
-                        for u, c in cell:
-                            acc[u] = acc.get(u, 0) + fi * c
-    for key in sorted(sums):
-        acc = sums[key]
-        if any(acc.values()):
-            i, j = divmod(key, n)
-            den = maps_scale * scale
-            return i, j, tuple(Fraction(acc.get(u, 0), den) for u in range(n))
-    return None
-
-
 def _commutes_with_maps(
     a: ColourAlgebra, m: Matrix, with_beta: bool = True
 ) -> bool:
-    """m M = M m for M = alpha (and beta), as one sparse product of the
-    integer column terms of m and M, both sides scaled by the product of
-    their scales: entry (u, j) of m M - M m is summed over the terms
-    M_tj m_ut and m_tj M_ut, in a dict that holds only the entries some
-    term reaches, so an entry no term reaches is zero on both sides."""
-    _, mcols = m.int_column_terms()
-    for which in ("alpha", "beta") if with_beta else ("alpha",):
-        _, Mcols = getattr(a, which).int_column_terms()
-        # (u, j) -> (m M - M m)_uj
-        acc: dict[tuple[int, int], int] = {}
-        for first, second, sign in ((mcols, Mcols, 1), (Mcols, mcols, -1)):
-            for j, col in enumerate(second):
-                for t, x in col:
-                    f = sign * x
-                    for u, y in first[t]:
-                        key = (u, j)
-                        acc[key] = acc.get(key, 0) + f * y
-        if any(acc.values()):
-            return False
-    return True
+    """m M = M m for M = alpha (and beta), by :func:`_commutator`."""
+    maps = (a.alpha, a.beta) if with_beta else (a.alpha,)
+    return all(_commutator(m, M) is None for M in maps)
 
 
 # ---------------------------------------------------------------------------
