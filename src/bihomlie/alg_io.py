@@ -43,7 +43,7 @@ from .grading import (
     parse_degree,
     parse_group,
 )
-from .linalg import Matrix, Vec, vec, vzero, write_scalar
+from .linalg import Matrix, Vec, first_off_block, vec, vzero, write_scalar
 from .multipliers import MultiplierTable
 
 FORMAT_VERSION = 1
@@ -295,14 +295,14 @@ def parse_algebra(text: str) -> ColourAlgebra:
     alpha = _parse_map_section(sections.get("alpha", []), basis, "alpha")
     beta = _parse_map_section(sections.get("beta", []), basis, "beta")
     for what, m in (("alpha", alpha), ("beta", beta)):
-        for u in range(n):
-            for t in range(n):
-                if m[u][t] and degrees[u] != degrees[t]:
-                    raise ParseError(
-                        f"[{what}] is not even: sends {names[t]} "
-                        f"(degree {format_degree(degrees[t])}) into "
-                        f"{names[u]} (degree {format_degree(degrees[u])})"
-                    )
+        bad = first_off_block(m, degrees, degrees)
+        if bad is not None:
+            u, t = bad
+            raise ParseError(
+                f"[{what}] is not even: sends {names[t]} "
+                f"(degree {format_degree(degrees[t])}) into "
+                f"{names[u]} (degree {format_degree(degrees[u])})"
+            )
 
     kind = "generic"
     klines = sections.get("kind", [])

@@ -78,6 +78,7 @@ from .linalg import (
     first_off_block,
     is_zero_vec,
     kernel_by_blocks,
+    write_scalar,
 )
 
 
@@ -665,15 +666,18 @@ def jordan_product(
 def _endo_witness(
     space_names: Sequence[str], idx: tuple[int, ...], diff: Matrix
 ) -> Witness:
+    """The first nonzero column of ``diff`` at the tuple ``idx``;
+    ValueError naming the tuple for an entry too large to write (see
+    :func:`~bihomlie.linalg.write_scalar`)."""
     col = next(
         diff.column(c)
         for c in range(diff.ncols)
         if not is_zero_vec(diff.column(c))
     )
-    desc = ", ".join(str(x) for x in col)
-    return Witness(
-        idx, tuple(space_names[i] for i in idx), col, f"column ({desc})"
-    )
+    names = tuple(space_names[i] for i in idx)
+    item = f"an entry of the defect column at ({', '.join(names)})"
+    desc = ", ".join(write_scalar(x, item) for x in col)
+    return Witness(idx, names, col, f"column ({desc})")
 
 
 def jordan_closure(

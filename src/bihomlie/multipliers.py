@@ -30,7 +30,7 @@ from .algebra import (
     to_fraction,
 )
 from .grading import Bicharacter, GradingGroup, GroupElement, format_degree
-from .linalg import vscale
+from .linalg import vscale, write_scalar
 
 Scalar = int | Fraction | str
 
@@ -124,11 +124,15 @@ def _degree_witness(
     degrees: Sequence[GroupElement],
     defect: Fraction,
 ) -> Witness:
+    """The witness at ``positions``; ValueError naming the degrees for a
+    defect too large to write (see :func:`~bihomlie.linalg.write_scalar`)."""
+    names = tuple(format_degree(degrees[p]) for p in positions)
+    where = "; ".join(f"({n})" for n in names)
     return Witness(
         indices=positions,
-        names=tuple(format_degree(degrees[p]) for p in positions),
+        names=names,
         defect=(defect,),
-        defect_str=str(defect),
+        defect_str=write_scalar(defect, f"the defect at degrees {where}"),
     )
 
 

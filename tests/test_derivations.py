@@ -34,7 +34,7 @@ from bihomlie.derivations import (
     quasi_derivation_space,
 )
 from bihomlie.grading import GradedBasis, GradingGroup, trivial_bicharacter
-from bihomlie.linalg import Matrix, scale_to_ints
+from bihomlie.linalg import MAX_SCALAR_DIGITS, Matrix, scale_to_ints
 from dense_oracles import (
     bracket_defect,
     check_jordan_axioms_oracle,
@@ -330,6 +330,33 @@ def test_jordan_check_takes_no_cycling_convention():
         check_jordan_axioms(
             [], a.eps, Matrix.identity(5), Matrix.identity(5), cycling="xyw"
         )
+
+
+def test_a_witness_column_too_large_to_write_names_the_tuple():
+    # the entries are inside the bound, but the Jordan defect at
+    # (D0, D0, D0, D0) has entries of more than 12,000 digits; a smaller B
+    # gives the same item its witness text as before
+    a = osp12_classical()
+
+    def family(b):
+        rows = [[b, b, 0, 0, 0], [b, 0, 0, 0, 0], [0, 0, 1, 0, 0]]
+        rows += [[0] * 5, [0, 0, 0, 0, 1]]
+        return [HomEndo(Matrix(rows), (0,))]
+
+    maps = (Matrix.identity(5), Matrix.diagonal([1, 2, 1, 1, 1]))
+    item = check_jordan_axioms(family(10**3), a.eps, *maps).item(
+        "jordan_identity"
+    )
+    assert (item.witness.names, item.witness.defect_str) == (
+        ("D0", "D0", "D0", "D0"),
+        "column (-60000000000000, -48000000000000, 0, 0, 0)",
+    )
+    with pytest.raises(ValueError) as caught:
+        check_jordan_axioms(family(10**3000), a.eps, *maps)
+    assert str(caught.value) == (
+        "an entry of the defect column at (D0, D0, D0, D0) has more than "
+        f"{MAX_SCALAR_DIGITS} digits, more than a .alg scalar may have"
+    )
 
 
 def test_a_family_that_is_not_closed_gets_an_advisory_note():

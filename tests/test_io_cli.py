@@ -197,6 +197,13 @@ def test_evenness_is_validated_with_a_readable_witness():
     odd_map = MINIMAL + "[alpha]\nx -> f\n"
     with pytest.raises(ParseError, match=r"\[alpha\] is not even: sends x"):
         parse_algebra(odd_map)
+    # two off-block entries, at (f, x) and (x, f): the row-major first,
+    # (x, f), is named
+    with pytest.raises(ParseError) as caught:
+        parse_algebra(MINIMAL + "[beta]\nx -> f\nf -> x\n")
+    assert str(caught.value) == (
+        "[beta] is not even: sends f (degree 1) into x (degree 0)"
+    )
 
 
 def test_map_section_errors():
@@ -876,6 +883,21 @@ def test_a_defect_too_large_to_write_is_named(tmp_path, capsys):
     with pytest.raises(ValueError) as caught:
         check_lie_axioms(parse_algebra(BIG_DEFECT))
     assert str(caught.value) == refusal
+
+
+def test_a_multiplier_defect_too_large_to_write_is_named(tmp_path, capsys):
+    # sigma(0, 1) = 10^4000 is inside the bound; the cyclic-invariance
+    # defect at degrees (0, 0, 1) has 8,001 digits
+    path = tmp_path / "sigma.mult"
+    path.write_text("0 0 1\n0 1 1e4000\n1 0 1\n1 1 1\n", encoding="utf-8")
+    args = ["sigma-twist", data_path("osp12_classical.alg"), str(path)]
+    assert run_cli(args) == 2
+    out = capsys.readouterr()
+    assert out.err == (
+        "error: the defect at degrees (0); (0); (1) has more than "
+        f"{MAX_SCALAR_DIGITS} digits, more than a .alg scalar may have\n"
+    )
+    assert "set_int_max_str_digits" not in out.err
 
 
 def test_a_report_value_too_large_to_write_is_named():

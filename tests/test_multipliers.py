@@ -14,7 +14,7 @@ from bihomlie.grading import (
     parse_group,
     trivial_bicharacter,
 )
-from bihomlie.linalg import Matrix
+from bihomlie.linalg import MAX_SCALAR_DIGITS, Matrix
 from bihomlie.multipliers import (
     MissingEntryError,
     MultiplierTable,
@@ -241,3 +241,25 @@ def test_delta_twist_trivial_multiplier_is_identity():
         Z2Z2, [(1, 0), (0, 1), (1, 1)], 1
     )
     assert delta_twist(a, s) == a
+
+
+def test_a_defect_too_large_to_write_names_the_degrees():
+    # sigma(0, 1) is inside the bound; the symmetric defect at (0, 1) has
+    # 4,000 digits and is written, the cyclic one at (0, 0, 1) has 8,001
+    big = 10**4000
+    s = MultiplierTable(
+        Z2,
+        {((0,), (0,)): 1, ((0,), (1,)): big, ((1,), (0,)): 1, ((1,), (1,)): 1},
+    )
+    with pytest.raises(ValueError) as caught:
+        validate_multiplier(s, [(0,), (1,)], mode="symmetric")
+    assert str(caught.value) == (
+        "the defect at degrees (0); (0); (1) has more than "
+        f"{MAX_SCALAR_DIGITS} digits, more than a .alg scalar may have"
+    )
+    rep = validate_multiplier(
+        MultiplierTable(Z2, {**s.entries, ((0,), (1,)): 10**40}),
+        [(0,), (1,)],
+        mode="symmetric",
+    )
+    assert rep.item("symmetric").witness.defect_str == str(10**40 - 1)
