@@ -469,12 +469,11 @@ def _bracket_defect(
     tables, [e_t, M e_j] at [t][j] over column i of d_left and
     [M e_i, e_t] at [i][t] over column j of d_right.  The sums are
     integers, over the integer form of each map
-    (``Matrix.int_column_terms``): each
-    term of a map times a table is multiplied by the factor that brings
-    the map's scale to the lcm of the given maps' scales, since one pair
-    mixes them, and the table's scale to the lcm of the three tables'
-    scales.  The defect of the failing pair is divided by the product of
-    the two lcms.
+    (``Matrix.int_column_terms``): each term of a map times a table is
+    multiplied by the factor that brings the map's scale to the lcm of the
+    given maps' scales, since one pair mixes them, and the table's scale
+    to the lcm of the three tables' scales.  The defect of the failing
+    pair is divided by the product of the two lcms.
 
     Each term is summed into a small {u: int} of the pair (i, j) it
     reaches, made when the first term reaches that pair: the value term
@@ -578,10 +577,9 @@ def _commutator(m: Matrix, M: Matrix) -> tuple[int, int, Vec] | None:
                 for u, y in first[t]:
                     key = (u, j)
                     acc[key] = acc.get(key, 0) + f * y
-    bad = min((key for key, x in acc.items() if x), default=None)
-    if bad is None:
+    if not any(acc.values()):
         return None
-    r, c = bad
+    r, c = min(key for key, x in acc.items() if x)
     den = m_scale * M_scale
     column = tuple(Fraction(acc.get((u, c), 0), den) for u in range(m.nrows))
     return r, c, column

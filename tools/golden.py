@@ -36,11 +36,11 @@ hash moves when any bit of the output does.  The records are
 
 The solver and cochain algebras are the five corpus Lie algebras
 (cochains for n <= 3) and the gl(2|1) twists of ``tests/fixtures.py``
-(n <= 2).  ``check`` exits 1
-and lists the changed, missing and new records when FILE does not match;
-``diff`` does the same for two files, so the output of ``write`` on two
-trees shows which records a change moved.  Stdlib only; it imports the
-library from ``src`` and the fixtures from ``tests``.
+(n <= 2).  ``check`` exits 1 and lists the changed, missing and new
+records when FILE does not match; ``diff`` does the same for two files,
+so the output of ``write`` on two trees shows which records a change
+moved.  Stdlib only; it imports the library from ``src`` and the
+fixtures from ``tests``.
 """
 
 from __future__ import annotations
