@@ -887,7 +887,7 @@ def test_a_defect_too_large_to_write_is_named(tmp_path, capsys):
 
 def test_a_multiplier_defect_too_large_to_write_is_named(tmp_path, capsys):
     # sigma(0, 1) = 10^4000 is inside the bound; the cyclic-invariance
-    # defect at degrees (0, 0, 1) has 8,001 digits
+    # defect at degrees (0, 0, 1) has 8,000 digits
     path = tmp_path / "sigma.mult"
     path.write_text("0 0 1\n0 1 1e4000\n1 0 1\n1 1 1\n", encoding="utf-8")
     args = ["sigma-twist", data_path("osp12_classical.alg"), str(path)]

@@ -245,7 +245,7 @@ def test_delta_twist_trivial_multiplier_is_identity():
 
 def test_a_defect_too_large_to_write_names_the_degrees():
     # sigma(0, 1) is inside the bound; the symmetric defect at (0, 1) has
-    # 4,000 digits and is written, the cyclic one at (0, 0, 1) has 8,001
+    # 4,000 digits and is written, the cyclic one at (0, 0, 1) has 8,000
     big = 10**4000
     s = MultiplierTable(
         Z2,
