@@ -9,7 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from bihomlie.alg_io import parse_algebra
-from bihomlie.algebra import ColourAlgebra
+from bihomlie.algebra import MAX_DIM, ColourAlgebra
 from bihomlie.cohomology import adjoint_rep
 from bihomlie.constructions import (
     build_osp12,
@@ -241,3 +241,105 @@ def table_from_rule(group, degrees, rule):
     return MultiplierTable(
         group, {(g, h): rule(g, h) for g in closed for h in closed}
     )
+
+
+# -- malformed input ----------------------------------------------------------
+
+# the small file the malformed inputs below edit, as in tests/test_io_cli.py
+MINIMAL = """\
+version 1
+[group]
+Z2
+[bicharacter]
+e1 e1 -1
+[basis]
+x 0
+f 1
+[product]
+f f -> 2 x
+[kind]
+lie
+"""
+
+_BICHARACTER = "version 1\n[group]\nZ2\n[bicharacter]\n"
+_OVERSIZED = {
+    "huge-exponent": "1e999999999",
+    "tiny-exponent": "1.5e-999999999",
+    "5000-digits": "7" * 5000,
+}
+
+# case -> (reader, text): every malformed input of tests/test_io_cli.py that
+# a reader refuses with a ParseError; the reader is "algebra"
+# (parse_algebra), "map" (parse_linear_map over the basis of MINIMAL) or
+# "multiplier" (parse_multiplier over Z2)
+MALFORMED = {
+    "no-version": ("algebra", "[group]\nZ2\n"),
+    "unknown-vector": (
+        "algebra", MINIMAL.replace("f f -> 2 x", "f f -> 2 q")
+    ),
+    "empty": ("algebra", "# nothing here\n"),
+    "unknown-section": ("algebra", "version 1\n[brackets]\n"),
+    "duplicate-section": ("algebra", MINIMAL + "[basis]\n"),
+    "content-before-section": ("algebra", "version 1\nZ2\n"),
+    "no-group": ("algebra", "version 1\n[basis]\nx 0\n"),
+    "two-group-lines": (
+        "algebra", "version 1\n[group]\nZ2\nZ2\n[basis]\nx 0\n"
+    ),
+    "no-basis": ("algebra", "version 1\n[group]\nZ2\n"),
+    "ambiguous-name": ("algebra", "version 1\n[group]\nZ2\n[basis]\n2 0\n"),
+    "duplicate-name": (
+        "algebra", "version 1\n[group]\nZ2\n[basis]\nx 0\nx 1\n"
+    ),
+    "degree-components": (
+        "algebra", "version 1\n[group]\nZ2\n[basis]\nx 0 0\n"
+    ),
+    "bicharacter-fields": ("algebra", _BICHARACTER + "e1 -1\n"),
+    "bicharacter-generator": ("algebra", _BICHARACTER + "x1 e1 -1\n"),
+    "bicharacter-range": ("algebra", _BICHARACTER + "e1 e2 -1\n"),
+    "bicharacter-value": ("algebra", _BICHARACTER + "e1 e1 2\n"),
+    "bicharacter-invalid": (
+        "algebra",
+        "version 1\n[group]\nZ x Z\n[bicharacter]\ne1 e2 -1\n"
+        "[basis]\nx 0 0\n",
+    ),
+    "product-arrow": ("algebra", MINIMAL.replace("f f -> 2 x", "f f 2 x")),
+    "product-left": ("algebra", MINIMAL.replace("f f -> 2 x", "f -> 2 x")),
+    "product-duplicate": (
+        "algebra", MINIMAL.replace("f f -> 2 x", "f f -> x\nf f -> 2 x")
+    ),
+    "product-coefficient": ("algebra", MINIMAL.replace("2 x", "two x")),
+    "product-term": ("algebra", MINIMAL.replace("2 x", "2 x x")),
+    "product-zero-denominator": ("algebra", MINIMAL.replace("2 x", "1/0 x")),
+    "product-odd": (
+        "algebra", MINIMAL.replace("f f -> 2 x", "f f -> 2 f")
+    ),
+    "alpha-odd": ("algebra", MINIMAL + "[alpha]\nx -> f\n"),
+    "beta-odd-twice": ("algebra", MINIMAL + "[beta]\nx -> f\nf -> x\n"),
+    "alpha-arrow": ("algebra", MINIMAL + "[alpha]\nx x\n"),
+    "alpha-left": ("algebra", MINIMAL + "[alpha]\nx f -> x\n"),
+    "alpha-duplicate": ("algebra", MINIMAL + "[alpha]\nx -> x\nx -> 2 x\n"),
+    "kind-unknown": ("algebra", MINIMAL.replace("lie", "group")),
+    "kind-two-lines": ("algebra", MINIMAL + "associative\n"),
+    "dimension": (
+        "algebra",
+        "version 1\n[group]\nZ2\n[basis]\n"
+        + "".join(f"e{i} 0\n" for i in range(MAX_DIM + 1)),
+    ),
+    "multiplier-fields": ("multiplier", "0 0\n"),
+    "multiplier-value": ("multiplier", "0 0 x\n"),
+    "multiplier-duplicate": ("multiplier", "0 0 1\n0 0 2\n"),
+    "multiplier-zero": ("multiplier", "0 0 0\n"),
+}
+# an oversized scalar at each site that reads one (test_io_cli.SCALAR_SITES)
+MALFORMED.update(
+    (f"{site}-{size}", (reader, text.format(tok)))
+    for size, tok in _OVERSIZED.items()
+    for site, reader, text in (
+        ("product", "algebra", MINIMAL.replace("2 x", "{} x")),
+        ("alpha", "algebra", MINIMAL + "[alpha]\nx -> {} x\n"),
+        ("beta", "algebra", MINIMAL + "[beta]\nf -> {} f\n"),
+        ("map", "map", "x -> x\nf -> {} f\n"),
+        ("basis-name", "algebra", "version 1\n[group]\nZ2\n[basis]\n{} 0\n"),
+        ("multiplier", "multiplier", "0 0 {}\n"),
+    )
+)

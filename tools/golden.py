@@ -4,6 +4,7 @@
     python3 tools/golden.py write FILE      hash every record into FILE
     python3 tools/golden.py check FILE      name the records that differ
     python3 tools/golden.py diff OLD NEW    compare two hash files
+    python3 tools/golden.py trees OLD NEW   compare two checkouts
 
 A record is one output of the library, written with ``repr`` in full:
 integer forms with their scales, ``Fraction`` views and dict order, so a
@@ -32,29 +33,58 @@ hash moves when any bit of the output does.  The records are
   ``check_g_associative`` (suites ``flexible``, ``G1`` to ``G6``) on
   ``osp12_classical``, ``typo_osp`` and ``conj_mat2``; and
   ``report/<algebra>/ad<s><l>/module``, ``validate_representation`` of
-  the corpus adjoint modules.
+  the corpus adjoint modules;
+- ``parse/<file>``: the basis, the bicharacter,
+  ``int_table("product_terms")``, the ``int_column_terms()`` of alpha and
+  beta, the kind and the ``serialize_algebra`` text of each shipped
+  ``.alg`` file and of ``commutator_mat2_assoc.alg``, the serialized
+  commutator algebra of the parsed ``mat2_assoc.alg``;
+- ``cli/<file>/<command>``: the exit code and the ``--report`` JSON text
+  of the commands a benchmark corpus sweep runs: ``check`` on every one of
+  those files, and ``derivations`` (``der``, ``centroid``) and
+  ``cohomology`` (n = 1, 2, 3) on each but ``mat2_assoc.alg``;
+- ``parse-error/<case>``: the text and line of the ``ParseError`` that
+  each malformed input of ``tests/fixtures.py::MALFORMED`` raises.
 
 The solver and cochain algebras are the five corpus Lie algebras
 (cochains for n <= 3) and the gl(2|1) twists of ``tests/fixtures.py``
 (n <= 2).  ``check`` exits 1 and lists the changed, missing and new
 records when FILE does not match; ``diff`` does the same for two files,
 so the output of ``write`` on two trees shows which records a change
-moved.  Stdlib only; it imports the library from ``src`` and the
-fixtures from ``tests``.
+moved.  ``trees`` runs ``write`` for each of two checkouts, in a fresh
+interpreter that imports the library from that checkout's ``src``, and
+lists the records that differ, as ``diff`` does: the records and the
+fixtures are this file's and ``tests/fixtures.py``'s in both runs, so
+only the library differs.  Stdlib only; it imports the library from
+``src`` (or, for ``trees``, from the checkout named in the
+``GOLDEN_TREE`` environment variable) and the fixtures from ``tests``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
+import os
 import random
+import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+TREE = Path(os.environ.get("GOLDEN_TREE") or ROOT)
+sys.path[:0] = [str(TREE / "src"), str(ROOT / "tests")]
 
 from bihomlie import derivations  # noqa: E402
+from bihomlie.alg_io import (  # noqa: E402
+    ParseError,
+    parse_algebra,
+    parse_linear_map,
+    parse_multiplier,
+    serialize_algebra,
+)
 from bihomlie.admissibility import (  # noqa: E402
     SUBGROUPS,
     check_flexible,
@@ -68,11 +98,14 @@ from bihomlie.cohomology import (  # noqa: E402
     realized_gammas,
     validate_representation,
 )
+from bihomlie.cli import run_cli  # noqa: E402
 from bihomlie.constructions import (  # noqa: E402
+    commutator_algebra,
     lie_corpus,
     mat2_assoc,
     osp12_classical,
 )
+from bihomlie.grading import parse_group  # noqa: E402
 from bihomlie.linalg import Matrix  # noqa: E402
 
 import fixtures  # noqa: E402
@@ -223,6 +256,77 @@ def _report_records():
             )
 
 
+DATA = TREE / "src" / "bihomlie" / "data"
+SHIPPED = (
+    "zero_3.alg",
+    "osp12_classical.alg",
+    "osp12_twist_2_3.alg",
+    "mat2_assoc.alg",
+    "z2z2_colour.alg",
+)
+COMMUTATOR = "commutator_mat2_assoc.alg"
+CLI_COMMANDS = (
+    ("derivations-der", ["derivations", "--kind", "der"]),
+    ("derivations-centroid", ["derivations", "--kind", "centroid"]),
+    *(
+        (f"cohomology-n{n}", ["cohomology", "--n", str(n), "--s", "0",
+                              "--l", "1", "--r", "1"])
+        for n in (1, 2, 3)
+    ),
+)
+
+
+def _parse_and_cli_records():
+    with tempfile.TemporaryDirectory() as tmp:
+        texts = {name: (DATA / name).read_text("utf-8") for name in SHIPPED}
+        mat2 = parse_algebra(texts["mat2_assoc.alg"])
+        texts[COMMUTATOR] = serialize_algebra(commutator_algebra(mat2))
+        paths = {}
+        for name, text in texts.items():
+            a = parse_algebra(text)
+            yield f"parse/{name}", (
+                a.basis,
+                a.eps.group,
+                a.eps.gen_values,
+                a.int_table("product_terms"),
+                a.alpha.int_column_terms(),
+                a.beta.int_column_terms(),
+                a.kind,
+                serialize_algebra(a),
+            )
+            paths[name] = Path(tmp) / name
+            paths[name].write_text(text, "utf-8")
+        report = Path(tmp) / "report.json"
+        for name, path in paths.items():
+            commands = [("check", ["check"])]
+            if name != "mat2_assoc.alg":
+                commands += CLI_COMMANDS
+            for command, (verb, *flags) in commands:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = run_cli([verb, str(path), *flags, "--report",
+                                    str(report)])
+                text = report.read_text("utf-8") if report.exists() else None
+                yield f"cli/{name}/{command}", (code, text)
+                report.unlink(missing_ok=True)
+
+
+def _parse_error_records():
+    basis = parse_algebra(fixtures.MINIMAL).basis
+    readers = {
+        "algebra": parse_algebra,
+        "map": lambda text: parse_linear_map(text, basis),
+        "multiplier": lambda text: parse_multiplier(text, parse_group("Z2")),
+    }
+    for case, (reader, text) in fixtures.MALFORMED.items():
+        try:
+            readers[reader](text)
+        except ParseError as e:
+            out = (str(e), e.line)
+        else:
+            out = "accepted"
+        yield f"parse-error/{case}", out
+
+
 def records():
     """(name, output) of every record, in a fixed order."""
     for name, a, top in _algebras():
@@ -230,6 +334,8 @@ def records():
         yield from _cochain_records(name, a, top)
     yield from _matrix_records()
     yield from _report_records()
+    yield from _parse_and_cli_records()
+    yield from _parse_error_records()
 
 
 def hashes() -> dict[str, str]:
@@ -263,6 +369,20 @@ def differences(old: dict[str, str], new: dict[str, str]) -> list[str]:
     return out
 
 
+def tree_hashes(checkout) -> dict[str, str]:
+    """The hash table of every record on the library of ``checkout``,
+    written by this file's ``write`` in a fresh interpreter."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "golden.sha256"
+        env = dict(os.environ, GOLDEN_TREE=str(Path(checkout).resolve()))
+        subprocess.run(
+            [sys.executable, str(Path(__file__).resolve()), "write", str(out)],
+            env=env,
+            check=True,
+        )
+        return read(out)
+
+
 def main(argv: list[str]) -> int:
     if len(argv) == 2 and argv[0] == "write":
         write(argv[1], hashes())
@@ -271,6 +391,8 @@ def main(argv: list[str]) -> int:
         old, new = read(argv[1]), hashes()
     elif len(argv) == 3 and argv[0] == "diff":
         old, new = read(argv[1]), read(argv[2])
+    elif len(argv) == 3 and argv[0] == "trees":
+        old, new = tree_hashes(argv[1]), tree_hashes(argv[2])
     else:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
