@@ -269,5 +269,7 @@ def primed_bracket(a: ColourAlgebra) -> ColourAlgebra:
     algebra, so a scan over its triples builds one bracket.
     """
     if a._primed is None:
-        a._primed = a.with_product(commutator_table(a))
+        a._primed = ColourAlgebra._of(
+            a.basis, a.eps, commutator_table(a), a.alpha, a.beta, a.kind
+        )
     return a._primed

@@ -25,6 +25,12 @@ completed by skewsymmetry); unstated pairs multiply to zero.  [alpha] and
 canonical form (fixed section order, declaration-order lines, lowest-term
 coefficients) so that serialize(parse(serialize(a))) == serialize(a).
 
+The parser reads each right-hand side as sparse terms and builds the
+integer forms the library holds, with no dense table: the product goes to
+``ColourAlgebra._of`` as the integer table of ``int_table("product_terms")``
+and each map to ``Matrix._of`` as its integer columns, so parsing builds
+no ``Fraction`` view.  serialize_algebra writes from the same forms.
+
 Multiplier tables arrive as side files of `g h v` lines, with degrees
 written as comma-separated tuples.
 """
@@ -43,7 +49,7 @@ from .grading import (
     parse_degree,
     parse_group,
 )
-from .linalg import Matrix, Vec, first_off_block, vec, vzero, write_scalar
+from .linalg import ONE, Matrix, Terms, first_off_block, scale_to_ints, write_scalar
 from .multipliers import MultiplierTable
 
 FORMAT_VERSION = 1
@@ -108,14 +114,12 @@ def _scalar(tok: str, no: int, what: str) -> Fraction:
     return c
 
 
-def _parse_expr(
-    rhs: str, basis: GradedBasis, no: int
-) -> Vec:
+def _parse_expr(rhs: str, basis: GradedBasis, no: int) -> Terms:
+    """The nonzero terms (k, c) of the right side ``rhs``, in ascending k."""
     rhs = rhs.strip()
-    n = len(basis)
     if rhs == "0":
-        return vzero(n)
-    acc = [Fraction(0)] * n
+        return ()
+    acc: dict[int, Fraction] = {}
     for term in rhs.split("+"):
         toks = term.split()
         if len(toks) == 1:
@@ -128,30 +132,32 @@ def _parse_expr(
             k = basis.index(name)
         except KeyError:
             raise ParseError(f"unknown basis vector {name!r}", no) from None
-        acc[k] += c
-    return vec(acc)
+        acc[k] = acc[k] + c if k in acc else c
+    return tuple(sorted((k, c) for k, c in acc.items() if c))
 
 
-def _format_expr(basis: GradedBasis, v: Vec, entry: str) -> str:
-    """The right side of the line ``entry`` (such as "[product] x y"):
-    ValueError, naming the entry and the basis vector, for a coefficient
-    the reader would refuse, one of more than MAX_SCALAR_DIGITS digits
-    (:func:`~bihomlie.linalg.write_scalar`)."""
-    terms = []
-    for c, name in zip(v, basis.names):
+def _format_expr(basis: GradedBasis, terms: Terms, entry: str) -> str:
+    """The right side of the line ``entry`` (such as "[product] x y") for
+    the nonzero ``terms`` (k, c): ValueError, naming the entry and the
+    basis vector, for a coefficient the reader would refuse, one of more
+    than MAX_SCALAR_DIGITS digits (:func:`~bihomlie.linalg.write_scalar`)."""
+    out = []
+    for k, c in terms:
+        name = basis.names[k]
         if c == 1:
-            terms.append(name)
-        elif c:
+            out.append(name)
+        else:
             text = write_scalar(c, f"{entry}: the coefficient of {name}")
-            terms.append(f"{text} {name}")
-    return " + ".join(terms) if terms else "0"
+            out.append(f"{text} {name}")
+    return " + ".join(out) if out else "0"
 
 
 def _parse_map_section(
     lines: list[tuple[int, str]], basis: GradedBasis, what: str
 ) -> Matrix:
     n = len(basis)
-    cols: list[Vec | None] = [None] * n
+    cols: list[Terms] = [((j, ONE),) for j in range(n)]
+    seen: set[int] = set()
     for no, body in lines:
         if "->" not in body:
             raise ParseError(f"[{what}] line needs '->': {body!r}", no)
@@ -165,13 +171,12 @@ def _parse_map_section(
             j = basis.index(toks[0])
         except KeyError:
             raise ParseError(f"unknown basis vector {toks[0]!r}", no) from None
-        if cols[j] is not None:
+        if j in seen:
             raise ParseError(f"duplicate [{what}] line for {toks[0]}", no)
+        seen.add(j)
         cols[j] = _parse_expr(rhs, basis, no)
-    ident = Matrix.identity(n)
-    return Matrix.from_cols(
-        [ident.column(j) if c is None else c for j, c in enumerate(cols)]
-    )
+    scale, ints = scale_to_ints(cols)
+    return Matrix._of(scale, ints, n)
 
 
 def parse_linear_map(text: str, basis: GradedBasis, what: str = "map") -> Matrix:
@@ -187,7 +192,10 @@ def parse_algebra(text: str) -> ColourAlgebra:
 
     Validates the bicharacter and the evenness of the product and both
     maps, so the returned algebra is structurally sound (the deeper axiom
-    suites remain the caller's choice).
+    suites remain the caller's choice).  The evenness of a product line is
+    checked on its terms, against the degree sum of its pair of degrees,
+    formed once per pair; the product and the maps are built in their
+    integer forms (see the module docstring).
     """
     sections = _split_sections(_logical_lines(text))
 
@@ -262,8 +270,9 @@ def parse_algebra(text: str) -> ColourAlgebra:
     basis = GradedBasis(group, tuple(names), tuple(degrees))
     n = len(basis)
 
-    product = [[vzero(n) for _ in range(n)] for _ in range(n)]
-    stated: set[tuple[int, int]] = set()
+    # (i, j) -> the terms of e_i e_j, for each stated pair
+    cells: dict[tuple[int, int], Terms] = {}
+    sums: dict[tuple, tuple] = {}
     for no, body in sections.get("product", []):
         if "->" not in body:
             raise ParseError(f"[product] line needs '->': {body!r}", no)
@@ -275,22 +284,28 @@ def parse_algebra(text: str) -> ColourAlgebra:
             i, j = basis.index(toks[0]), basis.index(toks[1])
         except KeyError as e:
             raise ParseError(str(e.args[0]), no) from None
-        if (i, j) in stated:
+        if (i, j) in cells:
             raise ParseError(
                 f"duplicate product line for {toks[0]} {toks[1]}", no
             )
-        stated.add((i, j))
-        cell = _parse_expr(rhs, basis, no)
-        want = group.add(degrees[i], degrees[j])
-        for k, c in enumerate(cell):
-            if c and degrees[k] != want:
+        cell = cells[i, j] = _parse_expr(rhs, basis, no)
+        pair = (degrees[i], degrees[j])
+        want = sums.get(pair)
+        if want is None:
+            want = sums[pair] = group.add(*pair)
+        for k, _ in cell:
+            if degrees[k] != want:
                 raise ParseError(
                     f"product {toks[0]} {toks[1]} is not even: component "
                     f"{names[k]} has degree {format_degree(degrees[k])}, "
                     f"expected {format_degree(want)}",
                     no,
                 )
-        product[i][j] = cell
+    scale, ints = scale_to_ints(list(cells.values()))
+    table = [[()] * n for _ in range(n)]
+    for (i, j), terms in zip(cells, ints):
+        table[i][j] = terms
+    product = (scale, tuple(map(tuple, table)))
 
     alpha = _parse_map_section(sections.get("alpha", []), basis, "alpha")
     beta = _parse_map_section(sections.get("beta", []), basis, "beta")
@@ -313,7 +328,7 @@ def parse_algebra(text: str) -> ColourAlgebra:
         if kind not in ("lie", "associative", "generic"):
             raise ParseError(f"unknown kind {kind!r}", klines[0][0])
 
-    return ColourAlgebra(basis, eps, product, alpha, beta, kind)
+    return ColourAlgebra._of(basis, eps, product, alpha, beta, kind)
 
 
 def serialize_algebra(a: ColourAlgebra) -> str:
@@ -339,11 +354,13 @@ def serialize_algebra(a: ColourAlgebra) -> str:
 
     names = a.basis.names
     prod = []
-    for i, row in enumerate(a.product):
+    scale, table = a.int_table("product_terms")
+    for i, row in enumerate(table):
         for j, cell in enumerate(row):
-            if any(cell):
+            if cell:
                 pair = f"{names[i]} {names[j]}"
-                expr = _format_expr(a.basis, cell, f"[product] {pair}")
+                terms = [(k, Fraction(x, scale)) for k, x in cell]
+                expr = _format_expr(a.basis, terms, f"[product] {pair}")
                 prod.append(f"{pair} -> {expr}")
     if prod:
         lines.append("[product]")
@@ -354,8 +371,8 @@ def serialize_algebra(a: ColourAlgebra) -> str:
         if m == ident:
             continue
         lines.append(f"[{what}]")
-        for j, name in enumerate(names):
-            expr = _format_expr(a.basis, m.column(j), f"[{what}] {name}")
+        for name, terms in zip(names, m.column_terms()):
+            expr = _format_expr(a.basis, terms, f"[{what}] {name}")
             lines.append(f"{name} -> {expr}")
 
     lines.append("[kind]")

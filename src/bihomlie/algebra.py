@@ -62,8 +62,9 @@ ZERO = Fraction(0)
 IntTable = tuple[int, tuple[tuple[IntTerms, ...], ...]]
 
 # The largest dimension that corpus names and the .alg parser accept.  Both
-# build an n^3 product table: zero_100 took about 2 s and 70 MiB (2-vCPU
-# x86-64 VM), and the cost grows as n^3.
+# build the product's integer form alone, with n^2 cells, but the axiom
+# suites scan n^3 basis triples: check_lie_axioms on zero_100 took about
+# 1.2 s (2-vCPU x86-64 VM), and the cost grows as n^3.
 MAX_DIM = 100
 
 def format_element(basis: GradedBasis, v: Vec) -> str:
@@ -163,7 +164,16 @@ class AxiomReport(FrozenRecord):
 class ColourAlgebra:
     """Graded basis + bicharacter + product table + two structure maps.
 
-    product[i][j] is the coordinate vector of (e_i e_j).  alpha and beta act
+    The product is held in one integer form, the table (L, T) that
+    ``int_table("product_terms")`` returns: T[i][j] holds the nonzero
+    terms (k, x) of e_i e_j in ascending k, each coefficient x / L, and L
+    is the lcm of the denominators of the whole table, so equal products
+    have equal forms.  ``product`` is a read-only Fraction view of it,
+    product[i][j] the coordinate vector of e_i e_j, built on first read
+    and cached.  The public constructor converts and checks a dense table
+    once and scales it to that form; the parser and the constructions
+    build the form in integers and go through the one internal
+    constructor :meth:`_of`, which takes it as it is.  alpha and beta act
     on coordinates as matrices.  kind is a file-format tag ("lie",
     "associative" or "generic") with no semantic weight here.
     """
@@ -171,10 +181,11 @@ class ColourAlgebra:
     __slots__ = (
         "basis",
         "eps",
-        "product",
         "alpha",
         "beta",
         "kind",
+        "_terms",
+        "_product",
         "_powers",
         "_eps",
         "_commutation",
@@ -194,25 +205,50 @@ class ColourAlgebra:
     ) -> None:
         if eps.group != basis.group:
             raise ValueError("bicharacter and basis use different groups")
-        self.basis = basis
-        self.eps = eps
         n = len(basis)
-        self.product: tuple[tuple[Vec, ...], ...] = tuple(
-            tuple(vec(cell) for cell in row) for row in product
-        )
-        if len(self.product) != n or any(
+        table = tuple(tuple(vec(cell) for cell in row) for row in product)
+        if len(table) != n or any(
             len(row) != n or any(len(cell) != n for cell in row)
-            for row in self.product
+            for row in table
         ):
             raise ValueError("product table must be n x n x n")
         if alpha.nrows != n or alpha.ncols != n:
             raise ValueError("alpha has wrong shape")
         if beta.nrows != n or beta.ncols != n:
             raise ValueError("beta has wrong shape")
-        self.alpha = alpha
-        self.beta = beta
         if kind not in ("lie", "associative", "generic"):
             raise ValueError(f"unknown kind {kind!r}")
+        den, cells = scale_to_ints([terms_of(v) for row in table for v in row])
+        it = iter(cells)
+        terms = den, tuple(tuple(next(it) for _ in row) for row in table)
+        self._init(basis, eps, terms, alpha, beta, kind)
+        self._product = table
+
+    @classmethod
+    def _of(
+        cls,
+        basis: GradedBasis,
+        eps: Bicharacter,
+        terms: IntTable,
+        alpha: Matrix,
+        beta: Matrix,
+        kind: str,
+    ) -> "ColourAlgebra":
+        """The algebra whose product has the integer form ``terms``, the
+        (L, T) of ``int_table("product_terms")`` with L the least scale
+        (see :func:`_least`).  The one internal constructor: unlike the
+        public one it neither converts nor checks anything."""
+        a = cls.__new__(cls)
+        a._init(basis, eps, terms, alpha, beta, kind)
+        return a
+
+    def _init(self, basis, eps, terms, alpha, beta, kind) -> None:
+        self.basis = basis
+        self.eps = eps
+        self._terms: IntTable = terms
+        self._product: tuple[tuple[Vec, ...], ...] | None = None
+        self.alpha = alpha
+        self.beta = beta
         self.kind = kind
         self._powers: dict[tuple, Matrix] = {}
         self._eps: tuple[tuple[int, ...], ...] | None = None
@@ -231,6 +267,27 @@ class ColourAlgebra:
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    @property
+    def product(self) -> tuple[tuple[Vec, ...], ...]:
+        """product[i][j], the coordinates of e_i e_j: a Fraction view of the
+        integer form, built on first read and cached."""
+        if self._product is None:
+            scale, table = self._terms
+            zero = (ZERO,) * self.dim
+
+            def cell(terms: IntTerms) -> Vec:
+                if not terms:
+                    return zero
+                v = list(zero)
+                for k, x in terms:
+                    v[k] = Fraction(x, scale)
+                return tuple(v)
+
+            self._product = tuple(
+                tuple(map(cell, row)) for row in table
+            )
+        return self._product
 
     def basis_vec(self, i: int) -> Vec:
         return tuple(
@@ -257,14 +314,14 @@ class ColourAlgebra:
             isinstance(other, ColourAlgebra)
             and self.basis == other.basis
             and self.eps == other.eps
-            and self.product == other.product
+            and self._terms == other._terms
             and self.alpha == other.alpha
             and self.beta == other.beta
             and self.kind == other.kind
         )
 
     def __hash__(self) -> int:
-        return hash((self.basis, self.eps, self.product, self.alpha, self.beta))
+        return hash((self.basis, self.eps, self._terms, self.alpha, self.beta))
 
     def __repr__(self) -> str:
         return (
@@ -332,20 +389,21 @@ class ColourAlgebra:
         "twisted_terms", [alpha**ka beta**kb (e_i), e_j] at [i][j] (with
         ``right``, [e_i, alpha**ka beta**kb (e_j)]): T[i][j] holds the
         nonzero terms (k, c*L) of cell [i][j], L the lcm of the table's
-        denominators; cached, one table per product.  A twisted table is
-        summed in integers (see :func:`_twisted_table`), the other two are
-        read off dense Fraction products."""
+        denominators.  The structure constants are the form the algebra
+        holds; the others are cached, one table per product.  A twisted
+        table is summed in integers (see :func:`_twisted_table`), the skew
+        table is read off dense Fraction products."""
+        if name == "product_terms":
+            return self._terms
         key = (name,) if name != "twisted_terms" else (name, ka, kb, right)
         hit = self._int_tables.get(key)
         if hit is None:
             if name == "twisted_terms":
                 hit = _twisted_table(
-                    self, self.ab_power(ka, kb).int_column_terms(), right
+                    self._terms, self.ab_power(ka, kb).int_column_terms(), right
                 )
             else:
-                if name == "product_terms":
-                    table = self.product
-                elif name == "skew_terms":
+                if name == "skew_terms":
                     table = [
                         [self.product_eval(b, x) for x in self.alpha.columns()]
                         for b in self.beta.columns()
@@ -391,17 +449,18 @@ class ColourAlgebra:
 
 
 def _twisted_table(
-    a: ColourAlgebra, images: tuple[int, Sequence[IntTerms]], right: bool
+    table: IntTable, images: tuple[int, Sequence[IntTerms]], right: bool
 ) -> IntTable:
-    """The integer table (L, T) of [m e_i, e_j] at [i][j], or with
-    ``right`` of [e_i, m e_j], for the map m with m.int_column_terms() =
-    ``images``: each cell sums the integer structure-constant cells of the
-    image's nonzero entries over the product of the two scales, and the
-    gcd of that scale and every entry divides it down to L, the lcm of
-    the table's denominators."""
-    product_scale, terms = a.int_table("product_terms")
+    """The integer table (L, T) of [m x_i, y_j] at [i][j], or with
+    ``right`` of [x_i, m y_j], for the map m with m.int_column_terms() =
+    ``images`` and the integer table ``table`` of [x_i, y_j]: for the
+    structure constants, x and y are the basis.  Each cell sums the
+    table's integer cells at the image's nonzero entries over the product
+    of the two scales, brought down to the least scale by :func:`_least`.
+    """
+    product_scale, terms = table
     map_scale, cols = images
-    n = a.dim
+    n = len(terms)
 
     def cell(parts: Iterable[tuple[int, IntTerms]]) -> IntTerms:
         acc = [0] * n
@@ -418,7 +477,14 @@ def _twisted_table(
             [cell((x, terms[u][j]) for u, x in im) for j in range(n)]
             for im in cols
         ]
-    scale = product_scale * map_scale
+    return _least(product_scale * map_scale, table)
+
+
+def _least(scale: int, table: Sequence[Sequence[IntTerms]]) -> IntTable:
+    """The integer table (L, T) of the cells ``table`` over ``scale``:
+    both divided by the gcd of the scale and every entry, so that L is the
+    lcm of the table's denominators, the scale ``ColourAlgebra._of``
+    takes."""
     # gcd of a list, not of a generator: see scale_to_ints
     g = gcd(scale, *[x for row in table for ts in row for _, x in ts])
     return scale // g, tuple(
@@ -734,7 +800,7 @@ def _check_multiplicative(
         twist = (1, 0) if name == "alpha" else (0, 1)
         table = a.int_table("twisted_terms", *twist)
     else:
-        table = _twisted_table(a, m.int_column_terms(), False)
+        table = _twisted_table(a._terms, m.int_column_terms(), False)
     bad = _bracket_defect(a, a.basis.group.zero(), (table,) * 2, m, None, m)
     witness = None if bad is None else _pair_witness(a, bad[:2], bad[2])
     return CheckItem(f"{name}_multiplicative", bad is None, witness, True)

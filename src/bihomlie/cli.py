@@ -177,6 +177,24 @@ def _cmd_admissible(args) -> int:
     return 1 if failed else 0
 
 
+def _refuse_failing_axiom(a: ColourAlgebra) -> None:
+    """ValueError naming the first failing item of the bracket suite on
+    ``a``, with its witness, when there is one: run only once the complex
+    has failed its d∘d or codomain check, to blame the input and not the
+    complex."""
+    report = check_lie_axioms(a)
+    for it in report.items:
+        if not it.passed and not it.advisory:
+            text = (
+                "cohomology needs a BiHom-Lie colour algebra, and this one "
+                f"fails {it.name}"
+            )
+            w = it.witness
+            if w is not None:
+                text += f" at ({', '.join(w.names)}): defect {w.defect_str}"
+            raise ValueError(text)
+
+
 def _cmd_cohomology(args) -> int:
     if args.n < 0:
         raise ValueError("cochain arity must be nonnegative")
@@ -190,7 +208,11 @@ def _cmd_cohomology(args) -> int:
         gammas = realized_gammas(rep, args.n)
     payload = []
     for g in gammas:
-        res = cohomology_dims(rep, args.n, args.r, g)
+        try:
+            res = cohomology_dims(rep, args.n, args.r, g)
+        except RuntimeError:
+            _refuse_failing_axiom(a)
+            raise
         payload.append(res.to_dict())
         print(
             f"degree {format_degree(g) or '()'}: "

@@ -9,13 +9,17 @@ validated before anything is built; the functions never trust the caller.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .algebra import (
     MAX_DIM,
     ColourAlgebra,
+    IntTable,
     _check_map_even,
     _check_multiplicative,
     _commutator,
+    _least,
+    _twisted_table,
     read_scalar,
     require_passing,
     to_fraction,
@@ -27,7 +31,7 @@ from .grading import (
     super_bicharacter,
     trivial_bicharacter,
 )
-from .linalg import Matrix, Vec, vscale, vsub
+from .linalg import Matrix, add_terms
 
 Scalar = int | Fraction | str
 
@@ -64,8 +68,16 @@ def yau_twist(a: ColourAlgebra, a2: Matrix, b2: Matrix) -> ColourAlgebra:
     New product {x, y} = [a2(x), b2(y)], new maps alpha∘a2 and beta∘b2.
     Requires: `a` passes the Lie suite with multiplicative maps; a2 and b2
     are even morphisms of the product; alpha, beta, a2, b2 pairwise commute.
-    a2 = b2 = identity returns an equal algebra.
+    a2 = b2 = identity returns an equal algebra.  The product is summed in
+    integers from the structure constants and the maps' integer columns
+    (:func:`~bihomlie.algebra._twisted_table`, once per side).
     """
+    for what, m in (("first twist map", a2), ("second twist map", b2)):
+        if (m.nrows, m.ncols) != (a.dim, a.dim):
+            raise ValueError(
+                f"{what} is {m.nrows} x {m.ncols}, but the algebra has "
+                f"dimension {a.dim}"
+            )
     require_passing(
         a, "lie", need_multiplicative=True, context="yau_twist"
     )
@@ -82,11 +94,12 @@ def yau_twist(a: ColourAlgebra, a2: Matrix, b2: Matrix) -> ColourAlgebra:
             ("first twist map", a2, "second twist map", b2),
         ]
     )
-    product = [
-        [a.product_eval(x, y) for y in b2.columns()] for x in a2.columns()
-    ]
-    return ColourAlgebra(
-        a.basis, a.eps, product, a.alpha * a2, a.beta * b2, kind="lie"
+    left = _twisted_table(
+        a.int_table("product_terms"), a2.int_column_terms(), False
+    )
+    product = _twisted_table(left, b2.int_column_terms(), True)
+    return ColourAlgebra._of(
+        a.basis, a.eps, product, a.alpha * a2, a.beta * b2, "lie"
     )
 
 
@@ -103,27 +116,40 @@ def commutator_algebra(a: ColourAlgebra) -> ColourAlgebra:
         need_regular=True,
         context="commutator_algebra",
     )
-    return a.with_product(commutator_table(a), kind="lie")
+    return ColourAlgebra._of(
+        a.basis, a.eps, commutator_table(a), a.alpha, a.beta, "lie"
+    )
 
 
-def commutator_table(a: ColourAlgebra) -> list[list[Vec]]:
-    """[e_i, e_j] = e_i e_j - eps(i,j) (alpha^-1 beta e_j)(alpha beta^-1 e_i)
-    at [i][j]; the maps must be invertible."""
-    ainv_b = a.ab_power(-1, 1).columns()
-    a_binv = a.ab_power(1, -1).columns()
+def commutator_table(a: ColourAlgebra) -> IntTable:
+    """The integer table (L, T) of [e_i, e_j] = e_i e_j - eps(i,j)
+    (alpha^-1 beta e_j)(alpha beta^-1 e_i) at [i][j], the form
+    ``ColourAlgebra._of`` takes; the maps must be invertible.
+
+    The swapped products [alpha^-1 beta e_j, alpha beta^-1 e_i] are summed
+    in integers, the table of [alpha^-1 beta e_j, e_t] twisted on the
+    right by alpha beta^-1 (:func:`~bihomlie.algebra._twisted_table`), and
+    both sides are brought to the lcm of their scales."""
+    scale, terms = a.int_table("product_terms")
+    swapped_scale, swapped = _twisted_table(
+        a.int_table("twisted_terms", -1, 1),
+        a.ab_power(1, -1).int_column_terms(),
+        True,
+    )
+    common = lcm(scale, swapped_scale)
+    fp, fs = common // scale, common // swapped_scale
     eps = a.eps_table()
-    return [
-        [
-            vsub(
-                a.product[i][j],
-                vscale(
-                    Fraction(eps[i][j]), a.product_eval(ainv_b[j], a_binv[i])
-                ),
-            )
-            for j in range(a.dim)
-        ]
-        for i in range(a.dim)
-    ]
+    n = a.dim
+    table = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = [0] * n
+            add_terms(acc, fp, terms[i][j])
+            add_terms(acc, -eps[i][j] * fs, swapped[j][i])
+            row.append(tuple([(k, x) for k, x in enumerate(acc) if x]))
+        table.append(row)
+    return _least(common, table)
 
 
 # -- the corpus -------------------------------------------------------------
@@ -135,15 +161,13 @@ def zero_algebra(n: int) -> ColourAlgebra:
     basis = GradedBasis(
         group, tuple(f"e{i+1}" for i in range(n)), ((),) * n
     )
-    zero_cell = (Fraction(0),) * n
-    product = [[zero_cell] * n for _ in range(n)]
-    return ColourAlgebra(
+    return ColourAlgebra._of(
         basis,
         trivial_bicharacter(group),
-        product,
+        (1, (((),) * n,) * n),
         Matrix.identity(n),
         Matrix.identity(n),
-        kind="lie",
+        "lie",
     )
 
 

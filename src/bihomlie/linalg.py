@@ -95,8 +95,11 @@ def read_scalar(tok: str) -> Fraction | None:
     if den and not int(den):
         return None
     dec = dec.replace("_", "")
-    value = Fraction(int(num + dec or 0), int(den or 1))
-    value *= Fraction(10) ** (int(exp or 0) - len(dec))
+    whole = int(num + dec or 0)
+    value = Fraction(whole, int(den)) if den else Fraction(whole)
+    shift = int(exp or 0) - len(dec)
+    if shift:
+        value *= Fraction(10) ** shift
     return -value if sign == "-" else value
 
 

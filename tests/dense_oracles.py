@@ -798,3 +798,32 @@ def commutator_jacobiator_oracle(a: ColourAlgebra, i: int, j: int, k: int):
         outer = bracket(beta2[x], inner, dx, grp.add(dy, dz))
         total = vadd(total, vscale(F(a.eps.eval(dz, dx)), outer))
     return total
+
+
+def yau_twist_product_oracle(a: ColourAlgebra, a2: Matrix, b2: Matrix):
+    """The product table of ``yau_twist(a, a2, b2)``, [a2 e_i, b2 e_j] at
+    [i][j], by n^2 dense ``product_eval`` calls on the columns of the two
+    maps: the dense build the integer sum replaced."""
+    return [[a.product_eval(x, y) for y in b2.columns()] for x in a2.columns()]
+
+
+def commutator_table_oracle(a: ColourAlgebra):
+    """The product table of ``commutator_algebra(a)``, e_i e_j - eps(i, j)
+    (alpha^-1 beta e_j)(alpha beta^-1 e_i) at [i][j], from the dense cells
+    ``a.product`` and n^2 dense ``product_eval`` calls on the columns of
+    the maps, their inverses read off ``fraction_rref``."""
+    ainv_b = (dense_power(a.alpha, -1) * a.beta).columns()
+    a_binv = (a.alpha * dense_power(a.beta, -1)).columns()
+    return [
+        [
+            vadd(
+                a.product[i][j],
+                vscale(
+                    Fraction(-a.eps_ij(i, j)),
+                    a.product_eval(ainv_b[j], a_binv[i]),
+                ),
+            )
+            for j in range(a.dim)
+        ]
+        for i in range(a.dim)
+    ]

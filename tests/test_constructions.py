@@ -265,3 +265,30 @@ def test_lie_corpus_all_pass():
     assert len(pairs) == 5
     for name, alg in pairs:
         assert check_lie_axioms(alg).passed, name
+
+
+@pytest.mark.parametrize("size", [3, 7])
+def test_yau_twist_refuses_a_map_of_the_wrong_shape_before_any_scan(
+    size, monkeypatch
+):
+    from bihomlie import constructions
+
+    scans = []
+    monkeypatch.setattr(
+        constructions, "require_passing", lambda *args, **kw: scans.append(args)
+    )
+    a = osp12_classical()
+    wrong, right = Matrix.identity(size), Matrix.identity(5)
+    for args, what in (
+        ((wrong, right), "first twist map"),
+        ((right, wrong), "second twist map"),
+    ):
+        with pytest.raises(ValueError) as err:
+            yau_twist(a, *args)
+        assert str(err.value) == (
+            f"{what} is {size} x {size}, but the algebra has dimension 5"
+        )
+    assert scans == []
+    # a map of the right height but the wrong width is refused the same way
+    with pytest.raises(ValueError, match="first twist map is 5 x 3"):
+        yau_twist(a, Matrix([[0] * 3] * 5), right)

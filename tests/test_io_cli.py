@@ -1026,3 +1026,45 @@ def test_console_script_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "osp12_classical" in proc.stdout
+
+
+def test_cohomology_names_the_failing_axiom_of_a_broken_input(
+    tmp_path, capsys
+):
+    # [X, Y] = 2 H breaks BiHom-Jacobi at (X, Y, F), where the complex
+    # fails first its d∘d check; the command blames the input
+    with open(data_path("osp12_classical.alg"), encoding="utf-8") as fh:
+        text = fh.read()
+    text = text.replace("X Y -> H\n", "X Y -> 2 H\n")
+    text = text.replace("Y X -> -1 H\n", "Y X -> -2 H\n")
+    path = tmp_path / "broken.alg"
+    path.write_text(text, encoding="utf-8")
+    for n in ("1", "2", "3"):
+        assert run_cli(["cohomology", str(path), "--n", n]) == 2
+        out = capsys.readouterr()
+        assert out.err == (
+            "error: cohomology needs a BiHom-Lie colour algebra, and this "
+            "one fails bihom_jacobi at (X, Y, F): defect 1 F\n"
+        )
+    assert run_cli(["check", str(path)]) == 1
+    assert "at X, Y, F: defect 1 F" in capsys.readouterr().out
+
+
+def test_cohomology_runs_the_axiom_check_only_when_the_complex_fails(
+    monkeypatch, capsys
+):
+    checks = []
+    monkeypatch.setattr(cli, "check_lie_axioms", checks.append)
+    assert run_cli(["cohomology", data_path("osp12_twist_2_3.alg"), "--n", "2"]) == 0
+    assert checks == []
+
+
+def test_a_complex_failure_on_a_passing_algebra_keeps_its_own_error(
+    monkeypatch, capsys
+):
+    def broken(*args):
+        raise RuntimeError("the complex broke")
+
+    monkeypatch.setattr(cli, "cohomology_dims", broken)
+    assert run_cli(["cohomology", data_path("osp12_classical.alg"), "--n", "1"]) == 2
+    assert capsys.readouterr().err == "error: the complex broke\n"
