@@ -218,10 +218,7 @@ class ColourAlgebra:
             raise ValueError("beta has wrong shape")
         if kind not in ("lie", "associative", "generic"):
             raise ValueError(f"unknown kind {kind!r}")
-        den, cells = scale_to_ints([terms_of(v) for row in table for v in row])
-        it = iter(cells)
-        terms = den, tuple(tuple(next(it) for _ in row) for row in table)
-        self._init(basis, eps, terms, alpha, beta, kind)
+        self._init(basis, eps, _int_form(table), alpha, beta, kind)
         self._product = table
 
     @classmethod
@@ -402,22 +399,15 @@ class ColourAlgebra:
                 hit = _twisted_table(
                     self._terms, self.ab_power(ka, kb).int_column_terms(), right
                 )
-            else:
-                if name == "skew_terms":
-                    table = [
+            elif name == "skew_terms":
+                hit = _int_form(
+                    [
                         [self.product_eval(b, x) for x in self.alpha.columns()]
                         for b in self.beta.columns()
                     ]
-                else:
-                    raise ValueError(f"unknown term table {name!r}")
-                den, cells = scale_to_ints(
-                    [terms_of(v) for row in table for v in row]
                 )
-                it = iter(cells)
-                hit = (
-                    den,
-                    tuple(tuple(next(it) for _ in row) for row in table),
-                )
+            else:
+                raise ValueError(f"unknown term table {name!r}")
             self._int_tables[key] = hit
         return hit
 
@@ -446,6 +436,15 @@ class ColourAlgebra:
 
     def fmt(self, v: Vec) -> str:
         return format_element(self.basis, v)
+
+
+def _int_form(table: Sequence[Sequence[Vec]]) -> IntTable:
+    """The integer table (L, T) of the dense table of Fraction cells
+    ``table``: L the lcm of their denominators (see :func:`scale_to_ints`)
+    and T[i][j] the nonzero terms (k, x*L) of cell [i][j]."""
+    den, cells = scale_to_ints([terms_of(v) for row in table for v in row])
+    it = iter(cells)
+    return den, tuple(tuple(next(it) for _ in row) for row in table)
 
 
 def _twisted_table(
