@@ -49,7 +49,14 @@ from .grading import (
     parse_degree,
     parse_group,
 )
-from .linalg import ONE, Matrix, Terms, first_off_block, scale_to_ints, write_scalar
+from .linalg import (
+    ONE,
+    Matrix,
+    Terms,
+    first_off_block,
+    scale_to_ints,
+    write_scalar,
+)
 from .multipliers import MultiplierTable
 
 FORMAT_VERSION = 1
@@ -132,7 +139,7 @@ def _parse_expr(rhs: str, basis: GradedBasis, no: int) -> Terms:
             k = basis.index(name)
         except KeyError:
             raise ParseError(f"unknown basis vector {name!r}", no) from None
-        acc[k] = acc[k] + c if k in acc else c
+        acc[k] = acc.get(k, 0) + c
     return tuple(sorted((k, c) for k, c in acc.items() if c))
 
 
@@ -156,8 +163,7 @@ def _parse_map_section(
     lines: list[tuple[int, str]], basis: GradedBasis, what: str
 ) -> Matrix:
     n = len(basis)
-    cols: list[Terms] = [((j, ONE),) for j in range(n)]
-    seen: set[int] = set()
+    cols: dict[int, Terms] = {}
     for no, body in lines:
         if "->" not in body:
             raise ParseError(f"[{what}] line needs '->': {body!r}", no)
@@ -171,11 +177,11 @@ def _parse_map_section(
             j = basis.index(toks[0])
         except KeyError:
             raise ParseError(f"unknown basis vector {toks[0]!r}", no) from None
-        if j in seen:
+        if j in cols:
             raise ParseError(f"duplicate [{what}] line for {toks[0]}", no)
-        seen.add(j)
         cols[j] = _parse_expr(rhs, basis, no)
-    scale, ints = scale_to_ints(cols)
+    # an unlisted basis vector maps to itself
+    scale, ints = scale_to_ints([cols.get(j, ((j, ONE),)) for j in range(n)])
     return Matrix._of(scale, ints, n)
 
 

@@ -18,10 +18,11 @@ Multiplicativity and regularity are reported but advisory: they do not
 decide `AxiomReport.passed`.  Constructions that need them state so and
 check the specific items themselves.
 
-The scans sum integers over ``ColourAlgebra.int_table``: one table per
-twisted product, summed in integers from the structure constants and the
-map's integer columns, one for the skew brackets [beta(e_i), alpha(e_j)]
-and one for the structure constants, both read off the dense products.
+The scans sum integers over ``ColourAlgebra.int_table``: the structure
+constants, the integer form the algebra holds; one table per twisted
+product, summed in integers from the structure constants and the map's
+integer columns; and one for the skew brackets [beta(e_i), alpha(e_j)],
+read off dense products.
 
 Each identity shape has one evaluator here, shared with the other
 modules: :func:`_bracket_defect` for value([x, y]) = [left(x), M y] +
@@ -270,19 +271,10 @@ class ColourAlgebra:
         """product[i][j], the coordinates of e_i e_j: a Fraction view of the
         integer form, built on first read and cached."""
         if self._product is None:
+            # row i read as the matrix whose column j is the cell [i][j]
             scale, table = self._terms
-            zero = (ZERO,) * self.dim
-
-            def cell(terms: IntTerms) -> Vec:
-                if not terms:
-                    return zero
-                v = list(zero)
-                for k, x in terms:
-                    v[k] = Fraction(x, scale)
-                return tuple(v)
-
             self._product = tuple(
-                tuple(map(cell, row)) for row in table
+                Matrix._of(scale, row, self.dim).columns() for row in table
             )
         return self._product
 
@@ -396,9 +388,8 @@ class ColourAlgebra:
         hit = self._int_tables.get(key)
         if hit is None:
             if name == "twisted_terms":
-                hit = _twisted_table(
-                    self._terms, self.ab_power(ka, kb).int_column_terms(), right
-                )
+                images = self.ab_power(ka, kb).int_column_terms()
+                hit = _twisted_table(self._terms, images, right)
             elif name == "skew_terms":
                 hit = _int_form(
                     [

@@ -4,6 +4,8 @@ Two general constructions live here: the commutator bracket of a
 BiHom-associative colour algebra, and twisting a bracket by a pair of
 commuting even morphisms (composition method).  Every hypothesis is
 validated before anything is built; the functions never trust the caller.
+Both sum the new product in integers from the structure constants and the
+maps' integer columns and build the algebra with ``ColourAlgebra._of``.
 """
 
 from __future__ import annotations

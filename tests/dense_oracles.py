@@ -37,7 +37,10 @@ pivot, to compare them.
 
 ``twisted_products`` is the dense Fraction view of a twisted integer
 table, ``ColourAlgebra.int_table("twisted_terms", ...)``, for the tests
-that hold the table against ``dense_twisted``.
+that hold the table against ``dense_twisted``.  ``yau_twist_product_oracle``
+and ``commutator_table_oracle`` are the dense product tables that
+``yau_twist`` and ``commutator_algebra`` once built by n^2
+``product_eval`` calls, for the tests of their integer sums.
 
 The cochain complex sums integers and reads tables; ``eval_oracle``,
 ``act_oracle`` and ``coboundary_oracle`` evaluate the coboundary term by

@@ -265,14 +265,13 @@ SHIPPED = (
     "z2z2_colour.alg",
 )
 COMMUTATOR = "commutator_mat2_assoc.alg"
+# the commands a corpus sweep runs on each Lie file, besides "check"
 CLI_COMMANDS = (
     ("derivations-der", ["derivations", "--kind", "der"]),
     ("derivations-centroid", ["derivations", "--kind", "centroid"]),
-    *(
-        (f"cohomology-n{n}", ["cohomology", "--n", str(n), "--s", "0",
-                              "--l", "1", "--r", "1"])
-        for n in (1, 2, 3)
-    ),
+) + tuple(
+    (f"cohomology-n{n}", ["cohomology", "--n", f"{n}", "--s", "0", "--l", "1"])
+    for n in (1, 2, 3)
 )
 
 
@@ -302,9 +301,9 @@ def _parse_and_cli_records():
             if name != "mat2_assoc.alg":
                 commands += CLI_COMMANDS
             for command, (verb, *flags) in commands:
+                argv = [verb, str(path), *flags, "--report", str(report)]
                 with contextlib.redirect_stdout(io.StringIO()):
-                    code = run_cli([verb, str(path), *flags, "--report",
-                                    str(report)])
+                    code = run_cli(argv)
                 text = report.read_text("utf-8") if report.exists() else None
                 yield f"cli/{name}/{command}", (code, text)
                 report.unlink(missing_ok=True)
