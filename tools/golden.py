@@ -19,6 +19,9 @@ hash moves when any bit of the output does.  The records are
 - ``cochains/<algebra>/ad<s><l>/n<n>/<degree>``: the ``int_values()`` of
   every ``cochain_basis`` cochain of the adjoint module ad_{s,l}, (s, l)
   in (0, 1), (1, 0), with the ``CohomologyResult`` at r = 1;
+- ``coboundary/<algebra>/ad<s><l>/n<n>/<degree>``: the ``int_values()``
+  of ``apply_coboundary`` at r = 1 on each of those basis cochains, for
+  every arity n below the largest;
 - ``matrix/<i>-<j>``: ``rref``, ``invert`` and ``kernel_basis`` of the
   seeded random matrices i to j, square or not, some singular, with
   ``Fraction`` entries;
@@ -93,6 +96,7 @@ from bihomlie.admissibility import (  # noqa: E402
 from bihomlie.algebra import SUITES  # noqa: E402
 from bihomlie.cohomology import (  # noqa: E402
     adjoint_rep,
+    apply_coboundary,
     cochain_basis,
     cohomology_dims,
     realized_gammas,
@@ -175,6 +179,14 @@ def _cochain_records(name, a, top):
                         cohomology_dims(rep, n, 1, g),
                     ),
                 )
+                if n < top:
+                    yield (
+                        f"coboundary/{name}/ad{s}{l}/n{n}/{_degree(g)}",
+                        tuple(
+                            apply_coboundary(rep, 1, f).int_values()
+                            for f in basis
+                        ),
+                    )
 
 
 def _random_matrix(rng: random.Random) -> list[list[Fraction]]:
