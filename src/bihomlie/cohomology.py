@@ -99,6 +99,7 @@ class Representation:
         "rho",
         "alphaV",
         "betaV",
+        "dimV",
         "_actions",
         "_columns",
         "_reach_rows",
@@ -133,6 +134,7 @@ class Representation:
         self.rho = rho
         self.alphaV = alphaV
         self.betaV = betaV
+        self.dimV = d
         self._actions: dict[int, tuple[Matrix, ...]] = {}
         # action power k -> (L, {(x, w): integer column over L})
         self._columns: dict[int, tuple[int, dict]] = {}
@@ -141,10 +143,6 @@ class Representation:
         self._bases: dict[tuple, _Space] = {}
         self._coboundaries: dict[tuple, _Coboundary] = {}
         self._ranks: dict[tuple, int] = {}
-
-    @property
-    def dimV(self) -> int:
-        return len(self.space)
 
     def rho_of(self, x: Vec) -> Matrix:
         """Action matrix of an arbitrary algebra element: the integer
@@ -1015,34 +1013,6 @@ def cochain_in_space(
 # the coboundary
 
 
-def _reachable_tuples(
-    a: ColourAlgebra,
-    T: tuple[int, ...],
-    beta_pre: Sequence[tuple[int, ...]],
-    bracket_pre: Sequence[tuple[tuple[int, int], ...]],
-) -> list[tuple[int, ...]]:
-    """The canonical (n+1)-tuples X at which the coboundary of a cochain
-    supported on the n-tuple T can be nonzero, in lexicographic order.
-
-    The action term reads f at X with one entry removed, so X is T with
-    one index inserted.  The bracket term at s < t reads f on
-    [alpha^{-1}beta(x_s), x_t] and on beta(x_p) for the other p, so X sorts
-    a pair x_s <= x_t whose bracket reaches one entry of T (``bracket_pre``)
-    together with one beta-preimage of each other entry (``beta_pre``).
-    """
-    eps = a.eps_table()
-    found = {tuple(sorted(T + (x,))) for x in range(a.dim)}
-    for q, u in enumerate(T):
-        pairs = [(i, j) for i, j in bracket_pre[u] if i <= j]
-        if not pairs:
-            continue
-        rest = [beta_pre[v] for v in T[:q] + T[q + 1 :]]
-        for others in iproduct(*rest):
-            for pair in pairs:
-                found.add(tuple(sorted(others + pair)))
-    return sorted(X for X in found if _is_canonical(eps, X))
-
-
 def _is_canonical(eps: Sequence[Sequence[int]], X: tuple[int, ...]) -> bool:
     """Is the sorted tuple X canonical: no repeat of an index whose degree
     has eps(d, d) = +1."""
@@ -1068,8 +1038,9 @@ class _Coboundary:
     the canonical (n+1)-tuples in lexicographic order: the ``number`` of
     the (n+1)-arity tables ``codomain``, which every r and gamma shares.
     So the numbers ascend in the lexicographic order of (X, k), and each
-    X an image reaches, canonical by :func:`_reachable_tuples`, has one,
-    also where it leaves the degree-gamma slots.
+    X an image reaches, a canonical tuple by :func:`_reach`, has one, also
+    where it leaves the degree-gamma slots.  An image holds no zero, and
+    each X at most once.
 
     Every unit image is stored as integers over one scale, ``scale``, the
     lcm of the scale S = L_bracket L_beta^(n-1) of the bracket scalars of
@@ -1077,8 +1048,9 @@ class _Coboundary:
     rho(alpha beta^(r+n-1)(e_x)).  The action columns it reads are the
     module's memo for that power (see :class:`Representation`), which
     every (n, r) with the same r + n - 1 shares.  So
-    :func:`apply_coboundary` sums Python ints, keyed by slot number, and
-    returns d f in integer form.
+    :func:`apply_coboundary` reads a one-slot cochain's image off its unit
+    image, sums the images of several slots in Python ints keyed by slot
+    number, and returns d f in integer form.
     """
 
     def __init__(
@@ -1119,23 +1091,23 @@ class _Coboundary:
         reference cycle), over ``scale``, as the flat tuple of
         (slot number, integer) pairs of the class note.
 
-        On a memo miss a tuple T with an index outside the algebra's basis
-        is refused first, as ValueError with the reason of
-        :func:`cochain_in_space`, before any table is read.  The bracket
-        scalars of :func:`_reach` are ints over S and the action columns
-        ints over L_action; each is brought to ``scale`` and summed per
-        X.  An action column rho(alpha beta^(r+n-1)(e_x)) e_w is read
+        A tuple T with an index outside the algebra's basis has no reach
+        terms, so it is refused on their memo miss, as ValueError with
+        the reason of :func:`cochain_in_space`, before any table is read.
+        The bracket scalars of :func:`_reach` are ints over S and the
+        action columns ints over L_action; each is brought to ``scale``
+        and summed per X.  An action column rho(alpha beta^(r+n-1)(e_x)) e_w is read
         through ``Matrix.apply`` on its first use for (x, w), then from
         the module's memo."""
         hit = self.images.get((T, w))
         if hit is None:
-            reason = _outside_basis(rep.algebra, T)
-            if reason:
-                raise ValueError(
-                    f"cochain is outside the domain space: {reason}"
-                )
             terms = self.arity.reach.get(T)
             if terms is None:
+                reason = _outside_basis(rep.algebra, T)
+                if reason:
+                    raise ValueError(
+                        f"cochain is outside the domain space: {reason}"
+                    )
                 terms = self.arity.reach[T] = _reach(rep, self.n, T)
             eps_gamma = self.eps_gamma
             fs = self.scale // self.bracket_scale
@@ -1174,20 +1146,20 @@ class _Coboundary:
 
 def _reach_rows(rep: Representation) -> tuple:
     """(bracket, beta): the tables on which :func:`_reach` evaluates a
-    unit cochain, built once per module.  Each is (L, rows, supports,
-    pre): rows[key] a dense tuple of ints over L, supports[key] the set of
-    its nonzero indices, and pre[u] the keys whose row is nonzero at u, in
-    ascending key order.  The bracket rows, keyed (i, j), are the cells
-    [alpha^-1 beta(e_i), e_j] of ``int_table("twisted_terms", -1, 1)``,
-    and the beta rows, keyed i, the columns beta(e_i) of
-    ``beta.int_column_terms()``.  The bracket rows need an invertible
-    alpha, which only cochains of arity n >= 1 ask for."""
+    unit cochain, built once per module.  Each is (L, rows, pre): rows[key]
+    a dense tuple of ints over L, and pre[u] the keys whose row is nonzero
+    at u, in ascending key order.  The bracket rows, keyed (i, j), are the
+    cells [alpha^-1 beta(e_i), e_j] of
+    ``int_table("twisted_terms", -1, 1)``, and the beta rows, keyed i, the
+    columns beta(e_i) of ``beta.int_column_terms()``.  The bracket rows
+    need an invertible alpha, which only cochains of arity n >= 1 ask
+    for."""
     hit = rep._reach_rows
     if hit is None:
         a = rep.algebra
 
         def index(scale: int, cells: dict) -> tuple:
-            rows, supports = {}, {}
+            rows = {}
             pre: list[list] = [[] for _ in range(a.dim)]
             for key, terms in cells.items():
                 row = [0] * a.dim
@@ -1195,8 +1167,7 @@ def _reach_rows(rep: Representation) -> tuple:
                     row[k] = x
                     pre[k].append(key)
                 rows[key] = tuple(row)
-                supports[key] = frozenset(k for k, _ in terms)
-            return scale, rows, supports, tuple(map(tuple, pre))
+            return scale, rows, tuple(map(tuple, pre))
 
         bracket_scale, table = a.int_table("twisted_terms", -1, 1)
         beta_scale, cols = a.beta.int_column_terms()
@@ -1212,64 +1183,71 @@ def _reach_rows(rep: Representation) -> tuple:
 
 def _reach(rep: Representation, n: int, T: tuple[int, ...]) -> tuple:
     """How the value v = f(T) of an n-cochain f supported on the tuple T
-    alone enters d f: for each (n+1)-tuple X it can reach, in
-    lexicographic order, (X, s, acts) with
+    alone enters d f: for each (n+1)-tuple X it reaches, in lexicographic
+    order, (X, s, acts) with
 
         (d f)(X) = (s / S) v + sum over (sign, x) in acts of
                    sign eps(gamma, e_x) rho(alpha beta^{r+n-1}(e_x)) v.
 
+    acts lists the action terms, at the X that insert one index into T.
     s, an int over S = L_bracket L_beta^(n-1), collects the bracket
-    terms: the scalar cochain 1 at T is evaluated by :meth:`Cochain.eval`
-    on the integer rows of :func:`_reach_rows`, one bracket row and n - 1
-    beta rows.  acts lists the action terms, whose other arguments sort to
-    T.  Neither depends on gamma or r.
+    terms.  The bracket term at s < t reads f on
+    [alpha^-1 beta(x_s), x_t] and on beta(x_p) at every other p, so it
+    reaches T only where the bracket row reaches one entry u of T and the
+    other beta rows reach the other entries.  The terms are enumerated
+    from the preimage indexes of :func:`_reach_rows`: for each distinct
+    entry u of T, each key (i, j) with i <= j whose bracket row reaches
+    u, and each choice of beta-preimages of the other entries, X sorts
+    the preimages with i and j, and every s < t with X[s] = i and
+    X[t] = j is a term.  Each distinct (X, s, t) is evaluated once, by
+    :meth:`Cochain.eval` of the scalar cochain 1 at T on one bracket row
+    and n - 1 beta rows.  Neither s nor acts depends on gamma or r.
     """
     a = rep.algebra
-    if n:
-        bracket_rows, beta_rows = _reach_rows(rep)
-        _, bracket, bracket_supp, bracket_pre = bracket_rows
-        _, beta, beta_supp, beta_pre = beta_rows
-    else:
-        # a 0-cochain has no bracket term
-        beta_pre = bracket_pre = ()
     eps = a.eps_table()
-    unit = Cochain._of(n, a.basis.group.zero(), 1, {T: ((0, 1),)}, 1)
-    # unit.eval only reaches the orderings of T, so a bracket term is zero,
-    # and skipped, unless some ordering of T takes each entry from the
-    # support of its argument (see _covers): the bracket [alpha^-1
-    # beta(x_s), x_t] at s and beta(x_p) at every other position p.  A
-    # bracket that misses T rules the pair out before the supports are
-    # gathered.
-    used = set(T)
-    need: dict[int, int] = {}
-    for u in T:
-        need[u] = need.get(u, 0) + 1
+    canonical = _arity(rep, n + 1).number
+    # X -> the bracket keys (i, j) whose terms reach T at X
+    found: dict[tuple[int, ...], set] = {}
+    for x in range(a.dim):
+        X = tuple(sorted(T + (x,)))
+        if X in canonical:
+            found[X] = set()
+    if n:
+        (_, bracket, bracket_pre), (_, beta, beta_pre) = _reach_rows(rep)
+        for q, u in enumerate(T):
+            keys = [(i, j) for i, j in bracket_pre[u] if i <= j]
+            if not keys or (q and T[q - 1] == u):
+                continue
+            rest = [beta_pre[v] for v in T[:q] + T[q + 1 :]]
+            for others in iproduct(*rest):
+                for key in keys:
+                    X = tuple(sorted(others + key))
+                    if X in found:
+                        found[X].add(key)
+                    elif X in canonical:
+                        found[X] = {key}
+        unit = Cochain._of(n, a.basis.group.zero(), 1, {T: ((0, 1),)}, 1)
     out = []
-    for X in _reachable_tuples(a, T, beta_pre, bracket_pre):
+    for X in sorted(found):
         scalar = 0
-        for t in range(1, n + 1):
-            xt = X[t]
-            for s in range(t):
-                if used.isdisjoint(bracket_supp[X[s], xt]):
+        for i, j in found[X]:
+            for t in range(1, n + 1):
+                if X[t] != j:
                     continue
-                supports = [
-                    bracket_supp[X[s], xt] if p == s else beta_supp[X[p]]
-                    for p in range(n + 1)
-                    if p != t
-                ]
-                if not _covers(supports, need):
-                    continue
-                w = -1 if t % 2 else 1
-                for p in range(s + 1, t):
-                    w *= eps[X[p]][xt]
-                args = [
-                    bracket[X[s], xt] if p == s else beta[X[p]]
-                    for p in range(n + 1)
-                    if p != t
-                ]
-                c = unit.eval(rep, args)[0]
-                if c:
-                    scalar += w * c
+                for s in range(t):
+                    if X[s] != i:
+                        continue
+                    w = -1 if t % 2 else 1
+                    for p in range(s + 1, t):
+                        w *= eps[X[p]][j]
+                    args = [
+                        bracket[i, j] if p == s else beta[X[p]]
+                        for p in range(n + 1)
+                        if p != t
+                    ]
+                    c = unit.eval(rep, args)[0]
+                    if c:
+                        scalar += w * c
         acts = []
         for s in range(n + 1):
             if X[:s] + X[s + 1 :] != T:
@@ -1282,23 +1260,6 @@ def _reach(rep: Representation, n: int, T: tuple[int, ...]) -> tuple:
         if scalar or acts:
             out.append((X, scalar, tuple(acts)))
     return tuple(out)
-
-
-def _covers(supports: Sequence[frozenset], need: dict[int, int]) -> bool:
-    """Can the multiset ``need`` (entry -> count) be ordered so that its
-    q-th entry lies in supports[q], for every q?  A backtracking search
-    over the entries left; ``need`` is restored before it returns."""
-    if not supports:
-        return True
-    first = supports[0]
-    for u, left in need.items():
-        if left and u in first:
-            need[u] = left - 1
-            found = _covers(supports[1:], need)
-            need[u] = left
-            if found:
-                return True
-    return False
 
 
 def apply_coboundary(
@@ -1319,26 +1280,28 @@ def apply_coboundary(
     d f is summed exactly from the images of the unit cochains of f's
     nonzero slots.  The module memoizes each unit image, with the tables
     the coboundary reads, so a slot's image is computed once per
-    (n, r, gamma) and repeated queries reuse it.  A unit image
-    visits only the tuples its slot can reach (see
-    :func:`_reachable_tuples`).
+    (n, r, gamma) and repeated queries reuse it.  A unit image visits
+    only the tuples its slot reaches (see :func:`_reach`).
 
     The sum is taken in integers, and no Fraction is built: f is read in
     its integer form (see :meth:`Cochain.int_values`), and each nonzero
-    entry x / D of f times the integers of its unit image, all over the
-    one scale M of the coboundary, is added into one dict keyed by slot
-    number (see :class:`_Coboundary`).  Its keys are sorted once and
-    decoded with ``divmod`` into the slots (X, k) in lexicographic order,
-    the sums that cancelled to zero dropped, and d f is returned in
-    integer form over D * M, its ``values`` built only when a caller
-    reads them.
+    entry x / D of f scales the integers of its unit image, all over the
+    one scale M of the coboundary (see :class:`_Coboundary`).  A cochain
+    with one nonzero slot, as every basis cochain of the corpus is, takes
+    its unit image times x as it is: in ascending slot number and free of
+    zeros.  Several slots are summed into one dict keyed by slot number,
+    whose keys are sorted once and the sums that cancelled to zero
+    dropped.  The slot numbers are decoded with ``divmod`` into the slots
+    (X, k) in lexicographic order, and d f is returned in integer form
+    over D * M, its ``values`` built only when a caller reads them.
 
     A cochain of negative arity raises ValueError, with or without
     ``validate``.  With ``validate`` f must pass :func:`cochain_in_space`,
     else ValueError; the first validation on a fresh module solves and
     memoizes the n-cochain basis.  Without it, a stored tuple with an index
     outside the algebra's basis still raises ValueError with the reason of
-    :func:`cochain_in_space`, when its unit image is first built.
+    :func:`cochain_in_space`, when its unit image is asked for: such a
+    tuple never enters the memo.
     """
     if f.n < 0:
         raise ValueError("cochain arity must be nonnegative")
@@ -1355,35 +1318,43 @@ def apply_coboundary(
         if key not in rep._coboundaries:
             rep._coboundaries[key] = _Coboundary(rep, n, r, gamma)
         cob = rep._coboundaries[key]
-    # each nonzero entry x / D of f times the unit image of its slot: the
-    # image's integers times x, over D * M, summed into one accumulator
-    # keyed by slot number
+    # each nonzero entry m / D of f with the unit image of its slot
     den, rows = f.int_values()
     images = cob.images
-    acc: dict[int, int] = {}
-    get = acc.get
+    scaled = []
     for T, terms in rows.items():
         for w, m in terms:
             image = images.get((T, w))
             if image is None:
                 image = cob.image(rep, T, w)
+            scaled.append((m, image))
+    if len(scaled) == 1:
+        # one slot: its image times m is in ascending slot number already,
+        # with no zero
+        m, image = scaled[0]
+        pairs = image if m == 1 else [(s, m * y) for s, y in image]
+    else:
+        # each image's integers times its m, over D * M, summed by slot
+        # number; only the sums that cancelled to zero are dropped
+        acc: dict[int, int] = {}
+        get = acc.get
+        for m, image in scaled:
             for s, y in image:
                 acc[s] = get(s, 0) + m * y
+        pairs = [(s, acc[s]) for s in sorted(acc) if acc[s]]
     # the numbers in ascending order are the slots (X, k) in lexicographic
-    # order; only the sums that cancelled to zero are dropped
+    # order
     tuples, dimV = cob.codomain.tuples, rep.dimV
     out = {}
     row: list[tuple[int, int]] = []
     last = -1
-    for s in sorted(acc):
-        y = acc[s]
-        if y:
-            p, k = divmod(s, dimV)
-            if p != last:
-                if row:
-                    out[tuples[last]] = tuple(row)
-                row, last = [], p
-            row.append((k, y))
+    for s, y in pairs:
+        p, k = divmod(s, dimV)
+        if p != last:
+            if row:
+                out[tuples[last]] = tuple(row)
+            row, last = [], p
+        row.append((k, y))
     if row:
         out[tuples[last]] = tuple(row)
     return Cochain._of(n + 1, cob.gamma, den * cob.scale, out, dimV)

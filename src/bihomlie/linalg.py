@@ -721,10 +721,13 @@ class EchelonBasis:
 def _primitive(terms: Iterable[tuple[int, Fraction | int]]) -> dict[int, int]:
     """The nonzero (column, value) ``terms`` times the lcm of their
     denominators, divided by the gcd of the results: {column: int}.  Int
-    values have denominator 1, so they are only divided by their gcd."""
-    pairs = [(c, x.as_integer_ratio()) for c, x in terms if x]
-    den = lcm(*[d for _, (_, d) in pairs])
-    ints = {c: n * (den // d) for c, (n, d) in pairs}
+    values have denominator 1, so when every value is an int, as in the
+    columns of :meth:`Matrix.rank`, they are only divided by their gcd."""
+    ints = {c: x for c, x in terms if x}
+    if not {int}.issuperset(map(type, ints.values())):
+        pairs = [(c, x.as_integer_ratio()) for c, x in ints.items()]
+        den = lcm(*[d for _, (_, d) in pairs])
+        ints = {c: n * (den // d) for c, (n, d) in pairs}
     g = gcd(*ints.values())
     if g > 1:
         ints = {c: v // g for c, v in ints.items()}

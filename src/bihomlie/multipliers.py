@@ -20,17 +20,20 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from itertools import product as iproduct
+from math import lcm
 
 from .algebra import (
     AxiomReport,
     CheckItem,
     ColourAlgebra,
+    IntTable,
     Witness,
+    _least,
     require_passing,
     to_fraction,
 )
 from .grading import Bicharacter, GradingGroup, GroupElement, format_degree
-from .linalg import vscale, write_scalar
+from .linalg import write_scalar
 
 Scalar = int | Fraction | str
 
@@ -230,14 +233,28 @@ def multiplier_from_omega(
     return MultiplierTable(group, entries)
 
 
-def _rescaled_product(a: ColourAlgebra, s: MultiplierTable):
-    return [
-        [
-            vscale(s.value(a.degree(i), a.degree(j)), a.product[i][j])
-            for j in range(a.dim)
-        ]
-        for i in range(a.dim)
+def _rescaled_product(a: ColourAlgebra, s: MultiplierTable) -> IntTable:
+    """The integer table of the structure constants of ``a`` with cell
+    [i][j] times s(deg e_i, deg e_j): the cells of
+    ``int_table("product_terms")`` times the numerators, over the scale
+    times the lcm of the denominators, brought to the least scale that
+    ``ColourAlgebra._of`` takes.  s is read at every pair (i, j) in row
+    order, so a missing entry raises MissingEntryError at the first pair
+    that needs it."""
+    scale, terms = a.int_table("product_terms")
+    degs = a.basis.degrees
+    values = [[s.value(g, h) for h in degs] for g in degs]
+    # lcm of a list, not of a generator: see scale_to_ints
+    common = lcm(*[v.denominator for row in values for v in row])
+    factors = [
+        [v.numerator * (common // v.denominator) for v in row]
+        for row in values
     ]
+    table = [
+        [tuple([(k, x * c) for k, x in ts]) for ts, c in zip(cells, row)]
+        for cells, row in zip(terms, factors)
+    ]
+    return _least(scale * common, table)
 
 
 def sigma_twist(a: ColourAlgebra, s: MultiplierTable) -> ColourAlgebra:
@@ -250,8 +267,8 @@ def sigma_twist(a: ColourAlgebra, s: MultiplierTable) -> ColourAlgebra:
     if not verdict.passed:
         bad = ", ".join(it.name for it in verdict.failures())
         raise ValueError(f"multiplier fails symmetric-mode validation: {bad}")
-    return ColourAlgebra(
-        a.basis, a.eps, _rescaled_product(a, s), a.alpha, a.beta, kind=a.kind
+    return ColourAlgebra._of(
+        a.basis, a.eps, _rescaled_product(a, s), a.alpha, a.beta, a.kind
     )
 
 
@@ -320,11 +337,6 @@ def delta_twist(a: ColourAlgebra, s: MultiplierTable) -> ColourAlgebra:
                 "product of its generator values"
             )
 
-    return ColourAlgebra(
-        a.basis,
-        new_eps,
-        _rescaled_product(a, s),
-        a.alpha,
-        a.beta,
-        kind=a.kind,
+    return ColourAlgebra._of(
+        a.basis, new_eps, _rescaled_product(a, s), a.alpha, a.beta, a.kind
     )

@@ -16,6 +16,13 @@ products, not from the library's term tables.  ``morphism_failures``
 scans the identity m[x, y] = [m x, m y] the same way, on every basis
 pair, for the integer scan by which ``yau_twist`` refuses a map.
 
+``reach_oracle`` is the search by which the coboundary once found the
+terms a unit cochain reaches: every tuple that sorts a bracket preimage
+pair with beta-preimages of the other entries, then every pair (s, t) of
+it whose argument supports can be ordered to cover the tuple, by a
+backtracking search.  The library enumerates those terms straight from
+the preimage indexes instead.
+
 ``reduce_index_tuple`` is the library's sort of an index tuple into
 canonical order with its sign, as a Fraction factor, for the oracles that
 evaluate cochains term by term.
@@ -40,7 +47,9 @@ table, ``ColourAlgebra.int_table("twisted_terms", ...)``, for the tests
 that hold the table against ``dense_twisted``.  ``yau_twist_product_oracle``
 and ``commutator_table_oracle`` are the dense product tables that
 ``yau_twist`` and ``commutator_algebra`` once built by n^2
-``product_eval`` calls, for the tests of their integer sums.
+``product_eval`` calls, for the tests of their integer sums, and
+``rescaled_product_oracle`` the dense table the multiplier twists once
+rescaled cell by cell.
 
 The cochain complex sums integers and reads tables; ``eval_oracle``,
 ``act_oracle`` and ``coboundary_oracle`` evaluate the coboundary term by
@@ -78,6 +87,8 @@ from itertools import product as iproduct
 from bihomlie.algebra import AxiomReport, CheckItem, ColourAlgebra
 from bihomlie.cohomology import (
     Cochain,
+    _is_canonical,
+    _reach_rows,
     _slots,
     _sort_sign,
     apply_coboundary,
@@ -450,6 +461,105 @@ def _tuple_degree(a: ColourAlgebra, T) -> tuple:
     return a.basis.group.sum(a.degree(i) for i in T)
 
 
+def _reachable_tuples(a: ColourAlgebra, T, beta_pre, bracket_pre) -> list:
+    """The canonical (n+1)-tuples X at which the coboundary of a cochain
+    supported on the n-tuple T can be nonzero, in lexicographic order: T
+    with one index inserted, for the action term, and every sorted pair
+    x_s <= x_t whose bracket reaches one entry of T together with one
+    beta-preimage of each other entry, for the bracket term."""
+    eps = a.eps_table()
+    found = {tuple(sorted(T + (x,))) for x in range(a.dim)}
+    for q, u in enumerate(T):
+        pairs = [(i, j) for i, j in bracket_pre[u] if i <= j]
+        if not pairs:
+            continue
+        rest = [beta_pre[v] for v in T[:q] + T[q + 1 :]]
+        for others in iproduct(*rest):
+            for pair in pairs:
+                found.add(tuple(sorted(others + pair)))
+    return sorted(X for X in found if _is_canonical(eps, X))
+
+
+def _covers(supports, need: dict) -> bool:
+    """Can the multiset ``need`` (entry -> count) be ordered so that its
+    q-th entry lies in supports[q], for every q?  A backtracking search
+    over the entries left; ``need`` is restored before it returns."""
+    if not supports:
+        return True
+    first = supports[0]
+    for u, left in need.items():
+        if left and u in first:
+            need[u] = left - 1
+            found = _covers(supports[1:], need)
+            need[u] = left
+            if found:
+                return True
+    return False
+
+
+def reach_oracle(rep, n: int, T) -> tuple:
+    """The terms ((X, s, acts), ...) by which a cochain supported on T
+    enters the coboundary, as ``cohomology._reach`` gives them, found by
+    searching every reachable tuple X and every pair (s, t) of it whose
+    supports, the nonzero indexes of its rows, cover T (``_covers``), each
+    covered pair evaluated with ``Cochain.eval`` on the rows of
+    ``_reach_rows``."""
+    a = rep.algebra
+    if n:
+        (_, bracket, bracket_pre), (_, beta, beta_pre) = _reach_rows(rep)
+        bracket_supp, beta_supp = (
+            {key: frozenset(k for k, x in enumerate(row) if x)
+             for key, row in rows.items()}
+            for rows in (bracket, beta)
+        )
+    else:
+        beta_pre = bracket_pre = ()
+    eps = a.eps_table()
+    unit = Cochain._of(n, a.basis.group.zero(), 1, {T: ((0, 1),)}, 1)
+    used = set(T)
+    need: dict = {}
+    for u in T:
+        need[u] = need.get(u, 0) + 1
+    out = []
+    for X in _reachable_tuples(a, T, beta_pre, bracket_pre):
+        scalar = 0
+        for t in range(1, n + 1):
+            xt = X[t]
+            for s in range(t):
+                if used.isdisjoint(bracket_supp[X[s], xt]):
+                    continue
+                supports = [
+                    bracket_supp[X[s], xt] if p == s else beta_supp[X[p]]
+                    for p in range(n + 1)
+                    if p != t
+                ]
+                if not _covers(supports, need):
+                    continue
+                w = -1 if t % 2 else 1
+                for p in range(s + 1, t):
+                    w *= eps[X[p]][xt]
+                args = [
+                    bracket[X[s], xt] if p == s else beta[X[p]]
+                    for p in range(n + 1)
+                    if p != t
+                ]
+                c = unit.eval(rep, args)[0]
+                if c:
+                    scalar += w * c
+        acts = []
+        for s in range(n + 1):
+            if X[:s] + X[s + 1 :] != T:
+                continue
+            xs = X[s]
+            w = -1 if s % 2 else 1
+            for p in range(s):
+                w *= eps[X[p]][xs]
+            acts.append((w, xs))
+        if scalar or acts:
+            out.append((X, scalar, tuple(acts)))
+    return tuple(out)
+
+
 def slots_oracle(rep, n: int, gamma) -> list:
     """The slots (T, w) of degree-gamma n-cochains: every canonical tuple T,
     in lexicographic order, with every V index w of degree gamma + deg T."""
@@ -808,6 +918,19 @@ def yau_twist_product_oracle(a: ColourAlgebra, a2: Matrix, b2: Matrix):
     [i][j], by n^2 dense ``product_eval`` calls on the columns of the two
     maps: the dense build the integer sum replaced."""
     return [[a.product_eval(x, y) for y in b2.columns()] for x in a2.columns()]
+
+
+def rescaled_product_oracle(a: ColourAlgebra, s):
+    """The product table of ``sigma_twist(a, s)`` and ``delta_twist(a, s)``,
+    s(deg e_i, deg e_j) e_i e_j at [i][j], from the dense cells
+    ``a.product``: the dense build the integer rescaling replaced."""
+    return [
+        [
+            vscale(s.value(a.degree(i), a.degree(j)), a.product[i][j])
+            for j in range(a.dim)
+        ]
+        for i in range(a.dim)
+    ]
 
 
 def commutator_table_oracle(a: ColourAlgebra):

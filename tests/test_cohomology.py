@@ -60,6 +60,7 @@ from dense_oracles import (
     eval_oracle,
     kernel_oracle,
     pullbacks_oracle,
+    reach_oracle,
     realized_gammas_oracle,
     reduce_index_tuple,
     slots_oracle,
@@ -1467,17 +1468,13 @@ def test_reach_rows_index_the_dense_cells(make):
     _, left = dense_twisted(a, -1, 1)
     bracket = {(i, j): left[i][j] for i in range(n) for j in range(n)}
     beta = dict(enumerate(a.beta.columns()))
-    for (scale, rows, supports, pre), dense in zip(
+    for (scale, rows, pre), dense in zip(
         _reach_rows(adjoint_rep(a, 0, 1)), (bracket, beta)
     ):
         assert rows == {
             key: tuple(c * scale for c in v) for key, v in dense.items()
         }
         assert all(type(c) is int for row in rows.values() for c in row)
-        assert supports == {
-            key: frozenset(u for u, c in enumerate(v) if c)
-            for key, v in dense.items()
-        }
         assert pre == tuple(
             tuple(key for key, v in dense.items() if v[u]) for u in range(n)
         )
@@ -1839,6 +1836,98 @@ def test_an_unvalidated_coboundary_refuses_a_stored_index_outside_the_basis(
         apply_coboundary(rep, 1, f, validate=False)
     assert str(err.value) == f"cochain is outside the domain space: {reason}"
     assert not _arity(rep, 1).reach
+
+
+@pytest.mark.parametrize("index", [5, -1])
+def test_a_refused_tuple_stays_refused_after_other_images_are_built(index):
+    # the refusal comes on the reach miss, which a refused tuple never
+    # fills: a second V index of the same tuple, after every in-basis
+    # image of the arity was built, and a cochain that mixes a built slot
+    # with it are refused with the same text
+    rep = adjoint_rep(osp12_classical(), 0, 1)
+    reason = (
+        "cochain is outside the domain space: "
+        f"stored tuple ({index},) leaves the basis 0..4"
+    )
+    for g in realized_gammas(rep, 1):
+        for fb in cochain_basis(rep, 1, g):
+            apply_coboundary(rep, 1, fb, validate=False)
+    built = cochain_basis(rep, 1, (0,))[0]
+    (T, terms), = built.values.items()
+    cochains = [
+        Cochain(1, (0,), {(index,): (0, 1, 0, 0, 0)}, rep.dimV),
+        Cochain(1, (0,), {T: terms, (index,): (1, 0, 0, 0, 0)}, rep.dimV),
+    ]
+    for f in cochains:
+        with pytest.raises(ValueError) as err:
+            apply_coboundary(rep, 1, f, validate=False)
+        assert str(err.value) == reason
+    assert (index,) not in _arity(rep, 1).reach
+
+
+# the corpus (z2z2_colour_example repeats odd indices) and the gl(2|1)
+# twists (gl21_unipotent_twist has several beta-preimages per entry)
+REACH_ALGEBRAS = {
+    **{name: (lambda n=name: dict(lie_corpus())[n]) for name in LIE_CORPUS},
+    "gl21_twist": gl21_twist,
+    "gl21_unipotent_twist": gl21_unipotent_twist,
+    "gl21_fraction_twist": gl21_fraction_twist,
+}
+
+
+@pytest.mark.parametrize("name", REACH_ALGEBRAS)
+def test_enumerated_reach_terms_match_the_support_search(name, monkeypatch):
+    # every tuple of arity 0-3: the same terms, and the same number of
+    # unit evaluations, as the search over reachable tuples and covering
+    # supports
+    a = REACH_ALGEBRAS[name]()
+    rep = adjoint_rep(a, 0, 1)
+    calls = []
+    evaluate = Cochain.eval
+
+    def counted(self, rep, args):
+        calls.append(1)
+        return evaluate(self, rep, args)
+
+    monkeypatch.setattr(Cochain, "eval", counted)
+    for n in range(4):
+        for T in canonical_index_tuples(a, n):
+            before = len(calls)
+            got = cohomology._reach(rep, n, T)
+            evaluated = len(calls) - before
+            assert got == reach_oracle(rep, n, T)
+            assert len(calls) - before == 2 * evaluated
+
+
+ONE_SLOT_MODULES = {
+    "osp12_twist_ad01": TWISTED["osp12_twist_ad01"],
+    "z2z2_colour": TWISTED["z2z2_colour"],
+    "gl21_fraction_twist": lambda: adjoint_rep(gl21_fraction_twist(), 0, 1),
+}
+
+
+@pytest.mark.parametrize("name", ONE_SLOT_MODULES)
+def test_one_and_two_slot_coboundaries_match_the_oracle(name):
+    # a cochain with one nonzero slot reads its image straight off the
+    # unit image; one with two slots sums them
+    rep = ONE_SLOT_MODULES[name]()
+    rng = Random(name)
+    for n in range(3 if rep.algebra.dim < 9 else 2):
+        for g in realized_gammas(rep, n):
+            slots = _slots(rep, n, g)
+            picks = rng.sample(slots, min(4, len(slots)))
+            for first, second in zip(picks, picks[1:] + picks[:1]):
+                one = {first[0]: [F(0)] * rep.dimV}
+                one[first[0]][first[1]] = F(-3, 7)
+                two = {T: list(v) for T, v in one.items()}
+                two.setdefault(second[0], [F(0)] * rep.dimV)
+                two[second[0]][second[1]] += F(5, 2)
+                for values in (one, two):
+                    f = Cochain(n, g, values, rep.dimV)
+                    got = apply_coboundary(rep, 1, f, validate=False)
+                    want = coboundary_oracle(rep, 1, f)
+                    assert got == want
+                    assert list(got.values) == list(want.values)
 
 
 def test_realized_gammas_cover_the_group():

@@ -5,12 +5,13 @@ A ``ColourAlgebra`` holds its structure constants as the integer table of
 read.  The algebras the parser and the constructions build through the
 internal constructor ``ColourAlgebra._of`` are held here against the ones
 the public constructor builds from their ``product`` views, and the
-integer-summed ``yau_twist`` and ``commutator_algebra`` against their dense
-builds in ``tests/dense_oracles.py``.
+integer-summed ``yau_twist``, ``commutator_algebra``, ``sigma_twist`` and
+``delta_twist`` against their dense builds in ``tests/dense_oracles.py``.
 """
 
 from fractions import Fraction
 from importlib import resources
+from itertools import product as iproduct
 from math import gcd
 
 import pytest
@@ -21,15 +22,23 @@ from bihomlie.alg_io import parse_algebra, serialize_algebra
 from bihomlie.algebra import ColourAlgebra
 from bihomlie.cli import run_cli
 from bihomlie.constructions import (
+    build_osp12,
     commutator_algebra,
     lie_corpus,
     mat2_assoc,
     osp12_classical,
     osp12_scaling_map,
     yau_twist,
+    z2z2_colour_example,
 )
+from bihomlie.grading import format_degree
 from bihomlie.linalg import Matrix
-from dense_oracles import commutator_table_oracle, yau_twist_product_oracle
+from bihomlie.multipliers import MultiplierTable, delta_twist, sigma_twist
+from dense_oracles import (
+    commutator_table_oracle,
+    rescaled_product_oracle,
+    yau_twist_product_oracle,
+)
 
 DATA_FILES = (
     "zero_3.alg",
@@ -187,6 +196,50 @@ def test_primed_bracket_equals_its_dense_build(make):
     _same_algebra(primed_bracket(a), dense)
 
 
+def _multiplier_cases():
+    """(name, twist, algebra, multiplier) of each multiplier twist held
+    against its dense build, with fractional and sign-changing values."""
+    osp = osp12_classical()
+    z2 = osp.basis.group
+    halves = {(g, h): "1/2" for g in ((0,), (1,)) for h in ((0,), (1,))}
+    yield "sigma osp", sigma_twist, osp, MultiplierTable(
+        z2, {**halves, ((1,), (1,)): 18}
+    )
+    yield "delta osp(2,3)", delta_twist, build_osp12(2, 3), MultiplierTable(
+        z2, {key: "3/5" for key in halves}
+    )
+    z2z2 = z2z2_colour_example()
+    pairs = [(g, h) for g in iproduct((0, 1), repeat=2)
+             for h in iproduct((0, 1), repeat=2)]
+    yield "delta z2z2 flip", delta_twist, z2z2, MultiplierTable(
+        z2z2.basis.group,
+        {(g, h): Fraction((-1) ** (g[1] * h[0]) * 2, 3) for g, h in pairs},
+    )
+    yield "sigma z2z2", sigma_twist, z2z2, MultiplierTable(
+        z2z2.basis.group,
+        {(g, h): Fraction(5, 7) for g, h in pairs},
+    )
+
+
+MULTIPLIER_TWISTS = {name: case for name, *case in _multiplier_cases()}
+
+
+@pytest.mark.parametrize("name", MULTIPLIER_TWISTS)
+def test_multiplier_twists_equal_their_dense_build(name):
+    twist, a, s = MULTIPLIER_TWISTS[name]
+    twisted = twist(a, s)
+    dense = ColourAlgebra(
+        a.basis,
+        twisted.eps,
+        rescaled_product_oracle(a, s),
+        a.alpha,
+        a.beta,
+        a.kind,
+    )
+    _same_algebra(twisted, dense)
+    assert twisted.product == dense.product
+
+
 COMMANDS = (
     ["check"],
     ["derivations", "--kind", "der"],
@@ -195,9 +248,26 @@ COMMANDS = (
 )
 
 
+# the multiplier twists, run on the Lie files whose group has a generator
+TWIST_COMMANDS = ("sigma-twist", "delta-twist")
+
+
+def _constant_multiplier(a: ColourAlgebra) -> str:
+    """The text of the multiplier 2 on every pair of degrees that ``a``'s
+    degrees, their sums and zero give: symmetric, a cocycle, and delta 1."""
+    group = a.basis.group
+    degrees = set(a.basis.degrees) | {group.zero()}
+    degrees |= {group.add(g, h) for g in degrees for h in degrees}
+    return "".join(
+        f"{format_degree(g)} {format_degree(h)} 2\n"
+        for g in sorted(degrees)
+        for h in sorted(degrees)
+    )
+
+
 @pytest.mark.parametrize("name", DATA_FILES)
 def test_the_commands_on_a_parsed_file_never_build_the_dense_view(
-    name, monkeypatch, capsys
+    name, monkeypatch, capsys, tmp_path
 ):
     views = []
     dense = ColourAlgebra.product
@@ -206,11 +276,18 @@ def test_the_commands_on_a_parsed_file_never_build_the_dense_view(
         views.append(self)
         return dense.fget(self)
 
-    monkeypatch.setattr(ColourAlgebra, "product", property(spy))
     path = str(resources.files("bihomlie").joinpath("data", name))
+    a = _parsed(name)()
+    sigma = tmp_path / "sigma.mult"
+    sigma.write_text(_constant_multiplier(a), encoding="utf-8")
+    monkeypatch.setattr(ColourAlgebra, "product", property(spy))
     for verb, *flags in COMMANDS:
         if name == "mat2_assoc.alg" and verb != "check":
             continue
         assert run_cli([verb, path, *flags]) == 0
+    if a.kind == "lie" and a.basis.group.rank:
+        for verb in TWIST_COMMANDS:
+            out = str(tmp_path / f"{verb}.alg")
+            assert run_cli([verb, path, str(sigma), "-o", out]) == 0
     capsys.readouterr()
     assert views == []
