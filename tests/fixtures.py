@@ -10,11 +10,12 @@ from pathlib import Path
 
 from bihomlie.alg_io import parse_algebra
 from bihomlie.algebra import MAX_DIM, ColourAlgebra
-from bihomlie.cohomology import adjoint_rep
+from bihomlie.cohomology import Representation, adjoint_rep
 from bihomlie.constructions import (
     build_osp12,
     commutator_algebra,
     mat2_assoc,
+    osp12_classical,
     yau_twist,
     z2z2_colour_example,
 )
@@ -191,6 +192,70 @@ TWISTED = {
     "osp12_twist_2_3.alg": lambda: adjoint_rep(shipped_osp12_twist(), 0, 1),
     "gl2_conjugation_twist": lambda: adjoint_rep(gl2_conjugation_twist(), -1, 2),
     "z2z2_colour": lambda: adjoint_rep(z2z2_colour_example(), 0, 1),
+}
+
+
+def _beta_is_alpha(rep: Representation) -> Representation:
+    """rep with beta_V := alpha_V: even, but the beta intertwining fails,
+    so coboundary images leave the cochain space."""
+    return Representation(
+        rep.algebra, rep.space, rep.rho, rep.alphaV, rep.alphaV
+    )
+
+
+def _e41(c) -> Representation:
+    """osp(1|2) acting by c E41 (H -> c F) for every basis vector: not
+    even, so images leave the degree-0 slots."""
+    a = osp12_classical()
+    e41 = Matrix(
+        [
+            [Fraction(c) * int((p, q) == (3, 0)) for q in range(a.dim)]
+            for p in range(a.dim)
+        ]
+    )
+    return Representation(a, a.basis, [e41] * a.dim, a.alpha, a.beta)
+
+
+def _scaled(rep: Representation, c) -> Representation:
+    """rep with every action matrix scaled by c: the maps still
+    intertwine, but bracket compatibility fails, so d(d f) need not
+    vanish."""
+    rho = [m.scale(c) for m in rep.rho]
+    return Representation(rep.algebra, rep.space, rho, rep.alphaV, rep.betaV)
+
+
+# name -> (builder of a module that fails its axioms, the r it is queried at)
+BROKEN_MODULES = {
+    "beta_is_alpha/osp12_twist_ad01": (
+        lambda: _beta_is_alpha(TWISTED["osp12_twist_ad01"]()),
+        1,
+    ),
+    "beta_is_alpha/gl2_conjugation_twist": (
+        lambda: _beta_is_alpha(TWISTED["gl2_conjugation_twist"]()),
+        1,
+    ),
+    "beta_is_alpha/gl21_fraction_twist": (
+        lambda: _beta_is_alpha(adjoint_rep(gl21_fraction_twist(), 0, 1)),
+        1,
+    ),
+    "e41/osp12_classical": (lambda: _e41(1), 0),
+    "e41x-2/3/osp12_classical": (lambda: _e41(Fraction(-2, 3)), 0),
+    "scaled2/osp12_classical": (
+        lambda: _scaled(adjoint_rep(osp12_classical(), 0, 1), 2),
+        1,
+    ),
+    "scaled-2/3/osp12_classical": (
+        lambda: _scaled(
+            adjoint_rep(osp12_classical(), 0, 1), Fraction(-2, 3)
+        ),
+        1,
+    ),
+    "scaled-2/3/gl21_fraction_twist": (
+        lambda: _scaled(
+            adjoint_rep(gl21_fraction_twist(), 0, 1), Fraction(-2, 3)
+        ),
+        1,
+    ),
 }
 
 

@@ -22,6 +22,21 @@ hash moves when any bit of the output does.  The records are
 - ``coboundary/<algebra>/ad<s><l>/n<n>/<degree>``: the ``int_values()``
   of ``apply_coboundary`` at r = 1 on each of those basis cochains, for
   every arity n below the largest;
+- ``coboundary-sum/<algebra>/ad<s><l>/n<n>/<degree>``: the
+  ``int_values()`` of d f at r = 1, f a seeded integer combination of
+  every basis cochain of that space, and of d(d f), for the same arities;
+- ``error/<module>/n<n>/<degree>/matrix``, ``.../dims`` and
+  ``.../images``: on each module of ``tests/fixtures.py::BROKEN_MODULES``
+  (beta_V := alpha_V, an action by c E41, an action scaled by c), at
+  every arity n <= 2 and realized degree, the result or the error type
+  and text of ``coboundary_matrix`` and ``cohomology_dims``, and for each
+  basis cochain the ``cochain_in_space`` verdict on its image and
+  ``apply_coboundary`` (validate=True) on that image;
+- ``error/<module>/n<n>/<case>``: on three well-formed twisted modules,
+  at n = 1, 2 and degree 0, the ``cochain_in_space`` verdict and
+  ``apply_coboundary`` with and without validation on a cochain with a
+  stored index outside the basis, on a non-canonical tuple, with a value
+  in the wrong block, and on two basis cochains moved at one slot;
 - ``matrix/<i>-<j>``: ``rref``, ``invert`` and ``kernel_basis`` of the
   seeded random matrices i to j, square or not, some singular, with
   ``Fraction`` entries;
@@ -95,9 +110,13 @@ from bihomlie.admissibility import (  # noqa: E402
 )
 from bihomlie.algebra import SUITES  # noqa: E402
 from bihomlie.cohomology import (  # noqa: E402
+    Cochain,
     adjoint_rep,
     apply_coboundary,
+    canonical_index_tuples,
+    coboundary_matrix,
     cochain_basis,
+    cochain_in_space,
     cohomology_dims,
     realized_gammas,
     validate_representation,
@@ -187,6 +206,25 @@ def _cochain_records(name, a, top):
                             for f in basis
                         ),
                     )
+                    if basis:
+                        yield (
+                            f"coboundary-sum/{name}/ad{s}{l}/n{n}/"
+                            f"{_degree(g)}",
+                            _coboundary_sum(rep, basis, random.Random(
+                                f"sum/{name}/ad{s}{l}/n{n}/{_degree(g)}"
+                            )),
+                        )
+
+
+def _coboundary_sum(rep, basis, rng) -> tuple:
+    """The ``int_values()`` of d f and of d(d f) at r = 1, for f a
+    combination of every basis cochain with integer coefficients drawn
+    from ``rng``: a cochain on several slots, and its image."""
+    f = basis[0].scale(0)
+    for fb in basis:
+        f = f.add(fb.scale(rng.choice((-3, -2, -1, 1, 2, 3))))
+    image = apply_coboundary(rep, 1, f)
+    return image.int_values(), apply_coboundary(rep, 1, image).int_values()
 
 
 def _random_matrix(rng: random.Random) -> list[list[Fraction]]:
@@ -268,6 +306,121 @@ def _report_records():
             )
 
 
+def _outcome(call):
+    """("ok", the result) of ``call()``, or the type and text of the
+    ValueError or RuntimeError it raises."""
+    try:
+        return "ok", call()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _broken_module_records():
+    """On each module of ``fixtures.BROKEN_MODULES``, at its r, every
+    arity n <= 2 and realized degree: ``coboundary_matrix`` and
+    ``cohomology_dims``, then, for each basis cochain, the membership of
+    its image and ``apply_coboundary`` (validate=True) on that image."""
+    for name, (make, r) in fixtures.BROKEN_MODULES.items():
+        rep = make()
+        for n in range(3):
+            for g in realized_gammas(rep, n):
+                where = f"error/{name}/n{n}/{_degree(g)}"
+                yield f"{where}/matrix", _outcome(
+                    lambda: coboundary_matrix(rep, n, r, g).int_column_terms()
+                )
+                yield f"{where}/dims", _outcome(
+                    lambda: cohomology_dims(rep, n, r, g)
+                )
+                images = []
+                for f in cochain_basis(rep, n, g):
+                    image = apply_coboundary(rep, r, f, validate=False)
+                    images.append(
+                        (
+                            cochain_in_space(rep, image),
+                            _outcome(
+                                lambda: apply_coboundary(
+                                    rep, r, image
+                                ).int_values()
+                            ),
+                        )
+                    )
+                yield f"{where}/images", tuple(images)
+
+
+def _refused_cochains(rep, n, g, rng):
+    """(case, cochain) of the cochains off the degree-g n-cochain space:
+    a stored index outside the basis, a non-canonical tuple, a value in
+    the wrong block and a basis cochain with one slot moved."""
+    a, dimV = rep.algebra, rep.dimV
+    group, degrees = a.basis.group, rep.space.degrees
+
+    def unit(w):
+        return tuple(int(u == w) for u in range(dimV))
+
+    lead = tuple(range(n - 1))
+    cases = [
+        (f"outside{i}", Cochain(n, g, {lead + (i,): unit(0)}, dimV))
+        for i in (a.dim, 99, -1)
+    ]
+    if n > 1:
+        noncanonical = [(1, 0), (0, 0)] if a.eps_ij(0, 0) == 1 else [(1, 0)]
+        cases += [
+            (f"noncanonical{T}", Cochain(n, g, {T: unit(0)}, dimV))
+            for T in noncanonical
+        ]
+    # the slots (T, w) of the right block, and one of the wrong block
+    right, wrong = [], None
+    for T in canonical_index_tuples(a, n):
+        target = group.add(g, group.sum(a.degree(i) for i in T))
+        for w, e in enumerate(degrees):
+            if e == target:
+                right.append((T, w))
+            elif wrong is None:
+                wrong = (T, w)
+    if wrong is not None:
+        T, w = wrong
+        cases.append(("wrong_block", Cochain(n, g, {T: unit(w)}, dimV)))
+    # a basis cochain plus 1 at a slot of the right block: seldom a member
+    basis = cochain_basis(rep, n, g)
+    for k in range(2):
+        f = rng.choice(basis)
+        T, w = rng.choice(right)
+        moved = list(f.value(T))
+        moved[w] += 1
+        cases.append(
+            (f"moved{k}", Cochain(n, g, {**f.values, T: moved}, dimV))
+        )
+    return cases
+
+
+def _refused_cochain_records():
+    """For cochains off their space on well-formed modules: the verdict
+    and reason of ``cochain_in_space`` and ``apply_coboundary`` at r = 1
+    with and without validation."""
+    modules = {
+        "osp12_twist_ad01": fixtures.TWISTED["osp12_twist_ad01"],
+        "gl2_conjugation_twist": fixtures.TWISTED["gl2_conjugation_twist"],
+        "gl21_fraction_twist": lambda: adjoint_rep(
+            fixtures.gl21_fraction_twist(), 0, 1
+        ),
+    }
+    for name, make in modules.items():
+        rep = make()
+        rng = random.Random(f"refused/{name}")
+        g = rep.algebra.basis.group.zero()
+        for n in (1, 2):
+            for case, f in _refused_cochains(rep, n, g, rng):
+                yield f"error/{name}/n{n}/{case}", (
+                    cochain_in_space(rep, f),
+                    _outcome(lambda: apply_coboundary(rep, 1, f).int_values()),
+                    _outcome(
+                        lambda: apply_coboundary(
+                            rep, 1, f, validate=False
+                        ).int_values()
+                    ),
+                )
+
+
 DATA = TREE / "src" / "bihomlie" / "data"
 SHIPPED = (
     "zero_3.alg",
@@ -343,6 +496,8 @@ def records():
     for name, a, top in _algebras():
         yield from _solver_records(name, a)
         yield from _cochain_records(name, a, top)
+    yield from _broken_module_records()
+    yield from _refused_cochain_records()
     yield from _matrix_records()
     yield from _report_records()
     yield from _parse_and_cli_records()
