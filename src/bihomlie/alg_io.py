@@ -387,10 +387,15 @@ def serialize_algebra(a: ColourAlgebra) -> str:
 
 
 def parse_multiplier(text: str, group: GradingGroup) -> MultiplierTable:
-    """Side file of `g h v` lines (degrees comma-separated, v rational)."""
+    """Side file of `g h v` lines (degrees comma-separated, v rational).
+
+    Over a group of rank 0 both degrees are the empty token, so a line of
+    one token v, such as "  2", is the entry for ((), ())."""
     entries = {}
     for no, body in _logical_lines(text):
         toks = body.split()
+        if len(toks) == 1 and not group.rank:
+            toks = ["", "", toks[0]]
         if len(toks) != 3:
             raise ParseError("expected 'g h value'", no)
         try:

@@ -71,7 +71,11 @@ class Representation:
     images of the coboundary and the rank of its matrix (see
     :func:`cochain_basis`, :func:`apply_coboundary` and
     :func:`cohomology_dims`); :func:`_coordinates` reads coboundary images
-    and the cochains of :func:`cochain_in_space` off that basis.  A
+    and the cochains of :func:`cochain_in_space` off that basis.  The
+    basis, the unit images and the readout share one slot numbering per
+    arity n: the coordinate w of the canonical n-tuple at position p in
+    lexicographic order is the slot p * dimV + w (see :class:`Cochain`),
+    and the basis cochains and coboundary images hold those numbers.  A
     repeated :func:`cohomology_dims` reads dim C and both ranks from the
     memo, builds a coboundary matrix only on a rank miss and re-checks
     d(d f) = 0 on every call.  The module must not be changed after its
@@ -88,8 +92,10 @@ class Representation:
     images, the action columns and the basis terms each over one scale.
     The basis cochains, every cochain and coboundary matrix built from
     them and the action matrices of :meth:`rho_of` are Fractions at the
-    API, but hold one integer form, with their ``Fraction`` views cached
-    on first read (see :class:`Cochain` and
+    API, but hold one integer form: a matrix its integer columns, a basis
+    cochain its basis terms and a coboundary image its summed unit
+    images, both on slot numbers, with their tuple rows and ``Fraction``
+    views built and cached on first read (see :class:`Cochain` and
     :class:`~bihomlie.linalg.Matrix`).
     """
 
@@ -451,16 +457,22 @@ class Cochain:
     vectors are dropped.  The degree records how the map shifts grading:
     the value on a tuple of total degree d lies in the block gamma + d.
 
-    A cochain holds one integer form, (D, rows) of :meth:`int_values`,
-    which the coboundary sums; ``values`` is its read-only ``Fraction``
-    view, built on first read in the order of the rows and cached.  The
+    A cochain holds one integer form over one positive scale D.  The
     public constructor converts and checks the values, then scales them
-    to that form; the cochains the library builds (the bases of
-    :func:`cochain_basis` and the images of :func:`apply_coboundary`) are
-    built in it by :meth:`_of`.
+    to the tuple rows (D, rows) of :meth:`int_values`.  The cochains the
+    library builds, the bases of :func:`cochain_basis` and the images of
+    :func:`apply_coboundary`, hold their slot numbers instead: (D, pairs),
+    pairs the (slot number, integer) pairs of their nonzero entries in
+    ascending slot number, where the coordinate w of the canonical
+    n-tuple at position p in lexicographic order has the number
+    p * dimV + w.  Such a cochain builds its tuple rows only when
+    :meth:`int_values`, ``values``, :meth:`eval`, ``==`` or ``hash``
+    reads them, or a pickle or copy is taken; :meth:`is_zero` reads the
+    pairs.  ``values`` is the read-only ``Fraction`` view of the rows,
+    built on first read in their order and cached.
     """
 
-    __slots__ = ("n", "degree", "dimV", "_ints", "_values")
+    __slots__ = ("n", "degree", "dimV", "_numbered", "_ints", "_values")
 
     def __init__(
         self,
@@ -483,6 +495,7 @@ class Cochain:
             if terms:
                 kept[tuple(key)] = terms
         den, rows = scale_to_ints(list(kept.values()))
+        self._numbered = None
         self._ints = (den, dict(zip(kept, rows)))
         self._values = None
 
@@ -492,18 +505,21 @@ class Cochain:
         n: int,
         degree: GroupElement,
         den: int,
-        rows: dict[tuple[int, ...], IntTerms],
+        pairs: Sequence[tuple[int, int]],
+        tuples: tuple[tuple[int, ...], ...],
         dimV: int,
     ) -> "Cochain":
-        """The cochain the library built in the integer form of
-        :meth:`int_values`: ``rows`` maps canonical n-tuples to the
-        nonzero entries of their values over the positive ``den``.  Unlike
-        the public constructor it neither converts nor checks a value."""
+        """The cochain the library built: its nonzero entries x / ``den``
+        as the (slot number, x) ``pairs`` in ascending slot number, the
+        slots numbered by ``tuples``, the canonical n-tuples in
+        lexicographic order (see the class note).  Unlike the public
+        constructor it neither converts nor checks a value."""
         f = cls.__new__(cls)
         f.n = n
         f.degree = degree
         f.dimV = dimV
-        f._ints = (den, rows)
+        f._numbered = (den, pairs, tuples)
+        f._ints = None
         f._values = None
         return f
 
@@ -512,7 +528,7 @@ class Cochain:
         """The canonical tuples with their nonzero values, coordinate
         vectors of Fractions: each entry x / D of :meth:`int_values`."""
         if self._values is None:
-            den, rows = self._ints
+            den, rows = self.int_values()
             values = {}
             for T, terms in rows.items():
                 val = [ZERO] * self.dimV
@@ -523,14 +539,42 @@ class Cochain:
         return self._values
 
     def int_values(self) -> tuple[int, dict[tuple[int, ...], IntTerms]]:
-        """The form (D, rows) the cochain holds: rows maps each tuple of
-        ``values``, in its order, to the nonzero entries (w, x) of its
-        value x / D, in ascending w, over one positive D (not always the
-        least).  The public constructor takes D the lcm of the
-        denominators (see :func:`scale_to_ints`)."""
+        """The tuple rows (D, rows): rows maps each tuple of ``values``,
+        in its order, to the nonzero entries (w, x) of its value x / D, in
+        ascending w, over one positive D (not always the least).  The
+        public constructor takes D the lcm of the denominators (see
+        :func:`scale_to_ints`).  A cochain the library built decodes its
+        slot numbers into these rows on the first call, in lexicographic
+        order of the tuples, and keeps them."""
+        if self._ints is None:
+            den, pairs, tuples = self._numbered
+            dimV = self.dimV
+            rows: dict[tuple[int, ...], IntTerms] = {}
+            row: list[tuple[int, int]] = []
+            last = -1
+            for s, x in pairs:
+                p, w = divmod(s, dimV)
+                if p != last:
+                    if row:
+                        rows[tuples[last]] = tuple(row)
+                    row, last = [], p
+                row.append((w, x))
+            if row:
+                rows[tuples[last]] = tuple(row)
+            self._ints = (den, rows)
         return self._ints
 
+    def __getstate__(self) -> tuple[None, dict]:
+        """Pickle and copy the tuple rows, not the slot numbers, whose
+        table of tuples belongs to the module that numbered them."""
+        self.int_values()
+        state = {name: getattr(self, name) for name in self.__slots__}
+        state["_numbered"] = None
+        return None, state
+
     def is_zero(self) -> bool:
+        if self._numbered is not None:
+            return not self._numbered[1]
         return not self._ints[1]
 
     def value(self, idx: tuple[int, ...]) -> Vec:
@@ -548,7 +592,7 @@ class Cochain:
         it is a tuple of Fractions, never a float."""
         if len(args) != self.n:
             raise ValueError(f"expected {self.n} arguments, got {len(args)}")
-        den, rows = self._ints
+        den, rows = self.int_values()
         eps = rep.algebra.eps_table()
         acc = [0] * self.dimV
         supports = [
@@ -622,8 +666,10 @@ class _Arity:
     degree gamma nor r, shared by every (gamma, r) query:
 
     * ``tuples``: the canonical n-tuples in lexicographic order, and
-      ``number``, each one's position there: the numbering of the slot
-      numbers of the unit images of arity n - 1 (see :class:`_Coboundary`);
+      ``number``, each one's position there: the numbering of the slots
+      of the n-cochains the library builds (see :class:`Cochain`), of the
+      n-cochain spaces and of the unit images of arity n - 1 (see
+      :class:`_Coboundary`);
     * ``by_degree``: the canonical n-tuples grouped by their degree, each
       group in lexicographic order;
     * ``pullbacks``: for a canonical tuple T, its alpha and beta pull-back
@@ -712,14 +758,15 @@ def realized_gammas(rep: Representation, n: int) -> list[GroupElement]:
 
 
 class _Space(FrozenRecord):
-    """The degree-gamma n-cochain space of :func:`cochain_basis`: ``slots``
-    maps each slot (T, w), in lexicographic order, to its column in the
-    rows of :func:`_intertwining_rows`; ``basis`` is the basis;
-    ``free_column`` maps each basis cochain's free slot to its index; and
+    """The degree-gamma n-cochain space of :func:`cochain_basis`, on the
+    slot numbers of :class:`Cochain`: ``slots`` maps the number of each
+    slot (T, w), in ascending order, to its column in the rows of
+    :func:`_intertwining_rows`; ``basis`` is the basis; ``free_column``
+    maps the number of each basis cochain's free slot to its index; and
     ``int_terms`` is (S, terms) with terms[k] the nonzero entries of basis
-    cochain k as ((T, w), value * S) in ascending slot, S the lcm of the
-    denominators of every entry.  Each basis cochain is built in integer
-    form from its terms, over S."""
+    cochain k as (slot number, value * S) in ascending slot number, S the
+    lcm of the denominators of every entry.  Each basis cochain holds its
+    terms as its pairs, over S."""
 
     __slots__ = ("slots", "basis", "free_column", "int_terms")
 
@@ -762,15 +809,16 @@ def _space(rep: Representation, n: int, gamma: GroupElement) -> _Space:
     hit = rep._bases.get((n, g))
     if hit is None:
         order = _slots(rep, n, g)
-        slots = {slot: k for k, slot in enumerate(order)}
         forced: set[int] = set()
         coupled: list[dict[int, int]] = []
-        for _, _, zero, rows in _intertwining_rows(rep, n, slots):
+        for _, _, zero, rows in _intertwining_rows(
+            rep, n, {slot: k for k, slot in enumerate(order)}
+        ):
             forced.update(zero)
             coupled += rows
-        live = [slot for k, slot in enumerate(order) if k not in forced]
+        live = [k for k in range(len(order)) if k not in forced]
         if coupled:
-            pos = {slots[slot]: p for p, slot in enumerate(live)}
+            pos = {k: p for p, k in enumerate(live)}
             coupled = [
                 {pos[k]: x for k, x in row.items() if k in pos}
                 for row in coupled
@@ -779,21 +827,21 @@ def _space(rep: Representation, n: int, gamma: GroupElement) -> _Space:
         kernel = kernel_by_blocks(coupled, len(live))
         dens = [v[next(reversed(v))] for v in kernel]
         scale = lcm(*dens)
-        terms = [
-            tuple([(live[c], x * (scale // d)) for c, x in v.items()])
+        arity = _arity(rep, n)
+        number, dimV = arity.number, rep.dimV
+        numbers = [number[T] * dimV + w for T, w in order]
+        terms = tuple(
+            tuple([(numbers[live[c]], x * (scale // d)) for c, x in v.items()])
             for v, d in zip(kernel, dens)
-        ]
-        basis = []
-        for t in terms:
-            rows: dict[tuple[int, ...], IntTerms] = {}
-            for (T, w), x in t:
-                rows[T] = rows.get(T, ()) + ((w, x),)
-            basis.append(Cochain._of(n, g, scale, rows, rep.dimV))
+        )
         hit = rep._bases[n, g] = _Space(
-            slots,
-            tuple(basis),
+            {s: k for k, s in enumerate(numbers)},
+            tuple(
+                Cochain._of(n, g, scale, t, arity.tuples, dimV)
+                for t in terms
+            ),
             {t[-1][0]: k for k, t in enumerate(terms)},
-            (scale, tuple(terms)),
+            (scale, terms),
         )
     return hit
 
@@ -917,15 +965,41 @@ def _intertwining_rows(
             yield T, name, forced, list(by_w.values())
 
 
+def _slot_pairs(
+    f: Cochain, arity: _Arity, dimV: int
+) -> tuple[int, Sequence[tuple[int, int]], list[tuple[int, ...]]]:
+    """f's nonzero entries x / D as (D, pairs, unnumbered): pairs the
+    (slot number, x) of its slots on the numbering of ``arity`` over
+    ``dimV`` (see :class:`Cochain`), and unnumbered the tuples of f with
+    no number there, each non-canonical or with an index outside the
+    basis.  A cochain numbered by ``arity`` gives its own pairs; any
+    other is encoded from its rows, pairs and tuples in their order."""
+    numbered = f._numbered
+    if numbered is not None and numbered[2] is arity.tuples:
+        return numbered[0], numbered[1], []
+    den, rows = f.int_values()
+    number = arity.number
+    pairs: list[tuple[int, int]] = []
+    unnumbered = []
+    for T, row in rows.items():
+        p = number.get(T)
+        if p is None:
+            unnumbered.append(T)
+        else:
+            base = p * dimV
+            pairs += [(base + w, x) for w, x in row]
+    return den, pairs, unnumbered
+
+
 def _coordinates(
-    space: _Space, rows: dict[tuple[int, ...], IntTerms]
-) -> tuple[list[tuple[int, int]] | None, tuple | None]:
-    """Read the cochain f with integer form (D, rows) (see
-    :meth:`Cochain.int_values`) off ``space``: (coords, None) when
-    f = sum of (x / D) basis[i] over the pairs (i, x) of coords, x the
-    integer of f at the free slot of basis cochain i; (None, None) when f
-    lies on the space's slots but not in it; (None, ((T, w), x)) at f's
-    first slot, in the order of its rows, off those slots.
+    space: _Space, pairs: Sequence[tuple[int, int]]
+) -> tuple[list[tuple[int, int]] | None, tuple[int, int] | None]:
+    """Read the cochain f with entries x / D at the (slot number, x)
+    ``pairs`` (see :func:`_slot_pairs`) off ``space``: (coords, None)
+    when f = sum of (x / D) basis[i] over the pairs (i, x) of coords, x
+    the integer of f at the free slot of basis cochain i; (None, None)
+    when f lies on the space's slots but not in it; (None, (s, x)) at
+    f's first pair, in the order of ``pairs``, off those slots.
 
     The defect of f from that sum, times D * S for the scale S of the
     basis terms, is summed over f's nonzero slots that are no free slot
@@ -934,25 +1008,23 @@ def _coordinates(
     """
     slots, free_column = space.slots, space.free_column
     scale, terms = space.int_terms
-    rest: dict[tuple, int] = {}
+    rest: dict[int, int] = {}
     coords: list[tuple[int, int]] = []
-    for T, row in rows.items():
-        for w, x in row:
-            slot = (T, w)
-            i = free_column.get(slot)
-            if i is not None:
-                coords.append((i, x))
-            elif slot in slots:
-                rest[slot] = x * scale
-            else:
-                return None, (slot, x)
+    for s, x in pairs:
+        i = free_column.get(s)
+        if i is not None:
+            coords.append((i, x))
+        elif s in slots:
+            rest[s] = x * scale
+        else:
+            return None, (s, x)
     for i, x in coords:
-        for slot, b in terms[i][:-1]:
-            y = rest.get(slot, 0) - x * b
+        for s, b in terms[i][:-1]:
+            y = rest.get(s, 0) - x * b
             if y:
-                rest[slot] = y
+                rest[s] = y
             else:
-                del rest[slot]
+                del rest[s]
     return (None if rest else coords), None
 
 
@@ -969,10 +1041,12 @@ def cochain_in_space(
 ) -> tuple[bool, str]:
     """Does f lie in the cochain space: degrees and both intertwinings.
 
-    f is read off the memoized basis of its space by :func:`_coordinates`,
-    in integers; the first check on a fresh module solves and memoizes
-    that basis (see :func:`cochain_basis`).  A value off the space's slots
-    is refused as lying on a tuple with an index outside 0..dim-1, as
+    f's slot numbers (see :func:`_slot_pairs`) are read off the memoized
+    basis of its space by :func:`_coordinates`, in integers; the first
+    check on a fresh module solves and memoizes that basis (see
+    :func:`cochain_basis`).  Only a refusal decodes tuples.  A value off
+    the space's slots is refused at f's first such tuple, in the order of
+    its rows, as lying on a tuple with an index outside 0..dim-1, as
     leaving its degree block or as lying on a non-canonical tuple; a
     non-member is refused with the first condition of
     :func:`_intertwining_rows` it breaks, the conditions the basis is
@@ -983,13 +1057,18 @@ def cochain_in_space(
     if f.dimV != rep.dimV:
         return False, "value dimension differs from the module"
     g = a.basis.group.reduce(f.degree)
-    _, rows = f.int_values()
     space = _space(rep, f.n, g)
-    coords, stray = _coordinates(space, rows)
-    if stray is not None:
-        # a slot (T, w) is off the space's slots when T has an index out
-        # of range, w has the wrong degree for T or T is not canonical
-        (T, _), _ = stray
+    arity, dimV = _arity(rep, f.n), rep.dimV
+    _, pairs, unnumbered = _slot_pairs(f, arity, dimV)
+    coords, stray = _coordinates(space, pairs)
+    if stray is not None or unnumbered:
+        # a tuple is off the space's slots when it has an index out of
+        # range, a value of the wrong degree or no canonical order
+        rows = f.int_values()[1]
+        off = set(unnumbered)
+        if stray is not None:
+            off.add(arity.tuples[stray[0] // dimV])
+        T = next(T for T in rows if T in off)
         reason = _outside_basis(a, T)
         if reason:
             return False, reason
@@ -999,10 +1078,15 @@ def cochain_in_space(
         return False, f"stored tuple {T} is not canonical"
     if coords is not None:
         return True, ""
-    x = {space.slots[T, w]: v for T, terms in rows.items() for w, v in terms}
+    columns = space.slots
+    x = {columns[s]: v for s, v in pairs}
+    # the slots (T, w) of the columns, decoded to word the refusal
+    slots = {
+        (arity.tuples[s // dimV], s % dimV): k for s, k in columns.items()
+    }
     T, name = next(
         (T, name)
-        for T, name, forced, rows in _intertwining_rows(rep, f.n, space.slots)
+        for T, name, forced, rows in _intertwining_rows(rep, f.n, slots)
         if any(k in x for k in forced)
         or any(sum(c * x.get(k, 0) for k, c in row.items()) for row in rows)
     )
@@ -1032,15 +1116,16 @@ class _Coboundary:
     tuple T share the terms by which T enters the coboundary (see
     :func:`_reach`), which every degree and r of the arity shares too.
 
-    A unit image is one flat tuple of (slot number, integer) pairs in
-    ascending slot number.  The coordinate k of the (n+1)-tuple X has the
-    slot number pos(X) * dimV + k, where pos(X) is the position of X among
-    the canonical (n+1)-tuples in lexicographic order: the ``number`` of
-    the (n+1)-arity tables ``codomain``, which every r and gamma shares.
-    So the numbers ascend in the lexicographic order of (X, k), and each
-    X an image reaches, a canonical tuple by :func:`_reach`, has one, also
-    where it leaves the degree-gamma slots.  An image holds no zero, and
-    each X at most once.
+    The images are keyed by the slot number pos(T) * dimV + w of their
+    slot (see :class:`Cochain`), pos(T) the ``number`` of T in the
+    n-arity tables ``arity``.  A unit image is one flat tuple of
+    (slot number, integer) pairs in ascending slot number, numbered the
+    same way on the (n+1)-arity tables ``codomain``, which every r and
+    gamma shares: the coordinate k of the (n+1)-tuple X has the number
+    pos(X) * dimV + k.  So the numbers ascend in the lexicographic order
+    of (X, k), and each X an image reaches, a canonical tuple by
+    :func:`_reach`, has one, also where it leaves the degree-gamma slots.
+    An image holds no zero, and each X at most once.
 
     Every unit image is stored as integers over one scale, ``scale``, the
     lcm of the scale S = L_bracket L_beta^(n-1) of the bracket scalars of
@@ -1050,7 +1135,7 @@ class _Coboundary:
     every (n, r) with the same r + n - 1 shares.  So
     :func:`apply_coboundary` reads a one-slot cochain's image off its unit
     image, sums the images of several slots in Python ints keyed by slot
-    number, and returns d f in integer form.
+    number, and returns d f on the slot numbers of ``codomain``.
     """
 
     def __init__(
@@ -1079,35 +1164,29 @@ class _Coboundary:
             self.bracket_scale = 1
         self.scale = lcm(self.bracket_scale, self.action_scale)
         self.eps_gamma = [a.eps.eval(gamma, a.degree(i)) for i in range(a.dim)]
-        # (T, w) -> the unit image ((slot number, y), ...): its nonzero
-        # coordinates y / scale in ascending slot number
-        self.images: dict[tuple, tuple] = {}
+        # slot number of (T, w) -> the unit image ((slot number, y), ...):
+        # its nonzero coordinates y / scale in ascending slot number
+        self.images: dict[int, tuple] = {}
 
     def image(
         self, rep: Representation, T: tuple[int, ...], w: int
     ) -> tuple:
-        """The unit image of slot (T, w) on ``rep``, the module this
-        coboundary belongs to (not stored here, so the memo makes no
-        reference cycle), over ``scale``, as the flat tuple of
-        (slot number, integer) pairs of the class note.
+        """The unit image of slot (T, w), T a canonical n-tuple, on
+        ``rep``, the module this coboundary belongs to (not stored here,
+        so the memo makes no reference cycle), over ``scale``, as the
+        flat tuple of (slot number, integer) pairs of the class note;
+        memoized under the slot's number.
 
-        A tuple T with an index outside the algebra's basis has no reach
-        terms, so it is refused on their memo miss, as ValueError with
-        the reason of :func:`cochain_in_space`, before any table is read.
         The bracket scalars of :func:`_reach` are ints over S and the
         action columns ints over L_action; each is brought to ``scale``
         and summed per X.  An action column rho(alpha beta^(r+n-1)(e_x)) e_w is read
         through ``Matrix.apply`` on its first use for (x, w), then from
         the module's memo."""
-        hit = self.images.get((T, w))
+        slot = self.arity.number[T] * rep.dimV + w
+        hit = self.images.get(slot)
         if hit is None:
             terms = self.arity.reach.get(T)
             if terms is None:
-                reason = _outside_basis(rep.algebra, T)
-                if reason:
-                    raise ValueError(
-                        f"cochain is outside the domain space: {reason}"
-                    )
                 terms = self.arity.reach[T] = _reach(rep, self.n, T)
             eps_gamma = self.eps_gamma
             fs = self.scale // self.bracket_scale
@@ -1124,7 +1203,7 @@ class _Coboundary:
                 out.extend(
                     sorted([(base + k, y) for k, y in total.items() if y])
                 )
-            hit = self.images[T, w] = tuple(out)
+            hit = self.images[slot] = tuple(out)
         return hit
 
     def _column(self, rep: Representation, x: int, w: int) -> IntTerms:
@@ -1226,7 +1305,7 @@ def _reach(rep: Representation, n: int, T: tuple[int, ...]) -> tuple:
                         found[X].add(key)
                     elif X in canonical:
                         found[X] = {key}
-        unit = Cochain._of(n, a.basis.group.zero(), 1, {T: ((0, 1),)}, 1)
+        unit = Cochain(n, a.basis.group.zero(), {T: (1,)}, 1)
     out = []
     for X in sorted(found):
         scalar = 0
@@ -1283,28 +1362,35 @@ def apply_coboundary(
     (n, r, gamma) and repeated queries reuse it.  A unit image visits
     only the tuples its slot reaches (see :func:`_reach`).
 
-    The sum is taken in integers, and no Fraction is built: f is read in
-    its integer form (see :meth:`Cochain.int_values`), and each nonzero
-    entry x / D of f scales the integers of its unit image, all over the
-    one scale M of the coboundary (see :class:`_Coboundary`).  A cochain
-    with one nonzero slot, as every basis cochain of the corpus is, takes
-    its unit image times x as it is: in ascending slot number and free of
-    zeros.  Several slots are summed into one dict keyed by slot number,
-    whose keys are sorted once and the sums that cancelled to zero
-    dropped.  The slot numbers are decoded with ``divmod`` into the slots
-    (X, k) in lexicographic order, and d f is returned in integer form
-    over D * M, its ``values`` built only when a caller reads them.
+    The sum is taken in integers on slot numbers, and no Fraction or
+    tuple is built: f is read as its slot numbers and integers over its
+    D (see :func:`_slot_pairs`), directly when the library built it, and
+    each nonzero entry x / D of f scales the integers of its unit image,
+    all over the one scale M of the coboundary (see :class:`_Coboundary`).
+    A cochain with one nonzero slot, as every basis cochain of the corpus
+    is, takes its unit image times x as it is: in ascending slot number
+    and free of zeros.  Several slots are summed into one dict keyed by
+    slot number, the sums that cancelled to zero are dropped, and only
+    the rest is sorted.  d f is returned on the slot numbers of the
+    (n+1)-tuples over D * M (see :class:`Cochain`); its tuple rows and
+    ``values`` are built only when a caller reads them.
 
-    A cochain of negative arity raises ValueError, with or without
-    ``validate``.  With ``validate`` f must pass :func:`cochain_in_space`,
+    A cochain of negative arity, or whose values have another dimension
+    than V, raises ValueError, with or without ``validate``.  With ``validate`` f must pass :func:`cochain_in_space`,
     else ValueError; the first validation on a fresh module solves and
     memoizes the n-cochain basis.  Without it, a stored tuple with an index
     outside the algebra's basis still raises ValueError with the reason of
-    :func:`cochain_in_space`, when its unit image is asked for: such a
-    tuple never enters the memo.
+    :func:`cochain_in_space`, before any unit image is built, and a
+    non-canonical stored tuple, on which f is never evaluated, adds
+    nothing.
     """
     if f.n < 0:
         raise ValueError("cochain arity must be nonnegative")
+    if f.dimV != rep.dimV:
+        raise ValueError(
+            "cochain is outside the domain space: value dimension differs "
+            "from the module"
+        )
     if validate:
         ok, reason = cochain_in_space(rep, f)
         if not ok:
@@ -1318,46 +1404,39 @@ def apply_coboundary(
         if key not in rep._coboundaries:
             rep._coboundaries[key] = _Coboundary(rep, n, r, gamma)
         cob = rep._coboundaries[key]
+    dimV = rep.dimV
+    den, pairs, unnumbered = _slot_pairs(f, cob.arity, dimV)
+    for T in unnumbered:
+        reason = _outside_basis(rep.algebra, T)
+        if reason:
+            raise ValueError(f"cochain is outside the domain space: {reason}")
     # each nonzero entry m / D of f with the unit image of its slot
-    den, rows = f.int_values()
-    images = cob.images
+    images, tuples = cob.images, cob.arity.tuples
     scaled = []
-    for T, terms in rows.items():
-        for w, m in terms:
-            image = images.get((T, w))
-            if image is None:
-                image = cob.image(rep, T, w)
-            scaled.append((m, image))
+    for s, m in pairs:
+        image = images.get(s)
+        if image is None:
+            p, w = divmod(s, dimV)
+            image = cob.image(rep, tuples[p], w)
+        scaled.append((m, image))
     if len(scaled) == 1:
         # one slot: its image times m is in ascending slot number already,
         # with no zero
         m, image = scaled[0]
-        pairs = image if m == 1 else [(s, m * y) for s, y in image]
+        out = image if m == 1 else tuple([(u, m * y) for u, y in image])
     else:
         # each image's integers times its m, over D * M, summed by slot
-        # number; only the sums that cancelled to zero are dropped
+        # number; the sums that cancelled to zero are dropped unsorted
         acc: dict[int, int] = {}
         get = acc.get
         for m, image in scaled:
-            for s, y in image:
-                acc[s] = get(s, 0) + m * y
-        pairs = [(s, acc[s]) for s in sorted(acc) if acc[s]]
-    # the numbers in ascending order are the slots (X, k) in lexicographic
-    # order
-    tuples, dimV = cob.codomain.tuples, rep.dimV
-    out = {}
-    row: list[tuple[int, int]] = []
-    last = -1
-    for s, y in pairs:
-        p, k = divmod(s, dimV)
-        if p != last:
-            if row:
-                out[tuples[last]] = tuple(row)
-            row, last = [], p
-        row.append((k, y))
-    if row:
-        out[tuples[last]] = tuple(row)
-    return Cochain._of(n + 1, cob.gamma, den * cob.scale, out, dimV)
+            for u, y in image:
+                acc[u] = get(u, 0) + m * y
+        out = [(u, y) for u, y in acc.items() if y]
+        out.sort()
+    return Cochain._of(
+        n + 1, cob.gamma, den * cob.scale, out, cob.codomain.tuples, dimV
+    )
 
 
 def coboundary_matrix(
@@ -1371,29 +1450,33 @@ def coboundary_matrix(
 
     Each image is read off the memoized codomain space by
     :func:`_coordinates`, the readout that :func:`cochain_in_space` also
-    uses: its coordinates are its integers at the free slots of the
-    codomain basis (see :func:`cochain_basis`), and it must equal that
-    combination exactly, checked in integers over its nonzero slots and
-    the codomain basis terms it combines.  The matrix is built in its
-    integer form, column k the image's integers at the free slots,
-    brought from its D to the lcm of every D, and its Fraction views are
-    built only when a caller reads them (see
-    :meth:`Matrix.int_column_terms`); a Fraction is built here only for
-    the text of an error.
+    uses, on the slot numbers the image holds (see :class:`Cochain`): its
+    coordinates are its integers at the free slots of the codomain basis
+    (see :func:`cochain_basis`), and it must equal that combination
+    exactly, checked in integers over its nonzero slots and the codomain
+    basis terms it combines.  The matrix is built in its integer form,
+    column k the image's integers at the free slots, brought from its D
+    to the lcm of every D, and its Fraction views are built only when a
+    caller reads them (see :meth:`Matrix.int_column_terms`); a tuple and
+    a Fraction are built here only for the text of an error.
     """
     dom = cochain_basis(rep, n, gamma)
     cod_basis = cochain_basis(rep, n + 1, gamma)
     if not dom:
         return Matrix.zero(len(cod_basis), 0)
     cod = _space(rep, n + 1, gamma)  # the memo entry just read
+    arity, dimV = _arity(rep, n + 1), rep.dimV
     cols = []
     for k, fb in enumerate(dom):
         img = apply_coboundary(rep, r, fb, validate=False)
-        den, rows = img.int_values()
-        coords, stray = _coordinates(cod, rows)
+        den, pairs, _ = _slot_pairs(img, arity, dimV)
+        coords, stray = _coordinates(cod, pairs)
         if stray is not None:
-            (T, w), x = stray
-            args = ", ".join(rep.algebra.basis.names[i] for i in T)
+            # the slot decoded to word the error
+            s, x = stray
+            p, w = divmod(s, dimV)
+            names = rep.algebra.basis.names
+            args = ", ".join(names[i] for i in arity.tuples[p])
             raise RuntimeError(
                 f"coboundary image of basis cochain {k} has "
                 f"coordinate {rep.space.names[w]} = "
@@ -1469,9 +1552,11 @@ def cohomology_dims(
     next coboundary and must map to zero, else RuntimeError naming the
     basis cochain and the first tuple where the square is nonzero, with
     its value.  The re-check is exact and cheap: it reads the bases and
-    unit-slot images memoized on the module, and each
+    unit-slot images memoized on the module, each basis cochain and each
+    d f holds its slot numbers (see :class:`Cochain`), and each
     :func:`apply_coboundary` sums the numbered flat images in one integer
-    accumulator keyed by slot number, so only a nonzero d(d f) builds
+    accumulator keyed by slot number, which a vanishing d(d f) leaves
+    with nothing to sort.  So only a nonzero d(d f) builds tuples and
     Fractions.
 
     dim C is the length of the memoized cochain basis, and the rank of

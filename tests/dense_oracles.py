@@ -515,7 +515,7 @@ def reach_oracle(rep, n: int, T) -> tuple:
     else:
         beta_pre = bracket_pre = ()
     eps = a.eps_table()
-    unit = Cochain._of(n, a.basis.group.zero(), 1, {T: ((0, 1),)}, 1)
+    unit = Cochain(n, a.basis.group.zero(), {T: (1,)}, 1)
     used = set(T)
     need: dict = {}
     for u in T:

@@ -67,6 +67,7 @@ from dense_oracles import (
     spans_equal,
 )
 from fixtures import (
+    BROKEN_MODULES,
     LIE_CORPUS,
     TWISTED,
     gl2_conjugation_twist,
@@ -1806,6 +1807,21 @@ def test_apply_coboundary_refuses_a_negative_arity(validate):
         apply_coboundary(rep, 1, f, validate=validate)
 
 
+@pytest.mark.parametrize("validate", [True, False])
+def test_apply_coboundary_refuses_another_value_dimension(validate):
+    # the slot numbers of a value of another dimension would name other
+    # slots of the module, so such a cochain is refused, unvalidated too
+    rep = adjoint_rep(osp12_classical(), 0, 1)
+    for dimV in (rep.dimV - 1, rep.dimV + 1):
+        f = Cochain(1, (0,), {(0,): (1,) + (0,) * (dimV - 1)}, dimV)
+        with pytest.raises(ValueError) as err:
+            apply_coboundary(rep, 1, f, validate=validate)
+        assert str(err.value) == (
+            "cochain is outside the domain space: value dimension differs "
+            "from the module"
+        )
+
+
 @pytest.mark.parametrize("index", ["dim", 99, -1])
 def test_a_stored_index_outside_the_basis_is_refused_by_name(index):
     # -1 must not wrap round to the last basis vector, nor dim or 99 raise
@@ -1928,6 +1944,117 @@ def test_one_and_two_slot_coboundaries_match_the_oracle(name):
                     want = coboundary_oracle(rep, 1, f)
                     assert got == want
                     assert list(got.values) == list(want.values)
+
+
+# well-formed modules, and broken ones whose images leave the degree
+# slots (an action by -2/3 E41) or the cochain space (beta_V := alpha_V)
+SLOT_NUMBER_MODULES = {
+    **FORM_MODULES,
+    **{
+        name: BROKEN_MODULES[name][0]
+        for name in (
+            "e41x-2/3/osp12_classical",
+            "beta_is_alpha/gl2_conjugation_twist",
+        )
+    },
+}
+
+
+def _library_cochains(rep, ref, rng):
+    """Cochains the library builds on ``rep``, arity 0-1 and every
+    realized degree: two basis cochains, their images, the image of a
+    combination of the basis cochains of ``ref`` (a module equal to
+    ``rep``) and the image of that image."""
+    out = []
+    for n in range(2):
+        for g in realized_gammas(rep, n):
+            basis = cochain_basis(rep, n, g)
+            if not basis:
+                continue
+            out += basis[:2]
+            out += [
+                apply_coboundary(rep, 1, f, validate=False) for f in basis[:2]
+            ]
+            combined = _combination(cochain_basis(ref, n, g), rng)
+            image = apply_coboundary(rep, 1, combined, validate=False)
+            out += [image, apply_coboundary(rep, 1, image, validate=False)]
+    return out
+
+
+def _coboundary_or_error(rep, r, f, validate):
+    try:
+        return apply_coboundary(rep, r, f, validate=validate)
+    except ValueError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("name", sorted(SLOT_NUMBER_MODULES))
+def test_slot_numbered_cochains_read_like_their_constructed_copies(name):
+    # A library cochain holds its slot numbers and builds its tuple rows
+    # only when read.  Before and after that, its coboundary (both
+    # validate values), its membership verdict and reason, ==, hash and
+    # eval match those of its copy through the public constructor.  Each
+    # module is built twice: the copies come from the second, so that
+    # building them decodes nothing on the first.
+    make = SLOT_NUMBER_MODULES[name]
+    dim = make().algebra.dim
+    seen = {"multi-slot": 0, "refused": 0, "member": 0, "non-member": 0}
+    for decode in (False, True):
+        rep, ref = make(), make()
+        got = _library_cochains(rep, ref, Random(name))
+        want = [_eager(f) for f in _library_cochains(ref, ref, Random(name))]
+        rng = Random(f"eval/{name}")
+        for f, copy_f in zip(got, want):
+            if decode:
+                f.int_values()
+            assert f.is_zero() == copy_f.is_zero()
+            for validate in (False, True):
+                for r in (0, 1):
+                    image = _coboundary_or_error(rep, r, f, validate)
+                    expected = _coboundary_or_error(rep, r, copy_f, validate)
+                    if isinstance(expected, str):
+                        assert image == expected
+                    else:
+                        _same_cochain(image, expected)
+                if not validate:
+                    # the coboundary read f's slot numbers, not its rows
+                    assert (f._ints is None) == (not decode)
+            verdict = cochain_in_space(rep, f)
+            assert verdict == cochain_in_space(rep, copy_f)
+            seen["member" if verdict[0] else "non-member"] += 1
+            seen["multi-slot"] += sum(map(len, copy_f.values.values())) > 1
+            assert f == copy_f and copy_f == f
+            assert hash(f) == hash(copy_f)
+            # on an equal module, whose tables are not the ones that
+            # number f's slots
+            _same_cochain(
+                apply_coboundary(ref, 1, f, validate=False),
+                apply_coboundary(ref, 1, copy_f, validate=False),
+            )
+            for _ in range(2):
+                args = _fraction_arguments(rep.algebra, f.n, rng)
+                assert f.eval(rep, args) == copy_f.eval(rep, args)
+            if f.n and verdict[0]:
+                # a stored index outside the basis, after f's own tuples
+                outside = (dim,) * f.n
+                mixed = Cochain(
+                    f.n,
+                    f.degree,
+                    {**copy_f.values, outside: (1,) + (0,) * (rep.dimV - 1)},
+                    rep.dimV,
+                )
+                reason = (
+                    f"stored tuple {outside} leaves the basis 0..{dim - 1}"
+                )
+                assert cochain_in_space(rep, mixed) == (False, reason)
+                for validate in (False, True):
+                    assert _coboundary_or_error(rep, 1, mixed, validate) == (
+                        f"cochain is outside the domain space: {reason}"
+                    )
+                seen["refused"] += 1
+    assert seen["multi-slot"] and seen["refused"] and seen["member"]
+    if name in BROKEN_MODULES:
+        assert seen["non-member"]
 
 
 def test_realized_gammas_cover_the_group():

@@ -3,6 +3,7 @@
 import json
 import multiprocessing
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -39,6 +40,7 @@ from bihomlie.derivations import HomEndo
 from bihomlie.grading import parse_group
 from bihomlie.linalg import Matrix, vec
 from bihomlie.multipliers import (
+    MissingEntryError,
     MultiplierTable,
     multiplier_from_omega,
     sigma_twist,
@@ -241,6 +243,36 @@ def test_parse_multiplier_side_file():
         parse_multiplier("0 0 1\n0 0 2\n", g)
     with pytest.raises(ParseError, match="multiplier value 0"):
         parse_multiplier("0 0 0\n", g)
+
+
+@pytest.mark.parametrize("text", ["2\n", "  2\n", "2"])
+def test_a_one_token_line_is_the_entry_of_the_trivial_group(text):
+    # over a group of rank 0 both degrees are the empty token, as the
+    # twist tests write them
+    t = parse_multiplier(text, parse_group("0"))
+    assert t.entries == {((), ()): F(2)}
+    assert t.value((), ()) == 2
+
+
+def test_the_trivial_group_keeps_its_multiplier_refusals():
+    g = parse_group("0")
+    # an empty file parses, but names no entry
+    with pytest.raises(MissingEntryError, match=re.escape(
+        "multiplier has no entry for (, )"
+    )):
+        parse_multiplier("", g).value((), ())
+    # three tokens name degrees of rank 1
+    with pytest.raises(ParseError, match="expected 0 coordinates, got 1"):
+        parse_multiplier("0 0 2\n", g)
+    with pytest.raises(ParseError, match="expected 'g h value'"):
+        parse_multiplier("1 2\n", g)
+    with pytest.raises(ParseError, match="duplicate entry"):
+        parse_multiplier("2\n3\n", g)
+    with pytest.raises(ParseError, match="multiplier value 0"):
+        parse_multiplier("0\n", g)
+    # a group of positive rank still needs both degrees
+    with pytest.raises(ParseError, match="expected 'g h value'"):
+        parse_multiplier("2\n", parse_group("Z2"))
 
 
 def test_jsonable_rewrites_fractions_and_tuples():
