@@ -61,6 +61,22 @@ hash moves when any bit of the output does.  The records are
   of the commands a benchmark corpus sweep runs: ``check`` on every one of
   those files, and ``derivations`` (``der``, ``centroid``) and
   ``cohomology`` (n = 1, 2, 3) on each but ``mat2_assoc.alg``;
+- ``corpus/<name>``: the ``serialize_algebra`` text,
+  ``int_table("product_terms")``, the ``int_column_terms()`` of alpha and
+  beta and the kind of ``corpus(name)`` for every name of
+  ``CORPUS_NAMES``;
+- ``cli/example/<name>``: the exit code and the emitted text (and
+  stderr) of
+  ``example`` on every name of ``CORPUS_NAMES`` and of ``example
+  --list``; and ``cli/<file>/<command>`` for the commands no sweep runs,
+  with fixed side files: the exit code, the text printed on stdout and
+  stderr and the ``--report`` JSON text of ``admissible --group all`` on every shipped
+  file, of ``sigma-twist`` and ``delta-twist`` by the constant multiplier
+  2 on every Lie file, of ``sigma-twist`` on ``osp12_classical.alg`` by a
+  symmetric and by an asymmetric table, of ``delta-twist`` on
+  ``z2z2_colour.alg`` by the cocycle that flips its bicharacter, and of
+  ``twist`` on ``osp12_classical.alg`` by the scaling maps t = 2, 3 and
+  by a map that is no morphism;
 - ``parse-error/<case>``: the text and line of the ``ParseError`` that
   each malformed input of ``tests/fixtures.py::MALFORMED`` raises.
 
@@ -123,12 +139,14 @@ from bihomlie.cohomology import (  # noqa: E402
 )
 from bihomlie.cli import run_cli  # noqa: E402
 from bihomlie.constructions import (  # noqa: E402
+    CORPUS_NAMES,
     commutator_algebra,
+    corpus,
     lie_corpus,
     mat2_assoc,
     osp12_classical,
 )
-from bihomlie.grading import parse_group  # noqa: E402
+from bihomlie.grading import format_degree, parse_group  # noqa: E402
 from bihomlie.linalg import Matrix  # noqa: E402
 
 import fixtures  # noqa: E402
@@ -474,6 +492,118 @@ def _parse_and_cli_records():
                 report.unlink(missing_ok=True)
 
 
+def _run(argv, report=None):
+    """The exit code and the text ``run_cli(argv)`` prints on stdout and
+    on stderr, with the text of the ``--report`` file when ``report`` is
+    given (None when the command wrote none)."""
+    if report is not None:
+        argv = [*argv, "--report", str(report)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(argv)
+    printed = code, out.getvalue(), err.getvalue()
+    if report is None:
+        return printed
+    text = report.read_text("utf-8") if report.exists() else None
+    report.unlink(missing_ok=True)
+    return (*printed, text)
+
+
+def _corpus_records():
+    for name in CORPUS_NAMES:
+        a = corpus(name)
+        yield f"corpus/{name}", (
+            serialize_algebra(a),
+            a.int_table("product_terms"),
+            a.alpha.int_column_terms(),
+            a.beta.int_column_terms(),
+            a.kind,
+        )
+    yield "cli/example/--list", _run(["example", "--list"])
+    for name in CORPUS_NAMES:
+        yield f"cli/example/{name}", _run(["example", name])
+
+
+def _constant_multiplier(a) -> str:
+    """The multiplier 2 on every pair of degrees that ``a``'s degrees,
+    their sums and zero give: symmetric, a cocycle, and delta 1."""
+    group = a.basis.group
+    degrees = set(a.basis.degrees) | {group.zero()}
+    degrees |= {group.add(g, h) for g in degrees for h in degrees}
+    return "".join(
+        f"{format_degree(g)} {format_degree(h)} 2\n"
+        for g in sorted(degrees)
+        for h in sorted(degrees)
+    )
+
+
+def _side_files():
+    """(name, text) of the fixed side files of the twist commands."""
+    yield "symmetric.mult", "0 0 1/2\n0 1 1/2\n1 0 1/2\n1 1 18\n"
+    yield "asymmetric.mult", "0 0 1\n0 1 2\n1 0 3\n1 1 1\n"
+    yield "flip.mult", "".join(
+        f"{g[0]},{g[1]} {h[0]},{h[1]} {(-1) ** (g[1] * h[0])}\n"
+        for g in ((0, 0), (0, 1), (1, 0), (1, 1))
+        for h in ((0, 0), (0, 1), (1, 0), (1, 1))
+    )
+    for name, t in (("scale2.map", Fraction(2)), ("scale3.map", Fraction(3))):
+        yield name, (
+            f"X -> {t ** 2} X\nY -> {1 / t ** 2} Y\n"
+            f"F -> {1 / t} F\nG -> {t} G\n"
+        )
+    yield "swap.map", "X -> Y\nY -> X\n"
+
+
+def _twist_cli_records():
+    """``admissible --group all`` on every shipped file, and the twist
+    commands on shipped files with the side files of :func:`_side_files`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        side = {}
+        for name, text in _side_files():
+            side[name] = str(tmp / name)
+            (tmp / name).write_text(text, "utf-8")
+        report = tmp / "report.json"
+        runs = []
+        for name in SHIPPED:
+            path = str(DATA / name)
+            runs.append((f"{name}/admissible", ["admissible", path]))
+            a = parse_algebra((DATA / name).read_text("utf-8"))
+            if a.kind != "lie":
+                continue
+            constant = tmp / f"constant-{name}.mult"
+            constant.write_text(_constant_multiplier(a), "utf-8")
+            for verb in ("sigma-twist", "delta-twist"):
+                runs.append(
+                    (f"{name}/{verb}-constant", [verb, path, str(constant)])
+                )
+        osp = str(DATA / "osp12_classical.alg")
+        runs += [
+            (
+                "osp12_classical.alg/sigma-twist-symmetric",
+                ["sigma-twist", osp, side["symmetric.mult"]],
+            ),
+            (
+                "osp12_classical.alg/sigma-twist-asymmetric",
+                ["sigma-twist", osp, side["asymmetric.mult"]],
+            ),
+            (
+                "z2z2_colour.alg/delta-twist-flip",
+                ["delta-twist", str(DATA / "z2z2_colour.alg"), side["flip.mult"]],
+            ),
+            (
+                "osp12_classical.alg/twist-scale",
+                ["twist", osp, side["scale2.map"], side["scale3.map"]],
+            ),
+            (
+                "osp12_classical.alg/twist-swap",
+                ["twist", osp, side["swap.map"], side["scale3.map"]],
+            ),
+        ]
+        for command, argv in runs:
+            yield f"cli/{command}", _run(argv, report)
+
+
 def _parse_error_records():
     basis = parse_algebra(fixtures.MINIMAL).basis
     readers = {
@@ -501,6 +631,8 @@ def records():
     yield from _matrix_records()
     yield from _report_records()
     yield from _parse_and_cli_records()
+    yield from _corpus_records()
+    yield from _twist_cli_records()
     yield from _parse_error_records()
 
 
