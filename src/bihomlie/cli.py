@@ -3,7 +3,8 @@
 Exit codes: 0 all requested checks passed (or the computation finished),
 1 a requested axiom check failed (the witness is printed), 2 bad input or
 usage.  `--report PATH` writes a JSON document with a `version` field and
-rationals rendered as strings.
+rationals rendered as strings; `example` and `roundtrip` write no report
+and take no `--report`.
 """
 
 from __future__ import annotations
@@ -349,12 +350,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="centroid kinds: do not impose commutation with beta",
     )
 
-    sp = add("example", _cmd_example, "emit a built-in algebra file")
+    # the two commands that write no report take no --report
+    sp = sub.add_parser("example", help="emit a built-in algebra file")
+    sp.set_defaults(func=_cmd_example)
     sp.add_argument("name", nargs="?")
     sp.add_argument("-o", "--output", help="write the file here")
     sp.add_argument("--list", action="store_true")
 
-    sp = add("roundtrip", _cmd_roundtrip, "parse/serialize fixpoint check")
+    sp = sub.add_parser("roundtrip", help="parse/serialize fixpoint check")
+    sp.set_defaults(func=_cmd_roundtrip)
     sp.add_argument("file")
 
     return p

@@ -6,13 +6,20 @@ commuting even morphisms (composition method).  Every hypothesis is
 validated before anything is built; the functions never trust the caller.
 Both sum the new product in integers from the structure constants and the
 maps' integer columns and build the algebra with ``ColourAlgebra._of``.
+
+The built-in corpus of :func:`corpus` holds the paper's worked examples:
+osp(1|2), the 2x2 matrix units and the Z2 x Z2 colour algebra are read
+from their shipped ``data/*.alg`` files, the one copy of their tables;
+``zero_<n>`` and the scaling twists of osp(1|2) are built here.
 """
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 from math import lcm
 
+from .alg_io import parse_algebra
 from .algebra import (
     MAX_DIM,
     ColourAlgebra,
@@ -26,13 +33,7 @@ from .algebra import (
     require_passing,
     to_fraction,
 )
-from .grading import (
-    Bicharacter,
-    GradedBasis,
-    GradingGroup,
-    super_bicharacter,
-    trivial_bicharacter,
-)
+from .grading import GradedBasis, GradingGroup, trivial_bicharacter
 from .linalg import Matrix, add_terms
 
 Scalar = int | Fraction | str
@@ -173,57 +174,22 @@ def zero_algebra(n: int) -> ColourAlgebra:
     )
 
 
-_OSP_NAMES = ("H", "X", "Y", "F", "G")
-_OSP_DEGREES = ((0,), (0,), (0,), (1,), (1,))
-
-# nonzero brackets [row, col] -> {name: coeff}; both orientations listed.
-_OSP_TABLE: dict[tuple[str, str], dict[str, int]] = {
-    ("H", "X"): {"X": 2},
-    ("X", "H"): {"X": -2},
-    ("H", "Y"): {"Y": -2},
-    ("Y", "H"): {"Y": 2},
-    ("X", "Y"): {"H": 1},
-    ("Y", "X"): {"H": -1},
-    ("H", "F"): {"F": -1},
-    ("F", "H"): {"F": 1},
-    ("H", "G"): {"G": 1},
-    ("G", "H"): {"G": -1},
-    ("X", "F"): {"G": 1},
-    ("F", "X"): {"G": -1},
-    ("Y", "G"): {"F": 1},
-    ("G", "Y"): {"F": -1},
-    ("G", "F"): {"H": 1},
-    ("F", "G"): {"H": 1},
-    ("F", "F"): {"Y": 2},
-    ("G", "G"): {"X": -2},
-}
+def _shipped(stem: str) -> ColourAlgebra:
+    """The algebra of the shipped file ``data/<stem>.alg``."""
+    path = os.path.join(os.path.dirname(__file__), "data", stem + ".alg")
+    with open(path, encoding="utf-8") as fh:
+        return parse_algebra(fh.read())
 
 
 def osp12_classical() -> ColourAlgebra:
-    """The five-dimensional orthosymplectic Lie superalgebra over Q.
+    """The five-dimensional orthosymplectic Lie superalgebra over Q, read
+    from the shipped ``osp12_classical.alg``.
 
     Basis H, X, Y (even), F, G (odd); realized by supermatrices with
     H = diag(1,0,-1), X = E13, Y = E31, F = E21+E32, G = E12-E23, from
-    which the table below is read off.  Identity structure maps.
+    which the file's table is read off.  Identity structure maps.
     """
-    group = GradingGroup(0, (2,))
-    basis = GradedBasis(group, _OSP_NAMES, _OSP_DEGREES)
-    n = len(_OSP_NAMES)
-    product = [
-        [[Fraction(0)] * n for _ in range(n)] for _ in range(n)
-    ]
-    for (x, y), cell in _OSP_TABLE.items():
-        i, j = basis.index(x), basis.index(y)
-        for name, coeff in cell.items():
-            product[i][j][basis.index(name)] = Fraction(coeff)
-    return ColourAlgebra(
-        basis,
-        super_bicharacter(),
-        product,
-        Matrix.identity(n),
-        Matrix.identity(n),
-        kind="lie",
-    )
+    return _shipped("osp12_classical")
 
 
 def osp12_scaling_map(t: Scalar) -> Matrix:
@@ -251,62 +217,37 @@ def build_osp12(lam: Scalar, kappa: Scalar) -> ColourAlgebra:
 
 
 def mat2_assoc() -> ColourAlgebra:
-    """2x2 matrix units under matrix multiplication, trivially graded."""
-    group = GradingGroup(0, ())
-    names = ("E11", "E12", "E21", "E22")
-    basis = GradedBasis(group, names, ((),) * 4)
-    idx = {name: k for k, name in enumerate(names)}
-    n = 4
-    product = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for r, (i, j) in enumerate(((1, 1), (1, 2), (2, 1), (2, 2))):
-        for c, (k, l) in enumerate(((1, 1), (1, 2), (2, 1), (2, 2))):
-            if j == k:
-                product[r][c][idx[f"E{i}{l}"]] = Fraction(1)
-    return ColourAlgebra(
-        basis,
-        trivial_bicharacter(group),
-        product,
-        Matrix.identity(n),
-        Matrix.identity(n),
-        kind="associative",
-    )
+    """2x2 matrix units under matrix multiplication, trivially graded,
+    read from the shipped ``mat2_assoc.alg``."""
+    return _shipped("mat2_assoc")
 
 
 def z2z2_colour_example() -> ColourAlgebra:
-    """A colour (non-super) example graded by Z2 x Z2.
+    """A colour (non-super) example graded by Z2 x Z2, read from the
+    shipped ``z2z2_colour.alg``.
 
     eps((a1,a2),(b1,b2)) = (-1)^(a1 b2 + a2 b1); the three nonzero degrees
     pair to -1 with each other, so the symmetric table [a,b]=[b,a]=c (cyclic)
     is eps-skewsymmetric; identity maps.
     """
-    group = GradingGroup(0, (2, 2))
-    eps = Bicharacter(group, [[1, -1], [-1, 1]])
-    basis = GradedBasis(group, ("a", "b", "c"), ((1, 0), (0, 1), (1, 1)))
-    n = 3
-    product = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    cyc = {("a", "b"): "c", ("b", "c"): "a", ("c", "a"): "b"}
-    for (x, y), z in cyc.items():
-        i, j, k = basis.index(x), basis.index(y), basis.index(z)
-        product[i][j][k] = Fraction(1)
-        product[j][i][k] = Fraction(1)
-    return ColourAlgebra(
-        basis, eps, product, Matrix.identity(n), Matrix.identity(n), kind="lie"
-    )
+    return _shipped("z2z2_colour")
 
 
 def corpus(name: str) -> ColourAlgebra:
     """Look up a built-in algebra by its stable CLI-visible name.
 
-    Accepted: zero_<n> (1 <= n <= MAX_DIM), osp12_classical,
-    osp12_twist(<lam>,<kappa>) (bare osp12_twist means (2,3)), mat2_assoc,
-    z2z2_colour_example.
+    Accepted: zero_<n> (n a canonical decimal, 1 <= n <= MAX_DIM),
+    osp12_classical, osp12_twist(<lam>,<kappa>) (bare osp12_twist means
+    (2,3)), mat2_assoc, z2z2_colour_example.
     """
     name = name.strip()
     if name.startswith("zero_"):
         try:
             n = int(name[5:])
         except ValueError:
-            raise KeyError(f"unknown corpus algebra {name!r}") from None
+            n = 0
+        if str(n) != name[5:]:
+            raise KeyError(f"unknown corpus algebra {name!r}")
         if not 1 <= n <= MAX_DIM:
             raise KeyError(
                 f"unknown corpus algebra {name!r}; zero_<n> needs "

@@ -1,6 +1,7 @@
 """Built-in algebras: the osp(1,2) family, twists, and corpus lookup."""
 
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -20,6 +21,8 @@ from bihomlie.constructions import (
     zero_algebra,
 )
 from bihomlie.algebra import ColourAlgebra
+from bihomlie.alg_io import parse_algebra
+from bihomlie.grading import GradingGroup
 from bihomlie.linalg import Matrix
 from dense_oracles import morphism_failures
 from fixtures import gl21_fraction_twist
@@ -252,12 +255,144 @@ def test_corpus_parses_twist_parameters():
     assert corpus("osp12_twist(3,5)") == build_osp12(3, 5)
     assert corpus("osp12_twist") == build_osp12(2, 3)
     assert corpus("zero_7").dim == 7
+    assert corpus("zero_100").dim == 100
 
 
-@pytest.mark.parametrize("bad", ["zero_0", "zero_x", "osp", "osp12_twist(1)", ""])
+# zero_<n> takes n only as a canonical decimal: int() reads each of the last
+# five names, zero_1_0 as 10 and the Arabic-Indic digit of zero_\u0663 as 3
+LOOSE_ZERO_NAMES = ["zero_1_0", "zero_ 3", "zero_+3", "zero_03", "zero_\u0663"]
+
+
+@pytest.mark.parametrize(
+    "bad", ["zero_0", "zero_x", "osp", "osp12_twist(1)", "", *LOOSE_ZERO_NAMES]
+)
 def test_corpus_rejects_unknown_names(bad):
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="unknown corpus algebra"):
         corpus(bad)
+
+
+# -- an oracle for the shipped files: the structure constants from their
+# realizations, with no code of the parser or of the library's builders
+
+
+def _supermatrix(entries):
+    """The 3x3 matrix with the given {(row, column): value}, 1-based."""
+    return tuple(
+        tuple(F(entries.get((r, c), 0)) for c in (1, 2, 3)) for r in (1, 2, 3)
+    )
+
+
+def _times(p, q):
+    return tuple(
+        tuple(sum(p[r][k] * q[k][c] for k in range(3)) for c in range(3))
+        for r in range(3)
+    )
+
+
+# rows and columns 1, 3 even and 2 odd, so F and G are the odd elements
+OSP = {
+    "H": (0, _supermatrix({(1, 1): 1, (3, 3): -1})),
+    "X": (0, _supermatrix({(1, 3): 1})),
+    "Y": (0, _supermatrix({(3, 1): 1})),
+    "F": (1, _supermatrix({(2, 1): 1, (3, 2): 1})),
+    "G": (1, _supermatrix({(1, 2): 1, (2, 3): -1})),
+}
+# the one entry of each basis matrix that no other one has
+OSP_READ_AT = {"H": (0, 0), "X": (0, 2), "Y": (2, 0), "F": (1, 0), "G": (0, 1)}
+
+
+def _osp_coordinates(m):
+    """The coordinates of m in H, X, Y, F, G, read at each element's own
+    entry; m must be their combination, which is checked."""
+    coords = [m[r][c] for r, c in OSP_READ_AT.values()]
+    rebuilt = tuple(
+        tuple(
+            sum(x * mx[r][c] for x, (_, mx) in zip(coords, OSP.values()))
+            for c in range(3)
+        )
+        for r in range(3)
+    )
+    assert rebuilt == m
+    return coords
+
+
+def osp_oracle():
+    """(group, names, degrees, eps, product, kind) of osp(1|2): the
+    supercommutator [A, B] = AB - (-1)^(|A||B|) BA of the realization."""
+    table = []
+    for px, mx in OSP.values():
+        row = []
+        for py, my in OSP.values():
+            xy, yx = _times(mx, my), _times(my, mx)
+            sign = (-1) ** (px * py)
+            row.append(
+                _osp_coordinates(
+                    tuple(
+                        tuple(xy[r][c] - sign * yx[r][c] for c in range(3))
+                        for r in range(3)
+                    )
+                )
+            )
+        table.append(row)
+    parities = [p for p, _ in OSP.values()]
+    eps = [[(-1) ** (p * q) for q in parities] for p in parities]
+    degrees = [(p,) for p in parities]
+    return GradingGroup(0, (2,)), list(OSP), degrees, eps, table, "lie"
+
+
+def mat2_oracle():
+    """The matrix units E_ij E_kl = delta_jk E_il, trivially graded."""
+    units = [(i, j) for i in (1, 2) for j in (1, 2)]
+    table = [
+        [
+            [F(int(j == k and (i, l) == u)) for u in units]
+            for (k, l) in units
+        ]
+        for (i, j) in units
+    ]
+    names = [f"E{i}{j}" for i, j in units]
+    return (
+        GradingGroup(0, ()), names, [()] * 4, [[1] * 4] * 4, table,
+        "associative",
+    )
+
+
+def z2z2_oracle():
+    """The cyclic rule [a, b] = [b, a] = c, [b, c] = [c, b] = a,
+    [c, a] = [a, c] = b over Z2 x Z2 with eps = (-1)^(a1 b2 + a2 b1)."""
+    degrees = [(1, 0), (0, 1), (1, 1)]
+    table = [
+        [[F(int(k not in (i, j) and i != j)) for k in range(3)] for j in range(3)]
+        for i in range(3)
+    ]
+    eps = [
+        [(-1) ** (g[0] * h[1] + g[1] * h[0]) for h in degrees] for g in degrees
+    ]
+    return GradingGroup(0, (2, 2)), ["a", "b", "c"], degrees, eps, table, "lie"
+
+
+@pytest.mark.parametrize(
+    "stem, build, oracle",
+    [
+        ("osp12_classical", osp12_classical, osp_oracle),
+        ("mat2_assoc", mat2_assoc, mat2_oracle),
+        ("z2z2_colour", z2z2_colour_example, z2z2_oracle),
+    ],
+)
+def test_each_shipped_file_holds_the_algebra_of_its_realization(
+    stem, build, oracle
+):
+    text = resources.files("bihomlie").joinpath("data", f"{stem}.alg")
+    a = parse_algebra(text.read_text(encoding="utf-8"))
+    group, names, degrees, eps, table, kind = oracle()
+    assert a.basis.group == group
+    assert list(a.basis.names) == names
+    assert list(a.basis.degrees) == degrees
+    assert [list(row) for row in a.eps_table()] == eps
+    assert [[list(cell) for cell in row] for row in a.product] == table
+    assert a.alpha == a.beta == Matrix.identity(len(names))
+    assert a.kind == kind
+    assert build() == a
 
 
 def test_lie_corpus_all_pass():

@@ -352,10 +352,13 @@ def test_a_directory_as_report_path_is_a_usage_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_an_unknown_example_name_is_reported_unquoted(capsys):
-    assert run_cli(["example", "nope"]) == 2
+@pytest.mark.parametrize(
+    "name", ["nope", "zero_1_0", "zero_ 3", "zero_+3", "zero_03", "zero_\u0663"]
+)
+def test_an_unknown_example_name_is_reported_unquoted(name, capsys):
+    assert run_cli(["example", name]) == 2
     out = capsys.readouterr()
-    assert out.err == "error: unknown corpus algebra 'nope'\n"
+    assert out.err == f"error: unknown corpus algebra {name!r}\n"
     assert out.out == ""
 
 
@@ -399,6 +402,30 @@ def test_example_subcommand(tmp_path, capsys):
     assert run_cli(["example"]) == 2
     assert run_cli(["example", "no_such_algebra"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("name, shipped", zip(CORPUS_NAMES, DATA_FILES))
+def test_example_writes_the_shipped_file_byte_for_byte(name, shipped, tmp_path):
+    target = tmp_path / "out.alg"
+    assert run_cli(["example", name, "-o", str(target)]) == 0
+    with open(data_path(shipped), "rb") as fh:
+        assert target.read_bytes() == fh.read()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["example", "osp12_classical", "-o", "x.alg"],
+        ["roundtrip", data_path("osp12_classical.alg")],
+    ],
+)
+def test_the_commands_that_write_no_report_refuse_report(
+    argv, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli([*argv, "--report", "r.json"]) == 2
+    assert "unrecognized arguments: --report r.json" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_twist_subcommand_builds_the_scaled_algebra(tmp_path, capsys):
