@@ -19,7 +19,12 @@ from bihomlie.constructions import (
     yau_twist,
     z2z2_colour_example,
 )
-from bihomlie.grading import GradedBasis, GradingGroup, super_bicharacter
+from bihomlie.grading import (
+    GradedBasis,
+    GradingGroup,
+    format_degree,
+    super_bicharacter,
+)
 from bihomlie.linalg import Matrix
 from bihomlie.multipliers import MultiplierTable
 
@@ -305,6 +310,19 @@ def table_from_rule(group, degrees, rule):
             closed.add(group.add(g, h))
     return MultiplierTable(
         group, {(g, h): rule(g, h) for g in closed for h in closed}
+    )
+
+
+def constant_multiplier(a: ColourAlgebra) -> str:
+    """The text of the multiplier 2 on every pair of degrees that ``a``'s
+    degrees, their sums and zero give: symmetric, a cocycle, and delta 1."""
+    group = a.basis.group
+    degrees = set(a.basis.degrees) | {group.zero()}
+    degrees |= {group.add(g, h) for g in degrees for h in degrees}
+    return "".join(
+        f"{format_degree(g)} {format_degree(h)} 2\n"
+        for g in sorted(degrees)
+        for h in sorted(degrees)
     )
 
 

@@ -258,8 +258,8 @@ def test_corpus_parses_twist_parameters():
     assert corpus("zero_100").dim == 100
 
 
-# zero_<n> takes n only as a canonical decimal: int() reads each of the last
-# five names, zero_1_0 as 10 and the Arabic-Indic digit of zero_\u0663 as 3
+# zero_<n> takes n only as a canonical decimal, though int() reads the n of
+# each of these: zero_1_0 as 10 and the Arabic-Indic digit of zero_\u0663 as 3
 LOOSE_ZERO_NAMES = ["zero_1_0", "zero_ 3", "zero_+3", "zero_03", "zero_\u0663"]
 
 

@@ -31,7 +31,6 @@ from bihomlie.constructions import (
     yau_twist,
     z2z2_colour_example,
 )
-from bihomlie.grading import format_degree
 from bihomlie.linalg import Matrix
 from bihomlie.multipliers import MultiplierTable, delta_twist, sigma_twist
 from dense_oracles import (
@@ -252,19 +251,6 @@ COMMANDS = (
 TWIST_COMMANDS = ("sigma-twist", "delta-twist")
 
 
-def _constant_multiplier(a: ColourAlgebra) -> str:
-    """The text of the multiplier 2 on every pair of degrees that ``a``'s
-    degrees, their sums and zero give: symmetric, a cocycle, and delta 1."""
-    group = a.basis.group
-    degrees = set(a.basis.degrees) | {group.zero()}
-    degrees |= {group.add(g, h) for g in degrees for h in degrees}
-    return "".join(
-        f"{format_degree(g)} {format_degree(h)} 2\n"
-        for g in sorted(degrees)
-        for h in sorted(degrees)
-    )
-
-
 @pytest.mark.parametrize("name", DATA_FILES)
 def test_the_commands_on_a_parsed_file_never_build_the_dense_view(
     name, monkeypatch, capsys, tmp_path
@@ -279,7 +265,7 @@ def test_the_commands_on_a_parsed_file_never_build_the_dense_view(
     path = str(resources.files("bihomlie").joinpath("data", name))
     a = _parsed(name)()
     sigma = tmp_path / "sigma.mult"
-    sigma.write_text(_constant_multiplier(a), encoding="utf-8")
+    sigma.write_text(fixtures.constant_multiplier(a), encoding="utf-8")
     monkeypatch.setattr(ColourAlgebra, "product", property(spy))
     for verb, *flags in COMMANDS:
         if name == "mat2_assoc.alg" and verb != "check":

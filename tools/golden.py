@@ -146,7 +146,7 @@ from bihomlie.constructions import (  # noqa: E402
     mat2_assoc,
     osp12_classical,
 )
-from bihomlie.grading import format_degree, parse_group  # noqa: E402
+from bihomlie.grading import parse_group  # noqa: E402
 from bihomlie.linalg import Matrix  # noqa: E402
 
 import fixtures  # noqa: E402
@@ -524,19 +524,6 @@ def _corpus_records():
         yield f"cli/example/{name}", _run(["example", name])
 
 
-def _constant_multiplier(a) -> str:
-    """The multiplier 2 on every pair of degrees that ``a``'s degrees,
-    their sums and zero give: symmetric, a cocycle, and delta 1."""
-    group = a.basis.group
-    degrees = set(a.basis.degrees) | {group.zero()}
-    degrees |= {group.add(g, h) for g in degrees for h in degrees}
-    return "".join(
-        f"{format_degree(g)} {format_degree(h)} 2\n"
-        for g in sorted(degrees)
-        for h in sorted(degrees)
-    )
-
-
 def _side_files():
     """(name, text) of the fixed side files of the twist commands."""
     yield "symmetric.mult", "0 0 1/2\n0 1 1/2\n1 0 1/2\n1 1 18\n"
@@ -572,7 +559,7 @@ def _twist_cli_records():
             if a.kind != "lie":
                 continue
             constant = tmp / f"constant-{name}.mult"
-            constant.write_text(_constant_multiplier(a), "utf-8")
+            constant.write_text(fixtures.constant_multiplier(a), "utf-8")
             for verb in ("sigma-twist", "delta-twist"):
                 runs.append(
                     (f"{name}/{verb}-constant", [verb, path, str(constant)])
