@@ -52,6 +52,18 @@ hash moves when any bit of the output does.  The records are
   ``osp12_classical``, ``typo_osp`` and ``conj_mat2``; and
   ``report/<algebra>/ad<s><l>/module``, ``validate_representation`` of
   the corpus adjoint modules;
+- ``module/<algebra>/ad<s><l>`` and ``module/<broken module>``:
+  ``validate_representation`` and the report of ``dual_rep`` with its
+  candidate's space and maps, on the adjoint modules ad_{s,l}, (s, l) in
+  (0, 1), (1, 0), of the gl(2|1) twists and ``gl21_noncommuting_twist``,
+  on two seeded copies of each with one entry of an action matrix,
+  alpha_V or beta_V moved (``.../rho<i>[r][c]``, ``.../alphaV[r][c]``),
+  and on each module of ``tests/fixtures.py::BROKEN_MODULES``;
+- ``gate/<algebra>/<construction>``: the integer tables of the result, or
+  the error type and refusal text, of ``yau_twist`` by identity maps, by
+  the algebra's own alpha and beta and by the identity and the reversal
+  of the basis, and of ``commutator_algebra``, on every algebra whose
+  axiom reports are hashed;
 - ``parse/<file>``: the basis, the bicharacter,
   ``int_table("product_terms")``, the ``int_column_terms()`` of alpha and
   beta, the kind and the ``serialize_algebra`` text of each shipped
@@ -127,6 +139,7 @@ from bihomlie.admissibility import (  # noqa: E402
 from bihomlie.algebra import SUITES  # noqa: E402
 from bihomlie.cohomology import (  # noqa: E402
     Cochain,
+    Representation,
     adjoint_rep,
     apply_coboundary,
     canonical_index_tuples,
@@ -134,6 +147,7 @@ from bihomlie.cohomology import (  # noqa: E402
     cochain_basis,
     cochain_in_space,
     cohomology_dims,
+    dual_rep,
     realized_gammas,
     validate_representation,
 )
@@ -145,6 +159,7 @@ from bihomlie.constructions import (  # noqa: E402
     lie_corpus,
     mat2_assoc,
     osp12_classical,
+    yau_twist,
 )
 from bihomlie.grading import parse_group  # noqa: E402
 from bihomlie.linalg import Matrix  # noqa: E402
@@ -322,6 +337,93 @@ def _report_records():
                 f"report/{name}/ad{s}{l}/module",
                 validate_representation(adjoint_rep(a, s, l)),
             )
+
+
+def _module_checks(rep) -> tuple:
+    """``validate_representation`` of ``rep`` and ``dual_rep``'s report
+    with its candidate's maps."""
+    dual, report = dual_rep(rep)
+    maps = (*dual.rho, dual.alphaV, dual.betaV)
+    return (
+        validate_representation(rep),
+        report,
+        dual.space,
+        tuple(m.int_column_terms() for m in maps),
+    )
+
+
+def _moved(rep, rng) -> tuple:
+    """(where, module): ``rep`` with one entry of one matrix moved by a
+    small fraction, an action entry, or an entry of alpha_V or beta_V."""
+    d = rep.dimV
+    which = rng.choice(("rho", "rho", "alphaV", "betaV"))
+    r, c = rng.randrange(d), rng.randrange(d)
+    delta = Fraction(rng.choice((1, -2, 3)), rng.randint(1, 4))
+
+    def move(m: Matrix) -> Matrix:
+        rows = [list(row) for row in m.rows]
+        rows[r][c] += delta
+        return Matrix(rows)
+
+    rho, maps = list(rep.rho), {"alphaV": rep.alphaV, "betaV": rep.betaV}
+    if which == "rho":
+        i = rng.randrange(len(rho))
+        rho[i] = move(rho[i])
+        which = f"rho{i}"
+    else:
+        maps[which] = move(maps[which])
+    return f"{which}[{r}][{c}]", Representation(
+        rep.algebra, rep.space, rho, maps["alphaV"], maps["betaV"]
+    )
+
+
+def _module_records():
+    """The module checks of :func:`_module_checks` on the adjoint modules
+    of the gl(2|1) twists and of ``gl21_noncommuting_twist``, on two
+    seeded copies of each with one entry moved, and on every module of
+    ``fixtures.BROKEN_MODULES``."""
+    rng = random.Random("module perturbations")
+    for name in (*GL21, "gl21_noncommuting_twist"):
+        a = getattr(fixtures, name)()
+        for s, l in ((0, 1), (1, 0)):
+            rep = adjoint_rep(a, s, l)
+            where = f"module/{name}/ad{s}{l}"
+            yield where, _module_checks(rep)
+            for _ in range(2):
+                moved, copy = _moved(rep, rng)
+                yield f"{where}/{moved}", _module_checks(copy)
+    for name, (make, _) in fixtures.BROKEN_MODULES.items():
+        yield f"module/{name}", _module_checks(make())
+
+
+def _gate_records():
+    """The output or the refusal text of the ``yau_twist`` and
+    ``commutator_algebra`` gates on every algebra whose reports are
+    hashed: the twist by identity maps, by the algebra's own maps and by
+    the identity with its columns reversed, then the commutator
+    algebra."""
+
+    def table(b):
+        return (
+            b.int_table("product_terms"),
+            b.alpha.int_column_terms(),
+            b.beta.int_column_terms(),
+        )
+
+    for name, a in _report_algebras():
+        one = Matrix.identity(a.dim)
+        flip = Matrix([row[::-1] for row in one.rows])
+        for case, maps in (
+            ("identity", (one, one)),
+            ("maps", (a.alpha, a.beta)),
+            ("reversed", (one, flip)),
+        ):
+            yield f"gate/{name}/yau_twist-{case}", _outcome(
+                lambda: table(yau_twist(a, *maps))
+            )
+        yield f"gate/{name}/commutator_algebra", _outcome(
+            lambda: table(commutator_algebra(a))
+        )
 
 
 def _outcome(call):
@@ -617,6 +719,8 @@ def records():
     yield from _refused_cochain_records()
     yield from _matrix_records()
     yield from _report_records()
+    yield from _module_records()
+    yield from _gate_records()
     yield from _parse_and_cli_records()
     yield from _corpus_records()
     yield from _twist_cli_records()
