@@ -20,16 +20,17 @@ check the specific items themselves.
 
 The scans sum integers over ``ColourAlgebra.int_table``: the structure
 constants, the integer form the algebra holds; one table per twisted
-product, summed in integers from the structure constants and the map's
-integer columns; and one for the skew brackets [beta(e_i), alpha(e_j)],
-read off dense products.
+product, summed from the structure constants and the map's integer
+columns; and the skew brackets [beta(e_i), alpha(e_j)], read off dense
+products.  Tables and scans sum only the terms that reach a cell or a
+basis tuple, and a scan fails at the least tuple whose sum is nonzero.
 
-Each identity shape has one evaluator here, shared with the other
-modules: :func:`_bracket_defect` for value([x, y]) = [left(x), M y] +
-s eps(g, x)[M x, right(y)], read by the multiplicativity items and by the
-membership predicates of ``derivations``; and :func:`_commutator` for
-m M - M m, read by ``maps_commute``, by the commutation test of those
-predicates and by the twist gates of ``constructions``.
+Each identity shape has one evaluator, shared with the other modules:
+:func:`_bracket_defect` for value([x, y]) = [left(x), M y] + s eps(g,
+x)[M x, right(y)], read by the multiplicativity items and the membership
+predicates of ``derivations``; and :func:`_commutator` for m M - M m',
+read by ``maps_commute``, those predicates, the twist gates of
+``constructions`` and the module checks of ``cohomology``.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .linalg import (  # the scalar bound and readers, re-exported here
     is_zero_vec,
     read_scalar,
     scale_to_ints,
+    sum_terms,
     terms_of,
     to_fraction,
     vec,
@@ -445,26 +447,41 @@ def _twisted_table(
     ``right`` of [x_i, m y_j], for the map m with m.int_column_terms() =
     ``images`` and the integer table ``table`` of [x_i, y_j]: for the
     structure constants, x and y are the basis.  Each cell sums the
-    table's integer cells at the image's nonzero entries over the product
-    of the two scales, brought down to the least scale by :func:`_least`.
+    terms that reach it (:func:`~bihomlie.linalg.sum_terms`) over the
+    product of the two scales, brought down to the least scale by
+    :func:`_least`; where every image has one term (u, c), the cells of
+    row u (with ``right``, column u) are scaled as they are, or kept for
+    c = 1, so identity and diagonal maps cost one pass over the table.
     """
     product_scale, terms = table
     map_scale, cols = images
     n = len(terms)
-
-    def cell(parts: Iterable[tuple[int, IntTerms]]) -> IntTerms:
-        acc = [0] * n
-        for c, ts in parts:
-            add_terms(acc, c, ts)
-        return tuple([(k, x) for k, x in enumerate(acc) if x])
-
-    if right:
+    if all(len(im) == 1 for im in cols):
+        units = [im[0] for im in cols]
+        if right:
+            table = [
+                [
+                    ts if c == 1 else tuple([(k, c * x) for k, x in ts])
+                    for u, c in units
+                    for ts in [row[u]]
+                ]
+                for row in terms
+            ]
+        else:
+            table = [
+                terms[u]
+                if c == 1
+                else [tuple([(k, c * x) for k, x in ts]) for ts in terms[u]]
+                for u, c in units
+            ]
+    elif right:
         table = [
-            [cell((y, row[u]) for u, y in im) for im in cols] for row in terms
+            [sum_terms([(y, row[u]) for u, y in im]) for im in cols]
+            for row in terms
         ]
     else:
         table = [
-            [cell((x, terms[u][j]) for u, x in im) for j in range(n)]
+            [sum_terms([(x, terms[u][j]) for u, x in im]) for j in range(n)]
             for im in cols
         ]
     return _least(product_scale * map_scale, table)
@@ -474,9 +491,11 @@ def _least(scale: int, table: Sequence[Sequence[IntTerms]]) -> IntTable:
     """The integer table (L, T) of the cells ``table`` over ``scale``:
     both divided by the gcd of the scale and every entry, so that L is the
     lcm of the table's denominators, the scale ``ColourAlgebra._of``
-    takes."""
+    takes.  Cells are kept as they are when that gcd is 1."""
     # gcd of a list, not of a generator: see scale_to_ints
     g = gcd(scale, *[x for row in table for ts in row for _, x in ts])
+    if g == 1:
+        return scale, tuple(map(tuple, table))
     return scale // g, tuple(
         tuple(tuple([(k, x // g) for k, x in ts]) for ts in row)
         for row in table
@@ -505,6 +524,27 @@ def _degree_shift(
     return hit
 
 
+def _add_at(sums: dict, key: object, f: int, terms: IntTerms) -> None:
+    """Add f times the integer ``terms`` into the {u: int} of ``key`` in
+    ``sums``, made when the first term reaches that key."""
+    acc = sums.get(key)
+    if acc is None:
+        acc = sums[key] = {}
+    for u, x in terms:
+        acc[u] = acc.get(u, 0) + f * x
+
+
+def _least_sum(sums: dict, n: int, den: int) -> tuple | None:
+    """(key, that sum over ``den`` as n Fractions) for the least key of
+    ``sums`` whose {u: int} of :func:`_add_at` is nonzero, else None: a
+    key no term reaches has sum zero, so a scan of every key agrees."""
+    for key in sorted(sums):
+        acc = sums[key]
+        if any(acc.values()):
+            return key, tuple(Fraction(acc.get(u, 0), den) for u in range(n))
+    return None
+
+
 def _bracket_defect(
     a: ColourAlgebra,
     gamma: GroupElement,
@@ -531,14 +571,12 @@ def _bracket_defect(
     to the lcm of the three tables' scales.  The defect of the failing
     pair is divided by the product of the two lcms.
 
-    Each term is summed into a small {u: int} of the pair (i, j) it
-    reaches, made when the first term reaches that pair: the value term
-    over the nonzero cells of the product table, skipping a t whose column
-    of d_value is empty; the left term over the column terms of d_left;
-    the right term over those of d_right.  A pair no term reaches has
-    defect zero, so the least reached pair, in row-major order, whose sum
-    is nonzero is the first failure of a scan over every pair, with the
-    same defect.
+    Each term is summed into the {u: int} of the pair (i, j) it reaches,
+    as :func:`_add_at` sums (inline, since the solvers call this on every
+    member): the value term over the nonzero cells of the product table,
+    skipping a t whose column of d_value is empty, the left and right
+    terms over the column terms of d_left and d_right.  The failure is
+    the least pair with a nonzero sum (:func:`_least_sum`).
     """
     n = a.dim
     signs = _degree_shift(a, gamma)[1]
@@ -563,8 +601,7 @@ def _bracket_defect(
         fl, lcols = -factor(lcopy, left_scale), lcopy[1]
     if rcopy is not None:
         fr, rcols = -right_sign * factor(rcopy, right_scale), rcopy[1]
-    # i * n + j -> {u: the sum at coordinate u of the pair (i, j)}, made
-    # when the first term reaches the pair
+    # i * n + j -> {u: the sum at coordinate u of the pair (i, j)}
     sums: dict[int, dict[int, int]] = {}
     if vcopy is not None:
         for i, row in enumerate(terms):
@@ -605,48 +642,56 @@ def _bracket_defect(
                         fi = f * signs[i]
                         for u, c in cell:
                             acc[u] = acc.get(u, 0) + fi * c
-    for key in sorted(sums):
-        acc = sums[key]
-        if any(acc.values()):
-            i, j = divmod(key, n)
-            den = maps_scale * scale
-            return i, j, tuple(Fraction(acc.get(u, 0), den) for u in range(n))
-    return None
+    bad = _least_sum(sums, n, maps_scale * scale)
+    return None if bad is None else (*divmod(bad[0], n), bad[1])
 
 
-def _commutator(m: Matrix, M: Matrix) -> tuple[int, int, Vec] | None:
-    """The row-major least nonzero entry (r, c) of m M - M m, with column c
-    of it as Fractions, or None when m and M commute.
-
-    One sparse product of the integer column terms of m and M, both sides
-    scaled by the product of their scales: entry (u, j) sums the terms
-    M_tj m_ut and -m_tj M_ut, in a dict that holds only the entries some
-    term reaches, so an entry no term reaches is zero on both sides."""
-    m_scale, mcols = m.int_column_terms()
-    M_scale, Mcols = M.int_column_terms()
-    # (u, j) -> (m M - M m)_uj times m_scale * M_scale
+def _product_sum(
+    parts: Iterable[tuple], nrows: int, by_column: bool = False
+) -> tuple[int, int, list[int]] | None:
+    """The least nonzero entry (r, c), row-major (``by_column``: column-
+    major), of the sum of f X Y over the (f, X, Y) of ``parts``, matrices
+    as integer column terms, with column c of the sum, or None: entry
+    (u, j) sums f Y_tj X_ut over the terms that reach it."""
     acc: dict[tuple[int, int], int] = {}
-    for first, second, sign in ((mcols, Mcols, 1), (Mcols, mcols, -1)):
+    for f, first, second in parts:
         for j, col in enumerate(second):
             for t, x in col:
-                f = sign * x
+                g = f * x
                 for u, y in first[t]:
                     key = (u, j)
-                    acc[key] = acc.get(key, 0) + f * y
-    if not any(acc.values()):
+                    acc[key] = acc.get(key, 0) + g * y
+    bad = [key for key, x in acc.items() if x]
+    if not bad:
         return None
-    r, c = min(key for key, x in acc.items() if x)
-    den = m_scale * M_scale
-    column = tuple(Fraction(acc.get((u, c), 0), den) for u in range(m.nrows))
-    return r, c, column
+    r, c = min(bad, key=(lambda key: key[::-1]) if by_column else None)
+    return r, c, [acc.get((u, c), 0) for u in range(nrows)]
+
+
+def _commutator(
+    m: Matrix, M: Matrix, other: Matrix | None = None, by_column: bool = False
+) -> tuple[int, int, Vec] | None:
+    """The least nonzero entry (r, c) of m M - M other (other = m by
+    default) and its column c as Fractions, or None: a
+    :func:`_product_sum` over the scale of M times the lcm of those of m
+    and other."""
+    m_scale, mcols = m.int_column_terms()
+    M_scale, Mcols = M.int_column_terms()
+    o_scale, ocols = (m if other is None else other).int_column_terms()
+    scale = lcm(m_scale, o_scale)
+    parts = (scale // m_scale, mcols, Mcols), (-scale // o_scale, Mcols, ocols)
+    bad = _product_sum(parts, m.nrows, by_column)
+    if bad is None:
+        return None
+    return (*bad[:2], tuple(Fraction(x, M_scale * scale) for x in bad[2]))
 
 
 def jacobiator(a: ColourAlgebra, i: int, j: int, k: int) -> Vec:
     """Cyclic BiHom-Jacobi defect on basis indices (i, j, k): the sum over
     cyclic (x,y,z) of eps(z,x) [beta^2(x), [beta(y), alpha(z)]].
 
-    A Fraction readout of the integer sum that the bihom_jacobi scan
-    makes (see :func:`_jacobi_defect`).
+    A Fraction readout of :func:`_jacobi_defect`, whose terms the
+    bihom_jacobi scan sums over the triples they reach.
     """
     scale, defect = _jacobi_defect(a)
     return tuple(Fraction(x, scale) for x in defect(i, j, k))
@@ -700,28 +745,42 @@ def _check_tuples(
     arity: int,
     defect_fn: Callable[..., Vec],
     advisory: bool = False,
-    note: str = "",
     scale: int = 1,
-    tuples: Iterable[tuple[int, ...]] | None = None,
 ) -> CheckItem:
     """Scan basis tuples in lexicographic order; first nonzero defect fails.
-
-    ``defect_fn`` returns the defect times ``scale``: the integer sums of
-    the scans over integer term tables pass their scale, and the witness
-    divides by it; a Fraction defect has scale 1.  ``tuples``, a
-    lexicographic subset holding the first failure, replaces the scan of
-    every ``arity``-tuple.
-    """
-    if tuples is None:
-        tuples = iproduct(range(a.dim), repeat=arity)
-    for idx in tuples:
+    ``defect_fn`` returns the defect times ``scale``, 1 for a Fraction
+    defect, and the witness divides by it."""
+    for idx in iproduct(range(a.dim), repeat=arity):
         defect = defect_fn(*idx)
         if not is_zero_vec(defect):
             defect = tuple(Fraction(x, scale) for x in defect)
-            return CheckItem(
-                name, False, _pair_witness(a, idx, defect), advisory, note
-            )
-    return CheckItem(name, True, None, advisory, note)
+            witness = _pair_witness(a, idx, defect)
+            return CheckItem(name, False, witness, advisory)
+    return CheckItem(name, True, None, advisory)
+
+
+def _check_sums(
+    a: ColourAlgebra, name: str, sums: dict, scale: int, advisory=False
+) -> CheckItem:
+    """The item of a scan whose defects times ``scale`` are summed by
+    :func:`_add_at` over the terms that reach each basis tuple: it fails
+    as :func:`_check_tuples` would, at :func:`_least_sum`."""
+    bad = _least_sum(sums, a.dim, scale)
+    witness = None if bad is None else _pair_witness(a, *bad)
+    return CheckItem(name, bad is None, witness, advisory)
+
+
+def _swap_sums(a: ColourAlgebra, table: IntTable, sign: int) -> dict:
+    """The sums of T[i][j] + sign eps(i, j) T[j][i] at (i, j), for the
+    cells T of ``table``, over the nonzero cells."""
+    eps = a.eps_table()
+    sums: dict = {}
+    for i, row in enumerate(table[1]):
+        for j, cell in enumerate(row):
+            if cell:
+                _add_at(sums, (i, j), 1, cell)
+                _add_at(sums, (j, i), sign * eps[j][i], cell)
+    return sums
 
 
 def _check_product_even(a: ColourAlgebra) -> CheckItem:
@@ -829,37 +888,25 @@ def check_lie_axioms(a: ColourAlgebra) -> AxiomReport:
     regularity are reported alongside as advisory verdicts.
     """
     rep = AxiomReport(_structural(a))
-
-    skew_scale, skew = a.int_table("skew_terms")
+    skew = a.int_table("skew_terms")
+    rep.items.append(
+        _check_sums(a, "bihom_skewsymmetry", _swap_sums(a, skew, 1), skew[0])
+    )
+    # the defect of _jacobi_defect sums the rotations (x, y, z) of a
+    # triple: each term goes to the least, thrice to (i, i, i)
     eps = a.eps_table()
-    n = a.dim
-
-    def skew_defect(i: int, j: int) -> list[int]:
-        acc = [0] * n
-        add_terms(acc, 1, skew[i][j])
-        add_terms(acc, eps[i][j], skew[j][i])
-        return acc
-
-    rep.items.append(
-        _check_tuples(
-            a, "bihom_skewsymmetry", 2, skew_defect, scale=skew_scale
-        )
-    )
-    # the Jacobi defect sums the rotations of (i, j, k), so the first
-    # failing triple is the least of its rotations: the scan visits those
-    # only, (i, j, k) with i least, less (i, j, i) with j > i
-    jacobi_scale, jacobi = _jacobi_defect(a)
-    least = (
-        (i, j, k)
-        for i in range(n)
-        for j in range(i, n)
-        for k in range(i + (j > i), n)
-    )
-    rep.items.append(
-        _check_tuples(
-            a, "bihom_jacobi", 3, jacobi, scale=jacobi_scale, tuples=least
-        )
-    )
+    outer_scale, outer_table = a.int_table("twisted_terms", 0, 2)
+    sums: dict = {}
+    for y, row in enumerate(skew[1]):
+        for z, cell in enumerate(row):
+            for x, outer in enumerate(outer_table if cell else ()):
+                key = min((x, y, z), (y, z, x), (z, x, y))
+                f = eps[z][x] * (3 if x == y == z else 1)
+                for u, c in cell:
+                    if outer[u]:
+                        _add_at(sums, key, f * c, outer[u])
+    jacobi_scale = skew[0] * outer_scale
+    rep.items.append(_check_sums(a, "bihom_jacobi", sums, jacobi_scale))
     rep.items.append(_check_regular(a))
     return rep
 
@@ -894,54 +941,35 @@ def associator(a: ColourAlgebra, x: Vec, y: Vec, z: Vec) -> Vec:
 def check_associative_axioms(a: ColourAlgebra) -> AxiomReport:
     """BiHom-associativity suite; colour-commutativity is a separate flag.
 
-    The associator of a basis triple, alpha(e_i)(e_j e_k) - (e_i e_j)
-    beta(e_k), is summed in integers: each term is a product-table
-    coefficient times a coefficient of the integer twisted table
-    ``int_table("twisted_terms", 1, 0)`` or ``int_table("twisted_terms",
-    0, 1, True)``, the twisted terms brought to the lcm of the two tables'
-    scales.
+    The associator alpha(e_i)(e_j e_k) - (e_i e_j) beta(e_k) is summed in
+    integers over the triples each term reaches: a product-table term
+    times a cell of ``int_table("twisted_terms", 1, 0)`` or of
+    ``int_table("twisted_terms", 0, 1, True)``, brought to one scale.
     """
     rep = AxiomReport(_structural(a))
-
     product_scale, terms = a.int_table("product_terms")
     left_scale, left = a.int_table("twisted_terms", 1, 0)
     right_scale, right = a.int_table("twisted_terms", 0, 1, True)
     scale = lcm(left_scale, right_scale)
     fl, fr = scale // left_scale, -(scale // right_scale)
-    n = a.dim
-
-    def assoc_defect(i: int, j: int, k: int) -> list[int]:
-        acc = [0] * n
-        left_i = left[i]
-        for u, c in terms[j][k]:
-            add_terms(acc, fl * c, left_i[u])
-        for u, c in terms[i][j]:
-            add_terms(acc, fr * c, right[u][k])
-        return acc
-
+    # alpha(e_i)(e_j e_k) over the cells (j, k), (e_i e_j) beta(e_k) over
+    # the cells (i, j)
+    sums: dict = {}
+    for p, row in enumerate(terms):
+        for q, cell in enumerate(row):
+            for u, c in cell:
+                for i, left_i in enumerate(left):
+                    if left_i[u]:
+                        _add_at(sums, (i, p, q), fl * c, left_i[u])
+                for k, ts in enumerate(right[u]):
+                    if ts:
+                        _add_at(sums, (p, q, k), fr * c, ts)
     rep.items.append(
-        _check_tuples(
-            a, "bihom_associative", 3, assoc_defect, scale=product_scale * scale
-        )
+        _check_sums(a, "bihom_associative", sums, product_scale * scale)
     )
-
-    eps = a.eps_table()
-
-    def comm_defect(i: int, j: int) -> list[int]:
-        acc = [0] * n
-        add_terms(acc, 1, terms[i][j])
-        add_terms(acc, -eps[i][j], terms[j][i])
-        return acc
-
+    commutative = _swap_sums(a, (product_scale, terms), -1)
     rep.items.append(
-        _check_tuples(
-            a,
-            "colour_commutative",
-            2,
-            comm_defect,
-            advisory=True,
-            scale=product_scale,
-        )
+        _check_sums(a, "colour_commutative", commutative, product_scale, True)
     )
     rep.items.append(_check_regular(a))
     return rep

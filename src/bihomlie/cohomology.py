@@ -32,6 +32,8 @@ from .algebra import (
     CheckItem,
     ColourAlgebra,
     Witness,
+    _commutator,
+    _product_sum,
     format_element,
 )
 from .grading import FrozenRecord, GradedBasis, GroupElement
@@ -45,6 +47,7 @@ from .linalg import (
     first_off_block,
     kernel_by_blocks,
     scale_to_ints,
+    sum_terms,
     terms_of,
     to_fraction,
     vadd,
@@ -152,8 +155,8 @@ class Representation:
 
     def rho_of(self, x: Vec) -> Matrix:
         """Action matrix of an arbitrary algebra element: the integer
-        column terms of each rho(e_i) times x_i, summed into one matrix over
-        the lcm of the scales."""
+        column terms of each rho(e_i) times x_i, summed by
+        :func:`~bihomlie.linalg.sum_terms` over the lcm of the scales."""
         parts = []
         for c, m in zip(x, self.rho):
             if c:
@@ -162,17 +165,10 @@ class Representation:
                 parts.append((p, q * scale, cols))
         # lcm of a list, not of a generator: see scale_to_ints
         common = lcm(*[scale for _, scale, _ in parts])
+        parts = [(p * (common // scale), cols) for p, scale, cols in parts]
         d = self.dimV
-        sums = [[0] * d for _ in range(d)]
-        for p, scale, cols in parts:
-            p *= common // scale
-            for acc, terms in zip(sums, cols):
-                add_terms(acc, p, terms)
-        return Matrix._of(
-            common,
-            [[(u, y) for u, y in enumerate(acc) if y] for acc in sums],
-            d,
-        )
+        cols = [sum_terms([(p, c[w]) for p, c in parts]) for w in range(d)]
+        return Matrix._of(common, cols, d)
 
     def act(self, x: Vec, v: Vec) -> Vec:
         return self.rho_of(x).apply(v)
@@ -205,6 +201,22 @@ class Representation:
         )
 
 
+def _column_item(
+    name: str, space: GradedBasis, bad: tuple | None, idx: tuple = (),
+    names: tuple = (), note: str = "", locate: bool = True,
+) -> CheckItem:
+    """The item ``name``: passed for ``bad`` None, else failed and
+    witnessed by column c of the (r, c, column) ``bad`` on V, at ``idx``
+    closed, with ``locate``, by c and its basis name."""
+    if bad is None:
+        return CheckItem(name, True)
+    _, c, col = bad
+    if locate:
+        idx, names = idx + (c,), names + (space.names[c],)
+    witness = Witness(idx, names, col, format_element(space, col))
+    return CheckItem(name, False, witness, note=note)
+
+
 def _even_item(
     name: str, space: GradedBasis, m: Matrix, shift: GroupElement
 ) -> CheckItem:
@@ -214,68 +226,57 @@ def _even_item(
     if bad is None:
         return CheckItem(name, True)
     r, c = bad
-    col = m.column(c)
-    names = (space.names[r], space.names[c])
-    return CheckItem(
-        name,
-        False,
-        Witness(bad, names, col, format_element(space, col)),
-        note="matrix entry leaves the expected degree block",
-    )
-
-
-def _column_witness(
-    space: GradedBasis,
-    diff: Matrix,
-    idx: tuple[int, ...] = (),
-    names: tuple[str, ...] = (),
-    *,
-    locate: bool = True,
-) -> Witness | None:
-    """The first nonzero column of a matrix defect on V as a witness at
-    ``idx``, or None when the defect is zero.  With ``locate`` the column
-    index and its basis name close the index and name tuples."""
-    for c, terms in enumerate(diff.int_column_terms()[1]):
-        if terms:
-            col = diff.column(c)
-            if locate:
-                idx, names = idx + (c,), names + (space.names[c],)
-            return Witness(idx, names, col, format_element(space, col))
-    return None
+    note = "matrix entry leaves the expected degree block"
+    bad = (r, c, m.column(c))
+    return _column_item(name, space, bad, (r,), (space.names[r],), note)
 
 
 def _bracket_compatibility(
-    rep: Representation, name: str, note: str, sides
+    rep: Representation, name: str, note: str, dual: bool
 ) -> CheckItem:
-    """The first basis pair (x, y) = (e_i, e_j) on which the two sides
-    ``sides(rho([beta(x), y]), rho(alpha(x)), rho(beta(y)),
-    rho(alphabeta(x)), rho(y), eps(x, y))`` differ, as a failed item whose
-    witness is (i, j, column)."""
-    a = rep.algebra
-    rho = rep.rho_of
-    alpha = a.alpha.columns()
-    beta = a.beta.columns()
-    ab = a.ab_power(1, 1).columns()
+    """The first basis pair (e_i, e_j) failing the module condition of
+    :func:`validate_representation` (``dual``: of :func:`dual_rep`), with
+    its first nonzero column c of lhs - rhs, witnessed at (i, j, c).
+
+    With R_k = rho(e_k), W = ``int_table("twisted_terms", 0, 1)`` and A,
+    B, AB the columns of alpha, beta, alphabeta, the defect is the
+    integer :func:`~bihomlie.algebra._product_sum` of the reached terms
+    sum_k W_ijk R_k beta_V - sum_a AB_ai R_a R_j + eps(x, y) sum_{b,c}
+    B_bj A_ci R_b R_c; the dual one reverses every product and swaps the
+    signs of the last two sums.
+    """
+    a, d, sp = rep.algebra, rep.dimV, rep.space
+    R = [m.int_column_terms() for m in rep.rho]
+    S = lcm(*[s for s, _ in R])
+    R = [[[(u, x * (S // s)) for u, x in col] for col in cols] for s, cols in R]
+    bv_scale, bv = rep.betaV.int_column_terms()
+    w_scale, W = a.int_table("twisted_terms", 0, 1)
+    al_scale, A = a.alpha.int_column_terms()
+    be_scale, B = a.beta.int_column_terms()
+    ab_scale, AB = a.ab_power(1, 1).int_column_terms()
+    S2 = S * S
+    scales = (w_scale * bv_scale * S, ab_scale * S2, al_scale * be_scale * S2)
+    den = lcm(*scales)
+    f_w, f_ab, f_pair = (den // s for s in scales)
+    eps, names = a.eps_table(), a.basis.names
     for i in range(a.dim):
-        rho_alpha, rho_ab = rho(alpha[i]), rho(ab[i])
         for j in range(a.dim):
-            bracket = rho(a.product_eval(beta[i], a.basis_vec(j)))
-            lhs, rhs = sides(
-                bracket,
-                rho_alpha,
-                rho(beta[j]),
-                rho_ab,
-                rep.rho[j],
-                a.eps_ij(i, j),
-            )
-            w = _column_witness(
-                rep.space,
-                lhs - rhs,
-                (i, j),
-                (a.basis.names[i], a.basis.names[j]),
-            )
-            if w is not None:
-                return CheckItem(name, False, w, note=note)
+            e = eps[i][j]
+            ab = [(f_ab * x, R[p], R[j]) for p, x in AB[i]]
+            pair = [
+                (f_pair * y * z, R[b], R[c]) for b, y in B[j] for c, z in A[i]
+            ]
+            minus, plus = (pair, ab) if dual else (ab, pair)
+            parts = [(f_w * w, R[k], bv) for k, w in W[i][j]]
+            parts += [(-f, X, Y) for f, X, Y in minus]
+            parts += [(e * f, X, Y) for f, X, Y in plus]
+            if dual:
+                parts = [(f, Y, X) for f, X, Y in parts]
+            bad = _product_sum(parts, d, by_column=True)
+            if bad is not None:
+                bad = (*bad[:2], tuple(Fraction(x, den) for x in bad[2]))
+                where = (names[i], names[j])
+                return _column_item(name, sp, bad, (i, j), where, note)
     return CheckItem(name, True)
 
 
@@ -289,67 +290,42 @@ def validate_representation(rep: Representation) -> AxiomReport:
         rho([beta(x), y]) . beta_V
             = rho(alphabeta(x)) . rho(y) - eps(x, y) rho(beta(y)) . rho(alpha(x))
 
-    must hold on all basis pairs.
+    must hold on all basis pairs.  The commuting and intertwining items
+    read :func:`~bihomlie.algebra._commutator` (alpha_V beta_V - beta_V
+    alpha_V, rho(m x) m_V - m_V rho(x)) and witness its first nonzero
+    column; :func:`_bracket_compatibility` sums the bracket condition.
     """
-    a = rep.algebra
-    sp = rep.space
-    zero_shift = sp.group.zero()
-    items: list[CheckItem] = []
-
-    bad = None
-    for i in range(a.dim):
-        it = _even_item("rho_even", sp, rep.rho[i], a.degree(i))
+    a, sp = rep.algebra, rep.space
+    names = a.basis.names
+    items = [CheckItem("rho_even", True)]
+    for i, m in enumerate(rep.rho):
+        it = _even_item("rho_even", sp, m, a.degree(i))
         if not it.passed:
-            bad = CheckItem(
-                "rho_even",
-                False,
-                it.witness,
-                note=f"action of {a.basis.names[i]} is not even",
-            )
+            note = f"action of {names[i]} is not even"
+            items[0] = CheckItem("rho_even", False, it.witness, note=note)
             break
-    items.append(bad if bad is not None else CheckItem("rho_even", True))
-
+    zero_shift = sp.group.zero()
     items.append(_even_item("alphaV_even", sp, rep.alphaV, zero_shift))
     items.append(_even_item("betaV_even", sp, rep.betaV, zero_shift))
 
-    comm = _column_witness(
-        sp, rep.alphaV * rep.betaV - rep.betaV * rep.alphaV, locate=False
-    )
+    comm = _commutator(rep.alphaV, rep.betaV, by_column=True)
+    note = "" if comm is None else "alpha_V and beta_V do not commute"
     items.append(
-        CheckItem(
-            "module_maps_commute",
-            comm is None,
-            comm,
-            note="" if comm is None else "alpha_V and beta_V do not commute",
-        )
+        _column_item("module_maps_commute", sp, comm, note=note, locate=False)
     )
-
-    def intertwine(name: str, amap: Matrix, vmap: Matrix) -> CheckItem:
+    for name, amap, vmap in (
+        ("alpha_intertwine", a.alpha, rep.alphaV),
+        ("beta_intertwine", a.beta, rep.betaV),
+    ):
+        item = CheckItem(name, True)
         for i, image in enumerate(amap.columns()):
-            w = _column_witness(
-                sp,
-                rep.rho_of(image) * vmap - vmap * rep.rho[i],
-                (i,),
-                (a.basis.names[i],),
-            )
-            if w is not None:
-                return CheckItem(name, False, w)
-        return CheckItem(name, True)
-
-    items.append(intertwine("alpha_intertwine", a.alpha, rep.alphaV))
-    items.append(intertwine("beta_intertwine", a.beta, rep.betaV))
-
-    items.append(
-        _bracket_compatibility(
-            rep,
-            "module_condition",
-            "bracket compatibility fails on this pair",
-            lambda br, xa, yb, xab, y, e: (
-                br * rep.betaV,
-                xab * y - (yb * xa).scale(e),
-            ),
-        )
-    )
+            bad = _commutator(rep.rho_of(image), vmap, rep.rho[i], True)
+            if bad is not None:
+                item = _column_item(name, sp, bad, (i,), (names[i],))
+                break
+        items.append(item)
+    note = "bracket compatibility fails on this pair"
+    items.append(_bracket_compatibility(rep, "module_condition", note, False))
     return AxiomReport(items)
 
 
@@ -379,7 +355,6 @@ def dual_rep(rep: Representation) -> tuple[Representation, AxiomReport]:
     which is exactly when the candidate is a genuine representation.  The
     verdict is reported, never assumed.
     """
-    a = rep.algebra
     sp = rep.space
     dual_space = GradedBasis(
         sp.group,
@@ -388,23 +363,15 @@ def dual_rep(rep: Representation) -> tuple[Representation, AxiomReport]:
     )
     dual_rho = tuple(m.transpose().scale(-1) for m in rep.rho)
     candidate = Representation(
-        a,
+        rep.algebra,
         dual_space,
         dual_rho,
         rep.alphaV.transpose(),
         rep.betaV.transpose(),
     )
-
-    item = _bracket_compatibility(
-        rep,
-        "dual_module_condition",
-        "transposed action does not close; candidate is not a "
-        "representation",
-        lambda br, xa, yb, xab, y, e: (
-            rep.betaV * br,
-            xa * yb - (y * xab).scale(e),
-        ),
-    )
+    note = "transposed action does not close; candidate is not a "
+    note += "representation"
+    item = _bracket_compatibility(rep, "dual_module_condition", note, True)
     return candidate, AxiomReport([item])
 
 

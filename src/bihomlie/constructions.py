@@ -34,7 +34,7 @@ from .algebra import (
     to_fraction,
 )
 from .grading import GradedBasis, GradingGroup, trivial_bicharacter
-from .linalg import Matrix, add_terms
+from .linalg import Matrix, sum_terms
 
 Scalar = int | Fraction | str
 
@@ -131,8 +131,9 @@ def commutator_table(a: ColourAlgebra) -> IntTable:
 
     The swapped products [alpha^-1 beta e_j, alpha beta^-1 e_i] are summed
     in integers, the table of [alpha^-1 beta e_j, e_t] twisted on the
-    right by alpha beta^-1 (:func:`~bihomlie.algebra._twisted_table`), and
-    both sides are brought to the lcm of their scales."""
+    right by alpha beta^-1 (:func:`~bihomlie.algebra._twisted_table`);
+    both sides are brought to the lcm of their scales, and each cell sums
+    only the terms that reach it (:func:`~bihomlie.linalg.sum_terms`)."""
     scale, terms = a.int_table("product_terms")
     swapped_scale, swapped = _twisted_table(
         a.int_table("twisted_terms", -1, 1),
@@ -142,16 +143,13 @@ def commutator_table(a: ColourAlgebra) -> IntTable:
     common = lcm(scale, swapped_scale)
     fp, fs = common // scale, common // swapped_scale
     eps = a.eps_table()
-    n = a.dim
-    table = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = [0] * n
-            add_terms(acc, fp, terms[i][j])
-            add_terms(acc, -eps[i][j] * fs, swapped[j][i])
-            row.append(tuple([(k, x) for k, x in enumerate(acc) if x]))
-        table.append(row)
+    table = [
+        [
+            sum_terms([(fp, cell), (-eps[i][j] * fs, swapped[j][i])])
+            for j, cell in enumerate(row)
+        ]
+        for i, row in enumerate(terms)
+    ]
     return _least(common, table)
 
 

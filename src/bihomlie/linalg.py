@@ -27,7 +27,8 @@ Fractions, is the one place a kernel is divided.
 
 Sums of basis images read term tables: ``Matrix.column_terms()`` caches the
 nonzero entries (u, x) of every column, and ``add_terms`` adds a scaled
-term list into an accumulator, so no loop visits a zero entry of an image.
+term list into an accumulator, so no loop visits a zero entry of an image,
+and ``sum_terms`` sums integer term lists over the terms they hold.
 ``first_off_block`` scans the same terms for an entry outside the degree
 blocks a graded map must respect.
 
@@ -205,6 +206,21 @@ def add_terms(acc: list, c: Fraction, terms: Terms) -> None:
         acc[k] = y + p if y else p
 
 
+def sum_terms(parts: Sequence[tuple[int, IntTerms]]) -> IntTerms:
+    """The nonzero terms, ascending, of the sum of c ts over the (c, ts)
+    of ``parts``, in a dict over the terms that reach it; one nonempty
+    part is scaled as it is, or kept for c = 1."""
+    parts = [part for part in parts if part[1]]
+    if len(parts) == 1:
+        ((c, ts),) = parts
+        return ts if c == 1 else tuple([(k, c * x) for k, x in ts])
+    acc: dict[int, int] = {}
+    for c, ts in parts:
+        for k, x in ts:
+            acc[k] = acc.get(k, 0) + c * x
+    return tuple(sorted([kx for kx in acc.items() if kx[1]]))
+
+
 def is_zero_vec(u: Vec) -> bool:
     return not any(u)
 
@@ -331,12 +347,7 @@ class Matrix:
         (la, acols), (lb, bcols) = self._ints, other._ints
         scale = lcm(la, lb)
         fa, fb = scale // la, sign * (scale // lb)
-        out = []
-        for a, b in zip(acols, bcols):
-            acc = [0] * self.nrows
-            add_terms(acc, fa, a)
-            add_terms(acc, fb, b)
-            out.append([(u, x) for u, x in enumerate(acc) if x])
+        out = [sum_terms([(fa, a), (fb, b)]) for a, b in zip(acols, bcols)]
         return Matrix._of(scale, out, self.nrows)
 
     def __add__(self, other: "Matrix") -> "Matrix":
@@ -351,12 +362,7 @@ class Matrix:
         # column j of the product sums x * (column t of self) over the
         # terms (t, x) of column j of other, over the product of the scales
         (la, acols), (lb, bcols) = self._ints, other._ints
-        out = []
-        for bcol in bcols:
-            acc = [0] * self.nrows
-            for t, x in bcol:
-                add_terms(acc, x, acols[t])
-            out.append([(u, y) for u, y in enumerate(acc) if y])
+        out = [sum_terms([(x, acols[t]) for t, x in col]) for col in bcols]
         return Matrix._of(la * lb, out, self.nrows)
 
     def scale(self, c) -> "Matrix":

@@ -44,7 +44,10 @@ pivot, to compare them.
 
 ``twisted_products`` is the dense Fraction view of a twisted integer
 table, ``ColourAlgebra.int_table("twisted_terms", ...)``, for the tests
-that hold the table against ``dense_twisted``.  ``yau_twist_product_oracle``
+that hold the table against ``dense_twisted``.  ``twisted_table_oracle``
+sums such a table from integer cells as the library once did, with one
+dense accumulator per cell, where the library sums only the terms that
+reach a cell and scales or keeps whole rows for one-term images.  ``yau_twist_product_oracle``
 and ``commutator_table_oracle`` are the dense product tables that
 ``yau_twist`` and ``commutator_algebra`` once built by n^2
 ``product_eval`` calls, for the tests of their integer sums, and
@@ -80,6 +83,7 @@ reads the Jacobiator of ``primed_bracket``.
 """
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from itertools import product as iproduct
@@ -350,6 +354,39 @@ def twisted_products(
     Fraction view of ``a.int_table("twisted_terms", ka, kb, right)``."""
     scale, table = a.int_table("twisted_terms", ka, kb, right)
     return tuple(Matrix._of(scale, row, a.dim).columns() for row in table)
+
+
+def twisted_table_oracle(table, images, right: bool) -> tuple:
+    """The integer table (L, T) of [m x_i, y_j] at [i][j] (with ``right``,
+    of [x_i, m y_j]) from the integer table ``table`` of [x_i, y_j] and
+    the integer column terms ``images`` of m, as ``_twisted_table`` once
+    summed it: every cell a dense [0] * n accumulator over the image's
+    terms, then the scale and every entry divided by their gcd."""
+    product_scale, terms = table
+    map_scale, cols = images
+    n = len(terms)
+
+    def cell(parts) -> tuple:
+        acc = [0] * n
+        for c, ts in parts:
+            for k, x in ts:
+                acc[k] += c * x
+        return tuple((k, x) for k, x in enumerate(acc) if x)
+
+    if right:
+        cells = [
+            [cell((y, row[u]) for u, y in im) for im in cols] for row in terms
+        ]
+    else:
+        cells = [
+            [cell((x, terms[u][j]) for u, x in im) for j in range(n)]
+            for im in cols
+        ]
+    scale = product_scale * map_scale
+    g = gcd(scale, *[x for row in cells for ts in row for _, x in ts])
+    return scale // g, tuple(
+        tuple(tuple((k, x // g) for k, x in ts) for ts in row) for row in cells
+    )
 
 
 def morphism_failures(a: ColourAlgebra, m: Matrix) -> list[tuple[int, int]]:

@@ -36,13 +36,15 @@ from bihomlie.grading import (
 )
 from bihomlie.admissibility import check_flexible
 from bihomlie.linalg import Matrix
-from dense_oracles import dense_twisted, twisted_products
+from dense_oracles import dense_twisted, twisted_products, twisted_table_oracle
 from fixtures import (
     LIE_CORPUS,
     conj_mat2,
     gl11_fraction_twist,
     gl21_fraction_twist,
     gl21_noncommuting_twist,
+    gl21_twist,
+    gl21_unipotent_twist,
     gl2_conjugation_twist,
     gl2_fraction_twist,
     twisted_mat2,
@@ -525,6 +527,72 @@ def test_twisted_products_match_the_dense_oracle(twist):
             )
     # the identity twist is the structure constants themselves
     assert twisted_products(a, 0, 0) == a.product
+
+
+def _with_zero_columns():
+    """osp(1|2) with alpha and beta diagonal, each with a zero column."""
+    a = osp12_classical()
+    return a.with_product(
+        a.product,
+        alpha=Matrix.diagonal([1, 0, 1, 2, 1]),
+        beta=Matrix.diagonal([0, 1, 1, 1, Fraction(1, 2)]),
+    )
+
+
+# identity maps, diagonal ones, unipotent ones, fractional ones with
+# several terms per column, and singular ones with zero columns
+TWISTED_TABLE_ALGEBRAS = {
+    "osp12_classical": osp12_classical,
+    "gl21_twist": gl21_twist,
+    "gl21_unipotent_twist": gl21_unipotent_twist,
+    "gl21_fraction_twist": gl21_fraction_twist,
+    "zero_columns": _with_zero_columns,
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWISTED_TABLE_ALGEBRAS))
+def test_twisted_tables_equal_the_dense_cell_oracle(name):
+    a = TWISTED_TABLE_ALGEBRAS[name]()
+    powers = range(-1, 3) if a.is_regular() else range(0, 3)
+    table = a.int_table("product_terms")
+    for k, l in iproduct(powers, repeat=2):
+        images = a.ab_power(k, l).int_column_terms()
+        for right in (False, True):
+            want = twisted_table_oracle(table, images, right)
+            assert a.int_table("twisted_terms", k, l, right) == want, (k, l)
+
+
+def _random_terms(rng, n, width):
+    """Up to ``width`` nonzero integer terms (k, x), in ascending k."""
+    ks = sorted(rng.sample(range(n), rng.randint(0, min(width, n))))
+    return tuple((k, rng.choice((-3, -2, -1, 1, 1, 1, 2, 5))) for k in ks)
+
+
+def test_twisted_table_equals_the_dense_cell_oracle_on_random_tables():
+    # every shape of image column: empty, one unit term, one scaled term,
+    # several terms; tables and maps over scales with common factors
+    rng = Random(40)
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        table = (
+            rng.choice((1, 2, 6)),
+            tuple(
+                tuple(_random_terms(rng, n, 3) for _ in range(n))
+                for _ in range(n)
+            ),
+        )
+        shape = rng.choice(("unit", "single", "mixed"))
+        cols = []
+        for _ in range(n):
+            if shape == "mixed":
+                cols.append(_random_terms(rng, n, 3))
+            else:
+                c = 1 if shape == "unit" else rng.choice((-2, 1, 3))
+                cols.append(((rng.randrange(n), c),))
+        images = (rng.choice((1, 2, 3)), tuple(cols))
+        for right in (False, True):
+            got = alg._twisted_table(table, images, right)
+            assert got == twisted_table_oracle(table, images, right)
 
 
 def _int_copy(table):

@@ -14,9 +14,10 @@ bench_trajectory = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_trajectory)
 
 
-def _result(seed, passes, trace=0):
+def _result(seed, passes, trace=0, imports=(0.005,), setups=(0.002,)):
     """A result file of one corpus-sweep run whose passes took ``passes``,
-    a list of {job: seconds}."""
+    a list of {job: seconds}, whose fresh-interpreter imports took
+    ``imports`` and whose set-ups took ``setups`` seconds."""
     walls = [sum(times.values()) for times in passes]
     slowest = [max(times.values()) for times in passes]
     return {
@@ -34,6 +35,10 @@ def _result(seed, passes, trace=0):
         },
         "env": {"start": {"probe_s": 0.01}, "end": {"probe_s": 0.01}},
         "detail": {
+            "import_s": list(imports),
+            "setups": [
+                {"raw_s": t, "probe_s": 0.01, "seconds": t} for t in setups
+            ],
             "passes": [
                 {
                     "wall_s": wall,
@@ -163,3 +168,42 @@ def test_gain_direction_follows_the_metric(better, change, shown):
     }
     got = bench_trajectory.gain_record(entry, better)
     assert got == {"parent_iqr": pytest.approx(0.1), "gain_shown": shown}
+
+
+def test_setup_split_separates_the_import_from_the_set_up(tmp_path):
+    # the parent's set-up takes 3 ms, the change's 2 ms; the imports are
+    # noisy on both sides, and a traced run does not count
+    runs = {
+        "parent": [
+            (30, (0.0050, 0.0060, 0.0052), (0.0030, 0.0031, 0.0029)),
+            (31, (0.0058, 0.0054, 0.0057), (0.0030,)),
+        ],
+        "change": [
+            (30, (0.0061, 0.0049, 0.0055), (0.0020, 0.0021, 0.0019)),
+            (31, (0.0052, 0.0051, 0.0070), (0.0020,)),
+        ],
+    }
+    for side, side_runs in runs.items():
+        for seed, imports, setups in side_runs:
+            run = _result(seed, [{"h2": 0.01}], imports=imports, setups=setups)
+            _write(tmp_path / side, f"{seed}.json", run)
+    _write(
+        tmp_path / "change",
+        "traced.json",
+        _result(77, [{"h2": 0.01}], trace=1, imports=(9.0,), setups=(9.0,)),
+    )
+    sets = {
+        side: bench_trajectory.load(tmp_path / side)
+        for side in ("parent", "change")
+    }
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text("utf-8"))
+    doc = bench_trajectory.trajectory(sets, spec, "0123456789")
+    split = doc["setup_split"]["corpus-sweep"]
+    # the medians of each run's samples, then their median over the runs
+    # (0.0052 and 0.0057, then 0.0055 and 0.0052)
+    assert split["parent"]["import_s"]["median"] == pytest.approx(0.00545)
+    assert split["change"]["import_s"]["median"] == pytest.approx(0.00535)
+    assert split["parent"]["build_s"]["median"] == pytest.approx(0.0030)
+    assert split["change"]["build_s"]["median"] == pytest.approx(0.0020)
+    assert split["change"]["build_s"]["n"] == 2
+    assert json.loads(json.dumps(doc))["setup_split"] == doc["setup_split"]

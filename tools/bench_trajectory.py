@@ -25,7 +25,10 @@ metrics of BENCHMARK.json in ``s``) to ``traced_layers``: those come from
 one traced pass per side, not from medians.  ``slowest_jobs`` names, per
 workload and side, the job that was the slowest of each untraced pass: for
 every job that was, the number of passes it was the slowest in and the
-median of its time over those passes.
+median of its time over those passes.  ``setup_split`` splits each
+side's ``setup_s`` into its two parts, the ``import bihomlie`` time and
+the set-up itself (``import_s`` and ``build_s``), so that a set-up change
+can be told from import noise.
 """
 
 from __future__ import annotations
@@ -97,6 +100,38 @@ def slowest_jobs(sets: dict) -> dict:
     }
 
 
+def setup_split(sets: dict) -> dict:
+    """workload -> side -> {"import_s", "build_s"}: the two parts of each
+    untraced run's ``setup_s``, the median of its ``detail.import_s``
+    (fresh-interpreter ``import bihomlie`` times) and the median of its
+    ``detail.setups[*].seconds`` (the set-up itself), each summarized over
+    the runs as {"n", "median", "q1", "q3"}."""
+    parts: dict = {}
+    for side, results in sets.items():
+        for r in results:
+            if r["trace"]:
+                continue
+            detail = r["detail"]
+            by_part = parts.setdefault(r["workload"], {}).setdefault(side, {})
+            for name, values in (
+                ("import_s", detail["import_s"]),
+                ("build_s", [m["seconds"] for m in detail["setups"]]),
+            ):
+                by_part.setdefault(name, []).append(statistics.median(values))
+    out: dict = {}
+    for w, sides in parts.items():
+        for side, by_part in sides.items():
+            for name, values in by_part.items():
+                med, q1, q3, _ = summary(values)
+                out.setdefault(w, {}).setdefault(side, {})[name] = {
+                    "n": len(values),
+                    "median": med,
+                    "q1": q1,
+                    "q3": q3,
+                }
+    return out
+
+
 def trajectory(sets: dict, spec: dict, parent_sha: str) -> dict:
     workloads: dict = {}
     for side, results in sets.items():
@@ -149,6 +184,7 @@ def trajectory(sets: dict, spec: dict, parent_sha: str) -> dict:
         "only; pairs, change_wins and ties compare the two sides seed by seed",
         "workloads": workloads,
         "slowest_jobs": slowest_jobs(sets),
+        "setup_split": setup_split(sets),
         "traced_counts": traced,
         "traced_layers": {
             "single_run": "one traced pass per side, workload and seed: "
