@@ -661,9 +661,9 @@ def _product_sum(
                 for u, y in first[t]:
                     key = (u, j)
                     acc[key] = acc.get(key, 0) + g * y
-    bad = [key for key, x in acc.items() if x]
-    if not bad:
+    if not any(acc.values()):
         return None
+    bad = [key for key, x in acc.items() if x]
     r, c = min(bad, key=(lambda key: key[::-1]) if by_column else None)
     return r, c, [acc.get((u, c), 0) for u in range(nrows)]
 
@@ -893,18 +893,24 @@ def check_lie_axioms(a: ColourAlgebra) -> AxiomReport:
         _check_sums(a, "bihom_skewsymmetry", _swap_sums(a, skew, 1), skew[0])
     )
     # the defect of _jacobi_defect sums the rotations (x, y, z) of a
-    # triple: each term goes to the least, thrice to (i, i, i)
-    eps = a.eps_table()
+    # triple: each term goes to the least rotation, thrice to (i, i, i)
+    eps, n = a.eps_table(), a.dim
     outer_scale, outer_table = a.int_table("twisted_terms", 0, 2)
     sums: dict = {}
     for y, row in enumerate(skew[1]):
         for z, cell in enumerate(row):
-            for x, outer in enumerate(outer_table if cell else ()):
-                key = min((x, y, z), (y, z, x), (z, x, y))
+            if not cell:
+                continue
+            # the least rotation by the order of x, y and z
+            if y <= z:
+                keys = [(x, y, z) if x <= y else (y, z, x) for x in range(n)]
+            else:
+                keys = [(x, y, z) if x < z else (z, x, y) for x in range(n)]
+            for x, outer in enumerate(outer_table):
                 f = eps[z][x] * (3 if x == y == z else 1)
                 for u, c in cell:
                     if outer[u]:
-                        _add_at(sums, key, f * c, outer[u])
+                        _add_at(sums, keys[x], f * c, outer[u])
     jacobi_scale = skew[0] * outer_scale
     rep.items.append(_check_sums(a, "bihom_jacobi", sums, jacobi_scale))
     rep.items.append(_check_regular(a))
@@ -952,8 +958,7 @@ def check_associative_axioms(a: ColourAlgebra) -> AxiomReport:
     right_scale, right = a.int_table("twisted_terms", 0, 1, True)
     scale = lcm(left_scale, right_scale)
     fl, fr = scale // left_scale, -(scale // right_scale)
-    # alpha(e_i)(e_j e_k) over the cells (j, k), (e_i e_j) beta(e_k) over
-    # the cells (i, j)
+    # alpha(e_i)(e_j e_k) from the cell (j, k), (e_i e_j) beta(e_k) from (i, j)
     sums: dict = {}
     for p, row in enumerate(terms):
         for q, cell in enumerate(row):
@@ -964,14 +969,10 @@ def check_associative_axioms(a: ColourAlgebra) -> AxiomReport:
                 for k, ts in enumerate(right[u]):
                     if ts:
                         _add_at(sums, (p, q, k), fr * c, ts)
-    rep.items.append(
-        _check_sums(a, "bihom_associative", sums, product_scale * scale)
-    )
-    commutative = _swap_sums(a, (product_scale, terms), -1)
-    rep.items.append(
-        _check_sums(a, "colour_commutative", commutative, product_scale, True)
-    )
-    rep.items.append(_check_regular(a))
+    assoc = _check_sums(a, "bihom_associative", sums, product_scale * scale)
+    sums = _swap_sums(a, (product_scale, terms), -1)
+    comm = _check_sums(a, "colour_commutative", sums, product_scale, True)
+    rep.items += [assoc, comm, _check_regular(a)]
     return rep
 
 

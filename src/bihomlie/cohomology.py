@@ -248,7 +248,7 @@ def _bracket_compatibility(
     a, d, sp = rep.algebra, rep.dimV, rep.space
     R = [m.int_column_terms() for m in rep.rho]
     S = lcm(*[s for s, _ in R])
-    R = [[[(u, x * (S // s)) for u, x in col] for col in cols] for s, cols in R]
+    R = [[[(u, x * (S // s)) for u, x in c] for c in cols] for s, cols in R]
     bv_scale, bv = rep.betaV.int_column_terms()
     w_scale, W = a.int_table("twisted_terms", 0, 1)
     al_scale, A = a.alpha.int_column_terms()
