@@ -16,6 +16,16 @@ hash moves when any bit of the output does.  The records are
   and ``column_terms()``, at (k, l) in (0, 0), (1, 1), (0, 1) and every
   degree an endomorphism of the algebra can have, and
   ``solver/<algebra>/inner/k<k>l<l>`` for ``inner_derivation_space``;
+- ``member/<algebra>/<kind>/k<k>l<l>/<degree>``: on the gl(2|1) twists
+  and the algebras of the twisted modules of ``tests/fixtures.py::
+  TWISTED``, at (k, l) in (0, 0), (1, 1), the verdict of each kind's
+  public predicate (with and without ``strict`` where it takes it) and
+  the first failing pair of each identity of the kind, on every member
+  of its solver (with and without ``strict``) and on three seeded copies
+  of each member with one entry changed: by 1/11 inside the degree
+  block, outside the block, and at a slot the commutation forces to zero;
+- ``solver-error/<algebra>/<solver>``: the result or the error type and
+  text of each solver at k = -1 on an algebra whose alpha is singular;
 - ``cochains/<algebra>/ad<s><l>/n<n>/<degree>``: the ``int_values()`` of
   every ``cochain_basis`` cochain of the adjoint module ad_{s,l}, (s, l)
   in (0, 1), (1, 0), with the ``CohomologyResult`` at r = 1;
@@ -216,6 +226,132 @@ def _solver_records(name, a):
             f"solver/{name}/inner/k{k}l{l}",
             (res.dimension, tuple(map(_member, res.basis))),
         )
+
+
+# kind -> (solver, public predicate, whether both take ``strict``)
+PREDICATES = {
+    "derivation": ("derivation_space", "is_derivation", False),
+    "quasi_derivation": (
+        "quasi_derivation_space", "is_quasi_derivation_pair", False
+    ),
+    "generalized_derivation": (
+        "generalized_derivation_space", "is_generalized_triple", False
+    ),
+    "centroid": ("centroid_space", "is_centroid_member", True),
+    "quasi_centroid": ("quasi_centroid_space", "is_quasi_centroid_member", True),
+}
+
+
+def _member_algebras():
+    """(name, algebra) of the gl(2|1) twists and of the distinct algebras
+    of the twisted modules of ``tests/fixtures.py::TWISTED``."""
+    seen = []
+    for name in GL21:
+        seen.append(getattr(fixtures, name)())
+        yield name, seen[-1]
+    for name, make in fixtures.TWISTED.items():
+        a = make().algebra
+        if a not in seen:
+            seen.append(a)
+            yield name, a
+
+
+def _changed(e, u, t, delta):
+    rows = [list(row) for row in e.matrix.rows]
+    rows[u][t] += delta
+    return derivations.HomEndo(Matrix(rows), e.degree)
+
+
+def _member_records():
+    """The verdict of each kind's public predicate, with and without
+    ``strict`` where it takes it, on every member of the kind's solver
+    (both ways) at (k, l) in (0, 0), (1, 1) and every degree, and on three
+    seeded copies of each member with one entry of one map changed: by
+    1/11 inside the degree block, outside the block, and at a slot the
+    commutation (with beta unless strict) forces to zero."""
+    for name, a in _member_algebras():
+        group = a.basis.group
+        n = a.dim
+        degrees = sorted(
+            {group.sub(e, d) for e in a.basis.degrees for d in a.basis.degrees}
+        )
+        rng = random.Random(f"member/{name}")
+        for k, l in ((0, 0), (1, 1)):
+            for g in degrees:
+                inside = derivations._block_slots(a, g)
+                outside = sorted(
+                    {(u, t) for u in range(n) for t in range(n)}
+                    .difference(inside)
+                )
+                for kind, (solver, test, has_strict) in PREDICATES.items():
+                    test = getattr(derivations, test)
+                    modes = (False, True) if has_strict else (None,)
+                    out = []
+                    for solve_strict in modes:
+                        opts = {} if solve_strict is None else {
+                            "strict": solve_strict
+                        }
+                        live = derivations._commutation(
+                            a, group.reduce(g), not solve_strict
+                        )[0]
+                        forced = sorted(set(inside).difference(live))
+                        res = getattr(derivations, solver)(a, k, l, g, **opts)
+                        for entry in res.basis:
+                            members = (
+                                entry if isinstance(entry, tuple) else (entry,)
+                            )
+                            copies = [members]
+                            for slots, delta in (
+                                (inside, Fraction(1, 11)),
+                                (outside, Fraction(rng.choice((1, -2)), 3)),
+                                (forced, Fraction(rng.choice((1, -2)), 3)),
+                            ):
+                                if slots:
+                                    m = rng.randrange(len(members))
+                                    changed = list(members)
+                                    changed[m] = _changed(
+                                        members[m], *rng.choice(slots), delta
+                                    )
+                                    copies.append(tuple(changed))
+                            out += (
+                                _verdicts(a, k, l, kind, test, modes, copy)
+                                for copy in copies
+                            )
+                    yield (
+                        f"member/{name}/{kind}/k{k}l{l}/{_degree(g)}",
+                        tuple(out),
+                    )
+
+
+def _verdicts(a, k, l, kind, test, modes, members) -> tuple:
+    """The predicate ``test`` on ``members`` in each of ``modes`` (None
+    where it takes no ``strict``), then the first failing pair and defect
+    of each identity of ``kind``, as the predicate evaluates it."""
+    twisted = derivations._twisted(a, k, l)
+    pick = dict(enumerate(e.matrix for e in members)).get
+    return tuple(
+        test(a, k, l, *members, **({} if s is None else {"strict": s}))
+        for s in modes
+    ) + tuple(
+        derivations._bracket_defect(
+            a, members[0].degree, twisted, *map(pick, cond[:3]), *cond[3:]
+        )
+        for cond in derivations._KINDS[kind][1]
+    )
+
+
+def _singular_solver_records():
+    """The result or the error type and text of every solver at k = -1
+    on osp(1|2) with the singular alpha diag(1, 0, 1, 2, 1)."""
+    a = osp12_classical()
+    a = a.with_product(a.product, alpha=Matrix.diagonal([1, 0, 1, 2, 1]))
+    for solver in SOLVERS:
+        yield f"solver-error/osp12_singular_alpha/{solver}", _outcome(
+            lambda: getattr(derivations, solver)(a, -1, 0, (0,)).dimension
+        )
+    yield "solver-error/osp12_singular_alpha/inner", _outcome(
+        lambda: derivations.inner_derivation_space(a, -1, 0).dimension
+    )
 
 
 def _cochain_records(name, a, top):
@@ -715,6 +851,8 @@ def records():
     for name, a, top in _algebras():
         yield from _solver_records(name, a)
         yield from _cochain_records(name, a, top)
+    yield from _member_records()
+    yield from _singular_solver_records()
     yield from _broken_module_records()
     yield from _refused_cochain_records()
     yield from _matrix_records()
