@@ -255,8 +255,9 @@ class ColourAlgebra:
         # the commutation patterns of derivations._commutation, keyed by
         # (reduced degree, with_beta)
         self._commutation: dict[tuple, tuple] = {}
-        # the integer tables of int_table, by their key
-        self._int_tables: dict[tuple, tuple] = {}
+        # the integer tables of int_table by their key, and beside them the
+        # indexes of _bracket_defect and derivations._commutes_with_maps
+        self._int_tables: dict[tuple, tuple | None] = {}
         # the degree shifts of _degree_shift, keyed by degree
         self._shifts: dict[tuple, tuple] = {}
         # the algebra of admissibility.primed_bracket, built on first use
@@ -538,11 +539,43 @@ def _least_sum(sums: dict, n: int, den: int) -> tuple | None:
     """(key, that sum over ``den`` as n Fractions) for the least key of
     ``sums`` whose {u: int} of :func:`_add_at` is nonzero, else None: a
     key no term reaches has sum zero, so a scan of every key agrees."""
-    for key in sorted(sums):
-        acc = sums[key]
-        if any(acc.values()):
-            return key, tuple(Fraction(acc.get(u, 0), den) for u in range(n))
-    return None
+    bad = [key for key, acc in sums.items() if any(acc.values())]
+    if not bad:
+        return None
+    key = min(bad)
+    return key, tuple(Fraction(sums[key].get(u, 0), den) for u in range(n))
+
+
+def _preimage(a: ColourAlgebra) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """At t, the (i * n + j, c) of every term (t, c) of a product cell
+    [i][j], in ascending i * n + j; cached on the algebra."""
+    if ("product_terms", "preimage") not in a._int_tables:
+        by_t: list[list[tuple[int, int]]] = [[] for _ in range(a.dim)]
+        for pair, cell in enumerate(c for row in a._terms[1] for c in row):
+            for t, c in cell:
+                by_t[t].append((pair, c))
+        a._int_tables[("product_terms", "preimage")] = tuple(map(tuple, by_t))
+    return a._int_tables[("product_terms", "preimage")]
+
+
+def _cells(table: IntTable, by_row: bool) -> IntTable:
+    """(L, C) for the table (L, T): C[t] the nonempty cells (j, T[t][j]) of
+    row t, or without ``by_row`` the (i, T[i][t]) of column t."""
+    scale, cells = table
+    return scale, tuple(
+        tuple([(i, c) for i, c in enumerate(line) if c])
+        for line in (cells if by_row else zip(*cells))
+    )
+
+
+def _twisted_cells(a: ColourAlgebra, k: int, l: int, right: bool) -> IntTable:
+    """:func:`_cells` of ``int_table("twisted_terms", k, l, right)``, by row
+    for ``right``, as :func:`_bracket_defect` reads it; cached."""
+    key = ("twisted_terms", k, l, right, "cells")
+    if key not in a._int_tables:
+        table = a.int_table("twisted_terms", k, l, right)
+        a._int_tables[key] = _cells(table, right)
+    return a._int_tables[key]
 
 
 def _bracket_defect(
@@ -560,28 +593,24 @@ def _bracket_defect(
     The membership predicates of ``derivations`` read it, and so do the
     multiplicativity items, with value = right = M and no left term.
 
-    Each side is a sum over nonzero terms only: the column terms of
-    d_value over the terms of [e_i, e_j], and the ``twisted`` integer
-    tables, [e_t, M e_j] at [t][j] over column i of d_left and
-    [M e_i, e_t] at [i][t] over column j of d_right.  The sums are
-    integers, over the integer form of each map
+    Each side is a sum over the terms the maps' supports reach: the
+    column terms of d_value over the pre-image index of the product table
+    (:func:`_preimage`), and the nonempty cells of the ``twisted`` tables
+    of :func:`_twisted_cells`, row t of [e_t, M e_j] over column i of
+    d_left and column t of [M e_i, e_t] over column j of d_right.  The
+    sums are integers, over the integer form of each map
     (``Matrix.int_column_terms``): each term of a map times a table is
     multiplied by the factor that brings the map's scale to the lcm of the
     given maps' scales, since one pair mixes them, and the table's scale
-    to the lcm of the three tables' scales.  The defect of the failing
-    pair is divided by the product of the two lcms.
-
-    Each term is summed into the {u: int} of the pair (i, j) it reaches,
-    as :func:`_add_at` sums (inline, since the solvers call this on every
-    member): the value term over the nonzero cells of the product table,
-    skipping a t whose column of d_value is empty, the left and right
-    terms over the column terms of d_left and d_right.  The failure is
-    the least pair with a nonzero sum (:func:`_least_sum`).
+    to the lcm of the three tables' scales.  They go into one integer per
+    key (i * n + j) * n + u, coordinate u of the pair (i, j); unless all
+    are zero, the failure is the least pair with a nonzero sum, its
+    column divided by the product of the two lcms.
     """
     n = a.dim
     signs = _degree_shift(a, gamma)[1]
     (left_scale, left), (right_scale, right) = twisted
-    product_scale, terms = a.int_table("product_terms")
+    product_scale = a._terms[0]
     scale = lcm(product_scale, left_scale, right_scale)
     copies = [
         None if m is None else m.int_column_terms()
@@ -595,55 +624,43 @@ def _bracket_defect(
     # the factor of each term: d_value for the product, -d_left, and
     # -s*eps(g, x)*d_right for the sign eps(g, x) of the basis element x
     vcopy, lcopy, rcopy = copies
+    sums: dict[int, int] = {}
+    get = sums.get
     if vcopy is not None:
-        fv, vcols = factor(vcopy, product_scale), vcopy[1]
+        fv, preimage = factor(vcopy, product_scale), _preimage(a)
+        for t, col in enumerate(vcopy[1]):
+            if col:
+                for pair, c in preimage[t]:
+                    f, base = fv * c, pair * n
+                    for u, x in col:
+                        key = base + u
+                        sums[key] = get(key, 0) + f * x
     if lcopy is not None:
-        fl, lcols = -factor(lcopy, left_scale), lcopy[1]
-    if rcopy is not None:
-        fr, rcols = -right_sign * factor(rcopy, right_scale), rcopy[1]
-    # i * n + j -> {u: the sum at coordinate u of the pair (i, j)}
-    sums: dict[int, dict[int, int]] = {}
-    if vcopy is not None:
-        for i, row in enumerate(terms):
-            for j, cell in enumerate(row):
-                for t, c in cell:
-                    col = vcols[t]
-                    if col:
-                        key = i * n + j
-                        acc = sums.get(key)
-                        if acc is None:
-                            acc = sums[key] = {}
-                        f = fv * c
-                        for u, x in col:
-                            acc[u] = acc.get(u, 0) + f * x
-    if lcopy is not None:
-        for i, col in enumerate(lcols):
+        fl = -factor(lcopy, left_scale)
+        for i, col in enumerate(lcopy[1]):
             for t, x in col:
                 f = fl * x
-                for j, cell in enumerate(left[t]):
-                    if cell:
-                        key = i * n + j
-                        acc = sums.get(key)
-                        if acc is None:
-                            acc = sums[key] = {}
-                        for u, c in cell:
-                            acc[u] = acc.get(u, 0) + f * c
+                for j, cell in left[t]:
+                    base = (i * n + j) * n
+                    for u, c in cell:
+                        key = base + u
+                        sums[key] = get(key, 0) + f * c
     if rcopy is not None:
-        for j, col in enumerate(rcols):
+        fr = -right_sign * factor(rcopy, right_scale)
+        for j, col in enumerate(rcopy[1]):
             for t, x in col:
                 f = fr * x
-                for i, row in enumerate(right):
-                    cell = row[t]
-                    if cell:
-                        key = i * n + j
-                        acc = sums.get(key)
-                        if acc is None:
-                            acc = sums[key] = {}
-                        fi = f * signs[i]
-                        for u, c in cell:
-                            acc[u] = acc.get(u, 0) + fi * c
-    bad = _least_sum(sums, n, maps_scale * scale)
-    return None if bad is None else (*divmod(bad[0], n), bad[1])
+                for i, cell in right[t]:
+                    fi, base = f * signs[i], (i * n + j) * n
+                    for u, c in cell:
+                        key = base + u
+                        sums[key] = get(key, 0) + fi * c
+    if not any(sums.values()):
+        return None
+    pair = min(key for key, x in sums.items() if x) // n
+    den = maps_scale * scale
+    column = tuple(Fraction(get(pair * n + u, 0), den) for u in range(n))
+    return (*divmod(pair, n), column)
 
 
 def _product_sum(
@@ -847,10 +864,11 @@ def _check_multiplicative(
     if m is None:
         m = getattr(a, name)
         twist = (1, 0) if name == "alpha" else (0, 1)
-        table = a.int_table("twisted_terms", *twist)
+        cells = _twisted_cells(a, *twist, False)
     else:
         table = _twisted_table(a._terms, m.int_column_terms(), False)
-    bad = _bracket_defect(a, a.basis.group.zero(), (table,) * 2, m, None, m)
+        cells = _cells(table, False)
+    bad = _bracket_defect(a, a.basis.group.zero(), (cells,) * 2, m, None, m)
     witness = None if bad is None else _pair_witness(a, bad[:2], bad[2])
     return CheckItem(f"{name}_multiplicative", bad is None, witness, True)
 

@@ -21,11 +21,11 @@ returning (a wrong answer here would poison everything downstream, so
 the few extra multiplications are cheap insurance).  The re-verification
 is an evaluation of the identities on the member, independent of the
 assembled rows, by the evaluators the axiom suites share
-(``algebra._bracket_defect`` and ``algebra._commutator``): it sums the
-member's ``column_terms`` against the cached integer tables of the
-product, of the twisted products and of the columns of alpha and beta,
-so it visits nonzero terms only, and keeps a sum only for an entry or a
-basis pair that some term reaches.
+(``algebra._bracket_defect``, and ``algebra._commutator`` for a
+structure map that is not diagonal): it sums the member's integer terms
+against a pre-image index of the product table and the nonempty cells of
+the twisted tables, so it costs what the member's support reaches, and
+checks a diagonal map on the support alone (:func:`_commutes_with_maps`).
 
 The solve, the inner derivations and the re-verification sum integers.
 The commuting and Leibniz rows are built over the integer tables and the
@@ -68,6 +68,7 @@ from .algebra import (
     _bracket_defect,
     _commutator,
     _degree_shift,
+    _twisted_cells,
 )
 from .grading import Bicharacter, FrozenRecord, GroupElement
 from .linalg import (
@@ -245,7 +246,7 @@ def _solve_blocks(
     n^2 entries.  A negative power of a singular map raises ValueError before
     any pattern is cached.
     """
-    twisted = _twisted(a, k, l)
+    twisted = [a.int_table("twisted_terms", k, l, r) for r in (True, False)]
     live, commuting = _commutation(a, gamma, with_beta)
     if not live:
         return []
@@ -292,14 +293,10 @@ def _solve_blocks(
 
 
 def _twisted(a: ColourAlgebra, k: int, l: int) -> tuple[IntTable, IntTable]:
-    """The integer copies of the term tables of the twisted products
-    [e_t, M e_j] at [t][j] and [M e_i, e_t] at [i][t], M = alpha^k beta^l,
-    cached on the algebra.  A negative power of a singular map raises
-    ValueError."""
-    return (
-        a.int_table("twisted_terms", k, l, True),
-        a.int_table("twisted_terms", k, l, False),
-    )
+    """The nonempty cells of [e_t, M e_j] at [t][j] by row t and of
+    [M e_i, e_t] at [i][t] by column t, M = alpha^k beta^l, as
+    ``_bracket_defect`` reads them.  A singular M^-1 raises ValueError."""
+    return _twisted_cells(a, k, l, True), _twisted_cells(a, k, l, False)
 
 
 def _add(row: dict, pos: int | None, c: int) -> None:
@@ -418,12 +415,37 @@ def _leibniz_rows(
     return out
 
 
+def _diagonal(a: ColourAlgebra, name: str) -> tuple[int, ...] | None:
+    """The integer diagonal of the structure map ``name`` if each integer
+    column j is empty or the one term (j, x), else None; cached."""
+    key = (name, "diagonal")
+    if key not in a._int_tables:
+        cols = getattr(a, name).int_column_terms()[1]
+        diag = tuple(col[0][1] if col else 0 for col in cols)
+        a._int_tables[key] = diag if all(
+            [u for u, _ in col] in ([], [j]) for j, col in enumerate(cols)
+        ) else None
+    return a._int_tables[key]
+
+
 def _commutes_with_maps(
     a: ColourAlgebra, m: Matrix, with_beta: bool = True
 ) -> bool:
-    """m M = M m for M = alpha (and beta), by :func:`_commutator`."""
-    maps = (a.alpha, a.beta) if with_beta else (a.alpha,)
-    return all(_commutator(m, M) is None for M in maps)
+    """m M = M m for M = alpha (and beta).  A diagonal M commutes with m
+    iff M_uu = M_jj at each nonzero entry (u, j) of m, as (m M - M m)_uj =
+    m_uj (M_jj - M_uu); any other M is read by :func:`_commutator`."""
+    for name in ("alpha", "beta") if with_beta else ("alpha",):
+        diag = _diagonal(a, name)
+        if diag is None:
+            if _commutator(m, getattr(a, name)) is not None:
+                return False
+        elif any(
+            diag[u] != diag[j]
+            for j, col in enumerate(m.int_column_terms()[1])
+            for u, _ in col
+        ):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -170,7 +170,7 @@ Terms = tuple[tuple[int, Fraction], ...]
 
 def terms_of(v: Vec) -> Terms:
     """The nonzero entries (k, x) of v, in ascending k."""
-    return tuple((k, x) for k, x in enumerate(v) if x)
+    return tuple([(k, x) for k, x in enumerate(v) if x])
 
 
 # the nonzero entries (k, n) of a vector scaled to integers

@@ -207,3 +207,26 @@ def test_setup_split_separates_the_import_from_the_set_up(tmp_path):
     assert split["change"]["build_s"]["median"] == pytest.approx(0.0020)
     assert split["change"]["build_s"]["n"] == 2
     assert json.loads(json.dumps(doc))["setup_split"] == doc["setup_split"]
+
+
+def test_pass_counts_are_the_median_pass_count_of_the_untraced_runs(tmp_path):
+    # the parent runs 3, 4 and 6 passes, the change 5 and 8; a traced run
+    # of one pass does not count
+    for side, counts in (("parent", (3, 4, 6)), ("change", (5, 8))):
+        for seed, count in enumerate(counts, start=30):
+            run = _result(seed, [{"h2": 0.01}] * count)
+            _write(tmp_path / side, f"{seed}.json", run)
+    _write(tmp_path / "change", "traced.json", _result(77, [{"h2": 0.01}], 1))
+    sets = {
+        side: bench_trajectory.load(tmp_path / side)
+        for side in ("parent", "change")
+    }
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text("utf-8"))
+    doc = bench_trajectory.trajectory(sets, spec, "0123456789")
+    assert doc["pass_counts"] == {
+        "corpus-sweep": {
+            "parent": {"runs": 3, "median": 4},
+            "change": {"runs": 2, "median": 6.5},
+        }
+    }
+    assert json.loads(json.dumps(doc))["pass_counts"] == doc["pass_counts"]

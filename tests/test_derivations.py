@@ -33,7 +33,12 @@ from bihomlie.derivations import (
     quasi_centroid_space,
     quasi_derivation_space,
 )
-from bihomlie.grading import GradedBasis, GradingGroup, trivial_bicharacter
+from bihomlie.grading import (
+    GradedBasis,
+    GradingGroup,
+    super_bicharacter,
+    trivial_bicharacter,
+)
 from bihomlie.linalg import MAX_SCALAR_DIGITS, Matrix, scale_to_ints
 from dense_oracles import (
     bracket_defect,
@@ -1019,3 +1024,160 @@ def test_predicates_match_the_dense_oracles(name):
                                 )
                             )
     assert True in verdicts and False in verdicts
+
+
+# ---------------------------------------------------------------------------
+# the reached-cell walk of _bracket_defect and the diagonal path of
+# _commutes_with_maps against the dense oracles, on seeded random
+# Z2-graded tables
+
+
+def random_superalgebra(rng, shape):
+    """A Z2-graded algebra of dimension 2 to 5 with a random graded
+    product table (denominators 1, 2, 3) and even structure maps of one
+    ``shape``: "diagonal", with eigenvalues drawn from a few values, zero
+    and repeated ones among them; "near", such a diagonal with one term
+    moved off the diagonal or added beside it; or "even", random even
+    maps with several terms per column."""
+    n = rng.randint(2, 5)
+    # e0 and e1 even, so that an even map has an off-diagonal slot
+    degrees = [0, 0] + [rng.randrange(2) for _ in range(n - 2)]
+    group = GradingGroup(0, (2,))
+    basis = GradedBasis(
+        group, tuple(f"e{i}" for i in range(n)), tuple((d,) for d in degrees)
+    )
+    product = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
+    for i, j in iproduct(range(n), repeat=2):
+        for k in range(n):
+            even = degrees[k] == (degrees[i] + degrees[j]) % 2
+            if even and rng.random() < 0.4:
+                product[i][j][k] = F(rng.randint(-3, 3), rng.randint(1, 3))
+
+    def even_map():
+        rows = [[F(0)] * n for _ in range(n)]
+        if shape == "even":
+            for u, t in iproduct(range(n), repeat=2):
+                if degrees[u] == degrees[t] and rng.random() < 0.5:
+                    rows[u][t] = F(rng.randint(-2, 3), rng.randint(1, 2))
+            return Matrix(rows)
+        for u in range(n):
+            rows[u][u] = F(rng.choice((0, 1, 1, 2, -3)), rng.choice((1, 2)))
+        if shape == "near":
+            u, t = rng.choice(
+                [(u, t) for u, t in iproduct(range(n), repeat=2)
+                 if u != t and degrees[u] == degrees[t]]
+            )
+            if rng.random() < 0.5:
+                rows[t][t] = F(0)
+            rows[u][t] = F(rng.choice((1, -2, 3)))
+        return Matrix(rows)
+
+    alpha = even_map()
+    beta = even_map()
+    return ColourAlgebra(basis, super_bicharacter(), product, alpha, beta)
+
+
+def random_member(rng, a, gamma, eigen_slots=None):
+    """A random degree-gamma map: entries with denominators 1, 2, 5 and 11
+    on a random part of the slots of the degree block, or of
+    ``eigen_slots`` when given."""
+    slots = dv._block_slots(a, gamma) if eigen_slots is None else eigen_slots
+    rows = [[F(0)] * a.dim for _ in range(a.dim)]
+    for u, t in slots:
+        if rng.random() < 0.5:
+            x = rng.choice((-3, -1, 1, 2))
+            rows[u][t] = F(x, rng.choice((1, 2, 5, 11)))
+    return HomEndo(Matrix(rows), gamma)
+
+
+def test_reached_cells_and_diagonal_commutation_match_the_dense_oracles():
+    rng = Random(41)
+    seen = set()
+    for case in range(120):
+        shape = ("diagonal", "near", "even")[case % 3]
+        a = random_superalgebra(rng, shape)
+        if shape != "even":
+            assert (dv._diagonal(a, "alpha") is None) == (shape == "near")
+        k, l = rng.randrange(3), rng.randrange(3)
+        tables, dense = dv._twisted(a, k, l), dense_twisted(a, k, l)
+        for gamma in ((0,), (1,)):
+            # the entries on which the diagonal maps take equal values,
+            # where a member commutes with both
+            same = [
+                (u, t)
+                for u, t in dv._block_slots(a, gamma)
+                if all(M[u][u] == M[t][t] for M in (a.alpha, a.beta))
+            ]
+            for kind, (nmaps, conditions) in dv._KINDS.items():
+                tuples = [
+                    tuple(random_member(rng, a, gamma) for _ in range(nmaps)),
+                    tuple(
+                        random_member(rng, a, gamma, same)
+                        for _ in range(nmaps)
+                    ),
+                ]
+                solver = SOLVER_KINDS[kind][0]
+                for entry in solver(a, k, l, gamma).basis[:2]:
+                    tuples.append(
+                        entry if isinstance(entry, tuple) else (entry,)
+                    )
+                for members in tuples:
+                    for cond in conditions:
+                        args = bracket_args(members, cond)
+                        got = dv._bracket_defect(a, gamma, tables, *args)
+                        assert got == bracket_defect(a, gamma, dense, *args)
+                        seen.add(("defect", got is None))
+                    for e in members:
+                        for with_beta in (False, True):
+                            m = e.matrix
+                            got = dv._commutes_with_maps(a, m, with_beta)
+                            assert got == commutes_with_maps(a, m, with_beta)
+                            seen.add((shape, got))
+    # every path is taken both ways
+    assert seen == {
+        (what, verdict)
+        for what in ("defect", "diagonal", "near", "even")
+        for verdict in (False, True)
+    }
+
+
+def test_a_map_diagonal_but_for_one_term_takes_the_general_path():
+    # m = E11 sits where diag(1, 1, 2) has equal eigenvalues, so a diagonal
+    # alpha would commute with it; one more term, E01 beside the diagonal
+    # or moving column 0 off it, makes alpha commute with m no longer
+    z = zero_algebra(3)
+    m = Matrix([[F(0)] * 3, [F(0), F(1), F(0)], [F(0)] * 3])
+    for rows in (
+        [[1, 1, 0], [0, 1, 0], [0, 0, 2]],
+        [[0, 1, 0], [1, 1, 0], [0, 0, 2]],
+    ):
+        alpha = Matrix([[F(x) for x in row] for row in rows])
+        a = ColourAlgebra(z.basis, z.eps, z.product, alpha, Matrix.identity(3))
+        assert dv._diagonal(a, "alpha") is None
+        assert dv._diagonal(a, "beta") == (1, 1, 1)
+        assert not dv._commutes_with_maps(a, m)
+        assert not commutes_with_maps(a, m)
+    a = ColourAlgebra(
+        z.basis, z.eps, z.product, Matrix.diagonal([1, 1, 0]),
+        Matrix.diagonal([0, 0, 0]),
+    )
+    assert dv._diagonal(a, "beta") == (0, 0, 0)
+    assert dv._commutes_with_maps(a, m) and commutes_with_maps(a, m)
+
+
+def test_the_least_failing_pair_is_found_after_a_later_one():
+    # [e2, e1] = e0 and [e0, e1] = e2, identity maps: the value term of
+    # D = E00 + E02 reaches (2, 1) through t = 0 before it reaches (0, 1)
+    # through t = 2, and both fail
+    group = GradingGroup(0, ())
+    basis = GradedBasis(group, ("x", "y", "z"), ((),) * 3)
+    product = [[[F(0)] * 3 for _ in range(3)] for _ in range(3)]
+    product[2][1][0] = F(1)
+    product[0][1][2] = F(1, 3)
+    one = Matrix.identity(3)
+    a = ColourAlgebra(basis, trivial_bicharacter(group), product, one, one)
+    d = Matrix([[F(1), F(0), F(1)], [F(0)] * 3, [F(0)] * 3])
+    tables, dense = dv._twisted(a, 0, 0), dense_twisted(a, 0, 0)
+    want = (0, 1, (F(1, 3), F(0), F(0)))
+    assert bracket_defect(a, (), dense, d, None, None) == want
+    assert dv._bracket_defect(a, (), tables, d, None, None) == want

@@ -28,7 +28,10 @@ every job that was, the number of passes it was the slowest in and the
 median of its time over those passes.  ``setup_split`` splits each
 side's ``setup_s`` into its two parts, the ``import bihomlie`` time and
 the set-up itself (``import_s`` and ``build_s``), so that a set-up change
-can be told from import noise.
+can be told from import noise.  ``pass_counts`` gives, per workload and
+side, the median number of passes (``len(detail.passes)``) of the
+untraced runs: a faster side runs more passes in the same seconds, and
+perfbench's ``peak_rss_mib`` grows with the pass count.
 """
 
 from __future__ import annotations
@@ -132,6 +135,24 @@ def setup_split(sets: dict) -> dict:
     return out
 
 
+def pass_counts(sets: dict) -> dict:
+    """workload -> side -> {"runs", "median"}: the number of untraced
+    runs and the median of their pass counts, ``len(detail.passes)``."""
+    counts: dict = {}
+    for side, results in sets.items():
+        for r in results:
+            if not r["trace"]:
+                by_side = counts.setdefault(r["workload"], {})
+                by_side.setdefault(side, []).append(len(r["detail"]["passes"]))
+    return {
+        w: {
+            side: {"runs": len(ns), "median": statistics.median(ns)}
+            for side, ns in sides.items()
+        }
+        for w, sides in counts.items()
+    }
+
+
 def trajectory(sets: dict, spec: dict, parent_sha: str) -> dict:
     workloads: dict = {}
     for side, results in sets.items():
@@ -185,6 +206,7 @@ def trajectory(sets: dict, spec: dict, parent_sha: str) -> dict:
         "workloads": workloads,
         "slowest_jobs": slowest_jobs(sets),
         "setup_split": setup_split(sets),
+        "pass_counts": pass_counts(sets),
         "traced_counts": traced,
         "traced_layers": {
             "single_run": "one traced pass per side, workload and seed: "
