@@ -57,11 +57,16 @@ hash moves when any bit of the output does.  The records are
   algebras, ``mat2_assoc``, the gl(2|1) twists, ``typo_osp``,
   ``conj_mat2``, ``gl21_noncommuting_twist``, and two copies of each
   with one structure constant moved (``<algebra>[i][j][k]``, seeded), so
-  that the twisted ones fail multiplicativity; ``check_flexible`` and
-  ``check_g_associative`` (suites ``flexible``, ``G1`` to ``G6``) on
-  ``osp12_classical``, ``typo_osp`` and ``conj_mat2``; and
-  ``report/<algebra>/ad<s><l>/module``, ``validate_representation`` of
-  the corpus adjoint modules;
+  that the twisted ones fail multiplicativity, with ``check_flexible``
+  and ``check_g_associative`` (suites ``flexible``, ``G1`` to ``G6``;
+  the type and text of the error where the gate of ``G1`` to ``G6``
+  refuses); ``report/<algebra>/jordan/<kind>/<sign>/<maps>``, the report
+  or the error of ``check_jordan_axioms`` with sign +1 and -1, by the
+  algebra's own alpha and beta (``maps``) and by identity maps
+  (``identity``), on the derivation, centroid and quasi-centroid
+  families at k = l = 0 and degree 0 of the algebras of the
+  ``member/...`` records; and ``report/<algebra>/ad<s><l>/module``,
+  ``validate_representation`` of the corpus adjoint modules;
 - ``module/<algebra>/ad<s><l>`` and ``module/<broken module>``:
   ``validate_representation`` and the report of ``dual_rep`` with its
   candidate's space and maps, on the adjoint modules ad_{s,l}, (s, l) in
@@ -458,21 +463,46 @@ def _report_records():
     for name, a in _report_algebras():
         for suite, check in SUITES.items():
             yield f"report/{name}/{suite}", check(a)
-    for name, make in (
-        ("osp12_classical", osp12_classical),
-        ("typo_osp", fixtures.typo_osp),
-        ("conj_mat2", fixtures.conj_mat2),
-    ):
-        a = make()
         yield f"report/{name}/flexible", check_flexible(a)
         for g in SUBGROUPS:
-            yield f"report/{name}/{g}", check_g_associative(a, g)
+            # the report, or the type and text of the gate's refusal
+            status, out = _outcome(lambda: check_g_associative(a, g))
+            if status != "ok":
+                out = status, out
+            yield f"report/{name}/{g}", out
+    yield from _jordan_records()
     for name, a in lie_corpus():
         for s, l in ((0, 1), (1, 0)):
             yield (
                 f"report/{name}/ad{s}{l}/module",
                 validate_representation(adjoint_rep(a, s, l)),
             )
+
+
+def _jordan_records():
+    """``check_jordan_axioms`` with both signs, by the algebra's own alpha
+    and beta and by identity maps, on the derivation, centroid and
+    quasi-centroid families at k = l = 0 and degree 0 of the algebras of
+    :func:`_member_algebras`."""
+    for name, a in _member_algebras():
+        one = Matrix.identity(a.dim)
+        zero = a.basis.group.zero()
+        for kind in ("derivation", "centroid", "quasi_centroid"):
+            solver = getattr(derivations, f"{kind}_space")
+            family = solver(a, 0, 0, zero).basis
+            for sign in (1, -1):
+                for case, maps in (
+                    ("maps", (a.alpha, a.beta)),
+                    ("identity", (one, one)),
+                ):
+                    yield (
+                        f"report/{name}/jordan/{kind}/{sign:+d}/{case}",
+                        _outcome(
+                            lambda: derivations.check_jordan_axioms(
+                                family, a.eps, *maps, sign=sign
+                            )
+                        ),
+                    )
 
 
 def _module_checks(rep) -> tuple:
