@@ -4,7 +4,10 @@ Everything here asks one question in different strengths: does the
 commutator built from a product mu satisfy the twisted Jacobi identity?
 The cyclic sum S, the signed sums over subgroups of S3, flexibility and
 the primed bracket are the standard instruments for answering it.  The
-commutator is written once, as the product of :func:`primed_bracket`
+G-sums and flexibility scan one integer associator table
+(``algebra._associator_sums``); ``signed_perm_sum``, ``cyclic_S`` and
+``commutator_jacobiator`` evaluate one triple.  The commutator is
+written once, as the product of :func:`primed_bracket`
 (``constructions.commutator_table``); the commutator Jacobiator and the
 commutator form of S read it there.
 
@@ -29,7 +32,9 @@ from fractions import Fraction
 from .algebra import (
     AxiomReport,
     ColourAlgebra,
-    _check_tuples,
+    _add_at,
+    _associator_sums,
+    _check_sums,
     associator,
     jacobiator,
     require_passing,
@@ -220,7 +225,8 @@ def check_g_associative(a: ColourAlgebra, g: str) -> AxiomReport:
     Passing G6 is equivalent to the commutator bracket satisfying the
     twisted Jacobi identity; passing any smaller subgroup implies passing
     G6 (left-coset decomposition).  The verdict item is named after the
-    subgroup id.
+    subgroup id.  The cell t of the associator table over the slot maps
+    goes to the triple each member p puts into the slots t, sgn(p) |p| times.
     """
     if g not in SUBGROUPS:
         raise ValueError(f"unknown subgroup id {g!r}; expected G1..G6")
@@ -231,33 +237,26 @@ def check_g_associative(a: ColourAlgebra, g: str) -> AxiomReport:
         need_regular=True,
         context=f"check_g_associative({g})",
     )
-    members = SUBGROUPS[g]
-    return AxiomReport(
-        [
-            _check_tuples(
-                a,
-                f"{g.lower()}_bihom_associative",
-                3,
-                lambda i, j, k: signed_perm_sum(a, members, i, j, k),
-            )
-        ]
-    )
+    scale, cells = _associator_sums(a, _slot_maps(a))
+    # sgn(p) |p| by the member's place and the degrees of the triple
+    sums, weights = {}, {}
+    for t, acc in cells.items():
+        for m, p in enumerate(SUBGROUPS[g]):
+            # the triple whose argument p puts into the slots t
+            idx = tuple([t[p.image.index(s)] for s in (1, 2, 3)])
+            key = (m, *[a.basis.degrees[i] for i in idx])
+            if key not in weights:
+                weights[key] = p.sign * int(perm_degree(a.eps, p, key[1:]))
+            _add_at(sums, idx, weights[key], acc.items())
+    name = f"{g.lower()}_bihom_associative"
+    return AxiomReport([_check_sums(a, name, sums, scale)])
 
 
 def check_flexible(a: ColourAlgebra) -> AxiomReport:
     """as(x, y, x) = 0 on every basis pair; witness is the first failure."""
-    return AxiomReport(
-        [
-            _check_tuples(
-                a,
-                "flexible",
-                2,
-                lambda i, j: associator(
-                    a, a.basis_vec(i), a.basis_vec(j), a.basis_vec(i)
-                ),
-            )
-        ]
-    )
+    scale, cells = _associator_sums(a)
+    sums = {(i, j): acc for (i, j, k), acc in cells.items() if k == i}
+    return AxiomReport([_check_sums(a, "flexible", sums, scale)])
 
 
 def primed_bracket(a: ColourAlgebra) -> ColourAlgebra:

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
-from itertools import product as iproduct
 from math import gcd, lcm
 
 from .grading import Bicharacter, FrozenRecord, GradedBasis, GroupElement
@@ -48,7 +47,6 @@ from .linalg import (  # the scalar bound and readers, re-exported here
     Vec,
     add_terms,
     first_off_block,
-    is_zero_vec,
     read_scalar,
     scale_to_ints,
     sum_terms,
@@ -756,32 +754,12 @@ def _pair_witness(a: ColourAlgebra, idx: tuple[int, ...], defect: Vec) -> Witnes
     return Witness(indices=idx, names=names, defect=defect, defect_str=text)
 
 
-def _check_tuples(
-    a: ColourAlgebra,
-    name: str,
-    arity: int,
-    defect_fn: Callable[..., Vec],
-    advisory: bool = False,
-    scale: int = 1,
-) -> CheckItem:
-    """Scan basis tuples in lexicographic order; first nonzero defect fails.
-    ``defect_fn`` returns the defect times ``scale``, 1 for a Fraction
-    defect, and the witness divides by it."""
-    for idx in iproduct(range(a.dim), repeat=arity):
-        defect = defect_fn(*idx)
-        if not is_zero_vec(defect):
-            defect = tuple(Fraction(x, scale) for x in defect)
-            witness = _pair_witness(a, idx, defect)
-            return CheckItem(name, False, witness, advisory)
-    return CheckItem(name, True, None, advisory)
-
-
 def _check_sums(
     a: ColourAlgebra, name: str, sums: dict, scale: int, advisory=False
 ) -> CheckItem:
     """The item of a scan whose defects times ``scale`` are summed by
     :func:`_add_at` over the terms that reach each basis tuple: it fails
-    as :func:`_check_tuples` would, at :func:`_least_sum`."""
+    at the least tuple with a nonzero sum (:func:`_least_sum`)."""
     bad = _least_sum(sums, a.dim, scale)
     witness = None if bad is None else _pair_witness(a, *bad)
     return CheckItem(name, bad is None, witness, advisory)
@@ -936,41 +914,20 @@ def check_lie_axioms(a: ColourAlgebra) -> AxiomReport:
 
 
 def associator(a: ColourAlgebra, x: Vec, y: Vec, z: Vec) -> Vec:
-    """alpha(x)(y z) - (x y) beta(z).
-
-    alpha(x) w = sum x_i w_u [alpha(e_i), e_u] and w beta(z) = sum w_u z_k
-    [e_u, beta(e_k)], read from the integer twisted tables brought to the
-    lcm of their scales: the Fraction coefficients of the general vectors
-    are summed against the integer terms, and the sum is divided by that
-    lcm.  The bihom_associative scan sums the same terms in integers on
-    basis triples (see :func:`check_associative_axioms`).
-    """
-    left_scale, left = a.int_table("twisted_terms", 1, 0)
-    right_scale, right = a.int_table("twisted_terms", 0, 1, True)
-    scale = lcm(left_scale, right_scale)
-    fl, fr = scale // left_scale, -(scale // right_scale)
-    yz = terms_of(a.product_eval(y, z))
-    xy = terms_of(a.product_eval(x, y))
-    zs = terms_of(z)
-    acc = [ZERO] * a.dim
-    for i, xi in terms_of(x):
-        for u, c in yz:
-            add_terms(acc, fl * xi * c, left[i][u])
-    for u, c in xy:
-        for k, zk in zs:
-            add_terms(acc, fr * c * zk, right[u][k])
-    return tuple([Fraction(x, scale) for x in acc])
+    """alpha(x)(y z) - (x y) beta(z) on general vectors, by four
+    ``product_eval`` calls; the scans sum its terms in integers on basis
+    triples (:func:`_associator_sums`)."""
+    left = a.product_eval(a.alpha.apply(x), a.product_eval(y, z))
+    right = a.product_eval(a.product_eval(x, y), a.beta.apply(z))
+    return tuple([u - v for u, v in zip(left, right)])
 
 
-def check_associative_axioms(a: ColourAlgebra) -> AxiomReport:
-    """BiHom-associativity suite; colour-commutativity is a separate flag.
-
-    The associator alpha(e_i)(e_j e_k) - (e_i e_j) beta(e_k) is summed in
-    integers over the triples each term reaches: a product-table term
-    times a cell of ``int_table("twisted_terms", 1, 0)`` or of
-    ``int_table("twisted_terms", 0, 1, True)``, brought to one scale.
-    """
-    rep = AxiomReport(_structural(a))
+def _associator_sums(a: ColourAlgebra, maps=()) -> tuple[int, dict]:
+    """(L, sums): L times as(m1 e_i, m2 e_j, m3 e_k), the {u: int} of
+    :func:`_add_at` at each triple a term reaches, for the slot maps (m1,
+    m2, m3) ``maps``, identity maps by default: a product-table term times
+    a cell of the twisted tables by alpha and by beta, then pulled back
+    through each slot map, the sum at t in slot s to r times m[t][r]."""
     product_scale, terms = a.int_table("product_terms")
     left_scale, left = a.int_table("twisted_terms", 1, 0)
     right_scale, right = a.int_table("twisted_terms", 0, 1, True)
@@ -987,9 +944,25 @@ def check_associative_axioms(a: ColourAlgebra) -> AxiomReport:
                 for k, ts in enumerate(right[u]):
                     if ts:
                         _add_at(sums, (p, q, k), fr * c, ts)
-    assoc = _check_sums(a, "bihom_associative", sums, product_scale * scale)
-    sums = _swap_sums(a, (product_scale, terms), -1)
-    comm = _check_sums(a, "colour_commutative", sums, product_scale, True)
+    scale *= product_scale
+    for s, m in enumerate(maps):
+        map_scale, rows = m.transpose().int_column_terms()
+        pulled: dict = {}
+        for key, acc in sums.items():
+            for r, x in rows[key[s]]:
+                _add_at(pulled, (*key[:s], r, *key[s + 1:]), x, acc.items())
+        sums, scale = pulled, scale * map_scale
+    return scale, sums
+
+
+def check_associative_axioms(a: ColourAlgebra) -> AxiomReport:
+    """BiHom-associativity suite, on the associator table of
+    :func:`_associator_sums`; colour-commutativity is a separate flag."""
+    rep = AxiomReport(_structural(a))
+    scale, sums = _associator_sums(a)
+    assoc = _check_sums(a, "bihom_associative", sums, scale)
+    sums = _swap_sums(a, a.int_table("product_terms"), -1)
+    comm = _check_sums(a, "colour_commutative", sums, a._terms[0], True)
     rep.items += [assoc, comm, _check_regular(a)]
     return rep
 

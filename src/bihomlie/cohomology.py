@@ -45,6 +45,7 @@ from .linalg import (
     Vec,
     add_terms,
     first_off_block,
+    int_diagonal,
     kernel_by_blocks,
     scale_to_ints,
     sum_terms,
@@ -838,18 +839,6 @@ def _pullbacks(a: ColourAlgebra, arity: _Arity, T: tuple[int, ...]) -> tuple:
     return hit
 
 
-def _diagonal(cols: Sequence[IntTerms]) -> dict[int, int]:
-    """{i: x} over the columns i of an integer column form with no entry
-    off row i: x is the entry at row i, 0 for a zero column."""
-    out = {}
-    for i, col in enumerate(cols):
-        if not col:
-            out[i] = 0
-        elif len(col) == 1 and col[0][0] == i:
-            out[i] = col[0][1]
-    return out
-
-
 def _intertwining_rows(
     rep: Representation, n: int, slots: dict[tuple, int]
 ) -> Iterator[
@@ -895,11 +884,11 @@ def _intertwining_rows(
         # w -> b S / L_V, for the V indices w at which m_V is diagonal
         vdiag = {
             w: x * vf
-            for w, x in _diagonal(vcols).items()
+            for w, x in int_diagonal(vcols).items()
             if w not in crossed
         }
         vrest = set(range(len(vcols))) - vdiag.keys()
-        diag = _diagonal(m.int_column_terms()[1])
+        diag = int_diagonal(m.int_column_terms()[1])
         maps.append((i, name, pf, vf, vcols, diag, vdiag, vrest))
     for T, own in slot_cols.items():
         for i, name, pf, vf, vcols, diag, vdiag, vrest in maps:

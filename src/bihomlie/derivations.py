@@ -43,18 +43,19 @@ back into Fractions.
 
 The product D1 . D2 + eps(d1, d2) D2 . D1 turns homogeneous endomorphisms
 into a colour analogue of a special Jordan algebra; check_jordan_axioms
-verifies its defining identities on a finite family, evaluating all
-compositions in the ambient endomorphism algebra, so the family itself
-does not have to be closed under the product (derivation spaces rarely
-are; see jordan_closure).  It checks one four-variable identity, and
-builds each composite of a member with the structure maps, and each
-product of the family that the identity reads, once.  A member enters a
-span by its integer entry terms (:func:`_entry_terms`).
+verifies its defining identities on a finite family in the ambient
+endomorphism algebra, so the family need not be closed under the product
+(derivation spaces rarely are; see jordan_closure).  It builds once each
+composite and product the four-variable identity reads, and each term of
+the identity, whose integer columns it adds to the three 4-tuples that
+hold it; an item fails at its least tuple with a nonzero sum
+(``algebra._least_sum``).  A member enters a span by its integer entry
+terms (:func:`_entry_terms`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from itertools import product as iproduct
 from math import gcd, lcm
@@ -66,8 +67,10 @@ from .algebra import (
     IntTable,
     Witness,
     _bracket_defect,
+    _add_at,
     _commutator,
     _degree_shift,
+    _least_sum,
     _twisted_cells,
 )
 from .grading import Bicharacter, FrozenRecord, GroupElement
@@ -77,7 +80,7 @@ from .linalg import (
     Vec,
     _strike_forced,
     first_off_block,
-    is_zero_vec,
+    int_diagonal,
     kernel_by_blocks,
     write_scalar,
 )
@@ -416,15 +419,13 @@ def _leibniz_rows(
 
 
 def _diagonal(a: ColourAlgebra, name: str) -> tuple[int, ...] | None:
-    """The integer diagonal of the structure map ``name`` if each integer
-    column j is empty or the one term (j, x), else None; cached."""
+    """The integer diagonal of the structure map ``name`` if every column
+    is on it (``linalg.int_diagonal``), else None; cached."""
     key = (name, "diagonal")
     if key not in a._int_tables:
         cols = getattr(a, name).int_column_terms()[1]
-        diag = tuple(col[0][1] if col else 0 for col in cols)
-        a._int_tables[key] = diag if all(
-            [u for u, _ in col] in ([], [j]) for j, col in enumerate(cols)
-        ) else None
+        diag = tuple(int_diagonal(cols).values())
+        a._int_tables[key] = diag if len(diag) == len(cols) else None
     return a._int_tables[key]
 
 
@@ -686,16 +687,11 @@ def jordan_product(
 
 
 def _endo_witness(
-    space_names: Sequence[str], idx: tuple[int, ...], diff: Matrix
+    space_names: Sequence[str], idx: tuple[int, ...], col: Vec
 ) -> Witness:
-    """The first nonzero column of ``diff`` at the tuple ``idx``;
-    ValueError naming the tuple for an entry too large to write (see
-    :func:`~bihomlie.linalg.write_scalar`)."""
-    col = next(
-        diff.column(c)
-        for c in range(diff.ncols)
-        if not is_zero_vec(diff.column(c))
-    )
+    """The witness of the first nonzero defect column ``col`` at the tuple
+    ``idx``; ValueError naming the tuple for an entry too large to write
+    (see :func:`~bihomlie.linalg.write_scalar`)."""
     names = tuple(space_names[i] for i in idx)
     item = f"an entry of the defect column at ({', '.join(names)})"
     desc = ", ".join(write_scalar(x, item) for x in col)
@@ -757,7 +753,7 @@ def check_jordan_axioms(
     V[z][w] = mu(alpha^2beta z, alpha^3 w) and P[x][y][z] =
     mu(U[x][y], alpha^2beta z).  One term of the cycle is then
     eps(w, x+z)(mu(alpha U[x][y], V[z][w]) - mu(P[x][y][z], beta alpha^3 w)),
-    two products.  Each item's witness is its first failing tuple.
+    two products, built once.  Each item's witness is its first failing tuple.
     """
     space = list(space)
     n = len(space)
@@ -771,14 +767,20 @@ def check_jordan_axioms(
     def then(m: Matrix, ds: Sequence[HomEndo]) -> list[HomEndo]:
         return [HomEndo(m * d.matrix, d.degree) for d in ds]
 
-    def first_failure(
-        name: str, arity: int, defect: Callable[..., Matrix]
-    ) -> CheckItem:
-        for idx in iproduct(range(n), repeat=arity):
-            diff = defect(*idx)
-            if not diff.is_zero():
-                return CheckItem(name, False, _endo_witness(names, idx, diff))
-        return CheckItem(name, True)
+    def scale_of(ds: Iterable[HomEndo]) -> int:
+        return lcm(*[d.matrix.int_column_terms()[0] for d in ds])
+
+    def add(sums: dict, keys: list, m: Matrix, scale: int) -> None:
+        """Add f m, column c at key + (c,), for each (key, f) of ``keys``."""
+        own, cols = m.int_column_terms()
+        for key, f in keys:
+            for c, col in enumerate(cols):
+                _add_at(sums, (*key, c), f * (scale // own), col)
+
+    def item(name: str, sums: dict, scale: int) -> CheckItem:
+        bad = _least_sum(sums, alphaOp.nrows, scale)
+        witness = bad and _endo_witness(names, bad[0][:-1], bad[1])
+        return CheckItem(name, not bad, witness)
 
     # the first product that grows the span leaves it
     note = ""
@@ -790,9 +792,14 @@ def check_jordan_axioms(
             note = f"product of {names[i]} and {names[j]} leaves the span"
             break
 
-    # C[i][j] = mu(beta D_i, alpha D_j)
+    # C[i][j] = mu(beta D_i, alpha D_j), and -eps(d_j, d_i) C[i][j] at (j, i)
     alpha_d = then(alphaOp, space)
     C = [[mu(b, a) for a in alpha_d] for b in then(betaOp, space)]
+    c_scale = scale_of(c for row in C for c in row)
+    commutative: dict[tuple, dict] = {}
+    for i, j in iproduct(range(n), repeat=2):
+        keys = [((i, j), 1), ((j, i), -eps.eval(degrees[j], degrees[i]))]
+        add(commutative, keys, C[i][j].matrix, c_scale)
 
     ab = alphaOp * betaOp
     a3_d = then(alphaOp * alphaOp * alphaOp, space)
@@ -805,29 +812,33 @@ def check_jordan_axioms(
     alpha_U = [then(alphaOp, row) for row in U]
     V = [[mu(z, w) for w in a3_d] for z in a2b_d]
     P = [[[mu(u, z) for z in a2b_d] for u in row] for row in U]
-
-    def term(x: int, y: int, z: int, w: int) -> Matrix:
+    # a multiple of the scale of every term
+    scale = lcm(
+        scale_of(u for row in alpha_U for u in row)
+        * scale_of(v for row in V for v in row),
+        scale_of(p for rows in P for row in rows for p in row)
+        * scale_of(ba3_d),
+    )
+    jordan: dict[tuple, dict] = {}
+    for x, y, z, w in iproduct(range(n), repeat=4):
         pref = eps.eval(degrees[w], group.add(degrees[x], degrees[z]))
-        return (
+        term = (
             mu(alpha_U[x][y], V[z][w]).matrix
             - mu(P[x][y][z], ba3_d[w]).matrix
         ).scale(pref)
+        # the tuples whose (x, y, w) cycle holds this term, z fixed
+        cycle = ((x, y, z, w), (w, x, z, y), (y, w, z, x))
+        add(jordan, [(key, 1) for key in cycle], term, scale)
 
-    def commutativity_defect(i: int, j: int) -> Matrix:
-        rhs = C[j][i].matrix.scale(eps.eval(degrees[i], degrees[j]))
-        return C[i][j].matrix - rhs
-
-    def jordan_defect(x: int, y: int, z: int, w: int) -> Matrix:
-        return term(x, y, z, w) + term(y, w, z, x) + term(w, x, z, y)
-
-    comm = alphaOp * betaOp - betaOp * alphaOp
+    comm = _commutator(alphaOp, betaOp, by_column=True)
+    witness = comm and _endo_witness(names, (), comm[2])
     return AxiomReport(
         [
-            first_failure("structure_maps_commute", 0, lambda: comm),
+            CheckItem("structure_maps_commute", not comm, witness),
             CheckItem(
                 "closed_under_product", not note, advisory=True, note=note
             ),
-            first_failure("colour_commutative", 2, commutativity_defect),
-            first_failure("jordan_identity", 4, jordan_defect),
+            item("colour_commutative", commutative, c_scale),
+            item("jordan_identity", jordan, scale),
         ]
     )

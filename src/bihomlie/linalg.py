@@ -221,6 +221,16 @@ def sum_terms(parts: Sequence[tuple[int, IntTerms]]) -> IntTerms:
     return tuple(sorted([kx for kx in acc.items() if kx[1]]))
 
 
+def int_diagonal(cols: Sequence[IntTerms]) -> dict[int, int]:
+    """{j: x} over the columns j of an integer column form with no entry
+    off row j: x is the entry at row j, 0 for a zero column."""
+    return {
+        j: col[0][1] if col else 0
+        for j, col in enumerate(cols)
+        if [u for u, _ in col] in ([], [j])
+    }
+
+
 def is_zero_vec(u: Vec) -> bool:
     return not any(u)
 

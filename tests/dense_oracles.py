@@ -64,10 +64,16 @@ RREF, ``coboundary_matrix_oracle`` solves the images of its basis against
 the next one with ``solve_many``, and ``cochain_in_space_oracle`` checks
 membership by dense evaluation on the columns of alpha and beta.
 
+``check_tuples`` is the scan the axiom suites, flexibility and the G-sums
+once ran: every basis tuple in lexicographic order through a per-tuple
+evaluator, failing at the first nonzero defect.  The library sums the
+terms that reach each tuple instead.
+
 ``check_jordan_axioms_oracle`` is the Jordan check that composes and
 multiplies afresh in every term of every 4-tuple, with both cyclings of
-the identity; the library builds each composite and product once and
-checks the (x, y, w) cycle only.  ``commutator_jacobiator_oracle``
+the identity, and witnesses the ``first_column`` of a failing defect; the
+library builds each composite, product and term once and checks the
+(x, y, w) cycle only.  ``commutator_jacobiator_oracle``
 evaluates the commutator bracket of a product densely, where the library
 reads the Jacobiator of ``primed_bracket``.
 
@@ -88,7 +94,12 @@ from typing import Iterable, Optional, Sequence
 
 from itertools import product as iproduct
 
-from bihomlie.algebra import AxiomReport, CheckItem, ColourAlgebra
+from bihomlie.algebra import (
+    AxiomReport,
+    CheckItem,
+    ColourAlgebra,
+    _pair_witness,
+)
 from bihomlie.cohomology import (
     Cochain,
     _is_canonical,
@@ -829,6 +840,27 @@ def cochain_in_space_oracle(rep, f):
     return True, ""
 
 
+def check_tuples(a, name, arity, defect_fn, advisory=False, scale=1):
+    """The item of a scan of the basis tuples in lexicographic order that
+    fails at the first nonzero defect, the scan the axiom checks ran
+    before they summed reached terms.  ``defect_fn`` returns the defect
+    times ``scale``, 1 for a Fraction defect, and the witness divides by
+    it."""
+    for idx in iproduct(range(a.dim), repeat=arity):
+        defect = defect_fn(*idx)
+        if not is_zero_vec(defect):
+            defect = tuple(Fraction(x, scale) for x in defect)
+            witness = _pair_witness(a, idx, defect)
+            return CheckItem(name, False, witness, advisory)
+    return CheckItem(name, True, None, advisory)
+
+
+def first_column(diff: Matrix) -> Vec:
+    """The first nonzero column of ``diff``, the column a Jordan witness
+    holds."""
+    return next(col for col in diff.columns() if not is_zero_vec(col))
+
+
 def check_jordan_axioms_oracle(
     space, eps, alphaOp, betaOp, *, cycling="xyw", sign=1
 ):
@@ -857,7 +889,9 @@ def check_jordan_axioms_oracle(
         CheckItem(
             "structure_maps_commute",
             comm.is_zero(),
-            None if comm.is_zero() else _endo_witness(names, (), comm),
+            None
+            if comm.is_zero()
+            else _endo_witness(names, (), first_column(comm)),
         )
     )
 
@@ -883,9 +917,8 @@ def check_jordan_axioms_oracle(
         )
         diff = lhs.matrix - rhs.matrix
         if not diff.is_zero():
-            cc = CheckItem(
-                "colour_commutative", False, _endo_witness(names, (i, j), diff)
-            )
+            witness = _endo_witness(names, (i, j), first_column(diff))
+            cc = CheckItem("colour_commutative", False, witness)
             break
     items.append(cc)
 
@@ -913,9 +946,8 @@ def check_jordan_axioms_oracle(
         else:
             total = term(x, y, z, w) + term(y, w, z, x) + term(w, x, z, y)
         if not total.is_zero():
-            ji = CheckItem(
-                "jordan_identity", False, _endo_witness(names, idx, total)
-            )
+            witness = _endo_witness(names, idx, first_column(total))
+            ji = CheckItem("jordan_identity", False, witness)
             break
     items.append(ji)
     return AxiomReport(items)

@@ -6,6 +6,7 @@ and builders they share.
 """
 
 from fractions import Fraction
+from itertools import product as iproduct
 from pathlib import Path
 
 from bihomlie.alg_io import parse_algebra
@@ -182,6 +183,109 @@ def gl21_fraction_twist() -> ColourAlgebra:
     return fraction_twist(
         (0, 0, 1),
         [[Fraction(2, 5), third, 0], [0, 1, 0], [0, 0, Fraction(3, 7)]],
+    )
+
+
+def random_superalgebra(rng, shape: str) -> ColourAlgebra:
+    """A Z2-graded algebra of dimension 2 to 5 with a random graded
+    product table (denominators 1, 2, 3) and even structure maps of one
+    ``shape``: "diagonal", with eigenvalues drawn from a few values, zero
+    and repeated ones among them; "near", such a diagonal with one term
+    moved off the diagonal or added beside it; "even", random even maps
+    with several terms per column; or "weighted", the invertible,
+    commuting, multiplicative maps diag(2**h) and diag((-3)**h) for random
+    weights h in {-1, 0, 1}, over a product that keeps only the terms
+    e_i e_j -> e_k with h_k = h_i + h_j."""
+    n = rng.randint(2, 5)
+    # e0 and e1 even, so that an even map has an off-diagonal slot
+    degrees = [0, 0] + [rng.randrange(2) for _ in range(n - 2)]
+    weights = (
+        [rng.randint(-1, 1) for _ in range(n)] if shape == "weighted" else None
+    )
+    group = GradingGroup(0, (2,))
+    basis = GradedBasis(
+        group, tuple(f"e{i}" for i in range(n)), tuple((d,) for d in degrees)
+    )
+    product = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for i, j in iproduct(range(n), repeat=2):
+        for k in range(n):
+            even = degrees[k] == (degrees[i] + degrees[j]) % 2
+            if weights is not None:
+                even = even and weights[k] == weights[i] + weights[j]
+            if even and rng.random() < 0.4:
+                product[i][j][k] = Fraction(
+                    rng.randint(-3, 3), rng.randint(1, 3)
+                )
+
+    def even_map():
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        if shape == "even":
+            for u, t in iproduct(range(n), repeat=2):
+                if degrees[u] == degrees[t] and rng.random() < 0.5:
+                    rows[u][t] = Fraction(
+                        rng.randint(-2, 3), rng.randint(1, 2)
+                    )
+            return Matrix(rows)
+        for u in range(n):
+            rows[u][u] = Fraction(
+                rng.choice((0, 1, 1, 2, -3)), rng.choice((1, 2))
+            )
+        if shape == "near":
+            u, t = rng.choice(
+                [(u, t) for u, t in iproduct(range(n), repeat=2)
+                 if u != t and degrees[u] == degrees[t]]
+            )
+            if rng.random() < 0.5:
+                rows[t][t] = Fraction(0)
+            rows[u][t] = Fraction(rng.choice((1, -2, 3)))
+        return Matrix(rows)
+
+    if weights is None:
+        alpha = even_map()
+        beta = even_map()
+    else:
+        alpha = Matrix.diagonal([Fraction(2) ** h for h in weights])
+        beta = Matrix.diagonal([Fraction(-3) ** h for h in weights])
+    return ColourAlgebra(basis, super_bicharacter(), product, alpha, beta)
+
+
+def moved_constant(rng, a: ColourAlgebra) -> ColourAlgebra:
+    """``a`` with one nonzero structure constant, drawn from ``rng``, moved
+    by a small fraction: the support stays, so diagonal maps stay
+    multiplicative."""
+    cells = [
+        (i, j, k)
+        for i, row in enumerate(a.product)
+        for j, cell in enumerate(row)
+        for k, x in enumerate(cell)
+        if x
+    ]
+    if not cells:
+        return a
+    i, j, k = rng.choice(cells)
+    prod = [[list(cell) for cell in row] for row in a.product]
+    prod[i][j][k] += Fraction(rng.choice((1, -2, 3)), rng.randint(1, 4))
+    return a.with_product(prod)
+
+
+def conjugated(rng, a: ColourAlgebra) -> ColourAlgebra:
+    """``a`` in the basis g e_i, g = 1 plus random entries below the
+    diagonal between basis elements of one degree: an isomorphic algebra
+    whose maps g^-1 m g are not diagonal where ``a``'s are."""
+    n, degrees = a.dim, a.basis.degrees
+    rows = [[Fraction(int(u == t)) for t in range(n)] for u in range(n)]
+    for u, t in iproduct(range(n), repeat=2):
+        if u > t and degrees[u] == degrees[t] and rng.random() < 0.6:
+            rows[u][t] = Fraction(rng.choice((-1, 1, 2)), rng.choice((1, 2)))
+    g = Matrix(rows)
+    ginv = g.invert()
+    cols = g.columns()
+    prod = [
+        [ginv.apply(a.product_eval(cols[i], cols[j])) for j in range(n)]
+        for i in range(n)
+    ]
+    return a.with_product(
+        prod, alpha=ginv * a.alpha * g, beta=ginv * a.beta * g
     )
 
 

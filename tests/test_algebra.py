@@ -36,7 +36,12 @@ from bihomlie.grading import (
 )
 from bihomlie.admissibility import check_flexible
 from bihomlie.linalg import Matrix
-from dense_oracles import dense_twisted, twisted_products, twisted_table_oracle
+from dense_oracles import (
+    check_tuples,
+    dense_twisted,
+    twisted_products,
+    twisted_table_oracle,
+)
 from fixtures import (
     LIE_CORPUS,
     conj_mat2,
@@ -193,7 +198,7 @@ def test_jacobi_scan_of_least_rotations_names_the_full_scan_witness():
     failing = set()
     for label, a in broken + perturbed_corpus():
         scale, defect = alg._jacobi_defect(a)
-        want = alg._check_tuples(a, "bihom_jacobi", 3, defect, scale=scale)
+        want = check_tuples(a, "bihom_jacobi", 3, defect, scale=scale)
         got = check_lie_axioms(a).item("bihom_jacobi")
         assert got.to_dict() == want.to_dict(), label
         if not want.passed:
@@ -368,7 +373,7 @@ def _structural_items_oracle(a):
             return _dense_add(lhs, _dense_scale(Fraction(-1), rhs))
 
         items.append(
-            alg._check_tuples(a, f"{name}_multiplicative", 2, defect, advisory=True)
+            check_tuples(a, f"{name}_multiplicative", 2, defect, advisory=True)
         )
     return items
 
@@ -384,9 +389,9 @@ def report_oracle(a, suite):
             rhs = product_eval_oracle(a, beta[j], alpha[i])
             return _dense_add(lhs, _dense_scale(Fraction(a.eps_ij(i, j)), rhs))
 
-        items.append(alg._check_tuples(a, "bihom_skewsymmetry", 2, skew))
+        items.append(check_tuples(a, "bihom_skewsymmetry", 2, skew))
         items.append(
-            alg._check_tuples(
+            check_tuples(
                 a, "bihom_jacobi", 3, lambda i, j, k: jacobiator_oracle(a, i, j, k)
             )
         )
@@ -401,9 +406,9 @@ def report_oracle(a, suite):
             rhs = _dense_scale(Fraction(a.eps_ij(i, j)), a.product[j][i])
             return _dense_add(a.product[i][j], _dense_scale(Fraction(-1), rhs))
 
-        items.append(alg._check_tuples(a, "bihom_associative", 3, assoc))
+        items.append(check_tuples(a, "bihom_associative", 3, assoc))
         items.append(
-            alg._check_tuples(a, "colour_commutative", 2, comm, advisory=True)
+            check_tuples(a, "colour_commutative", 2, comm, advisory=True)
         )
     items.append(alg._check_regular(a))
     return AxiomReport(items)

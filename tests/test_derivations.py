@@ -36,7 +36,6 @@ from bihomlie.derivations import (
 from bihomlie.grading import (
     GradedBasis,
     GradingGroup,
-    super_bicharacter,
     trivial_bicharacter,
 )
 from bihomlie.linalg import MAX_SCALAR_DIGITS, Matrix, scale_to_ints
@@ -59,6 +58,7 @@ from fixtures import (
     gl21_fraction_twist,
     gl21_twist,
     gl21_unipotent_twist,
+    random_superalgebra,
 )
 
 F = Fraction
@@ -1030,51 +1030,6 @@ def test_predicates_match_the_dense_oracles(name):
 # the reached-cell walk of _bracket_defect and the diagonal path of
 # _commutes_with_maps against the dense oracles, on seeded random
 # Z2-graded tables
-
-
-def random_superalgebra(rng, shape):
-    """A Z2-graded algebra of dimension 2 to 5 with a random graded
-    product table (denominators 1, 2, 3) and even structure maps of one
-    ``shape``: "diagonal", with eigenvalues drawn from a few values, zero
-    and repeated ones among them; "near", such a diagonal with one term
-    moved off the diagonal or added beside it; or "even", random even
-    maps with several terms per column."""
-    n = rng.randint(2, 5)
-    # e0 and e1 even, so that an even map has an off-diagonal slot
-    degrees = [0, 0] + [rng.randrange(2) for _ in range(n - 2)]
-    group = GradingGroup(0, (2,))
-    basis = GradedBasis(
-        group, tuple(f"e{i}" for i in range(n)), tuple((d,) for d in degrees)
-    )
-    product = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
-    for i, j in iproduct(range(n), repeat=2):
-        for k in range(n):
-            even = degrees[k] == (degrees[i] + degrees[j]) % 2
-            if even and rng.random() < 0.4:
-                product[i][j][k] = F(rng.randint(-3, 3), rng.randint(1, 3))
-
-    def even_map():
-        rows = [[F(0)] * n for _ in range(n)]
-        if shape == "even":
-            for u, t in iproduct(range(n), repeat=2):
-                if degrees[u] == degrees[t] and rng.random() < 0.5:
-                    rows[u][t] = F(rng.randint(-2, 3), rng.randint(1, 2))
-            return Matrix(rows)
-        for u in range(n):
-            rows[u][u] = F(rng.choice((0, 1, 1, 2, -3)), rng.choice((1, 2)))
-        if shape == "near":
-            u, t = rng.choice(
-                [(u, t) for u, t in iproduct(range(n), repeat=2)
-                 if u != t and degrees[u] == degrees[t]]
-            )
-            if rng.random() < 0.5:
-                rows[t][t] = F(0)
-            rows[u][t] = F(rng.choice((1, -2, 3)))
-        return Matrix(rows)
-
-    alpha = even_map()
-    beta = even_map()
-    return ColourAlgebra(basis, super_bicharacter(), product, alpha, beta)
 
 
 def random_member(rng, a, gamma, eigen_slots=None):

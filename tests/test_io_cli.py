@@ -33,9 +33,15 @@ from bihomlie.algebra import (
     read_scalar,
     to_fraction,
 )
+from bihomlie.admissibility import SUBGROUPS, check_g_associative
 from bihomlie.cli import run_cli
 from bihomlie.cohomology import Cochain
-from bihomlie.constructions import CORPUS_NAMES, build_osp12, corpus
+from bihomlie.constructions import (
+    CORPUS_NAMES,
+    build_osp12,
+    corpus,
+    zero_algebra,
+)
 from bihomlie.derivations import HomEndo
 from bihomlie.grading import parse_group
 from bihomlie.linalg import Matrix, vec
@@ -882,6 +888,21 @@ def test_an_oversized_scalar_is_refused_at_once(site, token, tmp_path):
     else:
         assert out.startswith(refusal)
     assert seconds < 1
+
+
+def test_the_g_sums_of_a_zero_product_finish_at_once(tmp_path):
+    # no associator term reaches a triple of zero_40, so no G-sum scans the
+    # 64,000 triples; the G6 scan once took 48 s on it
+    z = zero_algebra(40)
+
+    def every_group():
+        return sum(not check_g_associative(z, g).passed for g in SUBGROUPS)
+
+    assert _outcome_in_child(every_group, timeout=5)[0] == 0
+    path = tmp_path / "zero_40.alg"
+    assert run_cli(["example", "zero_40", "-o", str(path)]) == 0
+    argv = ["admissible", str(path), "--group", "all"]
+    assert _outcome_in_child(lambda: run_cli(argv), timeout=5)[0] == 0
 
 
 def test_the_scalar_bound_is_inclusive():
