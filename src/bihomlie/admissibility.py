@@ -37,6 +37,7 @@ from .algebra import (
     _check_sums,
     associator,
     jacobiator,
+    memoized,
     require_passing,
 )
 from .constructions import commutator_table
@@ -259,6 +260,7 @@ def check_flexible(a: ColourAlgebra) -> AxiomReport:
     return AxiomReport([_check_sums(a, "flexible", sums, scale)])
 
 
+@memoized
 def primed_bracket(a: ColourAlgebra) -> ColourAlgebra:
     """[x,y]' = [x,y] - eps(x,y)[alpha^-1 beta(y), alpha beta^-1(x)].
 
@@ -267,8 +269,6 @@ def primed_bracket(a: ColourAlgebra) -> ColourAlgebra:
     into a skewsymmetric one.  Maps must be invertible.  Cached on the
     algebra, so a scan over its triples builds one bracket.
     """
-    if a._primed is None:
-        a._primed = ColourAlgebra._of(
-            a.basis, a.eps, commutator_table(a), a.alpha, a.beta, a.kind
-        )
-    return a._primed
+    return ColourAlgebra._of(
+        a.basis, a.eps, commutator_table(a), a.alpha, a.beta, a.kind
+    )

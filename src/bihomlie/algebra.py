@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
+from functools import wraps
 from math import gcd, lcm
 
 from .grading import Bicharacter, FrozenRecord, GradedBasis, GroupElement
@@ -67,6 +68,28 @@ IntTable = tuple[int, tuple[tuple[IntTerms, ...], ...]]
 # suites scan n^3 basis triples: check_lie_axioms on zero_100 took about
 # 1.2 s (2-vCPU x86-64 VM), and the cost grows as n^3.
 MAX_DIM = 100
+
+
+def memoized(build: Callable) -> Callable:
+    """``build(owner, *key)``, kept in ``owner._memo`` under
+    ``(build.__name__, *key)``: built on the first call and stored only
+    when it returns, so a raise stores nothing.  The derived tables of an
+    algebra or a module each live there, and their keys are plain data,
+    so an owner with a warm memo still pickles."""
+    name = build.__name__
+
+    @wraps(build)
+    def cached(owner, *key):
+        memo, k = owner._memo, (name, *key)
+        try:
+            return memo[k]
+        except KeyError:
+            pass
+        value = memo[k] = build(owner, *key)
+        return value
+
+    return cached
+
 
 def format_element(basis: GradedBasis, v: Vec) -> str:
     """Pretty coordinate vector: "2 X + -1/3 H", or "0".  ValueError
@@ -187,12 +210,7 @@ class ColourAlgebra:
         "kind",
         "_terms",
         "_product",
-        "_powers",
-        "_eps",
-        "_commutation",
-        "_int_tables",
-        "_shifts",
-        "_primed",
+        "_memo",
     )
 
     def __init__(
@@ -248,18 +266,7 @@ class ColourAlgebra:
         self.alpha = alpha
         self.beta = beta
         self.kind = kind
-        self._powers: dict[tuple, Matrix] = {}
-        self._eps: tuple[tuple[int, ...], ...] | None = None
-        # the commutation patterns of derivations._commutation, keyed by
-        # (reduced degree, with_beta)
-        self._commutation: dict[tuple, tuple] = {}
-        # the integer tables of int_table by their key, and beside them the
-        # indexes of _bracket_defect and derivations._commutes_with_maps
-        self._int_tables: dict[tuple, tuple | None] = {}
-        # the degree shifts of _degree_shift, keyed by degree
-        self._shifts: dict[tuple, tuple] = {}
-        # the algebra of admissibility.primed_bracket, built on first use
-        self._primed: ColourAlgebra | None = None
+        self._memo: dict[tuple, object] = {}
 
     # -- basic accessors ----------------------------------------------------
 
@@ -290,14 +297,11 @@ class ColourAlgebra:
     def eps_ij(self, i: int, j: int) -> int:
         return self.eps_table()[i][j]
 
+    @memoized
     def eps_table(self) -> tuple[tuple[int, ...], ...]:
         """eps(e_i, e_j) for all pairs of basis indices; cached."""
-        if self._eps is None:
-            degs = self.basis.degrees
-            self._eps = tuple(
-                tuple(self.eps.eval(di, dj) for dj in degs) for di in degs
-            )
-        return self._eps
+        degs, ev = self.basis.degrees, self.eps.eval
+        return tuple(tuple(ev(di, dj) for dj in degs) for di in degs)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -345,31 +349,20 @@ class ColourAlgebra:
 
     bracket = product_eval
 
+    @memoized
     def map_power(self, which: str, k: int) -> Matrix:
         """alpha**k or beta**k, cached; negative k needs invertibility."""
-        key = (which, k)
-        hit = self._powers.get(key)
-        if hit is None:
-            base = self.alpha if which == "alpha" else self.beta
-            hit = base.power(k)
-            self._powers[key] = hit
-        return hit
+        return (self.alpha if which == "alpha" else self.beta).power(k)
 
+    @memoized
     def ab_power(self, ka: int, kb: int) -> Matrix:
-        """alpha**ka composed with beta**kb, cached like map_power.
-
-        Its ``columns()`` are the images of the basis vectors.
-        """
+        """alpha**ka composed with beta**kb, cached like map_power: its
+        ``columns()`` are the images of the basis vectors."""
         if not kb:
             return self.map_power("alpha", ka)
         if not ka:
             return self.map_power("beta", kb)
-        key = ("alpha*beta", ka, kb)
-        hit = self._powers.get(key)
-        if hit is None:
-            hit = self.map_power("alpha", ka) * self.map_power("beta", kb)
-            self._powers[key] = hit
-        return hit
+        return self.map_power("alpha", ka) * self.map_power("beta", kb)
 
     def int_table(
         self, name: str, ka: int = 0, kb: int = 0, right: bool = False
@@ -385,23 +378,22 @@ class ColourAlgebra:
         table is read off dense Fraction products."""
         if name == "product_terms":
             return self._terms
-        key = (name,) if name != "twisted_terms" else (name, ka, kb, right)
-        hit = self._int_tables.get(key)
-        if hit is None:
-            if name == "twisted_terms":
-                images = self.ab_power(ka, kb).int_column_terms()
-                hit = _twisted_table(self._terms, images, right)
-            elif name == "skew_terms":
-                hit = _int_form(
-                    [
-                        [self.product_eval(b, x) for x in self.alpha.columns()]
-                        for b in self.beta.columns()
-                    ]
-                )
-            else:
-                raise ValueError(f"unknown term table {name!r}")
-            self._int_tables[key] = hit
-        return hit
+        if name == "twisted_terms":
+            return self._twisted_terms(ka, kb, right)
+        if name == "skew_terms":
+            return self._skew_terms()
+        raise ValueError(f"unknown term table {name!r}")
+
+    @memoized
+    def _twisted_terms(self, ka: int, kb: int, right: bool) -> IntTable:
+        images = self.ab_power(ka, kb).int_column_terms()
+        return _twisted_table(self._terms, images, right)
+
+    @memoized
+    def _skew_terms(self) -> IntTable:
+        f, alpha = self.product_eval, self.alpha.columns()
+        rows = [[f(b, x) for x in alpha] for b in self.beta.columns()]
+        return _int_form(rows)
 
     def is_regular(self) -> bool:
         try:
@@ -504,23 +496,20 @@ def _least(scale: int, table: Sequence[Sequence[IntTerms]]) -> IntTable:
 # -- the shared evaluators: one per identity shape --------------------------
 
 
+@memoized
 def _degree_shift(
     a: ColourAlgebra, gamma: GroupElement
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """For a degree-gamma map D: deg(e_t) + gamma, the degree of D(e_t),
-    and eps(gamma, deg(e_t)), for every basis index t; computed once per
-    degree and cached on the algebra."""
-    key = tuple(gamma)
-    hit = a._shifts.get(key)
-    if hit is None:
-        group = a.basis.group
-        g = group.reduce(gamma)
-        degrees = a.basis.degrees
-        hit = a._shifts[key] = (
-            tuple(group.add(d, g) for d in degrees),
-            tuple(a.eps.eval(g, d) for d in degrees),
-        )
-    return hit
+    """For a degree-gamma map D, gamma a tuple: deg(e_t) + gamma, the
+    degree of D(e_t), and eps(gamma, deg(e_t)), for every basis index t;
+    computed once per degree and cached on the algebra."""
+    group = a.basis.group
+    g = group.reduce(gamma)
+    degrees = a.basis.degrees
+    return (
+        tuple(group.add(d, g) for d in degrees),
+        tuple(a.eps.eval(g, d) for d in degrees),
+    )
 
 
 def _add_at(sums: dict, key: object, f: int, terms: IntTerms) -> None:
@@ -544,16 +533,15 @@ def _least_sum(sums: dict, n: int, den: int) -> tuple | None:
     return key, tuple(Fraction(sums[key].get(u, 0), den) for u in range(n))
 
 
+@memoized
 def _preimage(a: ColourAlgebra) -> tuple[tuple[tuple[int, int], ...], ...]:
     """At t, the (i * n + j, c) of every term (t, c) of a product cell
     [i][j], in ascending i * n + j; cached on the algebra."""
-    if ("product_terms", "preimage") not in a._int_tables:
-        by_t: list[list[tuple[int, int]]] = [[] for _ in range(a.dim)]
-        for pair, cell in enumerate(c for row in a._terms[1] for c in row):
-            for t, c in cell:
-                by_t[t].append((pair, c))
-        a._int_tables[("product_terms", "preimage")] = tuple(map(tuple, by_t))
-    return a._int_tables[("product_terms", "preimage")]
+    by_t: list[list[tuple[int, int]]] = [[] for _ in range(a.dim)]
+    for pair, cell in enumerate(c for row in a._terms[1] for c in row):
+        for t, c in cell:
+            by_t[t].append((pair, c))
+    return tuple(map(tuple, by_t))
 
 
 def _cells(table: IntTable, by_row: bool) -> IntTable:
@@ -566,14 +554,11 @@ def _cells(table: IntTable, by_row: bool) -> IntTable:
     )
 
 
+@memoized
 def _twisted_cells(a: ColourAlgebra, k: int, l: int, right: bool) -> IntTable:
     """:func:`_cells` of ``int_table("twisted_terms", k, l, right)``, by row
     for ``right``, as :func:`_bracket_defect` reads it; cached."""
-    key = ("twisted_terms", k, l, right, "cells")
-    if key not in a._int_tables:
-        table = a.int_table("twisted_terms", k, l, right)
-        a._int_tables[key] = _cells(table, right)
-    return a._int_tables[key]
+    return _cells(a.int_table("twisted_terms", k, l, right), right)
 
 
 def _bracket_defect(

@@ -35,6 +35,7 @@ from .algebra import (
     _commutator,
     _product_sum,
     format_element,
+    memoized,
 )
 from .grading import FrozenRecord, GradedBasis, GroupElement
 from .linalg import (
@@ -65,32 +66,31 @@ class Representation:
     constructor only checks shapes and group consistency; the module axioms
     are the business of :func:`validate_representation`.
 
-    A module memoizes its cochain complex.  Per arity n it keeps the
-    tables that depend on neither the degree nor r: the canonical n-tuples
-    numbered in lexicographic order and grouped by degree, each tuple's
-    alpha and beta pull-back terms, and
-    the bracket and action terms by which a tuple enters the coboundary.
-    Per (n, degree) it keeps the cochain basis, solved from the rows of
-    :func:`_intertwining_rows`, and per (n, r, degree) the unit-slot
-    images of the coboundary and the rank of its matrix (see
-    :func:`cochain_basis`, :func:`apply_coboundary` and
-    :func:`cohomology_dims`); :func:`_coordinates` reads coboundary images
-    and the cochains of :func:`cochain_in_space` off that basis.  The
-    basis, the unit images and the readout share one slot numbering per
-    arity n: the coordinate w of the canonical n-tuple at position p in
-    lexicographic order is the slot p * dimV + w (see :class:`Cochain`),
-    and the basis cochains and coboundary images hold those numbers.  A
-    repeated :func:`cohomology_dims` reads dim C and both ranks from the
-    memo, builds a coboundary matrix only on a rank miss and re-checks
-    d(d f) = 0 on every call.  The module must not be changed after its
-    first query.
-
-    Two memos serve every arity, degree and r: the dense integer rows on
-    which :func:`_reach` evaluates a unit cochain (see
-    :func:`_reach_rows`), and per action power k the action columns
-    rho(alpha beta^k(e_x)) e_w that the unit images read, each read once
-    through ``Matrix.apply`` and kept as integers over the common scale of
-    :meth:`action_table` (k).
+    A module memoizes its cochain complex in one memo, ``_memo``, kept by
+    :func:`~bihomlie.algebra.memoized` under each builder's name and
+    arguments.  Per arity n (:func:`_arity`) it keeps the tables that
+    depend on neither the degree nor r: the canonical n-tuples numbered in
+    lexicographic order and grouped by degree, each tuple's alpha and beta
+    pull-back terms, and the bracket and action terms by which a tuple
+    enters the coboundary.  Per (n, degree) it keeps the cochain basis
+    (:func:`_space`), solved from the rows of :func:`_intertwining_rows`,
+    and per (n, r, degree) the coboundary with its unit-slot images
+    (:func:`_coboundary`) and the rank of its matrix (:func:`_rank_of`);
+    :func:`_coordinates` reads coboundary images and the cochains of
+    :func:`cochain_in_space` off that basis.  The basis, the unit images
+    and the readout share one slot numbering per arity n: the coordinate
+    w of the canonical n-tuple at position p in lexicographic order is
+    the slot p * dimV + w (see :class:`Cochain`), and the basis cochains
+    and coboundary images hold those numbers.  A repeated
+    :func:`cohomology_dims` reads dim C and both ranks from the memo,
+    builds a coboundary matrix only on a rank miss and re-checks
+    d(d f) = 0 on every call.  Every arity, degree and r share the dense
+    integer rows on which :func:`_reach` evaluates a unit cochain
+    (:func:`_reach_rows`) and, per action power k, :meth:`action_table`
+    and its action columns rho(alpha beta^k(e_x)) e_w
+    (:func:`_action_columns`), each read once through ``Matrix.apply`` and
+    kept as integers over the table's common scale.  The module must not
+    be changed after its first query.
 
     The memo holds integers, not Fractions: the pull-back terms, the unit
     images, the action columns and the basis terms each over one scale.
@@ -110,13 +110,7 @@ class Representation:
         "alphaV",
         "betaV",
         "dimV",
-        "_actions",
-        "_columns",
-        "_reach_rows",
-        "_arities",
-        "_bases",
-        "_coboundaries",
-        "_ranks",
+        "_memo",
     )
 
     def __init__(
@@ -145,14 +139,7 @@ class Representation:
         self.alphaV = alphaV
         self.betaV = betaV
         self.dimV = d
-        self._actions: dict[int, tuple[Matrix, ...]] = {}
-        # action power k -> (L, {(x, w): integer column over L})
-        self._columns: dict[int, tuple[int, dict]] = {}
-        self._reach_rows: tuple | None = None
-        self._arities: dict[int, _Arity] = {}
-        self._bases: dict[tuple, _Space] = {}
-        self._coboundaries: dict[tuple, _Coboundary] = {}
-        self._ranks: dict[tuple, int] = {}
+        self._memo: dict[tuple, object] = {}
 
     def rho_of(self, x: Vec) -> Matrix:
         """Action matrix of an arbitrary algebra element: the integer
@@ -174,13 +161,11 @@ class Representation:
     def act(self, x: Vec, v: Vec) -> Vec:
         return self.rho_of(x).apply(v)
 
+    @memoized
     def action_table(self, k: int) -> tuple[Matrix, ...]:
         """rho(alpha beta^k(e_i)) for every basis index i; cached."""
-        hit = self._actions.get(k)
-        if hit is None:
-            cols = self.algebra.ab_power(1, k).columns()
-            hit = self._actions[k] = tuple(self.rho_of(x) for x in cols)
-        return hit
+        cols = self.algebra.ab_power(1, k).columns()
+        return tuple(self.rho_of(x) for x in cols)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Representation):
@@ -679,11 +664,9 @@ class _Arity:
         self.reach: dict[tuple, tuple] = {}
 
 
+@memoized
 def _arity(rep: Representation, n: int) -> _Arity:
-    hit = rep._arities.get(n)
-    if hit is None:
-        hit = rep._arities[n] = _Arity(rep.algebra, n)
-    return hit
+    return _Arity(rep.algebra, n)
 
 
 def _slots(
@@ -762,56 +745,50 @@ def cochain_basis(
     """
     if n < 0:
         return []
-    return list(_space(rep, n, gamma).basis)
+    g = rep.algebra.basis.group.reduce(gamma)
+    return list(_space(rep, n, g).basis)
 
 
-def _space(rep: Representation, n: int, gamma: GroupElement) -> _Space:
-    """The memoized cochain space of :func:`cochain_basis`: the kernel of
-    the conditions of :func:`_intertwining_rows` on the degree-gamma
+@memoized
+def _space(rep: Representation, n: int, g: GroupElement) -> _Space:
+    """The memoized cochain space of :func:`cochain_basis`, g reduced: the
+    kernel of the conditions of :func:`_intertwining_rows` on the degree-g
     slots.  The slots those conditions force to zero one by one leave the
     system; :func:`kernel_by_blocks` solves the rows that couple slots
     over the slots left, numbered in order, and its integer vectors v are
     read back onto the slots, each as v / v[f] over the lcm of the v[f],
     f the free column of v."""
-    g = rep.algebra.basis.group.reduce(gamma)
-    hit = rep._bases.get((n, g))
-    if hit is None:
-        order = _slots(rep, n, g)
-        forced: set[int] = set()
-        coupled: list[dict[int, int]] = []
-        for _, _, zero, rows in _intertwining_rows(
-            rep, n, {slot: k for k, slot in enumerate(order)}
-        ):
-            forced.update(zero)
-            coupled += rows
-        live = [k for k in range(len(order)) if k not in forced]
-        if coupled:
-            pos = {k: p for p, k in enumerate(live)}
-            coupled = [
-                {pos[k]: x for k, x in row.items() if k in pos}
-                for row in coupled
-            ]
-        # each kernel vector is in ascending column, so in ascending slot
-        kernel = kernel_by_blocks(coupled, len(live))
-        dens = [v[next(reversed(v))] for v in kernel]
-        scale = lcm(*dens)
-        arity = _arity(rep, n)
-        number, dimV = arity.number, rep.dimV
-        numbers = [number[T] * dimV + w for T, w in order]
-        terms = tuple(
-            tuple([(numbers[live[c]], x * (scale // d)) for c, x in v.items()])
-            for v, d in zip(kernel, dens)
-        )
-        hit = rep._bases[n, g] = _Space(
-            {s: k for k, s in enumerate(numbers)},
-            tuple(
-                Cochain._of(n, g, scale, t, arity.tuples, dimV)
-                for t in terms
-            ),
-            {t[-1][0]: k for k, t in enumerate(terms)},
-            (scale, terms),
-        )
-    return hit
+    order = _slots(rep, n, g)
+    forced: set[int] = set()
+    coupled: list[dict[int, int]] = []
+    for _, _, zero, rows in _intertwining_rows(
+        rep, n, {slot: k for k, slot in enumerate(order)}
+    ):
+        forced.update(zero)
+        coupled += rows
+    live = [k for k in range(len(order)) if k not in forced]
+    if coupled:
+        pos = {k: p for p, k in enumerate(live)}
+        coupled = [
+            {pos[k]: x for k, x in row.items() if k in pos} for row in coupled
+        ]
+    # each kernel vector is in ascending column, so in ascending slot
+    kernel = kernel_by_blocks(coupled, len(live))
+    dens = [v[next(reversed(v))] for v in kernel]
+    scale = lcm(*dens)
+    arity = _arity(rep, n)
+    number, dimV = arity.number, rep.dimV
+    numbers = [number[T] * dimV + w for T, w in order]
+    terms = tuple(
+        tuple([(numbers[live[c]], x * (scale // d)) for c, x in v.items()])
+        for v, d in zip(kernel, dens)
+    )
+    return _Space(
+        {s: k for k, s in enumerate(numbers)},
+        tuple(Cochain._of(n, g, scale, t, arity.tuples, dimV) for t in terms),
+        {t[-1][0]: k for k, t in enumerate(terms)},
+        (scale, terms),
+    )
 
 
 def _pullbacks(a: ColourAlgebra, arity: _Arity, T: tuple[int, ...]) -> tuple:
@@ -1107,12 +1084,7 @@ class _Coboundary:
         self.codomain = _arity(rep, n + 1)
         power = r + n - 1
         self.action = rep.action_table(power)
-        columns = rep._columns.get(power)
-        if columns is None:
-            # lcm of a list, not of a generator: see scale_to_ints
-            common = lcm(*[m.int_column_terms()[0] for m in self.action])
-            columns = rep._columns[power] = (common, {})
-        self.action_scale, self.columns = columns
+        self.action_scale, self.columns = _action_columns(rep, power)
         if n:
             bracket, beta = _reach_rows(rep)
             self.bracket_scale = bracket[0] * beta[0] ** (n - 1)
@@ -1179,6 +1151,16 @@ class _Coboundary:
         return hit
 
 
+@memoized
+def _action_columns(rep: Representation, power: int) -> tuple[int, dict]:
+    """(L, columns): the common scale L of ``rep.action_table(power)`` and
+    the memo of its action columns, filled by :meth:`_Coboundary._column`
+    with the integers over L of each column it reads, keyed (x, w)."""
+    # lcm of a list, not of a generator: see scale_to_ints
+    return lcm(*[m.int_column_terms()[0] for m in rep.action_table(power)]), {}
+
+
+@memoized
 def _reach_rows(rep: Representation) -> tuple:
     """(bracket, beta): the tables on which :func:`_reach` evaluates a
     unit cochain, built once per module.  Each is (L, rows, pre): rows[key]
@@ -1189,31 +1171,26 @@ def _reach_rows(rep: Representation) -> tuple:
     columns beta(e_i) of ``beta.int_column_terms()``.  The bracket rows
     need an invertible alpha, which only cochains of arity n >= 1 ask
     for."""
-    hit = rep._reach_rows
-    if hit is None:
-        a = rep.algebra
+    a = rep.algebra
 
-        def index(scale: int, cells: dict) -> tuple:
-            rows = {}
-            pre: list[list] = [[] for _ in range(a.dim)]
-            for key, terms in cells.items():
-                row = [0] * a.dim
-                for k, x in terms:
-                    row[k] = x
-                    pre[k].append(key)
-                rows[key] = tuple(row)
-            return scale, rows, tuple(map(tuple, pre))
+    def index(scale: int, cells: dict) -> tuple:
+        rows = {}
+        pre: list[list] = [[] for _ in range(a.dim)]
+        for key, terms in cells.items():
+            row = [0] * a.dim
+            for k, x in terms:
+                row[k] = x
+                pre[k].append(key)
+            rows[key] = tuple(row)
+        return scale, rows, tuple(map(tuple, pre))
 
-        bracket_scale, table = a.int_table("twisted_terms", -1, 1)
-        beta_scale, cols = a.beta.int_column_terms()
-        cells = {
-            (i, j): c for i, r in enumerate(table) for j, c in enumerate(r)
-        }
-        hit = rep._reach_rows = (
-            index(bracket_scale, cells),
-            index(beta_scale, dict(enumerate(cols))),
-        )
-    return hit
+    bracket_scale, table = a.int_table("twisted_terms", -1, 1)
+    beta_scale, cols = a.beta.int_column_terms()
+    cells = {(i, j): c for i, r in enumerate(table) for j, c in enumerate(r)}
+    return (
+        index(bracket_scale, cells),
+        index(beta_scale, dict(enumerate(cols))),
+    )
 
 
 def _reach(rep: Representation, n: int, T: tuple[int, ...]) -> tuple:
@@ -1297,6 +1274,19 @@ def _reach(rep: Representation, n: int, T: tuple[int, ...]) -> tuple:
     return tuple(out)
 
 
+@memoized
+def _coboundary(
+    rep: Representation, n: int, r: int, gamma: GroupElement
+) -> _Coboundary:
+    """The :class:`_Coboundary` of (n, r, gamma), memoized under gamma as
+    given: the library's cochains carry a reduced degree, and any other is
+    reduced on its miss alone, to share the entry of its reduction."""
+    g = rep.algebra.basis.group.reduce(gamma)
+    if g != gamma:
+        return _coboundary(rep, n, r, g)
+    return _Coboundary(rep, n, r, g)
+
+
 def apply_coboundary(
     rep: Representation, r: int, f: Cochain, *, validate: bool = True
 ) -> Cochain:
@@ -1352,14 +1342,7 @@ def apply_coboundary(
         if not ok:
             raise ValueError(f"cochain is outside the domain space: {reason}")
     n = f.n
-    # the library's cochains carry their reduced degree: reduce on a miss
-    cob = rep._coboundaries.get((n, r, f.degree))
-    if cob is None:
-        gamma = rep.algebra.basis.group.reduce(f.degree)
-        key = (n, r, gamma)
-        if key not in rep._coboundaries:
-            rep._coboundaries[key] = _Coboundary(rep, n, r, gamma)
-        cob = rep._coboundaries[key]
+    cob = _coboundary(rep, n, r, f.degree)
     dimV = rep.dimV
     den, pairs, unnumbered = _slot_pairs(f, cob.arity, dimV)
     for T in unnumbered:
@@ -1416,11 +1399,12 @@ def coboundary_matrix(
     caller reads them (see :meth:`Matrix.int_column_terms`); a tuple and
     a Fraction are built here only for the text of an error.
     """
-    dom = cochain_basis(rep, n, gamma)
-    cod_basis = cochain_basis(rep, n + 1, gamma)
+    g = rep.algebra.basis.group.reduce(gamma)
+    dom = cochain_basis(rep, n, g)
+    cod_basis = cochain_basis(rep, n + 1, g)
     if not dom:
         return Matrix.zero(len(cod_basis), 0)
-    cod = _space(rep, n + 1, gamma)  # the memo entry just read
+    cod = _space(rep, n + 1, g)  # the memo entry just read
     arity, dimV = _arity(rep, n + 1), rep.dimV
     cols = []
     for k, fb in enumerate(dom):
@@ -1557,11 +1541,7 @@ def cohomology_dims(
     )
 
 
+@memoized
 def _rank_of(rep: Representation, n: int, r: int, g) -> int:
     """Rank of the coboundary matrix of (n, r, g), memoized."""
-    key = (n, r, g)
-    hit = rep._ranks.get(key)
-    if hit is None:
-        mat = coboundary_matrix(rep, n, r, g)
-        hit = rep._ranks[key] = mat.rank()
-    return hit
+    return coboundary_matrix(rep, n, r, g).rank()

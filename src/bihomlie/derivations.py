@@ -72,6 +72,7 @@ from .algebra import (
     _degree_shift,
     _least_sum,
     _twisted_cells,
+    memoized,
 )
 from .grading import Bicharacter, FrozenRecord, GroupElement
 from .linalg import (
@@ -119,7 +120,7 @@ def is_homogeneous_endo(
     a: ColourAlgebra, matrix: Matrix, gamma: GroupElement
 ) -> bool:
     """True when every nonzero entry maps block d into block d+gamma."""
-    image = _degree_shift(a, gamma)[0]
+    image = _degree_shift(a, tuple(gamma))[0]
     return first_off_block(matrix, a.basis.degrees, image) is None
 
 
@@ -185,6 +186,7 @@ def _block_slots(
     ]
 
 
+@memoized
 def _commutation(
     a: ColourAlgebra, gamma: GroupElement, with_beta: bool
 ) -> tuple[tuple[tuple[int, int], ...], tuple[dict[int, int], ...]]:
@@ -198,25 +200,21 @@ def _commutation(
     solution of every system that includes them, so no solver needs its
     column.  Cached on the algebra per (gamma, with_beta).
     """
-    key = (gamma, with_beta)
-    hit = a._commutation.get(key)
-    if hit is None:
-        n = a.dim
-        slots = _block_slots(a, gamma)
-        cols: list[list[int | None]] = [[None] * n for _ in range(n)]
-        for idx, (u, t) in enumerate(slots):
-            cols[u][t] = idx
-        rows = _commuting_rows(a, cols, a.alpha)
-        if with_beta:
-            rows += _commuting_rows(a, cols, a.beta)
-        forced, rows = _strike_forced(rows)
-        live = [idx for idx in range(len(slots)) if idx not in forced]
-        pos = {idx: p for p, idx in enumerate(live)}
-        hit = a._commutation[key] = (
-            tuple(slots[idx] for idx in live),
-            tuple({pos[c]: x for c, x in row.items()} for row in rows),
-        )
-    return hit
+    n = a.dim
+    slots = _block_slots(a, gamma)
+    cols: list[list[int | None]] = [[None] * n for _ in range(n)]
+    for idx, (u, t) in enumerate(slots):
+        cols[u][t] = idx
+    rows = _commuting_rows(a, cols, a.alpha)
+    if with_beta:
+        rows += _commuting_rows(a, cols, a.beta)
+    forced, rows = _strike_forced(rows)
+    live = [idx for idx in range(len(slots)) if idx not in forced]
+    pos = {idx: p for p, idx in enumerate(live)}
+    return (
+        tuple(slots[idx] for idx in live),
+        tuple({pos[c]: x for c, x in row.items()} for row in rows),
+    )
 
 
 def _solve_blocks(
@@ -418,15 +416,13 @@ def _leibniz_rows(
     return out
 
 
+@memoized
 def _diagonal(a: ColourAlgebra, name: str) -> tuple[int, ...] | None:
     """The integer diagonal of the structure map ``name`` if every column
     is on it (``linalg.int_diagonal``), else None; cached."""
-    key = (name, "diagonal")
-    if key not in a._int_tables:
-        cols = getattr(a, name).int_column_terms()[1]
-        diag = tuple(int_diagonal(cols).values())
-        a._int_tables[key] = diag if len(diag) == len(cols) else None
-    return a._int_tables[key]
+    cols = getattr(a, name).int_column_terms()[1]
+    diag = tuple(int_diagonal(cols).values())
+    return diag if len(diag) == len(cols) else None
 
 
 def _commutes_with_maps(

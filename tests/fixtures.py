@@ -41,6 +41,12 @@ LIE_CORPUS = (
 )
 
 
+def memo_keys(owner, name: str) -> list[tuple]:
+    """The keys, in order, under which the algebra or module ``owner``
+    memoizes the builder called ``name``, each without that name."""
+    return [key[1:] for key in owner._memo if key[0] == name]
+
+
 def gl_units(parity: tuple[int, ...]) -> ColourAlgebra:
     """The Z2-graded k x k matrix units under multiplication, with identity
     maps; E_ij has degree parity[i] + parity[j]."""
