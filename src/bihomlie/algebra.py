@@ -209,7 +209,6 @@ class ColourAlgebra:
         "beta",
         "kind",
         "_terms",
-        "_product",
         "_memo",
     )
 
@@ -238,7 +237,7 @@ class ColourAlgebra:
         if kind not in ("lie", "associative", "generic"):
             raise ValueError(f"unknown kind {kind!r}")
         self._init(basis, eps, _int_form(table), alpha, beta, kind)
-        self._product = table
+        self._memo["product",] = table  # the view is the table it converted
 
     @classmethod
     def _of(
@@ -262,7 +261,6 @@ class ColourAlgebra:
         self.basis = basis
         self.eps = eps
         self._terms: IntTable = terms
-        self._product: tuple[tuple[Vec, ...], ...] | None = None
         self.alpha = alpha
         self.beta = beta
         self.kind = kind
@@ -275,16 +273,13 @@ class ColourAlgebra:
         return len(self.basis)
 
     @property
+    @memoized
     def product(self) -> tuple[tuple[Vec, ...], ...]:
         """product[i][j], the coordinates of e_i e_j: a Fraction view of the
         integer form, built on first read and cached."""
-        if self._product is None:
-            # row i read as the matrix whose column j is the cell [i][j]
-            scale, table = self._terms
-            self._product = tuple(
-                Matrix._of(scale, row, self.dim).columns() for row in table
-            )
-        return self._product
+        # row i read as the matrix whose column j is the cell [i][j]
+        scale, table = self._terms
+        return tuple(Matrix._of(scale, r, self.dim).columns() for r in table)
 
     def basis_vec(self, i: int) -> Vec:
         return tuple(

@@ -24,7 +24,7 @@ from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import chain, combinations_with_replacement
 from itertools import product as iproduct
-from math import lcm, prod
+from math import comb, lcm, prod
 from operator import sub
 
 from .algebra import (
@@ -57,6 +57,12 @@ from .linalg import (
     vscale,
     vzero,
 )
+
+
+# The most slots (canonical tuple, V index) of a cochain space: H^4 of
+# gl(2|2) reads the 75,392 of C^5, `cohomology --n 2` on zero_40 the 395,200
+# of C^3 in 4.6 s (2-vCPU x86-64 VM), and C^6 there has 153,535,200.
+MAX_SLOTS = 100_000
 
 
 class Representation:
@@ -697,15 +703,49 @@ def _slots(
 
 def realized_gammas(rep: Representation, n: int) -> list[GroupElement]:
     """Degrees gamma for which the degree-gamma slot space is nonzero: e - d
-    over the distinct degrees e of V and d of the canonical n-tuples."""
-    group = rep.algebra.basis.group
-    return sorted(
-        {
-            group.sub(e, d)
-            for d in _arity(rep, n).by_degree
-            for e in set(rep.space.degrees)
-        }
-    )
+    over the distinct degrees e of V and d of the canonical n-tuples, read
+    off :func:`_tuple_counts`, so no tuple is enumerated."""
+    group, degrees = rep.algebra.basis.group, set(rep.space.degrees)
+    counts = _tuple_counts(rep, n)
+    return sorted({group.sub(e, d) for d in counts for e in degrees})
+
+
+@memoized
+def _tuple_counts(rep: Representation, n: int) -> dict[GroupElement, int]:
+    """The number of canonical n-tuples of each degree that has one, in
+    one pass over the basis and no tuple: an index of degree d with
+    eps(d, d) = +1 enters a tuple at most once, any other up to n times
+    (:func:`_is_canonical`), so c such indices give C(c, m), or
+    C(c + m - 1, m), choices of m entries, of degree m d."""
+    group, eps = rep.algebra.basis.group, rep.algebra.eps_table()
+    kinds: dict[tuple, int] = {}
+    for i, d in enumerate(rep.algebra.basis.degrees):
+        kinds[d, eps[i][i] == 1] = kinds.get((d, eps[i][i] == 1), 0) + 1
+    # by_size[k] maps a degree to the number of its canonical k-tuples
+    by_size = [{group.zero(): 1}] + [{} for _ in range(n)]
+    for (d, once), c in kinds.items():
+        for k in range(n, 0, -1):  # so that by_size[k - m] is the old one
+            for m in range(1, k + 1):
+                ways = comb(c, m) if once else comb(c + m - 1, m)
+                if not ways:
+                    break
+                shift = group.reduce([m * x for x in d])
+                for g, x in by_size[k - m].items():
+                    h = group.add(g, shift)
+                    by_size[k][h] = by_size[k].get(h, 0) + ways * x
+    return by_size[n] if n >= 0 else {}
+
+
+def _refuse_oversized(rep: Representation, n: int, gamma: GroupElement):
+    """ValueError when the degree-gamma n-cochains have more than MAX_SLOTS
+    slots, counted off :func:`_tuple_counts` before any n-tuple is built."""
+    counts, group = _tuple_counts(rep, n), rep.algebra.basis.group
+    count = sum(counts.get(group.sub(e, gamma), 0) for e in rep.space.degrees)
+    if count > MAX_SLOTS:
+        raise ValueError(
+            f"the {n}-cochains of degree {tuple(gamma)} have {count} slots, "
+            f"more than the limit of {MAX_SLOTS}"
+        )
 
 
 class _Space(FrozenRecord):
@@ -758,6 +798,7 @@ def _space(rep: Representation, n: int, g: GroupElement) -> _Space:
     over the slots left, numbered in order, and its integer vectors v are
     read back onto the slots, each as v / v[f] over the lcm of the v[f],
     f the free column of v."""
+    _refuse_oversized(rep, n, g)
     order = _slots(rep, n, g)
     forced: set[int] = set()
     coupled: list[dict[int, int]] = []
@@ -1153,9 +1194,8 @@ class _Coboundary:
 
 @memoized
 def _action_columns(rep: Representation, power: int) -> tuple[int, dict]:
-    """(L, columns): the common scale L of ``rep.action_table(power)`` and
-    the memo of its action columns, filled by :meth:`_Coboundary._column`
-    with the integers over L of each column it reads, keyed (x, w)."""
+    """(L, {}): the common scale L of ``rep.action_table(power)`` and the
+    memo that :meth:`_Coboundary._column` fills with its columns over L."""
     # lcm of a list, not of a generator: see scale_to_ints
     return lcm(*[m.int_column_terms()[0] for m in rep.action_table(power)]), {}
 
@@ -1284,6 +1324,8 @@ def _coboundary(
     g = rep.algebra.basis.group.reduce(gamma)
     if g != gamma:
         return _coboundary(rep, n, r, g)
+    _refuse_oversized(rep, n, g)
+    _refuse_oversized(rep, n + 1, g)
     return _Coboundary(rep, n, r, g)
 
 

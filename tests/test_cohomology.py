@@ -28,6 +28,8 @@ from bihomlie.cohomology import (
     _pullbacks,
     _reach_rows,
     _slots,
+    _tuple_counts,
+    MAX_SLOTS,
     realized_gammas,
     validate_representation,
 )
@@ -687,6 +689,47 @@ TABLE_MODULES = {
     **ORACLE_MODULES,
     "gl21_unipotent_twist": lambda: adjoint_rep(gl21_unipotent_twist(), 0, 1),
 }
+
+
+COUNT_MODULES = {
+    **TABLE_MODULES,
+    "gl21_fraction_twist": INTEGER_MODULES["gl21_fraction_twist"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_MODULES))
+def test_tuple_counts_equal_the_enumerated_tuples_and_slots(name):
+    # counted without enumerating them, the canonical n-tuples of each
+    # degree are the arity's degree groups, and summed over the degrees
+    # of V they give the slots _slots lists
+    rep = COUNT_MODULES[name]()
+    group = rep.algebra.basis.group
+    for n in range(5):
+        counts = _tuple_counts(rep, n)
+        groups = _arity(rep, n).by_degree
+        assert counts == {d: len(t) for d, t in groups.items()}
+        for g in realized_gammas(rep, n):
+            slots = [counts.get(group.sub(e, g), 0) for e in rep.space.degrees]
+            assert sum(slots) == len(_slots(rep, n, g))
+
+
+def test_the_library_refuses_a_cochain_space_over_the_slot_budget():
+    # on zero_40 C^2 has 780 * 40 slots and C^3 9880 * 40: the coboundary
+    # of a 2-cochain and the 3-cochain basis are refused before the
+    # 3-tuples are enumerated, and a refusal stores nothing
+    rep = adjoint_rep(zero_algebra(40), 0, 1)
+    want = "the 3-cochains of degree () have 395200 slots, more than the "
+    want += f"limit of {MAX_SLOTS}"
+    f = Cochain(2, (), {(0, 1): [1] + [0] * 39}, 40)
+    with pytest.raises(ValueError) as err:
+        apply_coboundary(rep, 0, f, validate=False)
+    assert str(err.value) == want
+    with pytest.raises(ValueError) as err:
+        cochain_basis(rep, 3, ())
+    assert str(err.value) == want
+    assert memo_keys(rep, "_arity") == []
+    assert memo_keys(rep, "_coboundary") == memo_keys(rep, "_space") == []
+    assert len(cochain_basis(rep, 2, ())) == 780 * 40
 
 
 @pytest.mark.parametrize("name", sorted(TABLE_MODULES))

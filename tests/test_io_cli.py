@@ -10,6 +10,7 @@ import sys
 import time
 from fractions import Fraction
 from importlib import resources
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -730,8 +731,38 @@ def test_a_huge_arity_exits_2_before_any_tuple_is_built(capsys, monkeypatch):
         assert out.err == f"error: cochain arity {n} exceeds {cli.MAX_ARITY}\n"
         assert out.out == ""
     assert built == []
+    # an in-bound run enumerates the arities H^n reads, and no other
     assert run_cli(["cohomology", path, "--n", str(cli.MAX_ARITY)]) == 0
-    assert built == [cli.MAX_ARITY]
+    n = cli.MAX_ARITY
+    assert sorted(built) == [n - 1, n, n + 1]
+
+
+@pytest.mark.parametrize("name, n", [("zero_40", 6), ("zero_100", 16)])
+def test_a_cochain_space_over_the_slot_budget_exits_2_before_any_tuple(
+    name, n, tmp_path, capsys, monkeypatch
+):
+    # zero_n has one degree and eps = +1, so its canonical n-tuples are
+    # the n-subsets of the basis, each with dim V slots; the refusal comes
+    # from their count, before any tuple is enumerated
+    built = []
+    monkeypatch.setattr(
+        cohomology, "canonical_index_tuples", lambda a, n: built.append(n)
+    )
+    path = str(tmp_path / f"{name}.alg")
+    assert run_cli(["example", name, "-o", path]) == 0
+    capsys.readouterr()
+    dim = int(name[5:])
+    start = time.perf_counter()
+    assert run_cli(["cohomology", path, "--n", str(n)]) == 2
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr()
+    assert out.err == (
+        f"error: the {n}-cochains of degree () have {comb(dim, n) * dim} "
+        f"slots, more than the limit of {cohomology.MAX_SLOTS}\n"
+    )
+    assert out.out == ""
+    assert built == []
+    assert elapsed < 1
 
 
 def test_the_dimension_bound_refuses_larger_algebras(monkeypatch, capsys):

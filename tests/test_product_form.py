@@ -107,7 +107,7 @@ def test_the_public_constructor_builds_the_form_the_algebra_holds(name):
 
 def test_the_product_view_is_built_once_and_read_only():
     a = parse_algebra(serialize_algebra(osp12_classical()))
-    assert a._product is None
+    assert fixtures.memo_keys(a, "product") == []
     view = a.product
     assert view is a.product
     assert view[1][2] == (Fraction(1),) + (Fraction(0),) * 4  # [X, Y] = H

@@ -95,7 +95,10 @@ hash moves when any bit of the output does.  The records are
 - ``cli/example/<name>``: the exit code and the emitted text (and
   stderr) of
   ``example`` on every name of ``CORPUS_NAMES`` and of ``example
-  --list``; and ``cli/<file>/<command>`` for the commands no sweep runs,
+  --list``; ``cli/zero_40.alg/cohomology-n6``, the same of
+  ``cohomology --n 6`` on the file ``example zero_40`` writes, which the
+  slot budget refuses (so ``trees`` hangs on a checkout without it); and
+  ``cli/<file>/<command>`` for the commands no sweep runs,
   with fixed side files: the exit code, the text printed on stdout and
   stderr and the ``--report`` JSON text of ``admissible --group all`` on every shipped
   file, of ``sigma-twist`` and ``delta-twist`` by the constant multiplier
@@ -790,6 +793,12 @@ def _corpus_records():
     yield "cli/example/--list", _run(["example", "--list"])
     for name in CORPUS_NAMES:
         yield f"cli/example/{name}", _run(["example", name])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "zero_40.alg")
+        _run(["example", "zero_40", "-o", path])
+        yield "cli/zero_40.alg/cohomology-n6", _run(
+            ["cohomology", path, "--n", "6"]
+        )
 
 
 def _side_files():
