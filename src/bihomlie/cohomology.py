@@ -20,12 +20,13 @@ breaks the square already on osp(1|2) with identity maps.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import chain, combinations_with_replacement
 from itertools import product as iproduct
 from math import comb, lcm, prod
-from operator import sub
+from operator import add, sub
 
 from .algebra import (
     AxiomReport,
@@ -704,46 +705,46 @@ def _slots(
 def realized_gammas(rep: Representation, n: int) -> list[GroupElement]:
     """Degrees gamma for which the degree-gamma slot space is nonzero: e - d
     over the distinct degrees e of V and d of the canonical n-tuples, read
-    off :func:`_tuple_counts`, so no tuple is enumerated."""
-    group, degrees = rep.algebra.basis.group, set(rep.space.degrees)
-    counts = _tuple_counts(rep, n)
-    return sorted({group.sub(e, d) for d in counts for e in degrees})
+    off :func:`_slot_counts`, so no tuple is enumerated."""
+    return sorted(_slot_counts(rep, n))
 
 
 @memoized
-def _tuple_counts(rep: Representation, n: int) -> dict[GroupElement, int]:
-    """The number of canonical n-tuples of each degree that has one, in
-    one pass over the basis and no tuple: an index of degree d with
+def _slot_counts(rep: Representation, n: int) -> dict[GroupElement, int]:
+    """The number of slots of the degree-gamma n-cochains, for each gamma
+    that has one: the canonical n-tuples of degree e - gamma for each V
+    index of degree e.  The tuples of each degree are counted in one pass
+    over the basis and none is built: an index of degree d with
     eps(d, d) = +1 enters a tuple at most once, any other up to n times
     (:func:`_is_canonical`), so c such indices give C(c, m), or
     C(c + m - 1, m), choices of m entries, of degree m d."""
     group, eps = rep.algebra.basis.group, rep.algebra.eps_table()
-    kinds: dict[tuple, int] = {}
-    for i, d in enumerate(rep.algebra.basis.degrees):
-        kinds[d, eps[i][i] == 1] = kinds.get((d, eps[i][i] == 1), 0) + 1
+    degrees = enumerate(rep.algebra.basis.degrees)
+    kinds = Counter([(d, eps[i][i] == 1) for i, d in degrees])
     # by_size[k] maps a degree to the number of its canonical k-tuples
     by_size = [{group.zero(): 1}] + [{} for _ in range(n)]
     for (d, once), c in kinds.items():
+        shifts = [group.reduce([m * x for x in d]) for m in range(n + 1)]
         for k in range(n, 0, -1):  # so that by_size[k - m] is the old one
-            for m in range(1, k + 1):
+            for m in range(1, min(k, c if once else k) + 1):
                 ways = comb(c, m) if once else comb(c + m - 1, m)
-                if not ways:
-                    break
-                shift = group.reduce([m * x for x in d])
                 for g, x in by_size[k - m].items():
-                    h = group.add(g, shift)
+                    h = group.reduce(map(add, g, shifts[m]))
                     by_size[k][h] = by_size[k].get(h, 0) + ways * x
-    return by_size[n] if n >= 0 else {}
+    slots: Counter = Counter()
+    tuples = by_size[n] if n >= 0 else {}
+    for (e, v), d in iproduct(Counter(rep.space.degrees).items(), tuples):
+        slots[group.sub(e, d)] += v * tuples[d]
+    return slots
 
 
-def _refuse_oversized(rep: Representation, n: int, gamma: GroupElement):
-    """ValueError when the degree-gamma n-cochains have more than MAX_SLOTS
-    slots, counted off :func:`_tuple_counts` before any n-tuple is built."""
-    counts, group = _tuple_counts(rep, n), rep.algebra.basis.group
-    count = sum(counts.get(group.sub(e, gamma), 0) for e in rep.space.degrees)
+def _refuse_oversized(rep: Representation, n: int, g: GroupElement):
+    """ValueError, before any n-tuple is built, when the degree-g
+    n-cochains, g reduced, have more than MAX_SLOTS slots."""
+    count = _slot_counts(rep, n).get(g, 0)
     if count > MAX_SLOTS:
         raise ValueError(
-            f"the {n}-cochains of degree {tuple(gamma)} have {count} slots, "
+            f"the {n}-cochains of degree {g} have {count} slots, "
             f"more than the limit of {MAX_SLOTS}"
         )
 
